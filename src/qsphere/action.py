@@ -386,9 +386,9 @@ def invariant_subspace(pres: Presentation, rep, D: int,
         idx = rep.window_indices(M, rank_window)
 
     def base_image(word):
-        A = np.eye(rep.dim(M), dtype=np.complex128)
-        for g in reversed(word):
-            A = rep.matrix(g, M) @ A
+        cols, rows, val = rep.walk(word, M, np.arange(rep.dim(M)))
+        A = np.zeros((rep.dim(M), rep.dim(M)), dtype=np.complex128)
+        A[rows, cols] = val
         return A
 
     images, labels = [], []

@@ -16,6 +16,7 @@ import numpy as np
 
 from .qcore import QParams, tau
 from .ncalg import NCPoly, make_presentation
+from .report import max_or_nan
 from .reps import (
     MatrixRep,
     evaluate,
@@ -183,7 +184,7 @@ def compress_identify(p: QParams, x: float, sign, branch, N: int):
                            "kind": "compressed"})
     pres = make_presentation("podles", p, x=x + br)
     rel = relation_check(pres, crep, precise=False)
-    residuals["relations"] = max(rel.values())
+    residuals["relations"] = max_or_nan(*rel.values())
 
     zdiag = np.diag(compressed["Z"]).real
     if sgn == 1:

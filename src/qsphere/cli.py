@@ -60,7 +60,7 @@ from .morita import (
     podles_part_compression,
     rp2_suite,
 )
-from .report import VerificationReport, canonical_json
+from .report import VerificationReport, canonical_json, max_or_nan
 
 TOL_RELATIONS = 1e-11
 TOL_XI = 1e-12
@@ -133,7 +133,7 @@ def suite_casimir(p, x, N, dump=None):
             U = eigvec_columns(p, x, sign, branch, N)
             vecs[branch] = U
             for i in range(U.shape[1]):
-                worst = max(worst, float(
+                worst = max_or_nan(worst, float(
                     np.linalg.norm(T2 @ U[:, i] - val * U[:, i])))
             rpt.add(f"xi_residual_{sign}_{tag}", worst, TOL_XI)
         both = np.hstack([vecs[1], vecs[-1]])
@@ -208,10 +208,10 @@ def suite_functional(p, x, l, N):
             for w in words:
                 d = invariance_defects(w, rep, W)
                 for key in acc:
-                    acc[key] = max(acc[key], d[key])
+                    acc[key] = max_or_nan(acc[key], d[key])
             worst[W] = acc
             bound = 100.0 * p.q ** (2 * (W - 8))
-            rpt.add(f"{tag}_bound_N{W}", max(acc.values()), bound)
+            rpt.add(f"{tag}_bound_N{W}", max_or_nan(*acc.values()), bound)
         for key in ("E", "F"):
             lo, hi = worst[windows[0]][key], worst[windows[1]][key]
             if lo <= 0 or hi <= 0:
@@ -311,7 +311,7 @@ def suite_oracle(p, x, l, N, seed, count):
                 continue
             if not all(is_basis_word(v, pres) for v in nf.terms):
                 span_fail += 1
-            worst = max(worst, max_abs(
+            worst = max_or_nan(worst, max_abs(
                 evaluate(poly, rep) - evaluate(nf, rep)))
         rpt.add("residual", worst, TOL_ORACLE)
         rpt.add("cap_hits", float(cap_hits), 0.0)
@@ -359,6 +359,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _input_error(args):
+    """Why the parsed arguments cannot be run, or None."""
+    for flag, v in (("--x", args.x), ("--y", args.y)):
+        if isinstance(v, float) and not math.isfinite(v):
+            return f"{flag} must be finite or 'standard', got {v}"
+    if not 0.0 < args.q < 1.0:
+        return f"--q must lie strictly between 0 and 1, got {args.q}"
+    if args.N < 4:
+        return f"--N must be at least 4, got {args.N}"
+    if args.count < 1:
+        return f"--count must be at least 1, got {args.count}"
+    if not (args.l >= 0 and (2 * args.l).is_integer()):
+        return f"--l must be a nonnegative half-integer, got {args.l}"
+    if not 0 <= args.D <= 8:
+        return f"--D must lie between 0 and 8, got {args.D}"
+    return None
+
+
 def run(argv) -> int:
     ap = build_parser()
     try:
@@ -369,6 +387,10 @@ def run(argv) -> int:
             ap.error("orbit needs --y")
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    problem = _input_error(args)
+    if problem:
+        print(f"{ap.prog}: error: {problem}", file=sys.stderr)
+        return 2
     p = QParams(args.q, tol=args.tol or 1e-11)
     x = args.x
 

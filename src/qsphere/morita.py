@@ -14,6 +14,7 @@ import numpy as np
 
 from .qcore import QParams
 from .ncalg import NCPoly, a_gen, basis_words, make_presentation, normal_form
+from .report import max_or_nan
 from .reps import evaluate, max_abs, rep_bl, tensor_coaction
 
 STANDARD = "standard"
@@ -207,7 +208,7 @@ def a0_block(p: QParams, l, branch: int, M: int):
     report = {
         "match": max_abs(W_right.conj().T @ block @ W_right - want),
         "wrong_summand": max_abs(W_wrong.conj().T @ block @ W_wrong),
-        "cross": max(
+        "cross": max_or_nan(
             max_abs(W_wrong.conj().T @ block @ W_right),
             max_abs(W_right.conj().T @ block @ W_wrong)),
     }
@@ -256,10 +257,10 @@ def rp2_suite(p: QParams, N: int) -> dict:
     p_plus = (I + A0) / 2
     p_minus = (I - A0) / 2
     out = {
-        "involution": max(
+        "involution": max_or_nan(
             max_abs(A0 @ A0 - I),
             max_abs(A0 - A0.conj().T)),
-        "projections": max(
+        "projections": max_or_nan(
             max_abs(p_plus @ p_plus - p_plus),
             max_abs(p_plus @ p_minus),
             max_abs(p_plus + p_minus - I)),
@@ -267,7 +268,7 @@ def rp2_suite(p: QParams, N: int) -> dict:
     conj = 0.0
     for g in ("X", "Y", "Z"):
         G = rep.matrix(g, M)
-        conj = max(conj, max_abs(A0 @ G @ A0 + G))
+        conj = max_or_nan(conj, max_abs(A0 @ G @ A0 + G))
     out["antipodal_conjugation"] = conj
 
     bc = basis_change(p, 0, M)
@@ -285,6 +286,6 @@ def rp2_suite(p: QParams, N: int) -> dict:
             nf = normal_form(NCPoly({u + v: 1.0}), pres)
             for w, c in nf.terms.items():
                 if len(w) % 2:
-                    odd_leak = max(odd_leak, abs(c))
+                    odd_leak = max_or_nan(odd_leak, abs(c))
     out["even_subalgebra"] = odd_leak
     return out

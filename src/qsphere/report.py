@@ -2,12 +2,24 @@
 
 Reports are deterministic: details are sorted by item label, checks by check
 name, keys alphabetically, and floats printed with 17 significant digits, so
-identical inputs produce byte-identical output.
+identical inputs produce byte-identical output.  A NaN or infinite value is
+written as the JSON string "nan", "inf" or "-inf", and a NaN or infinite
+residual fails its check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def max_or_nan(*residuals: float) -> float:
+    """The largest residual (0.0 for none), NaN if any is NaN.  Python's max
+    drops a NaN that is not its first argument, which would turn a NaN
+    residual into a pass."""
+    if any(r != r for r in residuals):
+        return math.nan
+    return max(residuals, default=0.0)
 
 
 @dataclass
@@ -37,7 +49,7 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((d.residual for d in self.details), default=0.0)
+        return max_or_nan(*(d.residual for d in self.details))
 
     def to_obj(self):
         return {
@@ -59,8 +71,6 @@ class VerificationReport:
 
 
 def _fmt_float(x: float) -> str:
-    if x != x:
-        raise ValueError("reports must not contain NaN")
     return f"{float(x):.17g}"
 
 
@@ -74,7 +84,8 @@ def _canon(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        text = _fmt_float(obj)
+        return text if math.isfinite(obj) else _canon(text)
     if isinstance(obj, int):
         return str(obj)
     if obj is None:

@@ -3,10 +3,13 @@ noncommutative polynomials, and relation-residual certification.
 
 Every generator of the podles / bl representations acts as a weighted shift:
 it maps a basis label to (at most) one other label.  Representations are
-therefore stored as label-step functions; dense matrices at any internal
-truncation are derived views.  Padded evaluation computes products at an
-enlarged size and crops, so retained entries are exact values of the
-infinite-dimensional operators.
+therefore stored as label-step functions.  At an internal truncation M each
+generator becomes a pair of arrays (target index, coefficient) per column;
+words on label representations are walked on these arrays column by column,
+and dense matrices are views scattered from them.  Padded evaluation walks
+at an enlarged size and crops, so retained entries are exact values of the
+infinite-dimensional operators.  Tensor and explicit-matrix representations,
+with more than one nonzero entry per column, multiply dense matrices.
 
 Relation residuals are evaluated by walking words column-by-column in mpmath
 arithmetic: the product-form relations of the graded algebras reach entry
@@ -23,6 +26,7 @@ import numpy as np
 
 from .qcore import QParams
 from .ncalg import NCPoly, Presentation, Word, is_a_gen
+from .report import max_or_nan
 
 MP_DPS = 40
 
@@ -115,6 +119,7 @@ class LabelRep:
         self.N = N
         self.pad = pad
         self.meta = dict(meta)
+        self._shift_cache: dict = {}
         self._mat_cache: dict = {}
 
     # -- label bookkeeping
@@ -150,27 +155,56 @@ class LabelRep:
     def zexp(self, fam, k):
         return self._zexps[fam](k)
 
-    # -- dense views
+    # -- weighted-shift form and the views built from it
+    def shift(self, g, M: int):
+        """Generator g at internal size M as a weighted shift: column j goes
+        to row tgt[j] with coefficient coef[j]; tgt[j] is -1 where the step
+        returns None or leaves the internal size."""
+        key = (g, M)
+        cached = self._shift_cache.get(key)
+        if cached is not None:
+            return cached
+        ctx = FloatCtx(self.meta["q"], self.meta.get("x", 0.0))
+        tgt = np.full(self.dim(M), -1, dtype=np.intp)
+        coef = np.zeros(self.dim(M), dtype=np.complex128)
+        for j, (fam, k) in enumerate(self.labels(M)):
+            hit = self.step(g, fam, k, ctx)
+            if hit is None:
+                continue
+            f2, k2, c = hit
+            if 0 <= k2 - self.kmin(f2) < M:
+                tgt[j] = self.index(f2, k2, M)
+                coef[j] = c
+        self._shift_cache[key] = (tgt, coef)
+        return tgt, coef
+
+    def walk(self, word: Word, M: int, cols: np.ndarray):
+        """Columns `cols` of the word's product at internal size M, letters
+        applied right to left: (positions into cols, rows, values) of the
+        columns that survive; the others are zero."""
+        pos = np.arange(len(cols))
+        rows = np.asarray(cols, dtype=np.intp)
+        val = np.ones(len(cols), dtype=np.complex128)
+        for g in reversed(word):
+            tgt, coef = self.shift(g, M)
+            val = coef[rows] * val
+            rows = tgt[rows]
+            live = rows >= 0
+            if not live.all():
+                pos, rows, val = pos[live], rows[live], val[live]
+        return pos, rows, val
+
     def matrix(self, g, M: int) -> np.ndarray:
         key = (g, M)
         cached = self._mat_cache.get(key)
         if cached is not None:
             return cached
-        ctx = FloatCtx(self.meta["q"], self.meta.get("x", 0.0))
+        tgt, coef = self.shift(g, M)
+        cols = np.flatnonzero(tgt >= 0)
         A = np.zeros((self.dim(M), self.dim(M)), dtype=np.complex128)
-        for fam, k in self.labels(M):
-            hit = self.step(g, fam, k, ctx)
-            if hit is None:
-                continue
-            f2, k2, c = hit
-            j2 = k2 - self.kmin(f2)
-            if 0 <= j2 < M:
-                A[self.index(f2, k2, M), self.index(fam, k, M)] = c
+        A[tgt[cols], cols] = coef[cols]
         self._mat_cache[key] = A
         return A
-
-    def matrices(self, M: int) -> dict:
-        return {g: self.matrix(g, M) for g in self.gens}
 
 
 def _sqrt_coeff(ctx, factors):
@@ -418,9 +452,6 @@ class TensorRep:
         self._mat_cache[key] = A
         return A
 
-    def matrices(self, M: int) -> dict:
-        return {g: self.matrix(g, M) for g in self.gens}
-
 
 def tensor_coaction(rep, absorb_sign: bool = False) -> TensorRep:
     return TensorRep(rep, absorb_sign=absorb_sign)
@@ -455,9 +486,6 @@ class MatrixRep:
                 f"requested internal size {M} exceeds stored size {self.size}")
         return self._gens[g][:M, :M]
 
-    def matrices(self, M: int) -> dict:
-        return {g: self.matrix(g, M) for g in self.gens}
-
     def window_indices(self, M: int, W: int) -> np.ndarray:
         return np.arange(W)
 
@@ -467,8 +495,12 @@ class MatrixRep:
 # ---------------------------------------------------------------------------
 
 def evaluate(poly, rep, window: int = None) -> np.ndarray:
-    """Coefficient-weighted sum of word-wise matrix products, computed at the
-    padded internal size and cropped to the window."""
+    """Coefficient-weighted sum of word-wise products, computed at the padded
+    internal size and cropped to the window.
+
+    On a label representation each word is walked down the window columns
+    only; columns evolve independently, so the crop equals the padded dense
+    product's.  Other representations multiply dense matrices."""
     if not isinstance(poly, NCPoly):
         poly = NCPoly({tuple(poly): 1.0})
     W = rep.N if window is None else window
@@ -478,13 +510,23 @@ def evaluate(poly, rep, window: int = None) -> np.ndarray:
         if M < W:
             raise ValueError("window exceeds stored matrix size")
     dim = rep.dim(M)
+    idx = rep.window_indices(M, W)
+    if isinstance(rep, LabelRep):
+        where = np.full(dim, -1, dtype=np.intp)
+        where[idx] = np.arange(len(idx))
+        acc = np.zeros((len(idx), len(idx)), dtype=np.complex128)
+        for w, c in poly.terms.items():
+            cols, rows, val = rep.walk(w, M, idx)
+            rows = where[rows]
+            kept = rows >= 0
+            acc[rows[kept], cols[kept]] += c * val[kept]
+        return acc
     acc = np.zeros((dim, dim), dtype=np.complex128)
     for w, c in poly.terms.items():
         term = np.eye(dim, dtype=np.complex128)
         for g in reversed(w):
             term = rep.matrix(g, M) @ term
         acc += c * term
-    idx = rep.window_indices(M, W)
     return acc[np.ix_(idx, idx)]
 
 
@@ -551,7 +593,7 @@ def _rule_residual(rep, rule, W: int, ctx) -> float:
             for (rf, rk), v in rows.items():
                 if not (kmins[rf] <= rk < kmins[rf] + W):
                     continue
-                worst = max(worst, abs(ctx.to_float(v)))
+                worst = max_or_nan(worst, abs(ctx.to_float(v)))
     return worst
 
 
@@ -569,7 +611,7 @@ def mp_poly_residual(rep, poly_a, poly_b, window: int = None) -> float:
                 _accumulate(rep, poly_b.terms, fam, k, ctx, rows, -1)
                 for (rf, rk), v in rows.items():
                     if kmins[rf] <= rk < kmins[rf] + W:
-                        worst = max(worst, abs(ctx.to_float(v)))
+                        worst = max_or_nan(worst, abs(ctx.to_float(v)))
     return worst
 
 
@@ -723,7 +765,7 @@ def combos_residual(rep, combos_a, combos_b, W: int,
                 rows[lab] = rows.get(lab, 0) - val
             for lab, val in rows.items():
                 if label_in_window(rep, lab, W):
-                    worst = max(worst, float(abs(val)))
+                    worst = max_or_nan(worst, float(abs(val)))
     return worst
 
 

@@ -50,9 +50,21 @@ def test_picard_standard(capsys):
     assert report["checks"][0]["params"]["group"] == "Z"
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert run(["nonsense"]) == 2
     assert run(["orbit", "--x", "0.3"]) == 2
+    capsys.readouterr()
+    for argv, flag in ((["oracle", "--count", "0"], "--count"),
+                       (["relations", "--q", "1.5"], "--q"),
+                       (["relations", "--q", "nan"], "--q"),
+                       (["theta", "--N", "3"], "--N"),
+                       (["casimir", "--x", "nan"], "--x"),
+                       (["theta", "--l", "0.3"], "--l"),
+                       (["ergodic", "--D", "9"], "--D")):
+        assert run(argv + ["--json"]) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and flag in out.err, argv
 
 
 def test_json_deterministic(capsys):

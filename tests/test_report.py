@@ -1,0 +1,85 @@
+import json
+import math
+
+from qsphere import cli
+from qsphere.cli import run
+from qsphere.ncalg import make_presentation, parse
+from qsphere.qcore import QParams
+from qsphere.report import VerificationReport, canonical_json, max_or_nan
+from qsphere.reps import (
+    combos_residual,
+    mp_poly_residual,
+    relation_check,
+    rep_podles,
+)
+
+NAN = float("nan")
+INF = float("inf")
+
+# canonical bytes of a finite report, as written before non-finite values
+# were given a serialization
+FINITE_JSON = (
+    '{"checks":[{"check":"bad","details":[{"item":"x","residual":'
+    '0.10000000000000001,"threshold":0.01}],"max_residual":'
+    '0.10000000000000001,"params":{"q":0.29999999999999999},"status":"fail"},'
+    '{"check":"c","details":[{"item":"a","residual":2.4999999999999999e-13,'
+    '"threshold":9.9999999999999998e-13},{"item":"b","residual":'
+    '9.9999999999999994e-12,"threshold":9.9999999999999994e-12}],'
+    '"max_residual":9.9999999999999994e-12,"params":{"N":16,"alg":null,'
+    '"q":0.5},"status":"pass"}],"version":"0.1.0"}')
+
+
+def test_finite_report_bytes_unchanged():
+    r = VerificationReport("c", {"q": 0.5, "N": 16, "alg": None})
+    r.add("b", 1e-11, 1e-11)
+    r.add("a", 2.5e-13, 1e-12)
+    s = VerificationReport("bad", {"q": 0.3})
+    s.add("x", 0.1, 0.01)
+    assert canonical_json([r, s], "0.1.0") == FINITE_JSON
+
+
+def test_max_or_nan():
+    assert max_or_nan() == 0.0
+    assert max_or_nan(0.5, 2.0, 1.0) == 2.0
+    assert max_or_nan(3.0, INF) == INF
+    for args in ((0.0, NAN), (NAN, 1.0), (1.0, NAN, INF)):
+        assert math.isnan(max_or_nan(*args)), args
+
+
+def test_nonfinite_residuals_fail_with_valid_json():
+    for bad, text in ((NAN, "nan"), (INF, "inf")):
+        rpt = VerificationReport("c", {"q": 0.5})
+        rpt.add("good", 1e-13, 1e-11)
+        rpt.add("bad", bad, 1e-11)
+        assert rpt.status == "fail"
+        obj = json.loads(canonical_json([rpt], "0.1.0"))
+        check = obj["checks"][0]
+        assert check["status"] == "fail"
+        assert check["max_residual"] == text
+        assert {d["item"]: d["residual"] for d in check["details"]} == {
+            "bad": text, "good": 1e-13}
+        assert any(text in line for line in rpt.summary_lines())
+    rpt = VerificationReport("c", {"x": -INF})
+    assert json.loads(canonical_json([rpt], "0.1.0"))[
+        "checks"][0]["params"]["x"] == "-inf"
+
+
+def test_nan_residuals_propagate_through_walks():
+    p = QParams(0.5)
+    rep = rep_podles(p, NAN, "direct_sum", 8)
+    pres = make_presentation("podles", p, x=1.0)
+    assert any(math.isnan(r) for r in relation_check(pres, rep).values())
+    z = parse("Z", pres)
+    assert math.isnan(mp_poly_residual(rep, z, z))
+    assert math.isnan(
+        combos_residual(rep, [(1.0, [("Z", False)])], [], 8, dps=30))
+
+
+def test_nan_oracle_residual_fails_cli(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "max_abs", lambda A: NAN)
+    code = run(["oracle", "--N", "8", "--count", "3", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    for check in report["checks"]:
+        assert check["status"] == "fail"
+        assert check["max_residual"] == "nan"

@@ -14,11 +14,13 @@ from qsphere.ncalg import (
     star,
 )
 from qsphere.reps import (
+    FloatCtx,
     MatrixRep,
     dump_matrix,
     evaluate,
     load_matrix,
     max_abs,
+    poly_allowance,
     relation_check,
     rep_bl,
     rep_podles,
@@ -237,6 +239,63 @@ def test_rep_validation_errors():
         rep_bl(P, 2, 8)   # needs N >= 4l+4 = 12
     with pytest.raises(ValueError):
         rep_podles(P, 1.0, "sideways", 8)
+
+
+def _dense_chain(poly, rep, W):
+    """Reference evaluation: padded chain of dense rep.matrix products."""
+    M = W + rep.pad * poly_allowance(poly)
+    dim = rep.dim(M)
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for w, c in poly.terms.items():
+        term = np.eye(dim, dtype=np.complex128)
+        for g in reversed(w):
+            term = rep.matrix(g, M) @ term
+        acc += c * term
+    idx = rep.window_indices(M, W)
+    return acc[np.ix_(idx, idx)]
+
+
+def _dense_from_steps(rep, g, M):
+    ctx = FloatCtx(rep.meta["q"], rep.meta.get("x", 0.0))
+    A = np.zeros((rep.dim(M), rep.dim(M)), dtype=np.complex128)
+    for fam, k in rep.labels(M):
+        hit = rep.step(g, fam, k, ctx)
+        if hit is None:
+            continue
+        f2, k2, c = hit
+        if 0 <= k2 - rep.kmin(f2) < M:
+            A[rep.index(f2, k2, M), rep.index(fam, k, M)] = c
+    return A
+
+
+def _engine_cases():
+    for variant in ("direct_sum", "a_variant"):
+        yield (make_presentation("podles", P, x=1.3),
+               lambda pad, v=variant: rep_podles(P, 1.3, v, 16, pad=pad))
+    for l in (0.5, 1):
+        yield (make_presentation("bl", P, l=l),
+               lambda pad, l=l: rep_bl(P, l, 16, pad=pad))
+
+
+def test_shift_walk_matches_dense_products():
+    # pad 0 makes columns near the window edge walk off the internal size
+    for pres, make in _engine_cases():
+        for pad in (2, 0):
+            rep = make(pad)
+            words = random_words(pres, 40, 7, seed=17 + pad)
+            for w in words:
+                poly = NCPoly({w: 1.0})
+                assert np.array_equal(evaluate(poly, rep),
+                                      _dense_chain(poly, rep, 16)), w
+            for i in range(0, len(words) - 2, 3):
+                poly = NCPoly({words[i]: 1.0, words[i + 1]: 0.5 - 0.25j,
+                               words[i + 2]: -2.0})
+                assert np.array_equal(evaluate(poly, rep, window=12),
+                                      _dense_chain(poly, rep, 12))
+            for g in rep.gens:
+                for M in (16, 20):
+                    assert np.array_equal(rep.matrix(g, M),
+                                          _dense_from_steps(rep, g, M))
 
 
 def test_matrix_dump_roundtrip(tmp_path):
