@@ -19,10 +19,10 @@ import numpy as np
 from .qcore import QParams, q_pochhammer
 from .ncalg import NCPoly, Presentation, a_gen, basis_words, is_a_gen
 from .reps import (
-    MPCtx,
     TensorRep,
     combos_residual,
     max_abs,
+    mp_ctx,
     rep_bl,
     sign_operator,
     tensor_coaction,
@@ -60,9 +60,6 @@ class InnerAction:
 
     def ad_f(self, A: np.ndarray) -> np.ndarray:
         return (self.q ** -1.5) * self.lam * ((A @ self.Y - self.Y @ A) @ self.Zi)
-
-    def ad(self, g: str, A: np.ndarray) -> np.ndarray:
-        return {"K": self.ad_k, "E": self.ad_e, "F": self.ad_f}[g](A)
 
     def comm_z(self, A: np.ndarray) -> np.ndarray:
         return self.Z @ A - A @ self.Z
@@ -292,7 +289,7 @@ def invariance_defects(word, rep, W: int, tail: int = None) -> dict:
     dps = walk_dps(rep, W + tail, slack=25)
     mw = [(g, False) for g in word]
     with mp.workdps(dps):
-        ctx = MPCtx(q, rep.meta.get("x", 0.0), dps=dps)
+        ctx = mp_ctx(q, rep.meta.get("x", 0.0), dps)
         lam = 1 / (ctx.qpow(1) - ctx.qpow(-1))
         pref_e = ctx.sqrt(ctx.qpow(1)) * lam
         pref_f = ctx.qpow(-1) * ctx.sqrt(ctx.qpow(-1)) * lam
@@ -385,47 +382,44 @@ def invariant_subspace(pres: Presentation, rep, D: int,
         act = InnerAction(rep, M)
         idx = rep.window_indices(M, rank_window)
 
-    def base_image(word):
-        cols, rows, val = rep.walk(word, M, np.arange(rep.dim(M)))
-        A = np.zeros((rep.dim(M), rep.dim(M)), dtype=np.complex128)
-        A[rows, cols] = val
-        return A
+    labels, scales = [], []
 
-    images, labels = [], []
-    for w in words:
-        B = base_image(w)
-        if tensor_units:
-            for i, unit in enumerate(units):
-                images.append(np.kron(B, unit))
-                labels.append((w, i))
-        else:
-            images.append(B)
-            labels.append(w)
+    def images():
+        """Each basis image at internal size M, labelled as it is produced."""
+        for w in words:
+            cols, rows, val = rep.walk(w, M, np.arange(rep.dim(M)))
+            B = np.zeros((rep.dim(M), rep.dim(M)), dtype=np.complex128)
+            B[rows, cols] = val
+            if tensor_units:
+                for i, unit in enumerate(units):
+                    labels.append((w, i))
+                    yield np.kron(B, unit)
+            else:
+                labels.append(w)
+                yield B
 
-    cols_mono, cols_sys, scales = [], [], []
-    for A in images:
+    n = len(idx) ** 2
+    ncols = len(words) * (len(units) if tensor_units else 1)
+    mono = np.empty((n, ncols), dtype=np.complex128)
+    system = np.empty((3 * n, ncols), dtype=np.complex128)
+    for j, A in enumerate(images()):
         win = A[np.ix_(idx, idx)]
         scale = max(max_abs(win), 1e-300)
         A = A / scale
         scales.append(scale)
-        cols_mono.append((win / scale).reshape(-1))
-        stacked = np.concatenate([
-            act.comm_z(A)[np.ix_(idx, idx)].reshape(-1),
-            act.comm_x(A)[np.ix_(idx, idx)].reshape(-1),
-            act.comm_y(A)[np.ix_(idx, idx)].reshape(-1),
-        ])
-        cols_sys.append(stacked)
+        mono[:, j] = (win / scale).reshape(-1)
+        system[:n, j] = act.comm_z(A)[np.ix_(idx, idx)].reshape(-1)
+        system[n:2 * n, j] = act.comm_x(A)[np.ix_(idx, idx)].reshape(-1)
+        system[2 * n:, j] = act.comm_y(A)[np.ix_(idx, idx)].reshape(-1)
 
-    mono_sv = np.linalg.svd(np.column_stack(cols_mono), compute_uv=False)
+    mono_sv = np.linalg.svd(mono, compute_uv=False)
     if mono_sv[-1] < 1e-10 * mono_sv[0]:
         raise ArithmeticError(
             f"monomial images nearly dependent (sv ratio "
             f"{mono_sv[-1] / mono_sv[0]:.2e}); shrink D")
 
-    system = np.column_stack(cols_sys)
     svals, Vh = np.linalg.svd(system, full_matrices=False)[1:]
     thr = sv_threshold * max(1.0, float(svals[0]))
-    ncols = system.shape[1]
     small = [i for i in range(len(svals)) if svals[i] < thr]
     kernel = Vh.conj().T[:, small]
     dim = len(small) + max(0, ncols - len(svals))

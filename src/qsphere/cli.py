@@ -76,6 +76,10 @@ TOL_RP2 = 1e-12
 TOL_ORACLE = 1e-9
 SLOPE_MARGIN = 0.2
 
+# the --l at which `all` runs each suite that takes one
+ALL_L = {"relations": 1.0, "theta": 1.0, "functional": 0.5, "ergodic": 0.0,
+         "theorem2": 0.5, "oracle": 0.5}
+
 
 def _params(p, **extra):
     out = {"q": p.q}
@@ -359,6 +363,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _min_N(cmd: str, l, alg=None) -> int:
+    """Smallest --N at which `cmd` builds its representations: rep_podles
+    needs N >= 4 and rep_bl(l) N >= 4l+4; compress matches against the
+    series at its N-1 eigenvectors, functional's lower window is N-16, and
+    theorem2 compares with bl(l+1/2) at N-1."""
+    bl = int(4 * l) + 4
+    if cmd in ("theta", "ergodic", "oracle"):
+        return bl
+    if cmd == "relations":
+        return bl if alg in (None, "bl") else 4
+    if cmd == "functional":
+        return bl + 16
+    if cmd == "theorem2":
+        return bl + 3
+    if cmd == "compress":
+        return 5
+    if cmd == "all":
+        return max([_min_N(c, l) for c, l in ALL_L.items()]
+                   + [_min_N("compress", 0)])
+    return 4
+
+
 def _input_error(args):
     """Why the parsed arguments cannot be run, or None."""
     for flag, v in (("--x", args.x), ("--y", args.y)):
@@ -374,6 +400,13 @@ def _input_error(args):
         return f"--l must be a nonnegative half-integer, got {args.l}"
     if not 0 <= args.D <= 8:
         return f"--D must lie between 0 and 8, got {args.D}"
+    if args.command == "theorem2" and args.l == 0:
+        return "theorem2 needs --l > 0: the l = 0 block has no A(+-1)"
+    need = _min_N(args.command, args.l, args.alg)
+    if args.N < need:
+        at = f" at --l {args.l:g}" if args.command in ALL_L else ""
+        return (f"--N must be at least {need} for {args.command}{at}, "
+                f"got {args.N}")
     return None
 
 
@@ -419,18 +452,18 @@ def run(argv) -> int:
     elif cmd == "oracle":
         reports += suite_oracle(p, x, args.l, args.N, args.seed, args.count)
     elif cmd == "all":
-        reports += suite_relations(p, 1.0, 1.0, args.N, TOL_RELATIONS,
-                                   ["podles", "uqmp", "bl"])
+        reports += suite_relations(p, 1.0, ALL_L["relations"], args.N,
+                                   TOL_RELATIONS, ["podles", "uqmp", "bl"])
         reports += suite_casimir(p, 0.7, args.N)
         reports += suite_compress(p, 0.7, args.N)
-        reports += suite_theta(p, 1.0, args.N)
-        reports += suite_functional(p, 1.0, 0.5, args.N)
-        reports += suite_ergodic(p, 1.0, 0.0, args.D, args.N)
-        reports += suite_theorem2(p, 0.5, args.N)
+        reports += suite_theta(p, ALL_L["theta"], args.N)
+        reports += suite_functional(p, 1.0, ALL_L["functional"], args.N)
+        reports += suite_ergodic(p, 1.0, ALL_L["ergodic"], args.D, args.N)
+        reports += suite_theorem2(p, ALL_L["theorem2"], args.N)
         reports += suite_orbit(p, 0.3, 1.7)
         reports += suite_picard(p, 0.0)
-        reports += suite_oracle(p, 1.0, 0.5, min(args.N, 48), args.seed,
-                                args.count)
+        reports += suite_oracle(p, 1.0, ALL_L["oracle"], min(args.N, 48),
+                                args.seed, args.count)
 
     if args.json or args.out:
         payload = canonical_json(reports, __version__)

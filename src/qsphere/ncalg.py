@@ -85,14 +85,6 @@ class NCPoly:
                 if abs(c) > prune:
                     self.terms[tuple(w)] = c
 
-    @staticmethod
-    def unit() -> "NCPoly":
-        return NCPoly({(): 1.0})
-
-    @staticmethod
-    def gen(g: Gen) -> "NCPoly":
-        return NCPoly({(g,): 1.0})
-
     def __add__(self, other: "NCPoly") -> "NCPoly":
         out = dict(self.terms)
         for w, c in other.terms.items():
@@ -127,14 +119,8 @@ class NCPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, NCPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def max_word_len(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def close_to(self, other: "NCPoly", tol: float = 1e-9) -> bool:
         words = set(self.terms) | set(other.terms)

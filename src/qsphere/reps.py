@@ -14,11 +14,15 @@ with more than one nonzero entry per column, multiply dense matrices.
 Relation residuals are evaluated by walking words column-by-column in mpmath
 arithmetic: the product-form relations of the graded algebras reach entry
 magnitudes ~1e6 at small q, where double precision cannot certify 1e-11
-absolute residuals.
+absolute residuals.  Exact walks share one mp context per (q, x, precision)
+(`mp_ctx`), and each representation memoises the label steps it has taken
+in each context, so a step coefficient is computed once however many words,
+columns and checks walk through it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -54,6 +58,7 @@ class FloatCtx:
 
     sqrt = staticmethod(math.sqrt)
     one = 1.0
+    memo_steps = False
 
     @staticmethod
     def to_float(v):
@@ -61,6 +66,12 @@ class FloatCtx:
 
 
 class MPCtx:
+    """q-power arithmetic in mpmath at `dps` digits.  Label steps taken in
+    it are memoised (see LabelRep.step); shared instances come from
+    `mp_ctx`."""
+
+    memo_steps = True
+
     def __init__(self, q: float, x: float = 0.0, dps: int = MP_DPS):
         self.dps = dps
         with mp.workdps(dps):
@@ -88,6 +99,16 @@ class MPCtx:
     @staticmethod
     def to_float(v):
         return float(v)
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_mp_ctx(q: float, x: float, dps: int) -> MPCtx:
+    return MPCtx(q, x, dps)
+
+
+def mp_ctx(q, x=0.0, dps: int = MP_DPS) -> MPCtx:
+    """The mp context shared by every exact walk at (q, x, dps)."""
+    return _shared_mp_ctx(float(q), float(x), int(dps))
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +142,7 @@ class LabelRep:
         self.meta = dict(meta)
         self._shift_cache: dict = {}
         self._mat_cache: dict = {}
+        self._step_memos: dict = {}  # mp context -> {(g, fam, k): step}
 
     # -- label bookkeeping
     def kmin(self, fam):
@@ -150,7 +172,23 @@ class LabelRep:
         return np.array(out, dtype=int)
 
     def step(self, g, fam, k, ctx):
-        return self._steps[g](fam, k, ctx)
+        """Move of generator g from label (fam, k): None or (fam2, k2, coeff).
+
+        In an mp context the move is computed once, at the context's
+        precision, and then read from this rep's memo for that context."""
+        if not ctx.memo_steps:
+            return self._steps[g](fam, k, ctx)
+        memo = self._step_memos.get(ctx)
+        if memo is None:
+            memo = self._step_memos[ctx] = {}
+        key = (g, fam, k)
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        with mp.workdps(ctx.dps):
+            hit = memo[key] = self._steps[g](fam, k, ctx)
+        return hit
 
     def zexp(self, fam, k):
         return self._zexps[fam](k)
@@ -603,7 +641,7 @@ def mp_poly_residual(rep, poly_a, poly_b, window: int = None) -> float:
     kmins = dict(rep.families)
     worst = 0.0
     with mp.workdps(MP_DPS):
-        ctx = MPCtx(rep.meta["q"], rep.meta.get("x", 0.0))
+        ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0))
         for fam, kmin in rep.families:
             for k in range(kmin, kmin + W):
                 rows: dict = {}
@@ -630,7 +668,7 @@ def relation_check(pres: Presentation, rep, window: int = None,
     out = {}
     if precise and isinstance(rep, LabelRep):
         with mp.workdps(MP_DPS):
-            ctx = MPCtx(rep.meta["q"], rep.meta.get("x", 0.0))
+            ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0))
             for rule in rules:
                 out[rule.name] = _rule_residual(rep, rule, W, ctx)
         return out
@@ -758,7 +796,7 @@ def combos_residual(rep, combos_a, combos_b, W: int,
         dps = walk_dps(rep, W)
     worst = 0.0
     with mp.workdps(dps):
-        ctx = MPCtx(rep.meta["q"], rep.meta.get("x", 0.0), dps=dps)
+        ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
         for label in window_labels(rep, W):
             rows = walk_combos(rep, combos_a, label, ctx)
             for lab, val in walk_combos(rep, combos_b, label, ctx).items():

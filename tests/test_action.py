@@ -180,6 +180,23 @@ def test_invariance_defect_matches_direct_trace_at_small_window():
         assert walked == pytest.approx(direct, rel=1e-6, abs=1e-14), word
 
 
+def test_invariance_defects_memoised_match_fresh_context(monkeypatch):
+    import qsphere.action as action
+    from qsphere.reps import MPCtx
+
+    class FreshCtx(MPCtx):
+        memo_steps = False
+
+    cases = [(rep_podles(P, 1.0, "direct_sum", 12), ("Y", "Z"), ("X",)),
+             (rep_bl(P, 0.5, 12), (a_gen(1), "Y"), ("Z", a_gen(-1)))]
+    shared = [invariance_defects(w, rep, 12)
+              for rep, *words in cases for w in words]
+    monkeypatch.setattr(action, "mp_ctx",
+                        lambda q, x=0.0, dps=40: FreshCtx(q, x, dps))
+    assert shared == [invariance_defects(w, rep, 12)
+                      for rep, *words in cases for w in words]
+
+
 def test_invariance_defect_bound_and_slope():
     x = 1.0
     pres = make_presentation("podles", P, x=x)

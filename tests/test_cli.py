@@ -60,7 +60,11 @@ def test_usage_error_exit_code(capsys):
                        (["theta", "--N", "3"], "--N"),
                        (["casimir", "--x", "nan"], "--x"),
                        (["theta", "--l", "0.3"], "--l"),
-                       (["ergodic", "--D", "9"], "--D")):
+                       (["ergodic", "--D", "9"], "--D"),
+                       (["compress", "--N", "4"], "--N"),
+                       (["functional", "--N", "20"], "--N"),
+                       (["all", "--N", "21"], "--N"),
+                       (["theorem2", "--l", "0"], "--l")):
         assert run(argv + ["--json"]) == 2, argv
         out = capsys.readouterr()
         assert out.out == ""

@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from qsphere import reps
 from qsphere.qcore import QParams, tau
 from qsphere.ncalg import (
     NCPoly,
@@ -15,11 +17,15 @@ from qsphere.ncalg import (
 )
 from qsphere.reps import (
     FloatCtx,
+    MPCtx,
     MatrixRep,
+    combos_residual,
     dump_matrix,
     evaluate,
     load_matrix,
     max_abs,
+    mp_ctx,
+    mp_poly_residual,
     poly_allowance,
     relation_check,
     rep_bl,
@@ -27,6 +33,8 @@ from qsphere.reps import (
     sign_operator,
     spin_half,
     tensor_coaction,
+    walk_combos,
+    window_labels,
 )
 
 P = QParams(0.5)
@@ -306,3 +314,68 @@ def test_matrix_dump_roundtrip(tmp_path):
     B = load_matrix(path)
     assert B.shape == A.shape
     assert max_abs(A - B) == 0.0
+
+
+class _FreshCtx(MPCtx):
+    """An mp context in which every step is computed anew."""
+    memo_steps = False
+
+
+def _walk_window(rep, combos, ctx, W):
+    with mp.workdps(ctx.dps):
+        return {lab: walk_combos(rep, combos, lab, ctx)
+                for lab in window_labels(rep, W)}
+
+
+_COMBOS = [(1.0, [("X", False), ("Y", True), ("Z", False)]),
+           (0.5 - 0.25j, [("Y", True), ("Zi", False), ("X", True)])]
+
+
+def test_memoised_walks_match_fresh_contexts(monkeypatch):
+    podles = rep_podles(P, 1.3, "direct_sum", 12)
+    bl = rep_bl(P, 1, 12)
+    tensor = tensor_coaction(rep_podles(P, 0.7, "plus", 10))
+    pres_p = make_presentation("podles", P, x=1.3)
+    pres_b = make_presentation("bl", P, l=1)
+    poly_a = parse("Y*X - q^2*X*Y", pres_b)
+    poly_b = parse("(1 - q^2)*(1 - Z^2)", pres_b)
+    tensor_combos = [(1.0, [("T", False), ("X", False)]),
+                     (-0.5, [("Y", False), ("Zi", False)])]
+
+    def run_all():
+        return (relation_check(pres_p, podles), relation_check(pres_b, bl),
+                mp_poly_residual(bl, poly_a, poly_b),
+                combos_residual(podles, _COMBOS, [], 12),
+                combos_residual(bl, _COMBOS, [(2.0, [("Z", False)])], 12),
+                combos_residual(tensor, tensor_combos, [], 10))
+
+    run_all()                      # fills the memos
+    shared = run_all()             # reads them
+    assert mp_ctx(Q, 1.3) is mp_ctx(Q, 1.3)
+    assert podles._step_memos[mp_ctx(Q, 1.3)]
+    monkeypatch.setattr(reps, "mp_ctx",
+                        lambda q, x=0.0, dps=reps.MP_DPS: _FreshCtx(q, x, dps))
+    assert run_all() == shared
+
+
+def test_step_memo_keeps_reps_apart():
+    # direct_sum and a_variant share (q, x) but not the steps of summand "-"
+    W = 10
+    ctx = mp_ctx(Q, 1.3)
+    both = {v: rep_podles(P, 1.3, v, W) for v in ("direct_sum", "a_variant")}
+    walked = {}
+    for variant in ("direct_sum", "a_variant", "direct_sum"):
+        rep = both[variant]
+        got = _walk_window(rep, _COMBOS, ctx, W)
+        assert got == _walk_window(rep, _COMBOS, _FreshCtx(Q, 1.3), W)
+        walked.setdefault(variant, got)
+    assert walked["direct_sum"] != walked["a_variant"]
+
+
+def test_step_memo_follows_precision():
+    W = 10
+    rep = rep_bl(P, 1.5, W)
+    low = _walk_window(rep, _COMBOS, mp_ctx(Q, 3.0, 40), W)
+    high = _walk_window(rep, _COMBOS, mp_ctx(Q, 3.0, 80), W)
+    assert high == _walk_window(rep, _COMBOS, _FreshCtx(Q, 3.0, 80), W)
+    assert high != low
