@@ -58,18 +58,6 @@ class InnerAction:
         on large windows."""
         return math.sqrt(self.q) * self.lam * (self.Zi @ (A @ self.X - self.X @ A))
 
-    def ad_f(self, A: np.ndarray) -> np.ndarray:
-        return (self.q ** -1.5) * self.lam * ((A @ self.Y - self.Y @ A) @ self.Zi)
-
-    def comm_z(self, A: np.ndarray) -> np.ndarray:
-        return self.Z @ A - A @ self.Z
-
-    def comm_x(self, A: np.ndarray) -> np.ndarray:
-        return A @ self.X - self.X @ A
-
-    def comm_y(self, A: np.ndarray) -> np.ndarray:
-        return A @ self.Y - self.Y @ A
-
 
 # ---------------------------------------------------------------------------
 # adjoint action as segment combos (walked exactly in mp arithmetic)
@@ -351,6 +339,31 @@ def ergodicity_obstruction_kernel(p: QParams, l, D: int) -> int:
 # invariant subspaces
 # ---------------------------------------------------------------------------
 
+def _window_commutators(cols, rows, val, pos, impl_views):
+    """[G, A] pieces on the window for a weighted shift A (column cols[i]
+    goes to row rows[i] with value val[i]; every other entry is zero) and
+    implementers G given as (window rows, window columns) views.
+
+    (G A)[I, J] = G[I, rows of J] * val[J] and (A G)[I, J] = val[K] *
+    G[K, J] for the one column K that reaches row I: each entry is the
+    single nonzero product of the dense matmul.  Returns (G A, A G) per G."""
+    in_c = pos[cols] >= 0
+    in_r = pos[rows] >= 0
+    jc, tc, vc = pos[cols[in_c]], rows[in_c], val[in_c]
+    ir, sr, vr = pos[rows[in_r]], cols[in_r], val[in_r]
+    if len(np.unique(ir)) < len(ir):
+        raise ValueError("basis image maps two labels to one")
+    out = []
+    for g_rows, g_cols in impl_views:
+        nw = len(g_rows)
+        ga = np.zeros((nw, nw), dtype=np.complex128)
+        ga[:, jc] = g_rows[:, tc] * vc
+        ag = np.zeros((nw, nw), dtype=np.complex128)
+        ag[ir, :] = vr[:, None] * g_cols[sr, :]
+        out.append((ga, ag))
+    return out
+
+
 def invariant_subspace(pres: Presentation, rep, D: int,
                        rank_window: int = 24, tensor_units: bool = False,
                        sv_threshold: float = 1e-8) -> dict:
@@ -361,9 +374,13 @@ def invariant_subspace(pres: Presentation, rep, D: int,
     [M, Z'] = [M, X'] = [M, Y'] = 0 (the implementer diagonal is invertible,
     so the solution set is identical), which keeps the system free of the
     q^(-2k) noise amplification of the normalized action.  The system is
-    restricted to a sub-window of exact entries; the kernel is read off a
-    singular value decomposition.  Returns the kernel dimension, coefficient
-    basis, monomial labels and singular-value gap diagnostics.
+    restricted to a sub-window of exact entries; each monomial image is a
+    weighted shift (lifted to rows 2r+a, columns 2c+b for a tensor unit), so
+    its window and its commutators are gathered from its shift arrays and
+    the implementer matrices on the window, entry for entry the dense
+    products.  The kernel is read off a singular value decomposition.
+    Returns the kernel dimension, coefficient basis, monomial labels and
+    singular-value gap diagnostics.
     """
     if D > 8:
         raise ValueError("degree guard: D must stay <= 8")
@@ -372,45 +389,43 @@ def invariant_subspace(pres: Presentation, rep, D: int,
     M = rank_window + rep.pad * (D * maxshift + 2) + 2
     if tensor_units:
         impl = tensor_coaction(rep, absorb_sign=True)
-        units = [np.zeros((2, 2), dtype=np.complex128) for _ in range(4)]
-        for i in range(4):
-            units[i][divmod(i, 2)] = 1.0
         act = InnerAction(impl, M, absorb_sign=False)
-        idx = impl.window_indices(M, rank_window)
+        units = [divmod(i, 2) for i in range(4)]
     else:
         impl = rep
         act = InnerAction(rep, M)
-        idx = rep.window_indices(M, rank_window)
+        units = [None]
+    idx = impl.window_indices(M, rank_window)
+    pos = np.full(impl.dim(M), -1, dtype=np.intp)
+    pos[idx] = np.arange(len(idx))
+    impl_views = [(G[idx, :], G[:, idx]) for G in (act.Z, act.X, act.Y)]
 
     labels, scales = [], []
-
-    def images():
-        """Each basis image at internal size M, labelled as it is produced."""
-        for w in words:
-            cols, rows, val = rep.walk(w, M, np.arange(rep.dim(M)))
-            B = np.zeros((rep.dim(M), rep.dim(M)), dtype=np.complex128)
-            B[rows, cols] = val
-            if tensor_units:
-                for i, unit in enumerate(units):
-                    labels.append((w, i))
-                    yield np.kron(B, unit)
-            else:
-                labels.append(w)
-                yield B
-
     n = len(idx) ** 2
-    ncols = len(words) * (len(units) if tensor_units else 1)
-    mono = np.empty((n, ncols), dtype=np.complex128)
+    ncols = len(words) * len(units)
+    mono = np.zeros((n, ncols), dtype=np.complex128)
     system = np.empty((3 * n, ncols), dtype=np.complex128)
-    for j, A in enumerate(images()):
-        win = A[np.ix_(idx, idx)]
-        scale = max(max_abs(win), 1e-300)
-        A = A / scale
-        scales.append(scale)
-        mono[:, j] = (win / scale).reshape(-1)
-        system[:n, j] = act.comm_z(A)[np.ix_(idx, idx)].reshape(-1)
-        system[n:2 * n, j] = act.comm_x(A)[np.ix_(idx, idx)].reshape(-1)
-        system[2 * n:, j] = act.comm_y(A)[np.ix_(idx, idx)].reshape(-1)
+    for w in words:
+        base_cols, base_rows, val = rep.walk(w, M, np.arange(rep.dim(M)))
+        for i, unit in enumerate(units):
+            j = len(labels)
+            if unit is None:
+                labels.append(w)
+                cols, rows = base_cols, base_rows
+            else:
+                labels.append((w, i))
+                cols, rows = 2 * base_cols + unit[1], 2 * base_rows + unit[0]
+            in_win = (pos[cols] >= 0) & (pos[rows] >= 0)
+            scale = max(max_abs(val[in_win]), 1e-300)
+            scales.append(scale)
+            v = val / scale
+            mono[pos[rows[in_win]] * len(idx) + pos[cols[in_win]], j] = (
+                v[in_win])
+            (za, az), (xa, ax), (ya, ay) = _window_commutators(
+                cols, rows, v, pos, impl_views)
+            system[:n, j] = (za - az).reshape(-1)
+            system[n:2 * n, j] = (ax - xa).reshape(-1)
+            system[2 * n:, j] = (ay - ya).reshape(-1)
 
     mono_sv = np.linalg.svd(mono, compute_uv=False)
     if mono_sv[-1] < 1e-10 * mono_sv[0]:

@@ -8,8 +8,10 @@ generator becomes a pair of arrays (target index, coefficient) per column;
 words on label representations are walked on these arrays column by column,
 and dense matrices are views scattered from them.  Padded evaluation walks
 at an enlarged size and crops, so retained entries are exact values of the
-infinite-dimensional operators.  Tensor and explicit-matrix representations,
-with more than one nonzero entry per column, multiply dense matrices.
+infinite-dimensional operators.  Label-rep residuals (`residual`) are
+accumulated on the walked support only, never on a dense window.  Tensor and
+explicit-matrix representations, with more than one nonzero entry per
+column, still multiply dense matrices and take dense window differences.
 
 Relation residuals are evaluated by walking words column-by-column in mpmath
 arithmetic: the product-form relations of the graded algebras reach entry
@@ -532,6 +534,26 @@ class MatrixRep:
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _window_terms(poly: NCPoly, rep: LabelRep, W: int):
+    """Each word of `poly` walked down the window columns of a label rep at
+    its padded internal size: per term, the (window row, window column,
+    coefficient * value) of the entries it reaches inside the window.
+    Within one term each column, hence each entry, appears at most once."""
+    M = W + rep.pad * poly_allowance(poly)
+    idx = rep.window_indices(M, W)
+    where = np.full(rep.dim(M), -1, dtype=np.intp)
+    where[idx] = np.arange(len(idx))
+    for w, c in poly.terms.items():
+        cols, rows, val = rep.walk(w, M, idx)
+        rows = where[rows]
+        kept = rows >= 0
+        yield rows[kept], cols[kept], c * val[kept]
+
+
+def _as_poly(poly) -> NCPoly:
+    return poly if isinstance(poly, NCPoly) else NCPoly({tuple(poly): 1.0})
+
+
 def evaluate(poly, rep, window: int = None) -> np.ndarray:
     """Coefficient-weighted sum of word-wise products, computed at the padded
     internal size and cropped to the window.
@@ -539,9 +561,13 @@ def evaluate(poly, rep, window: int = None) -> np.ndarray:
     On a label representation each word is walked down the window columns
     only; columns evolve independently, so the crop equals the padded dense
     product's.  Other representations multiply dense matrices."""
-    if not isinstance(poly, NCPoly):
-        poly = NCPoly({tuple(poly): 1.0})
+    poly = _as_poly(poly)
     W = rep.N if window is None else window
+    if isinstance(rep, LabelRep):
+        acc = np.zeros((rep.dim(W), rep.dim(W)), dtype=np.complex128)
+        for rows, cols, val in _window_terms(poly, rep, W):
+            acc[rows, cols] += val
+        return acc
     M = W + rep.pad * poly_allowance(poly)
     if isinstance(rep, MatrixRep):
         M = min(M, rep.size)
@@ -549,16 +575,6 @@ def evaluate(poly, rep, window: int = None) -> np.ndarray:
             raise ValueError("window exceeds stored matrix size")
     dim = rep.dim(M)
     idx = rep.window_indices(M, W)
-    if isinstance(rep, LabelRep):
-        where = np.full(dim, -1, dtype=np.intp)
-        where[idx] = np.arange(len(idx))
-        acc = np.zeros((len(idx), len(idx)), dtype=np.complex128)
-        for w, c in poly.terms.items():
-            cols, rows, val = rep.walk(w, M, idx)
-            rows = where[rows]
-            kept = rows >= 0
-            acc[rows[kept], cols[kept]] += c * val[kept]
-        return acc
     acc = np.zeros((dim, dim), dtype=np.complex128)
     for w, c in poly.terms.items():
         term = np.eye(dim, dtype=np.complex128)
@@ -570,6 +586,33 @@ def evaluate(poly, rep, window: int = None) -> np.ndarray:
 
 def max_abs(A: np.ndarray) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
+
+
+def residual(poly_a, poly_b, rep, window: int = None) -> float:
+    """max |evaluate(poly_a) - evaluate(poly_b)| over the window.
+
+    On a label representation both sides are accumulated, term by term in
+    the order `evaluate` adds them, on the window entries their walks reach
+    and nowhere else; every other entry is 0 - 0.  The result is therefore
+    bit-identical to the dense difference.  Other representations take the
+    dense difference."""
+    poly_a, poly_b = _as_poly(poly_a), _as_poly(poly_b)
+    W = rep.N if window is None else window
+    if not isinstance(rep, LabelRep):
+        return max_abs(evaluate(poly_a, rep, W) - evaluate(poly_b, rep, W))
+    n = rep.dim(W)
+    sides = [[(rows * n + cols, val)
+              for rows, cols, val in _window_terms(poly, rep, W)]
+             for poly in (poly_a, poly_b)]
+    flats = [flat for terms in sides for flat, _ in terms]
+    support = np.unique(np.concatenate(flats)) if flats else np.empty(0, int)
+    accs = []
+    for terms in sides:
+        acc = np.zeros(len(support), dtype=np.complex128)
+        for flat, val in terms:
+            acc[np.searchsorted(support, flat)] += val
+        accs.append(acc)
+    return max_abs(accs[0] - accs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +716,8 @@ def relation_check(pres: Presentation, rep, window: int = None,
                 out[rule.name] = _rule_residual(rep, rule, W, ctx)
         return out
     for rule in rules:
-        lhs = evaluate(NCPoly({rule.lhs: 1.0}), rep, window=W)
-        rhs = evaluate(NCPoly(rule.rhs), rep, window=W)
-        out[rule.name] = max_abs(lhs - rhs)
+        out[rule.name] = residual(NCPoly({rule.lhs: 1.0}), NCPoly(rule.rhs),
+                                  rep, window=W)
     return out
 
 

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from qsphere.qcore import QParams
-from qsphere.ncalg import NCPoly, a_gen, make_presentation, random_words, star
+from qsphere.ncalg import (
+    NCPoly,
+    a_gen,
+    basis_words,
+    is_a_gen,
+    make_presentation,
+    random_words,
+    star,
+)
 from qsphere.action import (
     InnerAction,
     conditional_expectation,
@@ -25,6 +33,7 @@ from qsphere.reps import (
     max_abs,
     rep_bl,
     rep_podles,
+    tensor_coaction,
 )
 
 P = QParams(0.5)
@@ -265,3 +274,65 @@ def test_invariant_subspace_bl0_tensor_is_four_dimensional():
     rep = rep_bl(P, 0, 24)
     out = invariant_subspace(pres, rep, 4, rank_window=16, tensor_units=True)
     assert out["dim"] == 4
+
+
+def _dense_commutator_system(pres, rep, D, rank_window, tensor_units):
+    """The ergodic system as dense products: each basis image (a unit
+    tensored on for tensor_units), scaled by its window maximum, then
+    Z@A - A@Z, A@X - X@A and A@Y - Y@A cropped to the window."""
+    words = basis_words(pres, D)
+    maxshift = max([1] + [abs(g[1]) for w in words for g in w if is_a_gen(g)])
+    M = rank_window + rep.pad * (D * maxshift + 2) + 2
+    if tensor_units:
+        impl = tensor_coaction(rep, absorb_sign=True)
+        act = InnerAction(impl, M, absorb_sign=False)
+    else:
+        impl, act = rep, InnerAction(rep, M)
+    idx = np.ix_(*[impl.window_indices(M, rank_window)] * 2)
+    mono, system = [], []
+    for w in words:
+        B = _img(rep, w, M)
+        for i in range(4 if tensor_units else 1):
+            A = B
+            if tensor_units:
+                unit = np.zeros((2, 2), dtype=np.complex128)
+                unit[divmod(i, 2)] = 1.0
+                A = np.kron(B, unit)
+            scale = max(max_abs(A[idx]), 1e-300)
+            A = A / scale
+            mono.append(A[idx].reshape(-1))
+            system.append(np.concatenate([
+                (act.Z @ A - A @ act.Z)[idx].reshape(-1),
+                (A @ act.X - act.X @ A)[idx].reshape(-1),
+                (A @ act.Y - act.Y @ A)[idx].reshape(-1)]))
+    return np.stack(mono, axis=1), np.stack(system, axis=1)
+
+
+def test_invariant_subspace_system_matches_dense_products(monkeypatch):
+    # q = 0.37: at q = 0.5 most entries and scales are powers of two, whose
+    # products and quotients round exactly in any order
+    p = QParams(0.37)
+    svd = np.linalg.svd
+    cases = [(make_presentation("podles", p, x=1.3),
+              rep_podles(p, 1.3, "direct_sum", 24), 3, 8, False),
+             (make_presentation("bl", p, l=0.5), rep_bl(p, 0.5, 24), 3, 8,
+              False),
+             (make_presentation("bl", p, l=0), rep_bl(p, 0, 24), 2, 6, True)]
+    for pres, rep, D, rank_window, tensor_units in cases:
+        seen = []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, *args, **kw: seen.append(a) or svd(
+                                a, *args, **kw))
+        out = invariant_subspace(pres, rep, D, rank_window=rank_window,
+                                 tensor_units=tensor_units)
+        monkeypatch.undo()
+        mono, system = _dense_commutator_system(pres, rep, D, rank_window,
+                                                tensor_units)
+        assert np.array_equal(seen[0], mono)
+        assert np.array_equal(seen[1], system)
+        svals, Vh = svd(system, full_matrices=False)[1:]
+        small = np.flatnonzero(svals < 1e-8 * max(1.0, svals[0]))
+        assert out["dim"] == len(small) > 0
+        assert out["sv_largest_zero"] == svals[small[0]]
+        assert out["sv_smallest_nonzero"] == svals[small[0] - 1]
+        assert np.array_equal(out["kernel"], Vh.conj().T[:, small])

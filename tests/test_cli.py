@@ -51,10 +51,10 @@ def test_picard_standard(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    assert run(["nonsense"]) == 2
-    assert run(["orbit", "--x", "0.3"]) == 2
-    capsys.readouterr()
-    for argv, flag in ((["oracle", "--count", "0"], "--count"),
+    for argv, flag in ((["nonsense"], "nonsense"),
+                       (["orbit", "--x", "0.3"], "--y"),
+                       (["theta", "--N", "abc"], "--N"),
+                       (["oracle", "--count", "0"], "--count"),
                        (["relations", "--q", "1.5"], "--q"),
                        (["relations", "--q", "nan"], "--q"),
                        (["theta", "--N", "3"], "--N"),
@@ -62,6 +62,7 @@ def test_usage_error_exit_code(capsys):
                        (["theta", "--l", "0.3"], "--l"),
                        (["ergodic", "--D", "9"], "--D"),
                        (["compress", "--N", "4"], "--N"),
+                       (["compress", "--N", "5"], "--N"),
                        (["functional", "--N", "20"], "--N"),
                        (["all", "--N", "21"], "--N"),
                        (["theorem2", "--l", "0"], "--l")):
@@ -69,6 +70,19 @@ def test_usage_error_exit_code(capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.count("\n") == 1 and flag in out.err, argv
+
+
+
+def test_casimir_without_interior_spectrum_fails(capsys):
+    # at N = 4 every eigenvector reaches the truncation edge
+    code, report = run_json(["casimir", "--N", "4"], capsys)
+    assert code == 1
+    details = {d["item"]: d["residual"] for d in report["checks"][0]["details"]}
+    assert details["spectrum_plus"] == details["spectrum_minus"] == "inf"
+
+
+def test_negative_value_in_scientific_notation(capsys):
+    assert run(["theta", "--l", "0.5", "--N", "12", "--x", "-1e-3"]) == 0
 
 
 def test_json_deterministic(capsys):

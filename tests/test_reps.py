@@ -8,8 +8,10 @@ from qsphere import reps
 from qsphere.qcore import QParams, tau
 from qsphere.ncalg import (
     NCPoly,
+    RewriteCapError,
     a_gen,
     make_presentation,
+    normal_form,
     parse,
     random_words,
     sigma,
@@ -30,6 +32,7 @@ from qsphere.reps import (
     relation_check,
     rep_bl,
     rep_podles,
+    residual,
     sign_operator,
     spin_half,
     tensor_coaction,
@@ -304,6 +307,41 @@ def test_shift_walk_matches_dense_products():
                 for M in (16, 20):
                     assert np.array_equal(rep.matrix(g, M),
                                           _dense_from_steps(rep, g, M))
+
+
+def _oracle_pairs(pres, count, seed):
+    """(word, normal form) for the words `verify oracle` draws at `seed`."""
+    for w in random_words(pres, count, 6, seed=seed):
+        poly = NCPoly({w: 1.0})
+        try:
+            yield poly, normal_form(poly, pres)
+        except RewriteCapError:
+            continue
+
+
+def test_support_residual_matches_dense_difference_bits():
+    # the l = 1.5 set is `oracle --x 0.7 --l 1.5 --N 40 --count 300 --seed 9`:
+    # normal-form coefficients up to 3.7e17 cancel to a 5.2e8 residual, so
+    # any change in the order the terms are summed moves the low bits
+    cases = [(make_presentation("podles", P, x=1.0),
+              rep_podles(P, 1.0, "direct_sum", 32), 60, 3, 0.0),
+             (make_presentation("bl", P, l=0.5), rep_bl(P, 0.5, 32), 60, 4,
+              0.0),
+             (make_presentation("bl", P, l=1.5), rep_bl(P, 1.5, 40), 300, 9,
+              1e8),
+             (make_presentation("podles", P, x=1.0),
+              rep_podles(P, float("nan"), "direct_sum", 8), 10, 5, 0.0)]
+    for pres, rep, count, seed, reach in cases:
+        worst = 0.0
+        for poly, nf in _oracle_pairs(pres, count, seed):
+            want = max_abs(evaluate(poly, rep) - evaluate(nf, rep))
+            got = residual(poly, nf, rep)
+            assert got.hex() == want.hex(), (next(iter(poly.terms)), got, want)
+            worst = max(worst, got) if not math.isnan(got) else worst
+        assert worst >= reach
+    nan_rep = cases[-1][1]
+    assert math.isnan(residual(("Z",), ("X",), nan_rep))
+    assert residual(NCPoly({}), NCPoly({}), nan_rep) == 0.0
 
 
 def test_matrix_dump_roundtrip(tmp_path):
