@@ -41,6 +41,7 @@ from .casimir import (
     numeric_interior_spectrum,
 )
 from .action import (
+    DependentMonomialsError,
     InnerAction,
     casimir_invariance,
     conditional_expectation,

@@ -226,28 +226,29 @@ def inv_functional(A: np.ndarray, rep, W: int = None) -> complex:
     return complex(np.sum(density_vector(rep, W) * np.diag(A)))
 
 
-def _impl_step(rep, g, fam, k, ctx, absorb: bool):
-    hit = rep.step(g, fam, k, ctx)
-    if hit is None:
-        return None
-    f2, k2, c = hit
-    if absorb and f2 == "-":
-        return (f2, k2, -c)
-    return hit
-
-
 def _diag_walk(rep, segments, fam, k, ctx, absorb: bool):
     """Value at (fam,k) of the diagonal of a product of plain-letter and
-    implementer-letter steps; segments are (gen, is_implementer)."""
-    cf, ck, val = fam, k, 1.0
+    implementer-letter steps; segments are (gen, is_implementer).
+
+    The labels are walked first and the step coefficients kept; they are
+    multiplied, in walk order from 1.0, only when the walk returns to
+    (fam, k).  Most walks end elsewhere and cost no mp product.  With
+    absorb, an implementer letter landing in the "-" family carries the
+    sign operator, so its coefficient is negated."""
+    cf, ck = fam, k
+    coeffs = []
     for g, impl in reversed(segments):
-        hit = (_impl_step(rep, g, cf, ck, ctx, absorb) if impl
-               else rep.step(g, cf, ck, ctx))
+        hit = rep.step(g, cf, ck, ctx)
         if hit is None:
             return 0.0
         cf, ck, c = hit
+        coeffs.append(-c if impl and absorb and cf == "-" else c)
+    if (cf, ck) != (fam, k):
+        return 0.0
+    val = 1.0
+    for c in coeffs:
         val *= c
-    return val if (cf, ck) == (fam, k) else 0.0
+    return val
 
 
 def _density_value(rep, fam, k, ctx):
@@ -266,7 +267,9 @@ def invariance_defects(word, rep, W: int, tail: int = None) -> dict:
     keeps the result accurate relative to its own size ~ q^(2W), which a head
     summation (absolute error ~1e-16 * |M|) cannot resolve.  The tail terms
     themselves sit far below double precision, so they are walked in mp
-    arithmetic.
+    arithmetic.  Only the diagonal is read, so each of the six walks per
+    tail label multiplies its coefficients only when it returns to its
+    label (`_diag_walk`); the values are those of multiplying as it goes.
     """
     if len(rep.families) != 2:
         raise ValueError("invariance defects live on double spaces")
@@ -339,6 +342,11 @@ def ergodicity_obstruction_kernel(p: QParams, l, D: int) -> int:
 # invariant subspaces
 # ---------------------------------------------------------------------------
 
+class DependentMonomialsError(ArithmeticError):
+    """The monomial images on the rank window are numerically dependent at
+    the requested degree, so no kernel can be read off; a smaller D can."""
+
+
 def _window_commutators(cols, rows, val, pos, impl_views):
     """[G, A] pieces on the window for a weighted shift A (column cols[i]
     goes to row rows[i] with value val[i]; every other entry is zero) and
@@ -378,7 +386,14 @@ def invariant_subspace(pres: Presentation, rep, D: int,
     weighted shift (lifted to rows 2r+a, columns 2c+b for a tensor unit), so
     its window and its commutators are gathered from its shift arrays and
     the implementer matrices on the window, entry for entry the dense
-    products.  The kernel is read off a singular value decomposition.
+    products.  The kernel is read off the singular value decomposition of
+    the R factor of a QR decomposition of the system: system = Q R with Q
+    having orthonormal columns, so R has the system's singular values and
+    right singular vectors, and the tall left factor (Q, or the system's
+    U) is never formed.  On a system much taller than wide LAPACK's SVD
+    itself starts with this QR; tests check the kernel and diagnostics bit
+    for bit against the SVD of the whole system.  Raises
+    DependentMonomialsError when the monomial images are nearly dependent.
     Returns the kernel dimension, coefficient basis, monomial labels and
     singular-value gap diagnostics.
     """
@@ -429,11 +444,13 @@ def invariant_subspace(pres: Presentation, rep, D: int,
 
     mono_sv = np.linalg.svd(mono, compute_uv=False)
     if mono_sv[-1] < 1e-10 * mono_sv[0]:
-        raise ArithmeticError(
-            f"monomial images nearly dependent (sv ratio "
-            f"{mono_sv[-1] / mono_sv[0]:.2e}); shrink D")
+        raise DependentMonomialsError(
+            f"monomial images nearly dependent at D = {D} (sv ratio "
+            f"{mono_sv[-1] / mono_sv[0]:.2e})")
+    del mono
 
-    svals, Vh = np.linalg.svd(system, full_matrices=False)[1:]
+    svals, Vh = np.linalg.svd(np.linalg.qr(system, mode="r"),
+                              full_matrices=False)[1:]
     thr = sv_threshold * max(1.0, float(svals[0]))
     small = [i for i in range(len(svals)) if svals[i] < thr]
     kernel = Vh.conj().T[:, small]

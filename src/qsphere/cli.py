@@ -47,6 +47,7 @@ from .casimir import (
     numeric_interior_spectrum,
 )
 from .action import (
+    DependentMonomialsError,
     casimir_invariance,
     invariance_defects,
     invariant_subspace,
@@ -458,10 +459,35 @@ def run(argv) -> int:
         print(f"{ap.prog}: error: {problem}", file=sys.stderr)
         return 2
     p = QParams(args.q, tol=args.tol or 1e-11)
-    x = args.x
+    try:
+        reports = _suites(args, p)
+    except DependentMonomialsError as e:
+        # the one usage error that only a suite can find: at these
+        # parameters the rank window cannot separate the degree-D monomials
+        print(f"{ap.prog}: error: {args.command}: {e}; lower --D",
+              file=sys.stderr)
+        return 2
 
+    if args.json or args.out:
+        payload = canonical_json(reports, __version__)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        if args.json and not args.out:
+            sys.stdout.write(payload)
+            sys.stdout.write("\n")
+    if not (args.json and not args.out):
+        for rpt in sorted(reports, key=lambda r: r.check):
+            for line in rpt.summary_lines():
+                print(line)
+    return 0 if all(r.status == "pass" for r in reports) else 1
+
+
+def _suites(args, p) -> list:
+    """The reports of the suites the command runs."""
     reports = []
     cmd = args.command
+    x = args.x
     if cmd == "relations":
         algs = [args.alg] if args.alg else ["podles", "uqmp", "bl"]
         reports += suite_relations(p, x, args.l, args.N,
@@ -497,20 +523,7 @@ def run(argv) -> int:
         reports += suite_picard(p, 0.0)
         reports += suite_oracle(p, 1.0, ALL_L["oracle"], min(args.N, 48),
                                 args.seed, args.count)
-
-    if args.json or args.out:
-        payload = canonical_json(reports, __version__)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
-        if args.json and not args.out:
-            sys.stdout.write(payload)
-            sys.stdout.write("\n")
-    if not (args.json and not args.out):
-        for rpt in sorted(reports, key=lambda r: r.check):
-            for line in rpt.summary_lines():
-                print(line)
-    return 0 if all(r.status == "pass" for r in reports) else 1
+    return reports
 
 
 def main() -> None:

@@ -206,6 +206,75 @@ def test_invariance_defects_memoised_match_fresh_context(monkeypatch):
                       for rep, *words in cases for w in words]
 
 
+def _reference_diag_walk(rep, segments, fam, k, ctx, absorb):
+    """The diagonal walk that multiplies each coefficient as it steps."""
+    cf, ck, val = fam, k, 1.0
+    for g, impl in reversed(segments):
+        hit = rep.step(g, cf, ck, ctx)
+        if hit is None:
+            return 0.0
+        cf, ck, c = hit
+        val *= -c if impl and absorb and cf == "-" else c
+    return val if (cf, ck) == (fam, k) else 0.0
+
+
+def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
+    import mpmath as mp
+
+    import qsphere.action as action
+    from qsphere.reps import mp_ctx
+
+    p = QParams(0.37)
+    plain = [("Z",), ("X", "Y"), ("Y", "Z", "X"),       # net shift 0
+             ("Y",), ("Z", "Y"), ("X",), ("X", "Zi"),    # +1, -1
+             ("Y", "Y"), ("X", "Z", "X")]                # +2, -2
+    graded = [(a_gen(0),), (a_gen(1), a_gen(-1)), (a_gen(-1), "Y"),
+              (a_gen(1),), (a_gen(1), "X", a_gen(1)), (a_gen(-1), "X")]
+    cases = [(rep_podles(p, 1.3, "direct_sum", 12), plain),
+             (rep_podles(p, 1.3, "a_variant", 12), plain),
+             (rep_bl(p, 0.5, 12), plain + graded),
+             (rep_bl(p, 1, 12), plain + graded)]
+    returned = vanished = 0
+    for rep, words in cases:
+        ctx = mp_ctx(p.q, rep.meta.get("x", 0.0), 40)
+        calls = []
+        step = rep.step
+        monkeypatch.setattr(rep, "step",
+                            lambda *a: calls.append(a) or step(*a))
+        for word in words:
+            mw = [(g, False) for g in word]
+            # the defects' pairs of implementer letters, and single ones,
+            # whose absorbed sign survives on the "-" family
+            segment_lists = [mw, [("Z", True)] + mw + [("Zi", True)],
+                             [("Zi", True), ("X", True)] + mw,
+                             [("Y", True)] + mw + [("Zi", True)],
+                             [("Z", True)] + mw, mw + [("Y", True)]]
+            for segments in segment_lists:
+                for absorb in (True, False):
+                    for fam, kmin in rep.families:
+                        for k in range(kmin, kmin + 6):
+                            with mp.workdps(40):
+                                calls.clear()
+                                got = action._diag_walk(rep, segments, fam, k,
+                                                        ctx, absorb)
+                                n_got = len(calls)
+                                calls.clear()
+                                want = _reference_diag_walk(
+                                    rep, segments, fam, k, ctx, absorb)
+                            assert got == want, (word, segments, fam, k)
+                            assert n_got == len(calls) > 0
+                            returned += want != 0
+                            vanished += want == 0
+        monkeypatch.undo()
+    assert returned > 0 and vanished > 0
+
+    defects = [invariance_defects(w, rep, 12)
+               for rep, words in cases for w in words]
+    monkeypatch.setattr(action, "_diag_walk", _reference_diag_walk)
+    assert defects == [invariance_defects(w, rep, 12)
+                       for rep, words in cases for w in words]
+
+
 def test_invariance_defect_bound_and_slope():
     x = 1.0
     pres = make_presentation("podles", P, x=x)
@@ -312,16 +381,21 @@ def test_invariant_subspace_system_matches_dense_products(monkeypatch):
     # q = 0.37: at q = 0.5 most entries and scales are powers of two, whose
     # products and quotients round exactly in any order
     p = QParams(0.37)
-    svd = np.linalg.svd
+    svd, qr = np.linalg.svd, np.linalg.qr
     cases = [(make_presentation("podles", p, x=1.3),
               rep_podles(p, 1.3, "direct_sum", 24), 3, 8, False),
              (make_presentation("bl", p, l=0.5), rep_bl(p, 0.5, 24), 3, 8,
               False),
              (make_presentation("bl", p, l=0), rep_bl(p, 0, 24), 2, 6, True)]
     for pres, rep, D, rank_window, tensor_units in cases:
-        seen = []
+        seen, factored = [], []
         monkeypatch.setattr(np.linalg, "svd",
                             lambda a, *args, **kw: seen.append(a) or svd(
+                                a, *args, **kw))
+        # the system is captured where it is factored; the SVD then reads
+        # only its R factor
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda a, *args, **kw: factored.append(a) or qr(
                                 a, *args, **kw))
         out = invariant_subspace(pres, rep, D, rank_window=rank_window,
                                  tensor_units=tensor_units)
@@ -329,7 +403,8 @@ def test_invariant_subspace_system_matches_dense_products(monkeypatch):
         mono, system = _dense_commutator_system(pres, rep, D, rank_window,
                                                 tensor_units)
         assert np.array_equal(seen[0], mono)
-        assert np.array_equal(seen[1], system)
+        assert len(factored) == 1
+        assert np.array_equal(factored[0], system)
         svals, Vh = svd(system, full_matrices=False)[1:]
         small = np.flatnonzero(svals < 1e-8 * max(1.0, svals[0]))
         assert out["dim"] == len(small) > 0

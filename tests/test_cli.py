@@ -65,7 +65,12 @@ def test_usage_error_exit_code(capsys):
                        (["compress", "--N", "5"], "--N"),
                        (["functional", "--N", "20"], "--N"),
                        (["all", "--N", "21"], "--N"),
-                       (["theorem2", "--l", "0"], "--l")):
+                       (["theorem2", "--l", "0"], "--l"),
+                       # found only inside the suite: the monomial images of
+                       # degree <= D are dependent on the rank window
+                       (["ergodic", "--q", "0.3", "--l", "1"], "--D"),
+                       (["ergodic", "--q", "0.37", "--x", "2.0", "--l", "0.5",
+                         "--N", "24"], "--D")):
         assert run(argv + ["--json"]) == 2, argv
         out = capsys.readouterr()
         assert out.out == ""
