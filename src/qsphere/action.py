@@ -318,26 +318,6 @@ def conditional_expectation(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def ergodicity_obstruction_kernel(p: QParams, l, D: int) -> int:
-    """Kernel dimension of P(Z) -> (1 - q^(-2l-1)Z) P(-q^-2 Z)
-    - (1 + q^(2l-1)Z) P(Z) on polynomial coefficients of degree <= D.
-
-    A graded invariant would solve the functional equation; the kernel is
-    expected to be trivial for every half-integer l.
-    """
-    q = p.q
-    twol = int(2 * l)
-    A = np.zeros((D + 2, D + 1))
-    for n in range(D + 2):
-        if n <= D:
-            A[n, n] = (-1) ** n * q ** (-2 * n) - 1.0
-        if 1 <= n <= D + 1:
-            A[n, n - 1] = ((-1) ** n * q ** (-2 * n + 1 - twol)
-                           - q ** (twol - 1))
-    svals = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(svals < 1e-10 * max(1.0, svals[0])))
-
-
 # ---------------------------------------------------------------------------
 # invariant subspaces
 # ---------------------------------------------------------------------------
@@ -372,6 +352,71 @@ def _window_commutators(cols, rows, val, pos, impl_views):
     return out
 
 
+def _sparse_column(pieces):
+    """(rows, values) of the nonzero entries of the column that stacks the
+    flattened pieces."""
+    rows, vals, offset = [], [], 0
+    for piece in pieces:
+        flat = piece.reshape(-1)
+        nz = np.flatnonzero(flat)
+        rows.append(offset + nz)
+        vals.append(flat[nz])
+        offset += flat.size
+    return np.concatenate(rows), np.concatenate(vals)
+
+
+def _column_blocks(columns):
+    """Split sparse columns, given as (rows, values), into the connected
+    components of their column-row incidence: two columns share a block
+    when a chain of shared rows links them.  Returns (column indices, row
+    indices, dense block) per block, ordered by first column; a column
+    with no nonzero entry is a block of its own with no rows.  The blocks
+    share no row and no column, so the matrix is their direct sum."""
+    flat = np.concatenate([r for r, _ in columns])
+    col = np.repeat(np.arange(len(columns)), [len(r) for r, _ in columns])
+    order = np.lexsort((col, flat))
+    flat, col = flat[order], col[order]
+    shared = flat[1:] == flat[:-1]
+    links = np.unique(np.stack([col[:-1][shared], col[1:][shared]], axis=1),
+                      axis=0)
+    root = list(range(len(columns)))
+
+    def find(j):
+        while root[j] != j:
+            root[j] = root[root[j]]
+            j = root[j]
+        return j
+
+    for a, b in links.tolist():
+        a, b = find(a), find(b)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    members = {}
+    for j in range(len(columns)):
+        members.setdefault(find(j), []).append(j)
+    out = []
+    for cols in members.values():
+        rows = np.unique(np.concatenate([columns[j][0] for j in cols]))
+        block = np.zeros((len(rows), len(cols)), dtype=np.complex128)
+        for k, j in enumerate(cols):
+            r, v = columns[j]
+            block[np.searchsorted(rows, r), k] = v
+        out.append((np.array(cols), rows, block))
+    return out
+
+
+def _block_svd(block):
+    """Singular values of one block, padded with zeros up to its width, and
+    a full square basis Vh of right singular vectors: a block with fewer
+    rows than columns has those extra kernel directions, and a block with
+    no rows is all kernel, with singular values exactly 0."""
+    h, w = block.shape
+    if h == 0:
+        return np.zeros(w), np.eye(w, dtype=np.complex128)
+    s, vh = np.linalg.svd(block, full_matrices=h < w)[1:]
+    return np.concatenate([s, np.zeros(w - len(s))]), vh
+
+
 def invariant_subspace(pres: Presentation, rep, D: int,
                        rank_window: int = 24, tensor_units: bool = False,
                        sv_threshold: float = 1e-8) -> dict:
@@ -386,16 +431,21 @@ def invariant_subspace(pres: Presentation, rep, D: int,
     weighted shift (lifted to rows 2r+a, columns 2c+b for a tensor unit), so
     its window and its commutators are gathered from its shift arrays and
     the implementer matrices on the window, entry for entry the dense
-    products.  The kernel is read off the singular value decomposition of
-    the R factor of a QR decomposition of the system: system = Q R with Q
-    having orthonormal columns, so R has the system's singular values and
-    right singular vectors, and the tall left factor (Q, or the system's
-    U) is never formed.  On a system much taller than wide LAPACK's SVD
-    itself starts with this QR; tests check the kernel and diagnostics bit
-    for bit against the SVD of the whole system.  Raises
-    DependentMonomialsError when the monomial images are nearly dependent.
-    Returns the kernel dimension, coefficient basis, monomial labels and
-    singular-value gap diagnostics.
+    products.  Only the nonzero entries of each column are kept.
+
+    A monomial reaches only its own diagonals, so the system (and the
+    matrix of monomial windows) is a direct sum of small blocks; they are
+    found as the connected components of the column-row incidence, which
+    needs no assumption about which monomials couple.  Each block gets one
+    small dense SVD, its singular values padded with zeros up to its
+    width; a block with no rows (the unit) is all kernel.  The global
+    threshold sv_threshold * max(1, largest singular value) is applied to
+    the singular values of all blocks together, and each kernel vector is
+    embedded at its block's columns.  Raises DependentMonomialsError when
+    the smallest singular value of the monomial windows falls below 1e-10
+    times the largest.  Returns the kernel dimension, coefficient basis,
+    monomial labels, the blocks (columns, row count, padded singular values)
+    and singular-value gap diagnostics.
     """
     if D > 8:
         raise ValueError("degree guard: D must stay <= 8")
@@ -411,19 +461,15 @@ def invariant_subspace(pres: Presentation, rep, D: int,
         act = InnerAction(rep, M)
         units = [None]
     idx = impl.window_indices(M, rank_window)
+    nw = len(idx)
     pos = np.full(impl.dim(M), -1, dtype=np.intp)
-    pos[idx] = np.arange(len(idx))
+    pos[idx] = np.arange(nw)
     impl_views = [(G[idx, :], G[:, idx]) for G in (act.Z, act.X, act.Y)]
 
-    labels, scales = [], []
-    n = len(idx) ** 2
-    ncols = len(words) * len(units)
-    mono = np.zeros((n, ncols), dtype=np.complex128)
-    system = np.empty((3 * n, ncols), dtype=np.complex128)
+    labels, scales, mono, system = [], [], [], []
     for w in words:
         base_cols, base_rows, val = rep.walk(w, M, np.arange(rep.dim(M)))
         for i, unit in enumerate(units):
-            j = len(labels)
             if unit is None:
                 labels.append(w)
                 cols, rows = base_cols, base_rows
@@ -434,35 +480,43 @@ def invariant_subspace(pres: Presentation, rep, D: int,
             scale = max(max_abs(val[in_win]), 1e-300)
             scales.append(scale)
             v = val / scale
-            mono[pos[rows[in_win]] * len(idx) + pos[cols[in_win]], j] = (
-                v[in_win])
+            keep = in_win & (v != 0)
+            mono.append((pos[rows[keep]] * nw + pos[cols[keep]], v[keep]))
             (za, az), (xa, ax), (ya, ay) = _window_commutators(
                 cols, rows, v, pos, impl_views)
-            system[:n, j] = (za - az).reshape(-1)
-            system[n:2 * n, j] = (ax - xa).reshape(-1)
-            system[2 * n:, j] = (ay - ya).reshape(-1)
+            system.append(_sparse_column([za - az, ax - xa, ay - ya]))
 
-    mono_sv = np.linalg.svd(mono, compute_uv=False)
-    if mono_sv[-1] < 1e-10 * mono_sv[0]:
+    mono_sv = np.concatenate([_block_svd(b)[0]
+                              for _, _, b in _column_blocks(mono)])
+    if mono_sv.min() < 1e-10 * mono_sv.max():
         raise DependentMonomialsError(
             f"monomial images nearly dependent at D = {D} (sv ratio "
-            f"{mono_sv[-1] / mono_sv[0]:.2e})")
-    del mono
+            f"{mono_sv.min() / mono_sv.max():.2e})")
 
-    svals, Vh = np.linalg.svd(np.linalg.qr(system, mode="r"),
-                              full_matrices=False)[1:]
+    blocks, vhs = [], []
+    for cols, rows, b in _column_blocks(system):
+        s, vh = _block_svd(b)
+        blocks.append({"columns": cols, "rows": len(rows), "svals": s})
+        vhs.append(vh)
+    ranked = sorted(((s, n, k) for n, blk in enumerate(blocks)
+                     for k, s in enumerate(blk["svals"])),
+                    key=lambda e: -e[0])
+    svals = np.array([s for s, _, _ in ranked])
     thr = sv_threshold * max(1.0, float(svals[0]))
-    small = [i for i in range(len(svals)) if svals[i] < thr]
-    kernel = Vh.conj().T[:, small]
-    dim = len(small) + max(0, ncols - len(svals))
-    sv_in_kernel = float(svals[small[0]]) if small else 0.0
-    sv_above = float(svals[small[0] - 1]) if small and small[0] > 0 else float(
+    small = [(n, k) for s, n, k in ranked if s < thr]
+    kernel = np.zeros((len(labels), len(small)), dtype=np.complex128)
+    for c, (n, k) in enumerate(small):
+        kernel[blocks[n]["columns"], c] = vhs[n][k].conj()
+    first = len(ranked) - len(small)
+    sv_in_kernel = float(svals[first]) if small else 0.0
+    sv_above = float(svals[first - 1]) if small and first > 0 else float(
         svals[-1])
     return {
-        "dim": int(dim),
+        "dim": len(small),
         "kernel": kernel,
         "labels": labels,
         "scales": np.array(scales),
+        "blocks": blocks,
         "sv_largest_zero": sv_in_kernel,
         "sv_smallest_nonzero": sv_above,
     }

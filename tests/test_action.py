@@ -13,6 +13,7 @@ from qsphere.ncalg import (
     random_words,
     star,
 )
+from qsphere import action
 from qsphere.action import (
     InnerAction,
     conditional_expectation,
@@ -22,6 +23,7 @@ from qsphere.action import (
     invariance_defects,
     invariant_subspace,
     kernel_contains,
+    kernel_residual,
     ladder_coeff_e,
     ladder_coeff_f,
     lambda_s,
@@ -310,12 +312,6 @@ def test_conditional_expectation():
                - inv_functional(A, rep, W)) < 1e-12
 
 
-def test_ergodicity_obstruction_trivial_kernel():
-    from qsphere.action import ergodicity_obstruction_kernel
-    for l in (0, 0.5, 1, 2):
-        assert ergodicity_obstruction_kernel(P, l, 6) == 0
-
-
 def test_invariant_subspace_podles_and_bl():
     pres = make_presentation("podles", P, x=1.0)
     rep = rep_podles(P, 1.0, "direct_sum", 24)
@@ -377,37 +373,81 @@ def _dense_commutator_system(pres, rep, D, rank_window, tensor_units):
     return np.stack(mono, axis=1), np.stack(system, axis=1)
 
 
+def _scatter_blocks(blocks, shape):
+    """The matrix whose direct summands are the given (columns, rows,
+    dense block) triples; the blocks must share no row and no column."""
+    full = np.zeros(shape, dtype=np.complex128)
+    if blocks:
+        cols = np.concatenate([c for c, _, _ in blocks])
+        rows = np.concatenate([r for _, r, _ in blocks])
+        assert sorted(cols.tolist()) == list(range(shape[1]))
+        assert len(np.unique(rows)) == len(rows)
+    for cols, rows, block in blocks:
+        full[np.ix_(rows, cols)] = block
+    return full
+
+
 def test_invariant_subspace_system_matches_dense_products(monkeypatch):
     # q = 0.37: at q = 0.5 most entries and scales are powers of two, whose
     # products and quotients round exactly in any order
     p = QParams(0.37)
-    svd, qr = np.linalg.svd, np.linalg.qr
     cases = [(make_presentation("podles", p, x=1.3),
               rep_podles(p, 1.3, "direct_sum", 24), 3, 8, False),
              (make_presentation("bl", p, l=0.5), rep_bl(p, 0.5, 24), 3, 8,
               False),
              (make_presentation("bl", p, l=0), rep_bl(p, 0, 24), 2, 6, True)]
+    column_blocks = action._column_blocks
     for pres, rep, D, rank_window, tensor_units in cases:
-        seen, factored = [], []
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda a, *args, **kw: seen.append(a) or svd(
-                                a, *args, **kw))
-        # the system is captured where it is factored; the SVD then reads
-        # only its R factor
-        monkeypatch.setattr(np.linalg, "qr",
-                            lambda a, *args, **kw: factored.append(a) or qr(
-                                a, *args, **kw))
+        # the monomial windows are split first, the commutator system second
+        split = []
+        monkeypatch.setattr(action, "_column_blocks",
+                            lambda cols: split.append(column_blocks(cols))
+                            or split[-1])
         out = invariant_subspace(pres, rep, D, rank_window=rank_window,
                                  tensor_units=tensor_units)
         monkeypatch.undo()
         mono, system = _dense_commutator_system(pres, rep, D, rank_window,
                                                 tensor_units)
-        assert np.array_equal(seen[0], mono)
-        assert len(factored) == 1
-        assert np.array_equal(factored[0], system)
-        svals, Vh = svd(system, full_matrices=False)[1:]
+        assert len(split) == 2
+        assert np.array_equal(_scatter_blocks(split[0], mono.shape), mono)
+        assert np.array_equal(_scatter_blocks(split[1], system.shape),
+                              system)
+        assert [b["columns"].tolist() for b in out["blocks"]] == [
+            c.tolist() for c, _, _ in split[1]]
+        # a different factorisation: singular values and kernel projector
+        # agree to rounding, not bit for bit
+        svals, Vh = np.linalg.svd(system, full_matrices=False)[1:]
         small = np.flatnonzero(svals < 1e-8 * max(1.0, svals[0]))
         assert out["dim"] == len(small) > 0
-        assert out["sv_largest_zero"] == svals[small[0]]
-        assert out["sv_smallest_nonzero"] == svals[small[0] - 1]
-        assert np.array_equal(out["kernel"], Vh.conj().T[:, small])
+        blk_sv = np.sort(np.concatenate(
+            [b["svals"] for b in out["blocks"]]))[::-1]
+        assert max_abs(blk_sv - svals) <= 1e-13 * svals[0]
+        assert abs(out["sv_largest_zero"] - svals[small[0]]) <= (
+            1e-13 * svals[0])
+        assert abs(out["sv_smallest_nonzero"] - svals[small[0] - 1]) <= (
+            1e-13 * svals[0])
+        K, Kd = out["kernel"], Vh.conj().T[:, small]
+        assert max_abs(K @ K.conj().T - Kd @ Kd.conj().T) <= 1e-10
+
+
+def test_invariant_subspace_blocks_at_suite_parameters():
+    # the ergodic suite's systems at q = 0.5, x = 1, l = 0, D = 6, N = 64
+    pres = make_presentation("podles", P, x=1.0)
+    pres_b = make_presentation("bl", P, l=0)
+    rep_b = rep_bl(P, 0, 64)
+    outs = [invariant_subspace(pres, rep_podles(P, 1.0, "direct_sum", 64), 6),
+            invariant_subspace(pres_b, rep_b, 6),
+            invariant_subspace(pres_b, rep_b, 6, rank_window=16,
+                               tensor_units=True)]
+    assert [len(out["blocks"]) for out in outs] == [14, 26, 28]
+    assert [max(len(b["columns"]) for b in out["blocks"])
+            for out in outs] == [6, 6, 26]
+    assert [out["dim"] for out in outs] == [1, 2, 4]
+    for out in outs[:2]:
+        unit = out["labels"].index(())
+        (blk,) = [b for b in out["blocks"] if unit in b["columns"]]
+        assert blk["columns"].tolist() == [unit]
+        assert blk["rows"] == 0
+        assert blk["svals"].tolist() == [0.0]
+        assert out["sv_largest_zero"] == 0.0
+        assert kernel_residual(out, ()) == 0.0

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qsphere
 from qsphere.cli import run
 from qsphere.qcore import QParams, tau
 from qsphere.reps import load_matrix
@@ -123,3 +126,23 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "picard" in proc.stdout
+
+
+def test_ergodic_peak_memory():
+    # the ergodic suite at the parameters `all` uses; a dense 12288 x 340
+    # complex commutator system for the bl(0) tensor units, or a QR of it,
+    # lifts the child's peak RSS to about 236 MB
+    src = str(Path(qsphere.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qsphere", "ergodic", "--x", "1.0", "--l", "0",
+         "--json"], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, out
+    assert json.loads(out)["checks"][0]["status"] == "pass"
+    assert usage.ru_maxrss < 120 * 1024  # kilobytes on Linux
