@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -100,6 +101,27 @@ def test_json_deterministic(capsys):
     run(argv)
     second = capsys.readouterr().out
     assert first == second and first
+
+
+# SHA-256 of the canonical JSON of suites computed in mpmath alone, so the
+# bytes do not depend on the platform's BLAS or libm; a change to the exact
+# walks that moves any residual bit moves a digest
+GOLDEN_REPORTS = {
+    ("functional", "--x", "1.0", "--l", "0.5", "--N", "24"):
+        "c7248f5f50e88a2f2415dc9df437c17b38854fc34907738d4bf9a9c0776b2976",
+    ("theta", "--l", "1", "--N", "16"):
+        "b7b3eed960dd5fb97ddb0b963fd81a244b44f7ae05d4763e702236d9182a005f",
+    ("relations", "--x", "1.0", "--l", "1", "--N", "16"):
+        "b9a1af45ee96413cdb8c86d4d8ba45b34589b173734d81d5ea5573a019dcef29",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_REPORTS))
+def test_exact_walk_reports_are_golden(argv, capsys):
+    assert run(list(argv) + ["--json"]) == 0
+    payload = capsys.readouterr().out.rstrip("\n")
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    assert digest == GOLDEN_REPORTS[argv]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
