@@ -15,6 +15,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
 
 from .qcore import QParams, q_pochhammer
 from .ncalg import NCPoly, Presentation, a_gen, basis_words, is_a_gen
@@ -23,11 +24,18 @@ from .reps import (
     combos_residual,
     max_abs,
     mp_ctx,
+    mp_magnitude,
+    path_table,
     rep_bl,
+    segment_path,
     sign_operator,
+    step_tables,
     tensor_coaction,
+    walk_diagonal,
     walk_dps,
 )
+
+_RND = round_nearest
 
 
 class InnerAction:
@@ -226,31 +234,6 @@ def inv_functional(A: np.ndarray, rep, W: int = None) -> complex:
     return complex(np.sum(density_vector(rep, W) * np.diag(A)))
 
 
-def _diag_walk(rep, segments, fam, k, ctx, absorb: bool):
-    """Value at (fam,k) of the diagonal of a product of plain-letter and
-    implementer-letter steps; segments are (gen, is_implementer).
-
-    The labels are walked first and the step coefficients kept; they are
-    multiplied, in walk order from 1.0, only when the walk returns to
-    (fam, k).  Most walks end elsewhere and cost no mp product.  With
-    absorb, an implementer letter landing in the "-" family carries the
-    sign operator, so its coefficient is negated."""
-    cf, ck = fam, k
-    coeffs = []
-    for g, impl in reversed(segments):
-        hit = rep.step(g, cf, ck, ctx)
-        if hit is None:
-            return 0.0
-        cf, ck, c = hit
-        coeffs.append(-c if impl and absorb and cf == "-" else c)
-    if (cf, ck) != (fam, k):
-        return 0.0
-    val = 1.0
-    for c in coeffs:
-        val *= c
-    return val
-
-
 def _density_value(rep, fam, k, ctx):
     if rep.meta.get("kind") == "bl":
         twol = int(2 * rep.meta["l"])
@@ -266,10 +249,13 @@ def invariance_defects(word, rep, W: int, tail: int = None) -> dict:
     of phi(ad(M)) equals minus the discarded tail; summing the tail directly
     keeps the result accurate relative to its own size ~ q^(2W), which a head
     summation (absolute error ~1e-16 * |M|) cannot resolve.  The tail terms
-    themselves sit far below double precision, so they are walked in mp
-    arithmetic.  Only the diagonal is read, so each of the six walks per
-    tail label multiplies its coefficients only when it returns to its
-    label (`_diag_walk`); the values are those of multiplying as it goes.
+    themselves sit far below double precision, so they are walked exactly
+    (the kernel in `reps`).  Only the diagonal is read.  The word is walked
+    once per start label, and each of the six walks per tail label starts
+    the word at the label, at its X image or at its Zi image (the label
+    itself), so they share those walks; a walk's coefficients are multiplied
+    only when it returns to its label (`walk_diagonal`), with the values of
+    multiplying as it goes.
     """
     if len(rep.families) != 2:
         raise ValueError("invariance defects live on double spaces")
@@ -278,31 +264,47 @@ def invariance_defects(word, rep, W: int, tail: int = None) -> dict:
         tail = max(8, int(math.ceil(16.0 * math.log(10)
                                     / (2.0 * abs(math.log(q)))))) + 4
     dps = walk_dps(rep, W + tail, slack=25)
-    mw = [(g, False) for g in word]
     with mp.workdps(dps):
         ctx = mp_ctx(q, rep.meta.get("x", 0.0), dps)
+        prec = ctx.prec
         lam = 1 / (ctx.qpow(1) - ctx.qpow(-1))
-        pref_e = ctx.sqrt(ctx.qpow(1)) * lam
-        pref_f = ctx.qpow(-1) * ctx.sqrt(ctx.qpow(-1)) * lam
-        sK = sE = sF = mp.mpf(0)
+        pref_e = (ctx.sqrt(ctx.qpow(1)) * lam)._mpf_
+        pref_f = (ctx.qpow(-1) * ctx.sqrt(ctx.qpow(-1)) * lam)._mpf_
+        tables = step_tables(rep, ctx)
+        Z, Zi, X, Y = (tables[(g, True)] for g in ("Z", "Zi", "X", "Y"))
+        mw = path_table(segment_path(tables, [(g, False) for g in word]))
+        # walk order of ad_K: Z M Zi, ad_E: Zi M X - Zi X M, ad_F:
+        # M Y Zi - Y M Zi (implementer letters)
+        walks = ([Zi, mw, Z], [X, mw, Zi], [mw, X, Zi], [Zi, Y, mw],
+                 [Zi, mw, Y])
+        sK = sE = sF = fzero
         for fam, kmin in rep.families:
             for k in range(kmin + W, kmin + W + tail):
-                d = _density_value(rep, fam, k, ctx)
-                dm = _diag_walk(rep, mw, fam, k, ctx, True)
-                sK += d * (_diag_walk(
-                    rep, [("Z", True)] + mw + [("Zi", True)],
-                    fam, k, ctx, True) - dm)
-                sE += d * pref_e * (
-                    _diag_walk(rep, [("Zi", True)] + mw + [("X", True)],
-                               fam, k, ctx, True)
-                    - _diag_walk(rep, [("Zi", True), ("X", True)] + mw,
-                                 fam, k, ctx, True))
-                sF += d * pref_f * (
-                    _diag_walk(rep, mw + [("Y", True), ("Zi", True)],
-                               fam, k, ctx, True)
-                    - _diag_walk(rep, [("Y", True)] + mw + [("Zi", True)],
-                                 fam, k, ctx, True))
-        return {"K": float(abs(sK)), "E": float(abs(sE)), "F": float(abs(sF))}
+                label = (fam, k)
+                d = _density_value(rep, fam, k, ctx)._mpf_
+                dm = walk_diagonal([mw], label, prec)
+                vk, ve1, ve2, vf1, vf2 = (walk_diagonal(path, label, prec)
+                                          for path in walks)
+                # a zero difference times a finite factor adds an exact 0
+                exact = _finite(d) and _finite(pref_e) and _finite(pref_f)
+                diff = mpf_sub(vk, dm, prec, _RND)
+                if diff != fzero or not exact:
+                    sK = mpf_add(sK, mpf_mul(d, diff, prec, _RND), prec, _RND)
+                diff = mpf_sub(ve1, ve2, prec, _RND)
+                if diff != fzero or not exact:
+                    sE = mpf_add(sE, mpf_mul(mpf_mul(d, pref_e, prec, _RND),
+                                             diff, prec, _RND), prec, _RND)
+                diff = mpf_sub(vf1, vf2, prec, _RND)
+                if diff != fzero or not exact:
+                    sF = mpf_add(sF, mpf_mul(mpf_mul(d, pref_f, prec, _RND),
+                                             diff, prec, _RND), prec, _RND)
+        return {"K": mp_magnitude(sK, prec), "E": mp_magnitude(sE, prec),
+                "F": mp_magnitude(sF, prec)}
+
+
+def _finite(v) -> bool:
+    """Whether a raw mpf is a number: nonzero mantissa, or exactly 0."""
+    return bool(v[1]) or v == fzero
 
 
 def conditional_expectation(A: np.ndarray) -> np.ndarray:

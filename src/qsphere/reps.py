@@ -29,6 +29,24 @@ import math
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (
+    fone,
+    from_float,
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_add_mpf,
+    mpc_mul_mpf,
+    mpc_sub,
+    mpc_sub_mpf,
+    mpf_add,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_sub,
+    round_nearest,
+    to_float,
+)
 
 from .qcore import QParams
 from .ncalg import NCPoly, Presentation, Word, is_a_gen
@@ -77,6 +95,7 @@ class MPCtx:
     def __init__(self, q: float, x: float = 0.0, dps: int = MP_DPS):
         self.dps = dps
         with mp.workdps(dps):
+            self.prec = mp.mp.prec
             self.q = mp.mpf(q)
             self.qx = mp.power(self.q, mp.mpf(x))
         self._cache: dict = {}
@@ -145,6 +164,7 @@ class LabelRep:
         self._shift_cache: dict = {}
         self._mat_cache: dict = {}
         self._step_memos: dict = {}  # mp context -> {(g, fam, k): step}
+        self._walk_memos: dict = {}  # mp context -> _SegmentTables
 
     # -- label bookkeeping
     def kmin(self, fam):
@@ -441,6 +461,7 @@ class TensorRep:
         p = QParams(self.meta["q"], tol=1e-11)
         self._spin = spin_half(p)
         self._mat_cache: dict = {}
+        self._walk_memos: dict = {}  # mp context -> _SegmentTables
 
     def dim(self, M: int) -> int:
         return 2 * self.base.dim(M)
@@ -616,84 +637,329 @@ def residual(poly_a, poly_b, rep, window: int = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# precise relation residuals (column walks in mpmath)
+# the exact walk kernel
+#
+# Every exact check reads columns of operator products label by label in
+# mpmath arithmetic.  A "segment" is (generator, impl): impl selects the
+# implementer letter, which on a two-summand space absorbs the sign operator,
+# so its coefficient is negated where the step lands in the "-" family.  A
+# recipe item ("zf", sign, n, m) is one more segment kind, the diagonal
+# factor 1 - sign*q^(n+mx)*Z.  A "combo" is (coefficient, [segments]) and
+# stands for coefficient * (operator product of the segments).
+#
+# Steps are memoised per (representation, mp context), honouring
+# ctx.memo_steps, as (target label, raw coefficient), the coefficient an
+# mpmath `_mpf_` tuple.  A walk on a label representation visits its labels
+# first and multiplies the kept coefficients afterwards, in walk order, with
+# libmp's mpf_mul at the context's precision, rounding to nearest; the first
+# coefficient starts the product, which is exact.  Sums, signs and complex
+# coefficients use the libmp/libmpc function that mpmath's operators call on
+# the same operands.  So every value is bit-identical to multiplying mpf
+# objects as one goes, without their wrappers, and a walk that dies or ends
+# off the row wanted forms no product.  Walks on a tensor representation
+# branch; they multiply and sum as they go, in the same order.
 # ---------------------------------------------------------------------------
 
-def _walk_word(rep, word: Word, fam, k, ctx):
-    val = ctx.one
-    cf, ck = fam, k
-    for g in reversed(word):
-        hit = rep.step(g, cf, ck, ctx)
-        if hit is None:
-            return None
-        cf, ck, c = hit
-        val = val * c
-    return (cf, ck, val)
+_RND = round_nearest
 
 
-def _walk_recipe(rep, recipe, fam, k, ctx):
-    (csign, cn, cm), items = recipe
-    val = csign * ctx.qpow(cn, cm)
-    cf, ck = fam, k
-    for item in reversed(items):
-        if isinstance(item, tuple) and len(item) == 4 and item[0] == "zf":
-            _, sgn, n, m = item
-            zsgn, zn, zm = rep.zexp(cf, ck)
-            val = val * (1 - sgn * zsgn * ctx.qpow(n + zn, m + zm))
+class _StepTable(dict):
+    """label -> step of one segment, computed by `fill` on first use and kept
+    when `store` is set.  A step is None (the walk dies) or, on a label
+    representation, (target label, raw coefficients in walk order); on a
+    tensor representation it is a list of (target label, raw coefficient)
+    branches."""
+
+    def __init__(self, fill, store: bool):
+        super().__init__()
+        self.fill = fill
+        self.store = store
+
+    def __missing__(self, label):
+        hit = self.fill(label)
+        if self.store:
+            self[label] = hit
+        return hit
+
+
+class _SegmentTables(dict):
+    """The step tables of one representation in one mp context, one per
+    segment, made on first use."""
+
+    def __init__(self, rep, ctx):
+        super().__init__()
+        self.rep = rep
+        self.ctx = ctx
+        self.prec = ctx.prec
+        self._terms: dict = {}   # tensor generator -> raw spin entries
+
+    def __missing__(self, seg):
+        g, impl = seg
+        if isinstance(self.rep, TensorRep):
+            fill = self._tensor_step(g)
+        elif isinstance(g, tuple) and g[0] == "zf":
+            fill = self._zf_step(*g[1:])
         else:
-            hit = rep.step(item, cf, ck, ctx)
+            fill = self._label_step(g, impl)
+        table = self[seg] = _StepTable(fill, self.ctx.memo_steps)
+        return table
+
+    def _label_step(self, g, impl):
+        rep, ctx = self.rep, self.ctx
+        absorb = impl and len(rep.families) == 2
+
+        def fill(label):
+            hit = rep.step(g, label[0], label[1], ctx)
             if hit is None:
                 return None
-            cf, ck, c = hit
-            val = val * c
-    return (cf, ck, val)
+            fam, k, c = hit
+            c = c._mpf_
+            return (fam, k), (mpf_neg(c) if absorb and fam == "-" else c,)
+        return fill
+
+    def _zf_step(self, sign, n, m):
+        rep, ctx, prec = self.rep, self.ctx, self.prec
+
+        def fill(label):
+            zsign, zn, zm = rep.zexp(*label)
+            qp = ctx.qpow(n + zn, m + zm)._mpf_
+            f = mpf_sub(fone, mpf_mul_int(qp, sign * zsign, prec, _RND),
+                        prec, _RND)
+            return label, (f,)
+        return fill
+
+    def _tensor_step(self, g):
+        rep, prec = self.rep, self.prec
+        terms = self._terms.get(g)
+        if terms is None:
+            terms = self._terms[g] = _tensor_terms(g, self.ctx)
+        base = step_tables(rep.base, self.ctx)
+
+        def fill(label):
+            fam, k, sp = label
+            out = []
+            for base_g, entries in terms:
+                hit = base[(base_g, False)][(fam, k)]
+                if hit is None:
+                    continue
+                (f2, k2), (c,) = hit
+                if rep.absorb_sign and f2 == "-":
+                    c = mpf_neg(c)
+                for sp2, sp_in, v in entries:
+                    if sp_in == sp:
+                        out.append(((f2, k2, sp2), c if v is None
+                                    else mpf_mul(c, v, prec, _RND)))
+            return out
+        return fill
 
 
-def _accumulate(rep, terms: dict, fam, k, ctx, rows: dict, sign: int):
-    for w, c in terms.items():
-        hit = _walk_word(rep, w, fam, k, ctx)
+def _tensor_terms(g, ctx):
+    """Kron decomposition of a tensor generator: [(base generator, [(row
+    spin, column spin, raw value)])], None standing for an exact 1; spin 0
+    is e_+, spin 1 is e_-."""
+    prec = ctx.prec
+    q1, qm1 = ctx.qpow(1)._mpf_, ctx.qpow(-1)._mpf_
+    lam_inv = mpf_sub(q1, qm1, prec, _RND)
+    if g == "Z":
+        return [("Z", [(0, 0, q1), (1, 1, qm1)])]
+    if g == "Zi":
+        return [("Zi", [(0, 0, qm1), (1, 1, q1)])]
+    if g == "X":
+        return [("X", [(0, 0, None), (1, 1, None)]),
+                ("Z", [(1, 0, lam_inv)])]
+    if g == "Y":
+        return [("Y", [(0, 0, None), (1, 1, None)]),
+                ("Z", [(0, 1, lam_inv)])]
+    if g == "T":
+        q2, qm2 = ctx.qpow(2)._mpf_, ctx.qpow(-2)._mpf_
+        return [("T", [(0, 0, qm1), (1, 1, q1)]),
+                ("Z", [(0, 0, mpf_sub(q2, fone, prec, _RND)),
+                       (1, 1, mpf_sub(qm2, fone, prec, _RND))]),
+                ("X", [(0, 1, lam_inv)]),
+                ("Y", [(1, 0, lam_inv)])]
+    raise KeyError(f"tensor walk has no generator {g}")
+
+
+def step_tables(rep, ctx) -> _SegmentTables:
+    """The step tables of `rep` in the mp context `ctx`: one shared set per
+    (rep, ctx) when ctx.memo_steps is set, else a fresh set whose steps are
+    recomputed on every use."""
+    if not isinstance(rep, (LabelRep, TensorRep)):
+        raise TypeError(f"no label walk for {type(rep).__name__}")
+    if not ctx.memo_steps:
+        return _SegmentTables(rep, ctx)
+    tables = rep._walk_memos.get(ctx)
+    if tables is None:
+        tables = rep._walk_memos[ctx] = _SegmentTables(rep, ctx)
+    return tables
+
+
+def segment_path(tables, segs) -> list:
+    """The step tables of `segs` (an operator product) in walk order, right
+    to left."""
+    return [tables[seg] for seg in reversed(segs)]
+
+
+def walk_path(path, label):
+    """Walk `label` through the step tables of `path`: (end label, raw
+    coefficients in walk order), or None where a step dies."""
+    coeffs = []
+    for table in path:
+        hit = table[label]
         if hit is None:
-            continue
-        v = hit[2] * c.real if c.imag == 0.0 else hit[2] * mp.mpc(c)
-        rows[hit[:2]] = rows.get(hit[:2], 0) + sign * v
+            return None
+        label, cs = hit
+        coeffs += cs
+    return label, coeffs
 
 
-def _rule_residual(rep, rule, W: int, ctx) -> float:
-    worst = 0.0
+def path_table(path) -> _StepTable:
+    """The walks of `path` memoised per start label, usable as one step of a
+    longer path."""
+    return _StepTable(lambda label: walk_path(path, label), True)
+
+
+def mp_product(coeffs, prec: int):
+    """Product of raw coefficients in walk order at `prec`, rounding to
+    nearest: the value of multiplying mpf objects from 1, the first
+    coefficient starting the product exactly."""
+    if not coeffs:
+        return fone
+    it = iter(coeffs)
+    p = next(it)
+    for c in it:
+        p = mpf_mul(p, c, prec, _RND)
+    return p
+
+
+def walk_diagonal(path, label, prec: int):
+    """Raw diagonal entry at `label` of the product walked by `path`: its
+    coefficients are multiplied only when the walk returns to `label`."""
+    hit = walk_path(path, label)
+    if hit is None or hit[0] != label:
+        return fzero
+    return mp_product(hit[1], prec)
+
+
+def mp_magnitude(v, prec: int) -> float:
+    """|v| as a float for a raw real or complex (a pair of raw parts) value,
+    rounded to nearest as float(abs(v)) rounds an mpf or mpc."""
+    if len(v) == 2:
+        v = mpc_abs(v, prec, _RND)
+    return abs(to_float(v, rnd=_RND))
+
+
+def _raw_number(c):
+    """A Python coefficient in the kernel's form: an int stays, a float
+    becomes a raw mpf, a complex a pair of raw parts, exactly as mpmath
+    converts it."""
+    if isinstance(c, int):
+        return c
+    if isinstance(c, complex):
+        return from_float(c.real), from_float(c.imag)
+    return from_float(float(c))
+
+
+def _scale(p, coef, prec: int):
+    """coef * p for a raw product p, rounded as a Python number times an
+    mpf is."""
+    if type(coef) is int:
+        return mpf_mul_int(p, coef, prec, _RND)
+    if len(coef) == 4:
+        return mpf_mul(p, coef, prec, _RND)
+    return mpc_mul_mpf(coef, p, prec, _RND)
+
+
+def _add(a, b, prec: int):
+    """a + b as mpmath's operators round it; a None stands for the 0 a row
+    starts from, and 0 + b is b exactly."""
+    if a is None:
+        return b
+    if len(a) == 4:
+        if len(b) == 4:
+            return mpf_add(a, b, prec, _RND)
+        return mpc_add_mpf(b, a, prec, _RND)
+    if len(b) == 4:
+        return mpc_add_mpf(a, b, prec, _RND)
+    return mpc_add(a, b, prec, _RND)
+
+
+def _sub(a, b, prec: int):
+    """a - b as mpmath's operators round it; a None stands for 0."""
+    if a is None:
+        a = fzero
+    if len(a) == 4:
+        if len(b) == 4:
+            return mpf_sub(a, b, prec, _RND)
+        return mpc_sub((a, fzero), b, prec, _RND)
+    if len(b) == 4:
+        return mpc_sub_mpf(a, b, prec, _RND)
+    return mpc_sub(a, b, prec, _RND)
+
+
+# ---------------------------------------------------------------------------
+# precise relation residuals
+# ---------------------------------------------------------------------------
+
+def _word_terms(tables, terms: dict) -> list:
+    """(path, leading factor, coefficient) of each word of a polynomial; a
+    coefficient with zero imaginary part multiplies as its real part."""
+    return [(segment_path(tables, [(g, False) for g in w]), None,
+             _raw_number(c.real if c.imag == 0.0 else c))
+            for w, c in terms.items()]
+
+
+def _terms_residual(rep, W: int, prec: int, sides) -> float:
+    """max |sum of the signed terms| over window columns and rows of a label
+    rep.  sides: (op, terms) with op _add or _sub, each term (path, leading
+    raw factor or None, coefficient or None); its value is the product of
+    the leading factor and the walked coefficients, times the coefficient,
+    and is added to or subtracted from its row term by term."""
     kmins = dict(rep.families)
+    worst = 0.0
     for fam, kmin in rep.families:
         for k in range(kmin, kmin + W):
             rows: dict = {}
-            _accumulate(rep, {rule.lhs: 1.0}, fam, k, ctx, rows, +1)
-            if rule.recipe is not None:
-                rhs_hit = _walk_recipe(rep, rule.recipe, fam, k, ctx)
-                if rhs_hit is not None:
-                    rows[rhs_hit[:2]] = rows.get(rhs_hit[:2], 0) - rhs_hit[2]
-            else:
-                _accumulate(rep, rule.rhs, fam, k, ctx, rows, -1)
+            for op, terms in sides:
+                for path, lead, coef in terms:
+                    hit = walk_path(path, (fam, k))
+                    if hit is None:
+                        continue
+                    end, coeffs = hit
+                    if lead is not None:
+                        coeffs = [lead] + coeffs
+                    v = mp_product(coeffs, prec)
+                    if coef is not None:
+                        v = _scale(v, coef, prec)
+                    rows[end] = op(rows.get(end), v, prec)
             for (rf, rk), v in rows.items():
-                if not (kmins[rf] <= rk < kmins[rf] + W):
-                    continue
-                worst = max_or_nan(worst, abs(ctx.to_float(v)))
+                if kmins[rf] <= rk < kmins[rf] + W:
+                    worst = max_or_nan(worst, mp_magnitude(v, prec))
     return worst
+
+
+def _rule_residual(rep, rule, W: int, ctx) -> float:
+    tables = step_tables(rep, ctx)
+    lhs = _word_terms(tables, {rule.lhs: 1.0})
+    if rule.recipe is None:
+        rhs = _word_terms(tables, rule.rhs)
+    else:
+        (csign, cn, cm), items = rule.recipe
+        lead = mpf_mul_int(ctx.qpow(cn, cm)._mpf_, csign, ctx.prec, _RND)
+        rhs = [(segment_path(tables, [(it, False) for it in items]), lead,
+                None)]
+    return _terms_residual(rep, W, ctx.prec, [(_add, lhs), (_sub, rhs)])
 
 
 def mp_poly_residual(rep, poly_a, poly_b, window: int = None) -> float:
     """max |poly_a - poly_b| over window columns, walked in mpmath."""
     W = rep.N if window is None else window
-    kmins = dict(rep.families)
-    worst = 0.0
     with mp.workdps(MP_DPS):
         ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0))
-        for fam, kmin in rep.families:
-            for k in range(kmin, kmin + W):
-                rows: dict = {}
-                _accumulate(rep, poly_a.terms, fam, k, ctx, rows, +1)
-                _accumulate(rep, poly_b.terms, fam, k, ctx, rows, -1)
-                for (rf, rk), v in rows.items():
-                    if kmins[rf] <= rk < kmins[rf] + W:
-                        worst = max_or_nan(worst, abs(ctx.to_float(v)))
-    return worst
+        tables = step_tables(rep, ctx)
+        return _terms_residual(
+            rep, W, ctx.prec, [(_add, _word_terms(tables, poly_a.terms)),
+                               (_sub, _word_terms(tables, poly_b.terms))])
 
 
 def relation_check(pres: Presentation, rep, window: int = None,
@@ -722,67 +988,12 @@ def relation_check(pres: Presentation, rep, window: int = None,
 
 
 # ---------------------------------------------------------------------------
-# branched label walks (shared by the adjoint-action residual checks)
+# combo walks (shared by the adjoint-action residual checks)
 #
-# A "segment" is (generator, impl) where impl selects the sign-absorbed
-# implementer letter on two-summand spaces; a "combo" is (coefficient,
-# [segments]) and stands for coefficient * (operator product of the segments).
-# Walking combos column-by-column evaluates them exactly on the infinite
+# Walking combos column by column evaluates them exactly on the infinite
 # operators; with an mpmath context the precision can be chosen against the
 # q^(-2k) growth of the localization inverse.
 # ---------------------------------------------------------------------------
-
-def step_branches(rep, g, label, ctx, impl: bool = False):
-    """All (target label, coefficient) moves of one generator from a label."""
-    if isinstance(rep, LabelRep):
-        fam, k = label
-        hit = rep.step(g, fam, k, ctx)
-        if hit is None:
-            return []
-        f2, k2, c = hit
-        if impl and len(rep.families) == 2 and f2 == "-":
-            c = -c
-        return [((f2, k2), c)]
-    if isinstance(rep, TensorRep):
-        fam, k, sp = label
-        out = []
-        for base_g, spin_entries in _tensor_terms(rep, g, ctx):
-            hit = rep.base.step(base_g, fam, k, ctx)
-            if hit is None:
-                continue
-            f2, k2, c = hit
-            if rep.absorb_sign and f2 == "-":
-                c = -c
-            for (sp2, sp_in), v in spin_entries.items():
-                if sp_in == sp:
-                    out.append(((f2, k2, sp2), c * v))
-        return out
-    raise TypeError(f"no label walk for {type(rep).__name__}")
-
-
-def _tensor_terms(rep: TensorRep, g, ctx):
-    """Kron decomposition of a tensor generator: [(base generator, spin
-    entries {(row_spin, col_spin): value})]; spin 0 is e_+, spin 1 is e_-."""
-    q1, qm1 = ctx.qpow(1), ctx.qpow(-1)
-    lam_inv = q1 - qm1
-    if g == "Z":
-        return [("Z", {(0, 0): q1, (1, 1): qm1})]
-    if g == "Zi":
-        return [("Zi", {(0, 0): qm1, (1, 1): q1})]
-    if g == "X":
-        return [("X", {(0, 0): 1, (1, 1): 1}),
-                ("Z", {(1, 0): lam_inv})]
-    if g == "Y":
-        return [("Y", {(0, 0): 1, (1, 1): 1}),
-                ("Z", {(0, 1): lam_inv})]
-    if g == "T":
-        q2, qm2 = ctx.qpow(2), ctx.qpow(-2)
-        return [("T", {(0, 0): qm1, (1, 1): q1}),
-                ("Z", {(0, 0): q2 - 1, (1, 1): qm2 - 1}),
-                ("X", {(0, 1): lam_inv}),
-                ("Y", {(1, 0): lam_inv})]
-    raise KeyError(f"tensor walk has no generator {g}")
-
 
 def window_labels(rep, W: int):
     if isinstance(rep, TensorRep):
@@ -803,22 +1014,53 @@ def label_in_window(rep, label, W: int) -> bool:
     return fams[fam] <= k < fams[fam] + W
 
 
+def _branch_walk(path, label, prec: int) -> dict:
+    """{end label: raw value} of a walk that branches: each step multiplies
+    the value reaching a label and sums what lands on one label, in frontier
+    order; None stands for the exact 1 a walk starts from."""
+    frontier = {label: None}
+    for table in path:
+        nxt: dict = {}
+        for lab, val in frontier.items():
+            for lab2, c in table[lab]:
+                p = c if val is None else mpf_mul(val, c, prec, _RND)
+                old = nxt.get(lab2)
+                nxt[lab2] = p if old is None else mpf_add(old, p, prec, _RND)
+        frontier = nxt
+        if not frontier:
+            break
+    return {lab: fone if val is None else val
+            for lab, val in frontier.items()}
+
+
+def _combo_column(tables, combos, label) -> dict:
+    """Column `label` of sum(coef * product): {row label: raw value}, for
+    combos compiled to (path, coefficient)."""
+    prec = tables.prec
+    branched = isinstance(tables.rep, TensorRep)
+    rows: dict = {}
+    for path, coef in combos:
+        if branched:
+            ends = _branch_walk(path, label, prec).items()
+        else:
+            hit = walk_path(path, label)
+            ends = () if hit is None else ((hit[0], mp_product(hit[1], prec)),)
+        for lab, val in ends:
+            rows[lab] = _add(rows.get(lab), _scale(val, coef, prec), prec)
+    return rows
+
+
+def _compile_combos(tables, combos) -> list:
+    return [(segment_path(tables, segs), _raw_number(coef))
+            for coef, segs in combos]
+
+
 def walk_combos(rep, combos, label, ctx) -> dict:
     """Column `label` of sum(coef * product(segments)): {row label: value}."""
-    rows: dict = {}
-    for coef, segs in combos:
-        frontier = {label: 1}
-        for g, impl in reversed(segs):
-            nxt: dict = {}
-            for lab, val in frontier.items():
-                for lab2, c in step_branches(rep, g, lab, ctx, impl):
-                    nxt[lab2] = nxt.get(lab2, 0) + val * c
-            frontier = nxt
-            if not frontier:
-                break
-        for lab, val in frontier.items():
-            rows[lab] = rows.get(lab, 0) + coef * val
-    return rows
+    tables = step_tables(rep, ctx)
+    rows = _combo_column(tables, _compile_combos(tables, combos), label)
+    return {lab: mp.make_mpc(v) if len(v) == 2 else mp.make_mpf(v)
+            for lab, v in rows.items()}
 
 
 def walk_dps(rep, W: int, slack: int = 30) -> int:
@@ -839,13 +1081,17 @@ def combos_residual(rep, combos_a, combos_b, W: int,
     worst = 0.0
     with mp.workdps(dps):
         ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
+        tables = step_tables(rep, ctx)
+        prec = ctx.prec
+        side_a = _compile_combos(tables, combos_a)
+        side_b = _compile_combos(tables, combos_b)
         for label in window_labels(rep, W):
-            rows = walk_combos(rep, combos_a, label, ctx)
-            for lab, val in walk_combos(rep, combos_b, label, ctx).items():
-                rows[lab] = rows.get(lab, 0) - val
+            rows = _combo_column(tables, side_a, label)
+            for lab, val in _combo_column(tables, side_b, label).items():
+                rows[lab] = _sub(rows.get(lab), val, prec)
             for lab, val in rows.items():
                 if label_in_window(rep, lab, W):
-                    worst = max_or_nan(worst, float(abs(val)))
+                    worst = max_or_nan(worst, mp_magnitude(val, prec))
     return worst
 
 

@@ -417,3 +417,181 @@ def test_step_memo_follows_precision():
     high = _walk_window(rep, _COMBOS, mp_ctx(Q, 3.0, 80), W)
     assert high == _walk_window(rep, _COMBOS, _FreshCtx(Q, 3.0, 80), W)
     assert high != low
+
+
+# ---------------------------------------------------------------------------
+# the exact walk kernel against walks that multiply mpf objects as they go
+# ---------------------------------------------------------------------------
+
+def _reference_tensor_terms(g, ctx):
+    q1, qm1 = ctx.qpow(1), ctx.qpow(-1)
+    lam_inv = q1 - qm1
+    if g == "Z":
+        return [("Z", {(0, 0): q1, (1, 1): qm1})]
+    if g == "Zi":
+        return [("Zi", {(0, 0): qm1, (1, 1): q1})]
+    if g == "X":
+        return [("X", {(0, 0): 1, (1, 1): 1}), ("Z", {(1, 0): lam_inv})]
+    if g == "Y":
+        return [("Y", {(0, 0): 1, (1, 1): 1}), ("Z", {(0, 1): lam_inv})]
+    q2, qm2 = ctx.qpow(2), ctx.qpow(-2)
+    return [("T", {(0, 0): qm1, (1, 1): q1}),
+            ("Z", {(0, 0): q2 - 1, (1, 1): qm2 - 1}),
+            ("X", {(0, 1): lam_inv}),
+            ("Y", {(1, 0): lam_inv})]
+
+
+def _reference_branches(rep, g, label, ctx, impl):
+    if not isinstance(rep, reps.TensorRep):
+        hit = rep.step(g, label[0], label[1], ctx)
+        if hit is None:
+            return []
+        f2, k2, c = hit
+        if impl and len(rep.families) == 2 and f2 == "-":
+            c = -c
+        return [((f2, k2), c)]
+    fam, k, sp = label
+    out = []
+    for base_g, spin_entries in _reference_tensor_terms(g, ctx):
+        hit = rep.base.step(base_g, fam, k, ctx)
+        if hit is None:
+            continue
+        f2, k2, c = hit
+        if rep.absorb_sign and f2 == "-":
+            c = -c
+        for (sp2, sp_in), v in spin_entries.items():
+            if sp_in == sp:
+                out.append(((f2, k2, sp2), c * v))
+    return out
+
+
+def _reference_walk_combos(rep, combos, label, ctx):
+    rows = {}
+    for coef, segs in combos:
+        frontier = {label: 1}
+        for g, impl in reversed(segs):
+            nxt = {}
+            for lab, val in frontier.items():
+                for lab2, c in _reference_branches(rep, g, lab, ctx, impl):
+                    nxt[lab2] = nxt.get(lab2, 0) + val * c
+            frontier = nxt
+        for lab, val in frontier.items():
+            rows[lab] = rows.get(lab, 0) + coef * val
+    return rows
+
+
+def _reference_combos_residual(rep, combos_a, combos_b, W, ctx):
+    worst = 0.0
+    for label in window_labels(rep, W):
+        rows = _reference_walk_combos(rep, combos_a, label, ctx)
+        for lab, val in _reference_walk_combos(rep, combos_b, label,
+                                               ctx).items():
+            rows[lab] = rows.get(lab, 0) - val
+        for lab, val in rows.items():
+            if reps.label_in_window(rep, lab, W):
+                worst = max(worst, float(abs(val)))
+    return worst
+
+
+def _reference_rule_residual(rep, rule, W, ctx):
+    def walk(items, fam, k, val):
+        for item in reversed(items):
+            if isinstance(item, tuple) and item[0] == "zf":
+                _, sgn, n, m = item
+                zsgn, zn, zm = rep.zexp(fam, k)
+                val = val * (1 - sgn * zsgn * ctx.qpow(n + zn, m + zm))
+                continue
+            hit = rep.step(item, fam, k, ctx)
+            if hit is None:
+                return None
+            fam, k, c = hit
+            val = val * c
+        return (fam, k), val
+
+    def accumulate(terms, fam, k, rows, sign):
+        for w, c in terms.items():
+            hit = walk(w, fam, k, ctx.one)
+            if hit is not None:
+                v = hit[1] * c.real if c.imag == 0.0 else hit[1] * mp.mpc(c)
+                rows[hit[0]] = rows.get(hit[0], 0) + sign * v
+
+    worst = 0.0
+    for fam, kmin in rep.families:
+        for k in range(kmin, kmin + W):
+            rows = {}
+            accumulate({rule.lhs: 1.0}, fam, k, rows, +1)
+            if rule.recipe is None:
+                accumulate(rule.rhs, fam, k, rows, -1)
+            else:
+                (csign, cn, cm), items = rule.recipe
+                hit = walk(items, fam, k, csign * ctx.qpow(cn, cm))
+                if hit is not None:
+                    rows[hit[0]] = rows.get(hit[0], 0) - hit[1]
+            for (rf, rk), v in rows.items():
+                if rep.kmin(rf) <= rk < rep.kmin(rf) + W:
+                    worst = max(worst, abs(float(v)))
+    return worst
+
+
+def _bits(v):
+    return v._mpc_ if hasattr(v, "_mpc_") else v._mpf_
+
+
+def test_combo_kernel_matches_multiplying_walks():
+    W = 10
+    label_combos = _COMBOS + [
+        (2 + 0j, [("Z", True), ("X", False), ("Zi", True)]),
+        (3, [("Y", True), ("Y", False)]),
+        (-1.5, [("X", True), ("X", True), ("Y", False), ("Y", True)])]
+    tensor_combos = [(1.0, [("T", False), ("X", False)]),
+                     (0.25 + 1j, [("Y", True), ("Zi", False), ("T", True)]),
+                     (-2 + 0j, [("X", False), ("Y", False), ("Z", False)])]
+    cases = [(rep_podles(P, 1.3, "direct_sum", W), label_combos),
+             (rep_podles(P, 1.3, "a_variant", W), label_combos),
+             (rep_bl(P, 1, W), label_combos),
+             (tensor_coaction(rep_podles(P, 0.7, "plus", W)), tensor_combos),
+             (tensor_coaction(rep_podles(P, 1.3, "direct_sum", W),
+                              absorb_sign=True), tensor_combos)]
+    complex_rows = 0
+    for rep, combos in cases:
+        x = rep.meta.get("x", 0.0)
+        for ctx in (mp_ctx(Q, x, 50), _FreshCtx(Q, x, 50)):
+            with mp.workdps(ctx.dps):
+                for label in window_labels(rep, W):
+                    got = walk_combos(rep, combos, label, ctx)
+                    want = _reference_walk_combos(rep, combos, label, ctx)
+                    assert ({lab: _bits(v) for lab, v in got.items()}
+                            == {lab: _bits(v) for lab, v in want.items()})
+                    complex_rows += sum(hasattr(v, "_mpc_")
+                                        for v in got.values())
+                want = _reference_combos_residual(rep, combos, combos[:1],
+                                                  W, ctx)
+        assert combos_residual(rep, combos, combos[:1], W, dps=50) == want
+    assert complex_rows > 0
+
+
+def test_relation_kernel_matches_multiplying_walks(monkeypatch):
+    W = 12
+    cases = [(make_presentation("podles", P, x=1.3),
+              rep_podles(P, 1.3, "direct_sum", W)),
+             (make_presentation("uqmp", P), rep_podles(P, 0.7, "plus", W)),
+             (make_presentation("bl", P, l=1), rep_bl(P, 1, W)),
+             (make_presentation("bl", P, l=1.5), rep_bl(P, 1.5, W))]
+    zf_rules = 0
+    for fresh in (False, True):
+        if fresh:
+            monkeypatch.setattr(
+                reps, "mp_ctx",
+                lambda q, x=0.0, dps=reps.MP_DPS: _FreshCtx(q, x, dps))
+        for pres, rep in cases:
+            got = relation_check(pres, rep)
+            with mp.workdps(reps.MP_DPS):
+                ctx = reps.mp_ctx(Q, rep.meta.get("x", 0.0))
+                want = {r.name: _reference_rule_residual(rep, r, W, ctx)
+                        for r in pres.rules if r.defining}
+            assert got == want
+            zf_rules += sum(any(isinstance(it, tuple) and it[0] == "zf"
+                                for it in r.recipe[1])
+                            for r in pres.rules
+                            if r.defining and r.recipe is not None)
+    assert zf_rules > 0
