@@ -329,42 +329,78 @@ class DependentMonomialsError(ArithmeticError):
     the requested degree, so no kernel can be read off; a smaller D can."""
 
 
-def _window_commutators(cols, rows, val, pos, impl_views):
-    """[G, A] pieces on the window for a weighted shift A (column cols[i]
-    goes to row rows[i] with value val[i]; every other entry is zero) and
-    implementers G given as (window rows, window columns) views.
+def _index_table(major, minor, vals, n: int):
+    """Entries grouped by `major` in 0..n-1: (start offsets, minor indices,
+    values), group m occupying [start[m], start[m+1])."""
+    order = np.argsort(major, kind="stable")
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(major, minlength=n), out=start[1:])
+    return start, minor[order], vals[order]
+
+
+def _gather(table, keys):
+    """The entries of each key's group: (position in keys, minor index,
+    value)."""
+    start, minor, vals = table
+    count = start[keys + 1] - start[keys]
+    owner = np.repeat(np.arange(len(keys)), count)
+    at = (np.repeat(start[keys] - (np.cumsum(count) - count), count)
+          + np.arange(len(owner)))
+    return owner, minor[at], vals[at]
+
+
+def _sparse_implementer(G, idx):
+    """Implementer G on the window as two index tables: per internal column
+    t, the window rows I with values G[idx[I], t]; per internal row s, the
+    window columns J with values G[s, idx[J]]; nonzero entries only."""
+    n = G.shape[0]
+    i, t = np.nonzero(G[idx, :])
+    s, j = np.nonzero(G[:, idx])
+    return (_index_table(t, i, G[idx[i], t], n),
+            _index_table(s, j, G[s, idx[j]], n))
+
+
+def _commutator_column(cols, rows, val, pos, impls, nw: int):
+    """Column of the commutator system for a weighted shift A (column
+    cols[i] goes to row rows[i] with value val[i]; every other entry is
+    zero), as (rows, values) of its nonzero entries: the window entries of
+    [Z', A], [A, X'], [A, Y'], each flattened row-major, stacked.  impls are
+    the implementers' index tables on the window (`_sparse_implementer`),
+    pos maps internal indices to window positions or -1.
 
     (G A)[I, J] = G[I, rows of J] * val[J] and (A G)[I, J] = val[K] *
     G[K, J] for the one column K that reaches row I: each entry is the
-    single nonzero product of the dense matmul.  Returns (G A, A G) per G."""
+    single nonzero product of the dense matmul, gathered from the nonzero
+    entries of G.  Each entry of a difference is a - b, a - 0 or 0 - b, as
+    in the dense difference, and exact zeros are dropped."""
     in_c = pos[cols] >= 0
     in_r = pos[rows] >= 0
     jc, tc, vc = pos[cols[in_c]], rows[in_c], val[in_c]
     ir, sr, vr = pos[rows[in_r]], cols[in_r], val[in_r]
     if len(np.unique(ir)) < len(ir):
         raise ValueError("basis image maps two labels to one")
-    out = []
-    for g_rows, g_cols in impl_views:
-        nw = len(g_rows)
-        ga = np.zeros((nw, nw), dtype=np.complex128)
-        ga[:, jc] = g_rows[:, tc] * vc
-        ag = np.zeros((nw, nw), dtype=np.complex128)
-        ag[ir, :] = vr[:, None] * g_cols[sr, :]
-        out.append((ga, ag))
-    return out
-
-
-def _sparse_column(pieces):
-    """(rows, values) of the nonzero entries of the column that stacks the
-    flattened pieces."""
-    rows, vals, offset = [], [], 0
-    for piece in pieces:
-        flat = piece.reshape(-1)
-        nz = np.flatnonzero(flat)
-        rows.append(offset + nz)
-        vals.append(flat[nz])
-        offset += flat.size
-    return np.concatenate(rows), np.concatenate(vals)
+    # minuend and subtrahend entries: [Z', A] = Z'A - AZ' and
+    # [A, X'] = AX' - X'A, [A, Y'] = AY' - Y'A
+    sides = ([], [])
+    for piece, (by_col, by_row) in enumerate(impls):
+        o, i, g = _gather(by_col, tc)
+        ga = (piece * nw * nw + i * nw + jc[o], g * vc[o])
+        o, j, g = _gather(by_row, sr)
+        ag = (piece * nw * nw + ir[o] * nw + j, vr[o] * g)
+        sides[0].append(ga if piece == 0 else ag)
+        sides[1].append(ag if piece == 0 else ga)
+    n_minuend = sum(len(k) for k, _ in sides[0])
+    keys = np.concatenate([k for side in sides for k, _ in side])
+    vals = np.concatenate([v for side in sides for _, v in side])
+    # a key is at most once on each side; minuends sort first
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    diff = np.where(order < n_minuend, vals, 0 - vals)
+    both = np.flatnonzero(keys[1:] == keys[:-1])
+    diff[both] = vals[both] - vals[both + 1]
+    diff[both + 1] = 0
+    kept = diff != 0
+    return keys[kept], diff[kept]
 
 
 def _column_blocks(columns):
@@ -466,7 +502,7 @@ def invariant_subspace(pres: Presentation, rep, D: int,
     nw = len(idx)
     pos = np.full(impl.dim(M), -1, dtype=np.intp)
     pos[idx] = np.arange(nw)
-    impl_views = [(G[idx, :], G[:, idx]) for G in (act.Z, act.X, act.Y)]
+    impls = [_sparse_implementer(G, idx) for G in (act.Z, act.X, act.Y)]
 
     labels, scales, mono, system = [], [], [], []
     for w in words:
@@ -484,9 +520,7 @@ def invariant_subspace(pres: Presentation, rep, D: int,
             v = val / scale
             keep = in_win & (v != 0)
             mono.append((pos[rows[keep]] * nw + pos[cols[keep]], v[keep]))
-            (za, az), (xa, ax), (ya, ay) = _window_commutators(
-                cols, rows, v, pos, impl_views)
-            system.append(_sparse_column([za - az, ax - xa, ay - ya]))
+            system.append(_commutator_column(cols, rows, v, pos, impls, nw))
 
     mono_sv = np.concatenate([_block_svd(b)[0]
                               for _, _, b in _column_blocks(mono)])

@@ -232,10 +232,14 @@ def suite_functional(p, x, l, N):
     return [rpt]
 
 
+def _ergodic_report(p, x, l, D, N):
+    return VerificationReport(
+        "ergodic", _params(p, x=x, l=l, D=D, N=N, rank_window=min(24, N)))
+
+
 def suite_ergodic(p, x, l, D, N):
     rank_window = min(24, N)
-    rpt = VerificationReport(
-        "ergodic", _params(p, x=x, l=l, D=D, N=N, rank_window=rank_window))
+    rpt = _ergodic_report(p, x, l, D, N)
     pres = make_presentation("podles", p, x=x)
     rep = rep_podles(p, x, "direct_sum", N)
     out = invariant_subspace(pres, rep, D, rank_window=rank_window)
@@ -517,7 +521,14 @@ def _suites(args, p) -> list:
         reports += suite_compress(p, 0.7, args.N)
         reports += suite_theta(p, ALL_L["theta"], args.N)
         reports += suite_functional(p, 1.0, ALL_L["functional"], args.N)
-        reports += suite_ergodic(p, 1.0, ALL_L["ergodic"], args.D, args.N)
+        try:
+            reports += suite_ergodic(p, 1.0, ALL_L["ergodic"], args.D, args.N)
+        except DependentMonomialsError as e:
+            # the other suites' reports stand; ergodic certified nothing
+            print(f"verify: all: ergodic: {e}", file=sys.stderr)
+            rpt = _ergodic_report(p, 1.0, ALL_L["ergodic"], args.D, args.N)
+            rpt.add("dependent_monomials", math.inf, 0.0)
+            reports.append(rpt)
         reports += suite_theorem2(p, ALL_L["theorem2"], args.N)
         reports += suite_orbit(p, 0.3, 1.7)
         reports += suite_picard(p, 0.0)

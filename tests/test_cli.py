@@ -81,6 +81,24 @@ def test_usage_error_exit_code(capsys):
         assert out.err.count("\n") == 1 and flag in out.err, argv
 
 
+def test_all_keeps_reports_when_monomials_are_dependent(capsys):
+    # at q = 0.3 the degree-6 monomial images of the l = 0 ergodic suite
+    # are dependent on the rank window: ergodic alone is a usage error, but
+    # under `all` it fails and every other suite still reports
+    code = run(["all", "--q", "0.3", "--N", "24", "--count", "10", "--json"])
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    assert code == 1
+    assert "--D" not in out.err and "dependent" in out.err
+    checks = {c["check"]: c for c in report["checks"]}
+    assert len(checks) == 13
+    ergodic = checks.pop("ergodic")
+    assert ergodic["status"] == "fail" and ergodic["max_residual"] == "inf"
+    assert [d["item"] for d in ergodic["details"]] == ["dependent_monomials"]
+    assert all(c["status"] == "pass" for c in checks.values())
+    assert run(["ergodic", "--q", "0.3", "--x", "1.0", "--l", "0", "--N",
+                "24", "--json"]) == 2
+
 
 def test_casimir_without_interior_spectrum_fails(capsys):
     # at N = 4 every eigenvector reaches the truncation edge
