@@ -273,33 +273,28 @@ def invariance_defects(word, rep, W: int, tail: int = None) -> dict:
         tables = step_tables(rep, ctx)
         Z, Zi, X, Y = (tables[(g, True)] for g in ("Z", "Zi", "X", "Y"))
         mw = path_table(segment_path(tables, [(g, False) for g in word]))
-        # walk order of ad_K: Z M Zi, ad_E: Zi M X - Zi X M, ad_F:
+        # walk order of M, ad_K: Z M Zi, ad_E: Zi M X - Zi X M, ad_F:
         # M Y Zi - Y M Zi (implementer letters)
-        walks = ([Zi, mw, Z], [X, mw, Zi], [mw, X, Zi], [Zi, Y, mw],
+        walks = ([mw], [Zi, mw, Z], [X, mw, Zi], [mw, X, Zi], [Zi, Y, mw],
                  [Zi, mw, Y])
-        sK = sE = sF = fzero
+        sums = [fzero, fzero, fzero]
         for fam, kmin in rep.families:
             for k in range(kmin + W, kmin + W + tail):
                 label = (fam, k)
                 d = _density_value(rep, fam, k, ctx)._mpf_
-                dm = walk_diagonal([mw], label, prec)
-                vk, ve1, ve2, vf1, vf2 = (walk_diagonal(path, label, prec)
-                                          for path in walks)
-                # a zero difference times a finite factor adds an exact 0
-                exact = _finite(d) and _finite(pref_e) and _finite(pref_f)
-                diff = mpf_sub(vk, dm, prec, _RND)
-                if diff != fzero or not exact:
-                    sK = mpf_add(sK, mpf_mul(d, diff, prec, _RND), prec, _RND)
-                diff = mpf_sub(ve1, ve2, prec, _RND)
-                if diff != fzero or not exact:
-                    sE = mpf_add(sE, mpf_mul(mpf_mul(d, pref_e, prec, _RND),
-                                             diff, prec, _RND), prec, _RND)
-                diff = mpf_sub(vf1, vf2, prec, _RND)
-                if diff != fzero or not exact:
-                    sF = mpf_add(sF, mpf_mul(mpf_mul(d, pref_f, prec, _RND),
-                                             diff, prec, _RND), prec, _RND)
-        return {"K": mp_magnitude(sK, prec), "E": mp_magnitude(sE, prec),
-                "F": mp_magnitude(sF, prec)}
+                dm, vk, ve1, ve2, vf1, vf2 = (
+                    walk_diagonal(path, label, prec) for path in walks)
+                terms = ((vk, dm, None), (ve1, ve2, pref_e), (vf1, vf2, pref_f))
+                for n, (a, b, pref) in enumerate(terms):
+                    # sums[n] += d * pref * (a - b); a zero difference
+                    # times a finite factor would add an exact 0
+                    if (a == b == fzero and _finite(d)
+                            and (pref is None or _finite(pref))):
+                        continue
+                    f = d if pref is None else mpf_mul(d, pref, prec, _RND)
+                    sums[n] = mpf_add(sums[n], mpf_mul(
+                        f, mpf_sub(a, b, prec, _RND), prec, _RND), prec, _RND)
+        return {key: mp_magnitude(v, prec) for key, v in zip("KEF", sums)}
 
 
 def _finite(v) -> bool:
@@ -468,8 +463,9 @@ def invariant_subspace(pres: Presentation, rep, D: int,
     restricted to a sub-window of exact entries; each monomial image is a
     weighted shift (lifted to rows 2r+a, columns 2c+b for a tensor unit), so
     its window and its commutators are gathered from its shift arrays and
-    the implementer matrices on the window, entry for entry the dense
-    products.  Only the nonzero entries of each column are kept.
+    the nonzero entries of the implementer matrices on the window, entry
+    for entry the dense products, straight into each column's nonzero
+    (row, value) pairs.
 
     A monomial reaches only its own diagonals, so the system (and the
     matrix of monomial windows) is a direct sum of small blocks; they are

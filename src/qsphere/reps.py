@@ -13,13 +13,19 @@ accumulated on the walked support only, never on a dense window.  Tensor and
 explicit-matrix representations, with more than one nonzero entry per
 column, still multiply dense matrices and take dense window differences.
 
-Relation residuals are evaluated by walking words column-by-column in mpmath
+Relation residuals, adjoint-action residuals and invariant-functional tail
+defects are evaluated by walking columns label by label in mpmath
 arithmetic: the product-form relations of the graded algebras reach entry
 magnitudes ~1e6 at small q, where double precision cannot certify 1e-11
-absolute residuals.  Exact walks share one mp context per (q, x, precision)
-(`mp_ctx`), and each representation memoises the label steps it has taken
-in each context, so a step coefficient is computed once however many words,
-columns and checks walk through it.
+absolute residuals.  All of them go through one exact walk kernel.  Exact
+walks share one mp context per (q, x, precision) (`mp_ctx`); each
+representation memoises, per context, every step it has taken as (target
+label, raw mpmath mantissa tuple), so a step coefficient is computed once
+however many words, columns and checks walk through it.  A walk visits the
+labels first and then multiplies the raw coefficients with libmp's own
+functions at the context's precision, rounding to nearest, so its value is
+bit-identical to multiplying mpf objects as it goes, without their wrappers,
+and a walk that ends off the entry wanted forms no product.
 """
 
 from __future__ import annotations
