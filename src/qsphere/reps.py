@@ -38,6 +38,7 @@ import numpy as np
 from mpmath.libmp import (
     fone,
     from_float,
+    from_int,
     fzero,
     mpc_abs,
     mpc_add,
@@ -697,7 +698,6 @@ class _SegmentTables(dict):
         self.rep = rep
         self.ctx = ctx
         self.prec = ctx.prec
-        self._terms: dict = {}   # tensor generator -> raw spin entries
 
     def __missing__(self, seg):
         g, impl = seg
@@ -736,9 +736,7 @@ class _SegmentTables(dict):
 
     def _tensor_step(self, g):
         rep, prec = self.rep, self.prec
-        terms = self._terms.get(g)
-        if terms is None:
-            terms = self._terms[g] = _tensor_terms(g, self.ctx)
+        terms = _tensor_terms(g, self.ctx)   # once per segment table
         base = step_tables(rep.base, self.ctx)
 
         def fill(label):
@@ -856,11 +854,10 @@ def mp_magnitude(v, prec: int) -> float:
 
 
 def _raw_number(c):
-    """A Python coefficient in the kernel's form: an int stays, a float
-    becomes a raw mpf, a complex a pair of raw parts, exactly as mpmath
-    converts it."""
+    """A Python coefficient as a raw mpf, or a complex one as a pair of raw
+    parts, exactly as mpmath converts it."""
     if isinstance(c, int):
-        return c
+        return from_int(c)
     if isinstance(c, complex):
         return from_float(c.real), from_float(c.imag)
     return from_float(float(c))
@@ -868,9 +865,7 @@ def _raw_number(c):
 
 def _scale(p, coef, prec: int):
     """coef * p for a raw product p, rounded as a Python number times an
-    mpf is."""
-    if type(coef) is int:
-        return mpf_mul_int(p, coef, prec, _RND)
+    mpf is (an int factor rounds the exact product, as mpf_mul does)."""
     if len(coef) == 4:
         return mpf_mul(p, coef, prec, _RND)
     return mpc_mul_mpf(coef, p, prec, _RND)
@@ -904,57 +899,112 @@ def _sub(a, b, prec: int):
 
 
 # ---------------------------------------------------------------------------
-# precise relation residuals
+# exact residuals: relations and combos, walked column by column
+#
+# Walking combos column by column evaluates them exactly on the infinite
+# operators; with an mpmath context the precision can be chosen against the
+# q^(-2k) growth of the localization inverse.
 # ---------------------------------------------------------------------------
 
-def _word_terms(tables, terms: dict) -> list:
-    """(path, leading factor, coefficient) of each word of a polynomial; a
-    coefficient with zero imaginary part multiplies as its real part."""
-    return [(segment_path(tables, [(g, False) for g in w]), None,
-             _raw_number(c.real if c.imag == 0.0 else c))
+def window_labels(rep, W: int):
+    if isinstance(rep, TensorRep):
+        for fam, kmin in rep.base.families:
+            for k in range(kmin, kmin + W):
+                yield (fam, k, 0)
+                yield (fam, k, 1)
+        return
+    for fam, kmin in rep.families:
+        for k in range(kmin, kmin + W):
+            yield (fam, k)
+
+
+def label_in_window(rep, label, W: int) -> bool:
+    fams = dict(rep.base.families if isinstance(rep, TensorRep)
+                else rep.families)
+    fam, k = label[0], label[1]
+    return fams[fam] <= k < fams[fam] + W
+
+
+def _compile(tables, combos) -> list:
+    """Combos as (path, raw coefficient)."""
+    return [(segment_path(tables, segs), _raw_number(coef))
+            for coef, segs in combos]
+
+
+def _poly_combos(terms: dict) -> list:
+    """Plain-letter combos of a polynomial's terms; a coefficient with zero
+    imaginary part multiplies as its real part."""
+    return [(c.real if c.imag == 0.0 else c, [(g, False) for g in w])
             for w, c in terms.items()]
 
 
-def _terms_residual(rep, W: int, prec: int, sides) -> float:
-    """max |sum of the signed terms| over window columns and rows of a label
-    rep.  sides: (op, terms) with op _add or _sub, each term (path, leading
-    raw factor or None, coefficient or None); its value is the product of
-    the leading factor and the walked coefficients, times the coefficient,
-    and is added to or subtracted from its row term by term."""
-    kmins = dict(rep.families)
+def _branch_walk(path, label, prec: int) -> dict:
+    """{end label: raw value} of a walk that branches: each step multiplies
+    the value reaching a label and sums what lands on one label, in frontier
+    order; None stands for the exact 1 a walk starts from."""
+    frontier = {label: None}
+    for table in path:
+        nxt: dict = {}
+        for lab, val in frontier.items():
+            for lab2, c in table[lab]:
+                p = c if val is None else mpf_mul(val, c, prec, _RND)
+                old = nxt.get(lab2)
+                nxt[lab2] = p if old is None else mpf_add(old, p, prec, _RND)
+        frontier = nxt
+        if not frontier:
+            break
+    return {lab: fone if val is None else val
+            for lab, val in frontier.items()}
+
+
+def _combo_column(tables, combos, label, rows=None, op=_add) -> dict:
+    """Column `label` of compiled combos: each coef * product is added to
+    (or, with op=_sub, subtracted from) its row of `rows`, in combo order;
+    {row label: raw value}."""
+    prec = tables.prec
+    branched = isinstance(tables.rep, TensorRep)
+    rows = {} if rows is None else rows
+    for path, coef in combos:
+        if branched:
+            ends = _branch_walk(path, label, prec).items()
+        else:
+            hit = walk_path(path, label)
+            ends = () if hit is None else ((hit[0], mp_product(hit[1], prec)),)
+        for lab, val in ends:
+            rows[lab] = op(rows.get(lab), _scale(val, coef, prec), prec)
+    return rows
+
+
+def _window_residual(rep, W: int, prec: int, column) -> float:
+    """max |entry| over window columns and rows; column(label) returns
+    {row label: raw value}."""
     worst = 0.0
-    for fam, kmin in rep.families:
-        for k in range(kmin, kmin + W):
-            rows: dict = {}
-            for op, terms in sides:
-                for path, lead, coef in terms:
-                    hit = walk_path(path, (fam, k))
-                    if hit is None:
-                        continue
-                    end, coeffs = hit
-                    if lead is not None:
-                        coeffs = [lead] + coeffs
-                    v = mp_product(coeffs, prec)
-                    if coef is not None:
-                        v = _scale(v, coef, prec)
-                    rows[end] = op(rows.get(end), v, prec)
-            for (rf, rk), v in rows.items():
-                if kmins[rf] <= rk < kmins[rf] + W:
-                    worst = max_or_nan(worst, mp_magnitude(v, prec))
+    for label in window_labels(rep, W):
+        for lab, val in column(label).items():
+            if label_in_window(rep, lab, W):
+                worst = max_or_nan(worst, mp_magnitude(val, prec))
     return worst
+
+
+def _termwise_residual(rep, W: int, tables, lhs, rhs) -> float:
+    """max |lhs - rhs| with every rhs term subtracted from the lhs sum one
+    by one."""
+    return _window_residual(rep, W, tables.prec, lambda label: _combo_column(
+        tables, rhs, label, _combo_column(tables, lhs, label), _sub))
 
 
 def _rule_residual(rep, rule, W: int, ctx) -> float:
     tables = step_tables(rep, ctx)
-    lhs = _word_terms(tables, {rule.lhs: 1.0})
+    lhs = _compile(tables, _poly_combos({rule.lhs: 1.0}))
     if rule.recipe is None:
-        rhs = _word_terms(tables, rule.rhs)
-    else:
-        (csign, cn, cm), items = rule.recipe
-        lead = mpf_mul_int(ctx.qpow(cn, cm)._mpf_, csign, ctx.prec, _RND)
-        rhs = [(segment_path(tables, [(it, False) for it in items]), lead,
-                None)]
-    return _terms_residual(rep, W, ctx.prec, [(_add, lhs), (_sub, rhs)])
+        return _termwise_residual(rep, W, tables, lhs,
+                                  _compile(tables, _poly_combos(rule.rhs)))
+    (csign, cn, cm), items = rule.recipe
+    lead = mpf_mul_int(ctx.qpow(cn, cm)._mpf_, csign, ctx.prec, _RND)
+    # the recipe's coefficient starts its product: one more, first, step
+    first = _StepTable(lambda label: (label, (lead,)), False)
+    path = [first] + segment_path(tables, [(it, False) for it in items])
+    return _termwise_residual(rep, W, tables, lhs, [(path, fone)])
 
 
 def mp_poly_residual(rep, poly_a, poly_b, window: int = None) -> float:
@@ -963,9 +1013,9 @@ def mp_poly_residual(rep, poly_a, poly_b, window: int = None) -> float:
     with mp.workdps(MP_DPS):
         ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0))
         tables = step_tables(rep, ctx)
-        return _terms_residual(
-            rep, W, ctx.prec, [(_add, _word_terms(tables, poly_a.terms)),
-                               (_sub, _word_terms(tables, poly_b.terms))])
+        return _termwise_residual(
+            rep, W, tables, _compile(tables, _poly_combos(poly_a.terms)),
+            _compile(tables, _poly_combos(poly_b.terms)))
 
 
 def relation_check(pres: Presentation, rep, window: int = None,
@@ -993,78 +1043,10 @@ def relation_check(pres: Presentation, rep, window: int = None,
     return out
 
 
-# ---------------------------------------------------------------------------
-# combo walks (shared by the adjoint-action residual checks)
-#
-# Walking combos column by column evaluates them exactly on the infinite
-# operators; with an mpmath context the precision can be chosen against the
-# q^(-2k) growth of the localization inverse.
-# ---------------------------------------------------------------------------
-
-def window_labels(rep, W: int):
-    if isinstance(rep, TensorRep):
-        for fam, kmin in rep.base.families:
-            for k in range(kmin, kmin + W):
-                yield (fam, k, 0)
-                yield (fam, k, 1)
-        return
-    for fam, kmin in rep.families:
-        for k in range(kmin, kmin + W):
-            yield (fam, k)
-
-
-def label_in_window(rep, label, W: int) -> bool:
-    fams = dict(rep.base.families if isinstance(rep, TensorRep)
-                else rep.families)
-    fam, k = label[0], label[1]
-    return fams[fam] <= k < fams[fam] + W
-
-
-def _branch_walk(path, label, prec: int) -> dict:
-    """{end label: raw value} of a walk that branches: each step multiplies
-    the value reaching a label and sums what lands on one label, in frontier
-    order; None stands for the exact 1 a walk starts from."""
-    frontier = {label: None}
-    for table in path:
-        nxt: dict = {}
-        for lab, val in frontier.items():
-            for lab2, c in table[lab]:
-                p = c if val is None else mpf_mul(val, c, prec, _RND)
-                old = nxt.get(lab2)
-                nxt[lab2] = p if old is None else mpf_add(old, p, prec, _RND)
-        frontier = nxt
-        if not frontier:
-            break
-    return {lab: fone if val is None else val
-            for lab, val in frontier.items()}
-
-
-def _combo_column(tables, combos, label) -> dict:
-    """Column `label` of sum(coef * product): {row label: raw value}, for
-    combos compiled to (path, coefficient)."""
-    prec = tables.prec
-    branched = isinstance(tables.rep, TensorRep)
-    rows: dict = {}
-    for path, coef in combos:
-        if branched:
-            ends = _branch_walk(path, label, prec).items()
-        else:
-            hit = walk_path(path, label)
-            ends = () if hit is None else ((hit[0], mp_product(hit[1], prec)),)
-        for lab, val in ends:
-            rows[lab] = _add(rows.get(lab), _scale(val, coef, prec), prec)
-    return rows
-
-
-def _compile_combos(tables, combos) -> list:
-    return [(segment_path(tables, segs), _raw_number(coef))
-            for coef, segs in combos]
-
-
 def walk_combos(rep, combos, label, ctx) -> dict:
     """Column `label` of sum(coef * product(segments)): {row label: value}."""
     tables = step_tables(rep, ctx)
-    rows = _combo_column(tables, _compile_combos(tables, combos), label)
+    rows = _combo_column(tables, _compile(tables, combos), label)
     return {lab: mp.make_mpc(v) if len(v) == 2 else mp.make_mpf(v)
             for lab, v in rows.items()}
 
@@ -1084,21 +1066,18 @@ def combos_residual(rep, combos_a, combos_b, W: int,
     arithmetic at window-adaptive precision."""
     if dps is None:
         dps = walk_dps(rep, W)
-    worst = 0.0
     with mp.workdps(dps):
         ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
         tables = step_tables(rep, ctx)
-        prec = ctx.prec
-        side_a = _compile_combos(tables, combos_a)
-        side_b = _compile_combos(tables, combos_b)
-        for label in window_labels(rep, W):
+        side_a, side_b = _compile(tables, combos_a), _compile(tables, combos_b)
+
+        def column(label):
             rows = _combo_column(tables, side_a, label)
             for lab, val in _combo_column(tables, side_b, label).items():
-                rows[lab] = _sub(rows.get(lab), val, prec)
-            for lab, val in rows.items():
-                if label_in_window(rep, lab, W):
-                    worst = max_or_nan(worst, mp_magnitude(val, prec))
-    return worst
+                rows[lab] = _sub(rows.get(lab), val, ctx.prec)
+            return rows
+
+        return _window_residual(rep, W, ctx.prec, column)
 
 
 # ---------------------------------------------------------------------------
