@@ -250,12 +250,11 @@ def invariance_defects(word, rep, W: int, tail: int = None) -> dict:
     keeps the result accurate relative to its own size ~ q^(2W), which a head
     summation (absolute error ~1e-16 * |M|) cannot resolve.  The tail terms
     themselves sit far below double precision, so they are walked exactly
-    (the kernel in `reps`).  Only the diagonal is read.  The word is walked
-    once per start label, and each of the six walks per tail label starts
-    the word at the label, at its X image or at its Zi image (the label
-    itself), so they share those walks; a walk's coefficients are multiplied
-    only when it returns to its label (`walk_diagonal`), with the values of
-    multiplying as it goes.
+    (the kernel in `reps`).  Only the diagonal is read.  Each of the six
+    walks per tail label starts the word at the label or at its X or Y image
+    (Z and Zi keep the label), and the word is walked once per start label;
+    a walk's coefficients are multiplied only when it returns to its label
+    (`walk_diagonal`), with the values of multiplying as it goes.
     """
     if len(rep.families) != 2:
         raise ValueError("invariance defects live on double spaces")
