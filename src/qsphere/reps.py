@@ -87,15 +87,11 @@ class FloatCtx:
     one = 1.0
     memo_steps = False
 
-    @staticmethod
-    def to_float(v):
-        return float(v)
-
 
 class MPCtx:
-    """q-power arithmetic in mpmath at `dps` digits.  Label steps taken in
-    it are memoised (see LabelRep.step); shared instances come from
-    `mp_ctx`."""
+    """q-power arithmetic in mpmath at `dps` digits (`prec` bits).  Label
+    steps taken in it are memoised (see LabelRep.step and step_tables);
+    shared instances come from `mp_ctx`."""
 
     memo_steps = True
 
@@ -123,10 +119,6 @@ class MPCtx:
         return mp.sqrt(v)
 
     one = mp.mpf(1)
-
-    @staticmethod
-    def to_float(v):
-        return float(v)
 
 
 @functools.lru_cache(maxsize=64)
