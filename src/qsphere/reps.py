@@ -90,8 +90,8 @@ class FloatCtx:
 
 class MPCtx:
     """q-power arithmetic in mpmath at `dps` digits (`prec` bits).  Label
-    steps taken in it are memoised (see LabelRep.step and step_tables);
-    shared instances come from `mp_ctx`."""
+    steps taken in it are memoised by the exact walk kernel (see
+    step_tables); shared instances come from `mp_ctx`."""
 
     memo_steps = True
 
@@ -162,7 +162,6 @@ class LabelRep:
         self.meta = dict(meta)
         self._shift_cache: dict = {}
         self._mat_cache: dict = {}
-        self._step_memos: dict = {}  # mp context -> {(g, fam, k): step}
         self._walk_memos: dict = {}  # mp context -> _SegmentTables
 
     # -- label bookkeeping
@@ -195,21 +194,13 @@ class LabelRep:
     def step(self, g, fam, k, ctx):
         """Move of generator g from label (fam, k): None or (fam2, k2, coeff).
 
-        In an mp context the move is computed once, at the context's
-        precision, and then read from this rep's memo for that context."""
+        In a context with memo_steps (every shared mp context) the move is
+        computed at the context's precision; the exact walk kernel keeps it
+        in its step tables (`step_tables`), so it is computed once."""
         if not ctx.memo_steps:
             return self._steps[g](fam, k, ctx)
-        memo = self._step_memos.get(ctx)
-        if memo is None:
-            memo = self._step_memos[ctx] = {}
-        key = (g, fam, k)
-        try:
-            return memo[key]
-        except KeyError:
-            pass
         with mp.workdps(ctx.dps):
-            hit = memo[key] = self._steps[g](fam, k, ctx)
-        return hit
+            return self._steps[g](fam, k, ctx)
 
     def zexp(self, fam, k):
         return self._zexps[fam](k)

@@ -390,7 +390,7 @@ def test_memoised_walks_match_fresh_contexts(monkeypatch):
     run_all()                      # fills the memos
     shared = run_all()             # reads them
     assert mp_ctx(Q, 1.3) is mp_ctx(Q, 1.3)
-    assert podles._step_memos[mp_ctx(Q, 1.3)]
+    assert any(podles._walk_memos[mp_ctx(Q, 1.3)].values())
     monkeypatch.setattr(reps, "mp_ctx",
                         lambda q, x=0.0, dps=reps.MP_DPS: _FreshCtx(q, x, dps))
     assert run_all() == shared
