@@ -142,6 +142,26 @@ def test_exact_walk_reports_are_golden(argv, capsys):
     assert digest == GOLDEN_REPORTS[argv]
 
 
+# SHA-256 of the canonical JSON of the float oracle path: the step
+# coefficients of the shift arrays and the normal forms' rewriting are
+# double-precision Python arithmetic, so the bytes depend on libm's `pow`
+# (glibc, as on CI); words are walked down shift arrays, never multiplied
+# as dense matrices, so they do not depend on BLAS
+GOLDEN_FLOAT_REPORTS = {
+    ("oracle", "--x", "1.0", "--l", "0.5", "--N", "32", "--count", "40",
+     "--seed", "3"):
+        "9077418f764a2580d05f07c7b9206b66831dbc06f3818c4b9e7f0636afe2a7da",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_FLOAT_REPORTS))
+def test_float_oracle_report_is_golden(argv, capsys):
+    assert run(list(argv) + ["--json"]) == 0
+    payload = capsys.readouterr().out.rstrip("\n")
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    assert digest == GOLDEN_FLOAT_REPORTS[argv]
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = run(["theta", "--l", "0.5", "--N", "16", "--json",
