@@ -26,14 +26,12 @@ from .reps import (
     rep_podles,
     rep_bl,
     spin_half,
-    tensor_coaction,
     evaluate,
     relation_check,
     dump_matrix,
     load_matrix,
 )
 from .casimir import (
-    EigenData,
     casimir_matrix,
     closed_form_eigvec,
     eigenprojection,
@@ -42,14 +40,10 @@ from .casimir import (
 )
 from .action import (
     DependentMonomialsError,
-    InnerAction,
     casimir_invariance,
-    conditional_expectation,
-    inv_functional,
     invariance_defects,
     invariant_subspace,
     spin2l_check,
-    theta,
 )
 from .morita import (
     a0_block,

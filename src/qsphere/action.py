@@ -1,7 +1,8 @@
 """The right module structure computed through implementing representations:
-inner adjoint action, the spin-ladder laws for the grading-odd generators,
-invariant functionals as weighted traces, conditional expectation, and
-invariant-subspace computation.
+the inner adjoint action as segment combos walked exactly, the spin-ladder
+laws for the grading-odd generators, the invariance of the Casimir under the
+tensored representation, the truncation defects of the invariant functional
+(a weighted trace with density |Z|), and invariant-subspace computation.
 
 On a two-summand space the implementer absorbs the sign operator e (the
 images e*b), which is what makes the action close on the summand-swapping
@@ -18,7 +19,7 @@ import numpy as np
 from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
 
 from .qcore import QParams, q_pochhammer
-from .ncalg import NCPoly, Presentation, a_gen, basis_words, is_a_gen
+from .ncalg import Presentation, a_gen, basis_words, is_a_gen
 from .reps import (
     TensorRep,
     combos_residual,
@@ -28,55 +29,19 @@ from .reps import (
     path_table,
     rep_bl,
     segment_path,
-    sign_operator,
+    sign_vector,
     step_tables,
-    tensor_coaction,
     walk_diagonal,
     walk_dps,
 )
 
 _RND = round_nearest
-
-
-class InnerAction:
-    """Adjoint action by K, E, F through implementer matrices at a fixed
-    internal size; results stay at that size (callers crop)."""
-
-    def __init__(self, rep, M: int, absorb_sign: bool = None):
-        if absorb_sign is None:
-            absorb_sign = (not isinstance(rep, TensorRep)
-                           and len(rep.families) == 2)
-        self.rep = rep
-        self.M = M
-        self.q = rep.meta["q"]
-        self.lam = 1.0 / (self.q - 1.0 / self.q)
-        mats = {g: rep.matrix(g, M) for g in ("X", "Y", "Z", "Zi")}
-        if absorb_sign:
-            e = sign_operator(rep, M)
-            mats = {g: e @ A for g, A in mats.items()}
-        self.X, self.Y = mats["X"], mats["Y"]
-        self.Z, self.Zi = mats["Z"], mats["Zi"]
-
-    def ad_k(self, A: np.ndarray) -> np.ndarray:
-        return self.Z @ A @ self.Zi
-
-    def ad_e(self, A: np.ndarray) -> np.ndarray:
-        """Note: the inverse-diagonal factor amplifies commutator rounding
-        noise like q^(-2k); prefer the mp segment walks for residual checks
-        on large windows."""
-        return math.sqrt(self.q) * self.lam * (self.Zi @ (A @ self.X - self.X @ A))
+SV_THRESHOLD = 1e-8   # invariant_subspace's relative kernel cut
 
 
 # ---------------------------------------------------------------------------
 # adjoint action as segment combos (walked exactly in mp arithmetic)
 # ---------------------------------------------------------------------------
-
-def word_combos(poly) -> list:
-    """Plain-letter combos of a polynomial (or a bare word)."""
-    if isinstance(poly, NCPoly):
-        return [(c, [(g, False) for g in w]) for w, c in poly.terms.items()]
-    return [(1.0, [(g, False) for g in poly])]
-
 
 def combo_ad(g: str, combos: list, q: float) -> list:
     """Apply one adjoint generator to segment combos (implementer letters)."""
@@ -98,27 +63,6 @@ def combo_ad(g: str, combos: list, q: float) -> list:
     return out
 
 
-def ad_residual(rep, g: str, poly, target, W: int = None) -> float:
-    """max |ad_g(poly) - target| over the window, exact segment walks.
-
-    target may be an NCPoly, a combo list, or None for zero.
-    """
-    W = rep.N if W is None else W
-    combos = combo_ad(g, word_combos(poly), rep.meta["q"])
-    if target is None:
-        tgt = []
-    elif isinstance(target, list):
-        tgt = target
-    else:
-        tgt = word_combos(target)
-    return combos_residual(rep, combos, tgt, W)
-
-
-def crop(rep, A: np.ndarray, M: int, W: int) -> np.ndarray:
-    idx = rep.window_indices(M, W)
-    return A[np.ix_(idx, idx)]
-
-
 # ---------------------------------------------------------------------------
 # the spin-ladder family
 # ---------------------------------------------------------------------------
@@ -130,13 +74,6 @@ def lambda_s(p: QParams, l, s: int) -> float:
     num = q_pochhammer(p.q ** (2 * twol - 2 * s + 2), q2, s + twol).real
     den = q_pochhammer(q2, q2, s + twol).real
     return p.q ** (s * (s - 1) / 2) * math.sqrt(num / den)
-
-
-def theta(p: QParams, l, s: int, rep, M: int) -> np.ndarray:
-    twol = int(2 * l)
-    if not -twol <= s <= twol:
-        raise ValueError(f"s={s} outside [-{twol}, {twol}]")
-    return lambda_s(p, l, s) * rep.matrix(a_gen(s), M)
 
 
 def ladder_coeff_e(p: QParams, l, s: int) -> float:
@@ -191,7 +128,7 @@ def casimir_invariance(p: QParams, x: float, sign: str, N: int) -> dict:
     the implementer being the tensored representation itself."""
     from .reps import rep_podles  # local import keeps module load order simple
     variant = "plus" if sign in (1, "+", "plus") else "minus"
-    rep2 = tensor_coaction(rep_podles(p, x, variant, N))
+    rep2 = TensorRep(rep_podles(p, x, variant, N))
     tw = [(1.0, [("T", False)])]
     q = p.q
     return {
@@ -205,50 +142,16 @@ def casimir_invariance(p: QParams, x: float, sign: str, N: int) -> dict:
 # invariant functionals
 # ---------------------------------------------------------------------------
 
-def density_vector(rep, W: int) -> np.ndarray:
-    """Diagonal of the positive trace-class operator implementing the
-    invariant functional on a two-summand representation."""
-    if len(rep.families) != 2:
-        raise ValueError("the invariant functional lives on double spaces")
-    q = rep.meta["q"]
-    out = np.empty(2 * W)
-    if rep.meta.get("kind") == "bl":
-        twol = int(2 * rep.meta["l"])
-        for pos, (fam, kmin) in enumerate(rep.families):
-            for j in range(W):
-                out[pos * W + j] = q ** (2 * (kmin + j) + twol + 1)
-    else:
-        x = rep.meta["x"]
-        for pos, (fam, kmin) in enumerate(rep.families):
-            sgn = 1.0 if fam == "-" else -1.0
-            for j in range(W):
-                out[pos * W + j] = q ** (2 * j + sgn * x + 1)
-    return out
-
-
-def inv_functional(A: np.ndarray, rep, W: int = None) -> complex:
-    """trace(density * A) truncated at the window."""
-    W = rep.N if W is None else W
-    if A.shape[0] != 2 * W:
-        raise ValueError("matrix does not match the window size")
-    return complex(np.sum(density_vector(rep, W) * np.diag(A)))
-
-
-def _density_value(rep, fam, k, ctx):
-    if rep.meta.get("kind") == "bl":
-        twol = int(2 * rep.meta["l"])
-        return ctx.qpow(2 * k + twol + 1)
-    return ctx.qpow(2 * k + 1, 1 if fam == "-" else -1)
-
-
-def invariance_defects(word, rep, W: int, tail: int = None) -> dict:
+def invariance_defects(word, rep, W: int) -> dict:
     """Truncation defect of the invariant functional under the adjoint action
     of K, E, F on one monomial.
 
-    The infinite-rank functional is exactly invariant, so the truncated value
-    of phi(ad(M)) equals minus the discarded tail; summing the tail directly
-    keeps the result accurate relative to its own size ~ q^(2W), which a head
-    summation (absolute error ~1e-16 * |M|) cannot resolve.  The tail terms
+    The functional is the trace weighted by the density |Z|, the power
+    q^(n+mx) of `zexp` at each label.  The infinite-rank functional is
+    exactly invariant, so the truncated value of phi(ad(M)) equals minus the
+    discarded tail; summing the tail directly keeps the result accurate
+    relative to its own size ~ q^(2W), which a head summation (absolute
+    error ~1e-16 * |M|) cannot resolve.  The tail terms
     themselves sit far below double precision, so they are walked exactly
     (the kernel in `reps`).  Only the diagonal is read.  Each of the six
     walks per tail label starts the word at the label or at its X or Y image
@@ -259,9 +162,8 @@ def invariance_defects(word, rep, W: int, tail: int = None) -> dict:
     if len(rep.families) != 2:
         raise ValueError("invariance defects live on double spaces")
     q = rep.meta["q"]
-    if tail is None:
-        tail = max(8, int(math.ceil(16.0 * math.log(10)
-                                    / (2.0 * abs(math.log(q)))))) + 4
+    tail = max(8, int(math.ceil(16.0 * math.log(10)
+                                / (2.0 * abs(math.log(q)))))) + 4
     dps = walk_dps(rep, W + tail, slack=25)
     with mp.workdps(dps):
         ctx = mp_ctx(q, rep.meta.get("x", 0.0), dps)
@@ -280,7 +182,8 @@ def invariance_defects(word, rep, W: int, tail: int = None) -> dict:
         for fam, kmin in rep.families:
             for k in range(kmin + W, kmin + W + tail):
                 label = (fam, k)
-                d = _density_value(rep, fam, k, ctx)._mpf_
+                _, n, m = rep.zexp(fam, k)
+                d = ctx.qpow(n, m)._mpf_
                 dm, vk, ve1, ve2, vf1, vf2 = (
                     walk_diagonal(path, label, prec) for path in walks)
                 terms = ((vk, dm, None), (ve1, ve2, pref_e), (vf1, vf2, pref_f))
@@ -299,19 +202,6 @@ def invariance_defects(word, rep, W: int, tail: int = None) -> dict:
 def _finite(v) -> bool:
     """Whether a raw mpf is a number: nonzero mantissa, or exactly 0."""
     return bool(v[1]) or v == fzero
-
-
-def conditional_expectation(A: np.ndarray) -> np.ndarray:
-    """Compression onto the two diagonal summand blocks; kills every
-    summand-swapping image, fixes the summand-preserving ones."""
-    n = A.shape[0]
-    if n % 2:
-        raise ValueError("expected an even-dimensional double space")
-    h = n // 2
-    out = np.zeros_like(A)
-    out[:h, :h] = A[:h, :h]
-    out[h:, h:] = A[h:, h:]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +231,17 @@ def _gather(table, keys):
     at = (np.repeat(start[keys] - (np.cumsum(count) - count), count)
           + np.arange(len(owner)))
     return owner, minor[at], vals[at]
+
+
+def _implementers(rep, M: int) -> list:
+    """The implementers Z, X, Y at internal size M.  On a two-summand label
+    representation they absorb the sign operator, as the row scaling
+    e[:, None] * A; a tensor representation absorbs it in its own images."""
+    mats = [rep.matrix(g, M) for g in ("Z", "X", "Y")]
+    if isinstance(rep, TensorRep) or len(rep.families) != 2:
+        return mats
+    e = sign_vector(rep, M)
+    return [e[:, None] * A for A in mats]
 
 
 def _sparse_implementer(G, idx):
@@ -450,8 +351,8 @@ def _block_svd(block):
 
 
 def invariant_subspace(pres: Presentation, rep, D: int,
-                       rank_window: int = 24, tensor_units: bool = False,
-                       sv_threshold: float = 1e-8) -> dict:
+                       rank_window: int = 24, tensor_units: bool = False
+                       ) -> dict:
     """Dimension and basis of the joint kernel of (ad_K - id, ad_E, ad_F) on
     the span of normal-form monomials of degree <= D.
 
@@ -472,7 +373,7 @@ def invariant_subspace(pres: Presentation, rep, D: int,
     needs no assumption about which monomials couple.  Each block gets one
     small dense SVD, its singular values padded with zeros up to its
     width; a block with no rows (the unit) is all kernel.  The global
-    threshold sv_threshold * max(1, largest singular value) is applied to
+    threshold SV_THRESHOLD * max(1, largest singular value) is applied to
     the singular values of all blocks together, and each kernel vector is
     embedded at its block's columns.  Raises DependentMonomialsError when
     the smallest singular value of the monomial windows falls below 1e-10
@@ -486,18 +387,16 @@ def invariant_subspace(pres: Presentation, rep, D: int,
     maxshift = max([1] + [abs(g[1]) for w in words for g in w if is_a_gen(g)])
     M = rank_window + rep.pad * (D * maxshift + 2) + 2
     if tensor_units:
-        impl = tensor_coaction(rep, absorb_sign=True)
-        act = InnerAction(impl, M, absorb_sign=False)
+        impl = TensorRep(rep, absorb_sign=True)
         units = [divmod(i, 2) for i in range(4)]
     else:
         impl = rep
-        act = InnerAction(rep, M)
         units = [None]
     idx = impl.window_indices(M, rank_window)
     nw = len(idx)
     pos = np.full(impl.dim(M), -1, dtype=np.intp)
     pos[idx] = np.arange(nw)
-    impls = [_sparse_implementer(G, idx) for G in (act.Z, act.X, act.Y)]
+    impls = [_sparse_implementer(G, idx) for G in _implementers(impl, M)]
 
     labels, scales, mono, system = [], [], [], []
     for w in words:
@@ -533,7 +432,7 @@ def invariant_subspace(pres: Presentation, rep, D: int,
                      for k, s in enumerate(blk["svals"])),
                     key=lambda e: -e[0])
     svals = np.array([s for s, _, _ in ranked])
-    thr = sv_threshold * max(1.0, float(svals[0]))
+    thr = SV_THRESHOLD * max(1.0, float(svals[0]))
     small = [(n, k) for s, n, k in ranked if s < thr]
     kernel = np.zeros((len(labels), len(small)), dtype=np.complex128)
     for c, (n, k) in enumerate(small):
@@ -563,8 +462,3 @@ def kernel_residual(result: dict, label) -> float:
     Kr = result["kernel"]
     proj = Kr @ (Kr.conj().T @ v)
     return float(np.linalg.norm(v - proj))
-
-
-def kernel_contains(result: dict, label, tol: float = 1e-8) -> bool:
-    """Whether the coefficient unit vector of `label` lies in the kernel."""
-    return kernel_residual(result, label) <= tol

@@ -10,7 +10,6 @@ engine behind the equivalence orbit x -> x + Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,12 +18,15 @@ from .ncalg import NCPoly, make_presentation
 from .report import max_or_nan
 from .reps import (
     MatrixRep,
+    TensorRep,
     evaluate,
     max_abs,
     rep_podles,
     relation_check,
-    tensor_coaction,
 )
+
+SPECTRUM_EDGE = 4
+SPECTRUM_MASS_TOL = 1e-10
 
 
 def _norm_sign(sign) -> int:
@@ -46,7 +48,7 @@ def _norm_branch(branch) -> int:
 def casimir_matrix(p: QParams, x: float, sign, N: int) -> np.ndarray:
     """Casimir image on the tensor window (2N x 2N), exact padded entries."""
     variant = "plus" if _norm_sign(sign) == 1 else "minus"
-    rep2 = tensor_coaction(rep_podles(p, x, variant, N))
+    rep2 = TensorRep(rep_podles(p, x, variant, N))
     return evaluate(NCPoly({("T",): 1.0}), rep2)
 
 
@@ -108,32 +110,10 @@ def covered_indices(N: int) -> np.ndarray:
     return np.array([i for i in range(2 * N) if i != 2 * (N - 1)])
 
 
-@dataclass
-class EigenData:
-    """Closed-form eigenvectors, eigenvalue, and projection of one branch."""
-
-    p: QParams
-    x: float
-    sign: int
-    branch: int
-    N: int
-    value: float = field(init=False)
-    vectors: np.ndarray = field(init=False)
-    projection: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.sign = _norm_sign(self.sign)
-        self.branch = _norm_branch(self.branch)
-        self.value = tau(self.p, self.x + self.branch)
-        self.vectors = eigvec_columns(self.p, self.x, self.sign, self.branch,
-                                      self.N)
-        self.projection = self.vectors @ self.vectors.conj().T
-
-
-def numeric_interior_spectrum(p: QParams, x: float, sign, N: int,
-                              edge: int = 4, mass_tol: float = 1e-10):
+def numeric_interior_spectrum(p: QParams, x: float, sign, N: int):
     """Eigenvalues of the windowed Casimir matrix whose eigenvectors carry no
-    mass within `edge` slots of the truncation boundary.
+    mass (below SPECTRUM_MASS_TOL) within SPECTRUM_EDGE slots of the
+    truncation boundary.
 
     Boundary rows of a truncated banded matrix pollute edge eigenpairs; the
     support filter keeps only pairs that belong to the infinite operator.
@@ -141,10 +121,10 @@ def numeric_interior_spectrum(p: QParams, x: float, sign, N: int,
     T2 = casimir_matrix(p, x, sign, N)
     T2 = (T2 + T2.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(T2)
-    edge_slots = np.arange(2 * (N - edge), 2 * N)
+    edge_slots = np.arange(2 * (N - SPECTRUM_EDGE), 2 * N)
     keep = []
     for i in range(len(vals)):
-        if np.linalg.norm(vecs[edge_slots, i]) < mass_tol:
+        if np.linalg.norm(vecs[edge_slots, i]) < SPECTRUM_MASS_TOL:
             keep.append(vals[i])
     return np.array(keep)
 
@@ -157,7 +137,7 @@ def compress_identify(p: QParams, x: float, sign, branch, N: int):
     """
     sgn, br = _norm_sign(sign), _norm_branch(branch)
     variant = "plus" if sgn == 1 else "minus"
-    rep2 = tensor_coaction(rep_podles(p, x, variant, N))
+    rep2 = TensorRep(rep_podles(p, x, variant, N))
     U = eigvec_columns(p, x, sgn, br, N)
     K = U.shape[1]
     target = rep_podles(p, x + br, variant, K)
@@ -183,7 +163,7 @@ def compress_identify(p: QParams, x: float, sign, branch, N: int):
                      meta={"q": p.q, "x": x + br, "variant": variant,
                            "kind": "compressed"})
     pres = make_presentation("podles", p, x=x + br)
-    rel = relation_check(pres, crep, precise=False)
+    rel = relation_check(pres, crep)
     residuals["relations"] = max_or_nan(*rel.values())
 
     zdiag = np.diag(compressed["Z"]).real

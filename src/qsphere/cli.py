@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -388,7 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--l", type=float, default=1.0)
     ap.add_argument("--N", type=int, default=64)
     ap.add_argument("--D", type=int, default=6)
-    ap.add_argument("--tol", type=float, default=None)
+    ap.add_argument("--tol", type=float, default=None,
+                    help="threshold of the relations residuals (default "
+                         f"{TOL_RELATIONS:g}); no other command, all "
+                         "included, reads it")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--count", type=int, default=200)
     ap.add_argument("--alg", default=None,
@@ -440,6 +444,15 @@ def _input_error(args):
         return f"--D must lie between 0 and 8, got {args.D}"
     if args.command == "theorem2" and args.l == 0:
         return "theorem2 needs --l > 0: the l = 0 block has no A(+-1)"
+    what = args.command
+    if what == "relations" and args.alg == "uqsu2":
+        what += " --alg uqsu2"
+    if args.dump and what not in ("relations", "casimir", "compress"):
+        return f"--dump: {what} writes no matrix files"
+    for flag, path in (("--out", args.out), ("--dump", args.dump)):
+        folder = os.path.dirname(path or "") or "."
+        if path and not os.path.isdir(folder):
+            return f"{flag}: no directory {folder}"
     need = _min_N(args.command, args.l, args.alg)
     if args.N < need:
         at = f" at --l {args.l:g}" if args.command in ALL_L else ""
@@ -462,7 +475,7 @@ def run(argv) -> int:
     if problem:
         print(f"{ap.prog}: error: {problem}", file=sys.stderr)
         return 2
-    p = QParams(args.q, tol=args.tol or 1e-11)
+    p = QParams(args.q)
     try:
         reports = _suites(args, p)
     except DependentMonomialsError as e:

@@ -15,7 +15,7 @@ import numpy as np
 from .qcore import QParams
 from .ncalg import NCPoly, a_gen, basis_words, make_presentation, normal_form
 from .report import max_or_nan
-from .reps import evaluate, max_abs, rep_bl, tensor_coaction
+from .reps import TensorRep, evaluate, max_abs, rep_bl
 
 STANDARD = "standard"
 
@@ -218,7 +218,7 @@ def a0_block(p: QParams, l, branch: int, M: int):
 def podles_part_compression(p: QParams, l, M: int) -> dict:
     """Compress the coaction-tensored sphere generators by either family and
     match them against the neighbouring double-space representation."""
-    rep2 = tensor_coaction(rep_bl(p, l, M))
+    rep2 = TensorRep(rep_bl(p, l, M))
     bc = basis_change(p, l, M)
     out = {}
     branches = [(1, bc.W_up)] + ([(-1, bc.W_down)] if l > 0 else [])

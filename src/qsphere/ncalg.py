@@ -77,12 +77,12 @@ class NCPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None, prune: float = PRUNE_DEFAULT):
+    def __init__(self, terms=None):
         self.terms: dict = {}
         if terms:
             for w, c in dict(terms).items():
                 c = complex(c)
-                if abs(c) > prune:
+                if abs(c) > PRUNE_DEFAULT:
                     self.terms[tuple(w)] = c
 
     def __add__(self, other: "NCPoly") -> "NCPoly":

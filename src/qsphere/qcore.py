@@ -15,10 +15,9 @@ Q_SAFE_RANGE = (0.05, 0.95)
 
 @dataclass(frozen=True)
 class QParams:
-    """Deformation parameter q with derived constants and a default tolerance."""
+    """Deformation parameter q with its derived constant lam."""
 
     q: float
-    tol: float = 1e-11
     lam: float = field(init=False)
 
     def __post_init__(self):
@@ -31,10 +30,6 @@ class QParams:
                 stacklevel=2,
             )
         object.__setattr__(self, "lam", 1.0 / (self.q - 1.0 / self.q))
-
-    @property
-    def lam_inv(self) -> float:
-        return self.q - 1.0 / self.q
 
 
 def tau(p: QParams, x: float) -> float:

@@ -149,12 +149,13 @@ class LabelRep:
 
     families: tuple of (name, kmin); family `f` truncated at internal size M
     carries labels k = kmin .. kmin+M-1.  The window (size N) is the leading
-    N labels of each family.
+    N labels of each family.  The diagonal Z e_k = sign*q^(n+mx) e_k and its
+    inverse Zi are built from `zexp`, the one source of that power.
     """
 
     def __init__(self, families, steps, zexps, gens, N: int, pad: int, meta: dict):
         self.families = tuple(families)
-        self._steps = steps      # dict gen -> fn(fam, k, ctx) -> None | (fam, k, coeff)
+        self._steps = {**steps, **_z_steps(zexps)}  # gen -> move, see step()
         self._zexps = zexps      # dict fam -> fn(k) -> (sign, n, m)
         self.gens = tuple(gens)
         self.N = N
@@ -257,6 +258,19 @@ class LabelRep:
         return A
 
 
+def _z_steps(zexps) -> dict:
+    """The Z and Zi steps of a label representation, from its Z exponents."""
+    def Z(fam, k, ctx):
+        s, n, m = zexps[fam](k)
+        return (fam, k, s * ctx.qpow(n, m))
+
+    def Zi(fam, k, ctx):
+        s, n, m = zexps[fam](k)
+        return (fam, k, s * (1 / ctx.qpow(n, m)))
+
+    return {"Z": Z, "Zi": Zi}
+
+
 def _sqrt_coeff(ctx, factors):
     """sqrt of a product of (sign, n, m) factors meaning (1 - sign*q^(n+mx)).
 
@@ -287,12 +301,6 @@ def _podles_family_steps(x_sign_flip: bool, rep_sign: int):
     # plus and minus series at x, tau(-x) on the parameter-flipped series.
     mt = 1 if (x_sign_flip and rep_sign == 1) else -1
 
-    def Z(fam, k, ctx):
-        return (fam, k, s * ctx.qpow(2 * k + 1, mm))
-
-    def Zi(fam, k, ctx):
-        return (fam, k, s * (1 / ctx.qpow(2 * k + 1, mm)))
-
     def X(fam, k, ctx):
         if k == 0:
             return None
@@ -309,7 +317,7 @@ def _podles_family_steps(x_sign_flip: bool, rep_sign: int):
     def zexp(k):
         return (s, 2 * k + 1, mm)
 
-    return {"X": X, "Y": Y, "Z": Z, "Zi": Zi, "T": T}, zexp
+    return {"X": X, "Y": Y, "T": T}, zexp
 
 
 def rep_podles(p: QParams, x: float, variant: str, N: int,
@@ -345,7 +353,7 @@ def rep_podles(p: QParams, x: float, variant: str, N: int,
             return fam_steps[fam][g](fam, k, ctx)
         return step
 
-    steps = {g: make_step(g) for g in ("X", "Y", "Z", "Zi", "T")}
+    steps = {g: make_step(g) for g in ("X", "Y", "T")}
     return LabelRep(families, steps, fam_z, ("X", "Y", "Z", "Zi", "T"),
                     N, pad, meta)
 
@@ -358,14 +366,6 @@ def rep_bl(p: QParams, l, N: int, pad: int = 2) -> LabelRep:
     if N < 4 * l + 4:
         raise ValueError(f"N must be at least 4l+4 = {4 * l + 4}")
     meta = {"q": p.q, "x": float(twol), "l": l, "kind": "bl"}
-
-    def Z(fam, k, ctx):
-        sgn = 1 if fam == "+" else -1
-        return (fam, k, sgn * ctx.qpow(2 * k + twol + 1))
-
-    def Zi(fam, k, ctx):
-        sgn = 1 if fam == "+" else -1
-        return (fam, k, sgn * (1 / ctx.qpow(2 * k + twol + 1)))
 
     def X(fam, k, ctx):
         if fam == "+":
@@ -403,7 +403,7 @@ def rep_bl(p: QParams, l, N: int, pad: int = 2) -> LabelRep:
             return None if c is None else ("+", k + s, sign * c)
         return A
 
-    steps = {"X": X, "Y": Y, "Z": Z, "Zi": Zi}
+    steps = {"X": X, "Y": Y}
     gens = ["X", "Y", "Z", "Zi"]
     for s in range(-twol, twol + 1):
         steps[("A", s)] = make_A(s)
@@ -413,13 +413,14 @@ def rep_bl(p: QParams, l, N: int, pad: int = 2) -> LabelRep:
     return LabelRep((("-", 0), ("+", -twol)), steps, zexps, gens, N, pad, meta)
 
 
-def sign_operator(rep, M: int) -> np.ndarray:
-    """diag(-1 on the first summand, +1 on the second) of a double space."""
+def sign_vector(rep, M: int) -> np.ndarray:
+    """The diagonal of the sign operator of a double space: -1 on the first
+    summand, +1 on the second."""
     if len(rep.families) != 2:
         raise ValueError("sign operator needs a two-summand space")
     e = np.ones(rep.dim(M))
     e[:M] = -1.0
-    return np.diag(e).astype(np.complex128)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +449,7 @@ class TensorRep:
         self.meta["tensor"] = True
         self.gens = tuple(g for g in ("X", "Y", "Z", "Zi", "T")
                           if g in base.gens)
-        p = QParams(self.meta["q"], tol=1e-11)
-        self._spin = spin_half(p)
+        self._spin = spin_half(QParams(self.meta["q"]))
         self._mat_cache: dict = {}
         self._walk_memos: dict = {}  # mp context -> _SegmentTables
 
@@ -463,8 +463,7 @@ class TensorRep:
     def _base_matrix(self, g, M):
         B = self.base.matrix(g, M)
         if self.absorb_sign:
-            e = np.asarray(np.diag(sign_operator(self.base, M))).real
-            B = e[:, None] * B
+            B = sign_vector(self.base, M)[:, None] * B
         return B
 
     def matrix(self, g, M: int) -> np.ndarray:
@@ -502,10 +501,6 @@ class TensorRep:
             raise KeyError(f"tensor representation has no generator {g}")
         self._mat_cache[key] = A
         return A
-
-
-def tensor_coaction(rep, absorb_sign: bool = False) -> TensorRep:
-    return TensorRep(rep, absorb_sign=absorb_sign)
 
 
 class MatrixRep:
@@ -990,39 +985,37 @@ def _rule_residual(rep, rule, W: int, ctx) -> float:
     return _termwise_residual(rep, W, tables, lhs, [(path, fone)])
 
 
-def mp_poly_residual(rep, poly_a, poly_b, window: int = None) -> float:
+def mp_poly_residual(rep, poly_a, poly_b) -> float:
     """max |poly_a - poly_b| over window columns, walked in mpmath."""
-    W = rep.N if window is None else window
     with mp.workdps(MP_DPS):
         ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0))
         tables = step_tables(rep, ctx)
         return _termwise_residual(
-            rep, W, tables, _compile(tables, _poly_combos(poly_a.terms)),
+            rep, rep.N, tables, _compile(tables, _poly_combos(poly_a.terms)),
             _compile(tables, _poly_combos(poly_b.terms)))
 
 
-def relation_check(pres: Presentation, rep, window: int = None,
-                   precise: bool = True, include_derived: bool = False) -> dict:
-    """Residual of every defining relation of `pres` in `rep`:
-    {rule name: max |lhs - rhs|} over the padded-interior window.
+def relation_check(pres: Presentation, rep) -> dict:
+    """Residual of every defining relation of `pres` in `rep`, {rule name:
+    max |lhs - rhs|} over its padded-interior window (size rep.N): walked
+    exactly on a label representation, by dense products on any other.
 
     Rules tagged as derived rewriting aids (conjugation by the unbounded
-    Z^-1, centrality of T) are skipped unless include_derived is set; their
-    operator entries grow like q^(-2k), so absolute residuals at the window
-    edge are not meaningful certificates.
+    Z^-1, centrality of T) are skipped: their operator entries grow like
+    q^(-2k), so absolute residuals at the window edge are not meaningful
+    certificates.
     """
-    W = rep.N if window is None else window
-    rules = [r for r in pres.rules if r.defining or include_derived]
+    rules = [r for r in pres.rules if r.defining]
     out = {}
-    if precise and isinstance(rep, LabelRep):
+    if isinstance(rep, LabelRep):
         with mp.workdps(MP_DPS):
             ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0))
             for rule in rules:
-                out[rule.name] = _rule_residual(rep, rule, W, ctx)
+                out[rule.name] = _rule_residual(rep, rule, rep.N, ctx)
         return out
     for rule in rules:
         out[rule.name] = residual(NCPoly({rule.lhs: 1.0}), NCPoly(rule.rhs),
-                                  rep, window=W)
+                                  rep)
     return out
 
 

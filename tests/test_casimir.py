@@ -5,7 +5,6 @@ import pytest
 
 from qsphere.qcore import QParams, tau
 from qsphere.casimir import (
-    EigenData,
     branch_indices,
     casimir_matrix,
     closed_form_eigvec,
@@ -131,13 +130,6 @@ def test_numeric_interior_spectrum_two_valued():
             lo, hi = tau(P, x - 1), tau(P, x + 1)
             dist = np.minimum(np.abs(vals - lo), np.abs(vals - hi))
             assert dist.max() < 1e-9
-
-
-def test_eigendata_invariants():
-    ed = EigenData(P, 1.0, "plus", 1, 20)
-    norms = np.linalg.norm(ed.vectors, axis=0)
-    assert np.max(np.abs(norms - 1.0)) < 1e-13
-    assert ed.value == pytest.approx(tau(P, 2.0), abs=1e-15)
 
 
 def test_compress_identify_matches_shifted_representation():

@@ -134,12 +134,15 @@ GOLDEN_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN_REPORTS))
-def test_exact_walk_reports_are_golden(argv, capsys):
+def _report_digest(argv, capsys):
     assert run(list(argv) + ["--json"]) == 0
     payload = capsys.readouterr().out.rstrip("\n")
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    assert digest == GOLDEN_REPORTS[argv]
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_REPORTS))
+def test_exact_walk_reports_are_golden(argv, capsys):
+    assert _report_digest(argv, capsys) == GOLDEN_REPORTS[argv]
 
 
 # SHA-256 of the canonical JSON of the float oracle path: the step
@@ -156,10 +159,7 @@ GOLDEN_FLOAT_REPORTS = {
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_FLOAT_REPORTS))
 def test_float_oracle_report_is_golden(argv, capsys):
-    assert run(list(argv) + ["--json"]) == 0
-    payload = capsys.readouterr().out.rstrip("\n")
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    assert digest == GOLDEN_FLOAT_REPORTS[argv]
+    assert _report_digest(argv, capsys) == GOLDEN_FLOAT_REPORTS[argv]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -178,6 +178,49 @@ def test_dump_writes_matrix_files(tmp_path, capsys):
     assert code == 0
     M = load_matrix(f"{prefix}.podles.X.txt")
     assert M.shape == (24, 24)
+
+
+def _no_suite(monkeypatch):
+    import qsphere.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("a suite ran")
+    monkeypatch.setattr(cli, "_suites", refuse)
+
+
+def test_out_to_missing_directory_is_usage_error(tmp_path, capsys,
+                                                 monkeypatch):
+    _no_suite(monkeypatch)
+    path = tmp_path / "missing" / "r.json"
+    assert run(["orbit", "--x", "0.3", "--y", "1.7", "--json",
+                "--out", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and "--out" in out.err
+    assert not path.parent.exists()
+
+
+def test_dump_to_missing_directory_is_usage_error(tmp_path, capsys,
+                                                  monkeypatch):
+    _no_suite(monkeypatch)
+    prefix = tmp_path / "missing" / "dump"
+    assert run(["relations", "--alg", "podles", "--N", "12",
+                "--dump", str(prefix)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and "--dump" in out.err
+    assert not prefix.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta"], ["functional"], ["ergodic"], ["theorem2"],
+    ["orbit", "--x", "0.3", "--y", "1.7"], ["picard"], ["oracle"], ["all"],
+    ["relations", "--alg", "uqsu2"]])
+def test_dump_where_nothing_is_dumped_is_usage_error(argv, tmp_path, capsys,
+                                                     monkeypatch):
+    _no_suite(monkeypatch)
+    assert run(argv + ["--dump", str(tmp_path / "dump")]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and "--dump" in out.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point():
