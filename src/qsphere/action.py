@@ -22,6 +22,7 @@ from .qcore import QParams, q_pochhammer
 from .ncalg import Presentation, a_gen, basis_words, is_a_gen
 from .reps import (
     TensorRep,
+    absorb_sign,
     combos_residual,
     max_abs,
     mp_ctx,
@@ -29,7 +30,6 @@ from .reps import (
     path_table,
     rep_bl,
     segment_path,
-    sign_vector,
     step_tables,
     walk_diagonal,
     walk_dps,
@@ -213,61 +213,49 @@ class DependentMonomialsError(ArithmeticError):
     the requested degree, so no kernel can be read off; a smaller D can."""
 
 
-def _index_table(major, minor, vals, n: int):
-    """Entries grouped by `major` in 0..n-1: (start offsets, minor indices,
-    values), group m occupying [start[m], start[m+1])."""
-    order = np.argsort(major, kind="stable")
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(major, minlength=n), out=start[1:])
-    return start, minor[order], vals[order]
-
-
-def _gather(table, keys):
-    """The entries of each key's group: (position in keys, minor index,
-    value)."""
-    start, minor, vals = table
-    count = start[keys + 1] - start[keys]
-    owner = np.repeat(np.arange(len(keys)), count)
-    at = (np.repeat(start[keys] - (np.cumsum(count) - count), count)
-          + np.arange(len(owner)))
-    return owner, minor[at], vals[at]
-
-
 def _implementers(rep, M: int) -> list:
-    """The implementers Z, X, Y at internal size M.  On a two-summand label
-    representation they absorb the sign operator, as the row scaling
-    e[:, None] * A; a tensor representation absorbs it in its own images."""
-    mats = [rep.matrix(g, M) for g in ("Z", "X", "Y")]
-    if isinstance(rep, TensorRep) or len(rep.families) != 2:
-        return mats
-    e = sign_vector(rep, M)
-    return [e[:, None] * A for A in mats]
+    """The implementers Z', X', Y' at internal size M, each a list of
+    weighted shifts (tgt, coef).  On a two-summand label representation
+    they absorb the sign operator; a tensor representation absorbs it in
+    its own shifts."""
+    if isinstance(rep, TensorRep):
+        return [rep.shifts(g, M) for g in ("Z", "X", "Y")]
+    return [[(tgt, absorb_sign(rep, M, tgt, coef))]
+            for tgt, coef in (rep.shift(g, M) for g in ("Z", "X", "Y"))]
 
 
-def _sparse_implementer(G, idx):
-    """Implementer G on the window as two index tables: per internal column
-    t, the window rows I with values G[idx[I], t]; per internal row s, the
-    window columns J with values G[s, idx[J]]; nonzero entries only."""
-    n = G.shape[0]
-    i, t = np.nonzero(G[idx, :])
-    s, j = np.nonzero(G[:, idx])
-    return (_index_table(t, i, G[idx[i], t], n),
-            _index_table(s, j, G[s, idx[j]], n))
+def _window_shift(tgt, coef, idx):
+    """One shift of an implementer with its window columns idx read
+    backwards: (tgt, coef, back, back_coef), where window column back[s]
+    goes to internal row s with coefficient back_coef[s] (back[s] = -1
+    where none does)."""
+    t = tgt[idx]
+    J = np.flatnonzero(t >= 0)
+    if len(np.unique(t[J])) < len(J):
+        raise ValueError("implementer maps two labels to one")
+    back = np.full(len(tgt), -1, dtype=np.intp)
+    back[t[J]] = J
+    back_coef = np.zeros(len(tgt), dtype=np.complex128)
+    back_coef[t[J]] = coef[idx[J]]
+    return tgt, coef, back, back_coef
 
 
 def _commutator_column(cols, rows, val, pos, impls, nw: int):
     """Column of the commutator system for a weighted shift A (column
     cols[i] goes to row rows[i] with value val[i]; every other entry is
     zero), as (rows, values) of its nonzero entries: the window entries of
-    [Z', A], [A, X'], [A, Y'], each flattened row-major, stacked.  impls are
-    the implementers' index tables on the window (`_sparse_implementer`),
-    pos maps internal indices to window positions or -1.
+    [Z', A], [A, X'], [A, Y'], each flattened row-major, stacked.  impls
+    holds each implementer's shifts on the window (`_window_shift`); pos
+    maps internal indices to window positions or -1, and pos[-1] is -1 so
+    that a dead target maps nowhere.
 
-    (G A)[I, J] = G[I, rows of J] * val[J] and (A G)[I, J] = val[K] *
-    G[K, J] for the one column K that reaches row I: each entry is the
-    single nonzero product of the dense matmul, gathered from the nonzero
-    entries of G.  Each entry of a difference is a - b, a - 0 or 0 - b, as
-    in the dense difference, and exact zeros are dropped."""
+    For a shift G of an implementer, (G A)[I, J] = coef[rows of J] *
+    val[J], and (A G)[I, J] = val[K] * coef[J] with K the row G takes
+    column J to and I the row A takes K to: each entry is the single
+    nonzero product of the dense matmul.  The shifts of one implementer reach distinct entries, so each
+    key is at most once on each side.  Each entry of a difference is
+    a - b, a - 0 or 0 - b, as in the dense difference, and exact zeros are
+    dropped."""
     in_c = pos[cols] >= 0
     in_r = pos[rows] >= 0
     jc, tc, vc = pos[cols[in_c]], rows[in_c], val[in_c]
@@ -277,13 +265,18 @@ def _commutator_column(cols, rows, val, pos, impls, nw: int):
     # minuend and subtrahend entries: [Z', A] = Z'A - AZ' and
     # [A, X'] = AX' - X'A, [A, Y'] = AY' - Y'A
     sides = ([], [])
-    for piece, (by_col, by_row) in enumerate(impls):
-        o, i, g = _gather(by_col, tc)
-        ga = (piece * nw * nw + i * nw + jc[o], g * vc[o])
-        o, j, g = _gather(by_row, sr)
-        ag = (piece * nw * nw + ir[o] * nw + j, vr[o] * g)
-        sides[0].append(ga if piece == 0 else ag)
-        sides[1].append(ag if piece == 0 else ga)
+    for piece, shifts in enumerate(impls):
+        for tgt, coef, back, back_coef in shifts:
+            i = pos[tgt[tc]]
+            hit = i >= 0
+            ga = (piece * nw * nw + i[hit] * nw + jc[hit],
+                  coef[tc[hit]] * vc[hit])
+            j = back[sr]
+            hit = j >= 0
+            ag = (piece * nw * nw + ir[hit] * nw + j[hit],
+                  vr[hit] * back_coef[sr[hit]])
+            sides[0].append(ga if piece == 0 else ag)
+            sides[1].append(ag if piece == 0 else ga)
     n_minuend = sum(len(k) for k, _ in sides[0])
     keys = np.concatenate([k for side in sides for k, _ in side])
     vals = np.concatenate([v for side in sides for _, v in side])
@@ -361,11 +354,11 @@ def invariant_subspace(pres: Presentation, rep, D: int,
     so the solution set is identical), which keeps the system free of the
     q^(-2k) noise amplification of the normalized action.  The system is
     restricted to a sub-window of exact entries; each monomial image is a
-    weighted shift (lifted to rows 2r+a, columns 2c+b for a tensor unit), so
-    its window and its commutators are gathered from its shift arrays and
-    the nonzero entries of the implementer matrices on the window, entry
-    for entry the dense products, straight into each column's nonzero
-    (row, value) pairs.
+    weighted shift (lifted to rows 2r+a, columns 2c+b for a tensor unit),
+    and so is each term of an implementer, so its window and its
+    commutators are gathered from their shift arrays, entry for entry the
+    dense products, straight into each column's nonzero (row, value)
+    pairs.
 
     A monomial reaches only its own diagonals, so the system (and the
     matrix of monomial windows) is a direct sum of small blocks; they are
@@ -394,9 +387,10 @@ def invariant_subspace(pres: Presentation, rep, D: int,
         units = [None]
     idx = impl.window_indices(M, rank_window)
     nw = len(idx)
-    pos = np.full(impl.dim(M), -1, dtype=np.intp)
+    pos = np.full(impl.dim(M) + 1, -1, dtype=np.intp)
     pos[idx] = np.arange(nw)
-    impls = [_sparse_implementer(G, idx) for G in _implementers(impl, M)]
+    impls = [[_window_shift(tgt, coef, idx) for tgt, coef in shifts]
+             for shifts in _implementers(impl, M)]
 
     labels, scales, mono, system = [], [], [], []
     for w in words:

@@ -14,12 +14,11 @@ import math
 import numpy as np
 
 from .qcore import QParams, tau
-from .ncalg import NCPoly, make_presentation
+from .ncalg import make_presentation
 from .report import max_or_nan
 from .reps import (
     MatrixRep,
     TensorRep,
-    evaluate,
     max_abs,
     rep_podles,
     relation_check,
@@ -46,10 +45,10 @@ def _norm_branch(branch) -> int:
 
 
 def casimir_matrix(p: QParams, x: float, sign, N: int) -> np.ndarray:
-    """Casimir image on the tensor window (2N x 2N), exact padded entries."""
+    """Casimir image on the tensor window (2N x 2N).  It is a sum of
+    weighted shifts, so each window entry is the infinite operator's."""
     variant = "plus" if _norm_sign(sign) == 1 else "minus"
-    rep2 = TensorRep(rep_podles(p, x, variant, N))
-    return evaluate(NCPoly({("T",): 1.0}), rep2)
+    return TensorRep(rep_podles(p, x, variant, N)).matrix("T", N)
 
 
 def branch_indices(sign, branch, N: int) -> range:
@@ -144,8 +143,7 @@ def compress_identify(p: QParams, x: float, sign, branch, N: int):
     compressed = {}
     residuals = {}
     for g in ("X", "Y", "Z", "Zi"):
-        G2 = evaluate(NCPoly({(g,): 1.0}), rep2)
-        Gc = U.conj().T @ G2 @ U
+        Gc = U.conj().T @ rep2.matrix(g, N) @ U
         compressed[g] = Gc
         diff = np.abs(Gc - target.matrix(g, K))
         if g == "Zi":

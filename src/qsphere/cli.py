@@ -391,12 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--D", type=int, default=6)
     ap.add_argument("--tol", type=float, default=None,
                     help="threshold of the relations residuals (default "
-                         f"{TOL_RELATIONS:g}); no other command, all "
-                         "included, reads it")
+                         f"{TOL_RELATIONS:g}); every other command, all "
+                         "included, refuses it")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--count", type=int, default=200)
     ap.add_argument("--alg", default=None,
-                    choices=["podles", "uqmp", "bl", "uqsu2"])
+                    choices=["podles", "uqmp", "bl", "uqsu2"],
+                    help="the one algebra relations checks; every other "
+                         "command refuses it")
     ap.add_argument("--json", action="store_true")
     ap.add_argument("--out", default=None, metavar="PATH")
     ap.add_argument("--dump", default=None, metavar="PATH")
@@ -444,6 +446,9 @@ def _input_error(args):
         return f"--D must lie between 0 and 8, got {args.D}"
     if args.command == "theorem2" and args.l == 0:
         return "theorem2 needs --l > 0: the l = 0 block has no A(+-1)"
+    for flag, v in (("--tol", args.tol), ("--alg", args.alg)):
+        if v is not None and args.command != "relations":
+            return f"{flag}: only relations reads it, not {args.command}"
     what = args.command
     if what == "relations" and args.alg == "uqsu2":
         what += " --alg uqsu2"

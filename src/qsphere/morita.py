@@ -15,7 +15,7 @@ import numpy as np
 from .qcore import QParams
 from .ncalg import NCPoly, a_gen, basis_words, make_presentation, normal_form
 from .report import max_or_nan
-from .reps import TensorRep, evaluate, max_abs, rep_bl
+from .reps import TensorRep, max_abs, rep_bl
 
 STANDARD = "standard"
 
@@ -225,8 +225,7 @@ def podles_part_compression(p: QParams, l, M: int) -> dict:
     for branch, W in branches:
         target = rep_bl(p, l + branch / 2, bc.N_new)
         for g in ("X", "Y", "Z"):
-            G2 = evaluate(NCPoly({(g,): 1.0}), rep2, window=M)
-            got = W.conj().T @ G2 @ W
+            got = W.conj().T @ rep2.matrix(g, M) @ W
             out[f"{'up' if branch == 1 else 'down'}_{g}"] = max_abs(
                 got - target.matrix(g, bc.N_new))
     return out

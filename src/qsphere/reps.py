@@ -9,9 +9,12 @@ words on label representations are walked on these arrays column by column,
 and dense matrices are views scattered from them.  Padded evaluation walks
 at an enlarged size and crops, so retained entries are exact values of the
 infinite-dimensional operators.  Label-rep residuals (`residual`) are
-accumulated on the walked support only, never on a dense window.  Tensor and
-explicit-matrix representations, with more than one nonzero entry per
-column, still multiply dense matrices and take dense window differences.
+accumulated on the walked support only, never on a dense window.  A
+generator of the coaction-tensored representation is a short list of
+weighted shifts read from one coaction table (`_tensor_terms`), and its
+dense matrix is scattered from them.  Tensor and explicit-matrix
+representations, with more than one nonzero entry per column, still
+multiply dense matrices and take dense window differences.
 
 Relation residuals, adjoint-action residuals and invariant-functional tail
 defects are evaluated by walking columns label by label in mpmath
@@ -85,15 +88,12 @@ class FloatCtx:
 
     sqrt = staticmethod(math.sqrt)
     one = 1.0
-    memo_steps = False
 
 
 class MPCtx:
     """q-power arithmetic in mpmath at `dps` digits (`prec` bits).  Label
     steps taken in it are memoised by the exact walk kernel (see
     step_tables); shared instances come from `mp_ctx`."""
-
-    memo_steps = True
 
     def __init__(self, q: float, x: float = 0.0, dps: int = MP_DPS):
         self.dps = dps
@@ -193,15 +193,11 @@ class LabelRep:
         return np.array(out, dtype=int)
 
     def step(self, g, fam, k, ctx):
-        """Move of generator g from label (fam, k): None or (fam2, k2, coeff).
-
-        In a context with memo_steps (every shared mp context) the move is
-        computed at the context's precision; the exact walk kernel keeps it
-        in its step tables (`step_tables`), so it is computed once."""
-        if not ctx.memo_steps:
-            return self._steps[g](fam, k, ctx)
-        with mp.workdps(ctx.dps):
-            return self._steps[g](fam, k, ctx)
+        """Move of generator g from label (fam, k): None or (fam2, k2, coeff),
+        in the arithmetic of ctx (an mp context computes at the caller's
+        precision; the exact walk kernel sets it and keeps each move in its
+        step tables, `step_tables`)."""
+        return self._steps[g](fam, k, ctx)
 
     def zexp(self, fam, k):
         return self._zexps[fam](k)
@@ -288,18 +284,15 @@ def _sqrt_coeff(ctx, factors):
     return ctx.sqrt(prod)
 
 
-def _podles_family_steps(x_sign_flip: bool, rep_sign: int):
+def _podles_family_steps(rep_sign: int):
     """Steps for one summand of a podles representation.
 
     For the plus series Z e_k = q^(2k-x+1) and X uses (1+q^(2k-2x)); the
-    minus series carries an overall sign and x -> -x in the exponents, and
-    x_sign_flip alone gives the plus series at parameter -x.
+    minus series (rep_sign -1) carries an overall sign and x -> -x in the
+    exponents.  T acts as the scalar tau(x) on both.
     """
     s = rep_sign
-    mm = 1 if x_sign_flip else -1   # m-component of the Z exponent pair
-    # T acts as the scalar tau of the sphere parameter: tau(x) on both the
-    # plus and minus series at x, tau(-x) on the parameter-flipped series.
-    mt = 1 if (x_sign_flip and rep_sign == 1) else -1
+    mm = -rep_sign   # m-component of the Z exponent pair
 
     def X(fam, k, ctx):
         if k == 0:
@@ -312,7 +305,7 @@ def _podles_family_steps(x_sign_flip: bool, rep_sign: int):
         return None if c is None else (fam, k + 1, s * c)
 
     def T(fam, k, ctx):
-        return (fam, k, ctx.qpow(0, mt) - ctx.qpow(0, -mt))
+        return (fam, k, ctx.qpow(0, -1) - ctx.qpow(0, 1))
 
     def zexp(k):
         return (s, 2 * k + 1, mm)
@@ -324,14 +317,12 @@ def rep_podles(p: QParams, x: float, variant: str, N: int,
                pad: int = 2) -> LabelRep:
     """Truncation of the irreducible series representations.
 
-    variant: plus | minus | direct_sum (minus + plus summands) |
-    a_variant (plus at -x + plus at x; equal to sign-operator times direct_sum).
+    variant: plus | minus | direct_sum (minus + plus summands).
     """
     if N < 4:
         raise ValueError("N must be at least 4")
-    plus_steps, plus_z = _podles_family_steps(False, +1)
-    minus_steps, minus_z = _podles_family_steps(True, -1)
-    aflip_steps, aflip_z = _podles_family_steps(True, +1)
+    plus_steps, plus_z = _podles_family_steps(+1)
+    minus_steps, minus_z = _podles_family_steps(-1)
     meta = {"q": p.q, "x": x, "variant": variant, "kind": "podles"}
     if variant in ("plus", "minus"):
         fam_steps = {"s": plus_steps if variant == "plus" else minus_steps}
@@ -340,10 +331,6 @@ def rep_podles(p: QParams, x: float, variant: str, N: int,
     elif variant == "direct_sum":
         fam_steps = {"-": minus_steps, "+": plus_steps}
         fam_z = {"-": minus_z, "+": plus_z}
-        families = (("-", 0), ("+", 0))
-    elif variant == "a_variant":
-        fam_steps = {"-": aflip_steps, "+": plus_steps}
-        fam_z = {"-": aflip_z, "+": plus_z}
         families = (("-", 0), ("+", 0))
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -413,14 +400,12 @@ def rep_bl(p: QParams, l, N: int, pad: int = 2) -> LabelRep:
     return LabelRep((("-", 0), ("+", -twol)), steps, zexps, gens, N, pad, meta)
 
 
-def sign_vector(rep, M: int) -> np.ndarray:
-    """The diagonal of the sign operator of a double space: -1 on the first
-    summand, +1 on the second."""
-    if len(rep.families) != 2:
-        raise ValueError("sign operator needs a two-summand space")
-    e = np.ones(rep.dim(M))
-    e[:M] = -1.0
-    return e
+def absorb_sign(rep, M: int, tgt, coef):
+    """The coefficients of a shift of `rep` at internal size M with the sign
+    operator of a double space absorbed: negated where the target lies in
+    the "-" summand."""
+    minus = np.repeat([fam == "-" for fam, _ in rep.families], M)
+    return np.where((tgt >= 0) & minus[tgt], -coef, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +422,35 @@ def spin_half(p: QParams) -> dict:
     return {"K": K, "Ki": Ki, "E": E, "F": F}
 
 
+def _tensor_terms(g, ctx):
+    """The coaction: tensor generator g as [(base generator, [(row spin,
+    column spin, value)])], values in the arithmetic of ctx and None
+    standing for an exact 1; spin 0 is e_+, spin 1 is e_-.  An mp context
+    computes at the caller's precision."""
+    q1, qm1 = ctx.qpow(1), ctx.qpow(-1)
+    lam_inv = q1 - qm1
+    if g == "Z":
+        return [("Z", [(0, 0, q1), (1, 1, qm1)])]
+    if g == "Zi":
+        return [("Zi", [(0, 0, qm1), (1, 1, q1)])]
+    if g == "X":
+        return [("X", [(0, 0, None), (1, 1, None)]),
+                ("Z", [(1, 0, lam_inv)])]
+    if g == "Y":
+        return [("Y", [(0, 0, None), (1, 1, None)]),
+                ("Z", [(0, 1, lam_inv)])]
+    if g == "T":
+        return [("T", [(0, 0, qm1), (1, 1, q1)]),
+                ("Z", [(0, 0, ctx.qpow(2) - 1), (1, 1, ctx.qpow(-2) - 1)]),
+                ("X", [(0, 1, lam_inv)]),
+                ("Y", [(1, 0, lam_inv)])]
+    raise KeyError(f"tensor representation has no generator {g}")
+
+
 class TensorRep:
-    """space (x) C^2 carrying the coaction-twisted generator images."""
+    """space (x) C^2 carrying the coaction-twisted generator images; basis
+    index 2i + spin for base index i.  With absorb_sign the base images
+    absorb the sign operator of a double space."""
 
     def __init__(self, base, absorb_sign: bool = False):
         self.base = base
@@ -449,7 +461,6 @@ class TensorRep:
         self.meta["tensor"] = True
         self.gens = tuple(g for g in ("X", "Y", "Z", "Zi", "T")
                           if g in base.gens)
-        self._spin = spin_half(QParams(self.meta["q"]))
         self._mat_cache: dict = {}
         self._walk_memos: dict = {}  # mp context -> _SegmentTables
 
@@ -460,45 +471,38 @@ class TensorRep:
         inner = self.base.window_indices(M, W)
         return np.stack([2 * inner, 2 * inner + 1], axis=1).reshape(-1)
 
-    def _base_matrix(self, g, M):
-        B = self.base.matrix(g, M)
-        if self.absorb_sign:
-            B = sign_vector(self.base, M)[:, None] * B
-        return B
+    def shifts(self, g, M: int) -> list:
+        """Generator g at internal size M as a sum of weighted shifts, one
+        (tgt, coef) pair per spin entry of each coaction term, in term
+        order: column j goes to row tgt[j] with coefficient coef[j]; tgt[j]
+        is -1 on the columns of the other spin and where the base step
+        dies."""
+        if g not in self.gens:
+            raise KeyError(f"tensor representation has no generator {g}")
+        n = self.dim(M)
+        out = []
+        for base_g, entries in _tensor_terms(g, FloatCtx(self.meta["q"])):
+            tgt, coef = self.base.shift(base_g, M)
+            if self.absorb_sign:
+                coef = absorb_sign(self.base, M, tgt, coef)
+            for sp2, sp_in, v in entries:
+                t = np.full(n, -1, dtype=np.intp)
+                c = np.zeros(n, dtype=np.complex128)
+                t[sp_in::2] = np.where(tgt >= 0, 2 * tgt + sp2, -1)
+                c[sp_in::2] = coef if v is None else coef * v
+                out.append((t, c))
+        return out
 
     def matrix(self, g, M: int) -> np.ndarray:
+        """The dense view of `shifts`, added up in term order."""
         key = (g, M)
         cached = self._mat_cache.get(key)
         if cached is not None:
             return cached
-        q = self.meta["q"]
-        lam_inv = q - 1 / q
-        sp = self._spin
-        I2 = np.eye(2, dtype=np.complex128)
-        Xb = lambda: self._base_matrix("X", M)
-        Yb = lambda: self._base_matrix("Y", M)
-        Zb = lambda: self._base_matrix("Z", M)
-        Zib = lambda: self._base_matrix("Zi", M)
-        if g == "Z":
-            A = np.kron(Zb(), sp["Ki"])
-        elif g == "Zi":
-            A = np.kron(Zib(), sp["K"])
-        elif g == "X":
-            A = np.kron(Xb(), I2) + np.kron(
-                Zb(), (lam_inv / math.sqrt(q)) * sp["E"])
-        elif g == "Y":
-            A = np.kron(Yb(), I2) + np.kron(
-                Zb(), (lam_inv / math.sqrt(q)) * (sp["Ki"] @ sp["F"]))
-        elif g == "T":
-            if "T" not in self.base.gens:
-                raise KeyError("base representation carries no T image")
-            mid = (lam_inv**2) * (sp["F"] @ sp["E"]) - (sp["K"] - sp["Ki"]) / q
-            A = (np.kron(self._base_matrix("T", M), sp["K"])
-                 + np.kron(Zb(), mid)
-                 + np.kron(Xb(), (lam_inv * math.sqrt(q)) * sp["F"])
-                 + np.kron(Yb(), (lam_inv * math.sqrt(q)) * (sp["E"] @ sp["K"])))
-        else:
-            raise KeyError(f"tensor representation has no generator {g}")
+        A = np.zeros((self.dim(M), self.dim(M)), dtype=np.complex128)
+        for tgt, coef in self.shifts(g, M):
+            cols = np.flatnonzero(tgt >= 0)
+            A[tgt[cols], cols] += coef[cols]
         self._mat_cache[key] = A
         return A
 
@@ -560,15 +564,15 @@ def _as_poly(poly) -> NCPoly:
     return poly if isinstance(poly, NCPoly) else NCPoly({tuple(poly): 1.0})
 
 
-def evaluate(poly, rep, window: int = None) -> np.ndarray:
+def evaluate(poly, rep) -> np.ndarray:
     """Coefficient-weighted sum of word-wise products, computed at the padded
-    internal size and cropped to the window.
+    internal size and cropped to the window (size rep.N).
 
     On a label representation each word is walked down the window columns
     only; columns evolve independently, so the crop equals the padded dense
     product's.  Other representations multiply dense matrices."""
     poly = _as_poly(poly)
-    W = rep.N if window is None else window
+    W = rep.N
     if isinstance(rep, LabelRep):
         acc = np.zeros((rep.dim(W), rep.dim(W)), dtype=np.complex128)
         for rows, cols, val in _window_terms(poly, rep, W):
@@ -594,7 +598,7 @@ def max_abs(A: np.ndarray) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
 
 
-def residual(poly_a, poly_b, rep, window: int = None) -> float:
+def residual(poly_a, poly_b, rep) -> float:
     """max |evaluate(poly_a) - evaluate(poly_b)| over the window.
 
     On a label representation both sides are accumulated, term by term in
@@ -603,9 +607,9 @@ def residual(poly_a, poly_b, rep, window: int = None) -> float:
     bit-identical to the dense difference.  Other representations take the
     dense difference."""
     poly_a, poly_b = _as_poly(poly_a), _as_poly(poly_b)
-    W = rep.N if window is None else window
+    W = rep.N
     if not isinstance(rep, LabelRep):
-        return max_abs(evaluate(poly_a, rep, W) - evaluate(poly_b, rep, W))
+        return max_abs(evaluate(poly_a, rep) - evaluate(poly_b, rep))
     n = rep.dim(W)
     sides = [[(rows * n + cols, val)
               for rows, cols, val in _window_terms(poly, rep, W)]
@@ -632,9 +636,9 @@ def residual(poly_a, poly_b, rep, window: int = None) -> float:
 # factor 1 - sign*q^(n+mx)*Z.  A "combo" is (coefficient, [segments]) and
 # stands for coefficient * (operator product of the segments).
 #
-# Steps are memoised per (representation, mp context), honouring
-# ctx.memo_steps, as (target label, raw coefficient), the coefficient an
-# mpmath `_mpf_` tuple.  A walk on a label representation visits its labels
+# Steps are memoised per (representation, mp context) as (target label, raw
+# coefficient), the coefficient an mpmath `_mpf_` tuple computed at the
+# context's precision.  A walk on a label representation visits its labels
 # first and multiplies the kept coefficients afterwards, in walk order, with
 # libmp's mpf_mul at the context's precision, rounding to nearest; the first
 # coefficient starts the product, which is exact.  Sums, signs and complex
@@ -649,21 +653,18 @@ _RND = round_nearest
 
 
 class _StepTable(dict):
-    """label -> step of one segment, computed by `fill` on first use and kept
-    when `store` is set.  A step is None (the walk dies) or, on a label
-    representation, (target label, raw coefficients in walk order); on a
-    tensor representation it is a list of (target label, raw coefficient)
+    """label -> step of one segment, computed by `fill` on first use and
+    kept.  A step is None (the walk dies) or, on a label representation,
+    (target label, raw coefficients in walk order); on a tensor
+    representation it is a list of (target label, raw coefficient)
     branches."""
 
-    def __init__(self, fill, store: bool):
+    def __init__(self, fill):
         super().__init__()
         self.fill = fill
-        self.store = store
 
     def __missing__(self, label):
-        hit = self.fill(label)
-        if self.store:
-            self[label] = hit
+        hit = self[label] = self.fill(label)
         return hit
 
 
@@ -685,7 +686,7 @@ class _SegmentTables(dict):
             fill = self._zf_step(*g[1:])
         else:
             fill = self._label_step(g, impl)
-        table = self[seg] = _StepTable(fill, self.ctx.memo_steps)
+        table = self[seg] = _StepTable(fill)
         return table
 
     def _label_step(self, g, impl):
@@ -693,7 +694,8 @@ class _SegmentTables(dict):
         absorb = impl and len(rep.families) == 2
 
         def fill(label):
-            hit = rep.step(g, label[0], label[1], ctx)
+            with mp.workdps(ctx.dps):
+                hit = rep.step(g, label[0], label[1], ctx)
             if hit is None:
                 return None
             fam, k, c = hit
@@ -714,7 +716,10 @@ class _SegmentTables(dict):
 
     def _tensor_step(self, g):
         rep, prec = self.rep, self.prec
-        terms = _tensor_terms(g, self.ctx)   # once per segment table
+        with mp.workdps(self.ctx.dps):   # once per segment table
+            terms = [(base_g, [(sp2, sp_in, v if v is None else v._mpf_)
+                               for sp2, sp_in, v in entries])
+                     for base_g, entries in _tensor_terms(g, self.ctx)]
         base = step_tables(rep.base, self.ctx)
 
         def fill(label):
@@ -735,41 +740,11 @@ class _SegmentTables(dict):
         return fill
 
 
-def _tensor_terms(g, ctx):
-    """Kron decomposition of a tensor generator: [(base generator, [(row
-    spin, column spin, raw value)])], None standing for an exact 1; spin 0
-    is e_+, spin 1 is e_-."""
-    prec = ctx.prec
-    q1, qm1 = ctx.qpow(1)._mpf_, ctx.qpow(-1)._mpf_
-    lam_inv = mpf_sub(q1, qm1, prec, _RND)
-    if g == "Z":
-        return [("Z", [(0, 0, q1), (1, 1, qm1)])]
-    if g == "Zi":
-        return [("Zi", [(0, 0, qm1), (1, 1, q1)])]
-    if g == "X":
-        return [("X", [(0, 0, None), (1, 1, None)]),
-                ("Z", [(1, 0, lam_inv)])]
-    if g == "Y":
-        return [("Y", [(0, 0, None), (1, 1, None)]),
-                ("Z", [(0, 1, lam_inv)])]
-    if g == "T":
-        q2, qm2 = ctx.qpow(2)._mpf_, ctx.qpow(-2)._mpf_
-        return [("T", [(0, 0, qm1), (1, 1, q1)]),
-                ("Z", [(0, 0, mpf_sub(q2, fone, prec, _RND)),
-                       (1, 1, mpf_sub(qm2, fone, prec, _RND))]),
-                ("X", [(0, 1, lam_inv)]),
-                ("Y", [(1, 0, lam_inv)])]
-    raise KeyError(f"tensor walk has no generator {g}")
-
-
 def step_tables(rep, ctx) -> _SegmentTables:
-    """The step tables of `rep` in the mp context `ctx`: one shared set per
-    (rep, ctx) when ctx.memo_steps is set, else a fresh set whose steps are
-    recomputed on every use."""
+    """The step tables of `rep` in the mp context `ctx`, one shared set per
+    (rep, ctx)."""
     if not isinstance(rep, (LabelRep, TensorRep)):
         raise TypeError(f"no label walk for {type(rep).__name__}")
-    if not ctx.memo_steps:
-        return _SegmentTables(rep, ctx)
     tables = rep._walk_memos.get(ctx)
     if tables is None:
         tables = rep._walk_memos[ctx] = _SegmentTables(rep, ctx)
@@ -798,7 +773,7 @@ def walk_path(path, label):
 def path_table(path) -> _StepTable:
     """The walks of `path` memoised per start label, usable as one step of a
     longer path."""
-    return _StepTable(lambda label: walk_path(path, label), True)
+    return _StepTable(lambda label: walk_path(path, label))
 
 
 def mp_product(coeffs, prec: int):
@@ -980,7 +955,7 @@ def _rule_residual(rep, rule, W: int, ctx) -> float:
     (csign, cn, cm), items = rule.recipe
     lead = mpf_mul_int(ctx.qpow(cn, cm)._mpf_, csign, ctx.prec, _RND)
     # the recipe's coefficient starts its product: one more, first, step
-    first = _StepTable(lambda label: (label, (lead,)), False)
+    first = _StepTable(lambda label: (label, (lead,)))
     path = [first] + segment_path(tables, [(it, False) for it in items])
     return _termwise_residual(rep, W, tables, lhs, [(path, fone)])
 

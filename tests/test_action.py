@@ -166,15 +166,12 @@ def test_invariance_defects_memoised_match_fresh_context(monkeypatch):
     import qsphere.action as action
     from qsphere.reps import MPCtx
 
-    class FreshCtx(MPCtx):
-        memo_steps = False
-
     cases = [(rep_podles(P, 1.0, "direct_sum", 12), ("Y", "Z"), ("X",)),
              (rep_bl(P, 0.5, 12), (a_gen(1), "Y"), ("Z", a_gen(-1)))]
     shared = [invariance_defects(w, rep, 12)
               for rep, *words in cases for w in words]
-    monkeypatch.setattr(action, "mp_ctx",
-                        lambda q, x=0.0, dps=40: FreshCtx(q, x, dps))
+    # an unshared context: its own step tables compute every step again
+    monkeypatch.setattr(action, "mp_ctx", MPCtx)
     assert shared == [invariance_defects(w, rep, 12)
                       for rep, *words in cases for w in words]
 
@@ -251,7 +248,7 @@ def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
     graded = [(a_gen(0),), (a_gen(1), a_gen(-1)), (a_gen(-1), "Y"),
               (a_gen(1),), (a_gen(1), "X", a_gen(1)), (a_gen(-1), "X")]
     cases = [(rep_podles(p, 1.3, "direct_sum", 12), plain),
-             (rep_podles(p, 1.3, "a_variant", 12), plain),
+             (rep_podles(p, 2.5, "direct_sum", 12), plain),
              (rep_bl(p, 0.5, 12), plain + graded),
              (rep_bl(p, 1, 12), plain + graded)]
     returned = vanished = 0
@@ -349,21 +346,39 @@ def test_invariant_subspace_bl0_tensor_is_four_dimensional():
     assert out["dim"] == 4
 
 
+def _spin_entry(a, b, v):
+    S = np.zeros((2, 2), dtype=np.complex128)
+    S[a, b] = v
+    return S
+
+
+def _kron_tensor_implementers(Z, X, Y, q):
+    """The coaction-twisted Z, X, Y on space (x) C^2 as Kronecker products
+    of base matrices with the spin-1/2 coefficients in closed form (spin 0
+    is e_+, spin 1 is e_-): Z (x) diag(q, q^-1), X (x) 1 + Z (x) lam_inv
+    e_-e_+^T and Y (x) 1 + Z (x) lam_inv e_+e_-^T, lam_inv = q - q^-1."""
+    lam_inv = q - q ** -1
+    I2 = np.eye(2, dtype=np.complex128)
+    return (np.kron(Z, _spin_entry(0, 0, q) + _spin_entry(1, 1, q ** -1)),
+            np.kron(X, I2) + np.kron(Z, _spin_entry(1, 0, lam_inv)),
+            np.kron(Y, I2) + np.kron(Z, _spin_entry(0, 1, lam_inv)))
+
+
 def _dense_commutator_system(pres, rep, D, rank_window, tensor_units):
     """The ergodic system as dense products: each basis image (a unit
     tensored on for tensor_units), scaled by its window maximum, then
     Z@A - A@Z, A@X - X@A and A@Y - Y@A cropped to the window.  The
-    implementers Z, X, Y absorb the sign operator e as the products e@G, or
-    on the tensor units are the sign-absorbing tensored images."""
+    implementers Z, X, Y absorb the sign operator e as the products e@G;
+    on the tensor units they are the coaction-twisted images of those."""
     words = basis_words(pres, D)
     maxshift = max([1] + [abs(g[1]) for w in words for g in w if is_a_gen(g)])
     M = rank_window + rep.pad * (D * maxshift + 2) + 2
+    e = _sign_operator(rep, M)
+    Z, X, Y = (e @ rep.matrix(g, M) for g in ("Z", "X", "Y"))
+    impl = rep
     if tensor_units:
-        impl = TensorRep(rep, absorb_sign=True)
-        Z, X, Y = (impl.matrix(g, M) for g in ("Z", "X", "Y"))
-    else:
-        impl, e = rep, _sign_operator(rep, M)
-        Z, X, Y = (e @ rep.matrix(g, M) for g in ("Z", "X", "Y"))
+        impl = TensorRep(rep)
+        Z, X, Y = _kron_tensor_implementers(Z, X, Y, rep.meta["q"])
     idx = np.ix_(*[impl.window_indices(M, rank_window)] * 2)
     mono, system = [], []
     for w in words:

@@ -24,6 +24,18 @@ BRANCHES = (1, -1)
 XS = (0.35, 1.0, 2.5)
 
 
+@pytest.mark.parametrize("q, x, N", [(0.5, 0.7, 64), (0.5, 0.35, 16),
+                                     (0.3, 2.5, 24), (0.37, 0.7, 16),
+                                     (0.7, -0.4, 20)])
+def test_casimir_matrix_is_exactly_hermitian(q, x, N):
+    # the coaction gives X (x) F and Y (x) EK one coefficient, lam_inv, and
+    # the X and Y steps between two labels share their factors, so the
+    # mirrored entries carry the same bits
+    for sign in SIGNS:
+        T2 = casimir_matrix(QParams(q), x, sign, N)
+        assert np.array_equal(T2, T2.conj().T), (q, x, N, sign)
+
+
 def test_casimir_block_structure_matches_closed_form():
     x, N = 0.7, 16
     T2 = casimir_matrix(P, x, "plus", N)

@@ -70,6 +70,11 @@ def test_usage_error_exit_code(capsys):
                        (["functional", "--N", "20"], "--N"),
                        (["all", "--N", "21"], "--N"),
                        (["theorem2", "--l", "0"], "--l"),
+                       (["theta", "--l", "0.5", "--N", "12", "--tol",
+                         "1e-30"], "--tol"),
+                       (["picard", "--x", "2", "--alg", "uqsu2"], "--alg"),
+                       (["all", "--tol", "1e-3"], "--tol"),
+                       (["all", "--alg", "bl"], "--alg"),
                        # found only inside the suite: the monomial images of
                        # degree <= D are dependent on the rank window
                        (["ergodic", "--q", "0.3", "--l", "1"], "--D"),

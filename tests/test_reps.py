@@ -34,7 +34,6 @@ from qsphere.reps import (
     rep_bl,
     rep_podles,
     residual,
-    sign_vector,
     spin_half,
     walk_combos,
     window_labels,
@@ -65,16 +64,6 @@ def test_podles_zzi_exact_inverse():
     out = evaluate(parse("Z*Zi", make_presentation(
         "podles", P, x=2.5, extended=True)), rep)
     assert max_abs(out - np.eye(out.shape[0])) < 1.2e-16  # one ulp
-
-
-def test_a_variant_is_sign_times_direct_sum():
-    x = 1.3
-    ds = rep_podles(P, x, "direct_sum", 12)
-    av = rep_podles(P, x, "a_variant", 12)
-    e = sign_vector(ds, 12)
-    for g in ("X", "Y", "Z", "Zi", "T"):
-        want = e[:, None] * ds.matrix(g, 12)
-        assert max_abs(av.matrix(g, 12) - want) < 1e-13
 
 
 def test_bl_half_a0_entries():
@@ -281,19 +270,19 @@ def _dense_from_steps(rep, g, M):
 
 
 def _engine_cases():
-    for variant in ("direct_sum", "a_variant"):
+    for variant in ("direct_sum", "minus"):
         yield (make_presentation("podles", P, x=1.3),
-               lambda pad, v=variant: rep_podles(P, 1.3, v, 16, pad=pad))
+               lambda pad, N=16, v=variant: rep_podles(P, 1.3, v, N, pad=pad))
     for l in (0.5, 1):
         yield (make_presentation("bl", P, l=l),
-               lambda pad, l=l: rep_bl(P, l, 16, pad=pad))
+               lambda pad, N=16, l=l: rep_bl(P, l, N, pad=pad))
 
 
 def test_shift_walk_matches_dense_products():
     # pad 0 makes columns near the window edge walk off the internal size
     for pres, make in _engine_cases():
         for pad in (2, 0):
-            rep = make(pad)
+            rep, rep12 = make(pad), make(pad, 12)
             words = random_words(pres, 40, 7, seed=17 + pad)
             for w in words:
                 poly = NCPoly({w: 1.0})
@@ -302,8 +291,8 @@ def test_shift_walk_matches_dense_products():
             for i in range(0, len(words) - 2, 3):
                 poly = NCPoly({words[i]: 1.0, words[i + 1]: 0.5 - 0.25j,
                                words[i + 2]: -2.0})
-                assert np.array_equal(evaluate(poly, rep, window=12),
-                                      _dense_chain(poly, rep, 12))
+                assert np.array_equal(evaluate(poly, rep12),
+                                      _dense_chain(poly, rep12, 12))
             for g in rep.gens:
                 for M in (16, 20):
                     assert np.array_equal(rep.matrix(g, M),
@@ -355,11 +344,6 @@ def test_matrix_dump_roundtrip(tmp_path):
     assert max_abs(A - B) == 0.0
 
 
-class _FreshCtx(MPCtx):
-    """An mp context in which every step is computed anew."""
-    memo_steps = False
-
-
 def _walk_window(rep, combos, ctx, W):
     with mp.workdps(ctx.dps):
         return {lab: walk_combos(rep, combos, lab, ctx)
@@ -392,23 +376,23 @@ def test_memoised_walks_match_fresh_contexts(monkeypatch):
     shared = run_all()             # reads them
     assert mp_ctx(Q, 1.3) is mp_ctx(Q, 1.3)
     assert any(podles._walk_memos[mp_ctx(Q, 1.3)].values())
-    monkeypatch.setattr(reps, "mp_ctx",
-                        lambda q, x=0.0, dps=reps.MP_DPS: _FreshCtx(q, x, dps))
+    # an unshared context: its own step tables compute every step again
+    monkeypatch.setattr(reps, "mp_ctx", MPCtx)
     assert run_all() == shared
 
 
 def test_step_memo_keeps_reps_apart():
-    # direct_sum and a_variant share (q, x) but not the steps of summand "-"
+    # plus and minus share (q, x) and the family "s" but not their steps
     W = 10
     ctx = mp_ctx(Q, 1.3)
-    both = {v: rep_podles(P, 1.3, v, W) for v in ("direct_sum", "a_variant")}
+    both = {v: rep_podles(P, 1.3, v, W) for v in ("plus", "minus")}
     walked = {}
-    for variant in ("direct_sum", "a_variant", "direct_sum"):
+    for variant in ("plus", "minus", "plus"):
         rep = both[variant]
         got = _walk_window(rep, _COMBOS, ctx, W)
-        assert got == _walk_window(rep, _COMBOS, _FreshCtx(Q, 1.3), W)
+        assert got == _walk_window(rep, _COMBOS, MPCtx(Q, 1.3), W)
         walked.setdefault(variant, got)
-    assert walked["direct_sum"] != walked["a_variant"]
+    assert walked["plus"] != walked["minus"]
 
 
 def test_step_memo_follows_precision():
@@ -416,7 +400,7 @@ def test_step_memo_follows_precision():
     rep = rep_bl(P, 1.5, W)
     low = _walk_window(rep, _COMBOS, mp_ctx(Q, 3.0, 40), W)
     high = _walk_window(rep, _COMBOS, mp_ctx(Q, 3.0, 80), W)
-    assert high == _walk_window(rep, _COMBOS, _FreshCtx(Q, 3.0, 80), W)
+    assert high == _walk_window(rep, _COMBOS, MPCtx(Q, 3.0, 80), W)
     assert high != low
 
 
@@ -548,7 +532,7 @@ def test_combo_kernel_matches_multiplying_walks():
                      (0.25 + 1j, [("Y", True), ("Zi", False), ("T", True)]),
                      (-2 + 0j, [("X", False), ("Y", False), ("Z", False)])]
     cases = [(rep_podles(P, 1.3, "direct_sum", W), label_combos),
-             (rep_podles(P, 1.3, "a_variant", W), label_combos),
+             (rep_podles(P, 1.3, "minus", W), label_combos),
              (rep_bl(P, 1, W), label_combos),
              (TensorRep(rep_podles(P, 0.7, "plus", W)), tensor_combos),
              (TensorRep(rep_podles(P, 1.3, "direct_sum", W),
@@ -556,7 +540,7 @@ def test_combo_kernel_matches_multiplying_walks():
     complex_rows = 0
     for rep, combos in cases:
         x = rep.meta.get("x", 0.0)
-        for ctx in (mp_ctx(Q, x, 50), _FreshCtx(Q, x, 50)):
+        for ctx in (mp_ctx(Q, x, 50), MPCtx(Q, x, 50)):
             with mp.workdps(ctx.dps):
                 for label in window_labels(rep, W):
                     got = walk_combos(rep, combos, label, ctx)
@@ -581,9 +565,7 @@ def test_relation_kernel_matches_multiplying_walks(monkeypatch):
     zf_rules = 0
     for fresh in (False, True):
         if fresh:
-            monkeypatch.setattr(
-                reps, "mp_ctx",
-                lambda q, x=0.0, dps=reps.MP_DPS: _FreshCtx(q, x, dps))
+            monkeypatch.setattr(reps, "mp_ctx", MPCtx)
         for pres, rep in cases:
             got = relation_check(pres, rep)
             with mp.workdps(reps.MP_DPS):
