@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from qsphere.morita import (
     podles_part_compression,
     rp2_suite,
 )
-from qsphere.ncalg import LCG
-from qsphere.reps import max_abs
+from qsphere.ncalg import LCG, a_gen
+from qsphere.reps import max_abs, rep_bl
 
 P = QParams(0.5)
 Q = P.q
@@ -129,3 +131,113 @@ def test_rp2_suite():
     assert res["antipodal_conjugation"] < 1e-13
     assert res["projection_swap"] < 1e-12
     assert res["even_subalgebra"] == 0.0
+
+
+# -- reference: the two-entry splitting vectors and the kron assembly the
+#    basis change and the middle graded block were first written with
+
+def _ref_bc_vector(p, l, which, mu, k, M):
+    q = p.q
+    twol = int(2 * l)
+    denom = math.sqrt(1 + q ** (4 * l))
+    v = np.zeros(4 * M, dtype=np.complex128)
+    up = mu == "+"
+    if which == 1:
+        c_plus = (-math.sqrt(1 - q ** (2 * k + 4 * l + 2)) if up
+                  else math.sqrt(1 + q ** (2 * k + 4 * l + 2)))
+        c_minus = q ** (2 * l) * (math.sqrt(1 + q ** (2 * k + 2)) if up
+                                  else math.sqrt(1 - q ** (2 * k + 2)))
+        spots = [(k, 0, c_plus), (k + 1, 1, c_minus)]
+        if 2 * k + 4 * l + 2 == 0:
+            spots = spots[1:]
+        if not up and 2 * k + 2 == 0:
+            spots = spots[:1]
+    else:
+        c_plus = q ** (2 * l) * (math.sqrt(1 + q ** (2 * k)) if up
+                                 else -math.sqrt(1 - q ** (2 * k)))
+        c_minus = (math.sqrt(1 - q ** (2 * k + 4 * l)) if up
+                   else math.sqrt(1 + q ** (2 * k + 4 * l)))
+        spots = [(k - 1, 0, c_plus), (k, 1, c_minus)]
+        if not up and k == 0:
+            spots = spots[1:]
+        if up and 2 * k + 4 * l == 0:
+            spots = spots[:1]
+    for kk, sp, c in spots:
+        inner = kk if mu == "-" else M + kk + twol
+        v[2 * inner + sp] = c / denom
+    return v
+
+
+def _ref_basis_change(p, l, M):
+    twol = int(2 * l)
+    N = M - 1
+
+    def columns(which, minus_ks, plus_ks):
+        cols = [_ref_bc_vector(p, l, which, "-", k, M) for k in minus_ks]
+        cols += [_ref_bc_vector(p, l, which, "+", k, M) for k in plus_ks]
+        return np.column_stack(cols)
+
+    all_up = columns(1, range(M - 1), range(-(twol + 1), M - 1 - twol))
+    all_down = columns(-1, range(M), range(-(twol - 1), M - twol))
+    covered = np.array([i for i in range(4 * M)
+                        if i not in (2 * (M - 1), 2 * (2 * M - 1))])
+    return {
+        "W_up": columns(1, range(N), range(-(twol + 1), N - 1 - twol)),
+        "W_down": columns(-1, range(N), range(-(twol - 1), N + 1 - twol)),
+        "p_up": all_up @ all_up.conj().T,
+        "p_down": all_down @ all_down.conj().T,
+        "covered": covered,
+    }
+
+
+def _ref_a0_block(p, l, branch, M):
+    q = p.q
+    rep = rep_bl(p, l, M)
+    A0 = rep.matrix(a_gen(0), M)
+    Am1 = rep.matrix(a_gen(-1), M)
+    Ap1 = rep.matrix(a_gen(1), M)
+    Z = rep.matrix("Z", M)
+    I = np.eye(2 * M, dtype=np.complex128)
+    if branch == 1:
+        Bpp = -A0 @ (I - q ** (4 * l + 2) * Z @ Z)
+        Bpm = q ** (2 * l) * Am1 @ (I + q ** (-2 * l - 1) * Z) @ (
+            I + q ** (2 * l - 1) * Z)
+        Bmp = -(q ** (2 * l)) * Ap1 @ (I - q ** (-2 * l + 1) * Z) @ (
+            I - q ** (2 * l + 1) * Z)
+        Bmm = q ** (4 * l) * A0 @ (I - q ** (-4 * l - 2) * Z @ Z)
+    else:
+        Bpp = -(q ** (4 * l)) * A0
+        Bpm = -(q ** (2 * l)) * Am1
+        Bmp = q ** (2 * l) * Ap1
+        Bmm = A0
+
+    def unit(row, col):
+        E = np.zeros((2, 2), dtype=np.complex128)
+        E[row, col] = 1.0
+        return E
+
+    return (np.kron(Bpp, unit(0, 0)) + np.kron(Bpm, unit(0, 1))
+            + np.kron(Bmp, unit(1, 0)) + np.kron(Bmm, unit(1, 1))
+            ) / (1 + q ** (4 * l))
+
+
+def test_basis_change_matches_reference_bits():
+    for q in (0.3, 0.5, 0.8):
+        p = QParams(q)
+        for l in (0, 0.5, 1, 1.5, 2):
+            for M in (8, 17, 24):
+                bc = basis_change(p, l, M)
+                ref = _ref_basis_change(p, l, M)
+                for name in ("W_up", "W_down", "p_up", "p_down"):
+                    got = getattr(bc, name)
+                    assert got.tobytes() == ref[name].tobytes(), (q, l, M, name)
+                cov = bc.covered_indices()
+                assert cov.tobytes() == ref["covered"].tobytes(), (q, l, M)
+                # A(+-1) exist from l = 1/2, and the level l + 1/2 needs
+                # M - 1 >= 4(l + 1/2) + 4
+                if l == 0 or M < 4 * l + 7:
+                    continue
+                for branch in (1, -1):
+                    block, _ = a0_block(p, l, branch, M)
+                    want = _ref_a0_block(p, l, branch, M)
+                    assert block.tobytes() == want.tobytes(), (q, l, M, branch)

@@ -95,6 +95,17 @@ def test_bl_restricts_to_podles_direct_sum():
         pod = rep_podles(P, 2 * l, "direct_sum", 16)
         for g in ("X", "Y", "Z", "Zi"):
             assert max_abs(bl.matrix(g, 16) - pod.matrix(g, 16)) < 1e-13
+    # bit for bit as shifts: the "+" summand is podles(2l)'s plus series with
+    # its labels moved up by 2l, which lets theorem2's basis change read the
+    # Casimir eigenvectors at x = 2l
+    for q in (0.3, 0.5, 0.8):
+        p = QParams(q)
+        for l in (0, 0.5, 1, 1.5, 2):
+            bl = rep_bl(p, l, 16)
+            pod = rep_podles(p, 2 * l, "direct_sum", 16)
+            for g in ("X", "Y", "Z", "Zi"):
+                for a, b in zip(bl.shift(g, 16), pod.shift(g, 16)):
+                    assert a.tobytes() == b.tobytes(), (q, l, g)
 
 
 def test_spin_half_identities():
