@@ -6,7 +6,7 @@ algebras and their graded extensions, using truncated banded representations
 with padded (hence exact) interior windows.
 """
 
-from .qcore import QParams, tau, q_pochhammer, casimir_eigenvalues
+from .qcore import QParams, tau, q_pochhammer
 from .ncalg import (
     NCPoly,
     Presentation,

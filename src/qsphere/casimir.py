@@ -117,9 +117,7 @@ def numeric_interior_spectrum(p: QParams, x: float, sign, N: int):
     Boundary rows of a truncated banded matrix pollute edge eigenpairs; the
     support filter keeps only pairs that belong to the infinite operator.
     """
-    T2 = casimir_matrix(p, x, sign, N)
-    T2 = (T2 + T2.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(T2)
+    vals, vecs = np.linalg.eigh(casimir_matrix(p, x, sign, N))
     edge_slots = np.arange(2 * (N - SPECTRUM_EDGE), 2 * N)
     keep = []
     for i in range(len(vals)):

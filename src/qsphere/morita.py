@@ -1,30 +1,33 @@
 """Orbit arithmetic and Picard classification of the sphere parameters, and
 the concrete chain of equivalences through the graded algebras: the basis
 change splitting (double space) x C^2 into the two neighbouring double
-spaces, the explicit block formulas for the middle graded generator, and the
-projective-plane base case.
+spaces, read from the Casimir eigenvectors at x = 2l (bl(l)'s double space
+is podles(2l)'s with the plus labels moved up by 2l), the explicit block
+formulas for the middle graded generator, and the projective-plane base case.
 """
-
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from .casimir import covered_indices, eigvec_columns
 from .qcore import QParams
 from .ncalg import NCPoly, a_gen, basis_words, make_presentation, normal_form
 from .report import max_or_nan
 from .reps import TensorRep, max_abs, rep_bl
 
 STANDARD = "standard"
+ORBIT_TOL = 1e-12     # |x + m| against |y| in orbit_equivalent
+INTEGER_TOL = 1e-9    # distance to the nearest integer in picard_group
 
 
 def _is_standard(a) -> bool:
     return isinstance(a, str) and a.lower() in (STANDARD, "inf", "infinity")
 
 
-def orbit_equivalent(a, b, tol: float = 1e-12):
+def orbit_equivalent(a, b):
     """Whether two sphere parameters lie on one equivalence orbit; finite
     parameters are equivalent iff some integer shift matches them up to sign.
     Returns (flag, witness integer or None)."""
@@ -33,12 +36,12 @@ def orbit_equivalent(a, b, tol: float = 1e-12):
     x, y = float(a), float(b)
     reach = int(math.ceil(abs(x) + abs(y))) + 1
     for m in sorted(range(-reach, reach + 1), key=lambda v: (abs(v), v)):
-        if abs(abs(x + m) - abs(y)) <= tol:
+        if abs(abs(x + m) - abs(y)) <= ORBIT_TOL:
             return (True, m)
     return (False, None)
 
 
-def picard_group(a, tol: float = 1e-9) -> str:
+def picard_group(a) -> str:
     """Self-equivalence class group of one sphere: Z for the standard sphere,
     Z2 at integer parameters, trivial otherwise.
 
@@ -48,119 +51,48 @@ def picard_group(a, tol: float = 1e-9) -> str:
     if _is_standard(a):
         return "Z"
     x = float(a)
-    return "Z2" if abs(x - round(x)) <= tol else "trivial"
+    return "Z2" if abs(x - round(x)) <= INTEGER_TOL else "trivial"
 
 
 # ---------------------------------------------------------------------------
 # basis change on (double space) x C^2
 # ---------------------------------------------------------------------------
 
-def _slot(inner: int, sp: int) -> int:
-    return 2 * inner + sp
-
-
-def _inner_index(M: int, twol: int, fam: str, k: int):
-    if fam == "-":
-        return k if 0 <= k < M else None
-    j = k + twol
-    return M + j if 0 <= j < M else None
-
-
-def _bc_vector(p: QParams, l, which: int, mu: str, k: int, M: int):
-    """One new-basis vector on the 4M-dimensional tensor space.
-
-    which=+1 builds the (l+1/2) family, which=-1 the (l-1/2) family; mu is
-    the summand the vector lives on.  Components with exactly-zero closed
-    form coefficients are simply not placed.
-    """
-    q = p.q
-    twol = int(2 * l)
-    denom = math.sqrt(1 + q ** (4 * l))
-    v = np.zeros(4 * M, dtype=np.complex128)
-    up = mu == "+"
-    if which == 1:
-        c_plus = (-math.sqrt(1 - q ** (2 * k + 4 * l + 2)) if up
-                  else math.sqrt(1 + q ** (2 * k + 4 * l + 2)))
-        c_minus = q ** (2 * l) * (math.sqrt(1 + q ** (2 * k + 2)) if up
-                                  else math.sqrt(1 - q ** (2 * k + 2)))
-        spots = [(k, 0, c_plus), (k + 1, 1, c_minus)]
-        if 2 * k + 4 * l + 2 == 0:
-            spots = spots[1:]
-        if not up and 2 * k + 2 == 0:
-            spots = spots[:1]
-    else:
-        c_plus = q ** (2 * l) * (math.sqrt(1 + q ** (2 * k)) if up
-                                 else -math.sqrt(1 - q ** (2 * k)))
-        c_minus = (math.sqrt(1 - q ** (2 * k + 4 * l)) if up
-                   else math.sqrt(1 + q ** (2 * k + 4 * l)))
-        spots = [(k - 1, 0, c_plus), (k, 1, c_minus)]
-        if not up and k == 0:
-            spots = spots[1:]
-        if up and 2 * k + 4 * l == 0:
-            spots = spots[:1]
-    for kk, sp, c in spots:
-        inner = _inner_index(M, twol, mu, kk)
-        if inner is None:
-            raise IndexError(
-                f"basis-change component ({mu},{kk}) outside internal size")
-        v[_slot(inner, sp)] = c / denom
-    return v
-
-
-@dataclass
-class BasisChange:
+class BasisChange(NamedTuple):
     """Isometries from the two neighbouring double-space layouts into
-    (double space at l) x C^2, with the summand projections."""
+    (double space at l) x C^2, the summand projections, and the tensor slots
+    the two families span (all but each summand's top spin-plus slot)."""
 
-    p: QParams
-    l: float
-    M: int
-    N_new: int = field(init=False)
-    W_up: np.ndarray = field(init=False)
-    W_down: np.ndarray = field(init=False)
-    p_up: np.ndarray = field(init=False)
-    p_down: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        p, l, M = self.p, self.l, self.M
-        twol = int(2 * l)
-        N = M - 1
-        self.N_new = N
-
-        def columns(which, minus_ks, plus_ks):
-            cols = [_bc_vector(p, l, which, "-", k, M) for k in minus_ks]
-            cols += [_bc_vector(p, l, which, "+", k, M) for k in plus_ks]
-            return np.column_stack(cols)
-
-        # window-aligned isometries, ordered like the target double layout
-        self.W_up = columns(
-            1, range(N), range(-(twol + 1), N - 1 - twol))
-        self.W_down = columns(
-            -1, range(N), range(-(twol - 1), N + 1 - twol))
-        # projections from every available column
-        all_up = columns(1, range(M - 1), range(-(twol + 1), M - 1 - twol))
-        all_down = columns(-1, range(M), range(-(twol - 1), M - twol))
-        self.p_up = all_up @ all_up.conj().T
-        self.p_down = all_down @ all_down.conj().T
-
-    def covered_indices(self) -> np.ndarray:
-        """Tensor slots spanned by the two families together (everything but
-        the top spin-plus slot of each summand)."""
-        M = self.M
-        cut = {_slot(M - 1, 0), _slot(2 * M - 1, 0)}
-        return np.array([i for i in range(4 * M) if i not in cut])
+    N_new: int
+    W_up: np.ndarray
+    W_down: np.ndarray
+    p_up: np.ndarray
+    p_down: np.ndarray
+    covered: np.ndarray
 
 
 def basis_change(p: QParams, l, M: int) -> BasisChange:
+    """Each family is one Casimir branch at x = 2l: the minus eigenvectors on
+    tensor slots [0, 2M) and the plus ones on [2M, 4M), since bl(l)'s "+"
+    summand is podles(2l)'s plus series with labels moved up by 2l.  W_up and
+    W_down keep the leading M-1 of each; the projections use all."""
     if l < 0 or (2 * l) != int(2 * l):
         raise ValueError(f"l must be a nonnegative half-integer, got {l}")
-    return BasisChange(p, l, M)
+    N = M - 1
 
+    def family(branch):
+        minus, plus = (eigvec_columns(p, 2 * l, sign, branch, M)
+                       for sign in ("minus", "plus"))
+        k = minus.shape[1]
+        full = np.zeros((4 * M, k + plus.shape[1]), dtype=np.complex128)
+        full[:2 * M, :k] = minus
+        full[2 * M:, k:] = plus
+        return full[:, np.r_[:N, k:k + N]], full @ full.conj().T
 
-def _spin_unit(row: int, col: int) -> np.ndarray:
-    E = np.zeros((2, 2), dtype=np.complex128)
-    E[row, col] = 1.0
-    return E
+    (W_up, p_up), (W_down, p_down) = family(1), family(-1)
+    half = covered_indices(M)
+    return BasisChange(N, W_up, W_down, p_up, p_down,
+                       np.concatenate([half, half + 2 * M]))
 
 
 def a0_block(p: QParams, l, branch: int, M: int):
@@ -171,7 +103,6 @@ def a0_block(p: QParams, l, branch: int, M: int):
     branch=+1 targets level l+1/2, branch=-1 (l>0 only) targets l-1/2.
     """
     q = p.q
-    twol = int(2 * l)
     if branch == -1 and l == 0:
         raise ValueError("the downward block needs l > 0")
     rep = rep_bl(p, l, M)
@@ -194,11 +125,15 @@ def a0_block(p: QParams, l, branch: int, M: int):
         Bpm = -(q ** (2 * l)) * Am1
         Bmp = q ** (2 * l) * Ap1
         Bmm = A0
-    # the normalized splitting vectors force an overall 1/(1+q^(4l)); with it
-    # the compression reproduces the neighbour-level generator exactly
-    block = (np.kron(Bpp, _spin_unit(0, 0)) + np.kron(Bpm, _spin_unit(0, 1))
-             + np.kron(Bmp, _spin_unit(1, 0)) + np.kron(Bmm, _spin_unit(1, 1))
-             ) / (1 + q ** (4 * l))
+    # slot 2j+s carries spin s, so B_ij fills rows i::2, columns j::2 (added
+    # onto zeros: no entry is a negative zero).  The normalized splitting
+    # vectors force an overall 1/(1+q^(4l)); with it the compression
+    # reproduces the neighbour-level generator exactly
+    block = np.zeros((4 * M, 4 * M), dtype=np.complex128)
+    for (i, j), B in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
+                         (Bpp, Bpm, Bmp, Bmm)):
+        block[i::2, j::2] += B
+    block /= 1 + q ** (4 * l)
 
     bc = basis_change(p, l, M)
     W_right = bc.W_up if branch == 1 else bc.W_down
@@ -238,7 +173,7 @@ def basis_change_checks(p: QParams, l, M: int) -> dict:
     for name, W in (("up", bc.W_up), ("down", bc.W_down)):
         gram = W.conj().T @ W
         out[f"orthonormal_{name}"] = max_abs(gram - np.eye(gram.shape[0]))
-    cov = bc.covered_indices()
+    cov = bc.covered
     total = (bc.p_up + bc.p_down)[np.ix_(cov, cov)]
     out["completeness"] = max_abs(total - np.eye(len(cov)))
     return out
@@ -271,8 +206,9 @@ def rp2_suite(p: QParams, N: int) -> dict:
     out["antipodal_conjugation"] = conj
 
     bc = basis_change(p, 0, M)
-    A0t = np.kron(A0, np.eye(2, dtype=np.complex128))
-    cov = bc.covered_indices()
+    A0t = np.zeros((4 * M, 4 * M), dtype=np.complex128)
+    A0t[0::2, 0::2] = A0t[1::2, 1::2] = A0   # A0 x I on the tensor slots
+    cov = bc.covered
     swap = (A0t @ bc.p_up @ A0t - bc.p_down)[np.ix_(cov, cov)]
     out["projection_swap"] = max_abs(swap)
 

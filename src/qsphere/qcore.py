@@ -6,7 +6,6 @@ The derived constant lam = (q - 1/q)^-1 is negative on that range.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,8 +33,6 @@ class QParams:
 
 def tau(p: QParams, x: float) -> float:
     """q^-x - q^x.  Total on [-inf, +inf]; strictly increasing, odd in x."""
-    if math.isinf(x):
-        return math.inf if x > 0 else -math.inf
     return p.q ** (-x) - p.q**x
 
 
@@ -43,19 +40,9 @@ def q_pochhammer(a: complex, base: float, r) -> complex:
     """prod_{k=0}^{r-1} (1 - base^k a); the empty product (r=0) is 1.
 
     The base is explicit because downstream formulas mix base q and base q^2.
-    r = math.inf truncates once |base^k a| drops below machine epsilon.
     """
-    if r == math.inf:
-        out = 1.0
-        term = complex(a)
-        k = 0
-        while abs(term) > 1e-17 and k < 10000:
-            out *= 1.0 - term
-            term *= base
-            k += 1
-        return out
-    if r < 0 or r != int(r):
-        raise ValueError(f"finite r must be a nonnegative integer, got {r}")
+    if r < 0 or r % 1:   # inf % 1 is nan, so r = inf is refused too
+        raise ValueError(f"r must be a nonnegative integer, got {r}")
     out = 1.0
     term = complex(a)
     for _ in range(int(r)):
@@ -63,8 +50,3 @@ def q_pochhammer(a: complex, base: float, r) -> complex:
         term *= base
     return out
 
-
-def casimir_eigenvalues(p: QParams, x: float) -> tuple[float, float]:
-    """The two-point spectrum (tau(x-1), tau(x+1)), ascending."""
-    lo, hi = tau(p, x - 1.0), tau(p, x + 1.0)
-    return (lo, hi) if lo <= hi else (hi, lo)

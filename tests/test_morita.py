@@ -231,7 +231,7 @@ def test_basis_change_matches_reference_bits():
                 for name in ("W_up", "W_down", "p_up", "p_down"):
                     got = getattr(bc, name)
                     assert got.tobytes() == ref[name].tobytes(), (q, l, M, name)
-                cov = bc.covered_indices()
+                cov = bc.covered
                 assert cov.tobytes() == ref["covered"].tobytes(), (q, l, M)
                 # A(+-1) exist from l = 1/2, and the level l + 1/2 needs
                 # M - 1 >= 4(l + 1/2) + 4

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qsphere.qcore import QParams, casimir_eigenvalues, q_pochhammer, tau
+from qsphere.qcore import QParams, q_pochhammer, tau
 
 
 P5 = QParams(0.5)
@@ -76,25 +76,8 @@ def test_pochhammer_recurrence():
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
-def test_pochhammer_infinite_matches_long_finite():
-    a, base = 0.6, 0.25
-    assert q_pochhammer(a, base, math.inf) == pytest.approx(
-        q_pochhammer(a, base, 200), rel=1e-14)
 
-
-def test_casimir_eigenvalues_examples():
-    lo, hi = casimir_eigenvalues(P5, 1.0)
-    assert lo == pytest.approx(0.0, abs=1e-15)
-    assert hi == pytest.approx(3.75, abs=1e-15)
-    lo, hi = casimir_eigenvalues(P5, 0.0)
-    assert (lo, hi) == pytest.approx((-1.5, 1.5), abs=1e-15)
-
-
-def test_casimir_eigenvalues_are_tau_pair_and_ordered():
-    for q in (0.3, 0.5, 0.8):
-        p = QParams(q)
-        for x in (-2.2, 0.0, 0.35, 1.0, 2.5):
-            lo, hi = casimir_eigenvalues(p, x)
-            assert lo == pytest.approx(tau(p, x - 1), abs=1e-13)
-            assert hi == pytest.approx(tau(p, x + 1), abs=1e-13)
-            assert hi - lo > 0
+def test_pochhammer_refuses_non_integer_r():
+    for r in (-1, 2.5, math.inf):
+        with pytest.raises(ValueError):
+            q_pochhammer(0.5, 0.25, r)
