@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qsphere.qcore import QParams
@@ -116,6 +118,56 @@ def test_bl0_a_square_rule_is_unit():
     pres = make_presentation("bl", P, l=0)
     rule = {r.name: r for r in pres.rules}["A(0)*A(0)"]
     assert rule.rhs == {(): 1.0}
+
+
+def _rule_table_text(pres):
+    """Every rule (name, lhs, rhs coefficients as hex, recipe, defining) in
+    priority order, with the generators, grading, weights and precedence."""
+    rules = [(r.name, r.lhs, [(w, c.hex()) for w, c in r.rhs.items()],
+              r.recipe, r.defining) for r in pres.rules]
+    return repr((pres.generators, rules, list(pres.grading.items()),
+                 list(pres.weights.items()), list(pres.prec.items())))
+
+
+# SHA-256 of _rule_table_text per (q, presentation, parameters)
+_RULE_TABLE_DIGESTS = {
+    (0.3, "uqsu2", None):
+        "04014abded45dbe1a3c53583c6c82a8885e4ed4756d2842d6dc7570df7b102ae",
+    (0.3, "uqmp", None):
+        "c216bb4fd91ef78393910a90e7196e89c9678e06849dc531288ad21399956039",
+    (0.3, "podles", 0.35):
+        "4015658a5b0351e6e606e02ca26aebc7be2b1e0e3e343a4aa86a173ac7bad6ef",
+    (0.3, "podles", 2.5):
+        "05196c617b0e13869e17d076b0ef11d745c382d78e9cc2445979202ba868ec98",
+    (0.3, "bl", 0):
+        "8f9f72039727140a58fc5c9597faa29f0399e738fd0c58d345345bbaf7ed6a9b",
+    (0.3, "bl", 0.5):
+        "e39c35f6fbe8c982b937ac47f79e3a2c9844cb1f65073e119fac4271dd3b4e1d",
+    (0.3, "bl", 1.5):
+        "ae8d6bf2cd42aed010ec414d260df1891a149b20e7fbea44215437e1784f01f2",
+    (0.5, "uqsu2", None):
+        "c28a998d4464767bd305224b7f4d0f34e0c29502f10418997982f392adf988db",
+    (0.5, "uqmp", None):
+        "4a632a46fa6cb53b0e7f40a97c2f40648c2984f63fb59d4561305a2f9e95fa7b",
+    (0.5, "podles", 0.35):
+        "85d9fa1155ed7448adb81812ffc15de10f355e562ff7913571cf431c279ea984",
+    (0.5, "podles", 2.5):
+        "2ae2922e32436e50ed9f62de930f8065ff18c336c2b1638ab5c25f097ff547e1",
+    (0.5, "bl", 0):
+        "7bd26d73aa02a3c93c88ef1b349a797134edf842ce7bb5741d2155ae96d616ff",
+    (0.5, "bl", 0.5):
+        "dc2b4708032643195ab2f6f83af3b53edb1aebbad4d244916a56504a86e33dda",
+    (0.5, "bl", 1.5):
+        "be1546a0cdb50dccec75b37727da75b59108b8c9a502441139f42fa6f778a369",
+}
+
+
+def test_rule_tables_match_reference_bits():
+    for (q, name, arg), digest in _RULE_TABLE_DIGESTS.items():
+        kwargs = {"podles": {"x": arg}, "bl": {"l": arg}}.get(name, {})
+        pres = make_presentation(name, QParams(q), **kwargs)
+        text = _rule_table_text(pres).encode()
+        assert hashlib.sha256(text).hexdigest() == digest, (q, name, arg)
 
 
 def test_make_presentation_rejects_bad_parameters():
