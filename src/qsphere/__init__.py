@@ -15,9 +15,7 @@ from .ncalg import (
     normal_form,
     parse,
     format_poly,
-    star,
     grade,
-    sigma,
     basis_words,
     is_basis_word,
     random_words,

@@ -29,6 +29,7 @@ from .reps import (
     mp_magnitude,
     path_table,
     rep_bl,
+    rep_podles,
     segment_path,
     step_tables,
     walk_diagonal,
@@ -123,12 +124,11 @@ def spin2l_check(p: QParams, l, N: int) -> dict:
     return out
 
 
-def casimir_invariance(p: QParams, x: float, sign: str, N: int) -> dict:
-    """Residuals of ad_K(T2)=T2, ad_E(T2)=0, ad_F(T2)=0 on the tensor window,
-    the implementer being the tensored representation itself."""
-    from .reps import rep_podles  # local import keeps module load order simple
-    variant = "plus" if sign in (1, "+", "plus") else "minus"
-    rep2 = TensorRep(rep_podles(p, x, variant, N))
+def casimir_invariance(p: QParams, x: float, N: int) -> dict:
+    """Residuals of ad_K(T2)=T2, ad_E(T2)=0, ad_F(T2)=0 on the tensor window
+    of the plus series, the implementer being the tensored representation
+    itself."""
+    rep2 = TensorRep(rep_podles(p, x, "plus", N))
     tw = [(1.0, [("T", False)])]
     q = p.q
     return {

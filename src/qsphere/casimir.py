@@ -29,26 +29,22 @@ SPECTRUM_MASS_TOL = 1e-10
 
 
 def _norm_sign(sign) -> int:
-    if sign in (1, "+", "plus"):
-        return 1
-    if sign in (-1, "-", "minus"):
-        return -1
-    raise ValueError(f"sign must be plus or minus, got {sign!r}")
+    if sign not in ("plus", "minus"):
+        raise ValueError(f"sign must be plus or minus, got {sign!r}")
+    return 1 if sign == "plus" else -1
 
 
 def _norm_branch(branch) -> int:
-    if branch in (1, "+", "plus", "x+1"):
-        return 1
-    if branch in (-1, "-", "minus", "x-1"):
-        return -1
-    raise ValueError(f"branch must be +1 or -1, got {branch!r}")
+    if branch not in (1, -1):
+        raise ValueError(f"branch must be +1 or -1, got {branch!r}")
+    return branch
 
 
 def casimir_matrix(p: QParams, x: float, sign, N: int) -> np.ndarray:
     """Casimir image on the tensor window (2N x 2N).  It is a sum of
     weighted shifts, so each window entry is the infinite operator's."""
-    variant = "plus" if _norm_sign(sign) == 1 else "minus"
-    return TensorRep(rep_podles(p, x, variant, N)).matrix("T", N)
+    _norm_sign(sign)   # a series, not their direct sum
+    return TensorRep(rep_podles(p, x, sign, N)).matrix("T", N)
 
 
 def branch_indices(sign, branch, N: int) -> range:
@@ -69,7 +65,7 @@ def closed_form_eigvec(p: QParams, x: float, sign, branch, k: int,
     e_j x e_-).
     """
     sgn, br = _norm_sign(sign), _norm_branch(branch)
-    if k not in branch_indices(sgn, br, N):
+    if k not in branch_indices(sign, branch, N):
         raise ValueError(f"k={k} outside the branch range at N={N}")
     q = p.q
     qx = q**x
@@ -132,12 +128,11 @@ def compress_identify(p: QParams, x: float, sign, branch, N: int):
 
     Returns (compressed representation, residual report).
     """
-    sgn, br = _norm_sign(sign), _norm_branch(branch)
-    variant = "plus" if sgn == 1 else "minus"
-    rep2 = TensorRep(rep_podles(p, x, variant, N))
-    U = eigvec_columns(p, x, sgn, br, N)
+    br = _norm_branch(branch)
+    rep2 = TensorRep(rep_podles(p, x, sign, N))
+    U = eigvec_columns(p, x, sign, branch, N)
     K = U.shape[1]
-    target = rep_podles(p, x + br, variant, K)
+    target = rep_podles(p, x + br, sign, K)
     compressed = {}
     residuals = {}
     for g in ("X", "Y", "Z", "Zi"):
@@ -149,21 +144,19 @@ def compress_identify(p: QParams, x: float, sign, branch, N: int):
             # entrywise relative to their size
             diff = diff / (1.0 + np.abs(target.matrix(g, K)))
         residuals[f"generator_{g}"] = float(diff.max())
-    T2 = casimir_matrix(p, x, sgn, N)
+    T2 = casimir_matrix(p, x, sign, N)
     Tc = U.conj().T @ T2 @ U
     compressed["T"] = Tc
     tval = tau(p, x + br)
     residuals["t_scalar"] = max_abs(Tc - tval * np.eye(K))
 
-    crep = MatrixRep(compressed, N=max(4, K - 8), pad=2,
-                     meta={"q": p.q, "x": x + br, "variant": variant,
-                           "kind": "compressed"})
+    crep = MatrixRep(compressed, N=max(4, K - 8), pad=2)
     pres = make_presentation("podles", p, x=x + br)
     rel = relation_check(pres, crep)
     residuals["relations"] = max_or_nan(*rel.values())
 
     zdiag = np.diag(compressed["Z"]).real
-    if sgn == 1:
+    if sign == "plus":
         gaps = np.diff(np.sort(zdiag))
         residuals["z_positive_distinct"] = (
             0.0 if (zdiag.min() > 0 and gaps.min() > 0) else 1.0)

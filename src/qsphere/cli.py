@@ -82,6 +82,8 @@ SLOPE_MARGIN = 0.2
 # the --l at which `all` runs each suite that takes one
 ALL_L = {"relations": 1.0, "theta": 1.0, "functional": 0.5, "ergodic": 0.0,
          "theorem2": 0.5, "oracle": 0.5}
+# the --x at which `all` runs casimir and compress
+ALL_COMPRESS_X = 0.7
 
 
 def _params(p, **extra):
@@ -112,7 +114,7 @@ def suite_relations(p, x, l, N, tol, algs, dump=None):
             rep = rep_bl(p, l, N)
         elif alg == "uqsu2":
             pres = make_presentation("uqsu2", p)
-            rep = MatrixRep(spin_half(p), N=2, pad=0, meta={"q": p.q})
+            rep = MatrixRep(spin_half(p), N=2, pad=0)
         else:
             raise ValueError(f"unknown algebra {alg!r}")
         residuals = relation_check(pres, rep)
@@ -166,7 +168,7 @@ def suite_casimir(p, x, N, dump=None):
                 float(dist.max()) if dist.size else math.inf, TOL_SPECTRUM)
         if dump:
             dump_matrix(T2, f"{dump}.casimir.{sign}.txt")
-    inv = casimir_invariance(p, x, "plus", N)
+    inv = casimir_invariance(p, x, N)
     for g, r in inv.items():
         rpt.add(f"invariance_{g}", r, TOL_COMPLETENESS)
     return [rpt]
@@ -463,6 +465,15 @@ def _input_error(args):
         at = f" at --l {args.l:g}" if args.command in ALL_L else ""
         return (f"--N must be at least {need} for {args.command}{at}, "
                 f"got {args.N}")
+    if args.command in ("compress", "all"):
+        # compress's largest float entry is the tensor Zi at label N-1,
+        # q^-(2N-1+|x|), times the spin factor q^-1
+        x = ALL_COMPRESS_X if args.command == "all" else args.x
+        try:
+            args.q ** -(2 * args.N + abs(x))
+        except OverflowError:
+            return (f"compress at --q {args.q:g}, --x {x:g}, --N {args.N}: "
+                    "q^-(2N+|x|) overflows float64")
     return None
 
 
@@ -535,8 +546,8 @@ def _suites(args, p) -> list:
     elif cmd == "all":
         reports += suite_relations(p, 1.0, ALL_L["relations"], args.N,
                                    TOL_RELATIONS, ["podles", "uqmp", "bl"])
-        reports += suite_casimir(p, 0.7, args.N)
-        reports += suite_compress(p, 0.7, args.N)
+        reports += suite_casimir(p, ALL_COMPRESS_X, args.N)
+        reports += suite_compress(p, ALL_COMPRESS_X, args.N)
         reports += suite_theta(p, ALL_L["theta"], args.N)
         reports += suite_functional(p, 1.0, ALL_L["functional"], args.N)
         try:

@@ -122,13 +122,6 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def close_to(self, other: "NCPoly", tol: float = 1e-9) -> bool:
-        words = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(w, 0.0) - other.terms.get(w, 0.0)) <= tol
-            for w in words
-        )
-
     def __repr__(self):
         return f"NCPoly({format_poly(self)})"
 
@@ -143,7 +136,7 @@ class NCPoly:
 # acts first).  Recipes let relation checks evaluate product-form right-hand
 # sides without expanding them, which matters for conditioning.
 
-def zf(sign: int, n: float, m: int = 0):
+def zf(sign: int, n: float, m: int):
     return ("zf", sign, n, m)
 
 
@@ -153,7 +146,6 @@ class Rule:
     rhs: dict
     name: str
     recipe: Optional[tuple] = None
-    exempt: bool = False    # skipped by the order check (e.g. T-elimination)
     defining: bool = True   # False: rewriting aid derived from defining ones
 
 
@@ -161,7 +153,6 @@ class Rule:
 class Presentation:
     name: str
     generators: tuple
-    star_map: dict      # gen -> (sign, word)
     rules: tuple        # ordered by priority
     grading: dict       # gen -> (int degree, parity 0/1)
     params: QParams
@@ -206,8 +197,6 @@ def _check_rules(pres: Presentation):
         for w, c in rule.rhs.items():
             if grade(w, pres) != lg:
                 raise AssertionError(f"rule {rule.name} breaks the grading")
-        if rule.exempt:
-            continue
         lk = pres.order_key(rule.lhs)
         for w in rule.rhs:
             if not pres.order_key(w) < lk:
@@ -228,8 +217,7 @@ def _zpoly(factors) -> dict:
 
 
 def make_presentation(name: str, p: QParams, x: Optional[float] = None,
-                      l=None, extended: bool = False,
-                      eliminate_t: bool = False) -> Presentation:
+                      l=None) -> Presentation:
     """Build one of the four presentations with its oriented rule set."""
     q = p.q
     X, Y, Z, Zi, T = "X", "Y", "Z", "Zi", "T"
@@ -246,11 +234,9 @@ def make_presentation(name: str, p: QParams, x: Optional[float] = None,
             Rule(("E", "F"), {("F", "E"): 1.0, ("K",): lam, ("Ki",): -lam},
                  "E*F"),
         )
-        star = {"E": (1, ("Ki", "F")), "F": (1, ("E", "K")),
-                "K": (1, ("K",)), "Ki": (1, ("Ki",))}
         grading = {"E": (1, 0), "F": (-1, 0), "K": (0, 0), "Ki": (0, 0)}
         weights, prec = _weights_and_prec(gens)
-        pres = Presentation(name, gens, star, rules, grading, p,
+        pres = Presentation(name, gens, rules, grading, p,
                             weights=weights, prec=prec)
         _check_rules(pres)
         return pres
@@ -259,43 +245,23 @@ def make_presentation(name: str, p: QParams, x: Optional[float] = None,
         if x is not None:
             raise ValueError("uqmp takes no x; the Casimir T stays symbolic")
         gens = (X, Y, Z, Zi, T)
-        rules = []
-        if eliminate_t:
-            # T is substituted away up front; the XY/YX pair is then replaced
-            # by its T-free consequence XY = q^2 YX + (1-q^2)(1+Z^2), since
-            # keeping the T-producing rules would cycle.
-            rules.append(Rule(
-                (T,),
-                {(Zi, X, Y): 1 / q, (Zi,): -1 / q, (Zi, Z, Z): q},
-                "T", exempt=True, defining=False))
-        rules += [
+        rules = (
             Rule((Z, Zi), {(): 1.0}, "Z*Zi"),
             Rule((Zi, Z), {(): 1.0}, "Zi*Z"),
             Rule((X, Z), {(Z, X): q**2}, "X*Z"),
             Rule((Y, Z), {(Z, Y): q**-2}, "Y*Z"),
             Rule((X, Zi), {(Zi, X): q**-2}, "X*Zi", defining=False),
             Rule((Y, Zi), {(Zi, Y): q**2}, "Y*Zi", defining=False),
-        ]
-        if eliminate_t:
-            rules.append(Rule(
-                (X, Y),
-                {(Y, X): q**2, (): 1 - q**2, (Z, Z): 1 - q**2},
-                "X*Y", defining=False))
-        else:
-            rules += [
-                Rule((T, Z), {(Z, T): 1.0}, "T*Z", defining=False),
-                Rule((T, Zi), {(Zi, T): 1.0}, "T*Zi", defining=False),
-                Rule((X, T), {(T, X): 1.0}, "X*T", defining=False),
-                Rule((Y, T), {(T, Y): 1.0}, "Y*T", defining=False),
-                Rule((X, Y), {(): 1.0, (T, Z): q, (Z, Z): -(q**2)}, "X*Y"),
-                Rule((Y, X), {(): 1.0, (T, Z): 1 / q, (Z, Z): -(q**-2)},
-                     "Y*X"),
-            ]
-        star = {X: (1, (Y,)), Y: (1, (X,)), Z: (1, (Z,)),
-                Zi: (1, (Zi,)), T: (1, (T,))}
+            Rule((T, Z), {(Z, T): 1.0}, "T*Z", defining=False),
+            Rule((T, Zi), {(Zi, T): 1.0}, "T*Zi", defining=False),
+            Rule((X, T), {(T, X): 1.0}, "X*T", defining=False),
+            Rule((Y, T), {(T, Y): 1.0}, "Y*T", defining=False),
+            Rule((X, Y), {(): 1.0, (T, Z): q, (Z, Z): -(q**2)}, "X*Y"),
+            Rule((Y, X), {(): 1.0, (T, Z): 1 / q, (Z, Z): -(q**-2)}, "Y*X"),
+        )
         grading = {X: (-1, 0), Y: (1, 0), Z: (0, 0), Zi: (0, 0), T: (0, 0)}
         weights, prec = _weights_and_prec(gens)
-        pres = Presentation(name, gens, star, tuple(rules), grading, p,
+        pres = Presentation(name, gens, rules, grading, p,
                             weights=weights, prec=prec)
         _check_rules(pres)
         return pres
@@ -304,29 +270,18 @@ def make_presentation(name: str, p: QParams, x: Optional[float] = None,
         if x is None or not math.isfinite(x):
             raise ValueError("podles needs a finite real x")
         t = tau(p, x)
-        gens = (X, Y, Z) + ((Zi,) if extended else ())
-        rules = []
-        if extended:
-            rules += [
-                Rule((Z, Zi), {(): 1.0}, "Z*Zi"),
-                Rule((Zi, Z), {(): 1.0}, "Zi*Z"),
-                Rule((X, Zi), {(Zi, X): q**-2}, "X*Zi", defining=False),
-                Rule((Y, Zi), {(Zi, Y): q**2}, "Y*Zi", defining=False),
-            ]
-        rules += [
+        gens = (X, Y, Z)
+        rules = (
             Rule((X, Z), {(Z, X): q**2}, "X*Z"),
             Rule((Y, Z), {(Z, Y): q**-2}, "Y*Z"),
             Rule((X, Y), {(): 1.0, (Z,): q * t, (Z, Z): -(q**2)}, "X*Y",
                  recipe=((1, 0, 0), (zf(1, 1, 1), zf(-1, 1, -1)))),
             Rule((Y, X), {(): 1.0, (Z,): t / q, (Z, Z): -(q**-2)}, "Y*X",
                  recipe=((1, 0, 0), (zf(1, -1, 1), zf(-1, -1, -1)))),
-        ]
-        star = {X: (1, (Y,)), Y: (1, (X,)), Z: (1, (Z,))}
-        if extended:
-            star[Zi] = (1, (Zi,))
+        )
         grading = {X: (-1, 0), Y: (1, 0), Z: (0, 0), Zi: (0, 0)}
         weights, prec = _weights_and_prec(gens)
-        pres = Presentation(name, gens, star, tuple(rules), grading, p, x=x,
+        pres = Presentation(name, gens, rules, grading, p, x=x,
                             weights=weights, prec=prec)
         _check_rules(pres)
         return pres
@@ -407,14 +362,11 @@ def make_presentation(name: str, p: QParams, x: Optional[float] = None,
                 rules.append(Rule(
                     (A, Ap), rhs, f"A({s})*A({sp})",
                     recipe=((int(sign), 0, 0), items)))
-        star = {X: (1, (Y,)), Y: (1, (X,)), Z: (1, (Z,))}
-        for s in range(-twol, twol + 1):
-            star[a_gen(s)] = ((-1) ** s, (a_gen(-s),))
         grading = {X: (-1, 0), Y: (1, 0), Z: (0, 0)}
         for s in range(-twol, twol + 1):
             grading[a_gen(s)] = (s, 1)
         weights, prec = _weights_and_prec(gens, twol)
-        pres = Presentation(name, gens, star, tuple(rules), grading, p, l=l,
+        pres = Presentation(name, gens, tuple(rules), grading, p, l=l,
                             weights=weights, prec=prec)
         _check_rules(pres)
         return pres
@@ -426,9 +378,9 @@ def make_presentation(name: str, p: QParams, x: Optional[float] = None,
 # operations
 # ---------------------------------------------------------------------------
 
-def normal_form(poly: NCPoly, pres: Presentation,
-                cap: int = ITERATION_CAP) -> NCPoly:
-    """Reduce until no rule applies.
+def normal_form(poly: NCPoly, pres: Presentation) -> NCPoly:
+    """Reduce until no rule applies, raising RewriteCapError after
+    ITERATION_CAP (read at call time) rewriting steps.
 
     Deterministic strategy: largest reducible word first; within a word,
     rules in priority order, leftmost occurrence.
@@ -446,9 +398,9 @@ def normal_form(poly: NCPoly, pres: Presentation,
             return NCPoly(terms)
         w, rule, i = hit
         steps += 1
-        if steps > cap:
+        if steps > ITERATION_CAP:
             raise RewriteCapError(
-                f"iteration cap {cap} exceeded in {pres.name} "
+                f"iteration cap {ITERATION_CAP} exceeded in {pres.name} "
                 f"(stuck near {word_name(w)})")
         c = terms.pop(w)
         pre, suf = w[:i], w[i + len(rule.lhs):]
@@ -461,21 +413,6 @@ def normal_form(poly: NCPoly, pres: Presentation,
                 del terms[nw]
 
 
-def star(poly: NCPoly, pres: Presentation) -> NCPoly:
-    """Reverse words, star each generator, conjugate coefficients."""
-    out: dict = {}
-    for w, c in poly.terms.items():
-        sign = 1
-        letters: list = []
-        for g in reversed(w):
-            s, gw = pres.star_map[g]
-            sign *= s
-            letters.extend(gw)
-        nw = tuple(letters)
-        out[nw] = out.get(nw, 0.0) + sign * c.conjugate()
-    return NCPoly(out)
-
-
 def grade(word: Word, pres: Presentation) -> tuple[int, int]:
     d = par = 0
     for g in word:
@@ -483,20 +420,6 @@ def grade(word: Word, pres: Presentation) -> tuple[int, int]:
         d += gd
         par ^= gp
     return (d, par)
-
-
-_SIGMA_GENS = {"X", "Y", "Z", "Zi", "T"}
-
-
-def sigma(poly: NCPoly) -> NCPoly:
-    """Generator-wise sign flip on X, Y, Z, Zi, T (multiplicative extension)."""
-    out = {}
-    for w, c in poly.terms.items():
-        for g in w:
-            if g not in _SIGMA_GENS:
-                raise ValueError(f"sigma undefined on generator {gen_name(g)}")
-        out[w] = c * ((-1) ** len(w))
-    return NCPoly(out)
 
 
 # ---------------------------------------------------------------------------

@@ -153,14 +153,14 @@ class LabelRep:
     inverse Zi are built from `zexp`, the one source of that power.
     """
 
-    def __init__(self, families, steps, zexps, gens, N: int, pad: int, meta: dict):
+    def __init__(self, families, steps, zexps, gens, N: int, meta: dict):
         self.families = tuple(families)
         self._steps = {**steps, **_z_steps(zexps)}  # gen -> move, see step()
         self._zexps = zexps      # dict fam -> fn(k) -> (sign, n, m)
         self.gens = tuple(gens)
         self.N = N
-        self.pad = pad
-        self.meta = dict(meta)
+        self.pad = 2             # labels padded per unit of poly_allowance
+        self.meta = meta         # "q" and "x", read by the step contexts
         self._shift_cache: dict = {}
         self._mat_cache: dict = {}
         self._walk_memos: dict = {}  # mp context -> _SegmentTables
@@ -313,8 +313,7 @@ def _podles_family_steps(rep_sign: int):
     return {"X": X, "Y": Y, "T": T}, zexp
 
 
-def rep_podles(p: QParams, x: float, variant: str, N: int,
-               pad: int = 2) -> LabelRep:
+def rep_podles(p: QParams, x: float, variant: str, N: int) -> LabelRep:
     """Truncation of the irreducible series representations.
 
     variant: plus | minus | direct_sum (minus + plus summands).
@@ -323,7 +322,6 @@ def rep_podles(p: QParams, x: float, variant: str, N: int,
         raise ValueError("N must be at least 4")
     plus_steps, plus_z = _podles_family_steps(+1)
     minus_steps, minus_z = _podles_family_steps(-1)
-    meta = {"q": p.q, "x": x, "variant": variant, "kind": "podles"}
     if variant in ("plus", "minus"):
         fam_steps = {"s": plus_steps if variant == "plus" else minus_steps}
         fam_z = {"s": plus_z if variant == "plus" else minus_z}
@@ -341,18 +339,17 @@ def rep_podles(p: QParams, x: float, variant: str, N: int,
         return step
 
     steps = {g: make_step(g) for g in ("X", "Y", "T")}
-    return LabelRep(families, steps, fam_z, ("X", "Y", "Z", "Zi", "T"),
-                    N, pad, meta)
+    return LabelRep(families, steps, fam_z, ("X", "Y", "Z", "Zi", "T"), N,
+                    {"q": p.q, "x": x})
 
 
-def rep_bl(p: QParams, l, N: int, pad: int = 2) -> LabelRep:
+def rep_bl(p: QParams, l, N: int) -> LabelRep:
     """Truncation of the banded representation of the bl(l) algebra."""
     if l is None or l < 0 or (2 * l) != int(2 * l):
         raise ValueError(f"l must be a nonnegative half-integer, got {l}")
     twol = int(2 * l)
     if N < 4 * l + 4:
         raise ValueError(f"N must be at least 4l+4 = {4 * l + 4}")
-    meta = {"q": p.q, "x": float(twol), "l": l, "kind": "bl"}
 
     def X(fam, k, ctx):
         if fam == "+":
@@ -397,7 +394,8 @@ def rep_bl(p: QParams, l, N: int, pad: int = 2) -> LabelRep:
         gens.append(("A", s))
     zexps = {"-": lambda k: (-1, 2 * k + twol + 1, 0),
              "+": lambda k: (1, 2 * k + twol + 1, 0)}
-    return LabelRep((("-", 0), ("+", -twol)), steps, zexps, gens, N, pad, meta)
+    return LabelRep((("-", 0), ("+", -twol)), steps, zexps, gens, N,
+                    {"q": p.q, "x": float(twol)})
 
 
 def absorb_sign(rep, M: int, tgt, coef):
@@ -457,8 +455,7 @@ class TensorRep:
         self.absorb_sign = absorb_sign
         self.N = base.N
         self.pad = base.pad
-        self.meta = dict(base.meta)
-        self.meta["tensor"] = True
+        self.meta = base.meta
         self.gens = tuple(g for g in ("X", "Y", "Z", "Zi", "T")
                           if g in base.gens)
         self._mat_cache: dict = {}
@@ -514,18 +511,15 @@ class MatrixRep:
     size, so the usable window is the stored size minus the padding reserve.
     """
 
-    def __init__(self, gens: dict, N: int, pad: int, meta: dict):
+    def __init__(self, gens: dict, N: int, pad: int):
         sizes = {A.shape[0] for A in gens.values()}
         if len(sizes) != 1:
             raise ValueError("generator matrices must share a dimension")
         self.size = sizes.pop()
         self._gens = {g: np.asarray(A, dtype=np.complex128)
                       for g, A in gens.items()}
-        self.gens = tuple(self._gens)
         self.N = N
         self.pad = pad
-        self.meta = dict(meta)
-        self.families = (("s", 0),)
 
     def dim(self, M: int) -> int:
         return M
@@ -994,14 +988,6 @@ def relation_check(pres: Presentation, rep) -> dict:
     return out
 
 
-def walk_combos(rep, combos, label, ctx) -> dict:
-    """Column `label` of sum(coef * product(segments)): {row label: value}."""
-    tables = step_tables(rep, ctx)
-    rows = _combo_column(tables, _compile(tables, combos), label)
-    return {lab: mp.make_mpc(v) if len(v) == 2 else mp.make_mpf(v)
-            for lab, v in rows.items()}
-
-
 def walk_dps(rep, W: int, slack: int = 30) -> int:
     """mpmath digits needed so residuals stay meaningful against the q^(-2k)
     growth of inverse-diagonal entries over the window."""
@@ -1011,12 +997,10 @@ def walk_dps(rep, W: int, slack: int = 30) -> int:
     return int(math.ceil(exponent * math.log10(1.0 / q))) + slack
 
 
-def combos_residual(rep, combos_a, combos_b, W: int,
-                    dps: int = None) -> float:
+def combos_residual(rep, combos_a, combos_b, W: int) -> float:
     """max |combos_a - combos_b| over window columns and rows, walked in mp
-    arithmetic at window-adaptive precision."""
-    if dps is None:
-        dps = walk_dps(rep, W)
+    arithmetic at window-adaptive precision (`walk_dps`)."""
+    dps = walk_dps(rep, W)
     with mp.workdps(dps):
         ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
         tables = step_tables(rep, ctx)

@@ -206,7 +206,7 @@ def test_criterion_08_rewriting_oracle():
         for w in random_words(pres, 200, 6, seed=0):
             poly = NCPoly({w: 1.0})
             try:
-                nf = normal_form(poly, pres, cap=10000)
+                nf = normal_form(poly, pres)
             except RewriteCapError:
                 cap_hits += 1
                 continue

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qsphere
+from qsphere import cli
 from qsphere.cli import run
 from qsphere.qcore import QParams, tau
 from qsphere.reps import load_matrix
@@ -84,6 +85,20 @@ def test_usage_error_exit_code(capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.count("\n") == 1 and flag in out.err, argv
+
+
+def test_overflowing_compress_size_is_refused(capsys):
+    # compress's tensor Zi reaches q^-(2N+|x|): at q = 0.5 and x = 0.7 that
+    # overflows float64 from N = 512 on, and `all` runs compress at x = 0.7
+    for argv in (["compress", "--N", "512"], ["all", "--N", "512"],
+                 ["compress", "--q", "0.05", "--x", "40", "--N", "100"]):
+        assert run(argv + ["--json"]) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and "--N" in out.err, argv
+    for argv in (["compress", "--N", "511"], ["all", "--N", "511"],
+                 ["compress", "--q", "0.05", "--N", "100"]):
+        assert cli._input_error(cli.build_parser().parse_args(argv)) is None
 
 
 def test_all_keeps_reports_when_monomials_are_dependent(capsys):

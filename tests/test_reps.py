@@ -14,8 +14,6 @@ from qsphere.ncalg import (
     normal_form,
     parse,
     random_words,
-    sigma,
-    star,
 )
 from qsphere.reps import (
     FloatCtx,
@@ -35,7 +33,7 @@ from qsphere.reps import (
     rep_podles,
     residual,
     spin_half,
-    walk_combos,
+    walk_dps,
     window_labels,
 )
 
@@ -61,8 +59,7 @@ def test_podles_minus_entries():
 
 def test_podles_zzi_exact_inverse():
     rep = rep_podles(P, 2.5, "direct_sum", 16)
-    out = evaluate(parse("Z*Zi", make_presentation(
-        "podles", P, x=2.5, extended=True)), rep)
+    out = evaluate(parse("Z*Zi", make_presentation("uqmp", P)), rep)
     assert max_abs(out - np.eye(out.shape[0])) < 1.2e-16  # one ulp
 
 
@@ -159,8 +156,9 @@ def test_t_scalar_matches_xyz_expression():
 
 def test_padded_interior_exactness():
     pres = make_presentation("bl", P, l=1)
-    lean = rep_bl(P, 1, 16, pad=2)
-    wide = rep_bl(P, 1, 16, pad=4)
+    lean = rep_bl(P, 1, 16)
+    wide = rep_bl(P, 1, 16)
+    wide.pad = 4
     for w in random_words(pres, 25, 5, seed=21):
         a = evaluate(NCPoly({w: 1.0}), lean)
         b = evaluate(NCPoly({w: 1.0}), wide)
@@ -168,25 +166,34 @@ def test_padded_interior_exactness():
 
 
 def test_sigma_intertwines_plus_minus():
-    pres = make_presentation("uqmp", P)
-    for x in (0.35, 1.7):
-        rep_m = rep_podles(P, x, "minus", 16)
-        rep_p = rep_podles(P, -x, "plus", 16)
-        for w in random_words(pres, 20, 4, seed=31):
-            poly = NCPoly({w: 1.0})
-            a = evaluate(poly, rep_m)
-            b = evaluate(sigma(poly), rep_p)
-            assert max_abs(a - b) < 1e-11, w
+    # the sign link x -> -x: the minus series at x is the plus series at -x
+    # with every generator negated, shift array for shift array (np.array_equal
+    # does not see the sign of a zero)
+    for q in (0.3, 0.5, 0.8):
+        p = QParams(q)
+        for x in (0.35, 1, 2.5, 7.3):
+            rep_m = rep_podles(p, x, "minus", 16)
+            rep_p = rep_podles(p, -x, "plus", 16)
+            for g in ("X", "Y", "Z", "Zi"):
+                for M in (16, 20):
+                    tgt_m, coef_m = rep_m.shift(g, M)
+                    tgt_p, coef_p = rep_p.shift(g, M)
+                    assert np.array_equal(tgt_m, tgt_p), (q, x, g, M)
+                    assert np.array_equal(coef_m, -coef_p), (q, x, g, M)
 
 
 def test_star_is_adjoint_in_representation():
-    pres = make_presentation("bl", P, l=0.5)
-    rep = rep_bl(P, 0.5, 16)
-    for w in random_words(pres, 25, 4, seed=41):
-        poly = NCPoly({w: 1.0 + 0.5j})
-        a = evaluate(star(poly, pres), pres and rep)
-        b = evaluate(poly, rep).conj().T
-        assert max_abs(a - b) < 1e-11
+    # X* = Y, Z* = Z and A(s)* = (-1)^s A(-s) hold as adjoints on the window
+    cases = [(rep_podles(P, 1.3, "direct_sum", 16), ()),
+             (rep_bl(P, 0.5, 16), range(-1, 2)),
+             (rep_bl(P, 1, 16), range(-2, 3))]
+    for rep, spins in cases:
+        pairs = [("X", "Y", 1), ("Y", "X", 1), ("Z", "Z", 1)]
+        pairs += [(a_gen(s), a_gen(-s), (-1) ** s) for s in spins]
+        for g, g_star, sign in pairs:
+            adjoint = evaluate(NCPoly({(g,): 1.0}), rep).conj().T
+            image = evaluate(NCPoly({(g_star,): sign}), rep)
+            assert max_abs(image - adjoint) < 1e-15, (g, rep.meta)
 
 
 def test_basis_monomials_linearly_independent():
@@ -204,10 +211,12 @@ def test_basis_monomials_linearly_independent():
 def test_relation_check_podles_direct_sum():
     for q, x in [(0.3, 0.35), (0.5, 1.0), (0.8, 2.5)]:
         p = QParams(q)
-        pres = make_presentation("podles", p, x=x, extended=True)
         rep = rep_podles(p, x, "direct_sum", 32)
-        res = relation_check(pres, rep)
-        assert max(res.values()) <= 1e-12, (q, x, res)
+        # uqmp adds the Z*Zi and Zi*Z rules
+        for pres in (make_presentation("podles", p, x=x),
+                     make_presentation("uqmp", p)):
+            res = relation_check(pres, rep)
+            assert max(res.values()) <= 1e-12, (q, x, pres.name, res)
 
 
 def test_relation_check_uqmp_via_podles_quotient():
@@ -237,7 +246,7 @@ def test_relation_check_bl0_a_square_tight():
 
 def test_relation_check_uqsu2_on_spin_half():
     pres = make_presentation("uqsu2", P)
-    rep = MatrixRep(spin_half(P), N=2, pad=0, meta={"q": Q})
+    rep = MatrixRep(spin_half(P), N=2, pad=0)
     res = relation_check(pres, rep)
     assert max(res.values()) < 1e-14
 
@@ -280,13 +289,19 @@ def _dense_from_steps(rep, g, M):
     return A
 
 
+def _padded(rep, pad):
+    rep.pad = pad
+    return rep
+
+
 def _engine_cases():
     for variant in ("direct_sum", "minus"):
         yield (make_presentation("podles", P, x=1.3),
-               lambda pad, N=16, v=variant: rep_podles(P, 1.3, v, N, pad=pad))
+               lambda pad, N=16, v=variant: _padded(
+                   rep_podles(P, 1.3, v, N), pad))
     for l in (0.5, 1):
         yield (make_presentation("bl", P, l=l),
-               lambda pad, N=16, l=l: rep_bl(P, l, N, pad=pad))
+               lambda pad, N=16, l=l: _padded(rep_bl(P, l, N), pad))
 
 
 def test_shift_walk_matches_dense_products():
@@ -355,9 +370,18 @@ def test_matrix_dump_roundtrip(tmp_path):
     assert max_abs(A - B) == 0.0
 
 
+def _walk_combos(rep, combos, label, ctx):
+    """Column `label` of sum(coef * product(segments)) from the exact walk
+    kernel, as mpmath numbers: {row label: value}."""
+    tables = reps.step_tables(rep, ctx)
+    rows = reps._combo_column(tables, reps._compile(tables, combos), label)
+    return {lab: mp.make_mpc(v) if len(v) == 2 else mp.make_mpf(v)
+            for lab, v in rows.items()}
+
+
 def _walk_window(rep, combos, ctx, W):
     with mp.workdps(ctx.dps):
-        return {lab: walk_combos(rep, combos, lab, ctx)
+        return {lab: _walk_combos(rep, combos, lab, ctx)
                 for lab in window_labels(rep, W)}
 
 
@@ -551,10 +575,11 @@ def test_combo_kernel_matches_multiplying_walks():
     complex_rows = 0
     for rep, combos in cases:
         x = rep.meta.get("x", 0.0)
-        for ctx in (mp_ctx(Q, x, 50), MPCtx(Q, x, 50)):
+        dps = walk_dps(rep, W)   # the precision combos_residual walks at
+        for ctx in (mp_ctx(Q, x, dps), MPCtx(Q, x, dps)):
             with mp.workdps(ctx.dps):
                 for label in window_labels(rep, W):
-                    got = walk_combos(rep, combos, label, ctx)
+                    got = _walk_combos(rep, combos, label, ctx)
                     want = _reference_walk_combos(rep, combos, label, ctx)
                     assert ({lab: _bits(v) for lab, v in got.items()}
                             == {lab: _bits(v) for lab, v in want.items()})
@@ -562,7 +587,7 @@ def test_combo_kernel_matches_multiplying_walks():
                                         for v in got.values())
                 want = _reference_combos_residual(rep, combos, combos[:1],
                                                   W, ctx)
-        assert combos_residual(rep, combos, combos[:1], W, dps=50) == want
+        assert combos_residual(rep, combos, combos[:1], W) == want
     assert complex_rows > 0
 
 

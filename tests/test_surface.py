@@ -1,0 +1,95 @@
+"""A ratchet on the library surface: every function or method defined in
+src/qsphere is referenced by src/qsphere itself or by perfbench/.  Imports
+do not count as references, so the re-exports of __init__.py keep nothing
+alive, and neither does a function calling itself.  A function only tests
+reach fails here; delete it or wire it into a certificate."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qsphere"
+
+# name -> why it stays without a caller in src/qsphere or perfbench/
+ALLOWED = {
+    "parse": "documented user API: text to polynomial",
+    "format_poly": "documented user API: polynomial to text, parse's inverse",
+    "load_matrix": "documented user API: reads the files --dump writes",
+    "mp_poly_residual": "exact word residual kept for the oracle's exact "
+                        "fallback (ROADMAP item 2)",
+}
+
+
+class _References(ast.NodeVisitor):
+    """Names and attributes read in a module, outside the body of the
+    function they name.  With `strings`, dotted string constants count too:
+    perfbench names its wrap points as "module", "Class.method" strings."""
+
+    def __init__(self, strings: bool):
+        self.names = set()
+        self.strings = strings
+        self._enclosing = []
+
+    def _ref(self, name):
+        if name not in self._enclosing:
+            self.names.add(name)
+
+    def visit_FunctionDef(self, node):
+        self._enclosing.append(node.name)
+        self.generic_visit(node)
+        self._enclosing.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._ref(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._ref(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if self.strings and isinstance(node.value, str):
+            for part in node.value.split("."):
+                self._ref(part)
+
+
+def _referenced() -> set:
+    names = set()
+    for folder, strings in ((SRC, False), (ROOT / "perfbench", True)):
+        for path in sorted(folder.glob("*.py")):
+            if path == SRC / "__init__.py":
+                continue
+            refs = _References(strings)
+            refs.visit(ast.parse(path.read_text(), str(path)))
+            names |= refs.names
+    return names
+
+
+def _is_dunder(name: str) -> bool:
+    # called by Python itself (__init__, __add__, __missing__, ...)
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_function_is_reached_outside_tests():
+    referenced = _referenced()
+    unreached = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name in referenced or name in ALLOWED or _is_dunder(name):
+                continue
+            unreached.append(f"{path.name}:{node.lineno} {name}")
+    assert not unreached, unreached
+
+
+def test_allowlist_names_exist():
+    defined = {node.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert set(ALLOWED) <= defined
