@@ -32,6 +32,7 @@ from .reps import (
     rep_podles,
     segment_path,
     step_tables,
+    walk,
     walk_diagonal,
     walk_dps,
 )
@@ -218,10 +219,9 @@ def _implementers(rep, M: int) -> list:
     weighted shifts (tgt, coef).  On a two-summand label representation
     they absorb the sign operator; a tensor representation absorbs it in
     its own shifts."""
-    if isinstance(rep, TensorRep):
-        return [rep.shifts(g, M) for g in ("Z", "X", "Y")]
-    return [[(tgt, absorb_sign(rep, M, tgt, coef))]
-            for tgt, coef in (rep.shift(g, M) for g in ("Z", "X", "Y"))]
+    own = isinstance(rep, TensorRep)
+    return [[(tgt, coef if own else absorb_sign(rep, M, tgt, coef))
+             for tgt, coef in rep.shifts(g, M)] for g in ("Z", "X", "Y")]
 
 
 def _window_shift(tgt, coef, idx):
@@ -394,7 +394,7 @@ def invariant_subspace(pres: Presentation, rep, D: int,
 
     labels, scales, mono, system = [], [], [], []
     for w in words:
-        base_cols, base_rows, val = rep.walk(w, M, np.arange(rep.dim(M)))
+        base_cols, base_rows, val = walk(rep, w, M, np.arange(rep.dim(M)))
         for i, unit in enumerate(units):
             if unit is None:
                 labels.append(w)

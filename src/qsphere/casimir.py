@@ -1,10 +1,10 @@
 """Spectral splitting of the coaction-twisted Casimir matrix.
 
 The Casimir image under the tensored representation has a two-point spectrum
-{tau(x-1), tau(x+1)}; its eigenvectors are known in closed form, and
-compressing the twisted representation by either eigenprojection reproduces
-the series representation at the shifted parameter x +- 1.  This is the
-engine behind the equivalence orbit x -> x + Z.
+{tau(x-1), tau(x+1)}; its eigenvectors are known in closed form, two entries
+each, and compressing the twisted representation by either eigenprojection,
+on weighted shifts, reproduces the series representation at the shifted
+parameter x +- 1.  This is the engine behind the equivalence orbit x -> x + Z.
 """
 
 from __future__ import annotations
@@ -13,16 +13,11 @@ import math
 
 import numpy as np
 
-from .qcore import QParams, tau
-from .ncalg import make_presentation
+from .qcore import QParams
+from .ncalg import NCPoly, make_presentation
 from .report import max_or_nan
-from .reps import (
-    MatrixRep,
-    TensorRep,
-    max_abs,
-    rep_podles,
-    relation_check,
-)
+from .reps import (ShiftRep, TensorRep, compress, evaluate, max_abs,
+                   on_support, rep_podles, relation_check, walk)
 
 SPECTRUM_EDGE = 4
 SPECTRUM_MASS_TOL = 1e-10
@@ -41,10 +36,11 @@ def _norm_branch(branch) -> int:
 
 
 def casimir_matrix(p: QParams, x: float, sign, N: int) -> np.ndarray:
-    """Casimir image on the tensor window (2N x 2N).  It is a sum of
-    weighted shifts, so each window entry is the infinite operator's."""
+    """Casimir image on the tensor window (2N x 2N), the one dense tensor
+    array: T's weighted shifts added up.  Each entry is the operator's."""
     _norm_sign(sign)   # a series, not their direct sum
-    return TensorRep(rep_podles(p, x, sign, N)).matrix("T", N)
+    tensor = TensorRep(rep_podles(p, x, sign, N))
+    return evaluate(NCPoly({("T",): 1.0}), tensor)
 
 
 def branch_indices(sign, branch, N: int) -> range:
@@ -86,6 +82,21 @@ def closed_form_eigvec(p: QParams, x: float, sign, branch, k: int,
             v[2 * (k - 1)] = -qx * math.sqrt(1 - q ** (2 * k)) / denom
         v[2 * k + 1] = math.sqrt(1 + q ** (2 * k + 2 * x)) / denom
     return v
+
+
+def eigvec_shifts(p: QParams, x: float, sign, branch, N: int,
+                  count=None) -> list:
+    """The leading `count` (default all) eigenvectors of one family in
+    two-entry form: two one-to-one weighted shifts (supports are disjoint),
+    column j going to the slots of vector j's nonzero entries."""
+    ks = branch_indices(sign, branch, N)[:count]
+    shifts = [(np.full(len(ks), -1, dtype=np.intp),
+               np.zeros(len(ks), dtype=np.complex128)) for _ in range(2)]
+    for j, k in enumerate(ks):
+        v = closed_form_eigvec(p, x, sign, branch, k, N)
+        for (tgt, coef), slot in zip(shifts, np.flatnonzero(v)):
+            tgt[j], coef[j] = slot, v[slot]
+    return shifts
 
 
 def eigvec_columns(p: QParams, x: float, sign, branch, N: int) -> np.ndarray:
@@ -130,33 +141,29 @@ def compress_identify(p: QParams, x: float, sign, branch, N: int):
     """
     br = _norm_branch(branch)
     rep2 = TensorRep(rep_podles(p, x, sign, N))
-    U = eigvec_columns(p, x, sign, branch, N)
-    K = U.shape[1]
-    target = rep_podles(p, x + br, sign, K)
-    compressed = {}
-    residuals = {}
-    for g in ("X", "Y", "Z", "Zi"):
-        Gc = U.conj().T @ rep2.matrix(g, N) @ U
-        compressed[g] = Gc
-        diff = np.abs(Gc - target.matrix(g, K))
+    U = eigvec_shifts(p, x, sign, branch, N)
+    K = len(U[0][0])
+    target = rep_podles(p, x + br, sign, K)   # T acts as tau(x + br)
+    compressed, residuals = {}, {}
+    for g in ("X", "Y", "Z", "Zi", "T"):
+        cols, rows, val = compressed[g] = compress(U, rep2.shifts(g, N), 2 * N)
+        tc, tr, tv = walk(target, (g,), K, np.arange(K))
+        got, want = on_support([(rows * K + cols, val)], [(tr * K + tc, tv)])
+        diff = np.abs(got - want)
         if g == "Zi":
             # the localization inverse has entries ~ q^(-2k); certify it
             # entrywise relative to their size
-            diff = diff / (1.0 + np.abs(target.matrix(g, K)))
-        residuals[f"generator_{g}"] = float(diff.max())
-    T2 = casimir_matrix(p, x, sign, N)
-    Tc = U.conj().T @ T2 @ U
-    compressed["T"] = Tc
-    tval = tau(p, x + br)
-    residuals["t_scalar"] = max_abs(Tc - tval * np.eye(K))
+            diff = diff / (1.0 + np.abs(want))
+        residuals["t_scalar" if g == "T" else f"generator_{g}"] = max_abs(diff)
 
-    crep = MatrixRep(compressed, N=max(4, K - 8), pad=2)
-    pres = make_presentation("podles", p, x=x + br)
-    rel = relation_check(pres, crep)
+    crep = ShiftRep(compressed, K, N=max(4, K - 8), pad=2)
+    rel = relation_check(make_presentation("podles", p, x=x + br), crep)
     residuals["relations"] = max_or_nan(*rel.values())
 
-    zdiag = np.diag(compressed["Z"]).real
     if sign == "plus":
+        cols, rows, val = compressed["Z"]
+        zdiag = np.zeros(K)
+        zdiag[cols[rows == cols]] = val[rows == cols].real
         gaps = np.diff(np.sort(zdiag))
         residuals["z_positive_distinct"] = (
             0.0 if (zdiag.min() > 0 and gaps.min() > 0) else 1.0)

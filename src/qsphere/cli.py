@@ -29,7 +29,6 @@ from .ncalg import (
     RewriteCapError,
 )
 from .reps import (
-    MatrixRep,
     dump_matrix,
     evaluate,
     max_abs,
@@ -114,7 +113,7 @@ def suite_relations(p, x, l, N, tol, algs, dump=None):
             rep = rep_bl(p, l, N)
         elif alg == "uqsu2":
             pres = make_presentation("uqsu2", p)
-            rep = MatrixRep(spin_half(p), N=2, pad=0)
+            rep = spin_half(p)
         else:
             raise ValueError(f"unknown algebra {alg!r}")
         residuals = relation_check(pres, rep)
@@ -189,7 +188,7 @@ def suite_compress(p, x, N, dump=None):
                         res["z_positive_distinct"], 0.0)
             if dump:
                 for g in ("X", "Y", "Z"):
-                    dump_matrix(crep.matrix(g, crep.N),
+                    dump_matrix(evaluate(NCPoly({(g,): 1.0}), crep),
                                 f"{dump}.compress.{sign}.{tag}.{g}.txt")
     return [rpt]
 
@@ -465,15 +464,25 @@ def _input_error(args):
         at = f" at --l {args.l:g}" if args.command in ALL_L else ""
         return (f"--N must be at least {need} for {args.command}{at}, "
                 f"got {args.N}")
-    if args.command in ("compress", "all"):
-        # compress's largest float entry is the tensor Zi at label N-1,
-        # q^-(2N-1+|x|), times the spin factor q^-1
-        x = ALL_COMPRESS_X if args.command == "all" else args.x
-        try:
-            args.q ** -(2 * args.N + abs(x))
-        except OverflowError:
-            return (f"compress at --q {args.q:g}, --x {x:g}, --N {args.N}: "
-                    "q^-(2N+|x|) overflows float64")
+    # the largest E for which the command forms q^-E in double precision:
+    # 2|x| in the podles shifts and Casimir eigenvectors, |x|+1 in tau(x)/q,
+    # 6l in the bl rules, 4l+1/2 in theta's ladder, 4l+2 in theorem2's
+    # block, 2N+|x| in compress's tensor Zi (at x = 0.7 under `all`)
+    x = abs(args.x) if isinstance(args.x, float) else 0.0
+    pod, bl, alg = max(2 * x, x + 1), 6 * args.l, args.alg
+    reach = {"relations": max(pod if args.dump and alg != "bl" else 0,
+                              x + 1 if alg in (None, "podles") else 0,
+                              bl if alg in (None, "bl") else 0),
+             "casimir": pod, "compress": max(pod, 2 * args.N + x),
+             "theta": 4 * args.l + 0.5, "functional": max(x + 1, bl),
+             "ergodic": max(pod, bl), "theorem2": 4 * args.l + 2,
+             "oracle": max(pod, bl),
+             "all": 2 * args.N + ALL_COMPRESS_X}.get(args.command, 0.0)
+    try:
+        args.q ** -reach
+    except OverflowError:
+        return (f"{args.command} forms q^-{reach:g}, which overflows "
+                f"float64 at --q {args.q:g}; lower --x, --l or --N")
     return None
 
 

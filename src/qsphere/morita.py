@@ -12,11 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .casimir import covered_indices, eigvec_columns
+from .casimir import covered_indices, eigvec_columns, eigvec_shifts
 from .qcore import QParams
 from .ncalg import NCPoly, a_gen, basis_words, make_presentation, normal_form
 from .report import max_or_nan
-from .reps import TensorRep, max_abs, rep_bl
+from .reps import TensorRep, compress, max_abs, on_support, rep_bl, walk
 
 STANDARD = "standard"
 ORBIT_TOL = 1e-12     # |x + m| against |y| in orbit_equivalent
@@ -151,18 +151,25 @@ def a0_block(p: QParams, l, branch: int, M: int):
 
 
 def podles_part_compression(p: QParams, l, M: int) -> dict:
-    """Compress the coaction-tensored sphere generators by either family and
-    match them against the neighbouring double-space representation."""
+    """Compress the coaction-tensored sphere generators by either family,
+    `basis_change`'s W_up or W_down as two weighted shifts, and match them
+    against the neighbouring double-space representation."""
     rep2 = TensorRep(rep_bl(p, l, M))
-    bc = basis_change(p, l, M)
     out = {}
-    branches = [(1, bc.W_up)] + ([(-1, bc.W_down)] if l > 0 else [])
-    for branch, W in branches:
-        target = rep_bl(p, l + branch / 2, bc.N_new)
+    for branch in [1] + ([-1] if l > 0 else []):
+        minus, plus = (eigvec_shifts(p, 2 * l, sign, branch, M, M - 1)
+                       for sign in ("minus", "plus"))
+        U = [(np.concatenate([tm, np.where(tp >= 0, tp + 2 * M, -1)]),
+              np.concatenate([cm, cp]))
+             for (tm, cm), (tp, cp) in zip(minus, plus)]
+        target = rep_bl(p, l + branch / 2, M - 1)
+        n = target.dim(M - 1)
         for g in ("X", "Y", "Z"):
-            got = W.conj().T @ rep2.matrix(g, M) @ W
-            out[f"{'up' if branch == 1 else 'down'}_{g}"] = max_abs(
-                got - target.matrix(g, bc.N_new))
+            cols, rows, val = compress(U, rep2.shifts(g, M), 4 * M)
+            tc, tr, tv = walk(target, (g,), M - 1, np.arange(n))
+            got, want = on_support([(rows * n + cols, val)],
+                                   [(tr * n + tc, tv)])
+            out[f"{'up' if branch == 1 else 'down'}_{g}"] = max_abs(got - want)
     return out
 
 

@@ -279,7 +279,7 @@ def make_presentation(name: str, p: QParams, x: Optional[float] = None,
             Rule((Y, X), {(): 1.0, (Z,): t / q, (Z, Z): -(q**-2)}, "Y*X",
                  recipe=((1, 0, 0), (zf(1, -1, 1), zf(-1, -1, -1)))),
         )
-        grading = {X: (-1, 0), Y: (1, 0), Z: (0, 0), Zi: (0, 0)}
+        grading = {X: (-1, 0), Y: (1, 0), Z: (0, 0)}
         weights, prec = _weights_and_prec(gens)
         pres = Presentation(name, gens, rules, grading, p, x=x,
                             weights=weights, prec=prec)

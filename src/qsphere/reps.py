@@ -1,34 +1,24 @@
 """Finite truncations of the banded representations, padded evaluation of
 noncommutative polynomials, and relation-residual certification.
 
-Every generator of the podles / bl representations acts as a weighted shift:
-it maps a basis label to (at most) one other label.  Representations are
-therefore stored as label-step functions.  At an internal truncation M each
-generator becomes a pair of arrays (target index, coefficient) per column;
-words on label representations are walked on these arrays column by column,
-and dense matrices are views scattered from them.  Padded evaluation walks
-at an enlarged size and crops, so retained entries are exact values of the
-infinite-dimensional operators.  Label-rep residuals (`residual`) are
-accumulated on the walked support only, never on a dense window.  A
-generator of the coaction-tensored representation is a short list of
-weighted shifts read from one coaction table (`_tensor_terms`), and its
-dense matrix is scattered from them.  Tensor and explicit-matrix
-representations, with more than one nonzero entry per column, still
-multiply dense matrices and take dense window differences.
+The one float form of an operator is a list of one-to-one weighted shifts
+(tgt, coef): column j goes to row tgt[j] (nowhere where it is -1) with
+coefficient coef[j].  A podles / bl generator is one shift, built from its
+label-step function at an internal truncation M; a tensor generator is
+several, read from one coaction table (`_tensor_terms`); the spin-1/2
+module and compressions store theirs (`ShiftRep`).  One walk
+(`walk_shifts`) serves `evaluate`, `residual` and the float
+`relation_check`.  Padded evaluation walks at an enlarged size and crops,
+so retained entries are exact values of the infinite-dimensional
+operators; residuals are accumulated on the walked support only.
 
 Relation residuals, adjoint-action residuals and invariant-functional tail
-defects are evaluated by walking columns label by label in mpmath
-arithmetic: the product-form relations of the graded algebras reach entry
-magnitudes ~1e6 at small q, where double precision cannot certify 1e-11
-absolute residuals.  All of them go through one exact walk kernel.  Exact
-walks share one mp context per (q, x, precision) (`mp_ctx`); each
-representation memoises, per context, every step it has taken as (target
-label, raw mpmath mantissa tuple), so a step coefficient is computed once
-however many words, columns and checks walk through it.  A walk visits the
-labels first and then multiplies the raw coefficients with libmp's own
-functions at the context's precision, rounding to nearest, so its value is
-bit-identical to multiplying mpf objects as it goes, without their wrappers,
-and a walk that ends off the entry wanted forms no product.
+defects are walked label by label in mpmath arithmetic, through one exact
+walk kernel (see its section): the product-form relations of the graded
+algebras reach entry magnitudes ~1e6 at small q, where double precision
+cannot certify 1e-11 absolute residuals.  Exact walks share one mp context
+per (q, x, precision) (`mp_ctx`), and each representation memoises every
+step it takes in it, so a step coefficient is computed once.
 """
 
 from __future__ import annotations
@@ -140,7 +130,7 @@ def _allow(g) -> int:
 
 
 def poly_allowance(poly) -> int:
-    words = poly.terms if isinstance(poly, NCPoly) else {tuple(poly): 1.0}
+    words = _as_poly(poly).terms
     return max((sum(_allow(g) for g in w) for w in words), default=1) or 1
 
 
@@ -225,21 +215,8 @@ class LabelRep:
         self._shift_cache[key] = (tgt, coef)
         return tgt, coef
 
-    def walk(self, word: Word, M: int, cols: np.ndarray):
-        """Columns `cols` of the word's product at internal size M, letters
-        applied right to left: (positions into cols, rows, values) of the
-        columns that survive; the others are zero."""
-        pos = np.arange(len(cols))
-        rows = np.asarray(cols, dtype=np.intp)
-        val = np.ones(len(cols), dtype=np.complex128)
-        for g in reversed(word):
-            tgt, coef = self.shift(g, M)
-            val = coef[rows] * val
-            rows = tgt[rows]
-            live = rows >= 0
-            if not live.all():
-                pos, rows, val = pos[live], rows[live], val[live]
-        return pos, rows, val
+    def shifts(self, g, M: int) -> tuple:
+        return (self.shift(g, M),)
 
     def matrix(self, g, M: int) -> np.ndarray:
         key = (g, M)
@@ -284,6 +261,15 @@ def _sqrt_coeff(ctx, factors):
     return ctx.sqrt(prod)
 
 
+def _adjoint_step(X):
+    """Y = X* for a real X step that lowers a label by one in its family:
+    the Y step at k is the X step at k+1, landing on k+1."""
+    def Y(fam, k, ctx):
+        hit = X(fam, k + 1, ctx)
+        return None if hit is None else (fam, k + 1, hit[2])
+    return Y
+
+
 def _podles_family_steps(rep_sign: int):
     """Steps for one summand of a podles representation.
 
@@ -300,17 +286,13 @@ def _podles_family_steps(rep_sign: int):
         c = _sqrt_coeff(ctx, [(1, 2 * k, 0), (-1, 2 * k, 2 * mm)])
         return None if c is None else (fam, k - 1, s * c)
 
-    def Y(fam, k, ctx):
-        c = _sqrt_coeff(ctx, [(1, 2 * k + 2, 0), (-1, 2 * k + 2, 2 * mm)])
-        return None if c is None else (fam, k + 1, s * c)
-
     def T(fam, k, ctx):
         return (fam, k, ctx.qpow(0, -1) - ctx.qpow(0, 1))
 
     def zexp(k):
         return (s, 2 * k + 1, mm)
 
-    return {"X": X, "Y": Y, "T": T}, zexp
+    return {"X": X, "Y": _adjoint_step(X), "T": T}, zexp
 
 
 def rep_podles(p: QParams, x: float, variant: str, N: int) -> LabelRep:
@@ -360,15 +342,6 @@ def rep_bl(p: QParams, l, N: int) -> LabelRep:
         c = _sqrt_coeff(ctx, [(1, 2 * k, 0), (-1, 2 * k + 2 * twol, 0)])
         return None if c is None else ("-", k - 1, -c)
 
-    def Y(fam, k, ctx):
-        if fam == "+":
-            c = _sqrt_coeff(ctx, [(-1, 2 * k + 2, 0),
-                                  (1, 2 * k + 2 + 2 * twol, 0)])
-            return None if c is None else ("+", k + 1, c)
-        c = _sqrt_coeff(ctx, [(1, 2 * k + 2, 0),
-                              (-1, 2 * k + 2 + 2 * twol, 0)])
-        return None if c is None else ("-", k + 1, -c)
-
     def make_A(s):
         def A(fam, k, ctx):
             if fam == "+":
@@ -387,7 +360,7 @@ def rep_bl(p: QParams, l, N: int) -> LabelRep:
             return None if c is None else ("+", k + s, sign * c)
         return A
 
-    steps = {"X": X, "Y": Y}
+    steps = {"X": X, "Y": _adjoint_step(X)}
     gens = ["X", "Y", "Z", "Zi"]
     for s in range(-twol, twol + 1):
         steps[("A", s)] = make_A(s)
@@ -407,17 +380,47 @@ def absorb_sign(rep, M: int, tgt, coef):
 
 
 # ---------------------------------------------------------------------------
-# spin 1/2 and the coaction-tensored representation
+# stored shifts (spin 1/2, compressions) and the coaction-tensored rep
 # ---------------------------------------------------------------------------
 
-def spin_half(p: QParams) -> dict:
+class ShiftRep:
+    """Generators stored as entries (columns, rows, values) on `size` labels
+    and read as one weighted shift per diagonal.  A larger internal size is
+    clamped to the stored one."""
+
+    def __init__(self, gens: dict, size: int, N: int, pad: int):
+        if N > size:
+            raise ValueError("window exceeds stored size")
+        self._gens, self.size, self.N, self.pad = gens, size, N, pad
+
+    def dim(self, M: int) -> int:
+        return min(M, self.size)
+
+    def window_indices(self, M: int, W: int) -> np.ndarray:
+        return np.arange(W)
+
+    def shifts(self, g, M: int) -> list:
+        M = self.dim(M)
+        cols, rows, val = self._gens[g]
+        out = []
+        for d in np.unique(rows - cols):
+            on = (rows - cols == d) & (rows < M) & (cols < M)
+            tgt = np.full(M, -1, dtype=np.intp)
+            coef = np.zeros(M, dtype=np.complex128)
+            tgt[cols[on]], coef[cols[on]] = rows[on], val[on]
+            out.append((tgt, coef))
+        return out or [(np.full(M, -1, dtype=np.intp), np.zeros(M))]
+
+
+def spin_half(p: QParams) -> ShiftRep:
     """K, Ki, E, F on C^2 with basis (e_+, e_-)."""
-    q = p.q
-    K = np.diag([1 / q, q]).astype(np.complex128)
-    Ki = np.diag([q, 1 / q]).astype(np.complex128)
-    E = np.array([[0, 0], [math.sqrt(q), 0]], dtype=np.complex128)
-    F = np.array([[0, 1 / math.sqrt(q)], [0, 0]], dtype=np.complex128)
-    return {"K": K, "Ki": Ki, "E": E, "F": F}
+    q, r = p.q, math.sqrt(p.q)
+    ops = {"K": ([0, 1], [0, 1], [1 / q, q]),
+           "Ki": ([0, 1], [0, 1], [q, 1 / q]),
+           "E": ([0], [1], [r]), "F": ([1], [0], [1 / r])}
+    return ShiftRep({g: (np.array(cols), np.array(rows),
+                         np.array(val, np.complex128))
+                     for g, (cols, rows, val) in ops.items()}, 2, N=2, pad=0)
 
 
 def _tensor_terms(g, ctx):
@@ -458,7 +461,6 @@ class TensorRep:
         self.meta = base.meta
         self.gens = tuple(g for g in ("X", "Y", "Z", "Zi", "T")
                           if g in base.gens)
-        self._mat_cache: dict = {}
         self._walk_memos: dict = {}  # mp context -> _SegmentTables
 
     def dim(self, M: int) -> int:
@@ -469,13 +471,9 @@ class TensorRep:
         return np.stack([2 * inner, 2 * inner + 1], axis=1).reshape(-1)
 
     def shifts(self, g, M: int) -> list:
-        """Generator g at internal size M as a sum of weighted shifts, one
-        (tgt, coef) pair per spin entry of each coaction term, in term
-        order: column j goes to row tgt[j] with coefficient coef[j]; tgt[j]
-        is -1 on the columns of the other spin and where the base step
-        dies."""
-        if g not in self.gens:
-            raise KeyError(f"tensor representation has no generator {g}")
+        """Generator g at internal size M as weighted shifts, one per spin
+        entry of each coaction term, in term order; tgt is -1 on the
+        columns of the other spin and where the base step dies."""
         n = self.dim(M)
         out = []
         for base_g, entries in _tensor_terms(g, FloatCtx(self.meta["q"])):
@@ -490,65 +488,80 @@ class TensorRep:
                 out.append((t, c))
         return out
 
-    def matrix(self, g, M: int) -> np.ndarray:
-        """The dense view of `shifts`, added up in term order."""
-        key = (g, M)
-        cached = self._mat_cache.get(key)
-        if cached is not None:
-            return cached
-        A = np.zeros((self.dim(M), self.dim(M)), dtype=np.complex128)
-        for tgt, coef in self.shifts(g, M):
-            cols = np.flatnonzero(tgt >= 0)
-            A[tgt[cols], cols] += coef[cols]
-        self._mat_cache[key] = A
-        return A
-
-
-class MatrixRep:
-    """Representation given by explicit matrices on a single labeled family.
-
-    Used for compressed representations; evaluation crops within the stored
-    size, so the usable window is the stored size minus the padding reserve.
-    """
-
-    def __init__(self, gens: dict, N: int, pad: int):
-        sizes = {A.shape[0] for A in gens.values()}
-        if len(sizes) != 1:
-            raise ValueError("generator matrices must share a dimension")
-        self.size = sizes.pop()
-        self._gens = {g: np.asarray(A, dtype=np.complex128)
-                      for g, A in gens.items()}
-        self.N = N
-        self.pad = pad
-
-    def dim(self, M: int) -> int:
-        return M
-
-    def matrix(self, g, M: int) -> np.ndarray:
-        if M > self.size:
-            raise ValueError(
-                f"requested internal size {M} exceeds stored size {self.size}")
-        return self._gens[g][:M, :M]
-
-    def window_indices(self, M: int, W: int) -> np.ndarray:
-        return np.arange(W)
-
 
 # ---------------------------------------------------------------------------
-# evaluation
+# the float walk and evaluation
 # ---------------------------------------------------------------------------
 
-def _window_terms(poly: NCPoly, rep: LabelRep, W: int):
-    """Each word of `poly` walked down the window columns of a label rep at
-    its padded internal size: per term, the (window row, window column,
-    coefficient * value) of the entries it reaches inside the window.
-    Within one term each column, hence each entry, appears at most once."""
+def walk_shifts(factors, cols):
+    """Columns `cols` of a product of operators, each a list of weighted
+    shifts, applied right to left: (positions into cols, rows, values) of
+    the entries that survive, each (position, row) once.  A factor of
+    several shifts branches each entry and sums what lands on one row."""
+    pos = np.arange(len(cols))
+    rows = np.asarray(cols, dtype=np.intp)
+    val = np.ones(len(cols), dtype=np.complex128)
+    for shifts in reversed(factors):
+        if len(shifts) > 1:
+            pos = np.tile(pos, len(shifts))
+            val = np.concatenate([coef[rows] * val for _, coef in shifts])
+            rows = np.concatenate([tgt[rows] for tgt, _ in shifts])
+        else:
+            (tgt, coef), = shifts
+            val = coef[rows] * val
+            rows = tgt[rows]
+        live = rows >= 0
+        if not live.all():
+            pos, rows, val = pos[live], rows[live], val[live]
+        if len(shifts) > 1 and len(rows):
+            width = rows.max() + 1
+            key, inv = np.unique(pos * width + rows, return_inverse=True)
+            summed = np.zeros(len(key), dtype=np.complex128)
+            np.add.at(summed, inv, val)
+            pos, rows, val = key // width, key % width, summed
+    return pos, rows, val
+
+
+def walk(rep, word: Word, M: int, cols):
+    return walk_shifts([rep.shifts(g, M) for g in word], cols)
+
+
+def compress(U, G, n: int):
+    """Entries (column, row, value) of U^H G U, for U a list of one-to-one
+    shifts into range(n) and G an operator on range(n)."""
+    UH = []
+    for tgt, coef in U:   # each shift reversed, its coefficients conjugated
+        cols = np.flatnonzero(tgt >= 0)
+        t, c = np.full(n, -1, dtype=np.intp), np.zeros(n, dtype=np.complex128)
+        t[tgt[cols]], c[tgt[cols]] = cols, coef[cols].conj()
+        UH.append((t, c))
+    return walk_shifts([UH, G, U], np.arange(len(U[0][0])))
+
+
+def on_support(*sides) -> list:
+    """Sides of (flat index, value) terms, each index once per term, summed
+    term by term on the union of the indices: one array per side."""
+    flats = [flat for terms in sides for flat, _ in terms]
+    support = np.unique(np.concatenate(flats)) if flats else np.empty(0, int)
+    accs = []
+    for terms in sides:
+        acc = np.zeros(len(support), dtype=np.complex128)
+        for flat, val in terms:
+            acc[np.searchsorted(support, flat)] += val
+        accs.append(acc)
+    return accs
+
+
+def _window_terms(poly: NCPoly, rep, W: int):
+    """Each word of `poly` walked down the window columns of `rep` at its
+    padded internal size: per term, the (window row, window column,
+    coefficient * value) of each entry it reaches inside the window."""
     M = W + rep.pad * poly_allowance(poly)
     idx = rep.window_indices(M, W)
     where = np.full(rep.dim(M), -1, dtype=np.intp)
     where[idx] = np.arange(len(idx))
     for w, c in poly.terms.items():
-        cols, rows, val = rep.walk(w, M, idx)
+        cols, rows, val = walk(rep, w, M, idx)
         rows = where[rows]
         kept = rows >= 0
         yield rows[kept], cols[kept], c * val[kept]
@@ -559,33 +572,13 @@ def _as_poly(poly) -> NCPoly:
 
 
 def evaluate(poly, rep) -> np.ndarray:
-    """Coefficient-weighted sum of word-wise products, computed at the padded
-    internal size and cropped to the window (size rep.N).
-
-    On a label representation each word is walked down the window columns
-    only; columns evolve independently, so the crop equals the padded dense
-    product's.  Other representations multiply dense matrices."""
-    poly = _as_poly(poly)
-    W = rep.N
-    if isinstance(rep, LabelRep):
-        acc = np.zeros((rep.dim(W), rep.dim(W)), dtype=np.complex128)
-        for rows, cols, val in _window_terms(poly, rep, W):
-            acc[rows, cols] += val
-        return acc
-    M = W + rep.pad * poly_allowance(poly)
-    if isinstance(rep, MatrixRep):
-        M = min(M, rep.size)
-        if M < W:
-            raise ValueError("window exceeds stored matrix size")
-    dim = rep.dim(M)
-    idx = rep.window_indices(M, W)
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for w, c in poly.terms.items():
-        term = np.eye(dim, dtype=np.complex128)
-        for g in reversed(w):
-            term = rep.matrix(g, M) @ term
-        acc += c * term
-    return acc[np.ix_(idx, idx)]
+    """Coefficient-weighted sum of word-wise products at the padded internal
+    size, cropped to the window (size rep.N): each word is walked down the
+    window columns only, which evolve independently."""
+    acc = np.zeros((rep.dim(rep.N),) * 2, dtype=np.complex128)
+    for rows, cols, val in _window_terms(_as_poly(poly), rep, rep.N):
+        acc[rows, cols] += val
+    return acc
 
 
 def max_abs(A: np.ndarray) -> float:
@@ -595,28 +588,15 @@ def max_abs(A: np.ndarray) -> float:
 def residual(poly_a, poly_b, rep) -> float:
     """max |evaluate(poly_a) - evaluate(poly_b)| over the window.
 
-    On a label representation both sides are accumulated, term by term in
-    the order `evaluate` adds them, on the window entries their walks reach
-    and nowhere else; every other entry is 0 - 0.  The result is therefore
-    bit-identical to the dense difference.  Other representations take the
-    dense difference."""
-    poly_a, poly_b = _as_poly(poly_a), _as_poly(poly_b)
-    W = rep.N
-    if not isinstance(rep, LabelRep):
-        return max_abs(evaluate(poly_a, rep) - evaluate(poly_b, rep))
-    n = rep.dim(W)
-    sides = [[(rows * n + cols, val)
-              for rows, cols, val in _window_terms(poly, rep, W)]
-             for poly in (poly_a, poly_b)]
-    flats = [flat for terms in sides for flat, _ in terms]
-    support = np.unique(np.concatenate(flats)) if flats else np.empty(0, int)
-    accs = []
-    for terms in sides:
-        acc = np.zeros(len(support), dtype=np.complex128)
-        for flat, val in terms:
-            acc[np.searchsorted(support, flat)] += val
-        accs.append(acc)
-    return max_abs(accs[0] - accs[1])
+    Both sides are accumulated, term by term in the order `evaluate` adds
+    them, on the window entries their walks reach; every other entry is
+    0 - 0, so the result is bit-identical to the evaluated difference."""
+    n = rep.dim(rep.N)
+    got, want = on_support(*(
+        [(rows * n + cols, val)
+         for rows, cols, val in _window_terms(_as_poly(poly), rep, rep.N)]
+        for poly in (poly_a, poly_b)))
+    return max_abs(got - want)
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +717,6 @@ class _SegmentTables(dict):
 def step_tables(rep, ctx) -> _SegmentTables:
     """The step tables of `rep` in the mp context `ctx`, one shared set per
     (rep, ctx)."""
-    if not isinstance(rep, (LabelRep, TensorRep)):
-        raise TypeError(f"no label walk for {type(rep).__name__}")
     tables = rep._walk_memos.get(ctx)
     if tables is None:
         tables = rep._walk_memos[ctx] = _SegmentTables(rep, ctx)
@@ -967,7 +945,7 @@ def mp_poly_residual(rep, poly_a, poly_b) -> float:
 def relation_check(pres: Presentation, rep) -> dict:
     """Residual of every defining relation of `pres` in `rep`, {rule name:
     max |lhs - rhs|} over its padded-interior window (size rep.N): walked
-    exactly on a label representation, by dense products on any other.
+    exactly on a label representation, by the float walk on any other.
 
     Rules tagged as derived rewriting aids (conjugation by the unbounded
     Z^-1, centrality of T) are skipped: their operator entries grow like
@@ -975,16 +953,14 @@ def relation_check(pres: Presentation, rep) -> dict:
     certificates.
     """
     rules = [r for r in pres.rules if r.defining]
+    if not isinstance(rep, LabelRep):
+        return {r.name: residual(NCPoly({r.lhs: 1.0}), NCPoly(r.rhs), rep)
+                for r in rules}
     out = {}
-    if isinstance(rep, LabelRep):
-        with mp.workdps(MP_DPS):
-            ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0))
-            for rule in rules:
-                out[rule.name] = _rule_residual(rep, rule, rep.N, ctx)
-        return out
-    for rule in rules:
-        out[rule.name] = residual(NCPoly({rule.lhs: 1.0}), NCPoly(rule.rhs),
-                                  rep)
+    with mp.workdps(MP_DPS):
+        ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0))
+        for rule in rules:
+            out[rule.name] = _rule_residual(rep, rule, rep.N, ctx)
     return out
 
 

@@ -12,9 +12,10 @@ from qsphere.casimir import (
     covered_indices,
     eigenprojection,
     eigvec_columns,
+    eigvec_shifts,
     numeric_interior_spectrum,
 )
-from qsphere.reps import max_abs
+from qsphere.reps import TensorRep, max_abs, rep_podles
 
 P = QParams(0.5)
 Q = P.q
@@ -34,6 +35,55 @@ def test_casimir_matrix_is_exactly_hermitian(q, x, N):
     for sign in SIGNS:
         T2 = casimir_matrix(QParams(q), x, sign, N)
         assert np.array_equal(T2, T2.conj().T), (q, x, N, sign)
+
+
+def _scatter(shifts, n, m):
+    A = np.zeros((n, m), dtype=np.complex128)
+    for tgt, coef in shifts:
+        cols = np.flatnonzero(tgt >= 0)
+        A[tgt[cols], cols] += coef[cols]
+    return A
+
+
+@pytest.mark.parametrize("q, x, N", [(0.5, 0.7, 64), (0.5, 0.35, 16),
+                                     (0.3, 2.5, 24), (0.8, -0.4, 20)])
+def test_casimir_matrix_is_scattered_tensor_t(q, x, N):
+    for sign in SIGNS:
+        p = QParams(q)
+        shifts = TensorRep(rep_podles(p, x, sign, N)).shifts("T", N)
+        want = _scatter(shifts, 2 * N, 2 * N)
+        assert casimir_matrix(p, x, sign, N).tobytes() == want.tobytes()
+
+
+def test_eigvec_shifts_are_the_closed_form_columns():
+    for x in XS:
+        for sign in SIGNS:
+            for branch in BRANCHES:
+                U = eigvec_columns(P, x, sign, branch, 16)
+                shifts = eigvec_shifts(P, x, sign, branch, 16)
+                got = _scatter(shifts, 32, U.shape[1])
+                assert got.tobytes() == U.tobytes()
+                lead = eigvec_shifts(P, x, sign, branch, 16, 5)
+                assert np.array_equal(_scatter(lead, 32, 5), U[:, :5])
+
+
+def test_compression_matches_dense_products():
+    # U^H G U walked on shifts against the dense product of the scattered
+    # tensor generator and the eigenvector columns
+    N = 20
+    for x in XS:
+        for sign in SIGNS:
+            for branch in BRANCHES:
+                crep, _ = compress_identify(P, x, sign, branch, N)
+                U = eigvec_columns(P, x, sign, branch, N)
+                K = U.shape[1]
+                tensor = TensorRep(rep_podles(P, x, sign, N))
+                for g in ("X", "Y", "Z", "Zi", "T"):
+                    G = _scatter(tensor.shifts(g, N), 2 * N, 2 * N)
+                    want = U.conj().T @ G @ U
+                    got = _scatter(crep.shifts(g, K), K, K)
+                    assert max_abs(got - want) <= 1e-15 * max(
+                        1.0, max_abs(want)), (x, sign, branch, g)
 
 
 def test_casimir_block_structure_matches_closed_form():

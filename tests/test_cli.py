@@ -10,8 +10,10 @@ import pytest
 import qsphere
 from qsphere import cli
 from qsphere.cli import run
+from qsphere.casimir import compress_identify
+from qsphere.ncalg import NCPoly
 from qsphere.qcore import QParams, tau
-from qsphere.reps import load_matrix
+from qsphere.reps import evaluate, load_matrix
 
 
 def run_json(argv, capsys):
@@ -101,6 +103,33 @@ def test_overflowing_compress_size_is_refused(capsys):
         assert cli._input_error(cli.build_parser().parse_args(argv)) is None
 
 
+@pytest.mark.parametrize("argv, edge, passing", [
+    # the Casimir eigenvectors form q^-2x: x = 500 stays below 2^1024
+    (["casimir", "--x", "1100", "--N", "8"],
+     ["casimir", "--x", "500", "--N", "8"],
+     ["casimir", "--x", "8", "--N", "8"]),
+    # tau(x)/q of the podles presentation
+    (["relations", "--x", "1100", "--N", "8"],
+     ["relations", "--x", "1000", "--N", "8"],
+     ["relations", "--x", "8", "--N", "8"]),
+    (["functional", "--x", "1100", "--N", "24"],
+     ["functional", "--x", "1000", "--N", "24"],
+     ["functional", "--x", "8", "--N", "24"]),
+    # theta's ladder coefficients form q^-(4l+1/2)
+    (["theta", "--l", "600", "--N", "2408"],
+     ["theta", "--l", "255", "--N", "1024"],
+     ["theta", "--l", "1", "--N", "8"]),
+])
+def test_overflowing_q_powers_are_refused(argv, edge, passing, capsys):
+    assert run(argv + ["--json"]) == 2, argv
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "overflows float64" in out.err, argv
+    # below the overflow the command is not refused, and runs
+    assert cli._input_error(cli.build_parser().parse_args(edge)) is None
+    assert run(passing + ["--json"]) == 0, passing
+
+
 def test_all_keeps_reports_when_monomials_are_dependent(capsys):
     # at q = 0.3 the degree-6 monomial images of the l = 0 ergodic suite
     # are dependent on the rank window: ergodic alone is a usage error, but
@@ -174,10 +203,17 @@ GOLDEN_FLOAT_REPORTS = {
     ("oracle", "--x", "1.0", "--l", "0.5", "--N", "32", "--count", "40",
      "--seed", "3"):
         "9077418f764a2580d05f07c7b9206b66831dbc06f3818c4b9e7f0636afe2a7da",
+    # the compression U^H G U and its relations: the eigenvector entries,
+    # step coefficients and tau are double-precision Python arithmetic, so
+    # the bytes depend on libm's `pow` (glibc, as on CI); U^H G U is walked
+    # on weighted shifts, never multiplied as dense matrices, so they do not
+    # depend on BLAS
+    ("compress", "--x", "0.7", "--N", "16"):
+        "f4954b605cf61dc6dd736d79e2df3483b52ad56551df9d67a61e2ce32635577b",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN_FLOAT_REPORTS))
+@pytest.mark.parametrize("argv", list(GOLDEN_FLOAT_REPORTS))
 def test_float_oracle_report_is_golden(argv, capsys):
     assert _report_digest(argv, capsys) == GOLDEN_FLOAT_REPORTS[argv]
 
@@ -198,6 +234,21 @@ def test_dump_writes_matrix_files(tmp_path, capsys):
     assert code == 0
     M = load_matrix(f"{prefix}.podles.X.txt")
     assert M.shape == (24, 24)
+
+
+def test_compress_dump_writes_evaluated_windows(tmp_path, capsys):
+    prefix = tmp_path / "dump"
+    assert run(["compress", "--x", "0.7", "--N", "16", "--dump",
+                str(prefix)]) == 0
+    p = QParams(0.5)
+    for sign in ("plus", "minus"):
+        for branch, tag in ((1, "up"), (-1, "down")):
+            crep, _ = compress_identify(p, 0.7, sign, branch, 16)
+            for g in ("X", "Y", "Z"):
+                got = load_matrix(f"{prefix}.compress.{sign}.{tag}.{g}.txt")
+                want = evaluate(NCPoly({(g,): 1.0}), crep)
+                assert got.shape == (crep.N, crep.N)
+                assert got.tobytes() == want.tobytes(), (sign, tag, g)
 
 
 def _no_suite(monkeypatch):

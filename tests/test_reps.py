@@ -18,7 +18,7 @@ from qsphere.ncalg import (
 from qsphere.reps import (
     FloatCtx,
     MPCtx,
-    MatrixRep,
+    ShiftRep,
     TensorRep,
     combos_residual,
     dump_matrix,
@@ -33,6 +33,7 @@ from qsphere.reps import (
     rep_podles,
     residual,
     spin_half,
+    walk,
     walk_dps,
     window_labels,
 )
@@ -105,20 +106,119 @@ def test_bl_restricts_to_podles_direct_sum():
                     assert a.tobytes() == b.tobytes(), (q, l, g)
 
 
+def _scatter(shifts, n, m=None):
+    """The dense n x m operator of a list of weighted shifts, added up in
+    list order."""
+    A = np.zeros((n, n if m is None else m), dtype=np.complex128)
+    for tgt, coef in shifts:
+        cols = np.flatnonzero(tgt >= 0)
+        A[tgt[cols], cols] += coef[cols]
+    return A
+
+
+def _word(*letters):
+    return NCPoly({tuple(letters): 1.0})
+
+
 def test_spin_half_identities():
     sp = spin_half(P)
-    E, F, K, Ki = sp["E"], sp["F"], sp["K"], sp["Ki"]
-    assert max_abs(E @ E) == 0.0
-    comm = E @ F - F @ E
+    r = math.sqrt(Q)
+    dense = {"K": [[1 / Q, 0], [0, Q]], "Ki": [[Q, 0], [0, 1 / Q]],
+             "E": [[0, 0], [r, 0]], "F": [[0, 1 / r], [0, 0]]}
+    for g, want in dense.items():
+        assert np.array_equal(_scatter(sp.shifts(g, 2), 2), np.array(want))
+        assert np.array_equal(evaluate(_word(g), sp), np.array(want))
+    E, K, Ki = (evaluate(_word(g), sp) for g in ("E", "K", "Ki"))
+    assert max_abs(evaluate(_word("E", "E"), sp)) == 0.0
+    comm = evaluate(NCPoly({("E", "F"): 1.0, ("F", "E"): -1.0}), sp)
     assert max_abs(comm - (K - Ki) / (Q - 1 / Q)) < 1e-15
-    assert max_abs(Ki @ F - E.conj().T) < 1e-15
-    assert max_abs(K @ E - Q**2 * E @ K) < 1e-15
+    assert max_abs(evaluate(_word("Ki", "F"), sp) - E.conj().T) < 1e-15
+    assert max_abs(evaluate(NCPoly({("K", "E"): 1.0, ("E", "K"): -Q**2}),
+                            sp)) < 1e-15
+
+
+def test_shift_rep_clamps_to_stored_size():
+    # a padded internal size past the stored one is clamped to it, so a
+    # word is the product of the stored n x n operators, cropped
+    rng = np.random.default_rng(5)
+    n = 6
+    dense = {g: np.triu(np.tril(rng.normal(size=(n, n)), 1), -1)
+             for g in ("X", "Y")}
+    gens = {g: _entries(A) for g, A in dense.items()}
+    rep = ShiftRep(gens, n, N=5, pad=2)
+    for g, A in dense.items():
+        assert np.array_equal(_scatter(rep.shifts(g, 9), n), A)
+        assert np.array_equal(_scatter(rep.shifts(g, 4), 4), A[:4, :4])
+    X, Y = dense["X"], dense["Y"]
+    got = evaluate(NCPoly({("X", "Y", "X"): 1.0, ("Y",): -0.5}), rep)
+    assert max_abs(got - (X @ Y @ X - 0.5 * Y)[:5, :5]) < 1e-14
+    with pytest.raises(ValueError):
+        ShiftRep(gens, n, N=7, pad=2)
+
+
+def _entries(A):
+    rows, cols = np.nonzero(A)
+    return cols, rows, A[rows, cols].astype(np.complex128)
+
+
+def test_shifts_are_one_to_one():
+    # the walk moves each entry of a one-shift factor to a row of its own
+    reps_ = [rep_podles(P, 1.3, "direct_sum", 12), rep_bl(P, 1.5, 12),
+             rep_bl(P, 0, 12)]
+    reps_ += [TensorRep(r) for r in reps_[:2]]
+    reps_ += [TensorRep(reps_[0], absorb_sign=True)]
+    for rep in reps_:
+        for g in rep.gens:
+            for tgt, _ in rep.shifts(g, 12):
+                live = tgt[tgt >= 0]
+                assert len(np.unique(live)) == len(live), g
+
+
+def test_y_step_is_x_transpose():
+    # Y = X*: the Y step at k is the X step at k + 1, so the float Y shift
+    # scatters to the transpose of X's, bit for bit
+    for q in (0.3, 0.5, 0.8):
+        p = QParams(q)
+        cases = [rep_podles(p, x, v, 12) for x in (0.35, 2.5, -1.7)
+                 for v in ("plus", "minus", "direct_sum")]
+        cases += [rep_bl(p, l, 12) for l in (0, 0.5, 1, 2)]
+        for rep in cases:
+            for M in (12, 15):
+                n = rep.dim(M)
+                X = _scatter(rep.shifts("X", M), n)
+                Y = _scatter(rep.shifts("Y", M), n)
+                assert Y.tobytes() == np.ascontiguousarray(X.T).tobytes(), (
+                    q, rep.meta, M)
+
+
+def test_tensor_walk_matches_dense_products():
+    # several shifts per generator: the walk branches and sums what lands
+    # on one row; the reference multiplies the scattered matrices
+    pres = make_presentation("uqmp", P)
+    cases = [TensorRep(rep_podles(P, 0.7, "plus", 10)),
+             TensorRep(rep_podles(P, 1.3, "direct_sum", 10),
+                       absorb_sign=True)]
+    for rep in cases:
+        for w in random_words(pres, 30, 4, seed=8):
+            poly = NCPoly({w: 1.0})
+            M = rep.N + rep.pad * poly_allowance(poly)
+            dim = rep.dim(M)
+            term = np.eye(dim, dtype=np.complex128)
+            for g in reversed(w):
+                term = _scatter(rep.shifts(g, M), dim) @ term
+            idx = rep.window_indices(M, rep.N)
+            want = term[np.ix_(idx, idx)]
+            assert max_abs(evaluate(poly, rep) - want) <= 1e-13 * max(
+                1.0, max_abs(want)), w
+            cols, rows, _ = walk(rep, w, M, idx)
+            assert len(set(zip(cols, rows))) == len(cols)
 
 
 def test_tensor_coaction_z_diagonal():
     rep = rep_podles(P, 0.7, "plus", 8)
     t2 = TensorRep(rep)
-    Z2 = t2.matrix("Z", 8)
+    Z2 = evaluate(_word("Z"), t2)
+    assert np.array_equal(Z2, _scatter(t2.shifts("Z", 8), 16))
     assert max_abs(Z2 - np.diag(np.diag(Z2))) == 0.0
     for k in range(4):
         z = Q ** (2 * k - 0.7 + 1)
@@ -246,8 +346,7 @@ def test_relation_check_bl0_a_square_tight():
 
 def test_relation_check_uqsu2_on_spin_half():
     pres = make_presentation("uqsu2", P)
-    rep = MatrixRep(spin_half(P), N=2, pad=0)
-    res = relation_check(pres, rep)
+    res = relation_check(pres, spin_half(P))
     assert max(res.values()) < 1e-14
 
 

@@ -2,7 +2,8 @@
 src/qsphere is referenced by src/qsphere itself or by perfbench/.  Imports
 do not count as references, so the re-exports of __init__.py keep nothing
 alive, and neither does a function calling itself.  A function only tests
-reach fails here; delete it or wire it into a certificate."""
+reach fails here; delete it or wire it into a certificate.  A second
+ratchet caps the `@` products of each module."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,19 @@ def test_allowlist_names_exist():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert set(ALLOWED) <= defined
+
+
+# `@` products per module of src/qsphere: dense products on operators that
+# are sums of weighted shifts go as the walk engine replaces them, so these
+# counts may only fall (the float engine in reps.py has none)
+MATMUL_CEILING = {"action": 2, "casimir": 1, "cli": 4, "morita": 25}
+
+
+def test_matmul_counts_only_fall():
+    counts = {path.stem: sum(isinstance(node, ast.MatMult)
+                             for node in ast.walk(ast.parse(path.read_text())))
+              for path in sorted(SRC.glob("*.py"))}
+    assert counts["reps"] == 0
+    over = {name: n for name, n in counts.items()
+            if n > MATMUL_CEILING.get(name, 0)}
+    assert not over, over
