@@ -32,7 +32,6 @@ from .reps import (
 from .casimir import (
     casimir_matrix,
     closed_form_eigvec,
-    eigenprojection,
     compress_identify,
     numeric_interior_spectrum,
 )

@@ -5,6 +5,9 @@ The Casimir image under the tensored representation has a two-point spectrum
 each, and compressing the twisted representation by either eigenprojection,
 on weighted shifts, reproduces the series representation at the shifted
 parameter x +- 1.  This is the engine behind the equivalence orbit x -> x + Z.
+On the window the image is a direct sum of 2x2 blocks and singletons, so its
+interior spectrum is read off elementwise; every operator here is a list of
+weighted shifts, and the dense matrix is only written for --dump.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from .qcore import QParams
 from .ncalg import NCPoly, make_presentation
 from .report import max_or_nan
 from .reps import (ShiftRep, TensorRep, compress, evaluate, max_abs,
-                   on_support, rep_podles, relation_check, walk)
+                   on_support, rep_podles, relation_check, summed, walk,
+                   walk_shifts)
 
 SPECTRUM_EDGE = 4
-SPECTRUM_MASS_TOL = 1e-10
 
 
 def _norm_sign(sign) -> int:
@@ -36,8 +39,8 @@ def _norm_branch(branch) -> int:
 
 
 def casimir_matrix(p: QParams, x: float, sign, N: int) -> np.ndarray:
-    """Casimir image on the tensor window (2N x 2N), the one dense tensor
-    array: T's weighted shifts added up.  Each entry is the operator's."""
+    """Casimir image on the tensor window (2N x 2N) as a dense array, for
+    --dump: T's weighted shifts added up.  Each entry is the operator's."""
     _norm_sign(sign)   # a series, not their direct sum
     tensor = TensorRep(rep_podles(p, x, sign, N))
     return evaluate(NCPoly({("T",): 1.0}), tensor)
@@ -84,12 +87,11 @@ def closed_form_eigvec(p: QParams, x: float, sign, branch, k: int,
     return v
 
 
-def eigvec_shifts(p: QParams, x: float, sign, branch, N: int,
-                  count=None) -> list:
-    """The leading `count` (default all) eigenvectors of one family in
-    two-entry form: two one-to-one weighted shifts (supports are disjoint),
-    column j going to the slots of vector j's nonzero entries."""
-    ks = branch_indices(sign, branch, N)[:count]
+def eigvec_shifts(p: QParams, x: float, sign, branch, N: int) -> list:
+    """The eigenvectors of one family in two-entry form: two one-to-one
+    weighted shifts (supports are disjoint), column j going to the slots of
+    vector j's nonzero entries."""
+    ks = branch_indices(sign, branch, N)
     shifts = [(np.full(len(ks), -1, dtype=np.intp),
                np.zeros(len(ks), dtype=np.complex128)) for _ in range(2)]
     for j, k in enumerate(ks):
@@ -99,38 +101,48 @@ def eigvec_shifts(p: QParams, x: float, sign, branch, N: int,
     return shifts
 
 
-def eigvec_columns(p: QParams, x: float, sign, branch, N: int) -> np.ndarray:
-    ks = branch_indices(sign, branch, N)
-    return np.column_stack(
-        [closed_form_eigvec(p, x, sign, branch, k, N) for k in ks])
-
-
-def eigenprojection(p: QParams, x: float, sign, branch, N: int) -> np.ndarray:
-    U = eigvec_columns(p, x, sign, branch, N)
-    return U @ U.conj().T
-
-
 def covered_indices(N: int) -> np.ndarray:
     """Tensor-window indices spanned by the two eigenvector families (all
     slots except the top spin-plus one)."""
     return np.array([i for i in range(2 * N) if i != 2 * (N - 1)])
 
 
-def numeric_interior_spectrum(p: QParams, x: float, sign, N: int):
-    """Eigenvalues of the windowed Casimir matrix whose eigenvectors carry no
-    mass (below SPECTRUM_MASS_TOL) within SPECTRUM_EDGE slots of the
-    truncation boundary.
+def tensor_t(p: QParams, x: float, sign, N: int) -> list:
+    """The Casimir image T on the tensor window (size N, 2N slots), one
+    weighted shift per diagonal, with the entries of `casimir_matrix`."""
+    _norm_sign(sign)   # a series, not their direct sum
+    return summed([TensorRep(rep_podles(p, x, sign, N)).shifts("T", N)],
+                  2 * N)
 
-    Boundary rows of a truncated banded matrix pollute edge eigenpairs; the
-    support filter keeps only pairs that belong to the infinite operator.
+
+def numeric_interior_spectrum(p: QParams, x: float, sign, N: int):
+    """Eigenvalues of the windowed Casimir matrix, read off the 2x2 blocks
+    and singletons it splits into: (a+d)/2 +- hypot((a-d)/2, |b|) for a
+    block [[a, b], [b*, d]], its diagonal entry for a singleton.  Only the
+    blocks whose slots all lie below 2(N - SPECTRUM_EDGE) are kept: boundary
+    rows of the truncation pollute the edge ones, the interior ones belong
+    to the infinite operator.
+
+    If T does not split so (a column with two nonzero off-diagonal entries,
+    or a pair that is not mutual) the spectrum is the one value inf.
     """
-    vals, vecs = np.linalg.eigh(casimir_matrix(p, x, sign, N))
-    edge_slots = np.arange(2 * (N - SPECTRUM_EDGE), 2 * N)
-    keep = []
-    for i in range(len(vals)):
-        if np.linalg.norm(vecs[edge_slots, i]) < SPECTRUM_MASS_TOL:
-            keep.append(vals[i])
-    return np.array(keep)
+    n, edge = 2 * N, 2 * (N - SPECTRUM_EDGE)
+    cols, rows, val = walk_shifts([tensor_t(p, x, sign, N)], np.arange(n))
+    on, off = rows == cols, (rows != cols) & (val != 0)
+    diag, coupling = np.zeros(n), np.zeros(n)
+    partner = np.full(n, -1, dtype=np.intp)
+    diag[cols[on]] = val[on].real
+    partner[cols[off]], coupling[cols[off]] = rows[off], np.abs(val[off])
+    if (np.bincount(cols[off], minlength=n).max(initial=0) > 1
+            or np.any(partner[rows[off]] != cols[off])):
+        return np.array([math.inf])
+    slots = np.arange(max(edge, 0))
+    single = slots[partner[slots] < 0]
+    lead = slots[(partner[slots] > slots) & (partner[slots] < edge)]
+    a, d = diag[lead], diag[partner[lead]]
+    radius = np.hypot((a - d) / 2, coupling[lead])
+    return np.concatenate([diag[single], (a + d) / 2 - radius,
+                           (a + d) / 2 + radius])
 
 
 def compress_identify(p: QParams, x: float, sign, branch, N: int):
@@ -148,7 +160,8 @@ def compress_identify(p: QParams, x: float, sign, branch, N: int):
     for g in ("X", "Y", "Z", "Zi", "T"):
         cols, rows, val = compressed[g] = compress(U, rep2.shifts(g, N), 2 * N)
         tc, tr, tv = walk(target, (g,), K, np.arange(K))
-        got, want = on_support([(rows * K + cols, val)], [(tr * K + tc, tv)])
+        _, (got, want) = on_support([(rows * K + cols, val)],
+                                    [(tr * K + tc, tv)])
         diff = np.abs(got - want)
         if g == "Zi":
             # the localization inverse has entries ~ q^(-2k); certify it

@@ -29,6 +29,7 @@ from .ncalg import (
     RewriteCapError,
 )
 from .reps import (
+    adjoint,
     dump_matrix,
     evaluate,
     max_abs,
@@ -36,15 +37,19 @@ from .reps import (
     rep_bl,
     rep_podles,
     residual,
+    scaled,
     spin_half,
+    summed,
+    walk_defect,
+    walk_difference,
 )
 from .casimir import (
     casimir_matrix,
     compress_identify,
     covered_indices,
-    eigenprojection,
-    eigvec_columns,
+    eigvec_shifts,
     numeric_interior_spectrum,
+    tensor_t,
 )
 from .action import (
     DependentMonomialsError,
@@ -131,34 +136,35 @@ def suite_casimir(p, x, N, dump=None):
     rpt = VerificationReport(
         "casimir",
         _params(p, x=x, N=N, tau_lower=tau(p, x - 1), tau_upper=tau(p, x + 1)))
+    n = 2 * N
+    slots = np.arange(n)
     for sign in ("plus", "minus"):
-        T2 = casimir_matrix(p, x, sign, N)
-        rpt.add(f"selfadjoint_{sign}", max_abs(T2 - T2.conj().T), TOL_XI)
-        vecs = {}
-        for branch, tag in ((1, "upper"), (-1, "lower")):
-            val = tau(p, x + branch)
-            worst = 0.0
-            U = eigvec_columns(p, x, sign, branch, N)
-            vecs[branch] = U
-            for i in range(U.shape[1]):
-                worst = max_or_nan(worst, float(
-                    np.linalg.norm(T2 @ U[:, i] - val * U[:, i])))
-            rpt.add(f"xi_residual_{sign}_{tag}", worst, TOL_XI)
-        both = np.hstack([vecs[1], vecs[-1]])
-        gram = both.conj().T @ both
-        rpt.add(f"orthonormality_{sign}",
-                max_abs(gram - np.eye(gram.shape[0])), TOL_XI)
-        cov = covered_indices(N)
-        ps = {b: eigenprojection(p, x, sign, b, N) for b in (1, -1)}
+        T = tensor_t(p, x, sign, N)
+        rpt.add(f"selfadjoint_{sign}",
+                walk_defect([[T]], [[adjoint(T, n)]], slots), TOL_XI)
+        U = {b: eigvec_shifts(p, x, sign, b, N) for b in (1, -1)}
+        # the eigenprojections U U^H, each entry rounded once
+        ps = {b: summed([U[b], adjoint(U[b], n)], n) for b in (1, -1)}
+        gram = 0.0
         for b, tag in ((1, "upper"), (-1, "lower")):
+            val = tau(p, x + b)
+            ks = np.arange(len(U[b][0][0]))
+            pos, diff = walk_difference([[T, U[b]]], [[scaled(val, U[b])]],
+                                        ks)
+            norms = np.sqrt(np.bincount(pos, diff.real ** 2 + diff.imag ** 2))
+            rpt.add(f"xi_residual_{sign}_{tag}", max_abs(norms), TOL_XI)
+            for c in (1, -1):
+                gram = max_or_nan(gram, walk_defect(
+                    [[adjoint(U[c], n), U[b]]], [[]] if c == b else [], ks))
             rpt.add(f"projection_idempotent_{sign}_{tag}",
-                    max_abs(ps[b] @ ps[b] - ps[b]), TOL_XI)
-            rpt.add(f"projection_eigen_{sign}_{tag}",
-                    max_abs(ps[b] @ T2 - tau(p, x + b) * ps[b]),
-                    TOL_COMPLETENESS)
-        total = (ps[1] + ps[-1])[np.ix_(cov, cov)]
-        rpt.add(f"completeness_{sign}",
-                max_abs(total - np.eye(len(cov))), TOL_COMPLETENESS)
+                    walk_defect([[ps[b], ps[b]]], [[ps[b]]], slots), TOL_XI)
+            rpt.add(f"projection_eigen_{sign}_{tag}", walk_defect(
+                [[ps[b], T]], [[scaled(val, ps[b])]], slots),
+                TOL_COMPLETENESS)
+        rpt.add(f"orthonormality_{sign}", gram, TOL_XI)
+        # neither family touches the uncovered slot
+        rpt.add(f"completeness_{sign}", walk_defect(
+            [[ps[1]], [ps[-1]]], [[]], covered_indices(N)), TOL_COMPLETENESS)
         spectrum = numeric_interior_spectrum(p, x, sign, N)
         lo, hi = tau(p, x - 1), tau(p, x + 1)
         dist = np.minimum(np.abs(spectrum - lo), np.abs(spectrum - hi))
@@ -166,7 +172,8 @@ def suite_casimir(p, x, N, dump=None):
         rpt.add(f"spectrum_{sign}",
                 float(dist.max()) if dist.size else math.inf, TOL_SPECTRUM)
         if dump:
-            dump_matrix(T2, f"{dump}.casimir.{sign}.txt")
+            dump_matrix(casimir_matrix(p, x, sign, N),
+                        f"{dump}.casimir.{sign}.txt")
     inv = casimir_invariance(p, x, N)
     for g, r in inv.items():
         rpt.add(f"invariance_{g}", r, TOL_COMPLETENESS)

@@ -4,6 +4,9 @@ change splitting (double space) x C^2 into the two neighbouring double
 spaces, read from the Casimir eigenvectors at x = 2l (bl(l)'s double space
 is podles(2l)'s with the plus labels moved up by 2l), the explicit block
 formulas for the middle graded generator, and the projective-plane base case.
+Every operator is a list of weighted shifts: the eigenvectors two entries
+each, the block four lifted shifts, and each identity is walked as a
+difference of products (`reps.walk_defect`).
 """
 from __future__ import annotations
 
@@ -12,11 +15,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .casimir import covered_indices, eigvec_columns, eigvec_shifts
+from .casimir import covered_indices, eigvec_shifts
 from .qcore import QParams
 from .ncalg import NCPoly, a_gen, basis_words, make_presentation, normal_form
 from .report import max_or_nan
-from .reps import TensorRep, compress, max_abs, on_support, rep_bl, walk
+from .reps import TensorRep, adjoint, lift, rep_bl, scaled, walk_defect
 
 STANDARD = "standard"
 ORBIT_TOL = 1e-12     # |x + m| against |y| in orbit_equivalent
@@ -60,14 +63,16 @@ def picard_group(a) -> str:
 
 class BasisChange(NamedTuple):
     """Isometries from the two neighbouring double-space layouts into
-    (double space at l) x C^2, the summand projections, and the tensor slots
-    the two families span (all but each summand's top spin-plus slot)."""
+    (double space at l) x C^2, the whole families whose U U^H are the
+    summand projections, each as two one-to-one weighted shifts (minus
+    columns, then plus), and the tensor slots the two families span (all
+    but each summand's top spin-plus slot)."""
 
     N_new: int
-    W_up: np.ndarray
-    W_down: np.ndarray
-    p_up: np.ndarray
-    p_down: np.ndarray
+    W_up: list
+    W_down: list
+    U_up: list
+    U_down: list
     covered: np.ndarray
 
 
@@ -81,24 +86,26 @@ def basis_change(p: QParams, l, M: int) -> BasisChange:
     N = M - 1
 
     def family(branch):
-        minus, plus = (eigvec_columns(p, 2 * l, sign, branch, M)
+        minus, plus = (eigvec_shifts(p, 2 * l, sign, branch, M)
                        for sign in ("minus", "plus"))
-        k = minus.shape[1]
-        full = np.zeros((4 * M, k + plus.shape[1]), dtype=np.complex128)
-        full[:2 * M, :k] = minus
-        full[2 * M:, k:] = plus
-        return full[:, np.r_[:N, k:k + N]], full @ full.conj().T
+        k = len(minus[0][0])
+        full = [(np.concatenate([tm, np.where(tp >= 0, tp + 2 * M, -1)]),
+                 np.concatenate([cm, cp]))
+                for (tm, cm), (tp, cp) in zip(minus, plus)]
+        lead = np.r_[:N, k:k + N]
+        return [(t[lead], c[lead]) for t, c in full], full
 
-    (W_up, p_up), (W_down, p_down) = family(1), family(-1)
+    (W_up, U_up), (W_down, U_down) = family(1), family(-1)
     half = covered_indices(M)
-    return BasisChange(N, W_up, W_down, p_up, p_down,
+    return BasisChange(N, W_up, W_down, U_up, U_down,
                        np.concatenate([half, half + 2 * M]))
 
 
 def a0_block(p: QParams, l, branch: int, M: int):
     """The middle graded generator of the neighbouring algebra, assembled as
     a 2x2 block operator over the level-l images, together with its
-    compression residuals.
+    compression residuals.  The block is four weighted shifts on the tensor
+    slots, one per block entry.
 
     branch=+1 targets level l+1/2, branch=-1 (l>0 only) targets l-1/2.
     """
@@ -106,83 +113,80 @@ def a0_block(p: QParams, l, branch: int, M: int):
     if branch == -1 and l == 0:
         raise ValueError("the downward block needs l > 0")
     rep = rep_bl(p, l, M)
-    A0 = rep.matrix(a_gen(0), M)
-    Am1 = rep.matrix(a_gen(-1), M)
-    Ap1 = rep.matrix(a_gen(1), M)
-    Z = rep.matrix("Z", M)
-    I = np.eye(2 * M, dtype=np.complex128)
+    tgt0, A0 = rep.shift(a_gen(0), M)
+    tgtm, Am1 = rep.shift(a_gen(-1), M)
+    tgtp, Ap1 = rep.shift(a_gen(1), M)
+    z = rep.shift("Z", M)[1]   # Z is diagonal: its shift keeps each label
+    # each entry B_ij is one A-shift times diagonals in Z, its coefficients
+    # multiplied in the order of the operator product, left to right
     if branch == 1:
         # self-adjointness of the block pins the second upper-right factor to
         # exponent 2l-1 (its adjoint then reproduces the lower-left entry)
-        Bpp = -A0 @ (I - q ** (4 * l + 2) * Z @ Z)
-        Bpm = q ** (2 * l) * Am1 @ (I + q ** (-2 * l - 1) * Z) @ (
-            I + q ** (2 * l - 1) * Z)
-        Bmp = -(q ** (2 * l)) * Ap1 @ (I - q ** (-2 * l + 1) * Z) @ (
-            I - q ** (2 * l + 1) * Z)
-        Bmm = q ** (4 * l) * A0 @ (I - q ** (-4 * l - 2) * Z @ Z)
+        Bpp = -A0 * (1 - q ** (4 * l + 2) * z * z)
+        Bpm = q ** (2 * l) * Am1 * (1 + q ** (-2 * l - 1) * z) * (
+            1 + q ** (2 * l - 1) * z)
+        Bmp = -(q ** (2 * l)) * Ap1 * (1 - q ** (-2 * l + 1) * z) * (
+            1 - q ** (2 * l + 1) * z)
+        Bmm = q ** (4 * l) * A0 * (1 - q ** (-4 * l - 2) * z * z)
     else:
         Bpp = -(q ** (4 * l)) * A0
         Bpm = -(q ** (2 * l)) * Am1
         Bmp = q ** (2 * l) * Ap1
         Bmm = A0
-    # slot 2j+s carries spin s, so B_ij fills rows i::2, columns j::2 (added
-    # onto zeros: no entry is a negative zero).  The normalized splitting
-    # vectors force an overall 1/(1+q^(4l)); with it the compression
-    # reproduces the neighbour-level generator exactly
-    block = np.zeros((4 * M, 4 * M), dtype=np.complex128)
-    for (i, j), B in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
-                         (Bpp, Bpm, Bmp, Bmm)):
-        block[i::2, j::2] += B
-    block /= 1 + q ** (4 * l)
+    # slot 2j+s carries spin s, so B_ij maps spin j to spin i.  The
+    # normalized splitting vectors force an overall 1/(1+q^(4l)); with it
+    # the compression reproduces the neighbour-level generator exactly
+    scale = 1 + q ** (4 * l)
+    block = [lift(tgt, B / scale, i, j) for (i, j), tgt, B in zip(
+        ((0, 0), (0, 1), (1, 0), (1, 1)), (tgt0, tgtm, tgtp, tgt0),
+        (Bpp, Bpm, Bmp, Bmm))]
 
     bc = basis_change(p, l, M)
     W_right = bc.W_up if branch == 1 else bc.W_down
     W_wrong = bc.W_down if branch == 1 else bc.W_up
     target = rep_bl(p, l + branch / 2, bc.N_new)
-    want = target.matrix(a_gen(0), bc.N_new)
+    cols = np.arange(target.dim(bc.N_new))
+
+    def defect(V, W, want):
+        return walk_defect([[adjoint(V, 4 * M), block, W]], want, cols)
+
     report = {
-        "match": max_abs(W_right.conj().T @ block @ W_right - want),
-        "wrong_summand": max_abs(W_wrong.conj().T @ block @ W_wrong),
-        "cross": max_or_nan(
-            max_abs(W_wrong.conj().T @ block @ W_right),
-            max_abs(W_right.conj().T @ block @ W_wrong)),
+        "match": defect(W_right, W_right,
+                        [[target.shifts(a_gen(0), bc.N_new)]]),
+        "wrong_summand": defect(W_wrong, W_wrong, []),
+        "cross": max_or_nan(defect(W_wrong, W_right, []),
+                            defect(W_right, W_wrong, [])),
     }
     return block, report
 
 
 def podles_part_compression(p: QParams, l, M: int) -> dict:
     """Compress the coaction-tensored sphere generators by either family,
-    `basis_change`'s W_up or W_down as two weighted shifts, and match them
-    against the neighbouring double-space representation."""
+    `basis_change`'s W_up or W_down, and match them against the
+    neighbouring double-space representation."""
     rep2 = TensorRep(rep_bl(p, l, M))
+    bc = basis_change(p, l, M)
     out = {}
-    for branch in [1] + ([-1] if l > 0 else []):
-        minus, plus = (eigvec_shifts(p, 2 * l, sign, branch, M, M - 1)
-                       for sign in ("minus", "plus"))
-        U = [(np.concatenate([tm, np.where(tp >= 0, tp + 2 * M, -1)]),
-              np.concatenate([cm, cp]))
-             for (tm, cm), (tp, cp) in zip(minus, plus)]
+    for branch, tag in [(1, "up")] + ([(-1, "down")] if l > 0 else []):
+        U = bc.W_up if branch == 1 else bc.W_down
         target = rep_bl(p, l + branch / 2, M - 1)
-        n = target.dim(M - 1)
         for g in ("X", "Y", "Z"):
-            cols, rows, val = compress(U, rep2.shifts(g, M), 4 * M)
-            tc, tr, tv = walk(target, (g,), M - 1, np.arange(n))
-            got, want = on_support([(rows * n + cols, val)],
-                                   [(tr * n + tc, tv)])
-            out[f"{'up' if branch == 1 else 'down'}_{g}"] = max_abs(got - want)
+            out[f"{tag}_{g}"] = walk_defect(
+                [[adjoint(U, 4 * M), rep2.shifts(g, M), U]],
+                [[target.shifts(g, M - 1)]], np.arange(target.dim(M - 1)))
     return out
 
 
 def basis_change_checks(p: QParams, l, M: int) -> dict:
     """Orthonormality and completeness residuals of the basis change."""
     bc = basis_change(p, l, M)
-    out = {}
-    for name, W in (("up", bc.W_up), ("down", bc.W_down)):
-        gram = W.conj().T @ W
-        out[f"orthonormal_{name}"] = max_abs(gram - np.eye(gram.shape[0]))
-    cov = bc.covered
-    total = (bc.p_up + bc.p_down)[np.ix_(cov, cov)]
-    out["completeness"] = max_abs(total - np.eye(len(cov)))
+    n = 4 * M
+    out = {f"orthonormal_{name}": walk_defect(
+        [[adjoint(W, n), W]], [[]], np.arange(len(W[0][0])))
+        for name, W in (("up", bc.W_up), ("down", bc.W_down))}
+    # the projections U U^H; neither family touches the uncovered slots
+    out["completeness"] = walk_defect(
+        [[U, adjoint(U, n)] for U in (bc.U_up, bc.U_down)], [[]], bc.covered)
     return out
 
 
@@ -190,34 +194,34 @@ def rp2_suite(p: QParams, N: int) -> dict:
     """Base-case checks in the level-0 algebra: the graded involution, the
     antipodal conjugation, the projection swap under the involution, and the
     closure of the even subalgebra."""
-    q = p.q
     M = N + 4
     rep = rep_bl(p, 0, M)
-    A0 = rep.matrix(a_gen(0), M)
-    I = np.eye(2 * M, dtype=np.complex128)
-    p_plus = (I + A0) / 2
-    p_minus = (I - A0) / 2
+    n = rep.dim(M)
+    slots = np.arange(n)
+    tgt, coef = rep.shift(a_gen(0), M)
+    A0 = [(tgt, coef)]
+    half = (slots, np.full(n, 0.5, dtype=np.complex128))
+    p_plus = [half, (tgt, coef / 2)]     # (I + A0) / 2
+    p_minus = [half, (tgt, -coef / 2)]   # (I - A0) / 2
     out = {
         "involution": max_or_nan(
-            max_abs(A0 @ A0 - I),
-            max_abs(A0 - A0.conj().T)),
+            walk_defect([[A0, A0]], [[]], slots),
+            walk_defect([[A0]], [[adjoint(A0, n)]], slots)),
         "projections": max_or_nan(
-            max_abs(p_plus @ p_plus - p_plus),
-            max_abs(p_plus @ p_minus),
-            max_abs(p_plus + p_minus - I)),
+            walk_defect([[p_plus, p_plus]], [[p_plus]], slots),
+            walk_defect([[p_plus, p_minus]], [], slots),
+            walk_defect([[p_plus], [p_minus]], [[]], slots)),
+        "antipodal_conjugation": max_or_nan(*(
+            walk_defect([[A0, G, A0]], [[scaled(-1.0, G)]], slots)
+            for G in (rep.shifts(g, M) for g in ("X", "Y", "Z")))),
     }
-    conj = 0.0
-    for g in ("X", "Y", "Z"):
-        G = rep.matrix(g, M)
-        conj = max_or_nan(conj, max_abs(A0 @ G @ A0 + G))
-    out["antipodal_conjugation"] = conj
-
+    # A0 x I; A0 swaps the two summands label by label, so the swapped
+    # projection stays off the uncovered slots
     bc = basis_change(p, 0, M)
-    A0t = np.zeros((4 * M, 4 * M), dtype=np.complex128)
-    A0t[0::2, 0::2] = A0t[1::2, 1::2] = A0   # A0 x I on the tensor slots
-    cov = bc.covered
-    swap = (A0t @ bc.p_up @ A0t - bc.p_down)[np.ix_(cov, cov)]
-    out["projection_swap"] = max_abs(swap)
+    A0t = [lift(tgt, coef, s, s) for s in (0, 1)]
+    out["projection_swap"] = walk_defect(
+        [[A0t, bc.U_up, adjoint(bc.U_up, 4 * M), A0t]],
+        [[bc.U_down, adjoint(bc.U_down, 4 * M)]], bc.covered)
 
     # even part of the equatorial sphere closes under multiplication
     pres = make_presentation("podles", p, x=0.0)

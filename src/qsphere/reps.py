@@ -7,10 +7,11 @@ coefficient coef[j].  A podles / bl generator is one shift, built from its
 label-step function at an internal truncation M; a tensor generator is
 several, read from one coaction table (`_tensor_terms`); the spin-1/2
 module and compressions store theirs (`ShiftRep`).  One walk
-(`walk_shifts`) serves `evaluate`, `residual` and the float
-`relation_check`.  Padded evaluation walks at an enlarged size and crops,
-so retained entries are exact values of the infinite-dimensional
-operators; residuals are accumulated on the walked support only.
+(`walk_shifts`) serves `evaluate`, `residual`, the float `relation_check`
+and the walked differences of products (`walk_difference`).  Padded
+evaluation walks at an enlarged size and crops, so retained entries are
+exact values of the infinite-dimensional operators; residuals are
+accumulated on the walked support only.
 
 Relation residuals, adjoint-action residuals and invariant-functional tail
 defects are walked label by label in mpmath arithmetic, through one exact
@@ -400,16 +401,28 @@ class ShiftRep:
         return np.arange(W)
 
     def shifts(self, g, M: int) -> list:
-        M = self.dim(M)
-        cols, rows, val = self._gens[g]
-        out = []
-        for d in np.unique(rows - cols):
-            on = (rows - cols == d) & (rows < M) & (cols < M)
-            tgt = np.full(M, -1, dtype=np.intp)
-            coef = np.zeros(M, dtype=np.complex128)
-            tgt[cols[on]], coef[cols[on]] = rows[on], val[on]
-            out.append((tgt, coef))
-        return out or [(np.full(M, -1, dtype=np.intp), np.zeros(M))]
+        return diagonals(*self._gens[g], self.dim(M))
+
+
+def diagonals(cols, rows, val, n: int) -> list:
+    """Entries (columns, rows, values), each (column, row) once, as one
+    one-to-one weighted shift on range(n) per diagonal; entries outside
+    range(n) are dropped."""
+    out = []
+    for d in np.unique(rows - cols):
+        on = (rows - cols == d) & (rows < n) & (cols < n)
+        tgt = np.full(n, -1, dtype=np.intp)
+        coef = np.zeros(n, dtype=np.complex128)
+        tgt[cols[on]], coef[cols[on]] = rows[on], val[on]
+        out.append((tgt, coef))
+    return out or [(np.full(n, -1, dtype=np.intp), np.zeros(n))]
+
+
+def summed(factors, n: int) -> list:
+    """A product of operators on range(n) with each entry summed and
+    rounded once, as a dense product rounds it: its walk (`walk_shifts`)
+    split into diagonals."""
+    return diagonals(*walk_shifts(factors, np.arange(n)), n)
 
 
 def spin_half(p: QParams) -> ShiftRep:
@@ -474,19 +487,27 @@ class TensorRep:
         """Generator g at internal size M as weighted shifts, one per spin
         entry of each coaction term, in term order; tgt is -1 on the
         columns of the other spin and where the base step dies."""
-        n = self.dim(M)
         out = []
         for base_g, entries in _tensor_terms(g, FloatCtx(self.meta["q"])):
             tgt, coef = self.base.shift(base_g, M)
             if self.absorb_sign:
                 coef = absorb_sign(self.base, M, tgt, coef)
             for sp2, sp_in, v in entries:
-                t = np.full(n, -1, dtype=np.intp)
-                c = np.zeros(n, dtype=np.complex128)
-                t[sp_in::2] = np.where(tgt >= 0, 2 * tgt + sp2, -1)
-                c[sp_in::2] = coef if v is None else coef * v
-                out.append((t, c))
+                out.append(lift(tgt, coef if v is None else coef * v,
+                                sp2, sp_in))
         return out
+
+
+def lift(tgt, coef, out_spin: int, in_spin: int):
+    """A weighted shift on a base space lifted to the tensor slots
+    2i + spin: column 2j + in_spin goes to row 2 tgt[j] + out_spin, and the
+    columns of the other spin go nowhere."""
+    n = 2 * len(tgt)
+    t = np.full(n, -1, dtype=np.intp)
+    c = np.zeros(n, dtype=np.complex128)
+    t[in_spin::2] = np.where(tgt >= 0, 2 * tgt + out_spin, -1)
+    c[in_spin::2] = coef
+    return t, c
 
 
 # ---------------------------------------------------------------------------
@@ -526,21 +547,28 @@ def walk(rep, word: Word, M: int, cols):
     return walk_shifts([rep.shifts(g, M) for g in word], cols)
 
 
-def compress(U, G, n: int):
-    """Entries (column, row, value) of U^H G U, for U a list of one-to-one
-    shifts into range(n) and G an operator on range(n)."""
+def adjoint(U, n: int) -> list:
+    """U^H for U a list of one-to-one shifts into range(n): each shift
+    reversed, its coefficients conjugated."""
     UH = []
-    for tgt, coef in U:   # each shift reversed, its coefficients conjugated
+    for tgt, coef in U:
         cols = np.flatnonzero(tgt >= 0)
         t, c = np.full(n, -1, dtype=np.intp), np.zeros(n, dtype=np.complex128)
         t[tgt[cols]], c[tgt[cols]] = cols, coef[cols].conj()
         UH.append((t, c))
-    return walk_shifts([UH, G, U], np.arange(len(U[0][0])))
+    return UH
 
 
-def on_support(*sides) -> list:
+def compress(U, G, n: int):
+    """Entries (column, row, value) of U^H G U, for U a list of one-to-one
+    shifts into range(n) and G an operator on range(n)."""
+    return walk_shifts([adjoint(U, n), G, U], np.arange(len(U[0][0])))
+
+
+def on_support(*sides):
     """Sides of (flat index, value) terms, each index once per term, summed
-    term by term on the union of the indices: one array per side."""
+    term by term on the union of the indices: that union, sorted, and one
+    array per side."""
     flats = [flat for terms in sides for flat, _ in terms]
     support = np.unique(np.concatenate(flats)) if flats else np.empty(0, int)
     accs = []
@@ -549,7 +577,31 @@ def on_support(*sides) -> list:
         for flat, val in terms:
             acc[np.searchsorted(support, flat)] += val
         accs.append(acc)
-    return accs
+    return support, accs
+
+
+def scaled(s, A) -> list:
+    """s A for an operator A, a list of weighted shifts."""
+    return [(tgt, s * coef) for tgt, coef in A]
+
+
+def walk_difference(lhs, rhs, cols):
+    """Entries of sum(lhs) - sum(rhs) in the columns `cols`: each side a
+    list of products of operators (lists of weighted shifts; the empty
+    product is the identity), walked down `cols` and summed on the union of
+    their supports (`on_support`).  Returns (positions into cols,
+    differences)."""
+    w = len(cols)
+    support, (got, want) = on_support(*(
+        [(rows * w + pos, val) for pos, rows, val in
+         (walk_shifts(factors, cols) for factors in side)]
+        for side in (lhs, rhs)))
+    return support % w, got - want
+
+
+def walk_defect(lhs, rhs, cols) -> float:
+    """max |sum(lhs) - sum(rhs)| in the columns `cols` (`walk_difference`)."""
+    return max_abs(walk_difference(lhs, rhs, cols)[1])
 
 
 def _window_terms(poly: NCPoly, rep, W: int):
@@ -592,7 +644,7 @@ def residual(poly_a, poly_b, rep) -> float:
     them, on the window entries their walks reach; every other entry is
     0 - 0, so the result is bit-identical to the evaluated difference."""
     n = rep.dim(rep.N)
-    got, want = on_support(*(
+    _, (got, want) = on_support(*(
         [(rows * n + cols, val)
          for rows, cols, val in _window_terms(_as_poly(poly), rep, rep.N)]
         for poly in (poly_a, poly_b)))

@@ -21,11 +21,11 @@ from qsphere.ncalg import (
 )
 from qsphere.reps import evaluate, max_abs, relation_check, rep_bl, rep_podles
 from qsphere.casimir import (
+    branch_indices,
     casimir_matrix,
+    closed_form_eigvec,
     compress_identify,
     covered_indices,
-    eigenprojection,
-    eigvec_columns,
     numeric_interior_spectrum,
 )
 from qsphere.action import (
@@ -75,11 +75,13 @@ def test_criterion_02_casimir_split():
             ps = {}
             for branch in (1, -1):
                 val = tau(P5, x + branch)
-                U = eigvec_columns(P5, x, sign, branch, N)
+                U = np.column_stack([
+                    closed_form_eigvec(P5, x, sign, branch, k, N)
+                    for k in branch_indices(sign, branch, N)])
                 resid = T2 @ U - val * U
                 worst_xi = max(worst_xi, float(
                     np.linalg.norm(resid, axis=0).max()))
-                ps[branch] = eigenprojection(P5, x, sign, branch, N)
+                ps[branch] = U @ U.conj().T
             spectrum = numeric_interior_spectrum(P5, x, sign, N)
             lo, hi = tau(P5, x - 1), tau(P5, x + 1)
             worst_spectrum = max(worst_spectrum, float(np.minimum(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,17 +6,17 @@ import pytest
 
 from qsphere.qcore import QParams, tau
 from qsphere.casimir import (
+    SPECTRUM_EDGE,
     branch_indices,
     casimir_matrix,
     closed_form_eigvec,
     compress_identify,
     covered_indices,
-    eigenprojection,
-    eigvec_columns,
     eigvec_shifts,
     numeric_interior_spectrum,
 )
-from qsphere.reps import TensorRep, max_abs, rep_podles
+from qsphere.cli import run
+from qsphere.reps import TensorRep, adjoint, max_abs, rep_podles, summed
 
 P = QParams(0.5)
 Q = P.q
@@ -45,6 +46,18 @@ def _scatter(shifts, n, m):
     return A
 
 
+def eigvec_columns(p, x, sign, branch, N):
+    """One eigenvector family as dense columns, stacked from the closed
+    form."""
+    return np.column_stack([closed_form_eigvec(p, x, sign, branch, k, N)
+                            for k in branch_indices(sign, branch, N)])
+
+
+def eigenprojection(p, x, sign, branch, N):
+    U = eigvec_columns(p, x, sign, branch, N)
+    return U @ U.conj().T
+
+
 @pytest.mark.parametrize("q, x, N", [(0.5, 0.7, 64), (0.5, 0.35, 16),
                                      (0.3, 2.5, 24), (0.8, -0.4, 20)])
 def test_casimir_matrix_is_scattered_tensor_t(q, x, N):
@@ -63,8 +76,10 @@ def test_eigvec_shifts_are_the_closed_form_columns():
                 shifts = eigvec_shifts(P, x, sign, branch, 16)
                 got = _scatter(shifts, 32, U.shape[1])
                 assert got.tobytes() == U.tobytes()
-                lead = eigvec_shifts(P, x, sign, branch, 16, 5)
-                assert np.array_equal(_scatter(lead, 32, 5), U[:, :5])
+                # the walked projection U U^H, each entry one product
+                proj = summed([shifts, adjoint(shifts, 32)], 32)
+                want = eigenprojection(P, x, sign, branch, 16)
+                assert max_abs(_scatter(proj, 32, 32) - want) <= 1e-16
 
 
 def test_compression_matches_dense_products():
@@ -185,13 +200,65 @@ def test_minus_projections_mirror_plus_with_branches_swapped():
 
 
 def test_numeric_interior_spectrum_two_valued():
+    # at N = 32 the slots below 2(N - SPECTRUM_EDGE) = 56 hold the orphan
+    # singleton at slot 1 and the 27 blocks (2k, 2k + 3) with k <= 26
+    assert SPECTRUM_EDGE == 4
     for x in XS:
         for sign in SIGNS:
             vals = numeric_interior_spectrum(P, x, sign, 32)
-            assert len(vals) > 20
+            assert len(vals) == 1 + 2 * 27, (x, sign)
             lo, hi = tau(P, x - 1), tau(P, x + 1)
             dist = np.minimum(np.abs(vals - lo), np.abs(vals - hi))
             assert dist.max() < 1e-9
+
+
+@pytest.mark.parametrize("q, x, N", [(0.5, 0.7, 64), (0.3, 2.5, 24),
+                                     (0.8, -0.4, 20), (0.5, 0.7, 5)])
+def test_numeric_interior_spectrum_matches_dense_eigenvalues(q, x, N):
+    # every interior block's eigenvalues are eigenvalues of the dense window
+    p = QParams(q)
+    for sign in SIGNS:
+        vals = numeric_interior_spectrum(p, x, sign, N)
+        dense = np.linalg.eigvalsh(casimir_matrix(p, x, sign, N))
+        gap = np.abs(vals[:, None] - dense[None, :]).min(axis=1)
+        assert gap.max(initial=0.0) < 1e-12, (q, x, N, sign)
+        # the orphan singleton and the blocks (2k, 2k + 3) with k <= N - 6
+        assert len(vals) == 1 + 2 * (N - 5), (q, x, N, sign)
+
+
+def _extra_t_shift(kind):
+    """An entry T lacks, which breaks its 2x2 block form: a superdiagonal
+    (a second off-diagonal entry in each column), or one entry coupling the
+    orphan slot 1 to slot 0 (a pair that is not mutual)."""
+    def shift(n):
+        tgt = np.full(n, -1, dtype=np.intp)
+        coef = np.zeros(n, dtype=np.complex128)
+        if kind == "superdiagonal":
+            tgt[:-1], coef[:-1] = np.arange(1, n), 1e-3
+        else:
+            tgt[1], coef[1] = 0, 1e-3
+        return tgt, coef
+    return shift
+
+
+@pytest.mark.parametrize("kind", ["superdiagonal", "one_sided"])
+def test_spectrum_without_block_form_reads_inf(kind, monkeypatch, capsys):
+    import qsphere.casimir as casimir
+    extra = _extra_t_shift(kind)
+
+    class Broken(TensorRep):
+        def shifts(self, g, M):
+            out = super().shifts(g, M)
+            return out + [extra(self.dim(M))] if g == "T" else out
+
+    monkeypatch.setattr(casimir, "TensorRep", Broken)
+    for sign in SIGNS:
+        assert numeric_interior_spectrum(P, 0.7, sign, 16).tolist() == [
+            math.inf]
+    assert run(["casimir", "--x", "0.7", "--N", "16", "--json"]) == 1
+    details = {d["item"]: d["residual"] for d in
+               json.loads(capsys.readouterr().out)["checks"][0]["details"]}
+    assert details["spectrum_plus"] == details["spectrum_minus"] == "inf"
 
 
 def test_compress_identify_matches_shifted_representation():

@@ -210,6 +210,17 @@ GOLDEN_FLOAT_REPORTS = {
     # depend on BLAS
     ("compress", "--x", "0.7", "--N", "16"):
         "f4954b605cf61dc6dd736d79e2df3483b52ad56551df9d67a61e2ce32635577b",
+    # the Casimir splitting and the theorem2 basis change, block and base
+    # case: the eigenvector entries, step coefficients and tau are
+    # double-precision Python arithmetic, so the bytes depend on libm's
+    # `pow` (glibc, as on CI); every product and the 2x2 block eigenvalues
+    # are walked or taken elementwise on weighted shifts, never multiplied
+    # or diagonalized as dense matrices, so they do not depend on BLAS or
+    # LAPACK
+    ("casimir", "--x", "0.7", "--N", "16"):
+        "c875001d56a9d52ed6fc8f861abba726cf3d3b4b63d3f6a2569c482e38d5af21",
+    ("theorem2", "--l", "0.5", "--N", "16"):
+        "09c519515f572d0aaddef079eb374544a2552e8f14d8afc8e9c353cf54b49414",
 }
 
 
@@ -302,21 +313,39 @@ def test_module_entry_point():
     assert "picard" in proc.stdout
 
 
-def test_ergodic_peak_memory():
-    # the ergodic suite at the parameters `all` uses; a dense 12288 x 340
-    # complex commutator system for the bl(0) tensor units, or a QR of it,
-    # lifts the child's peak RSS to about 236 MB
+def _child_peak(argv):
+    """Run the command in a fresh interpreter: its exit code, its report and
+    its peak RSS in kilobytes (Linux)."""
     src = str(Path(qsphere.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]]
                  if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "qsphere", "ergodic", "--x", "1.0", "--l", "0",
-         "--json"], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env)
+        [sys.executable, "-m", "qsphere", *argv, "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env)
     out = proc.stdout.read()
     proc.stdout.close()
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0, out
-    assert json.loads(out)["checks"][0]["status"] == "pass"
-    assert usage.ru_maxrss < 120 * 1024  # kilobytes on Linux
+    return json.loads(out), usage.ru_maxrss
+
+
+def test_ergodic_peak_memory():
+    # the ergodic suite at the parameters `all` uses; a dense 12288 x 340
+    # complex commutator system for the bl(0) tensor units, or a QR of it,
+    # lifts the child's peak RSS to about 236 MB
+    report, peak = _child_peak(["ergodic", "--x", "1.0", "--l", "0"])
+    assert report["checks"][0]["status"] == "pass"
+    assert peak < 120 * 1024
+
+
+@pytest.mark.parametrize("argv", [["casimir", "--N", "512"],
+                                  ["theorem2", "--l", "0.5", "--N", "512"]])
+def test_large_window_peak_memory(argv):
+    # the Casimir splitting and the theorem2 basis change are walked on
+    # two-entry weighted shifts; dense (2N)^2 and (4M)^2 products of them
+    # peak at about 250 and 640 MB here
+    report, peak = _child_peak(argv)
+    assert all(c["status"] == "pass" for c in report["checks"])
+    assert peak < 100 * 1024

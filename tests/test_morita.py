@@ -15,10 +15,18 @@ from qsphere.morita import (
     rp2_suite,
 )
 from qsphere.ncalg import LCG, a_gen
-from qsphere.reps import max_abs, rep_bl
+from qsphere.reps import adjoint, max_abs, rep_bl, summed
 
 P = QParams(0.5)
 Q = P.q
+
+
+def _scatter(shifts, n, m):
+    A = np.zeros((n, m), dtype=np.complex128)
+    for tgt, coef in shifts:
+        cols = np.flatnonzero(tgt >= 0)
+        A[tgt[cols], cols] += coef[cols]
+    return A
 
 
 def test_orbit_examples():
@@ -81,6 +89,8 @@ def test_basis_change_columns_are_casimir_eigenvectors():
     bc = basis_change(P, l, M)
     twol = 1
     N = bc.N_new
+    W_up = _scatter(bc.W_up, 4 * M, 2 * N)
+    W_down = _scatter(bc.W_down, 4 * M, 2 * N)
 
     def embed(vec, summand):
         out = np.zeros(4 * M, dtype=np.complex128)
@@ -91,15 +101,15 @@ def test_basis_change_columns_are_casimir_eigenvectors():
         return out
 
     for k in (0, 1, 5):
-        col = bc.W_up[:, k]
+        col = W_up[:, k]
         xi = closed_form_eigvec(P, 2 * l, "minus", 1, k, M)
         assert max_abs(col - embed(xi, "-")) < 1e-13
     for j, col_pos in ((0, N), (3, N + 3)):
-        col = bc.W_up[:, col_pos]
+        col = W_up[:, col_pos]
         xi = closed_form_eigvec(P, 2 * l, "plus", 1, j, M)
         assert max_abs(col - embed(xi, "+")) < 1e-13
     for k in (0, 2):
-        col = bc.W_down[:, k]
+        col = W_down[:, k]
         xi = closed_form_eigvec(P, 2 * l, "minus", -1, k, M)
         assert max_abs(col - embed(xi, "-")) < 1e-13
 
@@ -228,9 +238,13 @@ def test_basis_change_matches_reference_bits():
             for M in (8, 17, 24):
                 bc = basis_change(p, l, M)
                 ref = _ref_basis_change(p, l, M)
-                for name in ("W_up", "W_down", "p_up", "p_down"):
-                    got = getattr(bc, name)
-                    assert got.tobytes() == ref[name].tobytes(), (q, l, M, name)
+                n = 4 * M
+                got = {"W_up": _scatter(bc.W_up, n, 2 * bc.N_new),
+                       "W_down": _scatter(bc.W_down, n, 2 * bc.N_new)}
+                for name, U in (("p_up", bc.U_up), ("p_down", bc.U_down)):
+                    got[name] = _scatter(summed([U, adjoint(U, n)], n), n, n)
+                for name, A in got.items():
+                    assert A.tobytes() == ref[name].tobytes(), (q, l, M, name)
                 cov = bc.covered
                 assert cov.tobytes() == ref["covered"].tobytes(), (q, l, M)
                 # A(+-1) exist from l = 1/2, and the level l + 1/2 needs
@@ -240,4 +254,5 @@ def test_basis_change_matches_reference_bits():
                 for branch in (1, -1):
                     block, _ = a0_block(p, l, branch, M)
                     want = _ref_a0_block(p, l, branch, M)
-                    assert block.tobytes() == want.tobytes(), (q, l, M, branch)
+                    got = _scatter(block, 4 * M, 4 * M)
+                    assert got.tobytes() == want.tobytes(), (q, l, M, branch)
