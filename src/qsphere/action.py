@@ -34,11 +34,13 @@ from .reps import (
     step_tables,
     walk,
     walk_diagonal,
+    walk_difference,
     walk_dps,
 )
 
 _RND = round_nearest
 SV_THRESHOLD = 1e-8   # invariant_subspace's relative kernel cut
+IMAGE_GROUP = 32      # monomial images whose commutators are walked at once
 
 
 # ---------------------------------------------------------------------------
@@ -224,71 +226,45 @@ def _implementers(rep, M: int) -> list:
              for tgt, coef in rep.shifts(g, M)] for g in ("Z", "X", "Y")]
 
 
-def _window_shift(tgt, coef, idx):
-    """One shift of an implementer with its window columns idx read
-    backwards: (tgt, coef, back, back_coef), where window column back[s]
-    goes to internal row s with coefficient back_coef[s] (back[s] = -1
-    where none does)."""
-    t = tgt[idx]
-    J = np.flatnonzero(t >= 0)
-    if len(np.unique(t[J])) < len(J):
-        raise ValueError("implementer maps two labels to one")
-    back = np.full(len(tgt), -1, dtype=np.intp)
-    back[t[J]] = J
-    back_coef = np.zeros(len(tgt), dtype=np.complex128)
-    back_coef[t[J]] = coef[idx[J]]
-    return tgt, coef, back, back_coef
+def _block_diagonal(shifts, n: int):
+    """One weighted shift acting as shifts[c], each on range(n), on the
+    block [c n, (c+1) n)."""
+    return (np.concatenate([np.where(tgt >= 0, tgt + c * n, -1)
+                            for c, (tgt, _) in enumerate(shifts)]),
+            np.concatenate([coef for _, coef in shifts]))
 
 
-def _commutator_column(cols, rows, val, pos, impls, nw: int):
-    """Column of the commutator system for a weighted shift A (column
-    cols[i] goes to row rows[i] with value val[i]; every other entry is
-    zero), as (rows, values) of its nonzero entries: the window entries of
-    [Z', A], [A, X'], [A, Y'], each flattened row-major, stacked.  impls
-    holds each implementer's shifts on the window (`_window_shift`); pos
-    maps internal indices to window positions or -1, and pos[-1] is -1 so
-    that a dead target maps nowhere.
+def _commutator_system(images, impls, idx, pos) -> list:
+    """Columns of the commutator system, one per monomial image (a weighted
+    shift A on range(n)), as (rows, values) of their nonzero entries: the
+    window entries (columns and rows idx) of [Z', A], [A, X'], [A, Y'],
+    each flattened row-major, stacked; impls are the implementers' shifts,
+    and pos maps range(n) to window positions or -1.
 
-    For a shift G of an implementer, (G A)[I, J] = coef[rows of J] *
-    val[J], and (A G)[I, J] = val[K] * coef[J] with K the row G takes
-    column J to and I the row A takes K to: each entry is the single
-    nonzero product of the dense matmul.  The shifts of one implementer reach distinct entries, so each
-    key is at most once on each side.  Each entry of a difference is
-    a - b, a - 0 or 0 - b, as in the dense difference, and exact zeros are
-    dropped."""
-    in_c = pos[cols] >= 0
-    in_r = pos[rows] >= 0
-    jc, tc, vc = pos[cols[in_c]], rows[in_c], val[in_c]
-    ir, sr, vr = pos[rows[in_r]], cols[in_r], val[in_r]
-    if len(np.unique(ir)) < len(ir):
-        raise ValueError("basis image maps two labels to one")
-    # minuend and subtrahend entries: [Z', A] = Z'A - AZ' and
-    # [A, X'] = AX' - X'A, [A, Y'] = AY' - Y'A
-    sides = ([], [])
+    The images are one block-diagonal shift, every implementer shift
+    copied onto each block, and each commutator is one walked difference
+    over the window columns of all blocks, its rows cropped to the window
+    and its exact zeros dropped."""
+    nw, n = len(idx), len(pos)
+    A = [_block_diagonal(images, n)]
+    cols = (np.arange(len(images))[:, None] * n + idx).reshape(-1)
+    found = []
     for piece, shifts in enumerate(impls):
-        for tgt, coef, back, back_coef in shifts:
-            i = pos[tgt[tc]]
-            hit = i >= 0
-            ga = (piece * nw * nw + i[hit] * nw + jc[hit],
-                  coef[tc[hit]] * vc[hit])
-            j = back[sr]
-            hit = j >= 0
-            ag = (piece * nw * nw + ir[hit] * nw + j[hit],
-                  vr[hit] * back_coef[sr[hit]])
-            sides[0].append(ga if piece == 0 else ag)
-            sides[1].append(ag if piece == 0 else ga)
-    n_minuend = sum(len(k) for k, _ in sides[0])
-    keys = np.concatenate([k for side in sides for k, _ in side])
-    vals = np.concatenate([v for side in sides for _, v in side])
-    # a key is at most once on each side; minuends sort first
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    diff = np.where(order < n_minuend, vals, 0 - vals)
-    both = np.flatnonzero(keys[1:] == keys[:-1])
-    diff[both] = vals[both] - vals[both + 1]
-    diff[both + 1] = 0
-    kept = diff != 0
-    return keys[kept], diff[kept]
+        G = [_block_diagonal([s] * len(images), n) for s in shifts]
+        # [Z', A] = Z'A - AZ', [A, X'] = AX' - X'A, [A, Y'] = AY' - Y'A
+        ga, ag = [[G, A]], [[A, G]]
+        rows, at, diff = walk_difference(
+            *((ga, ag) if piece == 0 else (ag, ga)), cols)
+        i = pos[rows % n]
+        kept = (i >= 0) & (diff != 0)
+        at = at[kept]
+        found.append((at // nw, piece * nw * nw + i[kept] * nw + at % nw,
+                      diff[kept]))
+    block, key, val = (np.concatenate(a) for a in zip(*found))
+    order = np.argsort(block, kind="stable")
+    ends = np.searchsorted(block[order], np.arange(len(images) + 1))
+    return [(key[order[a:b]], val[order[a:b]])
+            for a, b in zip(ends[:-1], ends[1:])]
 
 
 def _column_blocks(columns):
@@ -355,10 +331,9 @@ def invariant_subspace(pres: Presentation, rep, D: int,
     q^(-2k) noise amplification of the normalized action.  The system is
     restricted to a sub-window of exact entries; each monomial image is a
     weighted shift (lifted to rows 2r+a, columns 2c+b for a tensor unit),
-    and so is each term of an implementer, so its window and its
-    commutators are gathered from their shift arrays, entry for entry the
-    dense products, straight into each column's nonzero (row, value)
-    pairs.
+    and so is each term of an implementer, so the commutators are walked
+    differences of products (`_commutator_system`), entry for entry the
+    dense products, read as each column's nonzero (row, value) pairs.
 
     A monomial reaches only its own diagonals, so the system (and the
     matrix of monomial windows) is a direct sum of small blocks; they are
@@ -386,14 +361,13 @@ def invariant_subspace(pres: Presentation, rep, D: int,
         impl = rep
         units = [None]
     idx = impl.window_indices(M, rank_window)
-    nw = len(idx)
-    pos = np.full(impl.dim(M) + 1, -1, dtype=np.intp)
+    nw, dim = len(idx), impl.dim(M)
+    pos = np.full(dim, -1, dtype=np.intp)
     pos[idx] = np.arange(nw)
-    impls = [[_window_shift(tgt, coef, idx) for tgt, coef in shifts]
-             for shifts in _implementers(impl, M)]
 
-    labels, scales, mono, system = [], [], [], []
-    for w in words:
+    impls = _implementers(impl, M)
+    labels, scales, mono, images, system = [], [], [], [], []
+    for k, w in enumerate(words):
         base_cols, base_rows, val = walk(rep, w, M, np.arange(rep.dim(M)))
         for i, unit in enumerate(units):
             if unit is None:
@@ -408,7 +382,13 @@ def invariant_subspace(pres: Presentation, rep, D: int,
             v = val / scale
             keep = in_win & (v != 0)
             mono.append((pos[rows[keep]] * nw + pos[cols[keep]], v[keep]))
-            system.append(_commutator_column(cols, rows, v, pos, impls, nw))
+            tgt = np.full(dim, -1, dtype=np.intp)
+            coef = np.zeros(dim, dtype=np.complex128)
+            tgt[cols], coef[cols] = rows, v
+            images.append((tgt, coef))
+        if len(images) >= IMAGE_GROUP or k == len(words) - 1:
+            system += _commutator_system(images, impls, idx, pos)
+            images = []
 
     mono_sv = np.concatenate([_block_svd(b)[0]
                               for _, _, b in _column_blocks(mono)])

@@ -57,10 +57,11 @@ def branch_indices(sign, branch, N: int) -> range:
 
 
 def closed_form_eigvec(p: QParams, x: float, sign, branch, k: int,
-                       N: int) -> np.ndarray:
-    """Unit eigenvector of the Casimir matrix at tau(x + branch).
+                       N: int) -> list:
+    """Unit eigenvector of the Casimir matrix at tau(x + branch), as its
+    nonzero entries [(slot, value)] in slot order.
 
-    Components live in the tensor basis (index 2j for e_j x e_+, 2j+1 for
+    Slots are the tensor basis (index 2j for e_j x e_+, 2j+1 for
     e_j x e_-).
     """
     sgn, br = _norm_sign(sign), _norm_branch(branch)
@@ -69,7 +70,7 @@ def closed_form_eigvec(p: QParams, x: float, sign, branch, k: int,
     q = p.q
     qx = q**x
     denom = math.sqrt(1 + q ** (2 * x))
-    v = np.zeros(2 * N, dtype=np.complex128)
+    v = {}
     if sgn == 1 and br == 1:
         if k >= 1:
             v[2 * (k - 1)] = -math.sqrt(1 - q ** (2 * k)) / denom
@@ -84,7 +85,7 @@ def closed_form_eigvec(p: QParams, x: float, sign, branch, k: int,
         if k >= 1:
             v[2 * (k - 1)] = -qx * math.sqrt(1 - q ** (2 * k)) / denom
         v[2 * k + 1] = math.sqrt(1 + q ** (2 * k + 2 * x)) / denom
-    return v
+    return [(slot, c) for slot, c in sorted(v.items()) if c != 0]
 
 
 def eigvec_shifts(p: QParams, x: float, sign, branch, N: int) -> list:
@@ -95,9 +96,9 @@ def eigvec_shifts(p: QParams, x: float, sign, branch, N: int) -> list:
     shifts = [(np.full(len(ks), -1, dtype=np.intp),
                np.zeros(len(ks), dtype=np.complex128)) for _ in range(2)]
     for j, k in enumerate(ks):
-        v = closed_form_eigvec(p, x, sign, branch, k, N)
-        for (tgt, coef), slot in zip(shifts, np.flatnonzero(v)):
-            tgt[j], coef[j] = slot, v[slot]
+        for (tgt, coef), (slot, v) in zip(
+                shifts, closed_form_eigvec(p, x, sign, branch, k, N)):
+            tgt[j], coef[j] = slot, v
     return shifts
 
 

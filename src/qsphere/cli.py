@@ -37,7 +37,6 @@ from .reps import (
     rep_bl,
     rep_podles,
     residual,
-    scaled,
     spin_half,
     summed,
     walk_defect,
@@ -149,8 +148,7 @@ def suite_casimir(p, x, N, dump=None):
         for b, tag in ((1, "upper"), (-1, "lower")):
             val = tau(p, x + b)
             ks = np.arange(len(U[b][0][0]))
-            pos, diff = walk_difference([[T, U[b]]], [[scaled(val, U[b])]],
-                                        ks)
+            _, pos, diff = walk_difference([[T, U[b]]], [[val, U[b]]], ks)
             norms = np.sqrt(np.bincount(pos, diff.real ** 2 + diff.imag ** 2))
             rpt.add(f"xi_residual_{sign}_{tag}", max_abs(norms), TOL_XI)
             for c in (1, -1):
@@ -159,7 +157,7 @@ def suite_casimir(p, x, N, dump=None):
             rpt.add(f"projection_idempotent_{sign}_{tag}",
                     walk_defect([[ps[b], ps[b]]], [[ps[b]]], slots), TOL_XI)
             rpt.add(f"projection_eigen_{sign}_{tag}", walk_defect(
-                [[ps[b], T]], [[scaled(val, ps[b])]], slots),
+                [[ps[b], T]], [[val, ps[b]]], slots),
                 TOL_COMPLETENESS)
         rpt.add(f"orthonormality_{sign}", gram, TOL_XI)
         # neither family touches the uncovered slot

@@ -19,7 +19,7 @@ from .casimir import covered_indices, eigvec_shifts
 from .qcore import QParams
 from .ncalg import NCPoly, a_gen, basis_words, make_presentation, normal_form
 from .report import max_or_nan
-from .reps import TensorRep, adjoint, lift, rep_bl, scaled, walk_defect
+from .reps import TensorRep, adjoint, lift, rep_bl, walk_defect
 
 STANDARD = "standard"
 ORBIT_TOL = 1e-12     # |x + m| against |y| in orbit_equivalent
@@ -212,7 +212,7 @@ def rp2_suite(p: QParams, N: int) -> dict:
             walk_defect([[p_plus, p_minus]], [], slots),
             walk_defect([[p_plus], [p_minus]], [[]], slots)),
         "antipodal_conjugation": max_or_nan(*(
-            walk_defect([[A0, G, A0]], [[scaled(-1.0, G)]], slots)
+            walk_defect([[A0, G, A0]], [[-1.0, G]], slots)
             for G in (rep.shifts(g, M) for g in ("X", "Y", "Z")))),
     }
     # A0 x I; A0 swaps the two summands label by label, so the swapped

@@ -7,11 +7,12 @@ coefficient coef[j].  A podles / bl generator is one shift, built from its
 label-step function at an internal truncation M; a tensor generator is
 several, read from one coaction table (`_tensor_terms`); the spin-1/2
 module and compressions store theirs (`ShiftRep`).  One walk
-(`walk_shifts`) serves `evaluate`, `residual`, the float `relation_check`
-and the walked differences of products (`walk_difference`).  Padded
-evaluation walks at an enlarged size and crops, so retained entries are
-exact values of the infinite-dimensional operators; residuals are
-accumulated on the walked support only.
+(`walk_shifts`; a factor may be a scalar) serves every float certificate
+as a walked difference of products (`walk_difference`), `evaluate`,
+`residual` and the float `relation_check` included.  Padded evaluation
+walks at an enlarged size and crops, so retained entries are exact values
+of the infinite-dimensional operators; differences are summed on the
+walked support only.
 
 Relation residuals, adjoint-action residuals and invariant-functional tail
 defects are walked label by label in mpmath arithmetic, through one exact
@@ -516,13 +517,17 @@ def lift(tgt, coef, out_spin: int, in_spin: int):
 
 def walk_shifts(factors, cols):
     """Columns `cols` of a product of operators, each a list of weighted
-    shifts, applied right to left: (positions into cols, rows, values) of
-    the entries that survive, each (position, row) once.  A factor of
-    several shifts branches each entry and sums what lands on one row."""
+    shifts or a scalar, applied right to left: (positions into cols, rows,
+    values) of the entries that survive, each (position, row) once.  A
+    scalar multiplies every value where it stands; a factor of several
+    shifts branches each entry and sums what lands on one row."""
     pos = np.arange(len(cols))
     rows = np.asarray(cols, dtype=np.intp)
     val = np.ones(len(cols), dtype=np.complex128)
     for shifts in reversed(factors):
+        if isinstance(shifts, (int, float, complex)):
+            val = shifts * val
+            continue
         if len(shifts) > 1:
             pos = np.tile(pos, len(shifts))
             val = np.concatenate([coef[rows] * val for _, coef in shifts])
@@ -580,56 +585,53 @@ def on_support(*sides):
     return support, accs
 
 
-def scaled(s, A) -> list:
-    """s A for an operator A, a list of weighted shifts."""
-    return [(tgt, s * coef) for tgt, coef in A]
-
-
 def walk_difference(lhs, rhs, cols):
     """Entries of sum(lhs) - sum(rhs) in the columns `cols`: each side a
-    list of products of operators (lists of weighted shifts; the empty
-    product is the identity), walked down `cols` and summed on the union of
-    their supports (`on_support`).  Returns (positions into cols,
-    differences)."""
+    list of products (lists of factors, see `walk_shifts`; the empty
+    product is the identity), walked down `cols` and summed term by term
+    on the union of their supports (`on_support`).  Returns (rows,
+    positions into cols, differences)."""
     w = len(cols)
     support, (got, want) = on_support(*(
         [(rows * w + pos, val) for pos, rows, val in
          (walk_shifts(factors, cols) for factors in side)]
         for side in (lhs, rhs)))
-    return support % w, got - want
+    return support // w, support % w, got - want
 
 
 def walk_defect(lhs, rhs, cols) -> float:
     """max |sum(lhs) - sum(rhs)| in the columns `cols` (`walk_difference`)."""
-    return max_abs(walk_difference(lhs, rhs, cols)[1])
-
-
-def _window_terms(poly: NCPoly, rep, W: int):
-    """Each word of `poly` walked down the window columns of `rep` at its
-    padded internal size: per term, the (window row, window column,
-    coefficient * value) of each entry it reaches inside the window."""
-    M = W + rep.pad * poly_allowance(poly)
-    idx = rep.window_indices(M, W)
-    where = np.full(rep.dim(M), -1, dtype=np.intp)
-    where[idx] = np.arange(len(idx))
-    for w, c in poly.terms.items():
-        cols, rows, val = walk(rep, w, M, idx)
-        rows = where[rows]
-        kept = rows >= 0
-        yield rows[kept], cols[kept], c * val[kept]
+    return max_abs(walk_difference(lhs, rhs, cols)[2])
 
 
 def _as_poly(poly) -> NCPoly:
     return poly if isinstance(poly, NCPoly) else NCPoly({tuple(poly): 1.0})
 
 
+def _window_difference(poly_a, poly_b, rep):
+    """Window entries of poly_a - poly_b at the padded internal size, each
+    term walked as the product [coefficient, *letters] down the window
+    columns only, which evolve independently: (window rows, window
+    columns, differences)."""
+    poly_a, poly_b = _as_poly(poly_a), _as_poly(poly_b)
+    M = rep.N + rep.pad * max(poly_allowance(poly_a), poly_allowance(poly_b))
+    idx = rep.window_indices(M, rep.N)
+    where = np.full(rep.dim(M), -1, dtype=np.intp)
+    where[idx] = np.arange(len(idx))
+    rows, cols, diff = walk_difference(*(
+        [[c, *(rep.shifts(g, M) for g in w)] for w, c in poly.terms.items()]
+        for poly in (poly_a, poly_b)), idx)
+    rows = where[rows]
+    kept = rows >= 0
+    return rows[kept], cols[kept], diff[kept]
+
+
 def evaluate(poly, rep) -> np.ndarray:
     """Coefficient-weighted sum of word-wise products at the padded internal
-    size, cropped to the window (size rep.N): each word is walked down the
-    window columns only, which evolve independently."""
+    size, cropped to the window (size rep.N), as a dense array."""
     acc = np.zeros((rep.dim(rep.N),) * 2, dtype=np.complex128)
-    for rows, cols, val in _window_terms(_as_poly(poly), rep, rep.N):
-        acc[rows, cols] += val
+    rows, cols, val = _window_difference(poly, NCPoly({}), rep)
+    acc[rows, cols] = val
     return acc
 
 
@@ -640,15 +642,10 @@ def max_abs(A: np.ndarray) -> float:
 def residual(poly_a, poly_b, rep) -> float:
     """max |evaluate(poly_a) - evaluate(poly_b)| over the window.
 
-    Both sides are accumulated, term by term in the order `evaluate` adds
-    them, on the window entries their walks reach; every other entry is
-    0 - 0, so the result is bit-identical to the evaluated difference."""
-    n = rep.dim(rep.N)
-    _, (got, want) = on_support(*(
-        [(rows * n + cols, val)
-         for rows, cols, val in _window_terms(_as_poly(poly), rep, rep.N)]
-        for poly in (poly_a, poly_b)))
-    return max_abs(got - want)
+    Both sides are summed, term by term in the order `evaluate` adds them,
+    on the entries their walks reach; every other entry is 0 - 0, so the
+    result is bit-identical to the evaluated difference."""
+    return max_abs(_window_difference(poly_a, poly_b, rep)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -1027,20 +1024,14 @@ def walk_dps(rep, W: int, slack: int = 30) -> int:
 
 def combos_residual(rep, combos_a, combos_b, W: int) -> float:
     """max |combos_a - combos_b| over window columns and rows, walked in mp
-    arithmetic at window-adaptive precision (`walk_dps`)."""
+    arithmetic at window-adaptive precision (`walk_dps`), each combo of
+    combos_b subtracted from the combos_a sum one by one."""
     dps = walk_dps(rep, W)
     with mp.workdps(dps):
         ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
         tables = step_tables(rep, ctx)
-        side_a, side_b = _compile(tables, combos_a), _compile(tables, combos_b)
-
-        def column(label):
-            rows = _combo_column(tables, side_a, label)
-            for lab, val in _combo_column(tables, side_b, label).items():
-                rows[lab] = _sub(rows.get(lab), val, ctx.prec)
-            return rows
-
-        return _window_residual(rep, W, ctx.prec, column)
+        return _termwise_residual(rep, W, tables, _compile(tables, combos_a),
+                                  _compile(tables, combos_b))
 
 
 # ---------------------------------------------------------------------------

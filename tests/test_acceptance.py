@@ -23,7 +23,6 @@ from qsphere.reps import evaluate, max_abs, relation_check, rep_bl, rep_podles
 from qsphere.casimir import (
     branch_indices,
     casimir_matrix,
-    closed_form_eigvec,
     compress_identify,
     covered_indices,
     numeric_interior_spectrum,
@@ -35,6 +34,8 @@ from qsphere.action import (
     spin2l_check,
 )
 from qsphere.morita import a0_block, orbit_equivalent, picard_group, rp2_suite
+
+from closed_form import eigvec_vector
 
 N = 64
 QS = (0.3, 0.5, 0.8)
@@ -76,7 +77,7 @@ def test_criterion_02_casimir_split():
             for branch in (1, -1):
                 val = tau(P5, x + branch)
                 U = np.column_stack([
-                    closed_form_eigvec(P5, x, sign, branch, k, N)
+                    eigvec_vector(P5, x, sign, branch, k, N)
                     for k in branch_indices(sign, branch, N)])
                 resid = T2 @ U - val * U
                 worst_xi = max(worst_xi, float(

@@ -9,7 +9,6 @@ from qsphere.casimir import (
     SPECTRUM_EDGE,
     branch_indices,
     casimir_matrix,
-    closed_form_eigvec,
     compress_identify,
     covered_indices,
     eigvec_shifts,
@@ -17,6 +16,8 @@ from qsphere.casimir import (
 )
 from qsphere.cli import run
 from qsphere.reps import TensorRep, adjoint, max_abs, rep_podles, summed
+
+from closed_form import eigvec_vector
 
 P = QParams(0.5)
 Q = P.q
@@ -49,7 +50,7 @@ def _scatter(shifts, n, m):
 def eigvec_columns(p, x, sign, branch, N):
     """One eigenvector family as dense columns, stacked from the closed
     form."""
-    return np.column_stack([closed_form_eigvec(p, x, sign, branch, k, N)
+    return np.column_stack([eigvec_vector(p, x, sign, branch, k, N)
                             for k in branch_indices(sign, branch, N)])
 
 
@@ -150,12 +151,12 @@ def test_closed_form_eigvec_residuals():
             for branch in BRANCHES:
                 val = tau(P, x + branch)
                 for k in branch_indices(sign, branch, N):
-                    v = closed_form_eigvec(P, x, sign, branch, k, N)
+                    v = eigvec_vector(P, x, sign, branch, k, N)
                     assert np.linalg.norm(T2 @ v - val * v) < 1e-12
 
 
 def test_first_plus_branch_vector_is_orphan():
-    v = closed_form_eigvec(P, 0.7, "plus", 1, 0, 12)
+    v = eigvec_vector(P, 0.7, "plus", 1, 0, 12)
     want = np.zeros(24)
     want[1] = 1.0
     assert np.linalg.norm(v - want) < 1e-13

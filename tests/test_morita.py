@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qsphere.qcore import QParams
-from qsphere.casimir import closed_form_eigvec
 from qsphere.morita import (
     a0_block,
     basis_change,
@@ -16,6 +15,8 @@ from qsphere.morita import (
 )
 from qsphere.ncalg import LCG, a_gen
 from qsphere.reps import adjoint, max_abs, rep_bl, summed
+
+from closed_form import eigvec_vector
 
 P = QParams(0.5)
 Q = P.q
@@ -102,15 +103,15 @@ def test_basis_change_columns_are_casimir_eigenvectors():
 
     for k in (0, 1, 5):
         col = W_up[:, k]
-        xi = closed_form_eigvec(P, 2 * l, "minus", 1, k, M)
+        xi = eigvec_vector(P, 2 * l, "minus", 1, k, M)
         assert max_abs(col - embed(xi, "-")) < 1e-13
     for j, col_pos in ((0, N), (3, N + 3)):
         col = W_up[:, col_pos]
-        xi = closed_form_eigvec(P, 2 * l, "plus", 1, j, M)
+        xi = eigvec_vector(P, 2 * l, "plus", 1, j, M)
         assert max_abs(col - embed(xi, "+")) < 1e-13
     for k in (0, 2):
         col = W_down[:, k]
-        xi = closed_form_eigvec(P, 2 * l, "minus", -1, k, M)
+        xi = eigvec_vector(P, 2 * l, "minus", -1, k, M)
         assert max_abs(col - embed(xi, "-")) < 1e-13
 
 

@@ -459,6 +459,48 @@ def test_support_residual_matches_dense_difference_bits():
     assert residual(NCPoly({}), NCPoly({}), nan_rep) == 0.0
 
 
+def _dense_product(factors, n):
+    """A product of factors (lists of weighted shifts or scalars) as the
+    chain of dense matrices and scalar multiples, applied right to left."""
+    A = np.eye(n, dtype=np.complex128)
+    for f in reversed(factors):
+        A = f * A if isinstance(f, (int, float, complex)) else (
+            _scatter(f, n) @ A)
+    return A
+
+
+def test_walk_difference_matches_dense_products():
+    # a label representation's letters are one shift each, so every entry
+    # of a product is one product of coefficients, rounded as the dense
+    # chain rounds it; a tensor letter has several shifts, and where they
+    # meet on one entry the dense matmul sums in its own order
+    cases = [(rep_podles(P, 1.3, "direct_sum", 12), True),
+             (TensorRep(rep_podles(P, 0.7, "plus", 10)), False)]
+    for rep, exact in cases:
+        M = rep.N + 6
+        n = rep.dim(M)
+        X, Y, Z, T = (rep.shifts(g, M) for g in ("X", "Y", "Z", "T"))
+        cols = rep.window_indices(M, rep.N)
+        sides = [([[X, Y], [0.5 - 0.25j, Z, -3.0, T]], [[Y, X], []]),
+                 ([[-1.0, X, X]], [[X, 2.0, X]]),
+                 ([[]], [[Z]]),
+                 ([], [[X, Y, Z], [T]]),
+                 ([[Y, X]], [])]
+        for lhs, rhs in sides:
+            rows, pos, diff = reps.walk_difference(lhs, rhs, cols)
+            assert len(set(zip(rows.tolist(), pos.tolist()))) == len(rows)
+            got = np.zeros((n, len(cols)), dtype=np.complex128)
+            got[rows, pos] = diff
+            zero = np.zeros((n, n), dtype=np.complex128)
+            want = (sum((_dense_product(f, n) for f in lhs), zero)
+                    - sum((_dense_product(f, n) for f in rhs), zero))[:, cols]
+            if exact:
+                assert np.array_equal(got, want), (lhs, rhs)
+            else:
+                assert max_abs(got - want) <= 1e-15 * max_abs(want)
+            assert reps.walk_defect(lhs, rhs, cols) == max_abs(diff)
+
+
 def test_matrix_dump_roundtrip(tmp_path):
     rep = rep_podles(P, 1.0, "plus", 6)
     A = evaluate(parse("X*Y", make_presentation("podles", P, x=1.0)), rep)
