@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import pickle
+import signal
 import sys
 
 import numpy as np
@@ -60,6 +62,7 @@ from .action import (
 )
 from .morita import (
     a0_block,
+    basis_change,
     basis_change_checks,
     orbit_equivalent,
     picard_group,
@@ -87,6 +90,11 @@ ALL_L = {"relations": 1.0, "theta": 1.0, "functional": 0.5, "ergodic": 0.0,
          "theorem2": 0.5, "oracle": 0.5}
 # the --x at which `all` runs casimir and compress
 ALL_COMPRESS_X = 0.7
+# the suites of `all` that a forked worker certifies while this process
+# certifies the rest; at the defaults the two halves take about equal time.
+# Ergodic stays here, so LAPACK never runs in the forked child and its
+# dependent-monomials message goes to this process's stderr
+ALL_WORKER = ("relations", "functional", "compress", "theorem2")
 
 
 def _params(p, **extra):
@@ -101,18 +109,20 @@ def _params(p, **extra):
 
 def suite_relations(p, x, l, N, tol, algs, dump=None):
     reports = []
+    sphere = None   # podles and uqmp read one representation
     for alg in algs:
         rpt = VerificationReport(
             f"relations_{alg}",
             _params(p, alg=alg, x=(x if alg in ("podles", "uqmp") else None),
                     l=(l if alg == "bl" else None), N=N, tol=tol))
-        if alg == "podles":
-            pres = make_presentation("podles", p, x=x)
-            rep = rep_podles(p, x, "direct_sum", N)
-        elif alg == "uqmp":
-            pres = make_presentation("uqmp", p)
-            rep = rep_podles(p, x, "direct_sum", N)
+        if alg in ("podles", "uqmp"):
+            pres = (make_presentation("podles", p, x=x) if alg == "podles"
+                    else make_presentation("uqmp", p))
+            if sphere is None:
+                sphere = rep_podles(p, x, "direct_sum", N)
+            rep = sphere
         elif alg == "bl":
+            sphere = None   # bl does not read the sphere's step tables
             pres = make_presentation("bl", p, l=l)
             rep = rep_bl(p, l, N)
         elif alg == "uqsu2":
@@ -272,15 +282,16 @@ def suite_ergodic(p, x, l, D, N):
 
 def suite_theorem2(p, l, N):
     rpt = VerificationReport("theorem2", _params(p, l=l, N=N))
-    for name, r in basis_change_checks(p, l, N).items():
+    bc = basis_change(p, l, N)
+    for name, r in basis_change_checks(bc, N).items():
         rpt.add(name, r, TOL_COMPLETENESS)
     branches = [(1, "up")] + ([(-1, "down")] if l > 0 else [])
     for branch, tag in branches:
-        _, res = a0_block(p, l, branch, N)
+        _, res = a0_block(p, l, branch, N, bc)
         rpt.add(f"a0_match_{tag}", res["match"], TOL_THEOREM2)
         rpt.add(f"a0_wrong_summand_{tag}", res["wrong_summand"], TOL_SUPPORT)
         rpt.add(f"a0_cross_{tag}", res["cross"], TOL_SUPPORT)
-    for name, r in podles_part_compression(p, l, N).items():
+    for name, r in podles_part_compression(p, l, N, bc).items():
         rpt.add(f"sphere_compress_{name}", r, TOL_THEOREM2)
     for name, r in rp2_suite(p, N).items():
         rpt.add(f"rp2_{name}", r, TOL_RP2)
@@ -558,26 +569,89 @@ def _suites(args, p) -> list:
     elif cmd == "oracle":
         reports += suite_oracle(p, x, args.l, args.N, args.seed, args.count)
     elif cmd == "all":
-        reports += suite_relations(p, 1.0, ALL_L["relations"], args.N,
-                                   TOL_RELATIONS, ["podles", "uqmp", "bl"])
-        reports += suite_casimir(p, ALL_COMPRESS_X, args.N)
-        reports += suite_compress(p, ALL_COMPRESS_X, args.N)
-        reports += suite_theta(p, ALL_L["theta"], args.N)
-        reports += suite_functional(p, 1.0, ALL_L["functional"], args.N)
-        try:
-            reports += suite_ergodic(p, 1.0, ALL_L["ergodic"], args.D, args.N)
-        except DependentMonomialsError as e:
-            # the other suites' reports stand; ergodic certified nothing
-            print(f"verify: all: ergodic: {e}", file=sys.stderr)
-            rpt = _ergodic_report(p, 1.0, ALL_L["ergodic"], args.D, args.N)
-            rpt.add("dependent_monomials", math.inf, 0.0)
-            reports.append(rpt)
-        reports += suite_theorem2(p, ALL_L["theorem2"], args.N)
-        reports += suite_orbit(p, 0.3, 1.7)
-        reports += suite_picard(p, 0.0)
-        reports += suite_oracle(p, 1.0, ALL_L["oracle"], min(args.N, 48),
-                                args.seed, args.count)
+        suites = _all_suites(args, p)
+        theirs, mine = _with_worker(
+            lambda: {name: suites[name]() for name in ALL_WORKER},
+            lambda: {name: suite() for name, suite in suites.items()
+                     if name not in ALL_WORKER})
+        done = {**theirs, **mine}
+        reports += [rpt for name in suites for rpt in done[name]]
     return reports
+
+
+def _all_suites(args, p) -> dict:
+    """`all`'s suites in report order, each a call that returns its
+    reports."""
+    N = args.N
+    return {
+        "relations": lambda: suite_relations(
+            p, 1.0, ALL_L["relations"], N, TOL_RELATIONS,
+            ["podles", "uqmp", "bl"]),
+        "casimir": lambda: suite_casimir(p, ALL_COMPRESS_X, N),
+        "compress": lambda: suite_compress(p, ALL_COMPRESS_X, N),
+        "theta": lambda: suite_theta(p, ALL_L["theta"], N),
+        "functional": lambda: suite_functional(p, 1.0, ALL_L["functional"],
+                                               N),
+        "ergodic": lambda: _all_ergodic(p, args.D, N),
+        "theorem2": lambda: suite_theorem2(p, ALL_L["theorem2"], N),
+        "orbit": lambda: suite_orbit(p, 0.3, 1.7),
+        "picard": lambda: suite_picard(p, 0.0),
+        "oracle": lambda: suite_oracle(p, 1.0, ALL_L["oracle"], min(N, 48),
+                                       args.seed, args.count),
+    }
+
+
+def _all_ergodic(p, D, N):
+    try:
+        return suite_ergodic(p, 1.0, ALL_L["ergodic"], D, N)
+    except DependentMonomialsError as e:
+        # the other suites' reports stand; ergodic certified nothing
+        print(f"verify: all: ergodic: {e}", file=sys.stderr)
+        rpt = _ergodic_report(p, 1.0, ALL_L["ergodic"], D, N)
+        rpt.add("dependent_monomials", math.inf, 0.0)
+        return [rpt]
+
+
+def _with_worker(worker, parent):
+    """(worker(), parent()), with worker() computed in a forked child while
+    this process computes parent().  The child sends its result, or the
+    exception it raised, pickled through a pipe, and that exception is
+    raised here.  No child outlives the call: it is reaped on every path,
+    and killed first when parent() raises."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            try:
+                out = worker()
+            except BaseException as exc:
+                out = exc
+            with open(wfd, "wb") as pipe:
+                pickle.dump(out, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    with open(rfd, "rb") as pipe:
+        try:
+            mine = parent()
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise RuntimeError(f"the forked worker of `all` exited with status "
+                           f"{code} before sending its reports")
+    theirs = pickle.loads(data)
+    if isinstance(theirs, BaseException):
+        raise theirs
+    return theirs, mine
 
 
 def main() -> None:

@@ -101,11 +101,11 @@ def basis_change(p: QParams, l, M: int) -> BasisChange:
                        np.concatenate([half, half + 2 * M]))
 
 
-def a0_block(p: QParams, l, branch: int, M: int):
+def a0_block(p: QParams, l, branch: int, M: int, bc: BasisChange):
     """The middle graded generator of the neighbouring algebra, assembled as
     a 2x2 block operator over the level-l images, together with its
-    compression residuals.  The block is four weighted shifts on the tensor
-    slots, one per block entry.
+    compression residuals by `bc` = `basis_change(p, l, M)`.  The block is
+    four weighted shifts on the tensor slots, one per block entry.
 
     branch=+1 targets level l+1/2, branch=-1 (l>0 only) targets l-1/2.
     """
@@ -141,7 +141,6 @@ def a0_block(p: QParams, l, branch: int, M: int):
         ((0, 0), (0, 1), (1, 0), (1, 1)), (tgt0, tgtm, tgtp, tgt0),
         (Bpp, Bpm, Bmp, Bmm))]
 
-    bc = basis_change(p, l, M)
     W_right = bc.W_up if branch == 1 else bc.W_down
     W_wrong = bc.W_down if branch == 1 else bc.W_up
     target = rep_bl(p, l + branch / 2, bc.N_new)
@@ -160,12 +159,11 @@ def a0_block(p: QParams, l, branch: int, M: int):
     return block, report
 
 
-def podles_part_compression(p: QParams, l, M: int) -> dict:
+def podles_part_compression(p: QParams, l, M: int, bc: BasisChange) -> dict:
     """Compress the coaction-tensored sphere generators by either family,
-    `basis_change`'s W_up or W_down, and match them against the
-    neighbouring double-space representation."""
+    W_up or W_down, of `bc` = `basis_change(p, l, M)`, and match them
+    against the neighbouring double-space representation."""
     rep2 = TensorRep(rep_bl(p, l, M))
-    bc = basis_change(p, l, M)
     out = {}
     for branch, tag in [(1, "up")] + ([(-1, "down")] if l > 0 else []):
         U = bc.W_up if branch == 1 else bc.W_down
@@ -177,9 +175,9 @@ def podles_part_compression(p: QParams, l, M: int) -> dict:
     return out
 
 
-def basis_change_checks(p: QParams, l, M: int) -> dict:
-    """Orthonormality and completeness residuals of the basis change."""
-    bc = basis_change(p, l, M)
+def basis_change_checks(bc: BasisChange, M: int) -> dict:
+    """Orthonormality and completeness residuals of `bc`, the basis change
+    at internal size M."""
     n = 4 * M
     out = {f"orthonormal_{name}": walk_defect(
         [[adjoint(W, n), W]], [[]], np.arange(len(W[0][0])))

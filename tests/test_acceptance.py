@@ -33,7 +33,13 @@ from qsphere.action import (
     kernel_residual,
     spin2l_check,
 )
-from qsphere.morita import a0_block, orbit_equivalent, picard_group, rp2_suite
+from qsphere.morita import (
+    a0_block,
+    basis_change,
+    orbit_equivalent,
+    picard_group,
+    rp2_suite,
+)
 
 from closed_form import eigvec_vector
 
@@ -184,8 +190,9 @@ def test_criterion_06_ergodicity():
 def test_criterion_07_theorem2_blocks():
     worst_match, worst_support = 0.0, 0.0
     for l in (0.5, 1, 1.5):
+        bc = basis_change(P5, l, N)
         for branch in (1, -1):
-            _, res = a0_block(P5, l, branch, N)
+            _, res = a0_block(P5, l, branch, N, bc)
             worst_match = max(worst_match, res["match"])
             worst_support = max(worst_support, res["wrong_summand"],
                                 res["cross"])

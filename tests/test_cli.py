@@ -13,6 +13,7 @@ from qsphere.cli import run
 from qsphere.casimir import compress_identify
 from qsphere.ncalg import NCPoly
 from qsphere.qcore import QParams, tau
+from qsphere.report import canonical_json
 from qsphere.reps import evaluate, load_matrix
 
 
@@ -147,6 +148,74 @@ def test_all_keeps_reports_when_monomials_are_dependent(capsys):
     assert all(c["status"] == "pass" for c in checks.values())
     assert run(["ergodic", "--q", "0.3", "--x", "1.0", "--l", "0", "--N",
                 "24", "--json"]) == 2
+
+
+SMALL_ALL = ["all", "--N", "24", "--D", "3", "--count", "10"]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_all_equals_its_suites_run_in_one_process(seed, capsys):
+    # `all` certifies half its suites in a forked worker; its report is the
+    # one of the same suites called one after another in this process
+    p, N, D, count = QParams(0.5), 24, 3, 10
+    x, L = cli.ALL_COMPRESS_X, cli.ALL_L
+    reports = (
+        cli.suite_relations(p, 1.0, L["relations"], N, cli.TOL_RELATIONS,
+                            ["podles", "uqmp", "bl"])
+        + cli.suite_casimir(p, x, N) + cli.suite_compress(p, x, N)
+        + cli.suite_theta(p, L["theta"], N)
+        + cli.suite_functional(p, 1.0, L["functional"], N)
+        + cli.suite_ergodic(p, 1.0, L["ergodic"], D, N)
+        + cli.suite_theorem2(p, L["theorem2"], N)
+        + cli.suite_orbit(p, 0.3, 1.7) + cli.suite_picard(p, 0.0)
+        + cli.suite_oracle(p, 1.0, L["oracle"], N, seed, count))
+    assert run(SMALL_ALL + ["--seed", str(seed), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == canonical_json(reports, qsphere.__version__) + "\n"
+    _no_child_left()
+
+
+def test_all_raises_the_exception_of_its_worker(monkeypatch, capsys):
+    assert "functional" in cli.ALL_WORKER
+
+    def fail(*args):
+        raise LookupError(os.getpid())
+    monkeypatch.setattr(cli, "suite_functional", fail)
+    with pytest.raises(LookupError) as info:
+        run(SMALL_ALL)
+    assert info.value.args[0] != os.getpid()
+    _no_child_left()
+
+
+def test_all_reports_a_worker_that_exits_without_reports(monkeypatch,
+                                                         capsys):
+    assert "compress" in cli.ALL_WORKER
+    parent = os.getpid()
+
+    def die(*args):
+        assert os.getpid() != parent
+        os._exit(3)
+    monkeypatch.setattr(cli, "suite_compress", die)
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        run(SMALL_ALL)
+    _no_child_left()
+
+
+def test_all_reaps_its_worker_when_its_own_half_raises(monkeypatch, capsys):
+    assert "casimir" not in cli.ALL_WORKER
+
+    def fail(*args):
+        raise LookupError(os.getpid())
+    monkeypatch.setattr(cli, "suite_casimir", fail)
+    with pytest.raises(LookupError) as info:
+        run(SMALL_ALL)
+    assert info.value.args[0] == os.getpid()
+    _no_child_left()
 
 
 def test_casimir_without_interior_spectrum_fails(capsys):

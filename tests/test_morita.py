@@ -78,7 +78,7 @@ def test_basis_change_column_norm_identity():
 
 def test_basis_change_orthonormal_and_complete():
     for l in (0, 0.5, 1, 1.5):
-        res = basis_change_checks(P, l, 20)
+        res = basis_change_checks(basis_change(P, l, 20), 20)
         assert res["orthonormal_up"] < 1e-13
         assert res["orthonormal_down"] < 1e-13
         assert res["completeness"] < 1e-12
@@ -118,7 +118,7 @@ def test_basis_change_columns_are_casimir_eigenvectors():
 def test_a0_block_matches_neighbour_levels():
     for l, branch in [(0.5, 1), (0.5, -1), (1, 1), (1, -1), (1.5, 1),
                       (1.5, -1)]:
-        _, rep = a0_block(P, l, branch, 24)
+        _, rep = a0_block(P, l, branch, 24, basis_change(P, l, 24))
         assert rep["match"] < 1e-10, (l, branch, rep)
         assert rep["wrong_summand"] < 1e-11, (l, branch, rep)
         assert rep["cross"] < 1e-11, (l, branch, rep)
@@ -126,12 +126,12 @@ def test_a0_block_matches_neighbour_levels():
 
 def test_a0_block_rejects_level_zero_down():
     with pytest.raises(ValueError):
-        a0_block(P, 0, -1, 16)
+        a0_block(P, 0, -1, 16, basis_change(P, 0, 16))
 
 
 def test_podles_part_compression():
     for l in (0, 0.5, 1):
-        res = podles_part_compression(P, l, 20)
+        res = podles_part_compression(P, l, 20, basis_change(P, l, 20))
         assert max(res.values()) < 1e-10, (l, res)
 
 
@@ -253,7 +253,7 @@ def test_basis_change_matches_reference_bits():
                 if l == 0 or M < 4 * l + 7:
                     continue
                 for branch in (1, -1):
-                    block, _ = a0_block(p, l, branch, M)
+                    block, _ = a0_block(p, l, branch, M, bc)
                     want = _ref_a0_block(p, l, branch, M)
                     got = _scatter(block, 4 * M, 4 * M)
                     assert got.tobytes() == want.tobytes(), (q, l, M, branch)
