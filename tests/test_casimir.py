@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -9,6 +10,7 @@ from qsphere.casimir import (
     SPECTRUM_EDGE,
     branch_indices,
     casimir_matrix,
+    closed_form_eigvec,
     compress_identify,
     covered_indices,
     eigvec_shifts,
@@ -153,6 +155,19 @@ def test_closed_form_eigvec_residuals():
                 for k in branch_indices(sign, branch, N):
                     v = eigvec_vector(P, x, sign, branch, k, N)
                     assert np.linalg.norm(T2 @ v - val * v) < 1e-12
+
+
+def test_closed_form_eigvec_matches_reference_bits():
+    # non-integer x: the exponents (2k - 2x) + 2 and (2k + 2) - 2x round
+    # differently at x = 1/3 for k = 1, 2, 3, 4, 7, 8, ...
+    text = repr([(q, x, sign, branch, k,
+                  [(slot, v.hex()) for slot, v in closed_form_eigvec(
+                      QParams(q), x, sign, branch, k, 64)])
+                 for q in (0.3, 0.8) for x in (1 / 3, -1.3, 8)
+                 for sign in SIGNS for branch in BRANCHES
+                 for k in branch_indices(sign, branch, 64)])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5e3a7bebfc6f06bd7fd23a05118fc023db0897a2827fbbbaa5bf563cce25e65d")
 
 
 def test_first_plus_branch_vector_is_orphan():

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import pytest
 
@@ -172,6 +173,13 @@ _RULE_TABLE_DIGESTS = {
         "e39c35f6fbe8c982b937ac47f79e3a2c9844cb1f65073e119fac4271dd3b4e1d",
     (0.3, "bl", 1.5):
         "ae8d6bf2cd42aed010ec414d260df1891a149b20e7fbea44215437e1784f01f2",
+    # l >= 1: the A(s)*A(-s) rules carry exact -0.0 coefficients
+    (0.3, "bl", 1):
+        "5841581da2a698d35ff07281998cb940bab7e82f4daecf2cf4d700b073357794",
+    (0.3, "bl", 3):
+        "413edb5ad813961db8ea0a34713f4c0799734d10464c5e101a82a16384c6803f",
+    (0.1, "bl", 2):
+        "557f3b63b4c299730a2ef71a1bb2280d2f285d2dd397e18e4060b78ad12707d2",
     (0.5, "uqsu2", None):
         "c28a998d4464767bd305224b7f4d0f34e0c29502f10418997982f392adf988db",
     (0.5, "uqmp", None):
@@ -186,13 +194,18 @@ _RULE_TABLE_DIGESTS = {
         "dc2b4708032643195ab2f6f83af3b53edb1aebbad4d244916a56504a86e33dda",
     (0.5, "bl", 1.5):
         "be1546a0cdb50dccec75b37727da75b59108b8c9a502441139f42fa6f778a369",
+    (0.5, "bl", 1):
+        "605afe1c4f894d19ec0d0fe0e381db2ad5e1e0bf0c5200c5a0a81c56722c73ce",
 }
 
 
 def test_rule_tables_match_reference_bits():
     for (q, name, arg), digest in _RULE_TABLE_DIGESTS.items():
         kwargs = {"podles": {"x": arg}, "bl": {"l": arg}}.get(name, {})
-        pres = make_presentation(name, QParams(q), **kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # q = 0.1 lies below the safe range
+            p = QParams(q)
+        pres = make_presentation(name, p, **kwargs)
         text = _rule_table_text(pres).encode()
         assert hashlib.sha256(text).hexdigest() == digest, (q, name, arg)
 
