@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
 
-from .qcore import QParams, q_pochhammer
+from .qcore import FloatCtx, QParams, _sqrt_coeff, q_pochhammer
 from .ncalg import Presentation, a_gen, basis_words, is_a_gen
 from .reps import (
     TensorRep,
@@ -47,9 +47,9 @@ IMAGE_GROUP = 32      # monomial images whose commutators are walked at once
 # adjoint action as segment combos (walked exactly in mp arithmetic)
 # ---------------------------------------------------------------------------
 
-def combo_ad(g: str, combos: list, q: float) -> list:
+def combo_ad(g: str, combos: list, p: QParams) -> list:
     """Apply one adjoint generator to segment combos (implementer letters)."""
-    lam = 1.0 / (q - 1.0 / q)
+    q, lam = p.q, p.lam
     out = []
     for coef, segs in combos:
         if g == "K":
@@ -82,24 +82,20 @@ def lambda_s(p: QParams, l, s: int) -> float:
 
 def ladder_coeff_e(p: QParams, l, s: int) -> float:
     """Coefficient in theta_s <| E = c * theta_(s-1); zero exactly at the
-    lowest weight s = -2l."""
+    lowest weight s = -2l, where its first factor vanishes."""
     twol = int(2 * l)
-    q = p.q
-    if s == -twol:
-        return 0.0
-    return (q ** (-s - twol + 0.5) * p.lam
-            * math.sqrt((1 - q ** (2 * twol + 2 * s))
-                        * (1 - q ** (2 * twol - 2 * s + 2))))
+    c = _sqrt_coeff(FloatCtx(p.q),
+                    [(1, 2 * twol + 2 * s, 0), (1, 2 * twol - 2 * s + 2, 0)])
+    return 0.0 if c is None else p.q ** (-s - twol + 0.5) * p.lam * c
 
 
 def ladder_coeff_f(p: QParams, l, s: int) -> float:
+    """Coefficient in theta_s <| F = c * theta_(s+1); zero exactly at the
+    highest weight s = 2l, where its second factor vanishes."""
     twol = int(2 * l)
-    q = p.q
-    if s == twol:
-        return 0.0
-    return (q ** (s - twol - 0.5) * p.lam
-            * math.sqrt((1 - q ** (2 * twol + 2 * s + 2))
-                        * (1 - q ** (2 * twol - 2 * s))))
+    c = _sqrt_coeff(FloatCtx(p.q),
+                    [(1, 2 * twol + 2 * s + 2, 0), (1, 2 * twol - 2 * s, 0)])
+    return 0.0 if c is None else p.q ** (s - twol - 0.5) * p.lam * c
 
 
 def _theta_combo(p: QParams, l, s: int) -> list:
@@ -121,9 +117,9 @@ def spin2l_check(p: QParams, l, N: int) -> dict:
                    [(a_gen(s - 1), False)])] if s > -twol else [])
         tgt_f = ([(ladder_coeff_f(p, l, s) * lambda_s(p, l, s + 1),
                    [(a_gen(s + 1), False)])] if s < twol else [])
-        out[f"K_s{s:+d}"] = combos_residual(rep, combo_ad("K", th, q), tgt_k, N)
-        out[f"E_s{s:+d}"] = combos_residual(rep, combo_ad("E", th, q), tgt_e, N)
-        out[f"F_s{s:+d}"] = combos_residual(rep, combo_ad("F", th, q), tgt_f, N)
+        out[f"K_s{s:+d}"] = combos_residual(rep, combo_ad("K", th, p), tgt_k, N)
+        out[f"E_s{s:+d}"] = combos_residual(rep, combo_ad("E", th, p), tgt_e, N)
+        out[f"F_s{s:+d}"] = combos_residual(rep, combo_ad("F", th, p), tgt_f, N)
     return out
 
 
@@ -133,11 +129,10 @@ def casimir_invariance(p: QParams, x: float, N: int) -> dict:
     itself."""
     rep2 = TensorRep(rep_podles(p, x, "plus", N))
     tw = [(1.0, [("T", False)])]
-    q = p.q
     return {
-        "K": combos_residual(rep2, combo_ad("K", tw, q), tw, N),
-        "E": combos_residual(rep2, combo_ad("E", tw, q), [], N),
-        "F": combos_residual(rep2, combo_ad("F", tw, q), [], N),
+        "K": combos_residual(rep2, combo_ad("K", tw, p), tw, N),
+        "E": combos_residual(rep2, combo_ad("E", tw, p), [], N),
+        "F": combos_residual(rep2, combo_ad("F", tw, p), [], N),
     }
 
 

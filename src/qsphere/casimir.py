@@ -16,12 +16,12 @@ import math
 
 import numpy as np
 
-from .qcore import QParams
+from .qcore import FloatCtx, QParams, _sqrt_coeff
 from .ncalg import NCPoly, make_presentation
 from .report import max_or_nan
 from .reps import (ShiftRep, TensorRep, compress, evaluate, max_abs,
-                   on_support, rep_podles, relation_check, summed, walk,
-                   walk_shifts)
+                   on_support, podles_x_factors, rep_podles, relation_check,
+                   summed, walk, walk_shifts)
 
 SPECTRUM_EDGE = 4
 
@@ -62,30 +62,27 @@ def closed_form_eigvec(p: QParams, x: float, sign, branch, k: int,
     nonzero entries [(slot, value)] in slot order.
 
     Slots are the tensor basis (index 2j for e_j x e_+, 2j+1 for
-    e_j x e_-).
+    e_j x e_-).  The two entries are the square roots of the two factors
+    of the podles X step from label j (`podles_x_factors`), j = k on the
+    branch that matches the sign and k + 1 on the other: sqrt(1 - q^(2j))
+    and sqrt(1 + q^(2j -+ 2x)), the series' x-weight q^x on the second
+    (plus) or the first (minus), over the norm sqrt(1 + q^(2x)).
     """
     sgn, br = _norm_sign(sign), _norm_branch(branch)
     if k not in branch_indices(sign, branch, N):
         raise ValueError(f"k={k} outside the branch range at N={N}")
-    q = p.q
-    qx = q**x
-    denom = math.sqrt(1 + q ** (2 * x))
-    v = {}
-    if sgn == 1 and br == 1:
-        if k >= 1:
-            v[2 * (k - 1)] = -math.sqrt(1 - q ** (2 * k)) / denom
-        v[2 * k + 1] = qx * math.sqrt(1 + q ** (2 * k - 2 * x)) / denom
-    elif sgn == 1 and br == -1:
-        v[2 * k] = qx * math.sqrt(1 + q ** (2 * k - 2 * x + 2)) / denom
-        v[2 * (k + 1) + 1] = math.sqrt(1 - q ** (2 * k + 2)) / denom
-    elif sgn == -1 and br == 1:
-        v[2 * k] = math.sqrt(1 + q ** (2 * k + 2 * x + 2)) / denom
-        v[2 * (k + 1) + 1] = qx * math.sqrt(1 - q ** (2 * k + 2)) / denom
+    ctx = FloatCtx(p.q, x)
+    qx, denom = ctx.qpow(0, 1), _sqrt_coeff(ctx, [(-1, 0, 2)])
+    j = k if sgn == br else k + 1
+    # an exact zero factor (j = 0) leaves the family's first vector one entry
+    a, b = (_sqrt_coeff(ctx, [f]) or 0.0 for f in podles_x_factors(sgn, j))
+    if sgn == 1:
+        b = qx * b
     else:
-        if k >= 1:
-            v[2 * (k - 1)] = -qx * math.sqrt(1 - q ** (2 * k)) / denom
-        v[2 * k + 1] = math.sqrt(1 + q ** (2 * k + 2 * x)) / denom
-    return [(slot, c) for slot, c in sorted(v.items()) if c != 0]
+        a = qx * a
+    low, high = (-a, b) if sgn == br else (b, a)
+    entries = ((2 * j - 2, low / denom), (2 * j + 1, high / denom))
+    return [(slot, c) for slot, c in entries if c != 0]
 
 
 def eigvec_shifts(p: QParams, x: float, sign, branch, N: int) -> list:

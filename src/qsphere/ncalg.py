@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .qcore import QParams, tau
+from .qcore import FloatCtx, QParams, tau
 
 Gen = object  # str or ("A", s)
 Word = tuple
@@ -134,7 +134,9 @@ class NCPoly:
 # diagonal factor (1 - sign * q^(n + m*x) * Z); a recipe ((c_sign, n, m), items)
 # encodes c_sign * q^(n + m*x) * items as an operator product (rightmost item
 # acts first).  Recipes let relation checks evaluate product-form right-hand
-# sides without expanding them, which matters for conditioning.
+# sides without expanding them, which matters for conditioning.  A rule's
+# rhs is its recipe's expansion (`_expand_recipe`), except for the X*Y and
+# Y*X rules of podles and bl, which keep their tau form.
 
 def zf(sign: int, n: float, m: int):
     return ("zf", sign, n, m)
@@ -204,16 +206,23 @@ def _check_rules(pres: Presentation):
                     f"rule {rule.name}: rhs word {word_name(w)} not smaller")
 
 
-def _zpoly(factors) -> dict:
-    """Expand prod (1 - c_j Z) into {Z-degree: coefficient}."""
-    poly = {0: 1.0}
-    for c in factors:
-        out = {}
-        for j, v in poly.items():
-            out[j] = out.get(j, 0.0) + v
-            out[j + 1] = out.get(j + 1, 0.0) - v * c
-        poly = out
-    return poly
+def _expand_recipe(recipe, ctx) -> dict:
+    """The recipe's operator product expanded into {word: coefficient}, in
+    the arithmetic of ctx: items multiplied left to right, each zf factor
+    contributing its 1 and then its Z term, the lead multiplied in last."""
+    (c_sign, n, m), items = recipe
+    terms = {(): 1.0}
+    for item in items:
+        if isinstance(item, tuple) and item[0] == "zf":
+            c, out = item[1] * ctx.qpow(*item[2:]), {}
+            for w, v in terms.items():
+                out[w] = out.get(w, 0.0) + v
+                out[w + ("Z",)] = out.get(w + ("Z",), 0.0) - v * c
+            terms = out
+        else:
+            terms = {w + (item,): v for w, v in terms.items()}
+    lead = c_sign * ctx.qpow(n, m)
+    return {w: v * lead for w, v in terms.items()}
 
 
 def make_presentation(name: str, p: QParams, x: Optional[float] = None,
@@ -291,17 +300,21 @@ def make_presentation(name: str, p: QParams, x: Optional[float] = None,
             raise ValueError(f"bl needs l a nonnegative half-integer, got {l}")
         twol = int(2 * l)
         t = tau(p, twol)
+        ctx = FloatCtx(q)
         a_list = [a_gen(s) for s in range(-twol, twol + 1)]
         gens = (X, Y, Z) + tuple(a_list)
         rules = [
             Rule((X, Z), {(Z, X): q**2}, "X*Z"),
             Rule((Y, Z), {(Z, Y): q**-2}, "Y*Z"),
         ]
+
+        def graded(lhs, name, lead, items):
+            recipe = (lead, tuple(items))
+            rules.append(Rule(lhs, _expand_recipe(recipe, ctx), name,
+                              recipe=recipe))
+
         for s in range(-twol, twol + 1):
-            A = a_gen(s)
-            rules.append(Rule(
-                (A, Z), {(Z, A): -(q ** (-2 * s))}, f"A({s})*Z",
-                recipe=((-1, -2 * s, 0), (Z, A))))
+            graded((a_gen(s), Z), f"A({s})*Z", (-1, -2 * s, 0), (Z, a_gen(s)))
         rules += [
             Rule((X, Y), {(): 1.0, (Z,): q * t, (Z, Z): -(q**2)}, "X*Y",
                  recipe=((1, 0, 0), (zf(1, twol + 1, 0), zf(-1, -twol + 1, 0)))),
@@ -311,36 +324,24 @@ def make_presentation(name: str, p: QParams, x: Optional[float] = None,
         for s in range(-twol, twol + 1):
             A, Am, Ap = a_gen(s), a_gen(s - 1), a_gen(s + 1)
             if s > -twol:
-                e = 2 * s + twol - 1
-                rules.append(Rule(
-                    (X, A), {(Am,): -1.0, (Am, Z): -(q**e)}, f"X*A({s})",
-                    recipe=((-1, 0, 0), (Am, zf(-1, e, 0)))))
+                graded((X, A), f"X*A({s})", (-1, 0, 0),
+                       (Am, zf(-1, 2 * s + twol - 1, 0)))
             else:
-                rules.append(Rule((X, A), {(A, X): -1.0}, f"X*A({s})",
-                                  recipe=((-1, 0, 0), (A, X))))
+                graded((X, A), f"X*A({s})", (-1, 0, 0), (A, X))
             if s < twol:
-                e = 2 * s - twol + 1
-                rules.append(Rule(
-                    (Y, A), {(Ap,): -1.0, (Ap, Z): q**e}, f"Y*A({s})",
-                    recipe=((-1, 0, 0), (Ap, zf(1, e, 0)))))
+                graded((Y, A), f"Y*A({s})", (-1, 0, 0),
+                       (Ap, zf(1, 2 * s - twol + 1, 0)))
             else:
-                rules.append(Rule((Y, A), {(A, Y): -1.0}, f"Y*A({s})",
-                                  recipe=((-1, 0, 0), (A, Y))))
+                graded((Y, A), f"Y*A({s})", (-1, 0, 0), (A, Y))
             # starred companions, moving A to the front of X/Y powers
             if s > -twol:
-                e = -2 * s - twol + 1
-                rules.append(Rule(
-                    (A, X), {(Am,): 1.0, (Z, Am): -(q**e)}, f"A({s})*X",
-                    recipe=((1, 0, 0), (zf(1, e, 0), Am))))
+                graded((A, X), f"A({s})*X", (1, 0, 0),
+                       (zf(1, -2 * s - twol + 1, 0), Am))
             if s < twol:
-                e = -2 * s + twol - 1
-                rules.append(Rule(
-                    (A, Y), {(Ap,): 1.0, (Z, Ap): q**e}, f"A({s})*Y",
-                    recipe=((1, 0, 0), (zf(-1, e, 0), Ap))))
+                graded((A, Y), f"A({s})*Y", (1, 0, 0),
+                       (zf(-1, -2 * s + twol - 1, 0), Ap))
         for s in range(-twol, twol + 1):
             for sp in range(-twol, twol + 1):
-                A, Ap = a_gen(s), a_gen(sp)
-                sign = -1.0 if s % 2 else 1.0
                 if s + sp <= 0:
                     head, m = X, -(s + sp)
                     exps1 = [2 * sp - twol + 1 + 2 * j for j in range(s + twol)]
@@ -350,18 +351,10 @@ def make_presentation(name: str, p: QParams, x: Optional[float] = None,
                     exps1 = [2 * sp - twol + 1 + 2 * j for j in range(twol - sp)]
                     exps2 = [2 * s + 2 * sp - twol + 1 + 2 * j
                              for j in range(twol - s)]
-                zcoeffs = _zpoly([q**e for e in exps1]
-                                 + [-(q**e) for e in exps2])
-                rhs = {}
-                for j, c in zcoeffs.items():
-                    w = (head,) * m + (Z,) * j
-                    rhs[w] = sign * c
-                items = tuple([head] * m
-                              + [zf(1, e, 0) for e in exps1]
-                              + [zf(-1, e, 0) for e in exps2])
-                rules.append(Rule(
-                    (A, Ap), rhs, f"A({s})*A({sp})",
-                    recipe=((int(sign), 0, 0), items)))
+                graded((a_gen(s), a_gen(sp)), f"A({s})*A({sp})",
+                       (-1 if s % 2 else 1, 0, 0),
+                       [head] * m + [zf(1, e, 0) for e in exps1]
+                       + [zf(-1, e, 0) for e in exps2])
         grading = {X: (-1, 0), Y: (1, 0), Z: (0, 0)}
         for s in range(-twol, twol + 1):
             grading[a_gen(s)] = (s, 1)

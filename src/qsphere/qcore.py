@@ -1,11 +1,14 @@
 """Scalar layer: q-dependent constants and special functions.
 
 Everything downstream works at a fixed deformation parameter 0 < q < 1.
-The derived constant lam = (q - 1/q)^-1 is negative on that range.
+The derived constant lam = (q - 1/q)^-1 is negative on that range.  The
+coefficient formulas read q-powers from a scalar context: `FloatCtx` here,
+`reps.MPCtx` (same interface) in the exact walk kernel.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,9 +34,53 @@ class QParams:
         object.__setattr__(self, "lam", 1.0 / (self.q - 1.0 / self.q))
 
 
+class FloatCtx:
+    """q-power arithmetic in double precision; exponents are pairs (n, m)
+    standing for n + m*x."""
+
+    def __init__(self, q: float, x: float = 0.0):
+        self.q = q
+        self.x = x
+        self._cache: dict = {}
+
+    def qpow(self, n, m=0):
+        key = (n, m)
+        v = self._cache.get(key)
+        if v is None:
+            v = self.q ** (n + m * self.x)
+            self._cache[key] = v
+        return v
+
+    sqrt = staticmethod(math.sqrt)
+    one = 1.0
+
+
+def _sqrt_coeff(ctx, factors):
+    """sqrt of a product of (sign, n, m) factors meaning (1 - sign*q^(n+mx)),
+    in the arithmetic of ctx.
+
+    Exact zeros are decided by exponent arithmetic; a negative factor means an
+    index-logic bug and raises.
+    """
+    prod = ctx.one
+    for sign, n, m in factors:
+        if sign == 1 and n == 0 and m == 0:
+            return None
+        f = 1 - sign * ctx.qpow(n, m)
+        prod = prod * f
+    if prod < 0:
+        raise ArithmeticError("negative value under square root")
+    return ctx.sqrt(prod)
+
+
+def tau_of(ctx):
+    """q^-x - q^x in the arithmetic of ctx (x the context's)."""
+    return ctx.qpow(0, -1) - ctx.qpow(0, 1)
+
+
 def tau(p: QParams, x: float) -> float:
     """q^-x - q^x.  Total on [-inf, +inf]; strictly increasing, odd in x."""
-    return p.q ** (-x) - p.q**x
+    return tau_of(FloatCtx(p.q, x))
 
 
 def q_pochhammer(a: complex, base: float, r) -> complex:

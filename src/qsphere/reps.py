@@ -4,7 +4,8 @@ noncommutative polynomials, and relation-residual certification.
 The one float form of an operator is a list of one-to-one weighted shifts
 (tgt, coef): column j goes to row tgt[j] (nowhere where it is -1) with
 coefficient coef[j].  A podles / bl generator is one shift, built from its
-label-step function at an internal truncation M; a tensor generator is
+label-step function (square roots through `qcore._sqrt_coeff`) in qcore's
+`FloatCtx` at an internal truncation M; a tensor generator is
 several, read from one coaction table (`_tensor_terms`); the spin-1/2
 module and compressions store theirs (`ShiftRep`).  One walk
 (`walk_shifts`; a factor may be a scalar) serves every float certificate
@@ -20,7 +21,8 @@ walk kernel (see its section): the product-form relations of the graded
 algebras reach entry magnitudes ~1e6 at small q, where double precision
 cannot certify 1e-11 absolute residuals.  Exact walks share one mp context
 per (q, x, precision) (`mp_ctx`), and each representation memoises every
-step it takes in it, so a step coefficient is computed once.
+step it takes in it, so a step coefficient is computed once.  `MPCtx` has
+FloatCtx's interface, so the label steps run unchanged in either.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .qcore import QParams
+from .qcore import FloatCtx, QParams, _sqrt_coeff, tau_of
 from .ncalg import NCPoly, Presentation, Word, is_a_gen
 from .report import max_or_nan
 
@@ -58,29 +60,8 @@ MP_DPS = 40
 
 
 # ---------------------------------------------------------------------------
-# scalar contexts: double precision and mpmath, sharing exponent-pair powers
+# the mpmath scalar context, with the interface of qcore.FloatCtx
 # ---------------------------------------------------------------------------
-
-class FloatCtx:
-    """q-power arithmetic in double precision; exponents are pairs (n, m)
-    standing for n + m*x."""
-
-    def __init__(self, q: float, x: float = 0.0):
-        self.q = q
-        self.x = x
-        self._cache: dict = {}
-
-    def qpow(self, n, m=0):
-        key = (n, m)
-        v = self._cache.get(key)
-        if v is None:
-            v = self.q ** (n + m * self.x)
-            self._cache[key] = v
-        return v
-
-    sqrt = staticmethod(math.sqrt)
-    one = 1.0
-
 
 class MPCtx:
     """q-power arithmetic in mpmath at `dps` digits (`prec` bits).  Label
@@ -246,23 +227,6 @@ def _z_steps(zexps) -> dict:
     return {"Z": Z, "Zi": Zi}
 
 
-def _sqrt_coeff(ctx, factors):
-    """sqrt of a product of (sign, n, m) factors meaning (1 - sign*q^(n+mx)).
-
-    Exact zeros are decided by exponent arithmetic; a negative factor means an
-    index-logic bug and raises.
-    """
-    prod = ctx.one
-    for sign, n, m in factors:
-        if sign == 1 and n == 0 and m == 0:
-            return None
-        f = 1 - sign * ctx.qpow(n, m)
-        prod = prod * f
-    if prod < 0:
-        raise ArithmeticError("negative value under square root")
-    return ctx.sqrt(prod)
-
-
 def _adjoint_step(X):
     """Y = X* for a real X step that lowers a label by one in its family:
     the Y step at k is the X step at k+1, landing on k+1."""
@@ -270,6 +234,14 @@ def _adjoint_step(X):
         hit = X(fam, k + 1, ctx)
         return None if hit is None else (fam, k + 1, hit[2])
     return Y
+
+
+def podles_x_factors(rep_sign: int, k: int) -> list:
+    """The (sign, n, m) factors under the square root of the podles X step
+    from label k: (1 - q^(2k)) and (1 + q^(2k - 2x)) for the plus series,
+    x -> -x for the minus series (rep_sign -1).  The Casimir eigenvectors
+    take their entries from the same two factors."""
+    return [(1, 2 * k, 0), (-1, 2 * k, -2 * rep_sign)]
 
 
 def _podles_family_steps(rep_sign: int):
@@ -283,13 +255,11 @@ def _podles_family_steps(rep_sign: int):
     mm = -rep_sign   # m-component of the Z exponent pair
 
     def X(fam, k, ctx):
-        if k == 0:
-            return None
-        c = _sqrt_coeff(ctx, [(1, 2 * k, 0), (-1, 2 * k, 2 * mm)])
+        c = _sqrt_coeff(ctx, podles_x_factors(rep_sign, k))
         return None if c is None else (fam, k - 1, s * c)
 
     def T(fam, k, ctx):
-        return (fam, k, ctx.qpow(0, -1) - ctx.qpow(0, 1))
+        return (fam, k, tau_of(ctx))
 
     def zexp(k):
         return (s, 2 * k + 1, mm)
@@ -336,13 +306,9 @@ def rep_bl(p: QParams, l, N: int) -> LabelRep:
         raise ValueError(f"N must be at least 4l+4 = {4 * l + 4}")
 
     def X(fam, k, ctx):
-        if fam == "+":
-            c = _sqrt_coeff(ctx, [(-1, 2 * k, 0), (1, 2 * k + 2 * twol, 0)])
-            return None if c is None else ("+", k - 1, c)
-        if k == 0:
-            return None
-        c = _sqrt_coeff(ctx, [(1, 2 * k, 0), (-1, 2 * k + 2 * twol, 0)])
-        return None if c is None else ("-", k - 1, -c)
+        sg = 1 if fam == "+" else -1
+        c = _sqrt_coeff(ctx, [(-sg, 2 * k, 0), (sg, 2 * k + 2 * twol, 0)])
+        return None if c is None else (fam, k - 1, sg * c)
 
     def make_A(s):
         def A(fam, k, ctx):

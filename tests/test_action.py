@@ -91,9 +91,9 @@ def test_ad_composition_q_commutation():
     pres = make_presentation("bl", P, l=0.5)
     for w in random_words(pres, 8, 3, seed=17):
         base = _plain_combos(NCPoly({w: 1.0}))
-        lhs = combo_ad("E", combo_ad("K", base, Q), Q)
+        lhs = combo_ad("E", combo_ad("K", base, P), P)
         rhs = [(Q**2 * c, segs)
-               for c, segs in combo_ad("K", combo_ad("E", base, Q), Q)]
+               for c, segs in combo_ad("K", combo_ad("E", base, P), P)]
         assert combos_residual(rep, lhs, rhs, 16) < 1e-10, w
 
 
@@ -144,10 +144,10 @@ def test_ad_e_star_is_minus_q2_ad_f():
     dps = walk_dps(rep, W)
     for w in random_words(pres, 8, 3, seed=19):
         poly = NCPoly({w: 1.0 + 0.25j})
-        lhs_combos = combo_ad("E", _plain_combos(poly), Q)
+        lhs_combos = combo_ad("E", _plain_combos(poly), P)
         rhs_combos = [(-(Q**2) * c, segs)
                       for c, segs in combo_ad(
-                          "F", _plain_combos(_star(poly)), Q)]
+                          "F", _plain_combos(_star(poly)), P)]
         with mp.workdps(dps):
             ctx = MPCtx(Q, rep.meta["x"], dps=dps)
             lhs_entries, rhs_entries = {}, {}

@@ -2,9 +2,9 @@
 src/qsphere is referenced by src/qsphere itself or by perfbench/.  Imports
 do not count as references, so the re-exports of __init__.py keep nothing
 alive, and neither does a function calling itself.  A function only tests
-reach fails here; delete it or wire it into a certificate.  Two more
-ratchets cap the `@` products of each module and keep numpy.linalg to
-action.py."""
+reach fails here; delete it or wire it into a certificate.  Three more
+ratchets cap the `@` products and the `math.sqrt` calls of each module and
+keep numpy.linalg to action.py."""
 
 import ast
 from pathlib import Path
@@ -112,6 +112,32 @@ def test_matmul_counts_only_fall():
     over = {name: n for name, n in counts.items()
             if n > MATMUL_CEILING.get(name, 0)}
     assert not over, over
+
+
+# `math.sqrt` calls per module of src/qsphere: every square root of a
+# (1 +- q^...) factor goes through qcore._sqrt_coeff, the one source of those
+# coefficients, so these counts may only fall (action's are sqrt(q) and the
+# ladder normalization's ratio, reps' the spin-1/2 sqrt(q))
+SQRT_CEILING = {"action": 2, "reps": 1}
+
+
+def _sqrt_calls(tree) -> int:
+    return sum(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "sqrt"
+               and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "math"
+               for node in ast.walk(tree))
+
+
+def test_math_sqrt_counts_only_fall():
+    counts = {path.stem: _sqrt_calls(ast.parse(path.read_text()))
+              for path in sorted(SRC.glob("*.py"))}
+    assert counts["casimir"] == counts["ncalg"] == 0
+    over = {name: n for name, n in counts.items()
+            if n > SQRT_CEILING.get(name, 0)}
+    assert not over, over
+    assert _sqrt_calls(ast.parse("import math\nmath.sqrt(1 - q ** 2)")) == 1
 
 
 def _linalg_reads(tree) -> list:
