@@ -308,7 +308,7 @@ def rep_bl(p: QParams, l, N: int) -> LabelRep:
     def X(fam, k, ctx):
         sg = 1 if fam == "+" else -1
         c = _sqrt_coeff(ctx, [(-sg, 2 * k, 0), (sg, 2 * k + 2 * twol, 0)])
-        return None if c is None else (fam, k - 1, sg * c)
+        return None if c is None else (fam, k - 1, c if sg == 1 else -c)
 
     def make_A(s):
         def A(fam, k, ctx):
