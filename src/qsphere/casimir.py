@@ -12,6 +12,7 @@ weighted shifts, and the dense matrix is only written for --dump.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -68,21 +69,28 @@ def closed_form_eigvec(p: QParams, x: float, sign, branch, k: int,
     and sqrt(1 + q^(2j -+ 2x)), the series' x-weight q^x on the second
     (plus) or the first (minus), over the norm sqrt(1 + q^(2x)).
     """
-    sgn, br = _norm_sign(sign), _norm_branch(branch)
     if k not in branch_indices(sign, branch, N):
         raise ValueError(f"k={k} outside the branch range at N={N}")
-    ctx = FloatCtx(p.q, x)
+    return _eigvec_family(p.q, float(x), _norm_sign(sign), branch)(k)
+
+
+@functools.lru_cache(maxsize=64)
+def _eigvec_family(q: float, x: float, sgn: int, br: int):
+    """One family's vector k as a function of k, the float context, q^x and
+    the norm sqrt(1 + q^(2x)) built once for the family."""
+    ctx = FloatCtx(q, x)
     qx, denom = ctx.qpow(0, 1), _sqrt_coeff(ctx, [(-1, 0, 2)])
-    j = k if sgn == br else k + 1
-    # an exact zero factor (j = 0) leaves the family's first vector one entry
-    a, b = (_sqrt_coeff(ctx, [f]) or 0.0 for f in podles_x_factors(sgn, j))
-    if sgn == 1:
-        b = qx * b
-    else:
-        a = qx * a
-    low, high = (-a, b) if sgn == br else (b, a)
-    entries = ((2 * j - 2, low / denom), (2 * j + 1, high / denom))
-    return [(slot, c) for slot, c in entries if c != 0]
+
+    def entries(k: int) -> list:
+        j = k if sgn == br else k + 1
+        # an exact zero factor (j = 0) leaves the first vector one entry
+        a, b = (_sqrt_coeff(ctx, [f]) or 0.0
+                for f in podles_x_factors(sgn, j))
+        a, b = (a, qx * b) if sgn == 1 else (qx * a, b)
+        low, high = (-a, b) if sgn == br else (b, a)
+        pairs = ((2 * j - 2, low / denom), (2 * j + 1, high / denom))
+        return [(slot, c) for slot, c in pairs if c != 0]
+    return entries
 
 
 def eigvec_shifts(p: QParams, x: float, sign, branch, N: int) -> list:

@@ -323,16 +323,10 @@ def make_presentation(name: str, p: QParams, x: Optional[float] = None,
         ]
         for s in range(-twol, twol + 1):
             A, Am, Ap = a_gen(s), a_gen(s - 1), a_gen(s + 1)
-            if s > -twol:
-                graded((X, A), f"X*A({s})", (-1, 0, 0),
-                       (Am, zf(-1, 2 * s + twol - 1, 0)))
-            else:
-                graded((X, A), f"X*A({s})", (-1, 0, 0), (A, X))
-            if s < twol:
-                graded((Y, A), f"Y*A({s})", (-1, 0, 0),
-                       (Ap, zf(1, 2 * s - twol + 1, 0)))
-            else:
-                graded((Y, A), f"Y*A({s})", (-1, 0, 0), (A, Y))
+            graded((X, A), f"X*A({s})", (-1, 0, 0),
+                   (Am, zf(-1, 2 * s + twol - 1, 0)) if s > -twol else (A, X))
+            graded((Y, A), f"Y*A({s})", (-1, 0, 0),
+                   (Ap, zf(1, 2 * s - twol + 1, 0)) if s < twol else (A, Y))
             # starred companions, moving A to the front of X/Y powers
             if s > -twol:
                 graded((A, X), f"A({s})*X", (1, 0, 0),

@@ -66,8 +66,7 @@ def _sqrt_coeff(ctx, factors):
     for sign, n, m in factors:
         if sign == 1 and n == 0 and m == 0:
             return None
-        f = 1 - sign * ctx.qpow(n, m)
-        prod = prod * f
+        prod = prod * (1 - sign * ctx.qpow(n, m))
     if prod < 0:
         raise ArithmeticError("negative value under square root")
     return ctx.sqrt(prod)

@@ -1,5 +1,4 @@
 import hashlib
-import warnings
 
 import pytest
 
@@ -202,10 +201,7 @@ _RULE_TABLE_DIGESTS = {
 def test_rule_tables_match_reference_bits():
     for (q, name, arg), digest in _RULE_TABLE_DIGESTS.items():
         kwargs = {"podles": {"x": arg}, "bl": {"l": arg}}.get(name, {})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")   # q = 0.1 lies below the safe range
-            p = QParams(q)
-        pres = make_presentation(name, p, **kwargs)
+        pres = make_presentation(name, QParams(q), **kwargs)
         text = _rule_table_text(pres).encode()
         assert hashlib.sha256(text).hexdigest() == digest, (q, name, arg)
 

@@ -3,8 +3,8 @@ src/qsphere is referenced by src/qsphere itself or by perfbench/.  Imports
 do not count as references, so the re-exports of __init__.py keep nothing
 alive, and neither does a function calling itself.  A function only tests
 reach fails here; delete it or wire it into a certificate.  Three more
-ratchets cap the `@` products and the `math.sqrt` calls of each module and
-keep numpy.linalg to action.py."""
+ratchets cap the `@` products and the library square-root calls of each
+module and keep numpy.linalg to action.py."""
 
 import ast
 from pathlib import Path
@@ -114,30 +114,33 @@ def test_matmul_counts_only_fall():
     assert not over, over
 
 
-# `math.sqrt` calls per module of src/qsphere: every square root of a
-# (1 +- q^...) factor goes through qcore._sqrt_coeff, the one source of those
-# coefficients, so these counts may only fall (action's are sqrt(q) and the
-# ladder normalization's ratio, reps' the spin-1/2 sqrt(q))
-SQRT_CEILING = {"action": 2, "reps": 1}
+# library square-root calls per module of src/qsphere (`math.sqrt`,
+# `np.sqrt`, `mp.sqrt` or a bare imported `sqrt`; a renamed import or a
+# scalar context's `ctx.sqrt` is not counted): every square root of a
+# (1 +- q^...) factor goes through qcore._sqrt_coeff, so these counts may only
+# fall (action's are sqrt(q) and the ladder normalization's ratio, reps' the
+# spin-1/2 sqrt(q) and MPCtx's primitive, cli's the residual column norms)
+SQRT_CEILING = {"action": 2, "reps": 2, "cli": 1}
+SQRT_OWNERS = {"math", "np", "numpy", "mp", "mpmath"}
 
 
 def _sqrt_calls(tree) -> int:
-    return sum(isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "sqrt"
-               and isinstance(node.func.value, ast.Name)
-               and node.func.value.id == "math"
+    def is_sqrt(f):
+        if isinstance(f, ast.Name):
+            return f.id == "sqrt"
+        return (isinstance(f, ast.Attribute) and f.attr == "sqrt"
+                and isinstance(f.value, ast.Name)
+                and f.value.id in SQRT_OWNERS)
+    return sum(isinstance(node, ast.Call) and is_sqrt(node.func)
                for node in ast.walk(tree))
 
 
-def test_math_sqrt_counts_only_fall():
+def test_sqrt_counts_only_fall():
     counts = {path.stem: _sqrt_calls(ast.parse(path.read_text()))
               for path in sorted(SRC.glob("*.py"))}
-    assert counts["casimir"] == counts["ncalg"] == 0
     over = {name: n for name, n in counts.items()
             if n > SQRT_CEILING.get(name, 0)}
     assert not over, over
-    assert _sqrt_calls(ast.parse("import math\nmath.sqrt(1 - q ** 2)")) == 1
 
 
 def _linalg_reads(tree) -> list:
