@@ -272,6 +272,17 @@ GOLDEN_FLOAT_REPORTS = {
     ("oracle", "--x", "1.0", "--l", "0.5", "--N", "32", "--count", "40",
      "--seed", "3"):
         "9077418f764a2580d05f07c7b9206b66831dbc06f3818c4b9e7f0636afe2a7da",
+    # the benchmark's own oracle sets (perfbench's `oracle_wide` at seed 0):
+    # 200 draws each, many of them repeated, at N = 128
+    ("oracle", "--x", "1.0", "--l", "0.5", "--N", "128", "--count", "200",
+     "--seed", "0"):
+        "fa7f74efc6e02cbd43d1d8ab46cb3f00e7a95467591625a23adabb8f06aa50ed",
+    ("oracle", "--x", "1.0", "--l", "0.5", "--N", "128", "--count", "200",
+     "--seed", "1"):
+        "026a0574328a3d6ae597431745fcf1133cf4ad0ef831353df4a0ed737ec630e6",
+    ("oracle", "--x", "1.0", "--l", "0.5", "--N", "128", "--count", "200",
+     "--seed", "2"):
+        "750d1be3a770cf43a0b5d42fc0882e085720228c02246bcf5e75e257fa61a54b",
     # the compression U^H G U and its relations: the eigenvector entries,
     # step coefficients and tau are double-precision Python arithmetic, so
     # the bytes depend on libm's `pow` (glibc, as on CI); U^H G U is walked
@@ -296,6 +307,18 @@ GOLDEN_FLOAT_REPORTS = {
 @pytest.mark.parametrize("argv", list(GOLDEN_FLOAT_REPORTS))
 def test_float_oracle_report_is_golden(argv, capsys):
     assert _report_digest(argv, capsys) == GOLDEN_FLOAT_REPORTS[argv]
+
+
+def test_failing_oracle_report_is_golden(capsys):
+    # oracle_bl fails at 5.2e8: normal-form coefficients up to 3.7e17
+    # cancel, so any change in the order the terms are summed moves the
+    # low bits of the residual, and with them this digest
+    argv = ["oracle", "--x", "0.7", "--l", "1.5", "--N", "40", "--count",
+            "300", "--seed", "9", "--json"]
+    assert run(argv) == 1
+    payload = capsys.readouterr().out.rstrip("\n")
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "0362681f728a9bb4b0a64656aa8470f6011c7448516484180d66846e7fa982a6")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
