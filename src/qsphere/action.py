@@ -32,6 +32,7 @@ from .reps import (
     rep_podles,
     segment_path,
     step_tables,
+    union,
     walk,
     walk_diagonal,
     walk_difference,
@@ -274,8 +275,9 @@ def _column_blocks(columns):
     order = np.lexsort((col, flat))
     flat, col = flat[order], col[order]
     shared = flat[1:] == flat[:-1]
-    links = np.unique(np.stack([col[:-1][shared], col[1:][shared]], axis=1),
-                      axis=0)
+    # each linked pair of columns (a, b) once, as the integer a*n + b
+    n = len(columns)
+    links = union([col[:-1][shared] * n + col[1:][shared]])
     root = list(range(len(columns)))
 
     def find(j):
@@ -284,8 +286,8 @@ def _column_blocks(columns):
             j = root[j]
         return j
 
-    for a, b in links.tolist():
-        a, b = find(a), find(b)
+    for link in links.tolist():
+        a, b = (find(j) for j in divmod(link, n))
         if a != b:
             root[max(a, b)] = min(a, b)
     members = {}
@@ -293,7 +295,7 @@ def _column_blocks(columns):
         members.setdefault(find(j), []).append(j)
     out = []
     for cols in members.values():
-        rows = np.unique(np.concatenate([columns[j][0] for j in cols]))
+        rows = union([columns[j][0] for j in cols])
         block = np.zeros((len(rows), len(cols)), dtype=np.complex128)
         for k, j in enumerate(cols):
             r, v = columns[j]

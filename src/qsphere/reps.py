@@ -3,17 +3,19 @@ noncommutative polynomials, and relation-residual certification.
 
 The one float form of an operator is a list of one-to-one weighted shifts
 (tgt, coef): column j goes to row tgt[j] (nowhere where it is -1) with
-coefficient coef[j].  A podles / bl generator is one shift, built from its
-label-step function (square roots through `qcore._sqrt_coeff`) in qcore's
-`FloatCtx` at an internal truncation M; a tensor generator is
-several, read from one coaction table (`_tensor_terms`); the spin-1/2
-module and compressions store theirs (`ShiftRep`).  One walk
-(`walk_shifts`; a factor may be a scalar) serves every float certificate
-as a walked difference of products (`walk_difference`), `evaluate`,
-`residual` and the float `relation_check` included.  Padded evaluation
-walks at an enlarged size and crops, so retained entries are exact values
-of the infinite-dimensional operators; differences are summed on the
-walked support only.
+coefficient coef[j].  A podles / bl generator is one shift per internal
+truncation M, read from its label-step function (square roots through
+`qcore._sqrt_coeff`), each label's step evaluated once per representation
+in its one qcore `FloatCtx`; a tensor generator is several, read from one
+coaction table (`_tensor_terms`); the spin-1/2 module and compressions
+store theirs (`ShiftRep`).  One walk (`walk_shifts`; a factor may be a
+scalar) serves every float certificate as a walked difference of products
+(`walk_difference`), `evaluate`, `residuals` and the float
+`relation_check` included; `residuals` walks each word once per internal
+size for a whole list of pairs and scales the walk by each term's
+coefficient.  Padded evaluation walks at an enlarged size and crops, so
+retained entries are exact values of the infinite-dimensional operators;
+differences are summed on the walked support only.
 
 Relation residuals, adjoint-action residuals and invariant-functional tail
 defects are walked label by label in mpmath arithmetic, through one exact
@@ -134,6 +136,8 @@ class LabelRep:
         self.N = N
         self.pad = 2             # labels padded per unit of poly_allowance
         self.meta = meta         # "q" and "x", read by the step contexts
+        self._float_ctx = FloatCtx(meta["q"], meta.get("x", 0.0))
+        self._float_steps: dict = {}  # (gen, fam) -> step arrays, see shift
         self._shift_cache: dict = {}
         self._mat_cache: dict = {}
         self._walk_memos: dict = {}  # mp context -> _SegmentTables
@@ -179,24 +183,47 @@ class LabelRep:
     def shift(self, g, M: int):
         """Generator g at internal size M as a weighted shift: column j goes
         to row tgt[j] with coefficient coef[j]; tgt[j] is -1 where the step
-        returns None or leaves the internal size."""
+        returns None or leaves the internal size.  Read from the float
+        steps (`_float_steps_from`), so a shift at a new size evaluates only
+        the labels no smaller size reached."""
         key = (g, M)
         cached = self._shift_cache.get(key)
         if cached is not None:
             return cached
-        ctx = FloatCtx(self.meta["q"], self.meta.get("x", 0.0))
         tgt = np.full(self.dim(M), -1, dtype=np.intp)
         coef = np.zeros(self.dim(M), dtype=np.complex128)
-        for j, (fam, k) in enumerate(self.labels(M)):
-            hit = self.step(g, fam, k, ctx)
-            if hit is None:
-                continue
-            f2, k2, c = hit
-            if 0 <= k2 - self.kmin(f2) < M:
-                tgt[j] = self.index(f2, k2, M)
-                coef[j] = c
+        for pos, (fam, _) in enumerate(self.families):
+            to_fam, to_k, c = (a[:M] for a in self._float_steps_from(g, fam, M))
+            j = np.flatnonzero((to_fam >= 0) & (0 <= to_k) & (to_k < M))
+            tgt[pos * M + j] = to_fam[j] * M + to_k[j]
+            coef[pos * M + j] = c[j]
         self._shift_cache[key] = (tgt, coef)
         return tgt, coef
+
+    def _float_steps_from(self, g, fam, M: int):
+        """The steps of g from at least the first M labels of family fam, in
+        the rep's one FloatCtx, as arrays (target family position, -1 where
+        the step returns None; target label minus its family's kmin;
+        coefficient).  Each label's step is evaluated once per rep."""
+        have = self._float_steps.get((g, fam))
+        done = 0 if have is None else len(have[0])
+        if done >= M:
+            return have
+        where = {f: pos for pos, (f, _) in enumerate(self.families)}
+        to_fam = np.full(M - done, -1, dtype=np.intp)
+        to_k = np.zeros(M - done, dtype=np.intp)
+        c = np.zeros(M - done, dtype=np.complex128)
+        kmin = self.kmin(fam)
+        for i in range(M - done):
+            hit = self.step(g, fam, kmin + done + i, self._float_ctx)
+            if hit is not None:
+                f2, k2, c[i] = hit
+                to_fam[i], to_k[i] = where[f2], k2 - self.kmin(f2)
+        new = (to_fam, to_k, c)
+        if have is not None:
+            new = tuple(np.concatenate(pair) for pair in zip(have, new))
+        self._float_steps[(g, fam)] = new
+        return new
 
     def shifts(self, g, M: int) -> tuple:
         return (self.shift(g, M),)
@@ -371,12 +398,23 @@ class ShiftRep:
         return diagonals(*self._gens[g], self.dim(M))
 
 
+def union(arrays) -> np.ndarray:
+    """The distinct values of a list of integer arrays, sorted, as
+    np.unique returns them (an empty intp array for none).  A plain
+    np.unique call imports numpy.ma, which certification never needs."""
+    flat = (np.sort(np.concatenate(arrays)) if arrays
+            else np.empty(0, dtype=np.intp))
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    return flat[first]
+
+
 def diagonals(cols, rows, val, n: int) -> list:
     """Entries (columns, rows, values), each (column, row) once, as one
     one-to-one weighted shift on range(n) per diagonal; entries outside
     range(n) are dropped."""
     out = []
-    for d in np.unique(rows - cols):
+    for d in union([rows - cols]):
         on = (rows - cols == d) & (rows < n) & (cols < n)
         tgt = np.full(n, -1, dtype=np.intp)
         coef = np.zeros(n, dtype=np.complex128)
@@ -540,8 +578,7 @@ def on_support(*sides):
     """Sides of (flat index, value) terms, each index once per term, summed
     term by term on the union of the indices: that union, sorted, and one
     array per side."""
-    flats = [flat for terms in sides for flat, _ in terms]
-    support = np.unique(np.concatenate(flats)) if flats else np.empty(0, int)
+    support = union([flat for terms in sides for flat, _ in terms])
     accs = []
     for terms in sides:
         acc = np.zeros(len(support), dtype=np.complex128)
@@ -555,12 +592,19 @@ def walk_difference(lhs, rhs, cols):
     """Entries of sum(lhs) - sum(rhs) in the columns `cols`: each side a
     list of products (lists of factors, see `walk_shifts`; the empty
     product is the identity), walked down `cols` and summed term by term
-    on the union of their supports (`on_support`).  Returns (rows,
-    positions into cols, differences)."""
-    w = len(cols)
+    (`walked_difference`).  Returns (rows, positions into cols,
+    differences)."""
+    return walked_difference(*(
+        [walk_shifts(factors, cols) for factors in side]
+        for side in (lhs, rhs)), len(cols))
+
+
+def walked_difference(lhs, rhs, w: int):
+    """sum(lhs) - sum(rhs) for sides of walks (positions into w columns,
+    rows, values; see `walk_shifts`), summed term by term on the union of
+    their supports (`on_support`): (rows, positions, differences)."""
     support, (got, want) = on_support(*(
-        [(rows * w + pos, val) for pos, rows, val in
-         (walk_shifts(factors, cols) for factors in side)]
+        [(rows * w + pos, val) for pos, rows, val in side]
         for side in (lhs, rhs)))
     return support // w, support % w, got - want
 
@@ -574,29 +618,42 @@ def _as_poly(poly) -> NCPoly:
     return poly if isinstance(poly, NCPoly) else NCPoly({tuple(poly): 1.0})
 
 
-def _window_difference(poly_a, poly_b, rep):
-    """Window entries of poly_a - poly_b at the padded internal size, each
-    term walked as the product [coefficient, *letters] down the window
-    columns only, which evolve independently: (window rows, window
-    columns, differences)."""
-    poly_a, poly_b = _as_poly(poly_a), _as_poly(poly_b)
-    M = rep.N + rep.pad * max(poly_allowance(poly_a), poly_allowance(poly_b))
-    idx = rep.window_indices(M, rep.N)
-    where = np.full(rep.dim(M), -1, dtype=np.intp)
-    where[idx] = np.arange(len(idx))
-    rows, cols, diff = walk_difference(*(
-        [[c, *(rep.shifts(g, M) for g in w)] for w, c in poly.terms.items()]
-        for poly in (poly_a, poly_b)), idx)
-    rows = where[rows]
-    kept = rows >= 0
-    return rows[kept], cols[kept], diff[kept]
+def _window_differences(pairs, rep):
+    """For each pair (poly_a, poly_b), the window entries of poly_a - poly_b
+    at the padded internal size: (window rows, window columns,
+    differences).  A term's word is walked down the window columns only,
+    which evolve independently, once per (word, internal size) across the
+    pairs; the term is that walk times its coefficient, c * values, as
+    `walk_shifts` applies the product [c, *letters]."""
+    walks = {}
+    for poly_a, poly_b in pairs:
+        poly_a, poly_b = _as_poly(poly_a), _as_poly(poly_b)
+        M = rep.N + rep.pad * max(poly_allowance(poly_a),
+                                  poly_allowance(poly_b))
+        idx = rep.window_indices(M, rep.N)
+        where = np.full(rep.dim(M), -1, dtype=np.intp)
+        where[idx] = np.arange(len(idx))
+        sides = []
+        for poly in (poly_a, poly_b):
+            terms = []
+            for word, c in poly.terms.items():
+                got = walks.get((word, M))
+                if got is None:
+                    got = walks[(word, M)] = walk(rep, word, M, idx)
+                pos, rows, val = got
+                terms.append((pos, rows, c * val))
+            sides.append(terms)
+        rows, cols, diff = walked_difference(*sides, len(idx))
+        rows = where[rows]
+        kept = rows >= 0
+        yield rows[kept], cols[kept], diff[kept]
 
 
 def evaluate(poly, rep) -> np.ndarray:
     """Coefficient-weighted sum of word-wise products at the padded internal
     size, cropped to the window (size rep.N), as a dense array."""
     acc = np.zeros((rep.dim(rep.N),) * 2, dtype=np.complex128)
-    rows, cols, val = _window_difference(poly, NCPoly({}), rep)
+    (rows, cols, val), = _window_differences([(poly, NCPoly({}))], rep)
     acc[rows, cols] = val
     return acc
 
@@ -605,13 +662,20 @@ def max_abs(A: np.ndarray) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
 
 
-def residual(poly_a, poly_b, rep) -> float:
-    """max |evaluate(poly_a) - evaluate(poly_b)| over the window.
+def residuals(pairs, rep) -> list:
+    """max |evaluate(poly_a) - evaluate(poly_b)| over the window, for each
+    pair (poly_a, poly_b).
 
     Both sides are summed, term by term in the order `evaluate` adds them,
-    on the entries their walks reach; every other entry is 0 - 0, so the
-    result is bit-identical to the evaluated difference."""
-    return max_abs(_window_difference(poly_a, poly_b, rep)[2])
+    on the entries their walks reach; every other entry is 0 - 0, so each
+    result is bit-identical to the evaluated difference.  A word is walked
+    once per internal size for all the pairs (`_window_differences`)."""
+    return [max_abs(diff) for _, _, diff in _window_differences(pairs, rep)]
+
+
+def residual(poly_a, poly_b, rep) -> float:
+    """The residual of one pair (`residuals`)."""
+    return residuals([(poly_a, poly_b)], rep)[0]
 
 
 # ---------------------------------------------------------------------------

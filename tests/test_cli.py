@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,13 @@ import qsphere
 from qsphere import cli
 from qsphere.cli import run
 from qsphere.casimir import compress_identify
-from qsphere.ncalg import NCPoly
+from qsphere.ncalg import (
+    NCPoly,
+    RewriteCapError,
+    is_basis_word,
+    make_presentation,
+    random_words,
+)
 from qsphere.qcore import QParams, tau
 from qsphere.report import canonical_json
 from qsphere.reps import evaluate, load_matrix
@@ -319,6 +326,59 @@ def test_failing_oracle_report_is_golden(capsys):
     payload = capsys.readouterr().out.rstrip("\n")
     assert hashlib.sha256(payload.encode()).hexdigest() == (
         "0362681f728a9bb4b0a64656aa8470f6011c7448516484180d66846e7fa982a6")
+
+
+@pytest.mark.parametrize("fault", ["cap", "span"])
+def test_oracle_counts_a_repeated_word_per_draw(fault, monkeypatch):
+    # the oracle normalises a word drawn k times once, and still adds k to
+    # cap_hits when its rewriting hits the cap, or to basis_span_failures
+    # when its normal form leaves the basis
+    p = QParams(0.5)
+    pres = make_presentation("podles", p, x=1.0)
+    draws = Counter(random_words(pres, 40, 6, seed=3))
+    word = max((w for w in draws if not is_basis_word(w, pres)),
+               key=draws.get)
+    assert draws[word] > 1
+    normal_form = cli.normal_form
+
+    def faulty(poly, pres):
+        if pres.name != "podles" or set(poly.terms) != {word}:
+            return normal_form(poly, pres)
+        if fault == "cap":
+            raise RewriteCapError("injected")
+        return poly
+
+    monkeypatch.setattr(cli, "normal_form", faulty)
+    podles, bl = cli.suite_oracle(p, 1.0, 0.5, 16, 3, 40)
+    got = {d.item: d.residual for d in podles.details}
+    assert got["cap_hits"] == (draws[word] if fault == "cap" else 0)
+    assert got["basis_span_failures"] == (
+        draws[word] if fault == "span" else 0)
+    assert all(d.residual == 0 for d in bl.details
+               if d.item != "residual")
+
+
+def test_certification_never_imports_numpy_ma():
+    # numpy's plain np.unique imports numpy.ma on its first call, 10-14 ms
+    # of every process; the commands take sorted unions (reps.union)
+    # instead.  `all`'s forked half certifies relations, functional,
+    # compress and theorem2, so they run here on their own as well
+    commands = [["oracle", "--N", "16", "--count", "10"],
+                ["all", "--N", "24", "--D", "3", "--count", "10"],
+                ["relations", "--N", "16"], ["relations", "--alg", "uqsu2"],
+                ["functional", "--N", "24"], ["compress", "--N", "16"],
+                ["theorem2", "--l", "0.5", "--N", "16"]]
+    probe = ("import io, contextlib, sys\n"
+             "from qsphere.cli import run\n"
+             "for argv in %r:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert run(argv) == 0, argv\n"
+             "    assert 'numpy.ma' not in sys.modules, argv\n") % commands
+    src = str(Path(qsphere.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -78,7 +78,8 @@ def test_nan_residuals_propagate_through_walks():
 
 
 def test_nan_oracle_residual_fails_cli(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "residual", lambda *args, **kwargs: NAN)
+    monkeypatch.setattr(cli, "residuals",
+                        lambda pairs, rep: [NAN for _ in pairs])
     code = run(["oracle", "--N", "8", "--count", "3", "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1

@@ -32,6 +32,7 @@ from qsphere.reps import (
     rep_bl,
     rep_podles,
     residual,
+    residuals,
     spin_half,
     walk,
     walk_dps,
@@ -457,6 +458,58 @@ def test_support_residual_matches_dense_difference_bits():
     nan_rep = cases[-1][1]
     assert math.isnan(residual(("Z",), ("X",), nan_rep))
     assert residual(NCPoly({}), NCPoly({}), nan_rep) == 0.0
+
+
+def test_residuals_match_dense_difference_bits():
+    # one call over a whole set shares each word's walk between the pairs
+    # that hold it; each result must still be the evaluated difference's,
+    # bit for bit, duplicated pairs and a NaN representation included
+    cases = [(make_presentation("podles", P, x=1.0),
+              rep_podles(P, 1.0, "direct_sum", 32), 60, 3),
+             (make_presentation("bl", P, l=0.5), rep_bl(P, 0.5, 32), 60, 4),
+             (make_presentation("bl", P, l=1.5), rep_bl(P, 1.5, 40), 300, 9),
+             (make_presentation("podles", P, x=1.0),
+              rep_podles(P, float("nan"), "direct_sum", 8), 10, 5)]
+    for pres, rep, count, seed in cases:
+        pairs = list(_oracle_pairs(pres, count, seed))
+        pairs += pairs[::7] + [(("Z",), ("X",)), (NCPoly({}), NCPoly({}))]
+        got = residuals(pairs, rep)
+        assert len(got) == len(pairs)
+        for (a, b), r in zip(pairs, got):
+            want = max_abs(evaluate(a, rep) - evaluate(b, rep))
+            assert r.hex() == want.hex(), (a, r, want)
+
+
+def _shift_by_steps(rep, g, M):
+    """Reference shift: every label's step evaluated in a fresh FloatCtx."""
+    ctx = FloatCtx(rep.meta["q"], rep.meta.get("x", 0.0))
+    tgt = np.full(rep.dim(M), -1, dtype=np.intp)
+    coef = np.zeros(rep.dim(M), dtype=np.complex128)
+    for j, (fam, k) in enumerate(rep.labels(M)):
+        hit = rep.step(g, fam, k, ctx)
+        if hit is not None and 0 <= hit[1] - rep.kmin(hit[0]) < M:
+            tgt[j] = rep.index(hit[0], hit[1], M)
+            coef[j] = hit[2]
+    return tgt, coef
+
+
+def test_shift_at_each_size_matches_fresh_rep_bits():
+    # a rep evaluates each label's step once and builds every size from
+    # those values: larger and smaller sizes after one another must give
+    # the shift a fresh rep builds, and the per-label loop, bit for bit
+    N = 16
+    sizes = (N, N + 2, N + 10)
+    for make in (lambda: rep_podles(P, 1.3, "direct_sum", N),
+                 lambda: rep_bl(P, 1, N)):
+        for order in (sizes, sizes[::-1], (N + 2, N + 10, N)):
+            rep = make()
+            for M in order:
+                for g in rep.gens:
+                    fresh = make().shift(g, M)
+                    for got, want in zip(rep.shift(g, M), fresh):
+                        assert got.tobytes() == want.tobytes(), (g, M, order)
+                    for got, want in zip(fresh, _shift_by_steps(rep, g, M)):
+                        assert got.tobytes() == want.tobytes(), (g, M)
 
 
 def _dense_product(factors, n):
