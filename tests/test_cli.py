@@ -256,6 +256,18 @@ GOLDEN_REPORTS = {
         "b7b3eed960dd5fb97ddb0b963fd81a244b44f7ae05d4763e702236d9182a005f",
     ("relations", "--x", "1.0", "--l", "1", "--N", "16"):
         "b9a1af45ee96413cdb8c86d4d8ba45b34589b173734d81d5ea5573a019dcef29",
+    # the benchmark's own exact-walk invocations (perfbench's `walks_exact`)
+    ("functional", "--x", "1.0", "--l", "0.5", "--N", "64"):
+        "545307fe79551389994af19115d449890540d24c01aa345dd1362e3911bcf563",
+    ("theta", "--l", "1", "--N", "64"):
+        "a9d2e0eda94ce558a49829929f8e3365f7570138da0240dea06f0e2481e92bb8",
+    ("relations", "--x", "1.0", "--l", "1", "--N", "64"):
+        "4f767cbfc8f364b1202bc6c13612faecc1c5c89e921908cacdc989a961271697",
+    # small q: long product-form recipes, and walks at high precision
+    ("relations", "--q", "0.3", "--l", "2", "--N", "40"):
+        "1f7a36926ef59b39e831b52c2cd5b9f536d9edddb6694b7d3288b5b12c8b7746",
+    ("theta", "--q", "0.2", "--l", "1.5", "--N", "48"):
+        "7624f50eaa4eaeb5a862a579161979b3e5fe36787b53980516530afcbc487e78",
 }
 
 
@@ -306,6 +318,9 @@ GOLDEN_FLOAT_REPORTS = {
     # LAPACK
     ("casimir", "--x", "0.7", "--N", "16"):
         "c875001d56a9d52ed6fc8f861abba726cf3d3b4b63d3f6a2569c482e38d5af21",
+    # at small q, with the mp tensor walks of casimir_invariance
+    ("casimir", "--q", "0.3", "--x", "2.5", "--N", "32"):
+        "8b32d4ddbc15f8742d6d6138e546cfa957186886f7187493fc00e213aea80125",
     ("theorem2", "--l", "0.5", "--N", "16"):
         "09c519515f572d0aaddef079eb374544a2552e8f14d8afc8e9c353cf54b49414",
 }
