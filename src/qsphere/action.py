@@ -195,7 +195,7 @@ def invariance_defects(word, rep, W: int) -> dict:
                     f = d if pref is None else mpf_mul(d, pref, prec, _RND)
                     sums[n] = mpf_add(sums[n], mpf_mul(
                         f, mpf_sub(a, b, prec, _RND), prec, _RND), prec, _RND)
-        return {key: mp_magnitude(v, prec) for key, v in zip("KEF", sums)}
+        return {key: mp_magnitude(v) for key, v in zip("KEF", sums)}
 
 
 def _finite(v) -> bool:

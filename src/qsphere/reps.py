@@ -18,12 +18,14 @@ retained entries are exact values of the infinite-dimensional operators;
 differences are summed on the walked support only.
 
 Relation residuals, adjoint-action residuals and invariant-functional tail
-defects are walked label by label in mpmath arithmetic, through one exact
-walk kernel (see its section): the product-form relations of the graded
-algebras reach entry magnitudes ~1e6 at small q, where double precision
-cannot certify 1e-11 absolute residuals.  Exact walks share one mp context
-per (q, x, precision) (`mp_ctx`), and each representation memoises every
-step it takes in it, so a step coefficient is computed once.  `MPCtx` has
+defects are walked label by label in real mpmath arithmetic, through one
+exact walk kernel (see its section): the product-form relations of the
+graded algebras reach entry magnitudes ~1e6 at small q, where double
+precision cannot certify 1e-11 absolute residuals.  A relation rule is
+walked as combos, like an adjoint-action residual, through one entry point
+(`_exact_residual`).  Exact walks share one mp context per (q, x,
+precision) (`mp_ctx`), and each representation memoises every step it
+takes in it, so a step coefficient is computed once.  `MPCtx` has
 FloatCtx's interface, so the label steps run unchanged in either.
 """
 
@@ -39,12 +41,6 @@ from mpmath.libmp import (
     from_float,
     from_int,
     fzero,
-    mpc_abs,
-    mpc_add,
-    mpc_add_mpf,
-    mpc_mul_mpf,
-    mpc_sub,
-    mpc_sub_mpf,
     mpf_add,
     mpf_mul,
     mpf_mul_int,
@@ -128,11 +124,10 @@ class LabelRep:
     inverse Zi are built from `zexp`, the one source of that power.
     """
 
-    def __init__(self, families, steps, zexps, gens, N: int, meta: dict):
+    def __init__(self, families, steps, zexps, N: int, meta: dict):
         self.families = tuple(families)
         self._steps = {**steps, **_z_steps(zexps)}  # gen -> move, see step()
         self._zexps = zexps      # dict fam -> fn(k) -> (sign, n, m)
-        self.gens = tuple(gens)
         self.N = N
         self.pad = 2             # labels padded per unit of poly_allowance
         self.meta = meta         # "q" and "x", read by the step contexts
@@ -148,20 +143,6 @@ class LabelRep:
 
     def dim(self, M: int) -> int:
         return M * len(self.families)
-
-    def index(self, fam, k, M: int) -> int:
-        for pos, (f, kmin) in enumerate(self.families):
-            if f == fam:
-                j = k - kmin
-                if 0 <= j < M:
-                    return pos * M + j
-                raise IndexError(f"label ({fam},{k}) outside internal size {M}")
-        raise KeyError(fam)
-
-    def labels(self, M: int):
-        for f, kmin in self.families:
-            for k in range(kmin, kmin + M):
-                yield (f, k)
 
     def window_indices(self, M: int, W: int) -> np.ndarray:
         out = []
@@ -320,8 +301,7 @@ def rep_podles(p: QParams, x: float, variant: str, N: int) -> LabelRep:
         return step
 
     steps = {g: make_step(g) for g in ("X", "Y", "T")}
-    return LabelRep(families, steps, fam_z, ("X", "Y", "Z", "Zi", "T"), N,
-                    {"q": p.q, "x": x})
+    return LabelRep(families, steps, fam_z, N, {"q": p.q, "x": x})
 
 
 def rep_bl(p: QParams, l, N: int) -> LabelRep:
@@ -356,13 +336,11 @@ def rep_bl(p: QParams, l, N: int) -> LabelRep:
         return A
 
     steps = {"X": X, "Y": _adjoint_step(X)}
-    gens = ["X", "Y", "Z", "Zi"]
     for s in range(-twol, twol + 1):
         steps[("A", s)] = make_A(s)
-        gens.append(("A", s))
     zexps = {"-": lambda k: (-1, 2 * k + twol + 1, 0),
              "+": lambda k: (1, 2 * k + twol + 1, 0)}
-    return LabelRep((("-", 0), ("+", -twol)), steps, zexps, gens, N,
+    return LabelRep((("-", 0), ("+", -twol)), steps, zexps, N,
                     {"q": p.q, "x": float(twol)})
 
 
@@ -477,8 +455,6 @@ class TensorRep:
         self.N = base.N
         self.pad = base.pad
         self.meta = base.meta
-        self.gens = tuple(g for g in ("X", "Y", "Z", "Zi", "T")
-                          if g in base.gens)
         self._walk_memos: dict = {}  # mp context -> _SegmentTables
 
     def dim(self, M: int) -> int:
@@ -686,16 +662,18 @@ def residual(poly_a, poly_b, rep) -> float:
 # implementer letter, which on a two-summand space absorbs the sign operator,
 # so its coefficient is negated where the step lands in the "-" family.  A
 # recipe item ("zf", sign, n, m) is one more segment kind, the diagonal
-# factor 1 - sign*q^(n+mx)*Z.  A "combo" is (coefficient, [segments]) and
-# stands for coefficient * (operator product of the segments).
+# factor 1 - sign*q^(n+mx)*Z, and so is a recipe's lead ("lead", sign, n,
+# m), the scalar sign*q^(n+mx).  A "combo" is (coefficient, [segments]) and
+# stands for coefficient * (operator product of the segments); the
+# coefficient is a real Python number, and the kernel is real throughout.
 #
 # Steps are memoised per (representation, mp context) as (target label, raw
 # coefficient), the coefficient an mpmath `_mpf_` tuple computed at the
 # context's precision.  A walk on a label representation visits its labels
 # first and multiplies the kept coefficients afterwards, in walk order, with
 # libmp's mpf_mul at the context's precision, rounding to nearest; the first
-# coefficient starts the product, which is exact.  Sums, signs and complex
-# coefficients use the libmp/libmpc function that mpmath's operators call on
+# coefficient starts the product, which is exact.  Sums, signs and the
+# combo coefficient use the libmp function that mpmath's operators call on
 # the same operands.  So every value is bit-identical to multiplying mpf
 # objects as one goes, without their wrappers, and a walk that dies or ends
 # off the row wanted forms no product.  Walks on a tensor representation
@@ -737,6 +715,8 @@ class _SegmentTables(dict):
             fill = self._tensor_step(g)
         elif isinstance(g, tuple) and g[0] == "zf":
             fill = self._zf_step(*g[1:])
+        elif isinstance(g, tuple) and g[0] == "lead":
+            fill = self._lead_step(*g[1:])
         else:
             fill = self._label_step(g, impl)
         table = self[seg] = _StepTable(fill)
@@ -766,6 +746,10 @@ class _SegmentTables(dict):
                         prec, _RND)
             return label, (f,)
         return fill
+
+    def _lead_step(self, sign, n, m):
+        lead = (mpf_mul_int(self.ctx.qpow(n, m)._mpf_, sign, self.prec, _RND),)
+        return lambda label: (label, lead)
 
     def _tensor_step(self, g):
         rep, prec = self.rep, self.prec
@@ -849,57 +833,22 @@ def walk_diagonal(path, label, prec: int):
     return mp_product(hit[1], prec)
 
 
-def mp_magnitude(v, prec: int) -> float:
-    """|v| as a float for a raw real or complex (a pair of raw parts) value,
-    rounded to nearest as float(abs(v)) rounds an mpf or mpc."""
-    if len(v) == 2:
-        v = mpc_abs(v, prec, _RND)
+def mp_magnitude(v) -> float:
+    """|v| as a float for a raw mpf, rounded to nearest as float(abs(v))
+    rounds an mpf."""
     return abs(to_float(v, rnd=_RND))
 
 
 def _raw_number(c):
-    """A Python coefficient as a raw mpf, or a complex one as a pair of raw
-    parts, exactly as mpmath converts it."""
+    """A real Python coefficient as a raw mpf, exactly as mpmath converts
+    it; a complex one with zero imaginary part walks as its real part."""
+    if isinstance(c, complex):
+        if c.imag != 0.0:
+            raise ValueError(f"exact walks are real, got coefficient {c!r}")
+        c = c.real
     if isinstance(c, int):
         return from_int(c)
-    if isinstance(c, complex):
-        return from_float(c.real), from_float(c.imag)
     return from_float(float(c))
-
-
-def _scale(p, coef, prec: int):
-    """coef * p for a raw product p, rounded as a Python number times an
-    mpf is (an int factor rounds the exact product, as mpf_mul does)."""
-    if len(coef) == 4:
-        return mpf_mul(p, coef, prec, _RND)
-    return mpc_mul_mpf(coef, p, prec, _RND)
-
-
-def _add(a, b, prec: int):
-    """a + b as mpmath's operators round it; a None stands for the 0 a row
-    starts from, and 0 + b is b exactly."""
-    if a is None:
-        return b
-    if len(a) == 4:
-        if len(b) == 4:
-            return mpf_add(a, b, prec, _RND)
-        return mpc_add_mpf(b, a, prec, _RND)
-    if len(b) == 4:
-        return mpc_add_mpf(a, b, prec, _RND)
-    return mpc_add(a, b, prec, _RND)
-
-
-def _sub(a, b, prec: int):
-    """a - b as mpmath's operators round it; a None stands for 0."""
-    if a is None:
-        a = fzero
-    if len(a) == 4:
-        if len(b) == 4:
-            return mpf_sub(a, b, prec, _RND)
-        return mpc_sub((a, fzero), b, prec, _RND)
-    if len(b) == 4:
-        return mpc_sub_mpf(a, b, prec, _RND)
-    return mpc_sub(a, b, prec, _RND)
 
 
 # ---------------------------------------------------------------------------
@@ -936,10 +885,19 @@ def _compile(tables, combos) -> list:
 
 
 def _poly_combos(terms: dict) -> list:
-    """Plain-letter combos of a polynomial's terms; a coefficient with zero
-    imaginary part multiplies as its real part."""
-    return [(c.real if c.imag == 0.0 else c, [(g, False) for g in w])
-            for w, c in terms.items()]
+    """Plain-letter combos of a polynomial's terms."""
+    return [(c, [(g, False) for g in w]) for w, c in terms.items()]
+
+
+def _rule_combos(rule) -> list:
+    """A rule's right-hand side as combos: its terms, or its recipe's
+    product with the lead as the last segment, walked first, so the lead
+    starts the product."""
+    if rule.recipe is None:
+        return _poly_combos(rule.rhs)
+    (sign, n, m), items = rule.recipe
+    lead = (("lead", sign, n, m), False)
+    return [(1, [(it, False) for it in items] + [lead])]
 
 
 def _branch_walk(path, label, prec: int) -> dict:
@@ -961,10 +919,10 @@ def _branch_walk(path, label, prec: int) -> dict:
             for lab, val in frontier.items()}
 
 
-def _combo_column(tables, combos, label, rows=None, op=_add) -> dict:
+def _combo_column(tables, combos, label, rows=None, sub=False) -> dict:
     """Column `label` of compiled combos: each coef * product is added to
-    (or, with op=_sub, subtracted from) its row of `rows`, in combo order;
-    {row label: raw value}."""
+    (with `sub`, subtracted from) its row of `rows`, in combo order, a
+    missing row standing for 0; {row label: raw value}."""
     prec = tables.prec
     branched = isinstance(tables.rep, TensorRep)
     rows = {} if rows is None else rows
@@ -975,50 +933,37 @@ def _combo_column(tables, combos, label, rows=None, op=_add) -> dict:
             hit = walk_path(path, label)
             ends = () if hit is None else ((hit[0], mp_product(hit[1], prec)),)
         for lab, val in ends:
-            rows[lab] = op(rows.get(lab), _scale(val, coef, prec), prec)
+            term = mpf_mul(val, coef, prec, _RND)
+            old = rows.get(lab)
+            if sub:
+                term = mpf_sub(fzero if old is None else old, term, prec, _RND)
+            elif old is not None:
+                term = mpf_add(old, term, prec, _RND)
+            rows[lab] = term
     return rows
 
 
-def _window_residual(rep, W: int, prec: int, column) -> float:
-    """max |entry| over window columns and rows; column(label) returns
-    {row label: raw value}."""
+def _termwise_residual(rep, W: int, tables, lhs, rhs) -> float:
+    """max |lhs - rhs| over window columns and rows, every rhs combo
+    subtracted from the lhs sum one by one."""
     worst = 0.0
     for label in window_labels(rep, W):
-        for lab, val in column(label).items():
+        rows = _combo_column(tables, rhs, label,
+                             _combo_column(tables, lhs, label), sub=True)
+        for lab, val in rows.items():
             if label_in_window(rep, lab, W):
-                worst = max_or_nan(worst, mp_magnitude(val, prec))
+                worst = max_or_nan(worst, mp_magnitude(val))
     return worst
 
 
-def _termwise_residual(rep, W: int, tables, lhs, rhs) -> float:
-    """max |lhs - rhs| with every rhs term subtracted from the lhs sum one
-    by one."""
-    return _window_residual(rep, W, tables.prec, lambda label: _combo_column(
-        tables, rhs, label, _combo_column(tables, lhs, label), _sub))
-
-
-def _rule_residual(rep, rule, W: int, ctx) -> float:
-    tables = step_tables(rep, ctx)
-    lhs = _compile(tables, _poly_combos({rule.lhs: 1.0}))
-    if rule.recipe is None:
-        return _termwise_residual(rep, W, tables, lhs,
-                                  _compile(tables, _poly_combos(rule.rhs)))
-    (csign, cn, cm), items = rule.recipe
-    lead = mpf_mul_int(ctx.qpow(cn, cm)._mpf_, csign, ctx.prec, _RND)
-    # the recipe's coefficient starts its product: one more, first, step
-    first = _StepTable(lambda label: (label, (lead,)))
-    path = [first] + segment_path(tables, [(it, False) for it in items])
-    return _termwise_residual(rep, W, tables, lhs, [(path, fone)])
-
-
-def mp_poly_residual(rep, poly_a, poly_b) -> float:
-    """max |poly_a - poly_b| over window columns, walked in mpmath."""
-    with mp.workdps(MP_DPS):
-        ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0))
+def _exact_residual(rep, lhs, rhs, W: int, dps: int) -> float:
+    """max |lhs - rhs| for combos walked in the shared mp context of `rep`
+    at `dps` digits (`_termwise_residual`)."""
+    with mp.workdps(dps):
+        ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
         tables = step_tables(rep, ctx)
-        return _termwise_residual(
-            rep, rep.N, tables, _compile(tables, _poly_combos(poly_a.terms)),
-            _compile(tables, _poly_combos(poly_b.terms)))
+        return _termwise_residual(rep, W, tables, _compile(tables, lhs),
+                                  _compile(tables, rhs))
 
 
 def relation_check(pres: Presentation, rep) -> dict:
@@ -1035,12 +980,9 @@ def relation_check(pres: Presentation, rep) -> dict:
     if not isinstance(rep, LabelRep):
         return {r.name: residual(NCPoly({r.lhs: 1.0}), NCPoly(r.rhs), rep)
                 for r in rules}
-    out = {}
-    with mp.workdps(MP_DPS):
-        ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0))
-        for rule in rules:
-            out[rule.name] = _rule_residual(rep, rule, rep.N, ctx)
-    return out
+    return {r.name: _exact_residual(rep, _poly_combos({r.lhs: 1.0}),
+                                    _rule_combos(r), rep.N, MP_DPS)
+            for r in rules}
 
 
 def walk_dps(rep, W: int, slack: int = 30) -> int:
@@ -1056,12 +998,7 @@ def combos_residual(rep, combos_a, combos_b, W: int) -> float:
     """max |combos_a - combos_b| over window columns and rows, walked in mp
     arithmetic at window-adaptive precision (`walk_dps`), each combo of
     combos_b subtracted from the combos_a sum one by one."""
-    dps = walk_dps(rep, W)
-    with mp.workdps(dps):
-        ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
-        tables = step_tables(rep, ctx)
-        return _termwise_residual(rep, W, tables, _compile(tables, combos_a),
-                                  _compile(tables, combos_b))
+    return _exact_residual(rep, combos_a, combos_b, W, walk_dps(rep, W))
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def _reference_diag_walk(rep, segments, fam, k, ctx, absorb):
 
 def _reference_density(rep, fam, k, ctx):
     """The functional's density at a label, written per representation."""
-    if any(is_a_gen(g) for g in rep.gens):   # bl(l), whose x is 2l
+    if any(is_a_gen(g) for g in rep._steps):   # bl(l), whose x is 2l
         return ctx.qpow(2 * k + int(rep.meta["x"]) + 1)
     return ctx.qpow(2 * k + 1, 1 if fam == "-" else -1)
 

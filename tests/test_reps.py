@@ -26,7 +26,6 @@ from qsphere.reps import (
     load_matrix,
     max_abs,
     mp_ctx,
-    mp_poly_residual,
     poly_allowance,
     relation_check,
     rep_bl,
@@ -41,6 +40,26 @@ from qsphere.reps import (
 
 P = QParams(0.5)
 Q = P.q
+
+
+def _labels(rep, M):
+    """The labels of a label representation at internal size M, in basis
+    order."""
+    return [(f, k) for f, kmin in rep.families for k in range(kmin, kmin + M)]
+
+
+def _index(rep, fam, k, M):
+    """The basis position of label (fam, k) at internal size M."""
+    return _labels(rep, M).index((fam, k))
+
+
+def _gens(rep):
+    """The generators a podles or bl label representation steps, Z and Zi
+    included; on a tensor representation, those of the coaction table whose
+    base generator is there."""
+    if isinstance(rep, TensorRep):
+        return [g for g in ("X", "Y", "Z", "Zi", "T") if g in _gens(rep.base)]
+    return list(rep._steps)
 
 
 def test_podles_plus_entries():
@@ -70,8 +89,8 @@ def test_bl_half_a0_entries():
     A0 = rep.matrix(a_gen(0), 8)
     for k in range(4):
         want = math.sqrt(1 - Q ** (4 * k + 4))
-        got_minus = A0[rep.index("+", k, 8), rep.index("-", k, 8)]
-        got_plus = A0[rep.index("-", k, 8), rep.index("+", k, 8)]
+        got_minus = A0[_index(rep, "+", k, 8), _index(rep, "-", k, 8)]
+        got_plus = A0[_index(rep, "-", k, 8), _index(rep, "+", k, 8)]
         assert got_minus == pytest.approx(want, abs=1e-14)
         assert got_plus == pytest.approx(want, abs=1e-14)
 
@@ -83,7 +102,7 @@ def test_bl_a_annihilates_below_floor():
         for s in range(-twol, 0):
             A = rep.matrix(a_gen(s), 12)
             for k in range(-twol, min(-s, 12 - twol)):
-                col = rep.index("+", k, 12)
+                col = _index(rep, "+", k, 12)
                 if k + s < 0:
                     assert np.all(A[:, col] == 0.0), (s, k)
 
@@ -169,7 +188,7 @@ def test_shifts_are_one_to_one():
     reps_ += [TensorRep(r) for r in reps_[:2]]
     reps_ += [TensorRep(reps_[0], absorb_sign=True)]
     for rep in reps_:
-        for g in rep.gens:
+        for g in _gens(rep):
             for tgt, _ in rep.shifts(g, 12):
                 live = tgt[tgt >= 0]
                 assert len(np.unique(live)) == len(live), g
@@ -247,12 +266,16 @@ def test_evaluate_unit_and_casimir_combination():
 def test_t_scalar_matches_xyz_expression():
     # audit: T as tau(x) scalar versus q^-1 Zi (XY - 1 + q^2 Z^2); walked in
     # mp arithmetic since Zi entries grow like q^(-2k) toward the window edge
-    from qsphere.reps import mp_poly_residual
     pres = make_presentation("uqmp", P)
+
+    def combos(poly):
+        return [(c, [(g, False) for g in w]) for w, c in poly.terms.items()]
+
     for x in (0.35, 1.0, 2.5):
         rep = rep_podles(P, x, "plus", 20)
         expr = parse("q^-1*Zi*X*Y - q^-1*Zi + q*Zi*Z^2", pres)
-        assert mp_poly_residual(rep, expr, parse("T", pres)) < 1e-15
+        assert combos_residual(rep, combos(expr), combos(parse("T", pres)),
+                               20) < 1e-15
 
 
 def test_padded_interior_exactness():
@@ -379,13 +402,13 @@ def _dense_chain(poly, rep, W):
 def _dense_from_steps(rep, g, M):
     ctx = FloatCtx(rep.meta["q"], rep.meta.get("x", 0.0))
     A = np.zeros((rep.dim(M), rep.dim(M)), dtype=np.complex128)
-    for fam, k in rep.labels(M):
+    for fam, k in _labels(rep, M):
         hit = rep.step(g, fam, k, ctx)
         if hit is None:
             continue
         f2, k2, c = hit
         if 0 <= k2 - rep.kmin(f2) < M:
-            A[rep.index(f2, k2, M), rep.index(fam, k, M)] = c
+            A[_index(rep, f2, k2, M), _index(rep, fam, k, M)] = c
     return A
 
 
@@ -419,7 +442,7 @@ def test_shift_walk_matches_dense_products():
                                words[i + 2]: -2.0})
                 assert np.array_equal(evaluate(poly, rep12),
                                       _dense_chain(poly, rep12, 12))
-            for g in rep.gens:
+            for g in _gens(rep):
                 for M in (16, 20):
                     assert np.array_equal(rep.matrix(g, M),
                                           _dense_from_steps(rep, g, M))
@@ -485,10 +508,10 @@ def _shift_by_steps(rep, g, M):
     ctx = FloatCtx(rep.meta["q"], rep.meta.get("x", 0.0))
     tgt = np.full(rep.dim(M), -1, dtype=np.intp)
     coef = np.zeros(rep.dim(M), dtype=np.complex128)
-    for j, (fam, k) in enumerate(rep.labels(M)):
+    for j, (fam, k) in enumerate(_labels(rep, M)):
         hit = rep.step(g, fam, k, ctx)
         if hit is not None and 0 <= hit[1] - rep.kmin(hit[0]) < M:
-            tgt[j] = rep.index(hit[0], hit[1], M)
+            tgt[j] = _index(rep, hit[0], hit[1], M)
             coef[j] = hit[2]
     return tgt, coef
 
@@ -504,7 +527,7 @@ def test_shift_at_each_size_matches_fresh_rep_bits():
         for order in (sizes, sizes[::-1], (N + 2, N + 10, N)):
             rep = make()
             for M in order:
-                for g in rep.gens:
+                for g in _gens(rep):
                     fresh = make().shift(g, M)
                     for got, want in zip(rep.shift(g, M), fresh):
                         assert got.tobytes() == want.tobytes(), (g, M, order)
@@ -569,8 +592,7 @@ def _walk_combos(rep, combos, label, ctx):
     kernel, as mpmath numbers: {row label: value}."""
     tables = reps.step_tables(rep, ctx)
     rows = reps._combo_column(tables, reps._compile(tables, combos), label)
-    return {lab: mp.make_mpc(v) if len(v) == 2 else mp.make_mpf(v)
-            for lab, v in rows.items()}
+    return {lab: mp.make_mpf(v) for lab, v in rows.items()}
 
 
 def _walk_window(rep, combos, ctx, W):
@@ -580,7 +602,7 @@ def _walk_window(rep, combos, ctx, W):
 
 
 _COMBOS = [(1.0, [("X", False), ("Y", True), ("Z", False)]),
-           (0.5 - 0.25j, [("Y", True), ("Zi", False), ("X", True)])]
+           (0.3, [("Y", True), ("Zi", False), ("X", True)])]
 
 
 def test_memoised_walks_match_fresh_contexts(monkeypatch):
@@ -589,14 +611,11 @@ def test_memoised_walks_match_fresh_contexts(monkeypatch):
     tensor = TensorRep(rep_podles(P, 0.7, "plus", 10))
     pres_p = make_presentation("podles", P, x=1.3)
     pres_b = make_presentation("bl", P, l=1)
-    poly_a = parse("Y*X - q^2*X*Y", pres_b)
-    poly_b = parse("(1 - q^2)*(1 - Z^2)", pres_b)
     tensor_combos = [(1.0, [("T", False), ("X", False)]),
                      (-0.5, [("Y", False), ("Zi", False)])]
 
     def run_all():
         return (relation_check(pres_p, podles), relation_check(pres_b, bl),
-                mp_poly_residual(bl, poly_a, poly_b),
                 combos_residual(podles, _COMBOS, [], 12),
                 combos_residual(bl, _COMBOS, [(2.0, [("Z", False)])], 12),
                 combos_residual(tensor, tensor_combos, [], 10))
@@ -747,26 +766,21 @@ def _reference_rule_residual(rep, rule, W, ctx):
     return worst
 
 
-def _bits(v):
-    return v._mpc_ if hasattr(v, "_mpc_") else v._mpf_
-
-
 def test_combo_kernel_matches_multiplying_walks():
     W = 10
     label_combos = _COMBOS + [
-        (2 + 0j, [("Z", True), ("X", False), ("Zi", True)]),
+        (2.0, [("Z", True), ("X", False), ("Zi", True)]),
         (3, [("Y", True), ("Y", False)]),
         (-1.5, [("X", True), ("X", True), ("Y", False), ("Y", True)])]
     tensor_combos = [(1.0, [("T", False), ("X", False)]),
-                     (0.25 + 1j, [("Y", True), ("Zi", False), ("T", True)]),
-                     (-2 + 0j, [("X", False), ("Y", False), ("Z", False)])]
+                     (0.25, [("Y", True), ("Zi", False), ("T", True)]),
+                     (-2.0, [("X", False), ("Y", False), ("Z", False)])]
     cases = [(rep_podles(P, 1.3, "direct_sum", W), label_combos),
              (rep_podles(P, 1.3, "minus", W), label_combos),
              (rep_bl(P, 1, W), label_combos),
              (TensorRep(rep_podles(P, 0.7, "plus", W)), tensor_combos),
              (TensorRep(rep_podles(P, 1.3, "direct_sum", W),
                         absorb_sign=True), tensor_combos)]
-    complex_rows = 0
     for rep, combos in cases:
         x = rep.meta.get("x", 0.0)
         dps = walk_dps(rep, W)   # the precision combos_residual walks at
@@ -775,14 +789,31 @@ def test_combo_kernel_matches_multiplying_walks():
                 for label in window_labels(rep, W):
                     got = _walk_combos(rep, combos, label, ctx)
                     want = _reference_walk_combos(rep, combos, label, ctx)
-                    assert ({lab: _bits(v) for lab, v in got.items()}
-                            == {lab: _bits(v) for lab, v in want.items()})
-                    complex_rows += sum(hasattr(v, "_mpc_")
-                                        for v in got.values())
+                    assert ({lab: v._mpf_ for lab, v in got.items()}
+                            == {lab: v._mpf_ for lab, v in want.items()})
                 want = _reference_combos_residual(rep, combos, combos[:1],
                                                   W, ctx)
         assert combos_residual(rep, combos, combos[:1], W) == want
-    assert complex_rows > 0
+
+
+def test_exact_walks_are_real():
+    # a complex coefficient with zero imaginary part walks as its real part,
+    # bit for bit; any other complex coefficient is refused
+    segs = [("X", False), ("Y", True)]
+    cases = [(rep_podles(P, 1.3, "direct_sum", 10), _COMBOS),
+             (TensorRep(rep_podles(P, 0.7, "plus", 10)),
+              [(1.0, [("T", False), ("X", False)])])]
+    for rep, combos in cases:
+        real = combos_residual(rep, combos, [(2.0, segs)], 10)
+        assert real > 0
+        for coef in (2 + 0j, complex(2, -0.0)):
+            assert combos_residual(rep, combos, [(coef, segs)],
+                                   10).hex() == real.hex()
+        for coef in (2 + 1e-300j, 1j, complex(0, float("nan"))):
+            with pytest.raises(ValueError):
+                combos_residual(rep, combos, [(coef, segs)], 10)
+            with pytest.raises(ValueError):
+                combos_residual(rep, [(coef, segs)], combos, 10)
 
 
 def test_relation_kernel_matches_multiplying_walks(monkeypatch):

@@ -17,8 +17,6 @@ ALLOWED = {
     "parse": "documented user API: text to polynomial",
     "format_poly": "documented user API: polynomial to text, parse's inverse",
     "load_matrix": "documented user API: reads the files --dump writes",
-    "mp_poly_residual": "exact word residual kept for the oracle's exact "
-                        "fallback (ROADMAP item 2)",
 }
 
 
@@ -168,3 +166,22 @@ def test_linalg_only_in_action():
              for line in _linalg_reads(ast.parse(path.read_text()))]
     assert not reads, reads
     assert _linalg_reads(ast.parse("import numpy as np\nnp.linalg.eigh(a)"))
+
+
+def _mpc_imports(tree) -> list:
+    """Line numbers where a module imports a complex (mpc_) function from
+    mpmath.libmp."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("mpmath.libmp")
+            and any(a.name.startswith("mpc_") for a in node.names)]
+
+
+def test_exact_kernel_is_real():
+    # the exact walks are real: every coefficient that reaches them is, and
+    # a complex one is refused, so no module needs libmp's complex functions
+    reads = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _mpc_imports(ast.parse(path.read_text()))]
+    assert not reads, reads
+    assert _mpc_imports(ast.parse(
+        "from mpmath.libmp import fone, mpc_add\nfrom mpmath import mpf"))
