@@ -97,6 +97,30 @@ def test_usage_error_exit_code(capsys):
         assert out.err.count("\n") == 1 and flag in out.err, argv
 
 
+@pytest.mark.parametrize("argv, line", [
+    # argparse's own wording, as Python 3.11 prints it
+    (["nonsense"], "argument command: invalid choice: 'nonsense' (choose "
+     "from 'relations', 'casimir', 'compress', 'theta', 'functional', "
+     "'ergodic', 'theorem2', 'orbit', 'picard', 'oracle', 'all')"),
+    (["all", "--N", "21"], "--N must be at least 22 for all, got 21"),
+    (["functional", "--N", "20"],
+     "--N must be at least 24 for functional at --l 1, got 20"),
+    (["compress", "--N", "5"], "--N must be at least 6 for compress, got 5"),
+    (["all", "--N", "512"], "all forms q^-1024.7, which overflows float64 "
+     "at --q 0.5; lower --x, --l or --N"),
+])
+def test_refusal_lines_are_exact(argv, line, capsys):
+    assert run(argv + ["--json"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"verify: error: {line}\n")
+
+
+def test_all_runs_from_its_floor():
+    # functional at --l 0.5 needs N >= 22, the largest floor of `all`'s suites
+    assert cli._input_error(cli.build_parser().parse_args(
+        ["all", "--N", "22"])) is None
+
+
 def test_overflowing_compress_size_is_refused(capsys):
     # compress's tensor Zi reaches q^-(2N+|x|): at q = 0.5 and x = 0.7 that
     # overflows float64 from N = 512 on, and `all` runs compress at x = 0.7
@@ -271,8 +295,8 @@ GOLDEN_REPORTS = {
 }
 
 
-def _report_digest(argv, capsys):
-    assert run(list(argv) + ["--json"]) == 0
+def _report_digest(argv, capsys, code=0):
+    assert run(list(argv) + ["--json"]) == code
     payload = capsys.readouterr().out.rstrip("\n")
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -323,6 +347,14 @@ GOLDEN_FLOAT_REPORTS = {
         "8b32d4ddbc15f8742d6d6138e546cfa957186886f7187493fc00e213aea80125",
     ("theorem2", "--l", "0.5", "--N", "16"):
         "09c519515f572d0aaddef079eb374544a2552e8f14d8afc8e9c353cf54b49414",
+    # every suite at the arguments `all` gives it, half of them certified in
+    # the forked worker; ergodic's rank decisions and kernel residuals come
+    # from LAPACK's SVD, so these bytes also depend on numpy's bundled
+    # OpenBLAS (the version CI pins)
+    ("all", "--seed", "0"):
+        "3915a9c7d03829d26f9640c629b0e4d6710d3240664270291f15d08eccc715bc",
+    ("all", "--N", "24", "--D", "3", "--count", "10", "--seed", "0"):
+        "d5a6778cdc317f174c342dce52804ace9c135ae1f2925aa65dca0f546bebdb9d",
 }
 
 
@@ -336,11 +368,18 @@ def test_failing_oracle_report_is_golden(capsys):
     # cancel, so any change in the order the terms are summed moves the
     # low bits of the residual, and with them this digest
     argv = ["oracle", "--x", "0.7", "--l", "1.5", "--N", "40", "--count",
-            "300", "--seed", "9", "--json"]
-    assert run(argv) == 1
-    payload = capsys.readouterr().out.rstrip("\n")
-    assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "300", "--seed", "9"]
+    assert _report_digest(argv, capsys, code=1) == (
         "0362681f728a9bb4b0a64656aa8470f6011c7448516484180d66846e7fa982a6")
+
+
+def test_failing_all_report_is_golden(capsys):
+    # at q = 0.3 ergodic's degree-6 monomial images are dependent: `all`
+    # exits 1 with ergodic's `dependent_monomials` detail, and every other
+    # suite's report stands
+    argv = ["all", "--q", "0.3", "--N", "24", "--count", "10"]
+    assert _report_digest(argv, capsys, code=1) == (
+        "78bfce8e82223f8e24657920cc409a5b37dde68c66e4bc2df26a3842c7d810a0")
 
 
 @pytest.mark.parametrize("fault", ["cap", "span"])
