@@ -363,7 +363,7 @@ def invariant_subspace(pres: Presentation, rep, D: int,
     pos[idx] = np.arange(nw)
 
     impls = _implementers(impl, M)
-    labels, scales, mono, images, system = [], [], [], [], []
+    labels, mono, images, system = [], [], [], []
     for k, w in enumerate(words):
         base_cols, base_rows, val = walk(rep, w, M, np.arange(rep.dim(M)))
         for i, unit in enumerate(units):
@@ -375,7 +375,6 @@ def invariant_subspace(pres: Presentation, rep, D: int,
                 cols, rows = 2 * base_cols + unit[1], 2 * base_rows + unit[0]
             in_win = (pos[cols] >= 0) & (pos[rows] >= 0)
             scale = max(max_abs(val[in_win]), 1e-300)
-            scales.append(scale)
             v = val / scale
             keep = in_win & (v != 0)
             mono.append((pos[rows[keep]] * nw + pos[cols[keep]], v[keep]))
@@ -416,7 +415,6 @@ def invariant_subspace(pres: Presentation, rep, D: int,
         "dim": len(small),
         "kernel": kernel,
         "labels": labels,
-        "scales": np.array(scales),
         "blocks": blocks,
         "sv_largest_zero": sv_in_kernel,
         "sv_smallest_nonzero": sv_above,

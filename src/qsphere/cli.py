@@ -5,6 +5,11 @@ Commands: relations, casimir, compress, theta, functional, ergodic,
 theorem2, orbit, picard, oracle, all.  Exit code 0 iff every check passes,
 1 on check failure, 2 on usage errors.  With --json the canonical report
 replaces the human-readable summary on stdout (or goes to --out).
+
+Each suite has one call (`_suite_calls`), which reads its arguments from a
+namespace.  A single command passes the command line's; `all` runs every
+suite on the command line's namespace under the flags `ALL_ARGS` sets for
+it, and refuses where one of those suite runs would.
 """
 
 from __future__ import annotations
@@ -86,11 +91,14 @@ TOL_RP2 = 1e-12
 TOL_ORACLE = 1e-9
 SLOPE_MARGIN = 0.2
 
-# the --l at which `all` runs each suite that takes one
-ALL_L = {"relations": 1.0, "theta": 1.0, "functional": 0.5, "ergodic": 0.0,
-         "theorem2": 0.5, "oracle": 0.5}
-# the --x at which `all` runs casimir and compress
-ALL_COMPRESS_X = 0.7
+# every suite in report order, with the flags `all` sets for it; the rest
+# it reads from the command line (oracle's --N capped at 48, `_all_args`)
+ALL_ARGS = {
+    "relations": {"x": 1.0, "l": 1.0}, "casimir": {"x": 0.7},
+    "compress": {"x": 0.7}, "theta": {"l": 1.0},
+    "functional": {"x": 1.0, "l": 0.5}, "ergodic": {"x": 1.0, "l": 0.0},
+    "theorem2": {"l": 0.5}, "orbit": {"x": 0.3, "y": 1.7},
+    "picard": {"x": 0.0}, "oracle": {"x": 1.0, "l": 0.5}}
 # the suites of `all` that a forked worker certifies while this process
 # certifies the rest.  At the defaults the worker's half is the longer: run
 # alone, it takes about 0.45 s of wall time against 0.32 s for this
@@ -400,9 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="verify",
         description="certify the quantized-sphere algebra identities at "
                     "finite truncation")
-    ap.add_argument("command", choices=[
-        "relations", "casimir", "compress", "theta", "functional",
-        "ergodic", "theorem2", "orbit", "picard", "oracle", "all"])
+    ap.add_argument("command", choices=[*ALL_ARGS, "all"])
     ap.add_argument("--q", type=float, default=0.5)
     ap.add_argument("--x", type=_sphere_param, default=0.7)
     ap.add_argument("--y", type=_sphere_param, default=None)
@@ -425,28 +431,42 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _min_N(cmd: str, l, alg=None) -> int:
-    """Smallest --N at which `cmd` builds its representations: rep_podles
-    needs N >= 4 and rep_bl(l) N >= 4l+4; functional's lower window is
-    N-16, and theorem2 compares with bl(l+1/2) at N-1.  compress builds its
-    compressed representations from K = N-1 eigenvectors per family; at
-    N = 5 the stored size K = 4 equals their window, which leaves no
-    padding, so their relations would be read at the truncation edge."""
-    bl = int(4 * l) + 4
+def _min_N(cmd: str, a) -> int:
+    """Smallest --N at which `cmd` builds its representations at the
+    arguments `a`: rep_podles needs N >= 4 and rep_bl(l) N >= 4l+4;
+    functional's lower window is N-16, and theorem2 compares with
+    bl(l+1/2) at N-1.  compress builds its compressed representations from
+    K = N-1 eigenvectors per family; at N = 5 the stored size K = 4 equals
+    their window, which leaves no padding, so their relations would be read
+    at the truncation edge."""
+    bl = int(4 * a.l) + 4
     if cmd in ("theta", "ergodic", "oracle"):
         return bl
     if cmd == "relations":
-        return bl if alg in (None, "bl") else 4
+        return bl if a.alg in (None, "bl") else 4
     if cmd == "functional":
         return bl + 16
     if cmd == "theorem2":
         return bl + 3
     if cmd == "compress":
         return 6
-    if cmd == "all":
-        return max([_min_N(c, l) for c, l in ALL_L.items()]
-                   + [_min_N("compress", 0)])
     return 4
+
+
+def _reach(cmd: str, a) -> float:
+    """The largest E for which `cmd` forms q^-E in double precision: 2|x|
+    in the podles shifts and Casimir eigenvectors, |x|+1 in tau(x)/q, 6l in
+    the bl rules, 4l+1/2 in theta's ladder, 4l+2 in theorem2's block, 2N+|x|
+    in compress's tensor Zi."""
+    x = abs(a.x) if isinstance(a.x, float) else 0.0
+    pod, bl, alg = max(2 * x, x + 1), 6 * a.l, a.alg
+    return {"relations": max(pod if a.dump and alg != "bl" else 0,
+                             x + 1 if alg in (None, "podles") else 0,
+                             bl if alg in (None, "bl") else 0),
+            "casimir": pod, "compress": max(pod, 2 * a.N + x),
+            "theta": 4 * a.l + 0.5, "functional": max(x + 1, bl),
+            "ergodic": max(pod, bl), "theorem2": 4 * a.l + 2,
+            "oracle": max(pod, bl)}.get(cmd, 0.0)
 
 
 def _input_error(args):
@@ -478,25 +498,16 @@ def _input_error(args):
         folder = os.path.dirname(path or "") or "."
         if path and not os.path.isdir(folder):
             return f"{flag}: no directory {folder}"
-    need = _min_N(args.command, args.l, args.alg)
+    # `all` refuses where one of its suites would
+    runs = (_all_args(args) if args.command == "all"
+            else {args.command: args}).items()
+    need = max(_min_N(cmd, a) for cmd, a in runs)
     if args.N < need:
-        at = f" at --l {args.l:g}" if args.command in ALL_L else ""
+        at = (f" at --l {args.l:g}"
+              if "l" in ALL_ARGS.get(args.command, {}) else "")
         return (f"--N must be at least {need} for {args.command}{at}, "
                 f"got {args.N}")
-    # the largest E for which the command forms q^-E in double precision:
-    # 2|x| in the podles shifts and Casimir eigenvectors, |x|+1 in tau(x)/q,
-    # 6l in the bl rules, 4l+1/2 in theta's ladder, 4l+2 in theorem2's
-    # block, 2N+|x| in compress's tensor Zi (at x = 0.7 under `all`)
-    x = abs(args.x) if isinstance(args.x, float) else 0.0
-    pod, bl, alg = max(2 * x, x + 1), 6 * args.l, args.alg
-    reach = {"relations": max(pod if args.dump and alg != "bl" else 0,
-                              x + 1 if alg in (None, "podles") else 0,
-                              bl if alg in (None, "bl") else 0),
-             "casimir": pod, "compress": max(pod, 2 * args.N + x),
-             "theta": 4 * args.l + 0.5, "functional": max(x + 1, bl),
-             "ergodic": max(pod, bl), "theorem2": 4 * args.l + 2,
-             "oracle": max(pod, bl),
-             "all": 2 * args.N + ALL_COMPRESS_X}.get(args.command, 0.0)
+    reach = max(_reach(cmd, a) for cmd, a in runs)
     try:
         args.q ** -reach
     except OverflowError:
@@ -546,71 +557,55 @@ def run(argv) -> int:
 
 def _suites(args, p) -> list:
     """The reports of the suites the command runs."""
-    reports = []
-    cmd = args.command
-    x = args.x
-    if cmd == "relations":
-        algs = [args.alg] if args.alg else ["podles", "uqmp", "bl"]
-        reports += suite_relations(p, x, args.l, args.N,
-                                   args.tol or TOL_RELATIONS, algs, args.dump)
-    elif cmd == "casimir":
-        reports += suite_casimir(p, x, args.N, args.dump)
-    elif cmd == "compress":
-        reports += suite_compress(p, x, args.N, args.dump)
-    elif cmd == "theta":
-        reports += suite_theta(p, args.l, args.N)
-    elif cmd == "functional":
-        reports += suite_functional(p, x, args.l, args.N)
-    elif cmd == "ergodic":
-        reports += suite_ergodic(p, x, args.l, args.D, args.N)
-    elif cmd == "theorem2":
-        reports += suite_theorem2(p, args.l, args.N)
-    elif cmd == "orbit":
-        reports += suite_orbit(p, x, args.y)
-    elif cmd == "picard":
-        reports += suite_picard(p, x)
-    elif cmd == "oracle":
-        reports += suite_oracle(p, x, args.l, args.N, args.seed, args.count)
-    elif cmd == "all":
-        suites = _all_suites(args, p)
-        theirs, mine = _with_worker(
-            lambda: {name: suites[name]() for name in ALL_WORKER},
-            lambda: {name: suite() for name, suite in suites.items()
-                     if name not in ALL_WORKER})
-        done = {**theirs, **mine}
-        reports += [rpt for name in suites for rpt in done[name]]
-    return reports
+    if args.command != "all":
+        return _suite_calls(args, p)[args.command]()
+    calls = {name: _suite_calls(a, p)[name]
+             for name, a in _all_args(args).items()}
+    theirs, mine = _with_worker(
+        lambda: {name: calls[name]() for name in ALL_WORKER},
+        lambda: {name: call() for name, call in calls.items()
+                 if name not in ALL_WORKER})
+    done = {**theirs, **mine}
+    return [rpt for name in calls for rpt in done[name]]
 
 
-def _all_suites(args, p) -> dict:
-    """`all`'s suites in report order, each a call that returns its
-    reports."""
-    N = args.N
+def _all_args(args) -> dict:
+    """`all`'s suites in report order, each with the command line's
+    namespace under the flags `all` sets for it."""
+    return {name: argparse.Namespace(**{
+                **vars(args), **flags,
+                "N": min(args.N, 48) if name == "oracle" else args.N})
+            for name, flags in ALL_ARGS.items()}
+
+
+def _suite_calls(a, p) -> dict:
+    """Every suite as a call that returns its reports, its arguments read
+    from the namespace `a`.  Built per call, so a suite function rebound on
+    this module is the one called."""
+    ergodic = _all_ergodic if a.command == "all" else suite_ergodic
     return {
         "relations": lambda: suite_relations(
-            p, 1.0, ALL_L["relations"], N, TOL_RELATIONS,
-            ["podles", "uqmp", "bl"]),
-        "casimir": lambda: suite_casimir(p, ALL_COMPRESS_X, N),
-        "compress": lambda: suite_compress(p, ALL_COMPRESS_X, N),
-        "theta": lambda: suite_theta(p, ALL_L["theta"], N),
-        "functional": lambda: suite_functional(p, 1.0, ALL_L["functional"],
-                                               N),
-        "ergodic": lambda: _all_ergodic(p, args.D, N),
-        "theorem2": lambda: suite_theorem2(p, ALL_L["theorem2"], N),
-        "orbit": lambda: suite_orbit(p, 0.3, 1.7),
-        "picard": lambda: suite_picard(p, 0.0),
-        "oracle": lambda: suite_oracle(p, 1.0, ALL_L["oracle"], min(N, 48),
-                                       args.seed, args.count),
+            p, a.x, a.l, a.N, a.tol or TOL_RELATIONS,
+            [a.alg] if a.alg else ["podles", "uqmp", "bl"], a.dump),
+        "casimir": lambda: suite_casimir(p, a.x, a.N, a.dump),
+        "compress": lambda: suite_compress(p, a.x, a.N, a.dump),
+        "theta": lambda: suite_theta(p, a.l, a.N),
+        "functional": lambda: suite_functional(p, a.x, a.l, a.N),
+        "ergodic": lambda: ergodic(p, a.x, a.l, a.D, a.N),
+        "theorem2": lambda: suite_theorem2(p, a.l, a.N),
+        "orbit": lambda: suite_orbit(p, a.x, a.y),
+        "picard": lambda: suite_picard(p, a.x),
+        "oracle": lambda: suite_oracle(p, a.x, a.l, a.N, a.seed, a.count),
     }
 
 
-def _all_ergodic(p, D, N):
+def _all_ergodic(p, x, l, D, N):
     try:
-        return suite_ergodic(p, 1.0, ALL_L["ergodic"], D, N)
+        return suite_ergodic(p, x, l, D, N)
     except DependentMonomialsError as e:
         # the other suites' reports stand; ergodic certified nothing
         print(f"verify: all: ergodic: {e}", file=sys.stderr)
-        rpt = _ergodic_report(p, 1.0, ALL_L["ergodic"], D, N)
+        rpt = _ergodic_report(p, x, l, D, N)
         rpt.add("dependent_monomials", math.inf, 0.0)
         return [rpt]
 

@@ -649,11 +649,6 @@ def residuals(pairs, rep) -> list:
     return [max_abs(diff) for _, _, diff in _window_differences(pairs, rep)]
 
 
-def residual(poly_a, poly_b, rep) -> float:
-    """The residual of one pair (`residuals`)."""
-    return residuals([(poly_a, poly_b)], rep)[0]
-
-
 # ---------------------------------------------------------------------------
 # the exact walk kernel
 #
@@ -969,7 +964,8 @@ def _exact_residual(rep, lhs, rhs, W: int, dps: int) -> float:
 def relation_check(pres: Presentation, rep) -> dict:
     """Residual of every defining relation of `pres` in `rep`, {rule name:
     max |lhs - rhs|} over its padded-interior window (size rep.N): walked
-    exactly on a label representation, by the float walk on any other.
+    exactly on a label representation, and on any other by one float
+    `residuals` call, in which the rules share their word walks.
 
     Rules tagged as derived rewriting aids (conjugation by the unbounded
     Z^-1, centrality of T) are skipped: their operator entries grow like
@@ -978,8 +974,8 @@ def relation_check(pres: Presentation, rep) -> dict:
     """
     rules = [r for r in pres.rules if r.defining]
     if not isinstance(rep, LabelRep):
-        return {r.name: residual(NCPoly({r.lhs: 1.0}), NCPoly(r.rhs), rep)
-                for r in rules}
+        return dict(zip((r.name for r in rules), residuals(
+            [(NCPoly({r.lhs: 1.0}), NCPoly(r.rhs)) for r in rules], rep)))
     return {r.name: _exact_residual(rep, _poly_combos({r.lhs: 1.0}),
                                     _rule_combos(r), rep.N, MP_DPS)
             for r in rules}

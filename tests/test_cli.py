@@ -20,7 +20,7 @@ from qsphere.ncalg import (
     random_words,
 )
 from qsphere.qcore import QParams, tau
-from qsphere.report import canonical_json
+from qsphere.report import VerificationReport, canonical_json
 from qsphere.reps import evaluate, load_matrix
 
 
@@ -192,22 +192,45 @@ def _no_child_left():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_all_equals_its_suites_run_in_one_process(seed, capsys):
     # `all` certifies half its suites in a forked worker; its report is the
-    # one of the same suites called one after another in this process
+    # one of the same suites called one after another in this
+    # process; `all`'s arguments are spelled here apart from cli.ALL_ARGS
     p, N, D, count = QParams(0.5), 24, 3, 10
-    x, L = cli.ALL_COMPRESS_X, cli.ALL_L
     reports = (
-        cli.suite_relations(p, 1.0, L["relations"], N, cli.TOL_RELATIONS,
+        cli.suite_relations(p, 1.0, 1.0, N, cli.TOL_RELATIONS,
                             ["podles", "uqmp", "bl"])
-        + cli.suite_casimir(p, x, N) + cli.suite_compress(p, x, N)
-        + cli.suite_theta(p, L["theta"], N)
-        + cli.suite_functional(p, 1.0, L["functional"], N)
-        + cli.suite_ergodic(p, 1.0, L["ergodic"], D, N)
-        + cli.suite_theorem2(p, L["theorem2"], N)
+        + cli.suite_casimir(p, 0.7, N) + cli.suite_compress(p, 0.7, N)
+        + cli.suite_theta(p, 1.0, N) + cli.suite_functional(p, 1.0, 0.5, N)
+        + cli.suite_ergodic(p, 1.0, 0.0, D, N)
+        + cli.suite_theorem2(p, 0.5, N)
         + cli.suite_orbit(p, 0.3, 1.7) + cli.suite_picard(p, 0.0)
-        + cli.suite_oracle(p, 1.0, L["oracle"], N, seed, count))
+        + cli.suite_oracle(p, 1.0, 0.5, N, seed, count))
     assert run(SMALL_ALL + ["--seed", str(seed), "--json"]) == 0
     out = capsys.readouterr().out
     assert out == canonical_json(reports, qsphere.__version__) + "\n"
+    _no_child_left()
+
+
+SUITE_NAMES = ("relations", "casimir", "compress", "theta", "functional",
+               "ergodic", "theorem2", "orbit", "picard", "oracle")
+
+
+def test_every_command_calls_its_suite_function(monkeypatch, capsys):
+    # each command, and `all` from both of its processes, reports what the
+    # module's suite_<name> returns at the time of the call: the benchmark
+    # traces the suites by rebinding these attributes
+    for name in SUITE_NAMES:
+        monkeypatch.setattr(cli, f"suite_{name}",
+                            lambda *args, name=name: [
+                                VerificationReport(f"stub_{name}", {})])
+    for name in SUITE_NAMES:
+        argv = [name] + (["--y", "1.7"] if name == "orbit" else [])
+        code, report = run_json(argv, capsys)
+        assert code == 0
+        assert [c["check"] for c in report["checks"]] == [f"stub_{name}"]
+    code, report = run_json(["all"], capsys)
+    assert code == 0
+    assert sorted(c["check"] for c in report["checks"]) == sorted(
+        f"stub_{name}" for name in SUITE_NAMES)
     _no_child_left()
 
 

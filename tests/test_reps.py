@@ -30,7 +30,6 @@ from qsphere.reps import (
     relation_check,
     rep_bl,
     rep_podles,
-    residual,
     residuals,
     spin_half,
     walk,
@@ -474,13 +473,14 @@ def test_support_residual_matches_dense_difference_bits():
         worst = 0.0
         for poly, nf in _oracle_pairs(pres, count, seed):
             want = max_abs(evaluate(poly, rep) - evaluate(nf, rep))
-            got = residual(poly, nf, rep)
+            got, = residuals([(poly, nf)], rep)
             assert got.hex() == want.hex(), (next(iter(poly.terms)), got, want)
             worst = max(worst, got) if not math.isnan(got) else worst
         assert worst >= reach
     nan_rep = cases[-1][1]
-    assert math.isnan(residual(("Z",), ("X",), nan_rep))
-    assert residual(NCPoly({}), NCPoly({}), nan_rep) == 0.0
+    nan_res, empty = residuals([(("Z",), ("X",)), (NCPoly({}), NCPoly({}))],
+                               nan_rep)
+    assert math.isnan(nan_res) and empty == 0.0
 
 
 def test_residuals_match_dense_difference_bits():

@@ -185,3 +185,35 @@ def test_exact_kernel_is_real():
     assert not reads, reads
     assert _mpc_imports(ast.parse(
         "from mpmath.libmp import fone, mpc_add\nfrom mpmath import mpf"))
+
+
+def _suite_references(tree) -> dict:
+    """suite_* function of a module -> the top-level functions that read
+    its name (\"<module>\" for a read outside every function)."""
+    suites = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("suite_")}
+    refs = {name: set() for name in suites}
+    for top in tree.body:
+        where = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id in suites
+                    and isinstance(node.ctx, ast.Load)):
+                refs[node.id].add(where)
+    return refs
+
+
+def test_each_suite_has_one_call():
+    # single commands and `all` call every suite through cli._suite_calls;
+    # `all` reaches ergodic through the handler that keeps the other
+    # suites' reports when its monomials are dependent
+    refs = _suite_references(ast.parse((SRC / "cli.py").read_text()))
+    assert len(refs) == 10
+    wrong = {name: where for name, where in refs.items()
+             if "_suite_calls" not in where or not where <= (
+                 {"_suite_calls", "_all_ergodic"}
+                 if name == "suite_ergodic" else {"_suite_calls"})}
+    assert not wrong, wrong
+    assert _suite_references(ast.parse(
+        "def suite_a(): pass\ndef _suite_calls(): suite_a\n"
+        "def run(): suite_a()")) == {"suite_a": {"_suite_calls", "run"}}
