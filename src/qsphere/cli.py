@@ -101,8 +101,8 @@ ALL_ARGS = {
     "picard": {"x": 0.0}, "oracle": {"x": 1.0, "l": 0.5}}
 # the suites of `all` that a forked worker certifies while this process
 # certifies the rest.  At the defaults the worker's half is the longer: run
-# alone, it takes about 0.45 s of wall time against 0.32 s for this
-# process's half (medians of 5 fresh processes each, 2-vCPU VM).  Ergodic
+# alone, it takes about 0.42 s of wall time against 0.38 s for this
+# process's half (medians of 15 fresh processes each, 2-vCPU VM).  Ergodic
 # stays here, so LAPACK never runs in the forked child and its
 # dependent-monomials message goes to this process's stderr
 ALL_WORKER = ("relations", "functional", "compress", "theorem2")

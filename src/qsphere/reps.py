@@ -25,8 +25,9 @@ precision cannot certify 1e-11 absolute residuals.  A relation rule is
 walked as combos, like an adjoint-action residual, through one entry point
 (`_exact_residual`).  Exact walks share one mp context per (q, x,
 precision) (`mp_ctx`), and each representation memoises every step it
-takes in it, so a step coefficient is computed once.  `MPCtx` has
-FloatCtx's interface, so the label steps run unchanged in either.
+takes in it, so a step coefficient is computed once (implementer letters and
+adjoints read it).  `MPCtx` has FloatCtx's interface, so the label steps run
+unchanged in either.
 """
 
 from __future__ import annotations
@@ -124,9 +125,11 @@ class LabelRep:
     inverse Zi are built from `zexp`, the one source of that power.
     """
 
-    def __init__(self, families, steps, zexps, N: int, meta: dict):
+    def __init__(self, families, steps, zexps, N: int, meta: dict, adjoints):
         self.families = tuple(families)
-        self._steps = {**steps, **_z_steps(zexps)}  # gen -> move, see step()
+        self.adjoints = adjoints  # gen -> the real gen it is the adjoint of
+        self._steps = {**steps, **_z_steps(zexps), **{  # gen -> move, step()
+            y: _adjoint_step(steps[x]) for y, x in adjoints.items()}}
         self._zexps = zexps      # dict fam -> fn(k) -> (sign, n, m)
         self.N = N
         self.pad = 2             # labels padded per unit of poly_allowance
@@ -152,9 +155,8 @@ class LabelRep:
 
     def step(self, g, fam, k, ctx):
         """Move of generator g from label (fam, k): None or (fam2, k2, coeff),
-        in the arithmetic of ctx (an mp context computes at the caller's
-        precision; the exact walk kernel sets it and keeps each move in its
-        step tables, `step_tables`)."""
+        in the arithmetic of ctx, an mp context at the caller's precision
+        (the exact walk kernel keeps each move: `step_tables`)."""
         return self._steps[g](fam, k, ctx)
 
     def zexp(self, fam, k):
@@ -272,7 +274,7 @@ def _podles_family_steps(rep_sign: int):
     def zexp(k):
         return (s, 2 * k + 1, mm)
 
-    return {"X": X, "Y": _adjoint_step(X), "T": T}, zexp
+    return {"X": X, "T": T}, zexp
 
 
 def rep_podles(p: QParams, x: float, variant: str, N: int) -> LabelRep:
@@ -300,8 +302,9 @@ def rep_podles(p: QParams, x: float, variant: str, N: int) -> LabelRep:
             return fam_steps[fam][g](fam, k, ctx)
         return step
 
-    steps = {g: make_step(g) for g in ("X", "Y", "T")}
-    return LabelRep(families, steps, fam_z, N, {"q": p.q, "x": x})
+    steps = {g: make_step(g) for g in ("X", "T")}
+    return LabelRep(families, steps, fam_z, N, {"q": p.q, "x": x},
+                    {"Y": "X"})
 
 
 def rep_bl(p: QParams, l, N: int) -> LabelRep:
@@ -335,13 +338,13 @@ def rep_bl(p: QParams, l, N: int) -> LabelRep:
             return None if c is None else ("+", k + s, sign * c)
         return A
 
-    steps = {"X": X, "Y": _adjoint_step(X)}
+    steps = {"X": X}
     for s in range(-twol, twol + 1):
         steps[("A", s)] = make_A(s)
     zexps = {"-": lambda k: (-1, 2 * k + twol + 1, 0),
              "+": lambda k: (1, 2 * k + twol + 1, 0)}
     return LabelRep((("-", 0), ("+", -twol)), steps, zexps, N,
-                    {"q": p.q, "x": float(twol)})
+                    {"q": p.q, "x": float(twol)}, {"Y": "X"})
 
 
 def absorb_sign(rep, M: int, tgt, coef):
@@ -664,15 +667,18 @@ def residuals(pairs, rep) -> list:
 #
 # Steps are memoised per (representation, mp context) as (target label, raw
 # coefficient), the coefficient an mpmath `_mpf_` tuple computed at the
-# context's precision.  A walk on a label representation visits its labels
-# first and multiplies the kept coefficients afterwards, in walk order, with
-# libmp's mpf_mul at the context's precision, rounding to nearest; the first
-# coefficient starts the product, which is exact.  Sums, signs and the
-# combo coefficient use the libmp function that mpmath's operators call on
-# the same operands.  So every value is bit-identical to multiplying mpf
-# objects as one goes, without their wrappers, and a walk that dies or ends
-# off the row wanted forms no product.  Walks on a tensor representation
-# branch; they multiply and sum as they go, in the same order.
+# context's precision, which the caller holds.  A label step is computed once,
+# in its plain table; the implementer letter's table negates the plain entry
+# where it lands in "-", and an adjoint's (`LabelRep.adjoints`) reads its real
+# step's entry one label up.  A walk on a label representation visits its
+# labels first and multiplies the kept coefficients afterwards, in walk order,
+# with libmp's mpf_mul at the context's precision, rounding to nearest; the
+# first coefficient starts the product, which is exact.  Sums, signs and the
+# combo coefficient use the libmp function that mpmath's operators call on the
+# same operands.  So every value is bit-identical to multiplying mpf objects
+# as one goes, without their wrappers, and a walk that dies or ends off the
+# row wanted forms no product.  Walks on a tensor representation branch; they
+# multiply and sum as they go, in the same order.
 # ---------------------------------------------------------------------------
 
 _RND = round_nearest
@@ -712,23 +718,46 @@ class _SegmentTables(dict):
             fill = self._zf_step(*g[1:])
         elif isinstance(g, tuple) and g[0] == "lead":
             fill = self._lead_step(*g[1:])
+        elif impl:
+            fill = self._absorbed_step(self[(g, False)])
+        elif g in self.rep.adjoints:
+            fill = self._adjoint_of(self[(self.rep.adjoints[g], False)])
         else:
-            fill = self._label_step(g, impl)
+            fill = self._label_step(g)
         table = self[seg] = _StepTable(fill)
         return table
 
-    def _label_step(self, g, impl):
+    def _require_prec(self):
+        """Refuse to compute at any precision but the context's."""
+        if mp.mp.prec != self.prec:
+            raise ArithmeticError(
+                f"step table of {self.prec} bits filled at {mp.mp.prec}")
+
+    def _label_step(self, g):
         rep, ctx = self.rep, self.ctx
-        absorb = impl and len(rep.families) == 2
 
         def fill(label):
-            with mp.workdps(ctx.dps):
-                hit = rep.step(g, label[0], label[1], ctx)
-            if hit is None:
-                return None
-            fam, k, c = hit
-            c = c._mpf_
-            return (fam, k), (mpf_neg(c) if absorb and fam == "-" else c,)
+            self._require_prec()
+            hit = rep.step(g, label[0], label[1], ctx)
+            return None if hit is None else (hit[:2], (hit[2]._mpf_,))
+        return fill
+
+    @staticmethod
+    def _absorbed_step(plain):
+        """The plain step, negated where it lands in "-"."""
+        def fill(label):
+            hit = plain[label]
+            return (hit if hit is None or hit[0][0] != "-"
+                    else (hit[0], (mpf_neg(hit[1][0]),)))
+        return fill
+
+    @staticmethod
+    def _adjoint_of(plain):
+        """The adjoint of a lowering step: its entry one label up."""
+        def fill(label):
+            up = (label[0], label[1] + 1)
+            hit = plain[up]
+            return None if hit is None else (up, hit[1])
         return fill
 
     def _zf_step(self, sign, n, m):
@@ -748,22 +777,20 @@ class _SegmentTables(dict):
 
     def _tensor_step(self, g):
         rep, prec = self.rep, self.prec
-        with mp.workdps(self.ctx.dps):   # once per segment table
-            terms = [(base_g, [(sp2, sp_in, v if v is None else v._mpf_)
-                               for sp2, sp_in, v in entries])
-                     for base_g, entries in _tensor_terms(g, self.ctx)]
-        base = step_tables(rep.base, self.ctx)
+        self._require_prec()
+        terms = [(step_tables(rep.base, self.ctx)[(base_g, rep.absorb_sign)],
+                  [(sp2, sp_in, v if v is None else v._mpf_)
+                   for sp2, sp_in, v in entries])
+                 for base_g, entries in _tensor_terms(g, self.ctx)]
 
         def fill(label):
             fam, k, sp = label
             out = []
-            for base_g, entries in terms:
-                hit = base[(base_g, False)][(fam, k)]
+            for table, entries in terms:
+                hit = table[(fam, k)]
                 if hit is None:
                     continue
                 (f2, k2), (c,) = hit
-                if rep.absorb_sign and f2 == "-":
-                    c = mpf_neg(c)
                 for sp2, sp_in, v in entries:
                     if sp_in == sp:
                         out.append(((f2, k2, sp2), c if v is None
@@ -821,11 +848,15 @@ def mp_product(coeffs, prec: int):
 
 def walk_diagonal(path, label, prec: int):
     """Raw diagonal entry at `label` of the product walked by `path`: its
-    coefficients are multiplied only when the walk returns to `label`."""
-    hit = walk_path(path, label)
-    if hit is None or hit[0] != label:
-        return fzero
-    return mp_product(hit[1], prec)
+    labels are followed first, and only a walk back to `label` multiplies."""
+    end = label
+    for table in path:
+        hit = table[end]
+        if hit is None:
+            return fzero
+        end = hit[0]
+    return fzero if end != label else mp_product(walk_path(path, label)[1],
+                                                 prec)
 
 
 def mp_magnitude(v) -> float:
@@ -864,13 +895,6 @@ def window_labels(rep, W: int):
     for fam, kmin in rep.families:
         for k in range(kmin, kmin + W):
             yield (fam, k)
-
-
-def label_in_window(rep, label, W: int) -> bool:
-    fams = dict(rep.base.families if isinstance(rep, TensorRep)
-                else rep.families)
-    fam, k = label[0], label[1]
-    return fams[fam] <= k < fams[fam] + W
 
 
 def _compile(tables, combos) -> list:
@@ -941,12 +965,13 @@ def _combo_column(tables, combos, label, rows=None, sub=False) -> dict:
 def _termwise_residual(rep, W: int, tables, lhs, rhs) -> float:
     """max |lhs - rhs| over window columns and rows, every rhs combo
     subtracted from the lhs sum one by one."""
+    inside = set(window_labels(rep, W))
     worst = 0.0
     for label in window_labels(rep, W):
         rows = _combo_column(tables, rhs, label,
                              _combo_column(tables, lhs, label), sub=True)
         for lab, val in rows.items():
-            if label_in_window(rep, lab, W):
+            if lab in inside:
                 worst = max_or_nan(worst, mp_magnitude(val))
     return worst
 

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import mpf_neg
 
 from qsphere import reps
 from qsphere.qcore import QParams, tau
@@ -652,6 +653,113 @@ def test_step_memo_follows_precision():
     assert high != low
 
 
+def test_each_step_is_computed_once_per_context(monkeypatch):
+    # implementer letters and adjoint steps read the plain steps' entries,
+    # so no (generator, label) root is taken twice in one context; distinct
+    # steps may share a root's factors (bl's A(2) and A(-2), say)
+    steps, roots, stepped_roots = [], [], []
+    step, sqrt_coeff = reps.LabelRep.step, reps._sqrt_coeff
+
+    def counted_step(rep, g, fam, k, ctx):
+        before = len(roots)
+        hit = step(rep, g, fam, k, ctx)
+        if isinstance(ctx, MPCtx):
+            steps.append((id(rep), g, fam, k, ctx))
+            stepped_roots.append(len(roots) - before)
+        return hit
+
+    def counted_root(ctx, factors):
+        if isinstance(ctx, MPCtx):
+            roots.append((ctx, tuple(factors)))
+        return sqrt_coeff(ctx, factors)
+
+    monkeypatch.setattr(reps.LabelRep, "step", counted_step)
+    monkeypatch.setattr(reps, "_sqrt_coeff", counted_root)
+    combos = _COMBOS + [(1.0, [("Y", False), ("X", True), ("Zi", True)])]
+    for rep, pres in ((rep_podles(P, 1.3, "direct_sum", 12),
+                       make_presentation("podles", P, x=1.3)),
+                      (rep_bl(P, 1, 12), make_presentation("bl", P, l=1))):
+        relation_check(pres, rep)
+        combos_residual(rep, combos, [(2.0, [("Z", True)])], 12)
+        assert rep.adjoints == {"Y": "X"}
+    assert steps and roots
+    assert len(set(steps)) == len(steps)
+    assert set(stepped_roots) == {0, 1} and sum(stepped_roots) == len(roots)
+    assert not any(g == "Y" for _, g, *_ in steps)
+
+
+def test_absorbed_and_adjoint_tables_match_fresh_steps():
+    W = 10
+    for rep in (rep_podles(P, 1.3, "direct_sum", W),
+                rep_podles(P, 1.3, "minus", W),
+                rep_bl(P, 1, W), rep_bl(P, 1.5, W)):
+        ctx = MPCtx(Q, rep.meta.get("x", 0.0))
+        tables = reps.step_tables(rep, ctx)
+        two = len(rep.families) == 2
+        labels = list(window_labels(rep, W + 2))
+        seen = {"-": 0, "Y": 0}
+        with mp.workdps(ctx.dps):
+            # the derived tables first, so they fill the plain ones
+            for g, impl in [(g, True) for g in rep._steps] + [("Y", False)]:
+                for fam, k in labels:
+                    hit = rep.step(g, fam, k, ctx)
+                    want = None
+                    if hit is not None:
+                        c = hit[2]._mpf_
+                        if impl and two and hit[0] == "-":
+                            c = mpf_neg(c)
+                            seen["-"] += 1
+                        want = (hit[0], hit[1]), (c,)
+                    assert tables[(g, impl)][(fam, k)] == want, (g, impl)
+                    seen["Y"] += g == "Y" and want is not None
+        assert seen["Y"] > 0 and (seen["-"] > 0) == two
+
+
+def test_diagonal_walk_multiplies_only_returning_walks(monkeypatch):
+    rep = rep_bl(P, 1, 12)
+    ctx = mp_ctx(Q, rep.meta["x"])
+    tables = reps.step_tables(rep, ctx)
+    muls, gathers = [], []
+    mpf_mul, walk_path = reps.mpf_mul, reps.walk_path
+    monkeypatch.setattr(reps, "mpf_mul",
+                        lambda *a: muls.append(a) or mpf_mul(*a))
+    monkeypatch.setattr(reps, "walk_path",
+                        lambda *a: gathers.append(a) or walk_path(*a))
+    returning = [("X", "Y"), ("Y", "Z", "X"), (a_gen(1), a_gen(-1))]
+    leaving = [("Y",), ("X", "Zi"), ("Y", "Y"), (a_gen(1),), ("X", "X")]
+    counts = {}
+    with mp.workdps(ctx.dps):
+        for word in returning + leaving:
+            path = reps.segment_path(tables, [(g, True) for g in word])
+            for label in window_labels(rep, 8):
+                muls.clear()
+                gathers.clear()
+                value = reps.walk_diagonal(path, label, ctx.prec)
+                counts.setdefault(word, []).append(
+                    (len(muls), len(gathers), value != reps.fzero))
+    for word in leaving:
+        assert counts[word] and all(c == (0, 0, False) for c in counts[word])
+    for word in returning:
+        assert any(m > 0 and nonzero for m, _, nonzero in counts[word])
+        assert all(g == nonzero for _, g, nonzero in counts[word])
+
+
+def test_table_fill_outside_its_precision_raises():
+    rep = rep_podles(P, 1.3, "direct_sum", 10)
+    tensor = TensorRep(rep_podles(P, 0.7, "plus", 10))
+    ctx = MPCtx(Q, 1.3, 40)
+    tables = reps.step_tables(rep, ctx)
+    for dps in (15, 60):
+        with mp.workdps(dps):
+            for seg in (("X", False), ("Y", False), ("X", True)):
+                with pytest.raises(ArithmeticError):
+                    tables[seg][("+", 3)]
+            with pytest.raises(ArithmeticError):
+                reps.step_tables(tensor, MPCtx(Q, 0.7, 40))[("T", False)]
+    with mp.workdps(ctx.dps):
+        assert tables[("Y", True)][("-", 3)] is not None
+
+
 # ---------------------------------------------------------------------------
 # the exact walk kernel against walks that multiply mpf objects as they go
 # ---------------------------------------------------------------------------
@@ -715,13 +823,14 @@ def _reference_walk_combos(rep, combos, label, ctx):
 
 def _reference_combos_residual(rep, combos_a, combos_b, W, ctx):
     worst = 0.0
+    inside = set(window_labels(rep, W))
     for label in window_labels(rep, W):
         rows = _reference_walk_combos(rep, combos_a, label, ctx)
         for lab, val in _reference_walk_combos(rep, combos_b, label,
                                                ctx).items():
             rows[lab] = rows.get(lab, 0) - val
         for lab, val in rows.items():
-            if reps.label_in_window(rep, lab, W):
+            if lab in inside:
                 worst = max(worst, float(abs(val)))
     return worst
 

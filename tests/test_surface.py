@@ -2,9 +2,9 @@
 src/qsphere is referenced by src/qsphere itself or by perfbench/.  Imports
 do not count as references, so the re-exports of __init__.py keep nothing
 alive, and neither does a function calling itself.  A function only tests
-reach fails here; delete it or wire it into a certificate.  Three more
-ratchets cap the `@` products and the library square-root calls of each
-module and keep numpy.linalg to action.py."""
+reach fails here; delete it or wire it into a certificate.  Four more
+ratchets cap the `@` products, the library square-root calls and the
+`workdps` uses of each module and keep numpy.linalg to action.py."""
 
 import ast
 from pathlib import Path
@@ -139,6 +139,30 @@ def test_sqrt_counts_only_fall():
     over = {name: n for name, n in counts.items()
             if n > SQRT_CEILING.get(name, 0)}
     assert not over, over
+
+
+# `workdps` uses per module of src/qsphere (an attribute or a bare name):
+# the exact entry points (`reps._exact_residual`,
+# `action.invariance_defects`) hold their context's precision and the step
+# tables refuse any other, so no step enters it again; these counts may only
+# fall (reps' other two are MPCtx's construction and q-power)
+WORKDPS_CEILING = {"reps": 3, "action": 1}
+
+
+def _workdps_uses(tree) -> int:
+    return sum((isinstance(node, ast.Attribute) and node.attr == "workdps")
+               or (isinstance(node, ast.Name) and node.id == "workdps")
+               for node in ast.walk(tree))
+
+
+def test_workdps_counts_only_fall():
+    counts = {path.stem: _workdps_uses(ast.parse(path.read_text()))
+              for path in sorted(SRC.glob("*.py"))}
+    over = {name: n for name, n in counts.items()
+            if n > WORKDPS_CEILING.get(name, 0)}
+    assert not over, over
+    assert _workdps_uses(ast.parse(
+        "with mp.workdps(9):\n    workdps(3)\nmp.workdps")) == 3
 
 
 def _linalg_reads(tree) -> list:
