@@ -322,3 +322,72 @@ def test_lcg_sequence_is_fixed():
     rng = LCG(0)
     assert [rng.next() for _ in range(3)] == [
         1013904223, 1196435762, 3519870697]
+
+
+# -- normal forms pinned bit for bit ---------------------------------------------
+
+def _normal_forms_text(pres, words):
+    """Each distinct word's normal form as its term list (order and bits),
+    or its RewriteCapError message, in order of first draw."""
+    out = []
+    for w in dict.fromkeys(words):
+        try:
+            out.append(repr(list(normal_form(NCPoly({w: 1.0}), pres)
+                                 .terms.items())))
+        except RewriteCapError as err:
+            out.append(str(err))
+    return "\n".join(out)
+
+
+# SHA-256 of _normal_forms_text per (q, presentation, parameter, seed, count)
+# over random_words(pres, count, 6, seed): the returned dict's term order
+# matters too, since residuals sum the terms in that order
+_NORMAL_FORM_DIGESTS = {
+    (0.5, "podles", 1.0, 0, 200):
+        "b34b762d74cc2e931e3623d708a2a4ced54a27617e6d960cf0325a4509fdbeb6",
+    (0.5, "podles", 0.35, 0, 200):
+        "256a655edac1aa207bbe134f906ee850acec91e23fff25369d090b296e4c0885",
+    (0.5, "bl", 0.5, 0, 200):
+        "90451105e3e4c0eb8b5af05a985ca9614f1c207fbf14311e8ad8d0741dd414c2",
+    (0.5, "bl", 1, 0, 200):
+        "8463cb8e890df46b8dd8460b857096c8bc36008fc7a9566d806bfe66f732ab50",
+    (0.3, "bl", 1, 0, 200):
+        "1e6de9452cd86533f27166c46bd12ff8910b4621f08d7fb3438952b10c3c3559",
+    (0.5, "uqmp", None, 0, 200):
+        "7e5ec76c6c039499dadb757c7a1df140b2bd2466df83aa35e68c2deb0cc29cfe",
+    (0.5, "podles", 1.0, 1, 200):
+        "922468090e286d2a1510387a8ad497d2737d74e9342c407726c2c61a81021d36",
+    (0.5, "podles", 0.35, 1, 200):
+        "1fb612e03a07cc8e4d3a4cda78194e45bfa29755a6b15ef112d750c26b71ff25",
+    (0.5, "bl", 0.5, 1, 200):
+        "7ada5324ecf1a737a89f378c46995fec8518ed0728127d59ec75726054e91fe6",
+    (0.5, "bl", 1, 1, 200):
+        "27772330b299513b006ec95b2f3cfcf416fceb51d58cbbbb2bdb814488aeff1a",
+    (0.3, "bl", 1, 1, 200):
+        "797031ad0ab4f451535371adfe448f10802827441d37bddd454eea1d59d429ac",
+    (0.5, "uqmp", None, 1, 200):
+        "e4c1c5c3878d9b59e82770522f2c3e582390f043bc1541d4b7da7154e142188a",
+    (0.5, "podles", 1.0, 2, 200):
+        "5b31beabf9ae937332b94dc6921af510ca17964e338a7da20a2e2a835fb5cb62",
+    (0.5, "podles", 0.35, 2, 200):
+        "44300968198a7ba76a326b67552d5a404148248a3b884110e4dcedc227ed9161",
+    (0.5, "bl", 0.5, 2, 200):
+        "b71bca9d03c4fd9e87ddb691ee1f4354b4070714ccf39d2b50831acbdf80387d",
+    (0.5, "bl", 1, 2, 200):
+        "ce55540a4118a20c9b155517857c692659674e0c22096904aca9d666bd608c93",
+    (0.3, "bl", 1, 2, 200):
+        "94bd9ec7cec13df2046ac8e873c8ebc20f62405b9df0539841dcf6a27406833a",
+    (0.5, "uqmp", None, 2, 200):
+        "2b15623851e08c73bebddd5df45792f45ad4435f8ed494f74072a18a5c33e241",
+    (0.5, "bl", 2, 0, 40):
+        "5810fbcbf151f5e441fbcdccd71385e0886f86d1842fbc9730363b3d32f5e4be",
+}
+
+
+def test_normal_forms_match_reference_bits():
+    for (q, name, arg, seed, count), digest in _NORMAL_FORM_DIGESTS.items():
+        kwargs = {"podles": {"x": arg}, "bl": {"l": arg}}.get(name, {})
+        pres = make_presentation(name, QParams(q), **kwargs)
+        text = _normal_forms_text(pres, random_words(pres, count, 6, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (
+            q, name, arg, seed)
