@@ -15,6 +15,7 @@ certified against the truncated representations.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -167,17 +168,6 @@ class Presentation:
         wt = sum(self.weights[g] for g in word)
         return (wt, len(word), tuple(self.prec[g] for g in word))
 
-    def rule_for(self, word: Word):
-        """First rule (priority order) matching in word, leftmost occurrence."""
-        for rule in self.rules:
-            L = len(rule.lhs)
-            if L > len(word):
-                continue
-            for i in range(len(word) - L + 1):
-                if word[i:i + L] == rule.lhs:
-                    return rule, i
-        return None
-
 
 def _weights_and_prec(gens: Iterable[Gen], twol: int = 0) -> tuple[dict, dict]:
     a_weight = 4 * twol + 2
@@ -194,7 +184,14 @@ def _weights_and_prec(gens: Iterable[Gen], twol: int = 0) -> tuple[dict, dict]:
 
 
 def _check_rules(pres: Presentation):
+    # normal_form finds a word's rule by looking up its adjacent pairs
+    lhss = set()
     for rule in pres.rules:
+        if len(rule.lhs) != 2:
+            raise AssertionError(f"rule {rule.name}: lhs is not two letters")
+        if rule.lhs in lhss:
+            raise AssertionError(f"rule {rule.name}: lhs already has a rule")
+        lhss.add(rule.lhs)
         lg = grade(rule.lhs, pres)
         for w, c in rule.rhs.items():
             if grade(w, pres) != lg:
@@ -370,34 +367,52 @@ def normal_form(poly: NCPoly, pres: Presentation) -> NCPoly:
     ITERATION_CAP (read at call time) rewriting steps.
 
     Deterministic strategy: largest reducible word first; within a word,
-    rules in priority order, leftmost occurrence.
+    rules in priority order, leftmost occurrence.  Every lhs is two letters
+    and has one rule (`_check_rules`), so a word's rewrite is the least
+    (priority, position) among its adjacent pairs looked up by lhs.  A heap
+    on the negated order key holds the reducible words, pushed as they enter
+    the terms; an entry whose word has left the terms is skipped.  Matches
+    and keys are memoised per word for the call.
     """
+    rank = {rule.lhs: k for k, rule in enumerate(pres.rules)}
+    memo, heap = {}, []
+
+    def push(w):
+        if w not in memo:
+            hits = [(rank[w[i:i + 2]], i) for i in range(len(w) - 1)
+                    if w[i:i + 2] in rank]
+            memo[w] = None
+            if hits:
+                wt, n, prec = pres.order_key(w)
+                memo[w] = ((-wt, -n, tuple(-p for p in prec)), w, *min(hits))
+        if memo[w] is not None:
+            heapq.heappush(heap, memo[w])
+
     terms = dict(poly.terms)
+    for w in terms:
+        push(w)
     steps = 0
-    while True:
-        hit = None
-        for w in sorted(terms, key=pres.order_key, reverse=True):
-            found = pres.rule_for(w)
-            if found is not None:
-                hit = (w, *found)
-                break
-        if hit is None:
-            return NCPoly(terms)
-        w, rule, i = hit
+    while heap:
+        _, w, k, i = heapq.heappop(heap)
+        if w not in terms:
+            continue
         steps += 1
         if steps > ITERATION_CAP:
             raise RewriteCapError(
                 f"iteration cap {ITERATION_CAP} exceeded in {pres.name} "
                 f"(stuck near {word_name(w)})")
         c = terms.pop(w)
-        pre, suf = w[:i], w[i + len(rule.lhs):]
-        for rw, rc in rule.rhs.items():
+        pre, suf = w[:i], w[i + 2:]
+        for rw, rc in pres.rules[k].rhs.items():
             nw = pre + rw + suf
             nc = terms.get(nw, 0.0) + c * rc
             if abs(nc) > PRUNE_DEFAULT:
+                if nw not in terms:
+                    push(nw)
                 terms[nw] = nc
             elif nw in terms:
                 del terms[nw]
+    return NCPoly(terms)
 
 
 def grade(word: Word, pres: Presentation) -> tuple[int, int]:

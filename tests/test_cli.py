@@ -396,6 +396,21 @@ def test_failing_oracle_report_is_golden(capsys):
         "0362681f728a9bb4b0a64656aa8470f6011c7448516484180d66846e7fa982a6")
 
 
+# `oracle --l L` at the default seed: oracle_bl fails at 5.4e6 (l = 1.5) and
+# 7.7e21 (l = 2) by the same cancellation of large normal-form coefficients,
+# and oracle_podles passes
+FAILING_BL_ORACLE_REPORTS = {
+    "1.5": "0ef1c1939eef8e1f16c41f3a3f9bcabb5a81ddb27ca758edb511c8f174fc086a",
+    "2": "d88d9c07993ea5eccc3d21bfef704eec1c60745a1f3198997a69d8631ab5e38c",
+}
+
+
+@pytest.mark.parametrize("l", list(FAILING_BL_ORACLE_REPORTS))
+def test_failing_default_seed_bl_oracle_is_golden(l, capsys):
+    assert _report_digest(["oracle", "--l", l], capsys, code=1) == (
+        FAILING_BL_ORACLE_REPORTS[l])
+
+
 def test_failing_all_report_is_golden(capsys):
     # at q = 0.3 ergodic's degree-6 monomial images are dependent: `all`
     # exits 1 with ergodic's `dependent_monomials` detail, and every other

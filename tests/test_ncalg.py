@@ -1,6 +1,11 @@
+import dataclasses
+import functools
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_rewrite
 
 from qsphere import ncalg
 from qsphere.qcore import QParams
@@ -9,6 +14,7 @@ from qsphere.ncalg import (
     NCPoly,
     ParseError,
     RewriteCapError,
+    Rule,
     a_gen,
     basis_words,
     format_poly,
@@ -213,6 +219,22 @@ def test_grading_covers_exactly_the_generators():
         assert set(pres.grading) == set(pres.generators), name
 
 
+@pytest.mark.parametrize("rule, message", [
+    (Rule(("X", "Z", "Z"), {("Z", "Z", "X"): Q**4}, "X*Z^2"),
+     "lhs is not two letters"),
+    (Rule(("Z",), {}, "Z"), "lhs is not two letters"),
+    (Rule(("X", "Z"), {("Z", "X"): 1.0}, "X*Z again"),
+     "lhs already has a rule"),
+])
+def test_check_rules_refuses_what_the_lhs_index_would_miss(podles, rule,
+                                                           message):
+    # both rules keep the grading and lower the order; only the shape of
+    # the lhs is wrong
+    bad = dataclasses.replace(podles, rules=podles.rules + (rule,))
+    with pytest.raises(AssertionError, match=message):
+        ncalg._check_rules(bad)
+
+
 def test_make_presentation_rejects_bad_parameters():
     with pytest.raises(ValueError):
         make_presentation("bl", P, l=0.3)
@@ -262,6 +284,58 @@ def test_normal_form_cap_raises(bl_one, monkeypatch):
     monkeypatch.setattr(ncalg, "ITERATION_CAP", 1)
     with pytest.raises(RewriteCapError):
         normal_form(NCPoly({word: 1.0}), bl_one)
+
+
+# each hand-picked case is decided by the word the second step would
+# rewrite, which a cap of 1 names in its error message
+@pytest.mark.parametrize("terms, stuck", [
+    # Y*Z (priority 1) at position 1 beats X*Y (priority 2) at position 0
+    ({("X", "Y", "Z"): 1.0}, "X*Z*Y"),
+    # of the two X*Z occurrences the leftmost goes: Z*X^2*Z, not X*Z^2*X
+    ({("X", "Z", "X", "Z"): 1.0}, "Z*X^2*Z"),
+    # the larger Y*X*Z goes before X*Z, which comes first in the dict
+    ({("X", "Z"): 1.0, ("Y", "X", "Z"): 1.0}, "Y*Z*X"),
+])
+def test_normal_form_selection_order(podles, monkeypatch, terms, stuck):
+    monkeypatch.setattr(ncalg, "ITERATION_CAP", 1)
+    for reduce in (normal_form, reference_rewrite.normal_form):
+        with pytest.raises(RewriteCapError) as err:
+            reduce(NCPoly(terms), podles)
+        assert str(err.value).endswith(f"(stuck near {stuck})")
+
+
+@functools.lru_cache(maxsize=None)
+def _selection_presentation(name, arg):
+    kwargs = {"podles": {"x": arg}, "bl": {"l": arg}}.get(name, {})
+    return make_presentation(name, P, **kwargs)
+
+
+def _outcome(reduce, poly, pres):
+    """The term list (order and bits) of the normal form, or the cap error
+    message."""
+    try:
+        return repr(list(reduce(poly, pres).terms.items()))
+    except RewriteCapError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("name, arg", [("podles", 1.0), ("bl", 0.5),
+                                       ("bl", 1), ("uqmp", None)])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_indexed_search_matches_sorted_scan(name, arg, data):
+    pres = _selection_presentation(name, arg)
+    word = st.lists(st.sampled_from(pres.generators), min_size=1,
+                    max_size=6).map(tuple)
+    coeff = st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                               allow_infinity=False)
+    poly = NCPoly(data.draw(st.lists(st.tuples(word, coeff), min_size=1,
+                                     max_size=3)))
+    for cap in (ncalg.ITERATION_CAP, 1, 3, 10):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ncalg, "ITERATION_CAP", cap)
+            assert (_outcome(normal_form, poly, pres)
+                    == _outcome(reference_rewrite.normal_form, poly, pres))
 
 
 def test_t_elimination_rule(uqmp):
