@@ -5,8 +5,6 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import reference_rewrite
-
 from qsphere import ncalg
 from qsphere.qcore import QParams
 from qsphere.ncalg import (
@@ -27,6 +25,8 @@ from qsphere.ncalg import (
     random_words,
     word_name,
 )
+
+import reference_rewrite
 
 P = QParams(0.5)
 Q = P.q
@@ -228,8 +228,8 @@ def test_grading_covers_exactly_the_generators():
 ])
 def test_check_rules_refuses_what_the_lhs_index_would_miss(podles, rule,
                                                            message):
-    # both rules keep the grading and lower the order; only the shape of
-    # the lhs is wrong
+    # each rule keeps the grading and lowers the order; only its lhs is
+    # wrong
     bad = dataclasses.replace(podles, rules=podles.rules + (rule,))
     with pytest.raises(AssertionError, match=message):
         ncalg._check_rules(bad)
@@ -398,19 +398,12 @@ def test_lcg_sequence_is_fixed():
         1013904223, 1196435762, 3519870697]
 
 
-# -- normal forms pinned bit for bit ---------------------------------------------
+# -- normal forms pinned bit for bit ------------------------------------------
 
 def _normal_forms_text(pres, words):
-    """Each distinct word's normal form as its term list (order and bits),
-    or its RewriteCapError message, in order of first draw."""
-    out = []
-    for w in dict.fromkeys(words):
-        try:
-            out.append(repr(list(normal_form(NCPoly({w: 1.0}), pres)
-                                 .terms.items())))
-        except RewriteCapError as err:
-            out.append(str(err))
-    return "\n".join(out)
+    """Each distinct word's outcome, in order of first draw."""
+    return "\n".join(_outcome(normal_form, NCPoly({w: 1.0}), pres)
+                     for w in dict.fromkeys(words))
 
 
 # SHA-256 of _normal_forms_text per (q, presentation, parameter, seed, count)
