@@ -315,6 +315,16 @@ GOLDEN_REPORTS = {
         "1f7a36926ef59b39e831b52c2cd5b9f536d9edddb6694b7d3288b5b12c8b7746",
     ("theta", "--q", "0.2", "--l", "1.5", "--N", "48"):
         "7624f50eaa4eaeb5a862a579161979b3e5fe36787b53980516530afcbc487e78",
+    # the invariant functional across its word screen's cases: the minus
+    # family, non-integer x, l = 0 and l = 2
+    ("functional", "--q", "0.3", "--x", "1.0", "--l", "1.5", "--N", "48"):
+        "717c4638e3dc7bc4884019323af9c1ddc4e34a8a1351bf64582d2629e1acc0bf",
+    ("functional", "--x", "0.35", "--l", "0", "--N", "40"):
+        "2c42b4ce3083d9db2ff7f10e0fd28806efe3d94f6204e0698e16d134b3b9cb0b",
+    ("functional", "--x", "-2.5", "--l", "2", "--N", "48"):
+        "864e9c42559a8a675cca225bfe9aa68af218869cd0e1124d2df622e0d219a826",
+    ("functional", "--q", "0.8", "--x", "2.0", "--l", "1", "--N", "64"):
+        "4d6ed38c0124831ac7e74783026a3b89435c96170ebb6f858cd692f6c99115c8",
 }
 
 
