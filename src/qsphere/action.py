@@ -141,6 +141,12 @@ def casimir_invariance(p: QParams, x: float, N: int) -> dict:
 # invariant functionals
 # ---------------------------------------------------------------------------
 
+# the six diagonal walks of the defects in walk order, "w" the word: M;
+# ad_K: Z M Zi; ad_E: Zi M X - Zi X M; ad_F: M Y Zi - Y M Zi
+_DEFECT_WALKS = (("w",), ("Zi", "w", "Z"), ("X", "w", "Zi"), ("w", "X", "Zi"),
+                 ("Zi", "Y", "w"), ("Zi", "w", "Y"))
+
+
 def invariance_defects(word, rep, W: int) -> dict:
     """Truncation defect of the invariant functional under the adjoint action
     of K, E, F on one monomial.
@@ -150,13 +156,19 @@ def invariance_defects(word, rep, W: int) -> dict:
     exactly invariant, so the truncated value of phi(ad(M)) equals minus the
     discarded tail; summing the tail directly keeps the result accurate
     relative to its own size ~ q^(2W), which a head summation (absolute
-    error ~1e-16 * |M|) cannot resolve.  The tail terms
-    themselves sit far below double precision, so they are walked exactly
-    (the kernel in `reps`).  Only the diagonal is read.  Each of the six
-    walks per tail label starts the word at the label or at its X or Y image
-    (Z and Zi keep the label), and the word is walked once per start label;
-    a walk's coefficients are multiplied only when it returns to its label
-    (`walk_diagonal`), with the values of multiplying as it goes.
+    error ~1e-16 * |M|) cannot resolve.  The tail terms themselves sit far
+    below double precision, so they are walked exactly (the kernel in
+    `reps`).  Only the diagonal is read, through the six `_DEFECT_WALKS` per
+    tail label.  A walk can return to its label only if its letters' moves
+    cancel, so the word's move, composed once per call, screens them: a net
+    move of (0, no swap) leaves the M and ad_K walks, +1 the two ad_E walks,
+    -1 the two ad_F walks, and anything else none; a screened walk reads as
+    an exact 0.  With none left and every density and prefactor finite, the
+    defects are 0 and no label is walked.  A live walk starts the word at
+    the label or at its X or Y image (Z and Zi keep the label), the word is
+    walked once per start label, and a walk's coefficients are multiplied
+    only when it returns to its label (`walk_diagonal`), with the values of
+    multiplying as it goes.
     """
     if len(rep.families) != 2:
         raise ValueError("invariance defects live on double spaces")
@@ -164,37 +176,46 @@ def invariance_defects(word, rep, W: int) -> dict:
     tail = max(8, int(math.ceil(16.0 * math.log(10)
                                 / (2.0 * abs(math.log(q)))))) + 4
     dps = walk_dps(rep, W + tail, slack=25)
+    # the word's move: offsets add, swaps pair off (the other letters swap
+    # nothing)
+    moves = [rep.move(g) for g in word]
+    dk, swaps = sum(d for d, _ in moves), sum(s for _, s in moves)
+    live = [swaps % 2 == 0 and dk + sum(
+        rep.move(g)[0] for g in letters if g != "w") == 0
+        for letters in _DEFECT_WALKS]
     with mp.workdps(dps):
         ctx = mp_ctx(q, rep.meta.get("x", 0.0), dps)
         prec = ctx.prec
         lam = 1 / (ctx.qpow(1) - ctx.qpow(-1))
         pref_e = (ctx.sqrt(ctx.qpow(1)) * lam)._mpf_
         pref_f = (ctx.qpow(-1) * ctx.sqrt(ctx.qpow(-1)) * lam)._mpf_
-        tables = step_tables(rep, ctx)
-        Z, Zi, X, Y = (tables[(g, True)] for g in ("Z", "Zi", "X", "Y"))
-        mw = path_table(segment_path(tables, [(g, False) for g in word]))
-        # walk order of M, ad_K: Z M Zi, ad_E: Zi M X - Zi X M, ad_F:
-        # M Y Zi - Y M Zi (implementer letters)
-        walks = ([mw], [Zi, mw, Z], [X, mw, Zi], [mw, X, Zi], [Zi, Y, mw],
-                 [Zi, mw, Y])
+        tail_labels = [((fam, k), ctx.qpow(*rep.zexp(fam, k)[1:])._mpf_)
+                       for fam, kmin in rep.families
+                       for k in range(kmin + W, kmin + W + tail)]
         sums = [fzero, fzero, fzero]
-        for fam, kmin in rep.families:
-            for k in range(kmin + W, kmin + W + tail):
-                label = (fam, k)
-                _, n, m = rep.zexp(fam, k)
-                d = ctx.qpow(n, m)._mpf_
-                dm, vk, ve1, ve2, vf1, vf2 = (
-                    walk_diagonal(path, label, prec) for path in walks)
-                terms = ((vk, dm, None), (ve1, ve2, pref_e), (vf1, vf2, pref_f))
-                for n, (a, b, pref) in enumerate(terms):
-                    # sums[n] += d * pref * (a - b); a zero difference
-                    # times a finite factor would add an exact 0
-                    if (a == b == fzero and _finite(d)
-                            and (pref is None or _finite(pref))):
-                        continue
-                    f = d if pref is None else mpf_mul(d, pref, prec, _RND)
-                    sums[n] = mpf_add(sums[n], mpf_mul(
-                        f, mpf_sub(a, b, prec, _RND), prec, _RND), prec, _RND)
+        if not any(live) and all(_finite(v) for v in [pref_e, pref_f] + [
+                d for _, d in tail_labels]):
+            return {key: mp_magnitude(v) for key, v in zip("KEF", sums)}
+        tables = step_tables(rep, ctx)
+        by_letter = {g: tables[(g, True)] for g in ("Z", "Zi", "X", "Y")}
+        by_letter["w"] = path_table(segment_path(
+            tables, [(g, False) for g in word]))
+        walks = [[by_letter[g] for g in letters] if ok else None
+                 for letters, ok in zip(_DEFECT_WALKS, live)]
+        for label, d in tail_labels:
+            dm, vk, ve1, ve2, vf1, vf2 = (
+                fzero if path is None else walk_diagonal(path, label, prec)
+                for path in walks)
+            terms = ((vk, dm, None), (ve1, ve2, pref_e), (vf1, vf2, pref_f))
+            for n, (a, b, pref) in enumerate(terms):
+                # sums[n] += d * pref * (a - b); a zero difference
+                # times a finite factor would add an exact 0
+                if (a == b == fzero and _finite(d)
+                        and (pref is None or _finite(pref))):
+                    continue
+                f = d if pref is None else mpf_mul(d, pref, prec, _RND)
+                sums[n] = mpf_add(sums[n], mpf_mul(
+                    f, mpf_sub(a, b, prec, _RND), prec, _RND), prec, _RND)
         return {key: mp_magnitude(v) for key, v in zip("KEF", sums)}
 
 

@@ -51,6 +51,9 @@ class FloatCtx:
             self._cache[key] = v
         return v
 
+    def factor(self, sign, n, m=0):  # no memo: float steps are taken once
+        return 1 - sign * self.qpow(n, m)
+
     sqrt = staticmethod(math.sqrt)
     one = 1.0
 
@@ -59,14 +62,14 @@ def _sqrt_coeff(ctx, factors):
     """sqrt of a product of (sign, n, m) factors meaning (1 - sign*q^(n+mx)),
     in the arithmetic of ctx.
 
-    Exact zeros are decided by exponent arithmetic; a negative factor means an
-    index-logic bug and raises.
+    Each factor comes from `ctx.factor`.  Exact zeros are decided by exponent
+    arithmetic; a negative factor means an index-logic bug and raises.
     """
     prod = ctx.one
     for sign, n, m in factors:
         if sign == 1 and n == 0 and m == 0:
             return None
-        prod = prod * (1 - sign * ctx.qpow(n, m))
+        prod = prod * ctx.factor(sign, n, m)
     if prod < 0:
         raise ArithmeticError("negative value under square root")
     return ctx.sqrt(prod)

@@ -4,9 +4,11 @@ noncommutative polynomials, and relation-residual certification.
 The one float form of an operator is a list of one-to-one weighted shifts
 (tgt, coef): column j goes to row tgt[j] (nowhere where it is -1) with
 coefficient coef[j].  A podles / bl generator is one shift per internal
-truncation M, read from its label-step function (square roots through
+truncation M, read from its label steps (square roots through
 `qcore._sqrt_coeff`), each label's step evaluated once per representation
-in its one qcore `FloatCtx`; a tensor generator is several, read from one
+in its one qcore `FloatCtx`.  Each generator declares its move once, a
+label offset and whether it swaps the "+" and "-" summands (`LabelRep`),
+and its step function returns only the coefficient; a tensor generator is several, read from one
 coaction table (`_tensor_terms`); the spin-1/2 module and compressions
 store theirs (`ShiftRep`).  One walk (`walk_shifts`; a factor may be a
 scalar) serves every float certificate as a walked difference of products
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -74,6 +77,7 @@ class MPCtx:
             self.q = mp.mpf(q)
             self.qx = mp.power(self.q, mp.mpf(x))
         self._cache: dict = {}
+        self._factors: dict = {}
 
     def qpow(self, n, m=0):
         key = (n, m)
@@ -86,11 +90,25 @@ class MPCtx:
             self._cache[key] = v
         return v
 
+    def factor(self, sign, n, m=0):
+        """1 - sign*q^(n+mx), computed once, at the context's precision."""
+        v = self._factors.get((sign, n, m))
+        if v is None:
+            _require_prec(self.prec)
+            v = self._factors[(sign, n, m)] = 1 - sign * self.qpow(n, m)
+        return v
+
     @staticmethod
     def sqrt(v):
         return mp.sqrt(v)
 
     one = mp.mpf(1)
+
+
+def _require_prec(prec: int):
+    """Refuse to compute at any precision but `prec`, an mp context's own."""
+    if mp.mp.prec != prec:
+        raise ArithmeticError(f"{prec}-bit context used at {mp.mp.prec} bits")
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,13 +141,18 @@ class LabelRep:
     carries labels k = kmin .. kmin+M-1.  The window (size N) is the leading
     N labels of each family.  The diagonal Z e_k = sign*q^(n+mx) e_k and its
     inverse Zi are built from `zexp`, the one source of that power.
+
+    steps: gen -> (move, coefficient function or None where the walk dies).
+    A move (k-offset, swap) takes (fam, k) to (fam, k + offset), in the other
+    summand ("+" <-> "-") with swap (`moved`).  Z, Zi (no move) and each
+    adjoint (gen -> real gen, the opposite move) are derived here.
     """
 
     def __init__(self, families, steps, zexps, N: int, meta: dict, adjoints):
         self.families = tuple(families)
-        self.adjoints = adjoints  # gen -> the real gen it is the adjoint of
-        self._steps = {**steps, **_z_steps(zexps), **{  # gen -> move, step()
-            y: _adjoint_step(steps[x]) for y, x in adjoints.items()}}
+        self.adjoints = adjoints
+        self._steps = {**steps, **_z_steps(zexps), **{
+            y: _adjoint_step(*steps[x]) for y, x in adjoints.items()}}
         self._zexps = zexps      # dict fam -> fn(k) -> (sign, n, m)
         self.N = N
         self.pad = 2             # labels padded per unit of poly_allowance
@@ -154,10 +177,16 @@ class LabelRep:
         return np.array(out, dtype=int)
 
     def step(self, g, fam, k, ctx):
-        """Move of generator g from label (fam, k): None or (fam2, k2, coeff),
-        in the arithmetic of ctx, an mp context at the caller's precision
-        (the exact walk kernel keeps each move: `step_tables`)."""
-        return self._steps[g](fam, k, ctx)
+        """Step of generator g from label (fam, k): None or (fam2, k2, coeff),
+        the label g's move gives and the coefficient in the arithmetic of
+        ctx, an mp context at the caller's precision (the exact walk kernel
+        keeps each step: `step_tables`)."""
+        move, coeff = self._steps[g]
+        c = coeff(fam, k, ctx)
+        return None if c is None else (*moved(move, fam, k), c)
+
+    def move(self, g):  # (k-offset, swap), see the class docstring
+        return self._steps[g][0]
 
     def zexp(self, fam, k):
         return self._zexps[fam](k)
@@ -224,26 +253,34 @@ class LabelRep:
         return A
 
 
+def moved(move, fam, k) -> tuple:
+    """The label that `move` = (k-offset, swap) takes (fam, k) to."""
+    return ({"+": "-", "-": "+"}[fam] if move[1] else fam), k + move[0]
+
+
 def _z_steps(zexps) -> dict:
-    """The Z and Zi steps of a label representation, from its Z exponents."""
+    """The Z and Zi steps of a label representation, from its Z exponents:
+    both keep the label."""
     def Z(fam, k, ctx):
         s, n, m = zexps[fam](k)
-        return (fam, k, s * ctx.qpow(n, m))
+        return s * ctx.qpow(n, m)
 
     def Zi(fam, k, ctx):
         s, n, m = zexps[fam](k)
-        return (fam, k, s * (1 / ctx.qpow(n, m)))
+        return s * (1 / ctx.qpow(n, m))
 
-    return {"Z": Z, "Zi": Zi}
+    return {"Z": ((0, False), Z), "Zi": ((0, False), Zi)}
 
 
-def _adjoint_step(X):
-    """Y = X* for a real X step that lowers a label by one in its family:
-    the Y step at k is the X step at k+1, landing on k+1."""
+def _adjoint_step(move, X):
+    """Y = X* for a real step X with `move`: Y makes the opposite move (the
+    swap is its own inverse), and its coefficient from a label is X's from
+    the label Y lands on."""
+    back = (-move[0], move[1])
+
     def Y(fam, k, ctx):
-        hit = X(fam, k + 1, ctx)
-        return None if hit is None else (fam, k + 1, hit[2])
-    return Y
+        return X(*moved(back, fam, k), ctx)
+    return back, Y
 
 
 def podles_x_factors(rep_sign: int, k: int) -> list:
@@ -254,57 +291,32 @@ def podles_x_factors(rep_sign: int, k: int) -> list:
     return [(1, 2 * k, 0), (-1, 2 * k, -2 * rep_sign)]
 
 
-def _podles_family_steps(rep_sign: int):
-    """Steps for one summand of a podles representation.
-
-    For the plus series Z e_k = q^(2k-x+1) and X uses (1+q^(2k-2x)); the
-    minus series (rep_sign -1) carries an overall sign and x -> -x in the
-    exponents.  T acts as the scalar tau(x) on both.
-    """
-    s = rep_sign
-    mm = -rep_sign   # m-component of the Z exponent pair
-
-    def X(fam, k, ctx):
-        c = _sqrt_coeff(ctx, podles_x_factors(rep_sign, k))
-        return None if c is None else (fam, k - 1, s * c)
-
-    def T(fam, k, ctx):
-        return (fam, k, tau_of(ctx))
-
-    def zexp(k):
-        return (s, 2 * k + 1, mm)
-
-    return {"X": X, "T": T}, zexp
-
-
 def rep_podles(p: QParams, x: float, variant: str, N: int) -> LabelRep:
     """Truncation of the irreducible series representations.
 
-    variant: plus | minus | direct_sum (minus + plus summands).
+    variant: plus | minus | direct_sum (minus + plus summands).  For the
+    plus series Z e_k = q^(2k-x+1) e_k and X uses (1+q^(2k-2x)); the minus
+    series (sign -1) carries an overall sign and x -> -x in the exponents.
+    T acts as the scalar tau(x) on both.
     """
     if N < 4:
         raise ValueError("N must be at least 4")
-    plus_steps, plus_z = _podles_family_steps(+1)
-    minus_steps, minus_z = _podles_family_steps(-1)
-    if variant in ("plus", "minus"):
-        fam_steps = {"s": plus_steps if variant == "plus" else minus_steps}
-        fam_z = {"s": plus_z if variant == "plus" else minus_z}
-        families = (("s", 0),)
-    elif variant == "direct_sum":
-        fam_steps = {"-": minus_steps, "+": plus_steps}
-        fam_z = {"-": minus_z, "+": plus_z}
-        families = (("-", 0), ("+", 0))
-    else:
+    signs = {"plus": {"s": 1}, "minus": {"s": -1},
+             "direct_sum": {"-": -1, "+": 1}}.get(variant)
+    if signs is None:
         raise ValueError(f"unknown variant {variant!r}")
 
-    def make_step(g):
-        def step(fam, k, ctx):
-            return fam_steps[fam][g](fam, k, ctx)
-        return step
+    def X(fam, k, ctx):
+        c = _sqrt_coeff(ctx, podles_x_factors(signs[fam], k))
+        return None if c is None else signs[fam] * c
 
-    steps = {g: make_step(g) for g in ("X", "T")}
-    return LabelRep(families, steps, fam_z, N, {"q": p.q, "x": x},
-                    {"Y": "X"})
+    # X lowers the label in its family, T keeps it
+    steps = {"X": ((-1, False), X),
+             "T": ((0, False), lambda fam, k, ctx: tau_of(ctx))}
+    zexps = {fam: (lambda k, s=s: (s, 2 * k + 1, -s))
+             for fam, s in signs.items()}
+    return LabelRep([(fam, 0) for fam in signs], steps, zexps, N,
+                    {"q": p.q, "x": x}, {"Y": "X"})
 
 
 def rep_bl(p: QParams, l, N: int) -> LabelRep:
@@ -318,29 +330,29 @@ def rep_bl(p: QParams, l, N: int) -> LabelRep:
     def X(fam, k, ctx):
         sg = 1 if fam == "+" else -1
         c = _sqrt_coeff(ctx, [(-sg, 2 * k, 0), (sg, 2 * k + 2 * twol, 0)])
-        return None if c is None else (fam, k - 1, c if sg == 1 else -c)
+        return None if c is None else (c if sg == 1 else -c)
 
     def make_A(s):
         def A(fam, k, ctx):
             if fam == "+":
                 if k + s < 0:
                     return None
-                c = _sqrt_coeff(
+                return _sqrt_coeff(
                     ctx,
                     [(1, 2 * k + 2 * s + 2 + 2 * j, 0) for j in range(twol - s)]
                     + [(-1, 2 * k + 2 + 2 * j, 0) for j in range(twol + s)])
-                return None if c is None else ("-", k + s, c)
             c = _sqrt_coeff(
                 ctx,
                 [(-1, 2 * k + 2 * s + 2 + 2 * j, 0) for j in range(twol - s)]
                 + [(1, 2 * k + 2 + 2 * j, 0) for j in range(twol + s)])
             sign = -1 if s % 2 else 1
-            return None if c is None else ("+", k + s, sign * c)
+            return None if c is None else sign * c
         return A
 
-    steps = {"X": X}
+    # X lowers the label in its family; A(s) moves it by s into the other
+    steps = {"X": ((-1, False), X)}
     for s in range(-twol, twol + 1):
-        steps[("A", s)] = make_A(s)
+        steps[("A", s)] = ((s, True), make_A(s))
     zexps = {"-": lambda k: (-1, 2 * k + twol + 1, 0),
              "+": lambda k: (1, 2 * k + twol + 1, 0)}
     return LabelRep((("-", 0), ("+", -twol)), steps, zexps, N,
@@ -667,18 +679,21 @@ def residuals(pairs, rep) -> list:
 #
 # Steps are memoised per (representation, mp context) as (target label, raw
 # coefficient), the coefficient an mpmath `_mpf_` tuple computed at the
-# context's precision, which the caller holds.  A label step is computed once,
-# in its plain table; the implementer letter's table negates the plain entry
-# where it lands in "-", and an adjoint's (`LabelRep.adjoints`) reads its real
-# step's entry one label up.  A walk on a label representation visits its
-# labels first and multiplies the kept coefficients afterwards, in walk order,
-# with libmp's mpf_mul at the context's precision, rounding to nearest; the
-# first coefficient starts the product, which is exact.  Sums, signs and the
-# combo coefficient use the libmp function that mpmath's operators call on the
-# same operands.  So every value is bit-identical to multiplying mpf objects
-# as one goes, without their wrappers, and a walk that dies or ends off the
-# row wanted forms no product.  Walks on a tensor representation branch; they
-# multiply and sum as they go, in the same order.
+# context's precision, which the caller holds; the context computes each
+# factor 1 - sign*q^(n+mx) of a root once (`MPCtx.factor`).  A label step is
+# computed once, in its plain table; the implementer letter's table negates
+# the plain entry where it lands in "-", and an adjoint's (`LabelRep.adjoints`)
+# reads its real step's entry at the label the adjoint's move lands on.  A
+# walk on a label representation visits its labels first and multiplies the
+# kept coefficients afterwards, in walk order, with libmp's mpf_mul at the
+# context's precision, rounding to nearest; the first coefficient starts the
+# product, which is exact.  Sums, signs and the combo coefficient use the
+# libmp function that mpmath's operators call on the same operands (a
+# coefficient of exactly 1 leaves the value as mpf_mul would).  So every value
+# is bit-identical to multiplying mpf objects as one goes, without their
+# wrappers, and a walk that dies or ends off the row wanted forms no product.
+# Walks on a tensor representation branch; they multiply and sum as they go,
+# in the same order.
 # ---------------------------------------------------------------------------
 
 _RND = round_nearest
@@ -702,17 +717,20 @@ class _StepTable(dict):
 
 class _SegmentTables(dict):
     """The step tables of one representation in one mp context, one per
-    segment, made on first use."""
+    segment, made on first use.  The rep holds them (`step_tables`), so they
+    hold it only weakly, and no fill holds them: both are freed as soon as
+    the rep is dropped, without the cycle collector."""
 
     def __init__(self, rep, ctx):
         super().__init__()
-        self.rep = rep
+        self.rep = weakref.ref(rep)
         self.ctx = ctx
         self.prec = ctx.prec
 
     def __missing__(self, seg):
         g, impl = seg
-        if isinstance(self.rep, TensorRep):
+        rep = self.rep()
+        if isinstance(rep, TensorRep):
             fill = self._tensor_step(g)
         elif isinstance(g, tuple) and g[0] == "zf":
             fill = self._zf_step(*g[1:])
@@ -720,25 +738,20 @@ class _SegmentTables(dict):
             fill = self._lead_step(*g[1:])
         elif impl:
             fill = self._absorbed_step(self[(g, False)])
-        elif g in self.rep.adjoints:
-            fill = self._adjoint_of(self[(self.rep.adjoints[g], False)])
+        elif g in rep.adjoints:
+            fill = self._adjoint_of(self[(rep.adjoints[g], False)],
+                                    rep.move(g))
         else:
             fill = self._label_step(g)
         table = self[seg] = _StepTable(fill)
         return table
 
-    def _require_prec(self):
-        """Refuse to compute at any precision but the context's."""
-        if mp.mp.prec != self.prec:
-            raise ArithmeticError(
-                f"step table of {self.prec} bits filled at {mp.mp.prec}")
-
     def _label_step(self, g):
-        rep, ctx = self.rep, self.ctx
+        rep, ctx, prec = self.rep, self.ctx, self.prec
 
         def fill(label):
-            self._require_prec()
-            hit = rep.step(g, label[0], label[1], ctx)
+            _require_prec(prec)
+            hit = rep().step(g, label[0], label[1], ctx)
             return None if hit is None else (hit[:2], (hit[2]._mpf_,))
         return fill
 
@@ -752,19 +765,20 @@ class _SegmentTables(dict):
         return fill
 
     @staticmethod
-    def _adjoint_of(plain):
-        """The adjoint of a lowering step: its entry one label up."""
+    def _adjoint_of(plain, move):
+        """The adjoint of a real step, whose entry it reads at the label its
+        own `move` lands on."""
         def fill(label):
-            up = (label[0], label[1] + 1)
-            hit = plain[up]
-            return None if hit is None else (up, hit[1])
+            to = moved(move, *label)
+            hit = plain[to]
+            return None if hit is None else (to, hit[1])
         return fill
 
     def _zf_step(self, sign, n, m):
-        rep, ctx, prec = self.rep, self.ctx, self.prec
+        zexps, ctx, prec = self.rep()._zexps, self.ctx, self.prec
 
         def fill(label):
-            zsign, zn, zm = rep.zexp(*label)
+            zsign, zn, zm = zexps[label[0]](label[1])
             qp = ctx.qpow(n + zn, m + zm)._mpf_
             f = mpf_sub(fone, mpf_mul_int(qp, sign * zsign, prec, _RND),
                         prec, _RND)
@@ -776,8 +790,8 @@ class _SegmentTables(dict):
         return lambda label: (label, lead)
 
     def _tensor_step(self, g):
-        rep, prec = self.rep, self.prec
-        self._require_prec()
+        rep, prec = self.rep(), self.prec
+        _require_prec(prec)
         terms = [(step_tables(rep.base, self.ctx)[(base_g, rep.absorb_sign)],
                   [(sp2, sp_in, v if v is None else v._mpf_)
                    for sp2, sp_in, v in entries])
@@ -943,7 +957,7 @@ def _combo_column(tables, combos, label, rows=None, sub=False) -> dict:
     (with `sub`, subtracted from) its row of `rows`, in combo order, a
     missing row standing for 0; {row label: raw value}."""
     prec = tables.prec
-    branched = isinstance(tables.rep, TensorRep)
+    branched = isinstance(tables.rep(), TensorRep)
     rows = {} if rows is None else rows
     for path, coef in combos:
         if branched:
@@ -952,7 +966,7 @@ def _combo_column(tables, combos, label, rows=None, sub=False) -> dict:
             hit = walk_path(path, label)
             ends = () if hit is None else ((hit[0], mp_product(hit[1], prec)),)
         for lab, val in ends:
-            term = mpf_mul(val, coef, prec, _RND)
+            term = val if coef == fone else mpf_mul(val, coef, prec, _RND)
             old = rows.get(lab)
             if sub:
                 term = mpf_sub(fzero if old is None else old, term, prec, _RND)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -328,6 +329,49 @@ def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
              for rep, words in cases for w in words]
             == [_reference_invariance_defects(w, rep, 12)
                 for rep, words in cases for w in words])
+
+
+def test_screened_defects_match_six_walk_reference(monkeypatch):
+    # the per-word screen against the loop that walks all six walks at
+    # every tail label: the raw sums, bit for bit
+    import reference_functional
+
+    monkeypatch.setattr(action, "mp_magnitude", lambda v: v)
+
+    def raw(w, rep, W):
+        return list(invariance_defects(w, rep, W).values())
+
+    W = 12
+    cases = ([(make_presentation("podles", P, x=x),
+               rep_podles(P, x, "direct_sum", W)) for x in (1.0, 0.35)]
+             + [(make_presentation("bl", P, l=l), rep_bl(P, l, W))
+                for l in (0, 0.5, 1.5)])
+    walked = []
+    walk_diagonal = action.walk_diagonal
+    monkeypatch.setattr(action, "walk_diagonal", lambda path, *a: (
+        walked.append(id(path)) or walk_diagonal(path, *a)))
+    live_words = []
+    for pres, rep in cases:
+        words = basis_words(pres, 4)
+        live = []
+        for w in words:
+            walked.clear()
+            assert (raw(w, rep, W)
+                    == reference_functional.defect_sums(w, rep, W)), w
+            live.append(len(set(walked)))
+        assert set(live) <= {0, 2}
+        live_words.append((sum(n > 0 for n in live), len(words)))
+    # podles at x = 1 and bl(0.5)
+    assert live_words[0] == (13, 25) and live_words[3] == (13, 49)
+    # a NaN density poisons every sum, screened walks or not; walk_dps
+    # refuses a NaN x, so both sides take a fixed precision
+    for module in (action, reference_functional):
+        monkeypatch.setattr(module, "walk_dps", lambda rep, W, slack: 60)
+    nan_rep = rep_podles(P, float("nan"), "direct_sum", 8)
+    for w in basis_words(make_presentation("podles", P, x=1.0), 2):
+        got = raw(w, nan_rep, 8)
+        assert got == reference_functional.defect_sums(w, nan_rep, 8), w
+        assert all(math.isnan(mp.make_mpf(v)) for v in got), w
 
 
 def test_invariance_defect_bound_and_slope():

@@ -11,6 +11,7 @@ from qsphere.ncalg import (
     NCPoly,
     RewriteCapError,
     a_gen,
+    is_a_gen,
     make_presentation,
     normal_form,
     parse,
@@ -758,6 +759,88 @@ def test_table_fill_outside_its_precision_raises():
                 reps.step_tables(tensor, MPCtx(Q, 0.7, 40))[("T", False)]
     with mp.workdps(ctx.dps):
         assert tables[("Y", True)][("-", 3)] is not None
+
+
+def _expected_move(g):
+    """Where a generator takes a label, from the algebras: X lowers it in
+    its summand and Y raises it, Z, Zi and T keep it, and A(s) moves it by
+    s into the other summand."""
+    if is_a_gen(g):
+        return g[1], True
+    return {"X": -1, "Y": 1}.get(g, 0), False
+
+
+def test_every_step_lands_where_its_move_says():
+    cases = ([rep_podles(P, x, v, 40) for x in (1.0, 0.35, -2.5)
+              for v in ("plus", "minus", "direct_sum")]
+             + [rep_bl(P, l, 40) for l in (0, 0.5, 1, 1.5, 2)])
+    for rep in cases:
+        x = rep.meta.get("x", 0.0)
+        two = len(rep.families) == 2
+        for ctx in (FloatCtx(Q, x), MPCtx(Q, x)):
+            exact = isinstance(ctx, MPCtx)
+            tables = reps.step_tables(rep, ctx) if exact else None
+            with mp.workdps(ctx.dps if exact else mp.mp.dps):
+                for g in rep._steps:
+                    dk, swap = _expected_move(g)
+                    assert rep.move(g) == (dk, swap), g
+                    landed = 0
+                    for fam, kmin in rep.families:
+                        to = ({"+": "-", "-": "+"}[fam] if swap else fam,)
+                        for k in range(kmin, kmin + 40):
+                            want = to + (k + dk,)
+                            hit = rep.step(g, fam, k, ctx)
+                            if hit is None:
+                                continue
+                            landed += 1
+                            assert hit[:2] == want, (g, fam, k)
+                            if exact:
+                                for impl in (False, True)[:1 + two]:
+                                    got = tables[(g, impl)][(fam, k)]
+                                    assert got[0] == want, (g, impl, fam, k)
+                    assert landed, g
+
+
+def test_mp_factors_computed_once_at_their_precision():
+    ctx = MPCtx(Q, 1.3, 40)
+    with mp.workdps(ctx.dps):
+        f = ctx.factor(-1, 6, -2)
+        assert f == 1 + ctx.qpow(6, -2)
+        assert ctx.factor(-1, 6, -2) is f
+    with mp.workdps(60):
+        assert ctx.factor(-1, 6, -2) is f
+        with pytest.raises(ArithmeticError):
+            ctx.factor(1, 6, -2)
+    fl = FloatCtx(Q, 1.3)
+    assert fl.factor(1, 4, 1) == 1 - fl.qpow(4, 1)
+
+
+def test_dropped_rep_frees_its_walk_memo_without_the_collector():
+    # the rep holds its step tables, and they hold it only weakly, so both
+    # go by reference counting alone
+    import gc
+    import weakref
+
+    pres = make_presentation("podles", P, x=1.3)
+    cases = (
+        (lambda: rep_podles(P, 1.3, "direct_sum", 10),
+         lambda r: relation_check(pres, r)),
+        (lambda: rep_bl(P, 1, 10),
+         lambda r: combos_residual(r, _COMBOS, [], 10)),
+        (lambda: TensorRep(rep_podles(P, 0.7, "plus", 10)),
+         lambda r: combos_residual(
+             r, [(1.0, [("T", False), ("X", False)])], [], 10)))
+    gc.disable()
+    try:
+        for make, check in cases:
+            rep = make()
+            check(rep)
+            memo = weakref.ref(next(iter(rep._walk_memos.values())))
+            gone = weakref.ref(rep)
+            del rep
+            assert gone() is None and memo() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
