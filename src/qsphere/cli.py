@@ -100,11 +100,12 @@ ALL_ARGS = {
     "theorem2": {"l": 0.5}, "orbit": {"x": 0.3, "y": 1.7},
     "picard": {"x": 0.0}, "oracle": {"x": 1.0, "l": 0.5}}
 # the suites of `all` that a forked worker certifies while this process
-# certifies the rest.  At the defaults the worker's half is the longer: run
-# alone, it takes about 0.42 s of wall time against 0.38 s for this
-# process's half (medians of 15 fresh processes each, 2-vCPU VM).  Ergodic
-# stays here, so LAPACK never runs in the forked child and its
-# dependent-monomials message goes to this process's stderr
+# certifies the rest.  At the defaults the halves are about even: run
+# alone, the worker's takes 0.31 s of wall time (0.33 s CPU) against 0.30 s
+# (0.38 s CPU, LAPACK's threads included) for this process's half (medians
+# of 15 fresh processes each, 2-vCPU VM).  Ergodic stays here, so LAPACK
+# never runs in the forked child and its dependent-monomials message goes
+# to this process's stderr
 ALL_WORKER = ("relations", "functional", "compress", "theorem2")
 
 

@@ -8,12 +8,12 @@ truncation M, read from its label steps (square roots through
 `qcore._sqrt_coeff`), each label's step evaluated once per representation
 in its one qcore `FloatCtx`.  Each generator declares its move once, a
 label offset and whether it swaps the "+" and "-" summands (`LabelRep`),
-and its step function returns only the coefficient; a tensor generator is several, read from one
-coaction table (`_tensor_terms`); the spin-1/2 module and compressions
-store theirs (`ShiftRep`).  One walk (`walk_shifts`; a factor may be a
-scalar) serves every float certificate as a walked difference of products
-(`walk_difference`), `evaluate`, `residuals` and the float
-`relation_check` included; `residuals` walks each word once per internal
+and its step function returns only the coefficient.  A tensor generator
+is several shifts, read from one coaction table (`_tensor_terms`); the
+spin-1/2 module and compressions store theirs (`ShiftRep`).  One walk
+(`walk_shifts`; a factor may be a scalar) serves every float certificate
+as a walked difference of products (`walk_difference`), `evaluate`,
+`residuals` and the float `relation_check` included; `residuals` walks each word once per internal
 size for a whole list of pairs and scales the walk by each term's
 coefficient.  Padded evaluation walks at an enlarged size and crops, so
 retained entries are exact values of the infinite-dimensional operators;
