@@ -165,11 +165,9 @@ def invariance_defects(word, rep, W: int) -> dict:
     -1 the two ad_F walks, and anything else none; a screened walk reads as
     an exact 0.  With none left and every density and prefactor finite, the
     defects are 0 and no label is walked.  A live walk starts the word at
-    the label or at its X or Y image (Z and Zi keep the label), the word is
-    walked once per start label, and a walk's coefficients are multiplied
-    only when it returns to its label (`walk_diagonal`), with the values of
-    multiplying as it goes.
-    """
+    the label or at its X or Y image, the word is walked once per start
+    label, and a walk's coefficients are multiplied only when it returns
+    (`walk_diagonal`), with the values of multiplying as it goes."""
     if len(rep.families) != 2:
         raise ValueError("invariance defects live on double spaces")
     q = rep.meta["q"]

@@ -65,11 +65,11 @@ def _sqrt_coeff(ctx, factors):
     Each factor comes from `ctx.factor`.  Exact zeros are decided by exponent
     arithmetic; a negative factor means an index-logic bug and raises.
     """
-    prod = ctx.one
+    prod, factor = ctx.one, ctx.factor
     for sign, n, m in factors:
         if sign == 1 and n == 0 and m == 0:
             return None
-        prod = prod * ctx.factor(sign, n, m)
+        prod = prod * factor(sign, n, m)
     if prod < 0:
         raise ArithmeticError("negative value under square root")
     return ctx.sqrt(prod)

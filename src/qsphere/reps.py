@@ -178,12 +178,12 @@ class LabelRep:
 
     def step(self, g, fam, k, ctx):
         """Step of generator g from label (fam, k): None or (fam2, k2, coeff),
-        the label g's move gives and the coefficient in the arithmetic of
-        ctx, an mp context at the caller's precision (the exact walk kernel
-        keeps each step: `step_tables`)."""
-        move, coeff = self._steps[g]
+        g's move and the coefficient in the arithmetic of ctx, an mp context
+        at the caller's precision (the exact kernel keeps it: `step_tables`)."""
+        (dk, swap), coeff = self._steps[g]
         c = coeff(fam, k, ctx)
-        return None if c is None else (*moved(move, fam, k), c)
+        # `moved`, inline: every float and exact label step passes here
+        return None if c is None else (_SWAP[fam] if swap else fam, k + dk, c)
 
     def move(self, g):  # (k-offset, swap), see the class docstring
         return self._steps[g][0]
@@ -253,14 +253,16 @@ class LabelRep:
         return A
 
 
+_SWAP = {"+": "-", "-": "+"}
+
+
 def moved(move, fam, k) -> tuple:
     """The label that `move` = (k-offset, swap) takes (fam, k) to."""
-    return ({"+": "-", "-": "+"}[fam] if move[1] else fam), k + move[0]
+    return (_SWAP[fam] if move[1] else fam), k + move[0]
 
 
 def _z_steps(zexps) -> dict:
-    """The Z and Zi steps of a label representation, from its Z exponents:
-    both keep the label."""
+    """The Z and Zi steps of a label representation, from its Z exponents."""
     def Z(fam, k, ctx):
         s, n, m = zexps[fam](k)
         return s * ctx.qpow(n, m)
@@ -279,7 +281,8 @@ def _adjoint_step(move, X):
     back = (-move[0], move[1])
 
     def Y(fam, k, ctx):
-        return X(*moved(back, fam, k), ctx)
+        fam2, k2 = moved(back, fam, k)
+        return X(fam2, k2, ctx)
     return back, Y
 
 
