@@ -325,6 +325,14 @@ GOLDEN_REPORTS = {
         "864e9c42559a8a675cca225bfe9aa68af218869cd0e1124d2df622e0d219a826",
     ("functional", "--q", "0.8", "--x", "2.0", "--l", "1", "--N", "64"):
         "4d6ed38c0124831ac7e74783026a3b89435c96170ebb6f858cd692f6c99115c8",
+    # the adjoint action's K, E and F terms on theta's ladder at l = 1/2
+    # and at l = 2, q = 0.8, and the functional at small q and non-integer x
+    ("theta", "--l", "0.5", "--N", "32"):
+        "1c76063bcf8b12b0427cfb33e805fcd607035c15063cb83acfd54400f7a8a3f4",
+    ("theta", "--q", "0.8", "--l", "2", "--N", "48"):
+        "5e2e7cd99e1f75567dea05ee5eaa8852e65999372b25367ff244758f2f7931a2",
+    ("functional", "--q", "0.2", "--x", "0.35", "--l", "0.5", "--N", "40"):
+        "198c6d555dd6d56e86ee159d8bd581808dd307a01b21f3ea9c50650573c565d2",
 }
 
 
@@ -378,6 +386,10 @@ GOLDEN_FLOAT_REPORTS = {
     # at small q, with the mp tensor walks of casimir_invariance
     ("casimir", "--q", "0.3", "--x", "2.5", "--N", "32"):
         "8b32d4ddbc15f8742d6d6138e546cfa957186886f7187493fc00e213aea80125",
+    # near q = 1 and at non-integer x: the Casimir invariance's adjoint
+    # action on the tensor walks, beside float shifts that depend on libm
+    ("casimir", "--q", "0.8", "--x", "1.3", "--N", "24"):
+        "80d5196337a6bda53b98485a181f8b5e42b9c740253cae48711927f9a26569e6",
     ("theorem2", "--l", "0.5", "--N", "16"):
         "09c519515f572d0aaddef079eb374544a2552e8f14d8afc8e9c353cf54b49414",
     # every suite at the arguments `all` gives it, half of them certified in
