@@ -16,7 +16,7 @@ import math
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import fnan, fzero, mpf_add, mpf_mul, mpf_neg, round_nearest
 
 from .qcore import FloatCtx, QParams, _sqrt_coeff, q_pochhammer
 from .ncalg import Presentation, a_gen, basis_words, is_a_gen
@@ -27,16 +27,15 @@ from .reps import (
     max_abs,
     mp_ctx,
     mp_magnitude,
-    path_table,
     rep_bl,
     rep_podles,
     segment_path,
     step_tables,
     union,
     walk,
-    walk_diagonal,
     walk_difference,
     walk_dps,
+    walk_path,
 )
 
 _RND = round_nearest
@@ -48,24 +47,34 @@ IMAGE_GROUP = 32      # monomial images whose commutators are walked at once
 # adjoint action as segment combos (walked exactly in mp arithmetic)
 # ---------------------------------------------------------------------------
 
+# the adjoint action of U_q(su2), the one place its letters are written:
+# each generator's terms as (sign, implementer letters left of M, letters
+# right of M); ad_K M = Z M Zi, ad_E M = sqrt(q) lam (Zi M X - Zi X M) and
+# ad_F M = q^(-3/2) lam (M Y Zi - Y M Zi), lam = 1/(q - q^-1)
+_AD = {
+    "K": ((1, ("Z",), ("Zi",)),),
+    "E": ((1, ("Zi",), ("X",)), (-1, ("Zi", "X"), ())),
+    "F": ((1, (), ("Y", "Zi")), (-1, ("Y",), ("Zi",))),
+}
+
+
+def _ad_segments(left, segs, right) -> list:
+    """The segments of one `_AD` term around the segments of M."""
+    return ([(g, True) for g in left] + list(segs)
+            + [(g, True) for g in right])
+
+
 def combo_ad(g: str, combos: list, p: QParams) -> list:
-    """Apply one adjoint generator to segment combos (implementer letters)."""
-    q, lam = p.q, p.lam
-    out = []
-    for coef, segs in combos:
-        if g == "K":
-            out.append((coef, [("Z", True)] + segs + [("Zi", True)]))
-        elif g == "E":
-            c = math.sqrt(q) * lam * coef
-            out.append((c, [("Zi", True)] + segs + [("X", True)]))
-            out.append((-c, [("Zi", True), ("X", True)] + segs))
-        elif g == "F":
-            c = (q ** -1.5) * lam * coef
-            out.append((c, segs + [("Y", True), ("Zi", True)]))
-            out.append((-c, [("Y", True)] + segs + [("Zi", True)]))
-        else:
-            raise KeyError(f"adjoint action has no generator {g}")
-    return out
+    """Apply one adjoint generator to segment combos (implementer letters):
+    each combo becomes one combo per term of `_AD[g]`, in term order, with
+    coefficient sign * (scale * coefficient); K's is kept as it is."""
+    if g not in _AD:
+        raise KeyError(f"adjoint action has no generator {g}")
+    scale = {"K": None, "E": math.sqrt(p.q) * p.lam,
+             "F": (p.q ** -1.5) * p.lam}[g]
+    return [(coef if scale is None else sign * (scale * coef),
+             _ad_segments(left, segs, right))
+            for coef, segs in combos for sign, left, right in _AD[g]]
 
 
 # ---------------------------------------------------------------------------
@@ -141,46 +150,34 @@ def casimir_invariance(p: QParams, x: float, N: int) -> dict:
 # invariant functionals
 # ---------------------------------------------------------------------------
 
-# the six diagonal walks of the defects in walk order, "w" the word: M;
-# ad_K: Z M Zi; ad_E: Zi M X - Zi X M; ad_F: M Y Zi - Y M Zi
-_DEFECT_WALKS = (("w",), ("Zi", "w", "Z"), ("X", "w", "Zi"), ("w", "X", "Zi"),
-                 ("Zi", "Y", "w"), ("Zi", "w", "Y"))
-
-
-def invariance_defects(word, rep, W: int) -> dict:
-    """Truncation defect of the invariant functional under the adjoint action
-    of K, E, F on one monomial.
+def invariance_defects(words, rep, W: int) -> list:
+    """Truncation defects of the invariant functional under the adjoint
+    action of K, E, F: one {"K", "E", "F": defect} per monomial of `words`.
 
     The functional is the trace weighted by the density |Z|, the power
     q^(n+mx) of `zexp` at each label.  The infinite-rank functional is
     exactly invariant, so the truncated value of phi(ad(M)) equals minus the
     discarded tail; summing the tail directly keeps the result accurate
     relative to its own size ~ q^(2W), which a head summation (absolute
-    error ~1e-16 * |M|) cannot resolve.  The tail terms themselves sit far
-    below double precision, so they are walked exactly (the kernel in
-    `reps`).  Only the diagonal is read, through the six `_DEFECT_WALKS` per
-    tail label.  A walk can return to its label only if its letters' moves
-    cancel, so the word's move, composed once per call, screens them: a net
-    move of (0, no swap) leaves the M and ad_K walks, +1 the two ad_E walks,
-    -1 the two ad_F walks, and anything else none; a screened walk reads as
-    an exact 0.  With none left and every density and prefactor finite, the
-    defects are 0 and no label is walked.  A live walk starts the word at
-    the label or at its X or Y image, the word is walked once per start
-    label, and a walk's coefficients are multiplied only when it returns
-    (`walk_diagonal`), with the values of multiplying as it goes."""
+    error ~1e-16 * |M|) cannot resolve.  The tail terms sit far below
+    double precision, so they are walked exactly (`reps.walk_path`), in one
+    context whose densities and step tables are set up once per call.
+
+    Only diagonals are read.  Each generator is a pair of walks built from
+    `_AD` with M's plain letters, ad_K M against M and the + term of ad_E
+    and ad_F against the - term, summed as d * pref * (a - b) over the tail
+    labels, each term's sign read from `_AD`.  Both walks of a pair make the
+    same move and can return to their label only if it cancels.  A pair
+    whose move does not cancel visits no label and sums to 0, or to NaN
+    where a density or its prefactor is not finite, as its zero differences
+    would.  A live pair skips a label where both walks read 0 and its
+    factors are finite."""
     if len(rep.families) != 2:
         raise ValueError("invariance defects live on double spaces")
     q = rep.meta["q"]
     tail = max(8, int(math.ceil(16.0 * math.log(10)
                                 / (2.0 * abs(math.log(q)))))) + 4
     dps = walk_dps(rep, W + tail, slack=25)
-    # the word's move: offsets add, swaps pair off (the other letters swap
-    # nothing)
-    moves = [rep.move(g) for g in word]
-    dk, swaps = sum(d for d, _ in moves), sum(s for _, s in moves)
-    live = [swaps % 2 == 0 and dk + sum(
-        rep.move(g)[0] for g in letters if g != "w") == 0
-        for letters in _DEFECT_WALKS]
     with mp.workdps(dps):
         ctx = mp_ctx(q, rep.meta.get("x", 0.0), dps)
         prec = ctx.prec
@@ -190,31 +187,47 @@ def invariance_defects(word, rep, W: int) -> dict:
         tail_labels = [((fam, k), ctx.qpow(*rep.zexp(fam, k)[1:])._mpf_)
                        for fam, kmin in rep.families
                        for k in range(kmin + W, kmin + W + tail)]
-        sums = [fzero, fzero, fzero]
-        if not any(live) and all(_finite(v) for v in [pref_e, pref_f] + [
-                d for _, d in tail_labels]):
-            return {key: mp_magnitude(v) for key, v in zip("KEF", sums)}
+        finite = all(_finite(d) for _, d in tail_labels)
         tables = step_tables(rep, ctx)
-        by_letter = {g: tables[(g, True)] for g in ("Z", "Zi", "X", "Y")}
-        by_letter["w"] = path_table(segment_path(
-            tables, [(g, False) for g in word]))
-        walks = [[by_letter[g] for g in letters] if ok else None
-                 for letters, ok in zip(_DEFECT_WALKS, live)]
-        for label, d in tail_labels:
-            dm, vk, ve1, ve2, vf1, vf2 = (
-                fzero if path is None else walk_diagonal(path, label, prec)
-                for path in walks)
-            terms = ((vk, dm, None), (ve1, ve2, pref_e), (vf1, vf2, pref_f))
-            for n, (a, b, pref) in enumerate(terms):
-                # sums[n] += d * pref * (a - b); a zero difference
-                # times a finite factor would add an exact 0
-                if (a == b == fzero and _finite(d)
-                        and (pref is None or _finite(pref))):
+        # per generator: its prefactor, whether that is finite, and its
+        # pair's two terms
+        pairs = []
+        for g, pref in (("K", None), ("E", pref_e), ("F", pref_f)):
+            terms = _AD[g]
+            if len(terms) == 1:
+                terms += ((-1, (), ()),)   # ad_K M against M
+            pairs.append((pref, pref is None or _finite(pref), terms))
+        out = []
+        for word in words:
+            mw = [(h, False) for h in word]
+            sums = []
+            for pref, ok, terms in pairs:
+                _, left, right = terms[0]
+                moves = [rep.move(h) for h in (*left, *word, *right)]
+                if sum(d for d, _ in moves) or sum(s for _, s in moves) % 2:
+                    sums.append(fzero if finite and ok else fnan)
                     continue
-                f = d if pref is None else mpf_mul(d, pref, prec, _RND)
-                sums[n] = mpf_add(sums[n], mpf_mul(
-                    f, mpf_sub(a, b, prec, _RND), prec, _RND), prec, _RND)
-        return {key: mp_magnitude(v) for key, v in zip("KEF", sums)}
+                walks = [(sign, segment_path(
+                    tables, _ad_segments(left, mw, right)))
+                    for sign, left, right in terms]
+                total = fzero
+                for label, d in tail_labels:
+                    vals = []
+                    for sign, path in walks:
+                        hit = walk_path(path, label, prec)
+                        v = fzero if hit is None or hit[0] != label else hit[1]
+                        vals.append(v if sign > 0 else mpf_neg(v))
+                    a, b = vals
+                    # total += d * pref * (a + b), each term's sign in its
+                    # value; zero terms times a finite factor add an exact 0
+                    if a == b == fzero and _finite(d) and ok:
+                        continue
+                    f = d if pref is None else mpf_mul(d, pref, prec, _RND)
+                    total = mpf_add(total, mpf_mul(
+                        f, mpf_add(a, b, prec, _RND), prec, _RND), prec, _RND)
+                sums.append(total)
+            out.append({key: mp_magnitude(v) for key, v in zip("KEF", sums)})
+        return out
 
 
 def _finite(v) -> bool:

@@ -101,8 +101,8 @@ ALL_ARGS = {
     "picard": {"x": 0.0}, "oracle": {"x": 1.0, "l": 0.5}}
 # the suites of `all` that a forked worker certifies while this process
 # certifies the rest.  At the defaults the halves are about even: run
-# alone, the worker's takes 0.31 s of wall time (0.33 s CPU) against 0.30 s
-# (0.38 s CPU, LAPACK's threads included) for this process's half (medians
+# alone, the worker's takes 0.30 s of wall time (0.31 s CPU) against 0.32 s
+# (0.40 s CPU, LAPACK's threads included) for this process's half (medians
 # of 15 fresh processes each, 2-vCPU VM).  Ergodic stays here, so LAPACK
 # never runs in the forked child and its dependent-monomials message goes
 # to this process's stderr
@@ -242,8 +242,7 @@ def suite_functional(p, x, l, N):
         for W in windows:
             rep = rep_of(W)
             acc = {"K": 0.0, "E": 0.0, "F": 0.0}
-            for w in words:
-                d = invariance_defects(w, rep, W)
+            for d in invariance_defects(words, rep, W):
                 for key in acc:
                     acc[key] = max_or_nan(acc[key], d[key])
             worst[W] = acc

@@ -27,9 +27,11 @@ precision cannot certify 1e-11 absolute residuals.  A relation rule is
 walked as combos, like an adjoint-action residual, through one entry point
 (`_exact_residual`).  Exact walks share one mp context per (q, x,
 precision) (`mp_ctx`), and each representation memoises every step it
-takes in it, so a step coefficient is computed once (implementer letters and
-adjoints read it).  `MPCtx` has FloatCtx's interface, so the label steps run
-unchanged in either.
+takes in it as (target label, raw coefficient), so a step coefficient is
+computed once (implementer letters and adjoints read it).  One label walk
+(`walk_path`) reads the columns of combos and the functional's diagonals;
+a tensor representation's walks branch (`_branch_walk`).  `MPCtx` has
+FloatCtx's interface, so the label steps run unchanged in either.
 """
 
 from __future__ import annotations
@@ -681,22 +683,23 @@ def residuals(pairs, rep) -> list:
 # coefficient is a real Python number, and the kernel is real throughout.
 #
 # Steps are memoised per (representation, mp context) as (target label, raw
-# coefficient), the coefficient an mpmath `_mpf_` tuple computed at the
-# context's precision, which the caller holds; the context computes each
+# coefficient), one coefficient per step, an mpmath `_mpf_` tuple computed at
+# the context's precision, which the caller holds; the context computes each
 # factor 1 - sign*q^(n+mx) of a root once (`MPCtx.factor`).  A label step is
 # computed once, in its plain table; the implementer letter's table negates
 # the plain entry where it lands in "-", and an adjoint's (`LabelRep.adjoints`)
 # reads its real step's entry at the label the adjoint's move lands on.  A
-# walk on a label representation visits its labels first and multiplies the
-# kept coefficients afterwards, in walk order, with libmp's mpf_mul at the
-# context's precision, rounding to nearest; the first coefficient starts the
-# product, which is exact.  Sums, signs and the combo coefficient use the
-# libmp function that mpmath's operators call on the same operands (a
-# coefficient of exactly 1 leaves the value as mpf_mul would).  So every value
-# is bit-identical to multiplying mpf objects as one goes, without their
-# wrappers, and a walk that dies or ends off the row wanted forms no product.
-# Walks on a tensor representation branch; they multiply and sum as they go,
-# in the same order.
+# walk on a label representation (`walk_path`, the one such walk: combo
+# columns and the functional's diagonals) visits its labels first and
+# multiplies the coefficients of a walk that survives afterwards, in walk
+# order, with libmp's mpf_mul at the context's precision, rounding to
+# nearest; the first coefficient starts the product, which is exact.  Sums,
+# signs and the combo coefficient use the libmp function that mpmath's
+# operators call on the same operands (a coefficient of exactly 1 leaves the
+# value as mpf_mul would).  So every value is bit-identical to multiplying
+# mpf objects as one goes, without their wrappers, and a walk that dies
+# forms no product.  Walks on a tensor representation branch; they multiply
+# and sum as they go, in the same order.
 # ---------------------------------------------------------------------------
 
 _RND = round_nearest
@@ -705,9 +708,8 @@ _RND = round_nearest
 class _StepTable(dict):
     """label -> step of one segment, computed by `fill` on first use and
     kept.  A step is None (the walk dies) or, on a label representation,
-    (target label, raw coefficients in walk order); on a tensor
-    representation it is a list of (target label, raw coefficient)
-    branches."""
+    (target label, raw coefficient); on a tensor representation it is a
+    list of such branches."""
 
     def __init__(self, fill):
         super().__init__()
@@ -755,7 +757,7 @@ class _SegmentTables(dict):
         def fill(label):
             _require_prec(prec)
             hit = rep().step(g, label[0], label[1], ctx)
-            return None if hit is None else (hit[:2], (hit[2]._mpf_,))
+            return None if hit is None else (hit[:2], hit[2]._mpf_)
         return fill
 
     @staticmethod
@@ -764,7 +766,7 @@ class _SegmentTables(dict):
         def fill(label):
             hit = plain[label]
             return (hit if hit is None or hit[0][0] != "-"
-                    else (hit[0], (mpf_neg(hit[1][0]),)))
+                    else (hit[0], mpf_neg(hit[1])))
         return fill
 
     @staticmethod
@@ -785,11 +787,11 @@ class _SegmentTables(dict):
             qp = ctx.qpow(n + zn, m + zm)._mpf_
             f = mpf_sub(fone, mpf_mul_int(qp, sign * zsign, prec, _RND),
                         prec, _RND)
-            return label, (f,)
+            return label, f
         return fill
 
     def _lead_step(self, sign, n, m):
-        lead = (mpf_mul_int(self.ctx.qpow(n, m)._mpf_, sign, self.prec, _RND),)
+        lead = mpf_mul_int(self.ctx.qpow(n, m)._mpf_, sign, self.prec, _RND)
         return lambda label: (label, lead)
 
     def _tensor_step(self, g):
@@ -807,7 +809,7 @@ class _SegmentTables(dict):
                 hit = table[(fam, k)]
                 if hit is None:
                     continue
-                (f2, k2), (c,) = hit
+                (f2, k2), c = hit
                 for sp2, sp_in, v in entries:
                     if sp_in == sp:
                         out.append(((f2, k2, sp2), c if v is None
@@ -831,49 +833,25 @@ def segment_path(tables, segs) -> list:
     return [tables[seg] for seg in reversed(segs)]
 
 
-def walk_path(path, label):
-    """Walk `label` through the step tables of `path`: (end label, raw
-    coefficients in walk order), or None where a step dies."""
+def walk_path(path, label, prec: int):
+    """Walk `label` through the step tables of `path` on a label
+    representation: None where a step dies, else (end label, raw product).
+    The labels are followed first, and only a walk that survives multiplies
+    its coefficients, in walk order at `prec`, rounding to nearest: the value
+    of multiplying mpf objects from 1, the first coefficient starting the
+    product exactly (the empty path's product is 1)."""
     coeffs = []
     for table in path:
         hit = table[label]
         if hit is None:
             return None
-        label, cs = hit
-        coeffs += cs
-    return label, coeffs
-
-
-def path_table(path) -> _StepTable:
-    """The walks of `path` memoised per start label, usable as one step of a
-    longer path."""
-    return _StepTable(lambda label: walk_path(path, label))
-
-
-def mp_product(coeffs, prec: int):
-    """Product of raw coefficients in walk order at `prec`, rounding to
-    nearest: the value of multiplying mpf objects from 1, the first
-    coefficient starting the product exactly."""
-    if not coeffs:
-        return fone
+        label, c = hit
+        coeffs.append(c)
     it = iter(coeffs)
-    p = next(it)
+    p = next(it, fone)
     for c in it:
         p = mpf_mul(p, c, prec, _RND)
-    return p
-
-
-def walk_diagonal(path, label, prec: int):
-    """Raw diagonal entry at `label` of the product walked by `path`: its
-    labels are followed first, and only a walk back to `label` multiplies."""
-    end = label
-    for table in path:
-        hit = table[end]
-        if hit is None:
-            return fzero
-        end = hit[0]
-    return fzero if end != label else mp_product(walk_path(path, label)[1],
-                                                 prec)
+    return label, p
 
 
 def mp_magnitude(v) -> float:
@@ -966,8 +944,8 @@ def _combo_column(tables, combos, label, rows=None, sub=False) -> dict:
         if branched:
             ends = _branch_walk(path, label, prec).items()
         else:
-            hit = walk_path(path, label)
-            ends = () if hit is None else ((hit[0], mp_product(hit[1], prec)),)
+            hit = walk_path(path, label, prec)
+            ends = () if hit is None else (hit,)
         for lab, val in ends:
             term = val if coef == fone else mpf_mul(val, coef, prec, _RND)
             old = rows.get(lab)
@@ -1027,7 +1005,9 @@ def walk_dps(rep, W: int, slack: int = 30) -> int:
     """mpmath digits needed so residuals stay meaningful against the q^(-2k)
     growth of inverse-diagonal entries over the window."""
     q = rep.meta["q"]
-    x = abs(rep.meta.get("x", 0.0))
+    x = rep.meta.get("x", 0.0)
+    # a non-finite x makes every entry NaN, which no precision resolves
+    x = abs(x) if math.isfinite(x) else 0.0
     exponent = 2 * W + 2 * x + 16
     return int(math.ceil(exponent * math.log10(1.0 / q))) + slack
 

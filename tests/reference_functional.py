@@ -1,22 +1,16 @@
 """The six-walk loop that the per-word screen of
 `action.invariance_defects` replaced, kept for tests that compare the two:
 every tail label walks all six diagonal walks of the defects, whatever the
-word's move, and a walk that does not return reads as an exact 0 from
-`walk_diagonal`."""
+word's move, through a label-first diagonal walk of its own, and a walk
+that dies or does not return reads as an exact 0.  It reads only the
+kernel's step tables (one raw coefficient per step), not its walk."""
 
 import math
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
 
-from qsphere.reps import (
-    mp_ctx,
-    path_table,
-    segment_path,
-    step_tables,
-    walk_diagonal,
-    walk_dps,
-)
+from qsphere.reps import mp_ctx, segment_path, step_tables, walk_dps
 
 _RND = round_nearest
 
@@ -25,9 +19,28 @@ def _finite(v) -> bool:
     return bool(v[1]) or v == fzero
 
 
+def walk_diagonal(path, label, prec):
+    """Raw diagonal entry at `label` of the product walked by `path`: its
+    labels are followed first, and only a walk back to `label` multiplies,
+    in walk order, the first coefficient starting the product."""
+    end, coeffs = label, []
+    for table in path:
+        hit = table[end]
+        if hit is None:
+            return fzero
+        end, c = hit
+        coeffs.append(c)
+    if end != label:
+        return fzero
+    p = coeffs[0] if coeffs else fone
+    for c in coeffs[1:]:
+        p = mpf_mul(p, c, prec, _RND)
+    return p
+
+
 def defect_sums(word, rep, W):
     """The raw mpf tail sums for K, E and F, whose magnitudes
-    `action.invariance_defects` returns."""
+    `action.invariance_defects` returns for `word`."""
     q = rep.meta["q"]
     tail = max(8, int(math.ceil(16.0 * math.log(10)
                                 / (2.0 * abs(math.log(q)))))) + 4
@@ -40,11 +53,11 @@ def defect_sums(word, rep, W):
         pref_f = (ctx.qpow(-1) * ctx.sqrt(ctx.qpow(-1)) * lam)._mpf_
         tables = step_tables(rep, ctx)
         Z, Zi, X, Y = (tables[(g, True)] for g in ("Z", "Zi", "X", "Y"))
-        mw = path_table(segment_path(tables, [(g, False) for g in word]))
+        mw = segment_path(tables, [(g, False) for g in word])
         # walk order of M, ad_K: Z M Zi, ad_E: Zi M X - Zi X M, ad_F:
         # M Y Zi - Y M Zi (implementer letters)
-        walks = ([mw], [Zi, mw, Z], [X, mw, Zi], [mw, X, Zi], [Zi, Y, mw],
-                 [Zi, mw, Y])
+        walks = (mw, [Zi] + mw + [Z], [X] + mw + [Zi], mw + [X, Zi],
+                 [Zi, Y] + mw, [Zi] + mw + [Y])
         sums = [fzero, fzero, fzero]
         for fam, kmin in rep.families:
             for k in range(kmin + W, kmin + W + tail):

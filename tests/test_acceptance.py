@@ -139,8 +139,7 @@ def test_criterion_05_invariant_functionals():
         for W in windows:
             rep = rep_of(W)
             top = {"K": 0.0, "E": 0.0, "F": 0.0}
-            for w in words:
-                d = invariance_defects(w, rep, W)
+            for d in invariance_defects(words, rep, W):
                 for key in top:
                     top[key] = max(top[key], d[key])
             bound = 100.0 * P5.q ** (2 * (W - 8))

@@ -98,6 +98,44 @@ def test_ad_composition_q_commutation():
         assert combos_residual(rep, lhs, rhs, 16) < 1e-10, w
 
 
+def _parent_combo_ad(g, combos, p):
+    """combo_ad as it was written out per generator before `_AD`."""
+    q, lam = p.q, p.lam
+    out = []
+    for coef, segs in combos:
+        if g == "K":
+            out.append((coef, [("Z", True)] + segs + [("Zi", True)]))
+        elif g == "E":
+            c = math.sqrt(q) * lam * coef
+            out.append((c, [("Zi", True)] + segs + [("X", True)]))
+            out.append((-c, [("Zi", True), ("X", True)] + segs))
+        elif g == "F":
+            c = (q ** -1.5) * lam * coef
+            out.append((c, segs + [("Y", True), ("Zi", True)]))
+            out.append((-c, [("Y", True)] + segs + [("Zi", True)]))
+    return out
+
+
+def _bits(combos):
+    """Combos with each coefficient as its type and exact bits."""
+    return [(type(c), c.hex() if isinstance(c, float) else c, segs)
+            for c, segs in combos]
+
+
+def test_combo_ad_matches_written_out_action():
+    from qsphere.action import combo_ad
+    segs = [[], [(a_gen(1), False)], [("X", False), ("Y", True)],
+            [("T", False), ("Zi", False), ("X", True)]]
+    for p in (P, QParams(0.3), QParams(0.83)):
+        for coefs in ((1, -3, 0), (1.0, -0.3, 2.7182818, 0.0, -0.0)):
+            combos = [(c, list(sg)) for c in coefs for sg in segs]
+            for g in "KEF":
+                assert (_bits(combo_ad(g, combos, p))
+                        == _bits(_parent_combo_ad(g, combos, p))), (p, g)
+    with pytest.raises(KeyError):
+        combo_ad("T", [(1.0, [])], P)
+
+
 def _star(poly):
     """The *-map of the bl algebras: reverse words, X* = Y, Y* = X, Z* = Z,
     A(s)* = (-1)^s A(-s), conjugate coefficients."""
@@ -190,12 +228,12 @@ def test_invariance_defect_matches_direct_trace_at_small_window():
     idx = np.ix_(*[rep.window_indices(M, W)] * 2)
     j = np.arange(W)
     dens = np.concatenate([Q ** (2 * j + x + 1), Q ** (2 * j - x + 1)])
-    for word in (("Y",), ("Y", "Z"), ("X",), ("Z", "X")):
+    words = [("Y",), ("Y", "Z"), ("X",), ("Z", "X")]
+    for word, d in zip(words, invariance_defects(words, rep, W)):
         A = _img(rep, word, M)
         adE = (math.sqrt(Q) * P.lam * (Zi @ (A @ X - X @ A)))[idx]
         direct = abs(np.sum(dens * np.diag(adE)))
-        walked = invariance_defects(word, rep, W)["E"]
-        assert walked == pytest.approx(direct, rel=1e-6, abs=1e-14), word
+        assert d["E"] == pytest.approx(direct, rel=1e-6, abs=1e-14), word
 
 
 def test_invariance_defects_memoised_match_fresh_context(monkeypatch):
@@ -204,24 +242,30 @@ def test_invariance_defects_memoised_match_fresh_context(monkeypatch):
 
     cases = [(rep_podles(P, 1.0, "direct_sum", 12), ("Y", "Z"), ("X",)),
              (rep_bl(P, 0.5, 12), (a_gen(1), "Y"), ("Z", a_gen(-1)))]
-    shared = [invariance_defects(w, rep, 12)
-              for rep, *words in cases for w in words]
+    shared = [invariance_defects(words, rep, 12) for rep, *words in cases]
     # an unshared context: its own step tables compute every step again
     monkeypatch.setattr(action, "mp_ctx", MPCtx)
-    assert shared == [invariance_defects(w, rep, 12)
-                      for rep, *words in cases for w in words]
+    assert shared == [invariance_defects(words, rep, 12)
+                      for rep, *words in cases]
 
 
-def _reference_diag_walk(rep, segments, fam, k, ctx, absorb):
-    """The diagonal walk that multiplies each coefficient as it steps."""
+def _reference_walk(rep, segments, fam, k, ctx, absorb):
+    """The walk that multiplies each coefficient as it steps: None where a
+    step dies, else (end label, value)."""
     cf, ck, val = fam, k, 1.0
     for g, impl in reversed(segments):
         hit = rep.step(g, cf, ck, ctx)
         if hit is None:
-            return 0.0
+            return None
         cf, ck, c = hit
         val *= -c if impl and absorb and cf == "-" else c
-    return val if (cf, ck) == (fam, k) else 0.0
+    return (cf, ck), val
+
+
+def _reference_diag_walk(rep, segments, fam, k, ctx, absorb):
+    """The diagonal entry of `_reference_walk`: 0 off its label."""
+    hit = _reference_walk(rep, segments, fam, k, ctx, absorb)
+    return 0.0 if hit is None or hit[0] != (fam, k) else hit[1]
 
 
 def _reference_density(rep, fam, k, ctx):
@@ -270,12 +314,7 @@ def _reference_invariance_defects(word, rep, W):
 def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
     import mpmath as mp
 
-    from qsphere.reps import (
-        mp_ctx,
-        segment_path,
-        step_tables,
-        walk_diagonal,
-    )
+    from qsphere.reps import mp_ctx, segment_path, step_tables, walk_path
 
     p = QParams(0.37)
     plain = [("Z",), ("X", "Y"), ("Y", "Z", "X"),       # net shift 0
@@ -311,22 +350,26 @@ def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
                         for k in range(kmin, kmin + 6):
                             with mp.workdps(40):
                                 calls.clear()
-                                got = mp.make_mpf(walk_diagonal(
-                                    path, (fam, k), ctx.prec))
+                                got = walk_path(path, (fam, k), ctx.prec)
                                 n_got = len(calls)
                                 calls.clear()
-                                want = _reference_diag_walk(
+                                want = _reference_walk(
                                     rep, segments, fam, k, ctx, absorb)
-                            assert got == want, (word, segments, fam, k)
+                            where = (word, segments, fam, k)
+                            assert (got is None) == (want is None), where
+                            if got is not None:
+                                assert got[0] == want[0], where
+                                assert mp.make_mpf(got[1]) == want[1], where
                             # steps come from the kernel's memo
                             assert n_got <= len(calls) and len(calls) > 0
-                            returned += want != 0
-                            vanished += want == 0
+                            returned += (want is not None
+                                         and want[0] == (fam, k))
+                            vanished += want is None
         monkeypatch.undo()
     assert returned > 0 and vanished > 0
 
-    assert ([invariance_defects(w, rep, 12)
-             for rep, words in cases for w in words]
+    assert ([d for rep, words in cases
+             for d in invariance_defects(words, rep, 12)]
             == [_reference_invariance_defects(w, rep, 12)
                 for rep, words in cases for w in words])
 
@@ -338,8 +381,8 @@ def test_screened_defects_match_six_walk_reference(monkeypatch):
 
     monkeypatch.setattr(action, "mp_magnitude", lambda v: v)
 
-    def raw(w, rep, W):
-        return list(invariance_defects(w, rep, W).values())
+    def raw(words, rep, W):
+        return [list(d.values()) for d in invariance_defects(words, rep, W)]
 
     W = 12
     cases = ([(make_presentation("podles", P, x=x),
@@ -347,31 +390,85 @@ def test_screened_defects_match_six_walk_reference(monkeypatch):
              + [(make_presentation("bl", P, l=l), rep_bl(P, l, W))
                 for l in (0, 0.5, 1.5)])
     walked = []
-    walk_diagonal = action.walk_diagonal
-    monkeypatch.setattr(action, "walk_diagonal", lambda path, *a: (
-        walked.append(id(path)) or walk_diagonal(path, *a)))
+    walk_path = action.walk_path
+    monkeypatch.setattr(action, "walk_path", lambda path, *a: (
+        walked.append(id(path)) or walk_path(path, *a)))
     live_words = []
     for pres, rep in cases:
         words = basis_words(pres, 4)
         live = []
         for w in words:
             walked.clear()
-            assert (raw(w, rep, W)
-                    == reference_functional.defect_sums(w, rep, W)), w
+            assert (raw([w], rep, W)
+                    == [reference_functional.defect_sums(w, rep, W)]), w
             live.append(len(set(walked)))
         assert set(live) <= {0, 2}
         live_words.append((sum(n > 0 for n in live), len(words)))
+        # one call for every word gives the sums of one call per word
+        assert raw(words, rep, W) == [raw([w], rep, W)[0] for w in words]
     # podles at x = 1 and bl(0.5)
     assert live_words[0] == (13, 25) and live_words[3] == (13, 49)
-    # a NaN density poisons every sum, screened walks or not; walk_dps
-    # refuses a NaN x, so both sides take a fixed precision
-    for module in (action, reference_functional):
-        monkeypatch.setattr(module, "walk_dps", lambda rep, W, slack: 60)
+    # a NaN density poisons every sum, screened walks or not
     nan_rep = rep_podles(P, float("nan"), "direct_sum", 8)
-    for w in basis_words(make_presentation("podles", P, x=1.0), 2):
-        got = raw(w, nan_rep, 8)
-        assert got == reference_functional.defect_sums(w, nan_rep, 8), w
-        assert all(math.isnan(mp.make_mpf(v)) for v in got), w
+    words = basis_words(make_presentation("podles", P, x=1.0), 2)
+    got = raw(words, nan_rep, 8)
+    assert got == [reference_functional.defect_sums(w, nan_rep, 8)
+                   for w in words]
+    assert all(math.isnan(mp.make_mpf(v)) for d in got for v in d)
+
+
+def test_live_pairs_return_and_dead_pairs_read_zero(monkeypatch):
+    # every basis word of degree <= 4: a pair whose move cancels walks
+    # back to each tail label, where no step dies, and any other pair
+    # walks nothing and reads 0
+    from qsphere.action import _AD
+    walks = []
+    walk_path = action.walk_path
+
+    def recorded(path, label, prec):
+        hit = walk_path(path, label, prec)
+        walks.append((label, hit))
+        return hit
+    monkeypatch.setattr(action, "walk_path", recorded)
+    W = 12
+    cases = ([(make_presentation("podles", P, x=x),
+               rep_podles(P, x, "direct_sum", W)) for x in (1.0, 0.35, -2.5)]
+             + [(make_presentation("bl", P, l=l), rep_bl(P, l, W))
+                for l in (0, 0.5, 1, 1.5, 2)])
+    total = 0
+    for pres, rep in cases:
+        words = basis_words(pres, 4)
+        for w in words:
+            walks.clear()
+            d, = invariance_defects([w], rep, W)
+            live = 0
+            for g in "KEF":
+                # the pair's letters: its first term's, as M's own move
+                letters = _AD[g][0][1] + _AD[g][0][2] + tuple(w)
+                dk = sum(rep.move(h)[0] for h in letters)
+                swaps = sum(rep.move(h)[1] for h in letters)
+                if dk == 0 and swaps % 2 == 0:
+                    live += 1
+                else:
+                    assert d[g] == 0.0, (w, g)
+            starts = {label for label, _ in walks}
+            assert len(walks) == 2 * live * len(starts), w
+            assert all(hit is not None and hit[0] == label
+                       for label, hit in walks), w
+            total += len(walks)
+    assert total == 12896
+
+
+def test_non_finite_x_reads_nan():
+    # walk_dps takes its precision from W alone, and NaN steps give NaN
+    from qsphere.action import combo_ad
+    from qsphere.reps import combos_residual, walk_dps
+    rep = rep_podles(P, float("nan"), "direct_sum", 8)
+    assert walk_dps(rep, 8) == walk_dps(rep_podles(P, 0.0, "plus", 8), 8)
+    for d in invariance_defects([("Y",), ("X", "Y")], rep, 8):
+        assert all(math.isnan(v) for v in d.values()), d
+    base = [(1.0, [("X", False), ("Y", False)])]
+    assert math.isnan(combos_residual(rep, combo_ad("K", base, P), base, 8))
 
 
 def test_invariance_defect_bound_and_slope():
@@ -382,8 +479,7 @@ def test_invariance_defect_bound_and_slope():
     for W in (32, 48):
         rep = rep_podles(P, x, "direct_sum", W)
         worst = {"K": 0.0, "E": 0.0, "F": 0.0}
-        for w in words:
-            d = invariance_defects(w, rep, W)
+        for d in invariance_defects(words, rep, W):
             for key in worst:
                 worst[key] = max(worst[key], d[key])
         bound = 100 * Q ** (2 * (W - 8))

@@ -710,39 +710,46 @@ def test_absorbed_and_adjoint_tables_match_fresh_steps():
                         if impl and two and hit[0] == "-":
                             c = mpf_neg(c)
                             seen["-"] += 1
-                        want = (hit[0], hit[1]), (c,)
+                        want = (hit[0], hit[1]), c
                     assert tables[(g, impl)][(fam, k)] == want, (g, impl)
                     seen["Y"] += g == "Y" and want is not None
         assert seen["Y"] > 0 and (seen["-"] > 0) == two
 
 
 def test_diagonal_walk_multiplies_only_returning_walks(monkeypatch):
+    # the label walk multiplies only a walk that survives, and the
+    # functional's diagonals walk only words whose moves let them return
+    from qsphere import action
     rep = rep_bl(P, 1, 12)
     ctx = mp_ctx(Q, rep.meta["x"])
     tables = reps.step_tables(rep, ctx)
-    muls, gathers = [], []
-    mpf_mul, walk_path = reps.mpf_mul, reps.walk_path
+    muls = []
+    mpf_mul = reps.mpf_mul
     monkeypatch.setattr(reps, "mpf_mul",
                         lambda *a: muls.append(a) or mpf_mul(*a))
-    monkeypatch.setattr(reps, "walk_path",
-                        lambda *a: gathers.append(a) or walk_path(*a))
     returning = [("X", "Y"), ("Y", "Z", "X"), (a_gen(1), a_gen(-1))]
     leaving = [("Y",), ("X", "Zi"), ("Y", "Y"), (a_gen(1),), ("X", "X")]
-    counts = {}
+    died = survived = 0
     with mp.workdps(ctx.dps):
         for word in returning + leaving:
             path = reps.segment_path(tables, [(g, True) for g in word])
             for label in window_labels(rep, 8):
                 muls.clear()
-                gathers.clear()
-                value = reps.walk_diagonal(path, label, ctx.prec)
-                counts.setdefault(word, []).append(
-                    (len(muls), len(gathers), value != reps.fzero))
-    for word in leaving:
-        assert counts[word] and all(c == (0, 0, False) for c in counts[word])
-    for word in returning:
-        assert any(m > 0 and nonzero for m, _, nonzero in counts[word])
-        assert all(g == nonzero for _, g, nonzero in counts[word])
+                hit = reps.walk_path(path, label, ctx.prec)
+                if hit is None:
+                    died += 1
+                    assert not muls, (word, label)
+                else:
+                    survived += 1
+                    assert len(muls) == len(word) - 1, (word, label)
+                    assert (hit[0] == label) == (word in returning)
+    assert died > 0 and survived > 0
+    ends = []
+    walk_path = action.walk_path
+    monkeypatch.setattr(action, "walk_path", lambda path, label, prec: (
+        ends.append((label, walk_path(path, label, prec))) or ends[-1][1]))
+    action.invariance_defects(returning + leaving, rep, 8)
+    assert ends and all(hit[0] == label for label, hit in ends)
 
 
 def test_table_fill_outside_its_precision_raises():

@@ -2,9 +2,10 @@
 src/qsphere is referenced by src/qsphere itself or by perfbench/.  Imports
 do not count as references, so the re-exports of __init__.py keep nothing
 alive, and neither does a function calling itself.  A function only tests
-reach fails here; delete it or wire it into a certificate.  Four more
+reach fails here; delete it or wire it into a certificate.  More
 ratchets cap the `@` products, the library square-root calls and the
-`workdps` uses of each module and keep numpy.linalg to action.py."""
+`workdps` uses of each module, keep numpy.linalg to action.py, and keep
+the adjoint action's letters to its one table."""
 
 import ast
 from pathlib import Path
@@ -241,3 +242,25 @@ def test_each_suite_has_one_call():
     assert _suite_references(ast.parse(
         "def suite_a(): pass\ndef _suite_calls(): suite_a\n"
         "def run(): suite_a()")) == {"suite_a": {"_suite_calls", "run"}}
+
+
+def _implementer_letters(tree) -> int:
+    """Tuples (<str literal>, True): a letter written as an implementer
+    segment."""
+    return sum(isinstance(node, ast.Tuple) and len(node.elts) == 2
+               and isinstance(node.elts[0], ast.Constant)
+               and isinstance(node.elts[0].value, str)
+               and isinstance(node.elts[1], ast.Constant)
+               and node.elts[1].value is True
+               for node in ast.walk(tree))
+
+
+def test_adjoint_action_letters_only_in_its_table():
+    # the adjoint action's letters are written once, as plain letters in
+    # `action._AD`, and turned into implementer segments there; no module
+    # spells an implementer letter out
+    counts = {path.stem: _implementer_letters(ast.parse(path.read_text()))
+              for path in sorted(SRC.glob("*.py"))}
+    assert not any(counts.values()), counts
+    assert _implementer_letters(ast.parse(
+        'a = [("Z", True), ("X", False), (g, True), ("Zi", 1)]')) == 1
