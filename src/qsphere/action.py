@@ -23,7 +23,7 @@ from .ncalg import Presentation, a_gen, basis_words, is_a_gen
 from .reps import (
     TensorRep,
     absorb_sign,
-    combos_residual,
+    combos_residuals,
     max_abs,
     mp_ctx,
     mp_magnitude,
@@ -108,42 +108,41 @@ def ladder_coeff_f(p: QParams, l, s: int) -> float:
     return 0.0 if c is None else p.q ** (s - twol - 0.5) * p.lam * c
 
 
-def _theta_combo(p: QParams, l, s: int) -> list:
-    return [(lambda_s(p, l, s), [(a_gen(s), False)])]
-
-
-def spin2l_check(p: QParams, l, N: int) -> dict:
-    """Residuals of the K/E/F ladder laws for every component, including the
-    highest/lowest weight vanishing.  Walked in mp arithmetic so that the
-    inverse-diagonal factor of the action does not amplify rounding noise."""
+def spin2l_laws(p: QParams, l) -> dict:
+    """The K/E/F ladder laws of every component, the highest/lowest weight
+    vanishing included, as {name: (combos, target combos)}."""
     twol = int(2 * l)
-    rep = rep_bl(p, l, N)
-    q = p.q
     out = {}
     for s in range(-twol, twol + 1):
-        th = _theta_combo(p, l, s)
-        tgt_k = [(q ** (2 * s) * lambda_s(p, l, s), [(a_gen(s), False)])]
+        th = [(lambda_s(p, l, s), [(a_gen(s), False)])]
+        tgt_k = [(p.q ** (2 * s) * lambda_s(p, l, s), [(a_gen(s), False)])]
         tgt_e = ([(ladder_coeff_e(p, l, s) * lambda_s(p, l, s - 1),
                    [(a_gen(s - 1), False)])] if s > -twol else [])
         tgt_f = ([(ladder_coeff_f(p, l, s) * lambda_s(p, l, s + 1),
                    [(a_gen(s + 1), False)])] if s < twol else [])
-        out[f"K_s{s:+d}"] = combos_residual(rep, combo_ad("K", th, p), tgt_k, N)
-        out[f"E_s{s:+d}"] = combos_residual(rep, combo_ad("E", th, p), tgt_e, N)
-        out[f"F_s{s:+d}"] = combos_residual(rep, combo_ad("F", th, p), tgt_f, N)
+        for g, tgt in (("K", tgt_k), ("E", tgt_e), ("F", tgt_f)):
+            out[f"{g}_s{s:+d}"] = (combo_ad(g, th, p), tgt)
     return out
+
+
+def spin2l_check(p: QParams, l, N: int) -> dict:
+    """Residuals of the ladder laws (`spin2l_laws`), walked in one
+    `combos_residuals` call in mp arithmetic so that the inverse-diagonal
+    factor of the action does not amplify rounding noise."""
+    laws = spin2l_laws(p, l)
+    return dict(zip(laws, combos_residuals(rep_bl(p, l, N),
+                                           list(laws.values()), N)))
 
 
 def casimir_invariance(p: QParams, x: float, N: int) -> dict:
     """Residuals of ad_K(T2)=T2, ad_E(T2)=0, ad_F(T2)=0 on the tensor window
     of the plus series, the implementer being the tensored representation
-    itself."""
+    itself; the three walked in one `combos_residuals` call."""
     rep2 = TensorRep(rep_podles(p, x, "plus", N))
     tw = [(1.0, [("T", False)])]
-    return {
-        "K": combos_residual(rep2, combo_ad("K", tw, p), tw, N),
-        "E": combos_residual(rep2, combo_ad("E", tw, p), [], N),
-        "F": combos_residual(rep2, combo_ad("F", tw, p), [], N),
-    }
+    return dict(zip("KEF", combos_residuals(rep2, [
+        (combo_ad("K", tw, p), tw), (combo_ad("E", tw, p), []),
+        (combo_ad("F", tw, p), [])], N)))
 
 
 # ---------------------------------------------------------------------------

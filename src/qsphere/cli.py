@@ -100,12 +100,11 @@ ALL_ARGS = {
     "theorem2": {"l": 0.5}, "orbit": {"x": 0.3, "y": 1.7},
     "picard": {"x": 0.0}, "oracle": {"x": 1.0, "l": 0.5}}
 # the suites of `all` that a forked worker certifies while this process
-# certifies the rest.  At the defaults the halves are about even: run
-# alone, the worker's takes 0.30 s of wall time (0.31 s CPU) against 0.32 s
-# (0.40 s CPU, LAPACK's threads included) for this process's half (medians
-# of 15 fresh processes each, 2-vCPU VM).  Ergodic stays here, so LAPACK
-# never runs in the forked child and its dependent-monomials message goes
-# to this process's stderr
+# certifies the rest.  At the defaults the halves are about even: run alone,
+# the worker's takes 0.16 s and this process's 0.18 s in reference-host
+# seconds (0.28 and 0.31 s wall; medians of 15 fresh processes, 2-vCPU VM).
+# Ergodic stays here, so LAPACK never runs in the forked child and its
+# dependent-monomials message goes to this process's stderr
 ALL_WORKER = ("relations", "functional", "compress", "theorem2")
 
 

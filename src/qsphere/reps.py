@@ -5,33 +5,25 @@ The one float form of an operator is a list of one-to-one weighted shifts
 (tgt, coef): column j goes to row tgt[j] (nowhere where it is -1) with
 coefficient coef[j].  A podles / bl generator is one shift per internal
 truncation M, read from its label steps (square roots through
-`qcore._sqrt_coeff`), each label's step evaluated once per representation
-in its one qcore `FloatCtx`.  Each generator declares its move once, a
-label offset and whether it swaps the "+" and "-" summands (`LabelRep`),
-and its step function returns only the coefficient.  A tensor generator
+`qcore._sqrt_coeff`), each evaluated once per representation in its one
+`FloatCtx`; each generator declares its move (a label offset, and whether
+it swaps the "+" and "-" summands) once (`LabelRep`).  A tensor generator
 is several shifts, read from one coaction table (`_tensor_terms`); the
 spin-1/2 module and compressions store theirs (`ShiftRep`).  One walk
 (`walk_shifts`; a factor may be a scalar) serves every float certificate
-as a walked difference of products (`walk_difference`), `evaluate`,
-`residuals` and the float `relation_check` included; `residuals` walks each word once per internal
-size for a whole list of pairs and scales the walk by each term's
-coefficient.  Padded evaluation walks at an enlarged size and crops, so
-retained entries are exact values of the infinite-dimensional operators;
-differences are summed on the walked support only.
+as a walked difference of products (`walk_difference`); `residuals` walks
+each word once per internal size for all its pairs.  Padded evaluation
+walks at an enlarged size and crops, so retained entries are exact values
+of the infinite-dimensional operators.
 
 Relation residuals, adjoint-action residuals and invariant-functional tail
-defects are walked label by label in real mpmath arithmetic, through one
-exact walk kernel (see its section): the product-form relations of the
-graded algebras reach entry magnitudes ~1e6 at small q, where double
-precision cannot certify 1e-11 absolute residuals.  A relation rule is
-walked as combos, like an adjoint-action residual, through one entry point
-(`_exact_residual`).  Exact walks share one mp context per (q, x,
-precision) (`mp_ctx`), and each representation memoises every step it
-takes in it as (target label, raw coefficient), so a step coefficient is
-computed once (implementer letters and adjoints read it).  One label walk
-(`walk_path`) reads the columns of combos and the functional's diagonals;
-a tensor representation's walks branch (`_branch_walk`).  `MPCtx` has
-FloatCtx's interface, so the label steps run unchanged in either.
+defects are walked label by label in real mpmath arithmetic through one
+exact walk kernel (see its section), since the graded algebras' entries
+reach ~1e6 at small q, where double precision cannot certify 1e-11
+absolute residuals.  A batch of identities, combos against combos (a
+relation rule is walked as combos too), is one `combos_residuals` call,
+whose paths form one prefix trie; the functional's diagonals walk one path
+at a time (`walk_path`).
 """
 
 from __future__ import annotations
@@ -43,6 +35,7 @@ import weakref
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
+    fnan,
     fone,
     from_float,
     from_int,
@@ -58,7 +51,6 @@ from mpmath.libmp import (
 
 from .qcore import FloatCtx, QParams, _sqrt_coeff, tau_of
 from .ncalg import NCPoly, Presentation, Word, is_a_gen
-from .report import max_or_nan
 
 MP_DPS = 40
 
@@ -673,14 +665,15 @@ def residuals(pairs, rep) -> list:
 # the exact walk kernel
 #
 # Every exact check reads columns of operator products label by label in
-# mpmath arithmetic.  A "segment" is (generator, impl): impl selects the
-# implementer letter, which on a two-summand space absorbs the sign operator,
-# so its coefficient is negated where the step lands in the "-" family.  A
-# recipe item ("zf", sign, n, m) is one more segment kind, the diagonal
-# factor 1 - sign*q^(n+mx)*Z, and so is a recipe's lead ("lead", sign, n,
-# m), the scalar sign*q^(n+mx).  A "combo" is (coefficient, [segments]) and
-# stands for coefficient * (operator product of the segments); the
-# coefficient is a real Python number, and the kernel is real throughout.
+# mpmath arithmetic, exactly on the infinite operators at a precision chosen
+# against the q^(-2k) growth of the localization inverse.  A "segment" is
+# (generator, impl): impl selects the implementer letter, which on a
+# two-summand space absorbs the sign operator, so its coefficient is negated
+# where the step lands in the "-" family.  A recipe item ("zf", sign, n, m)
+# is one more segment kind, the diagonal factor 1 - sign*q^(n+mx)*Z, and so
+# is a recipe's lead ("lead", sign, n, m), the scalar sign*q^(n+mx).  A
+# "combo" (coefficient, [segments]) is a real Python coefficient times the
+# operator product of the segments; the kernel is real throughout.
 #
 # Steps are memoised per (representation, mp context) as (target label, raw
 # coefficient), one coefficient per step, an mpmath `_mpf_` tuple computed at
@@ -688,18 +681,17 @@ def residuals(pairs, rep) -> list:
 # factor 1 - sign*q^(n+mx) of a root once (`MPCtx.factor`).  A label step is
 # computed once, in its plain table; the implementer letter's table negates
 # the plain entry where it lands in "-", and an adjoint's (`LabelRep.adjoints`)
-# reads its real step's entry at the label the adjoint's move lands on.  A
-# walk on a label representation (`walk_path`, the one such walk: combo
-# columns and the functional's diagonals) visits its labels first and
-# multiplies the coefficients of a walk that survives afterwards, in walk
-# order, with libmp's mpf_mul at the context's precision, rounding to
-# nearest; the first coefficient starts the product, which is exact.  Sums,
-# signs and the combo coefficient use the libmp function that mpmath's
-# operators call on the same operands (a coefficient of exactly 1 leaves the
-# value as mpf_mul would).  So every value is bit-identical to multiplying
-# mpf objects as one goes, without their wrappers, and a walk that dies
-# forms no product.  Walks on a tensor representation branch; they multiply
-# and sum as they go, in the same order.
+# reads its real step's entry at the label the adjoint's move lands on.
+#
+# A walk multiplies its steps' coefficients in walk order with libmp's
+# mpf_mul at the context's precision, rounding to nearest, the first
+# coefficient starting the product exactly.  Sums, signs and the combo
+# coefficient use the libmp function that mpmath's operators call (a
+# coefficient of exactly 1 leaves the value as mpf_mul would), so every
+# value is bit-identical to multiplying mpf objects.  `combos_residuals`
+# walks one prefix trie of its paths: a node's product is its parent's times
+# the step (on a tensor representation, a branching walk's frontier), formed
+# once for all paths through it.  `walk_path` walks one path, labels first.
 # ---------------------------------------------------------------------------
 
 _RND = round_nearest
@@ -835,11 +827,8 @@ def segment_path(tables, segs) -> list:
 
 def walk_path(path, label, prec: int):
     """Walk `label` through the step tables of `path` on a label
-    representation: None where a step dies, else (end label, raw product).
-    The labels are followed first, and only a walk that survives multiplies
-    its coefficients, in walk order at `prec`, rounding to nearest: the value
-    of multiplying mpf objects from 1, the first coefficient starting the
-    product exactly (the empty path's product is 1)."""
+    representation: None where a step dies, else (end label, raw product),
+    the labels followed first (the empty path's product is 1)."""
     coeffs = []
     for table in path:
         hit = table[label]
@@ -872,30 +861,11 @@ def _raw_number(c):
     return from_float(float(c))
 
 
-# ---------------------------------------------------------------------------
-# exact residuals: relations and combos, walked column by column
-#
-# Walking combos column by column evaluates them exactly on the infinite
-# operators; with an mpmath context the precision can be chosen against the
-# q^(-2k) growth of the localization inverse.
-# ---------------------------------------------------------------------------
-
 def window_labels(rep, W: int):
-    if isinstance(rep, TensorRep):
-        for fam, kmin in rep.base.families:
-            for k in range(kmin, kmin + W):
-                yield (fam, k, 0)
-                yield (fam, k, 1)
-        return
-    for fam, kmin in rep.families:
+    tensor = isinstance(rep, TensorRep)
+    for fam, kmin in (rep.base if tensor else rep).families:
         for k in range(kmin, kmin + W):
-            yield (fam, k)
-
-
-def _compile(tables, combos) -> list:
-    """Combos as (path, raw coefficient)."""
-    return [(segment_path(tables, segs), _raw_number(coef))
-            for coef, segs in combos]
+            yield from ((fam, k, 0), (fam, k, 1)) if tensor else ((fam, k),)
 
 
 def _poly_combos(terms: dict) -> list:
@@ -909,96 +879,130 @@ def _rule_combos(rule) -> list:
     starts the product."""
     if rule.recipe is None:
         return _poly_combos(rule.rhs)
-    (sign, n, m), items = rule.recipe
-    lead = (("lead", sign, n, m), False)
-    return [(1, [(it, False) for it in items] + [lead])]
+    lead, items = rule.recipe
+    return [(1, [(it, False) for it in (*items, ("lead", *lead))])]
 
 
-def _branch_walk(path, label, prec: int) -> dict:
-    """{end label: raw value} of a walk that branches: each step multiplies
-    the value reaching a label and sums what lands on one label, in frontier
-    order; None stands for the exact 1 a walk starts from."""
-    frontier = {label: None}
-    for table in path:
+def _trie(tables, node) -> tuple:
+    """The edges out of a node of a dict trie {segment: child, None: path
+    number} as nested tuples (step table, path number or None, edges)."""
+    return tuple((tables[seg], child.pop(None, None), _trie(tables, child))
+                 for seg, child in node.items())
+
+
+def _label_trie(edges, label, p, ends, prec):
+    """Walk `label` down trie edges on a label representation, p the
+    product so far (None for the exact 1 a walk starts from)."""
+    for table, leaf, below in edges:
+        hit = table[label]
+        if hit is not None:
+            lab, c = hit
+            if p is not None:
+                c = mpf_mul(p, c, prec, _RND)
+            if leaf is not None:
+                ends[leaf] = ((lab, c),)
+            if below:
+                _label_trie(below, lab, c, ends, prec)
+
+
+def _branch_trie(edges, frontier, ends, prec):
+    """Walk a frontier {label: raw value, None for an exact 1} down trie
+    edges on a tensor representation, whose steps branch."""
+    for table, leaf, below in edges:
         nxt: dict = {}
         for lab, val in frontier.items():
             for lab2, c in table[lab]:
                 p = c if val is None else mpf_mul(val, c, prec, _RND)
                 old = nxt.get(lab2)
                 nxt[lab2] = p if old is None else mpf_add(old, p, prec, _RND)
-        frontier = nxt
-        if not frontier:
-            break
-    return {lab: fone if val is None else val
-            for lab, val in frontier.items()}
+        if nxt:
+            if leaf is not None:
+                ends[leaf] = list(nxt.items())
+            _branch_trie(below, nxt, ends, prec)
 
 
-def _combo_column(tables, combos, label, rows=None, sub=False) -> dict:
-    """Column `label` of compiled combos: each coef * product is added to
-    (with `sub`, subtracted from) its row of `rows`, in combo order, a
-    missing row standing for 0; {row label: raw value}."""
-    prec = tables.prec
-    branched = isinstance(tables.rep(), TensorRep)
-    rows = {} if rows is None else rows
-    for path, coef in combos:
-        if branched:
-            ends = _branch_walk(path, label, prec).items()
-        else:
-            hit = walk_path(path, label, prec)
-            ends = () if hit is None else (hit,)
-        for lab, val in ends:
-            term = val if coef == fone else mpf_mul(val, coef, prec, _RND)
-            old = rows.get(lab)
-            if sub:
-                term = mpf_sub(fzero if old is None else old, term, prec, _RND)
-            elif old is not None:
-                term = mpf_add(old, term, prec, _RND)
-            rows[lab] = term
-    return rows
+def _larger(a, b):
+    """Whichever of the raw mpfs a and b is larger in magnitude (a on a
+    tie), NaN above an infinity above every number, so that converting it
+    to float reads max_or_nan of both magnitudes: rounding is monotone."""
+    if not b[1]:                        # b is 0, an infinity or NaN
+        return b if b == fnan or b != fzero and a != fnan else a
+    if not a[1]:
+        return b if a == fzero else a
+    if a[2] + a[3] != b[2] + b[3]:      # exponent + bit count, then mantissa
+        return a if a[2] + a[3] > b[2] + b[3] else b
+    return b if b[1] << a[3] > a[1] << b[3] else a   # shifted to one exponent
 
 
-def _termwise_residual(rep, W: int, tables, lhs, rhs) -> float:
-    """max |lhs - rhs| over window columns and rows, every rhs combo
-    subtracted from the lhs sum one by one."""
-    inside = set(window_labels(rep, W))
-    worst = 0.0
-    for label in window_labels(rep, W):
-        rows = _combo_column(tables, rhs, label,
-                             _combo_column(tables, lhs, label), sub=True)
-        for lab, val in rows.items():
-            if lab in inside:
-                worst = max_or_nan(worst, mp_magnitude(val))
-    return worst
-
-
-def _exact_residual(rep, lhs, rhs, W: int, dps: int) -> float:
-    """max |lhs - rhs| for combos walked in the shared mp context of `rep`
-    at `dps` digits (`_termwise_residual`)."""
+def combos_residuals(rep, pairs, W: int, dps: int | None = None) -> list:
+    """max |combos_a - combos_b| over window columns and rows for each pair
+    (combos_a, combos_b), walked in the shared mp context of `rep` at `dps`
+    digits (window-adaptive, `walk_dps`, by default).  The distinct paths of
+    all the pairs form one prefix trie, walked once from each window label;
+    then each pair adds its combos into its rows in combo order, combos_b
+    subtracted one by one, and keeps its largest window row (`_larger`),
+    converted to float once."""
+    dps = walk_dps(rep, W) if dps is None else dps
     with mp.workdps(dps):
         ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
-        tables = step_tables(rep, ctx)
-        return _termwise_residual(rep, W, tables, _compile(tables, lhs),
-                                  _compile(tables, rhs))
+        prec, tables, paths, root = ctx.prec, step_tables(rep, ctx), {}, {}
+        # each pair's combos as (path number, raw coefficient or None for
+        # an exact 1, whether it is subtracted)
+        terms = [[(paths.setdefault(tuple(reversed(segs)), len(paths)),
+                   None if (c := _raw_number(coef)) == fone else c, sub)
+                  for sub, side in enumerate(pair) for coef, segs in side]
+                 for pair in pairs]
+        for path, i in paths.items():
+            node = root
+            for seg in path:
+                node = node.setdefault(seg, {})
+            node[None] = i
+        empty, edges = root.pop(None, None), _trie(tables, root)
+        inside = set(window_labels(rep, W))
+        largest = [fzero] * len(pairs)
+        for label in window_labels(rep, W):
+            # each path's (end label, raw value) pairs, () where it dies
+            ends = [()] * len(paths)
+            if empty is not None:
+                ends[empty] = ((label, fone),)
+            if isinstance(rep, TensorRep):
+                _branch_trie(edges, {label: None}, ends, prec)
+            else:
+                _label_trie(edges, label, None, ends, prec)
+            for j, combos in enumerate(terms):
+                rows: dict = {}
+                for i, coef, sub in combos:
+                    for lab, val in ends[i]:
+                        term = (val if coef is None
+                                else mpf_mul(val, coef, prec, _RND))
+                        old = rows.get(lab)
+                        if sub:
+                            term = mpf_sub(fzero if old is None else old,
+                                           term, prec, _RND)
+                        elif old is not None:
+                            term = mpf_add(old, term, prec, _RND)
+                        rows[lab] = term
+                for lab, v in rows.items():
+                    if lab in inside:
+                        largest[j] = _larger(largest[j], v)
+        return [mp_magnitude(v) for v in largest]
 
 
 def relation_check(pres: Presentation, rep) -> dict:
     """Residual of every defining relation of `pres` in `rep`, {rule name:
-    max |lhs - rhs|} over its padded-interior window (size rep.N): walked
-    exactly on a label representation, and on any other by one float
-    `residuals` call, in which the rules share their word walks.
-
+    max |lhs - rhs|} over its padded-interior window (size rep.N): all rules
+    walked exactly in one `combos_residuals` call at MP_DPS digits on a
+    label representation, and in one float `residuals` call on any other.
     Rules tagged as derived rewriting aids (conjugation by the unbounded
-    Z^-1, centrality of T) are skipped: their operator entries grow like
-    q^(-2k), so absolute residuals at the window edge are not meaningful
-    certificates.
-    """
+    Z^-1, centrality of T) are skipped: their entries grow like q^(-2k), so
+    absolute residuals at the window edge certify nothing."""
     rules = [r for r in pres.rules if r.defining]
     if not isinstance(rep, LabelRep):
         return dict(zip((r.name for r in rules), residuals(
             [(NCPoly({r.lhs: 1.0}), NCPoly(r.rhs)) for r in rules], rep)))
-    return {r.name: _exact_residual(rep, _poly_combos({r.lhs: 1.0}),
-                                    _rule_combos(r), rep.N, MP_DPS)
-            for r in rules}
+    return dict(zip((r.name for r in rules), combos_residuals(
+        rep, [(_poly_combos({r.lhs: 1.0}), _rule_combos(r)) for r in rules],
+        rep.N, MP_DPS)))
 
 
 def walk_dps(rep, W: int, slack: int = 30) -> int:
@@ -1013,10 +1017,8 @@ def walk_dps(rep, W: int, slack: int = 30) -> int:
 
 
 def combos_residual(rep, combos_a, combos_b, W: int) -> float:
-    """max |combos_a - combos_b| over window columns and rows, walked in mp
-    arithmetic at window-adaptive precision (`walk_dps`), each combo of
-    combos_b subtracted from the combos_a sum one by one."""
-    return _exact_residual(rep, combos_a, combos_b, W, walk_dps(rep, W))
+    """max |combos_a - combos_b| over the window (`combos_residuals`)."""
+    return combos_residuals(rep, [(combos_a, combos_b)], W)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
-from mpmath.libmp import mpf_neg
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import finf, fnan, fninf, fzero, mpf_neg
 
+import reference_residual
 from qsphere import reps
 from qsphere.qcore import QParams, tau
+from qsphere.report import max_or_nan
 from qsphere.ncalg import (
     NCPoly,
     RewriteCapError,
@@ -23,6 +27,7 @@ from qsphere.reps import (
     ShiftRep,
     TensorRep,
     combos_residual,
+    combos_residuals,
     dump_matrix,
     evaluate,
     load_matrix,
@@ -590,10 +595,12 @@ def test_matrix_dump_roundtrip(tmp_path):
 
 
 def _walk_combos(rep, combos, label, ctx):
-    """Column `label` of sum(coef * product(segments)) from the exact walk
-    kernel, as mpmath numbers: {row label: value}."""
+    """Column `label` of sum(coef * product(segments)) walked on the exact
+    kernel's step tables by the per-combo reference loop, as mpmath
+    numbers: {row label: value}."""
     tables = reps.step_tables(rep, ctx)
-    rows = reps._combo_column(tables, reps._compile(tables, combos), label)
+    rows = reference_residual.combo_column(
+        tables, reference_residual.compile_combos(tables, combos), label)
     return {lab: mp.make_mpf(v) for lab, v in rows.items()}
 
 
@@ -1038,3 +1045,100 @@ def test_relation_kernel_matches_multiplying_walks(monkeypatch):
                             for r in pres.rules
                             if r.defining and r.recipe is not None)
     assert zf_rules > 0
+
+
+# ---------------------------------------------------------------------------
+# the prefix-trie walk against the per-identity loop it replaced
+# ---------------------------------------------------------------------------
+
+def _same(got, want):
+    """Bit-identical floats, NaN where the reference reads NaN."""
+    return got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+
+
+def test_trie_residuals_match_per_identity_loop():
+    from qsphere.action import combo_ad, spin2l_laws
+    ref = reference_residual.reference_residual
+    N = 16
+    checked = 0
+    cases = ([(make_presentation("podles", P, x=x),
+               rep_podles(P, x, "direct_sum", N)) for x in (1, 0.35, -2.5)]
+             + [(make_presentation("uqmp", P), rep_podles(P, 0.7, "plus", N))]
+             + [(make_presentation("bl", P, l=l), rep_bl(P, l, N))
+                for l in (0, 0.5, 1, 1.5, 2)])
+    for pres, rep in cases:
+        got = relation_check(pres, rep)
+        want = reference_residual.reference_relation_check(pres, rep)
+        assert list(got) == list(want)
+        assert all(_same(got[k], want[k]) for k in want), (pres.name, got)
+        checked += len(want)
+    for l in (0.5, 1, 2):
+        laws = spin2l_laws(P, l)
+        rep = rep_bl(P, l, N)
+        got = combos_residuals(rep, list(laws.values()), N)
+        assert len(laws) == 3 * (4 * l + 1)
+        for g, (name, (lhs, rhs)) in zip(got, laws.items()):
+            assert _same(g, ref(rep, lhs, rhs, N)), (l, name)
+        checked += len(laws)
+    tw = [(1.0, [("T", False)])]
+    for x in (0.7, -2.5):
+        rep = TensorRep(rep_podles(P, x, "plus", 12))
+        pairs = [(combo_ad("K", tw, P), tw), (combo_ad("E", tw, P), []),
+                 (combo_ad("F", tw, P), [])]
+        for g, (lhs, rhs) in zip(combos_residuals(rep, pairs, 12), pairs):
+            assert _same(g, ref(rep, lhs, rhs, 12)), x
+            checked += 1
+    # the NaN-x rep, an empty right side, paths that die at the family
+    # edge (X lowers the label, so X X dies from k = 0 and 1), and
+    # coefficients of exactly 1 and not 1, all in one call
+    nan_rep = rep_podles(P, float("nan"), "direct_sum", 8)
+    base = [(1.0, [("X", False), ("Y", False)])]
+    edge = [(1, [("X", False), ("X", False)]),
+            (0.75, [("Y", True), ("X", False), ("X", True)])]
+    for rep, pairs in (
+            (nan_rep, [(combo_ad("K", base, P), base), (base, [])]),
+            (rep_podles(P, 1.3, "direct_sum", 8),
+             [(edge, []), ([], edge), (edge, base), (base, edge[:1]),
+              (_COMBOS, _COMBOS[1:]), ([], [])])):
+        got = combos_residuals(rep, pairs, 8)
+        for g, (lhs, rhs) in zip(got, pairs):
+            assert _same(g, ref(rep, lhs, rhs, 8)), (lhs, rhs)
+            checked += 1
+        if rep is nan_rep:
+            assert all(math.isnan(g) for g in got)
+        else:
+            assert got[-1] == 0.0 and all(g > 0 for g in got[:-1])
+    assert checked > 100
+
+
+def _raw(sign, man, exp):
+    """A normalized raw mpf (sign, odd mantissa, exponent, bit count)."""
+    if man == 0:
+        return fzero
+    while man % 2 == 0:
+        man, exp = man // 2, exp + 1
+    return (sign, man, exp, man.bit_length())
+
+
+_RAW_MPF = st.one_of(
+    st.sampled_from((fzero, finf, fninf, fnan)),
+    st.builds(_raw, st.integers(0, 1), st.integers(0, 2 ** 60),
+              st.integers(-1200, 1100)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows=st.lists(_RAW_MPF, max_size=12),
+       ties=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 12),
+                               st.integers(1, 2 ** 12)), max_size=6),
+       top=st.integers(-1080, 1030))
+def test_largest_row_converts_once(rows, ties, top):
+    # `ties` are mantissas of every bit count placed at one exponent + bit
+    # count, each also with the opposite sign; the running largest raw row,
+    # converted once, reads as converting every row and taking max_or_nan
+    for sign, bc, man in ties:
+        man = (man % (1 << bc)) | (1 << (bc - 1)) | 1
+        rows += [_raw(sign, man, top - bc), _raw(1 - sign, man, top - bc)]
+    want = max_or_nan(0.0, *map(reps.mp_magnitude, rows))
+    for order in (rows, rows[::-1]):
+        got = reps.mp_magnitude(functools.reduce(reps._larger, order, fzero))
+        assert _same(got, want), order

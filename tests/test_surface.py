@@ -4,8 +4,9 @@ do not count as references, so the re-exports of __init__.py keep nothing
 alive, and neither does a function calling itself.  A function only tests
 reach fails here; delete it or wire it into a certificate.  More
 ratchets cap the `@` products, the library square-root calls and the
-`workdps` uses of each module, keep numpy.linalg to action.py, and keep
-the adjoint action's letters to its one table."""
+`workdps` uses of each module, keep numpy.linalg to action.py, keep
+the adjoint action's letters to its one table, and keep the exact
+residuals to one prefix-trie walk."""
 
 import ast
 from pathlib import Path
@@ -143,7 +144,7 @@ def test_sqrt_counts_only_fall():
 
 
 # `workdps` uses per module of src/qsphere (an attribute or a bare name):
-# the exact entry points (`reps._exact_residual`,
+# the exact entry points (`reps.combos_residuals`,
 # `action.invariance_defects`) hold their context's precision and the step
 # tables refuse any other, so no step enters it again; these counts may only
 # fall (reps' other two are MPCtx's construction and q-power)
@@ -264,3 +265,42 @@ def test_adjoint_action_letters_only_in_its_table():
     assert not any(counts.values()), counts
     assert _implementer_letters(ast.parse(
         'a = [("Z", True), ("X", False), (g, True), ("Zi", 1)]')) == 1
+
+
+# the per-identity exact residual loop that the prefix-trie walk of
+# `reps.combos_residuals` replaced; tests/reference_residual.py keeps it
+REPLACED = ("_exact_residual", "_termwise_residual", "_combo_column",
+            "_branch_walk")
+TRIE_WALKERS = ("_label_trie", "_branch_trie")
+
+
+def _callers(tree, name) -> list:
+    """The functions that call `name` by its bare name, other than `name`
+    itself, once per call."""
+    out = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name != name:
+            inner = {id(n) for sub in ast.walk(fn) if sub is not fn
+                     and isinstance(sub, ast.FunctionDef)
+                     for n in ast.walk(sub)}
+            out += [fn.name for node in ast.walk(fn)
+                    if id(node) not in inner and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == name]
+    return out
+
+
+def test_exact_residuals_walk_one_trie():
+    # the replaced per-identity loop is gone from the package, and each
+    # trie walker is entered from one place: the batched entry
+    texts = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    left = {(stem, name): text.count(name) for stem, text in texts.items()
+            for name in REPLACED if name in text}
+    assert not left, left
+    for name in TRIE_WALKERS:
+        callers = [c for text in texts.values()
+                   for c in _callers(ast.parse(text), name)]
+        assert callers == ["combos_residuals"], (name, callers)
+    assert _callers(ast.parse(
+        "def f(): g(); h.g()\ndef g(): g()\n"
+        "def k():\n    def m(): g()\n    g()"), "g") == ["f", "k", "m"]
