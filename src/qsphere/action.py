@@ -29,13 +29,12 @@ from .reps import (
     mp_magnitude,
     rep_bl,
     rep_podles,
-    segment_path,
     step_tables,
+    trie_walks,
     union,
     walk,
     walk_difference,
     walk_dps,
-    walk_path,
 )
 
 _RND = round_nearest
@@ -159,16 +158,16 @@ def invariance_defects(words, rep, W: int) -> list:
     discarded tail; summing the tail directly keeps the result accurate
     relative to its own size ~ q^(2W), which a head summation (absolute
     error ~1e-16 * |M|) cannot resolve.  The tail terms sit far below
-    double precision, so they are walked exactly (`reps.walk_path`), in one
-    context whose densities and step tables are set up once per call.
+    double precision, so they are walked exactly, in one context set up once
+    per call, as one prefix trie of every word's walks (`reps.trie_walks`).
 
     Only diagonals are read.  Each generator is a pair of walks built from
     `_AD` with M's plain letters, ad_K M against M and the + term of ad_E
     and ad_F against the - term, summed as d * pref * (a - b) over the tail
     labels, each term's sign read from `_AD`.  Both walks of a pair make the
     same move and can return to their label only if it cancels.  A pair
-    whose move does not cancel visits no label and sums to 0, or to NaN
-    where a density or its prefactor is not finite, as its zero differences
+    whose move does not cancel is not walked and sums to 0, or to NaN where
+    a density or its prefactor is not finite, as its zero differences
     would.  A live pair skips a label where both walks read 0 and its
     factors are finite."""
     if len(rep.families) != 2:
@@ -183,11 +182,10 @@ def invariance_defects(words, rep, W: int) -> list:
         lam = 1 / (ctx.qpow(1) - ctx.qpow(-1))
         pref_e = (ctx.sqrt(ctx.qpow(1)) * lam)._mpf_
         pref_f = (ctx.qpow(-1) * ctx.sqrt(ctx.qpow(-1)) * lam)._mpf_
-        tail_labels = [((fam, k), ctx.qpow(*rep.zexp(fam, k)[1:])._mpf_)
-                       for fam, kmin in rep.families
-                       for k in range(kmin + W, kmin + W + tail)]
-        finite = all(_finite(d) for _, d in tail_labels)
-        tables = step_tables(rep, ctx)
+        labels = [(fam, k) for fam, kmin in rep.families
+                  for k in range(kmin + W, kmin + W + tail)]
+        densities = [ctx.qpow(*rep.zexp(*label)[1:])._mpf_ for label in labels]
+        finite = all(_finite(d) for d in densities)
         # per generator: its prefactor, whether that is finite, and its
         # pair's two terms
         pairs = []
@@ -196,37 +194,36 @@ def invariance_defects(words, rep, W: int) -> list:
             if len(terms) == 1:
                 terms += ((-1, (), ()),)   # ad_K M against M
             pairs.append((pref, pref is None or _finite(pref), terms))
-        out = []
+        # each word's K, E and F sums in turn; per live pair, its sum's
+        # index, prefactor, ok and two walks as (sign, path number)
+        sums, live, paths = [], [], {}
         for word in words:
             mw = [(h, False) for h in word]
-            sums = []
             for pref, ok, terms in pairs:
                 _, left, right = terms[0]
                 moves = [rep.move(h) for h in (*left, *word, *right)]
                 if sum(d for d, _ in moves) or sum(s for _, s in moves) % 2:
                     sums.append(fzero if finite and ok else fnan)
                     continue
-                walks = [(sign, segment_path(
-                    tables, _ad_segments(left, mw, right)))
-                    for sign, left, right in terms]
-                total = fzero
-                for label, d in tail_labels:
-                    vals = []
-                    for sign, path in walks:
-                        hit = walk_path(path, label, prec)
-                        v = fzero if hit is None or hit[0] != label else hit[1]
-                        vals.append(v if sign > 0 else mpf_neg(v))
-                    a, b = vals
-                    # total += d * pref * (a + b), each term's sign in its
-                    # value; zero terms times a finite factor add an exact 0
-                    if a == b == fzero and _finite(d) and ok:
-                        continue
-                    f = d if pref is None else mpf_mul(d, pref, prec, _RND)
-                    total = mpf_add(total, mpf_mul(
-                        f, mpf_add(a, b, prec, _RND), prec, _RND), prec, _RND)
-                sums.append(total)
-            out.append({key: mp_magnitude(v) for key, v in zip("KEF", sums)})
-        return out
+                live.append((len(sums), pref, ok, [(sign, paths.setdefault(
+                    tuple(reversed(_ad_segments(left, mw, right))),
+                    len(paths))) for sign, left, right in terms]))
+                sums.append(fzero)
+        walks = trie_walks(step_tables(rep, ctx), paths, labels)
+        for (label, ends), d in zip(walks, densities):
+            diag = [e[0][1] if e and e[0][0] == label else fzero for e in ends]
+            for j, pref, ok, ((sa, ia), (sb, ib)) in live:
+                a = diag[ia] if sa > 0 else mpf_neg(diag[ia])
+                b = diag[ib] if sb > 0 else mpf_neg(diag[ib])
+                # sums[j] += d * pref * (a + b), each term's sign in its
+                # value; zero terms times a finite factor add an exact 0
+                if a == b == fzero and _finite(d) and ok:
+                    continue
+                f = d if pref is None else mpf_mul(d, pref, prec, _RND)
+                sums[j] = mpf_add(sums[j], mpf_mul(
+                    f, mpf_add(a, b, prec, _RND), prec, _RND), prec, _RND)
+        return [{key: mp_magnitude(v) for key, v in zip("KEF", sums[i:i + 3])}
+                for i in range(0, len(sums), 3)]
 
 
 def _finite(v) -> bool:

@@ -101,8 +101,8 @@ ALL_ARGS = {
     "picard": {"x": 0.0}, "oracle": {"x": 1.0, "l": 0.5}}
 # the suites of `all` that a forked worker certifies while this process
 # certifies the rest.  At the defaults the halves are about even: run alone,
-# the worker's takes 0.16 s and this process's 0.18 s in reference-host
-# seconds (0.28 and 0.31 s wall; medians of 15 fresh processes, 2-vCPU VM).
+# the worker's takes 0.15 s and this process's 0.19 s in reference-host
+# seconds (0.21 and 0.29 s wall; medians of 15 fresh processes, 2-vCPU VM).
 # Ergodic stays here, so LAPACK never runs in the forked child and its
 # dependent-monomials message goes to this process's stderr
 ALL_WORKER = ("relations", "functional", "compress", "theorem2")

@@ -20,10 +20,10 @@ Relation residuals, adjoint-action residuals and invariant-functional tail
 defects are walked label by label in real mpmath arithmetic through one
 exact walk kernel (see its section), since the graded algebras' entries
 reach ~1e6 at small q, where double precision cannot certify 1e-11
-absolute residuals.  A batch of identities, combos against combos (a
-relation rule is walked as combos too), is one `combos_residuals` call,
-whose paths form one prefix trie; the functional's diagonals walk one path
-at a time (`walk_path`).
+absolute residuals.  Every exact check walks its paths as one prefix trie
+(`trie_walks`): a batch of identities, combos against combos (a relation
+rule is walked as combos too), is one `combos_residuals` call, and the
+functional's diagonals are one `action.invariance_defects` call.
 """
 
 from __future__ import annotations
@@ -688,10 +688,10 @@ def residuals(pairs, rep) -> list:
 # coefficient starting the product exactly.  Sums, signs and the combo
 # coefficient use the libmp function that mpmath's operators call (a
 # coefficient of exactly 1 leaves the value as mpf_mul would), so every
-# value is bit-identical to multiplying mpf objects.  `combos_residuals`
-# walks one prefix trie of its paths: a node's product is its parent's times
-# the step (on a tensor representation, a branching walk's frontier), formed
-# once for all paths through it.  `walk_path` walks one path, labels first.
+# value is bit-identical to multiplying mpf objects.  `trie_walks` walks
+# every path of a check as one prefix trie: a node's product is its parent's
+# times the step (on a tensor representation, a branching walk's frontier),
+# formed once for all paths through it.
 # ---------------------------------------------------------------------------
 
 _RND = round_nearest
@@ -819,30 +819,6 @@ def step_tables(rep, ctx) -> _SegmentTables:
     return tables
 
 
-def segment_path(tables, segs) -> list:
-    """The step tables of `segs` (an operator product) in walk order, right
-    to left."""
-    return [tables[seg] for seg in reversed(segs)]
-
-
-def walk_path(path, label, prec: int):
-    """Walk `label` through the step tables of `path` on a label
-    representation: None where a step dies, else (end label, raw product),
-    the labels followed first (the empty path's product is 1)."""
-    coeffs = []
-    for table in path:
-        hit = table[label]
-        if hit is None:
-            return None
-        label, c = hit
-        coeffs.append(c)
-    it = iter(coeffs)
-    p = next(it, fone)
-    for c in it:
-        p = mpf_mul(p, c, prec, _RND)
-    return label, p
-
-
 def mp_magnitude(v) -> float:
     """|v| as a float for a raw mpf, rounded to nearest as float(abs(v))
     rounds an mpf."""
@@ -921,6 +897,28 @@ def _branch_trie(edges, frontier, ends, prec):
             _branch_trie(below, nxt, ends, prec)
 
 
+def trie_walks(tables, paths, labels):
+    """Walk the numbered paths {segments in walk order: path number} as one
+    prefix trie of `tables` from each label in turn, yielding (label, ends):
+    ends[i] is path i's (end label, raw value) pairs, () where it dies (one
+    pair on a label representation)."""
+    root = {}
+    for path, i in paths.items():
+        functools.reduce(lambda node, seg: node.setdefault(seg, {}), path,
+                         root)[None] = i
+    empty, edges = root.pop(None, None), _trie(tables, root)
+    prec, branched = tables.prec, isinstance(tables.rep(), TensorRep)
+    for label in labels:
+        ends = [()] * len(paths)
+        if empty is not None:
+            ends[empty] = ((label, fone),)
+        if branched:
+            _branch_trie(edges, {label: None}, ends, prec)
+        else:
+            _label_trie(edges, label, None, ends, prec)
+        yield label, ends
+
+
 def _larger(a, b):
     """Whichever of the raw mpfs a and b is larger in magnitude (a on a
     tie), NaN above an infinity above every number, so that converting it
@@ -938,37 +936,23 @@ def combos_residuals(rep, pairs, W: int, dps: int | None = None) -> list:
     """max |combos_a - combos_b| over window columns and rows for each pair
     (combos_a, combos_b), walked in the shared mp context of `rep` at `dps`
     digits (window-adaptive, `walk_dps`, by default).  The distinct paths of
-    all the pairs form one prefix trie, walked once from each window label;
-    then each pair adds its combos into its rows in combo order, combos_b
-    subtracted one by one, and keeps its largest window row (`_larger`),
-    converted to float once."""
+    all the pairs are one trie, walked from each window label; then each
+    pair adds its combos into its rows in combo order, combos_b subtracted
+    one by one, and keeps its largest window row (`_larger`), converted to
+    float once."""
     dps = walk_dps(rep, W) if dps is None else dps
     with mp.workdps(dps):
         ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
-        prec, tables, paths, root = ctx.prec, step_tables(rep, ctx), {}, {}
+        prec, tables, paths = ctx.prec, step_tables(rep, ctx), {}
         # each pair's combos as (path number, raw coefficient or None for
         # an exact 1, whether it is subtracted)
         terms = [[(paths.setdefault(tuple(reversed(segs)), len(paths)),
                    None if (c := _raw_number(coef)) == fone else c, sub)
                   for sub, side in enumerate(pair) for coef, segs in side]
                  for pair in pairs]
-        for path, i in paths.items():
-            node = root
-            for seg in path:
-                node = node.setdefault(seg, {})
-            node[None] = i
-        empty, edges = root.pop(None, None), _trie(tables, root)
         inside = set(window_labels(rep, W))
         largest = [fzero] * len(pairs)
-        for label in window_labels(rep, W):
-            # each path's (end label, raw value) pairs, () where it dies
-            ends = [()] * len(paths)
-            if empty is not None:
-                ends[empty] = ((label, fone),)
-            if isinstance(rep, TensorRep):
-                _branch_trie(edges, {label: None}, ends, prec)
-            else:
-                _label_trie(edges, label, None, ends, prec)
+        for _, ends in trie_walks(tables, paths, window_labels(rep, W)):
             for j, combos in enumerate(terms):
                 rows: dict = {}
                 for i, coef, sub in combos:

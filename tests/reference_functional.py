@@ -3,16 +3,23 @@
 every tail label walks all six diagonal walks of the defects, whatever the
 word's move, through a label-first diagonal walk of its own, and a walk
 that dies or does not return reads as an exact 0.  It reads only the
-kernel's step tables (one raw coefficient per step), not its walk."""
+kernel's step tables (one raw coefficient per step), not its trie walk,
+and walks one path at a time."""
 
 import math
 
 import mpmath as mp
 from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
 
-from qsphere.reps import mp_ctx, segment_path, step_tables, walk_dps
+from qsphere.reps import mp_ctx, step_tables, walk_dps
 
 _RND = round_nearest
+
+
+def segment_path(tables, segs) -> list:
+    """The step tables of `segs` (an operator product) in walk order, right
+    to left."""
+    return [tables[seg] for seg in reversed(segs)]
 
 
 def _finite(v) -> bool:

@@ -5,7 +5,9 @@ every combo of every identity walks its own path from every window label
 coefficient times that product is added to (or, on the right side,
 subtracted from) its row in combo order, and each window row is converted
 to float and folded into the residual one by one.  It reads only the
-kernel's step tables (one raw coefficient per step), not its trie."""
+kernel's step tables (one raw coefficient per step), not its trie: it
+walks one path at a time, through its own copies of the per-path walk
+(`walk_path`, `segment_path`) that the kernel no longer has."""
 
 import mpmath as mp
 from mpmath.libmp import (fone, fzero, mpf_add, mpf_mul, mpf_sub,
@@ -13,10 +15,33 @@ from mpmath.libmp import (fone, fzero, mpf_add, mpf_mul, mpf_sub,
 
 from qsphere.report import max_or_nan
 from qsphere.reps import (MP_DPS, TensorRep, _raw_number, mp_ctx,
-                          mp_magnitude, segment_path, step_tables, walk_dps,
-                          walk_path, window_labels)
+                          mp_magnitude, step_tables, walk_dps, window_labels)
 
 _RND = round_nearest
+
+
+def segment_path(tables, segs) -> list:
+    """The step tables of `segs` (an operator product) in walk order, right
+    to left."""
+    return [tables[seg] for seg in reversed(segs)]
+
+
+def walk_path(path, label, prec: int):
+    """Walk `label` through the step tables of `path` on a label
+    representation: None where a step dies, else (end label, raw product),
+    the labels followed first (the empty path's product is 1)."""
+    coeffs = []
+    for table in path:
+        hit = table[label]
+        if hit is None:
+            return None
+        label, c = hit
+        coeffs.append(c)
+    it = iter(coeffs)
+    p = next(it, fone)
+    for c in it:
+        p = mpf_mul(p, c, prec, _RND)
+    return label, p
 
 
 def compile_combos(tables, combos) -> list:

@@ -314,7 +314,7 @@ def _reference_invariance_defects(word, rep, W):
 def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
     import mpmath as mp
 
-    from qsphere.reps import mp_ctx, segment_path, step_tables, walk_path
+    from qsphere.reps import mp_ctx, step_tables, trie_walks
 
     p = QParams(0.37)
     plain = [("Z",), ("X", "Y"), ("Y", "Z", "X"),       # net shift 0
@@ -344,13 +344,15 @@ def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
                              [("Z", True)] + mw, mw + [("Y", True)]]
             for segments in segment_lists:
                 for absorb in (True, False):
-                    path = segment_path(tables, [(g, impl and absorb)
-                                                 for g, impl in segments])
+                    path = tuple((g, impl and absorb)
+                                 for g, impl in reversed(segments))
                     for fam, kmin in rep.families:
                         for k in range(kmin, kmin + 6):
                             with mp.workdps(40):
                                 calls.clear()
-                                got = walk_path(path, (fam, k), ctx.prec)
+                                (_, ends), = trie_walks(tables, {path: 0},
+                                                        [(fam, k)])
+                                got = ends[0][0] if ends[0] else None
                                 n_got = len(calls)
                                 calls.clear()
                                 want = _reference_walk(
@@ -374,6 +376,21 @@ def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
                 for rep, words in cases for w in words])
 
 
+def _recorded_walks(monkeypatch) -> list:
+    """Every (numbered paths, [(label, ends)]) that the invariant
+    functional's shared trie walker is given and yields, in call order."""
+    calls = []
+    trie_walks = action.trie_walks
+
+    def recorded(tables, paths, labels):
+        calls.append((dict(paths), []))
+        for label, ends in trie_walks(tables, paths, labels):
+            calls[-1][1].append((label, list(ends)))
+            yield label, ends
+    monkeypatch.setattr(action, "trie_walks", recorded)
+    return calls
+
+
 def test_screened_defects_match_six_walk_reference(monkeypatch):
     # the per-word screen against the loop that walks all six walks at
     # every tail label: the raw sums, bit for bit
@@ -385,29 +402,30 @@ def test_screened_defects_match_six_walk_reference(monkeypatch):
         return [list(d.values()) for d in invariance_defects(words, rep, W)]
 
     W = 12
-    cases = ([(make_presentation("podles", P, x=x),
-               rep_podles(P, x, "direct_sum", W)) for x in (1.0, 0.35)]
-             + [(make_presentation("bl", P, l=l), rep_bl(P, l, W))
-                for l in (0, 0.5, 1.5)])
-    walked = []
-    walk_path = action.walk_path
-    monkeypatch.setattr(action, "walk_path", lambda path, *a: (
-        walked.append(id(path)) or walk_path(path, *a)))
+    cases = [(make_presentation("podles", p, x=x),
+              rep_podles(p, x, "direct_sum", W))
+             for p in (P, QParams(0.3), QParams(0.8))
+             for x in (1.0, 0.35, -2.5)]
+    cases[3:3] = [(make_presentation("bl", P, l=l), rep_bl(P, l, W))
+                  for l in (0, 0.5, 1, 1.5, 2)]
+    cases += [(make_presentation("bl", p, l=l), rep_bl(p, l, W))
+              for p in (QParams(0.3), QParams(0.8)) for l in (1, 2)]
+    calls = _recorded_walks(monkeypatch)
     live_words = []
     for pres, rep in cases:
         words = basis_words(pres, 4)
         live = []
         for w in words:
-            walked.clear()
+            calls.clear()
             assert (raw([w], rep, W)
                     == [reference_functional.defect_sums(w, rep, W)]), w
-            live.append(len(set(walked)))
+            live.append(sum(len(paths) for paths, _ in calls))
         assert set(live) <= {0, 2}
         live_words.append((sum(n > 0 for n in live), len(words)))
         # one call for every word gives the sums of one call per word
         assert raw(words, rep, W) == [raw([w], rep, W)[0] for w in words]
     # podles at x = 1 and bl(0.5)
-    assert live_words[0] == (13, 25) and live_words[3] == (13, 49)
+    assert live_words[0] == (13, 25) and live_words[4] == (13, 49)
     # a NaN density poisons every sum, screened walks or not
     nan_rep = rep_podles(P, float("nan"), "direct_sum", 8)
     words = basis_words(make_presentation("podles", P, x=1.0), 2)
@@ -422,14 +440,7 @@ def test_live_pairs_return_and_dead_pairs_read_zero(monkeypatch):
     # back to each tail label, where no step dies, and any other pair
     # walks nothing and reads 0
     from qsphere.action import _AD
-    walks = []
-    walk_path = action.walk_path
-
-    def recorded(path, label, prec):
-        hit = walk_path(path, label, prec)
-        walks.append((label, hit))
-        return hit
-    monkeypatch.setattr(action, "walk_path", recorded)
+    calls = _recorded_walks(monkeypatch)
     W = 12
     cases = ([(make_presentation("podles", P, x=x),
                rep_podles(P, x, "direct_sum", W)) for x in (1.0, 0.35, -2.5)]
@@ -439,7 +450,7 @@ def test_live_pairs_return_and_dead_pairs_read_zero(monkeypatch):
     for pres, rep in cases:
         words = basis_words(pres, 4)
         for w in words:
-            walks.clear()
+            calls.clear()
             d, = invariance_defects([w], rep, W)
             live = 0
             for g in "KEF":
@@ -451,11 +462,12 @@ def test_live_pairs_return_and_dead_pairs_read_zero(monkeypatch):
                     live += 1
                 else:
                     assert d[g] == 0.0, (w, g)
-            starts = {label for label, _ in walks}
-            assert len(walks) == 2 * live * len(starts), w
-            assert all(hit is not None and hit[0] == label
-                       for label, hit in walks), w
-            total += len(walks)
+            (paths, walked), = calls
+            assert len(paths) == 2 * live, w
+            # one end per (tail label, registered path), back at its label
+            assert all(len(end) == 1 and end[0][0] == label
+                       for label, ends in walked for end in ends), w
+            total += sum(len(ends) for _, ends in walked)
     assert total == 12896
 
 

@@ -724,39 +724,24 @@ def test_absorbed_and_adjoint_tables_match_fresh_steps():
 
 
 def test_diagonal_walk_multiplies_only_returning_walks(monkeypatch):
-    # the label walk multiplies only a walk that survives, and the
-    # functional's diagonals walk only words whose moves let them return
+    # the functional's diagonals walk only words whose moves let them
+    # return: every path it gives the shared trie walker ends back at each
+    # tail label it starts from
     from qsphere import action
     rep = rep_bl(P, 1, 12)
-    ctx = mp_ctx(Q, rep.meta["x"])
-    tables = reps.step_tables(rep, ctx)
-    muls = []
-    mpf_mul = reps.mpf_mul
-    monkeypatch.setattr(reps, "mpf_mul",
-                        lambda *a: muls.append(a) or mpf_mul(*a))
     returning = [("X", "Y"), ("Y", "Z", "X"), (a_gen(1), a_gen(-1))]
     leaving = [("Y",), ("X", "Zi"), ("Y", "Y"), (a_gen(1),), ("X", "X")]
-    died = survived = 0
-    with mp.workdps(ctx.dps):
-        for word in returning + leaving:
-            path = reps.segment_path(tables, [(g, True) for g in word])
-            for label in window_labels(rep, 8):
-                muls.clear()
-                hit = reps.walk_path(path, label, ctx.prec)
-                if hit is None:
-                    died += 1
-                    assert not muls, (word, label)
-                else:
-                    survived += 1
-                    assert len(muls) == len(word) - 1, (word, label)
-                    assert (hit[0] == label) == (word in returning)
-    assert died > 0 and survived > 0
     ends = []
-    walk_path = action.walk_path
-    monkeypatch.setattr(action, "walk_path", lambda path, label, prec: (
-        ends.append((label, walk_path(path, label, prec))) or ends[-1][1]))
+    trie_walks = action.trie_walks
+
+    def recorded(tables, paths, labels):
+        for label, hit in trie_walks(tables, paths, labels):
+            ends.extend((label, end) for end in hit)
+            yield label, hit
+    monkeypatch.setattr(action, "trie_walks", recorded)
     action.invariance_defects(returning + leaving, rep, 8)
-    assert ends and all(hit[0] == label for label, hit in ends)
+    assert ends and all(len(end) == 1 and end[0][0] == label
+                        for label, end in ends)
 
 
 def test_table_fill_outside_its_precision_raises():

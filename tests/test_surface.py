@@ -5,8 +5,8 @@ alive, and neither does a function calling itself.  A function only tests
 reach fails here; delete it or wire it into a certificate.  More
 ratchets cap the `@` products, the library square-root calls and the
 `workdps` uses of each module, keep numpy.linalg to action.py, keep
-the adjoint action's letters to its one table, and keep the exact
-residuals to one prefix-trie walk."""
+the adjoint action's letters to its one table, and keep every exact
+check to one prefix-trie walker."""
 
 import ast
 from pathlib import Path
@@ -268,10 +268,15 @@ def test_adjoint_action_letters_only_in_its_table():
 
 
 # the per-identity exact residual loop that the prefix-trie walk of
-# `reps.combos_residuals` replaced; tests/reference_residual.py keeps it
+# `reps.combos_residuals` replaced, and the per-path walk that the invariant
+# functional's trie walk replaced; tests/reference_residual.py and
+# tests/reference_functional.py keep them
 REPLACED = ("_exact_residual", "_termwise_residual", "_combo_column",
-            "_branch_walk")
+            "_branch_walk", "walk_path", "segment_path")
 TRIE_WALKERS = ("_label_trie", "_branch_trie")
+# every exact check that walks paths walks them through this one function
+SHARED_WALKER = "trie_walks"
+EXACT_CHECKS = ["combos_residuals", "invariance_defects"]
 
 
 def _callers(tree, name) -> list:
@@ -291,16 +296,20 @@ def _callers(tree, name) -> list:
 
 
 def test_exact_residuals_walk_one_trie():
-    # the replaced per-identity loop is gone from the package, and each
-    # trie walker is entered from one place: the batched entry
+    # the replaced per-identity loop and per-path walk are gone from the
+    # package, each trie walker is entered only from the shared walker,
+    # and the shared walker only from the exact checks
     texts = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     left = {(stem, name): text.count(name) for stem, text in texts.items()
             for name in REPLACED if name in text}
     assert not left, left
+
+    def callers(name):
+        return sorted(c for text in texts.values()
+                      for c in _callers(ast.parse(text), name))
     for name in TRIE_WALKERS:
-        callers = [c for text in texts.values()
-                   for c in _callers(ast.parse(text), name)]
-        assert callers == ["combos_residuals"], (name, callers)
+        assert callers(name) == [SHARED_WALKER], (name, callers(name))
+    assert callers(SHARED_WALKER) == EXACT_CHECKS
     assert _callers(ast.parse(
         "def f(): g(); h.g()\ndef g(): g()\n"
         "def k():\n    def m(): g()\n    g()"), "g") == ["f", "k", "m"]
