@@ -376,22 +376,8 @@ def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
                 for rep, words in cases for w in words])
 
 
-def _recorded_walks(monkeypatch) -> list:
-    """Every (numbered paths, [(label, ends)]) that the invariant
-    functional's shared trie walker is given and yields, in call order."""
-    calls = []
-    trie_walks = action.trie_walks
-
-    def recorded(tables, paths, labels):
-        calls.append((dict(paths), []))
-        for label, ends in trie_walks(tables, paths, labels):
-            calls[-1][1].append((label, list(ends)))
-            yield label, ends
-    monkeypatch.setattr(action, "trie_walks", recorded)
-    return calls
-
-
-def test_screened_defects_match_six_walk_reference(monkeypatch):
+def test_screened_defects_match_six_walk_reference(monkeypatch,
+                                                   functional_walks):
     # the per-word screen against the loop that walks all six walks at
     # every tail label: the raw sums, bit for bit
     import reference_functional
@@ -410,16 +396,15 @@ def test_screened_defects_match_six_walk_reference(monkeypatch):
                   for l in (0, 0.5, 1, 1.5, 2)]
     cases += [(make_presentation("bl", p, l=l), rep_bl(p, l, W))
               for p in (QParams(0.3), QParams(0.8)) for l in (1, 2)]
-    calls = _recorded_walks(monkeypatch)
     live_words = []
     for pres, rep in cases:
         words = basis_words(pres, 4)
         live = []
         for w in words:
-            calls.clear()
+            functional_walks.clear()
             assert (raw([w], rep, W)
                     == [reference_functional.defect_sums(w, rep, W)]), w
-            live.append(sum(len(paths) for paths, _ in calls))
+            live.append(sum(len(paths) for paths, _ in functional_walks))
         assert set(live) <= {0, 2}
         live_words.append((sum(n > 0 for n in live), len(words)))
         # one call for every word gives the sums of one call per word
@@ -435,12 +420,11 @@ def test_screened_defects_match_six_walk_reference(monkeypatch):
     assert all(math.isnan(mp.make_mpf(v)) for d in got for v in d)
 
 
-def test_live_pairs_return_and_dead_pairs_read_zero(monkeypatch):
+def test_live_pairs_return_and_dead_pairs_read_zero(functional_walks):
     # every basis word of degree <= 4: a pair whose move cancels walks
     # back to each tail label, where no step dies, and any other pair
     # walks nothing and reads 0
     from qsphere.action import _AD
-    calls = _recorded_walks(monkeypatch)
     W = 12
     cases = ([(make_presentation("podles", P, x=x),
                rep_podles(P, x, "direct_sum", W)) for x in (1.0, 0.35, -2.5)]
@@ -450,7 +434,7 @@ def test_live_pairs_return_and_dead_pairs_read_zero(monkeypatch):
     for pres, rep in cases:
         words = basis_words(pres, 4)
         for w in words:
-            calls.clear()
+            functional_walks.clear()
             d, = invariance_defects([w], rep, W)
             live = 0
             for g in "KEF":
@@ -462,7 +446,7 @@ def test_live_pairs_return_and_dead_pairs_read_zero(monkeypatch):
                     live += 1
                 else:
                     assert d[g] == 0.0, (w, g)
-            (paths, walked), = calls
+            (paths, walked), = functional_walks
             assert len(paths) == 2 * live, w
             # one end per (tail label, registered path), back at its label
             assert all(len(end) == 1 and end[0][0] == label

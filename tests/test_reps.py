@@ -723,7 +723,7 @@ def test_absorbed_and_adjoint_tables_match_fresh_steps():
         assert seen["Y"] > 0 and (seen["-"] > 0) == two
 
 
-def test_diagonal_walk_multiplies_only_returning_walks(monkeypatch):
+def test_diagonal_walk_multiplies_only_returning_walks(functional_walks):
     # the functional's diagonals walk only words whose moves let them
     # return: every path it gives the shared trie walker ends back at each
     # tail label it starts from
@@ -731,17 +731,10 @@ def test_diagonal_walk_multiplies_only_returning_walks(monkeypatch):
     rep = rep_bl(P, 1, 12)
     returning = [("X", "Y"), ("Y", "Z", "X"), (a_gen(1), a_gen(-1))]
     leaving = [("Y",), ("X", "Zi"), ("Y", "Y"), (a_gen(1),), ("X", "X")]
-    ends = []
-    trie_walks = action.trie_walks
-
-    def recorded(tables, paths, labels):
-        for label, hit in trie_walks(tables, paths, labels):
-            ends.extend((label, end) for end in hit)
-            yield label, hit
-    monkeypatch.setattr(action, "trie_walks", recorded)
     action.invariance_defects(returning + leaving, rep, 8)
-    assert ends and all(len(end) == 1 and end[0][0] == label
-                        for label, end in ends)
+    (paths, walked), = functional_walks
+    assert paths and all(len(end) == 1 and end[0][0] == label
+                         for label, ends in walked for end in ends)
 
 
 def test_table_fill_outside_its_precision_raises():
