@@ -20,9 +20,9 @@ import numpy as np
 from .qcore import FloatCtx, QParams, _sqrt_coeff
 from .ncalg import NCPoly, make_presentation
 from .report import max_or_nan
+from .labels import podles_x_factors, rep_podles, relation_check
 from .reps import (ShiftRep, TensorRep, compress, evaluate, max_abs,
-                   on_support, podles_x_factors, rep_podles, relation_check,
-                   summed, walk, walk_shifts)
+                   on_support, summed, walk, walk_shifts)
 
 SPECTRUM_EDGE = 4
 

@@ -10,6 +10,11 @@ Each suite has one call (`_suite_calls`), which reads its arguments from a
 namespace.  A single command passes the command line's; `all` runs every
 suite on the command line's namespace under the flags `ALL_ARGS` sets for
 it, and refuses where one of those suite runs would.
+
+The modules imported here load no numpy.  A command that walks float
+shifts (`_walks_floats`) loads it, with the float layer (`reps`, `action`,
+`casimir`, `morita`), once in `run` before its first suite; the suites take
+their float names by function-local imports.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ import pickle
 import signal
 import sys
 from collections import Counter
-
-import numpy as np
 
 from . import __version__
 from .qcore import QParams, tau
@@ -36,44 +39,12 @@ from .ncalg import (
     random_words,
     RewriteCapError,
 )
-from .reps import (
-    adjoint,
-    dump_matrix,
-    evaluate,
-    max_abs,
-    relation_check,
-    rep_bl,
-    rep_podles,
-    residuals,
-    spin_half,
-    summed,
-    walk_defect,
-    walk_difference,
-)
-from .casimir import (
-    casimir_matrix,
-    compress_identify,
-    covered_indices,
-    eigvec_shifts,
-    numeric_interior_spectrum,
-    tensor_t,
-)
-from .action import (
+from .labels import relation_check, rep_bl, rep_podles
+from .invariance import (
     DependentMonomialsError,
     casimir_invariance,
     invariance_defects,
-    invariant_subspace,
-    kernel_residual,
     spin2l_check,
-)
-from .morita import (
-    a0_block,
-    basis_change,
-    basis_change_checks,
-    orbit_equivalent,
-    picard_group,
-    podles_part_compression,
-    rp2_suite,
 )
 from .report import VerificationReport, canonical_json, max_or_nan
 
@@ -119,32 +90,37 @@ def _params(p, **extra):
 # ---------------------------------------------------------------------------
 
 def suite_relations(p, x, l, N, tol, algs, dump=None):
-    reports = []
+    reports, checked = [], {}
     sphere = None   # podles and uqmp read one representation
+    on_sphere = [alg for alg in algs if alg in ("podles", "uqmp")]
     for alg in algs:
         rpt = VerificationReport(
             f"relations_{alg}",
             _params(p, alg=alg, x=(x if alg in ("podles", "uqmp") else None),
                     l=(l if alg == "bl" else None), N=N, tol=tol))
-        if alg in ("podles", "uqmp"):
-            pres = (make_presentation("podles", p, x=x) if alg == "podles"
-                    else make_presentation("uqmp", p))
+        if alg in on_sphere:
             if sphere is None:
                 sphere = rep_podles(p, x, "direct_sum", N)
-            rep = sphere
+            if alg not in checked:   # both algebras' rules in one batch
+                checked = dict(zip(on_sphere, relation_check([
+                    make_presentation("podles", p, x=x) if a == "podles"
+                    else make_presentation("uqmp", p) for a in on_sphere],
+                    sphere)))
+            rep, residuals = sphere, checked[alg]
         elif alg == "bl":
             sphere = None   # bl does not read the sphere's step tables
-            pres = make_presentation("bl", p, l=l)
             rep = rep_bl(p, l, N)
+            residuals = relation_check(make_presentation("bl", p, l=l), rep)
         elif alg == "uqsu2":
-            pres = make_presentation("uqsu2", p)
+            from .reps import spin_half
             rep = spin_half(p)
+            residuals = relation_check(make_presentation("uqsu2", p), rep)
         else:
             raise ValueError(f"unknown algebra {alg!r}")
-        residuals = relation_check(pres, rep)
         for name, r in residuals.items():
             rpt.add(name, r, tol)
         if dump and alg != "uqsu2":
+            from .reps import dump_matrix, evaluate
             for g in ("X", "Y", "Z"):
                 dump_matrix(evaluate(NCPoly({(g,): 1.0}), rep),
                             f"{dump}.{alg}.{g}.txt")
@@ -156,6 +132,11 @@ def suite_casimir(p, x, N, dump=None):
     rpt = VerificationReport(
         "casimir",
         _params(p, x=x, N=N, tau_lower=tau(p, x - 1), tau_upper=tau(p, x + 1)))
+    import numpy as np
+    from .casimir import (casimir_matrix, covered_indices, eigvec_shifts,
+                          numeric_interior_spectrum, tensor_t)
+    from .reps import (adjoint, dump_matrix, max_abs, summed, walk_defect,
+                       walk_difference)
     n = 2 * N
     slots = np.arange(n)
     for sign in ("plus", "minus"):
@@ -200,6 +181,8 @@ def suite_casimir(p, x, N, dump=None):
 
 
 def suite_compress(p, x, N, dump=None):
+    from .casimir import compress_identify
+    from .reps import dump_matrix, evaluate
     rpt = VerificationReport("compress", _params(p, x=x, N=N))
     for sign in ("plus", "minus"):
         for branch, tag in ((1, "up"), (-1, "down")):
@@ -265,6 +248,7 @@ def _ergodic_report(p, x, l, D, N):
 
 
 def suite_ergodic(p, x, l, D, N):
+    from .action import invariant_subspace, kernel_residual
     rank_window = min(24, N)
     rpt = _ergodic_report(p, x, l, D, N)
     pres = make_presentation("podles", p, x=x)
@@ -291,6 +275,8 @@ def suite_ergodic(p, x, l, D, N):
 
 
 def suite_theorem2(p, l, N):
+    from .morita import (a0_block, basis_change, basis_change_checks,
+                         podles_part_compression, rp2_suite)
     rpt = VerificationReport("theorem2", _params(p, l=l, N=N))
     bc = basis_change(p, l, N)
     for name, r in basis_change_checks(bc, N).items():
@@ -309,6 +295,7 @@ def suite_theorem2(p, l, N):
 
 
 def suite_orbit(p, x, y):
+    from .morita import orbit_equivalent
     eq, m = orbit_equivalent(x, y)
     rpt = VerificationReport(
         "orbit", _params(p, x=_param_repr(x), y=_param_repr(y),
@@ -321,6 +308,7 @@ def suite_orbit(p, x, y):
 
 
 def suite_picard(p, x):
+    from .morita import picard_group
     group = picard_group(x)
     rpt = VerificationReport(
         "picard", _params(p, x=_param_repr(x), group=group))
@@ -329,6 +317,7 @@ def suite_picard(p, x):
 
 
 def suite_oracle(p, x, l, N, seed, count):
+    from .reps import residuals
     reports = []
     targets = [("podles", make_presentation("podles", p, x=x),
                 rep_podles(p, x, "direct_sum", N)),
@@ -529,6 +518,11 @@ def run(argv) -> int:
     if problem:
         print(f"{ap.prog}: error: {problem}", file=sys.stderr)
         return 2
+    # one OpenBLAS thread unless the user set it, before numpy can load:
+    # the only LAPACK calls are ergodic's small SVDs, and `all` forks
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if _walks_floats(args):
+        from . import action, morita  # noqa: F401  (the whole float layer)
     p = QParams(args.q)
     try:
         reports = _suites(args, p)
@@ -552,6 +546,17 @@ def run(argv) -> int:
             for line in rpt.summary_lines():
                 print(line)
     return 0 if all(r.status == "pass" for r in reports) else 1
+
+
+def _walks_floats(args) -> bool:
+    """Whether the command walks float shifts, so needs numpy: every
+    command but theta, functional and relations on label representations,
+    which certify in mpmath alone, and orbit and picard, which compute no
+    operator (their suites load morita themselves)."""
+    if args.command == "relations":
+        return args.alg == "uqsu2" or bool(args.dump)
+    return args.command in ("all", "oracle", "casimir", "compress",
+                            "ergodic", "theorem2")
 
 
 def _suites(args, p) -> list:

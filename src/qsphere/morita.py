@@ -19,7 +19,8 @@ from .casimir import covered_indices, eigvec_shifts
 from .qcore import QParams
 from .ncalg import NCPoly, a_gen, basis_words, make_presentation, normal_form
 from .report import max_or_nan
-from .reps import TensorRep, adjoint, lift, rep_bl, walk_defect
+from .labels import rep_bl
+from .reps import TensorRep, adjoint, lift, walk_defect
 
 STANDARD = "standard"
 ORBIT_TOL = 1e-12     # |x + m| against |y| in orbit_equivalent

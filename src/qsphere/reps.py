@@ -1,122 +1,44 @@
-"""Finite truncations of the banded representations, padded evaluation of
-noncommutative polynomials, and relation-residual certification.
+"""The float walks: weighted shifts, padded evaluation of noncommutative
+polynomials, and float residuals.  numpy is imported here and by the other
+float modules (`action`, `casimir`, `morita`) only, so the commands that
+certify in mpmath alone never load it; the label representations and the
+exact walk kernel are in `labels`.
 
 The one float form of an operator is a list of one-to-one weighted shifts
 (tgt, coef): column j goes to row tgt[j] (nowhere where it is -1) with
 coefficient coef[j].  A podles / bl generator is one shift per internal
-truncation M, read from its label steps (square roots through
-`qcore._sqrt_coeff`), each evaluated once per representation in its one
-`FloatCtx`; each generator declares its move (a label offset, and whether
-it swaps the "+" and "-" summands) once (`LabelRep`).  A tensor generator
-is several shifts, read from one coaction table (`_tensor_terms`); the
-spin-1/2 module and compressions store theirs (`ShiftRep`).  One walk
-(`walk_shifts`; a factor may be a scalar) serves every float certificate
-as a walked difference of products (`walk_difference`); `residuals` walks
-each word once per internal size for all its pairs.  Padded evaluation
-walks at an enlarged size and crops, so retained entries are exact values
-of the infinite-dimensional operators.
-
-Relation residuals, adjoint-action residuals and invariant-functional tail
-defects are walked label by label in real mpmath arithmetic through one
-exact walk kernel (see its section), since the graded algebras' entries
-reach ~1e6 at small q, where double precision cannot certify 1e-11
-absolute residuals.  Every exact check walks its paths as one prefix trie
-(`trie_walks`): a batch of identities, combos against combos (a relation
-rule is walked as combos too), is one `combos_residuals` call, and the
-functional's diagonals are one `action.invariance_defects` call.
+truncation M, read from its label steps, each evaluated once per
+representation in its one `FloatCtx` (`labels.LabelRep.shift`).  A tensor
+generator is several shifts, read from one coaction table
+(`labels._tensor_terms`); the spin-1/2 module and compressions store theirs
+(`ShiftRep`).  One walk (`walk_shifts`; a factor may be a scalar) serves
+every float certificate as a walked difference of products
+(`walk_difference`); `residuals` walks each word once per internal size for
+all its pairs.  Padded evaluation walks at an enlarged size and crops, so
+retained entries are exact values of the infinite-dimensional operators.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import weakref
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import (
-    fnan,
-    fone,
-    from_float,
-    from_int,
-    fzero,
-    mpf_add,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_sub,
-    round_nearest,
-    to_float,
+
+from .qcore import FloatCtx, QParams
+from .ncalg import NCPoly, Word, is_a_gen
+from .labels import _tensor_terms
+# names of `labels` that the benchmark's tracer wraps as `reps.*`
+# (perfbench/layers.py)
+from .labels import (  # noqa: F401
+    LabelRep,
+    MPCtx,
+    combos_residual,
+    relation_check,
 )
 
-from .qcore import FloatCtx, QParams, _sqrt_coeff, tau_of
-from .ncalg import NCPoly, Presentation, Word, is_a_gen
-
-MP_DPS = 40
-
 
 # ---------------------------------------------------------------------------
-# the mpmath scalar context, with the interface of qcore.FloatCtx
-# ---------------------------------------------------------------------------
-
-class MPCtx:
-    """q-power arithmetic in mpmath at `dps` digits (`prec` bits).  Label
-    steps taken in it are memoised by the exact walk kernel (see
-    step_tables); shared instances come from `mp_ctx`."""
-
-    def __init__(self, q: float, x: float = 0.0, dps: int = MP_DPS):
-        self.dps = dps
-        with mp.workdps(dps):
-            self.prec = mp.mp.prec
-            self.q = mp.mpf(q)
-            self.qx = mp.power(self.q, mp.mpf(x))
-        self._cache: dict = {}
-        self._factors: dict = {}
-
-    def qpow(self, n, m=0):
-        key = (n, m)
-        v = self._cache.get(key)
-        if v is None:
-            with mp.workdps(self.dps):
-                v = mp.power(self.q, n)
-                if m:
-                    v *= mp.power(self.qx, m)
-            self._cache[key] = v
-        return v
-
-    def factor(self, sign, n, m=0):
-        """1 - sign*q^(n+mx), computed once, at the context's precision."""
-        v = self._factors.get((sign, n, m))
-        if v is None:
-            _require_prec(self.prec)
-            v = self._factors[(sign, n, m)] = 1 - sign * self.qpow(n, m)
-        return v
-
-    @staticmethod
-    def sqrt(v):
-        return mp.sqrt(v)
-
-    one = mp.mpf(1)
-
-
-def _require_prec(prec: int):
-    """Refuse to compute at any precision but `prec`, an mp context's own."""
-    if mp.mp.prec != prec:
-        raise ArithmeticError(f"{prec}-bit context used at {mp.mp.prec} bits")
-
-
-@functools.lru_cache(maxsize=64)
-def _shared_mp_ctx(q: float, x: float, dps: int) -> MPCtx:
-    return MPCtx(q, x, dps)
-
-
-def mp_ctx(q, x=0.0, dps: int = MP_DPS) -> MPCtx:
-    """The mp context shared by every exact walk at (q, x, dps)."""
-    return _shared_mp_ctx(float(q), float(x), int(dps))
-
-
-# ---------------------------------------------------------------------------
-# label-backed representations
+# padding allowance and the absorbed sign
 # ---------------------------------------------------------------------------
 
 def _allow(g) -> int:
@@ -126,234 +48,6 @@ def _allow(g) -> int:
 def poly_allowance(poly) -> int:
     words = _as_poly(poly).terms
     return max((sum(_allow(g) for g in w) for w in words), default=1) or 1
-
-
-class LabelRep:
-    """A representation whose generators are weighted shifts on labeled bases.
-
-    families: tuple of (name, kmin); family `f` truncated at internal size M
-    carries labels k = kmin .. kmin+M-1.  The window (size N) is the leading
-    N labels of each family.  The diagonal Z e_k = sign*q^(n+mx) e_k and its
-    inverse Zi are built from `zexp`, the one source of that power.
-
-    steps: gen -> (move, coefficient function or None where the walk dies).
-    A move (k-offset, swap) takes (fam, k) to (fam, k + offset), in the other
-    summand ("+" <-> "-") with swap (`moved`).  Z, Zi (no move) and each
-    adjoint (gen -> real gen, the opposite move) are derived here.
-    """
-
-    def __init__(self, families, steps, zexps, N: int, meta: dict, adjoints):
-        self.families = tuple(families)
-        self.adjoints = adjoints
-        self._steps = {**steps, **_z_steps(zexps), **{
-            y: _adjoint_step(*steps[x]) for y, x in adjoints.items()}}
-        self._zexps = zexps      # dict fam -> fn(k) -> (sign, n, m)
-        self.N = N
-        self.pad = 2             # labels padded per unit of poly_allowance
-        self.meta = meta         # "q" and "x", read by the step contexts
-        self._float_ctx = FloatCtx(meta["q"], meta.get("x", 0.0))
-        self._float_steps: dict = {}  # (gen, fam) -> step arrays, see shift
-        self._shift_cache: dict = {}
-        self._mat_cache: dict = {}
-        self._walk_memos: dict = {}  # mp context -> _SegmentTables
-
-    # -- label bookkeeping
-    def kmin(self, fam):
-        return dict(self.families)[fam]
-
-    def dim(self, M: int) -> int:
-        return M * len(self.families)
-
-    def window_indices(self, M: int, W: int) -> np.ndarray:
-        out = []
-        for pos in range(len(self.families)):
-            out.extend(range(pos * M, pos * M + W))
-        return np.array(out, dtype=int)
-
-    def step(self, g, fam, k, ctx):
-        """Step of generator g from label (fam, k): None or (fam2, k2, coeff),
-        g's move and the coefficient in the arithmetic of ctx, an mp context
-        at the caller's precision (the exact kernel keeps it: `step_tables`)."""
-        (dk, swap), coeff = self._steps[g]
-        c = coeff(fam, k, ctx)
-        # `moved`, inline: every float and exact label step passes here
-        return None if c is None else (_SWAP[fam] if swap else fam, k + dk, c)
-
-    def move(self, g):  # (k-offset, swap), see the class docstring
-        return self._steps[g][0]
-
-    def zexp(self, fam, k):
-        return self._zexps[fam](k)
-
-    # -- weighted-shift form and the views built from it
-    def shift(self, g, M: int):
-        """Generator g at internal size M as a weighted shift: column j goes
-        to row tgt[j] with coefficient coef[j]; tgt[j] is -1 where the step
-        returns None or leaves the internal size.  Read from the float
-        steps (`_float_steps_from`), so a shift at a new size evaluates only
-        the labels no smaller size reached."""
-        key = (g, M)
-        cached = self._shift_cache.get(key)
-        if cached is not None:
-            return cached
-        tgt = np.full(self.dim(M), -1, dtype=np.intp)
-        coef = np.zeros(self.dim(M), dtype=np.complex128)
-        for pos, (fam, _) in enumerate(self.families):
-            to_fam, to_k, c = (a[:M] for a in self._float_steps_from(g, fam, M))
-            j = np.flatnonzero((to_fam >= 0) & (0 <= to_k) & (to_k < M))
-            tgt[pos * M + j] = to_fam[j] * M + to_k[j]
-            coef[pos * M + j] = c[j]
-        self._shift_cache[key] = (tgt, coef)
-        return tgt, coef
-
-    def _float_steps_from(self, g, fam, M: int):
-        """The steps of g from at least the first M labels of family fam, in
-        the rep's one FloatCtx, as arrays (target family position, -1 where
-        the step returns None; target label minus its family's kmin;
-        coefficient).  Each label's step is evaluated once per rep."""
-        have = self._float_steps.get((g, fam))
-        done = 0 if have is None else len(have[0])
-        if done >= M:
-            return have
-        where = {f: pos for pos, (f, _) in enumerate(self.families)}
-        to_fam = np.full(M - done, -1, dtype=np.intp)
-        to_k = np.zeros(M - done, dtype=np.intp)
-        c = np.zeros(M - done, dtype=np.complex128)
-        kmin = self.kmin(fam)
-        for i in range(M - done):
-            hit = self.step(g, fam, kmin + done + i, self._float_ctx)
-            if hit is not None:
-                f2, k2, c[i] = hit
-                to_fam[i], to_k[i] = where[f2], k2 - self.kmin(f2)
-        new = (to_fam, to_k, c)
-        if have is not None:
-            new = tuple(np.concatenate(pair) for pair in zip(have, new))
-        self._float_steps[(g, fam)] = new
-        return new
-
-    def shifts(self, g, M: int) -> tuple:
-        return (self.shift(g, M),)
-
-    def matrix(self, g, M: int) -> np.ndarray:
-        key = (g, M)
-        cached = self._mat_cache.get(key)
-        if cached is not None:
-            return cached
-        tgt, coef = self.shift(g, M)
-        cols = np.flatnonzero(tgt >= 0)
-        A = np.zeros((self.dim(M), self.dim(M)), dtype=np.complex128)
-        A[tgt[cols], cols] = coef[cols]
-        self._mat_cache[key] = A
-        return A
-
-
-_SWAP = {"+": "-", "-": "+"}
-
-
-def moved(move, fam, k) -> tuple:
-    """The label that `move` = (k-offset, swap) takes (fam, k) to."""
-    return (_SWAP[fam] if move[1] else fam), k + move[0]
-
-
-def _z_steps(zexps) -> dict:
-    """The Z and Zi steps of a label representation, from its Z exponents."""
-    def Z(fam, k, ctx):
-        s, n, m = zexps[fam](k)
-        return s * ctx.qpow(n, m)
-
-    def Zi(fam, k, ctx):
-        s, n, m = zexps[fam](k)
-        return s * (1 / ctx.qpow(n, m))
-
-    return {"Z": ((0, False), Z), "Zi": ((0, False), Zi)}
-
-
-def _adjoint_step(move, X):
-    """Y = X* for a real step X with `move`: Y makes the opposite move (the
-    swap is its own inverse), and its coefficient from a label is X's from
-    the label Y lands on."""
-    back = (-move[0], move[1])
-
-    def Y(fam, k, ctx):
-        fam2, k2 = moved(back, fam, k)
-        return X(fam2, k2, ctx)
-    return back, Y
-
-
-def podles_x_factors(rep_sign: int, k: int) -> list:
-    """The (sign, n, m) factors under the square root of the podles X step
-    from label k: (1 - q^(2k)) and (1 + q^(2k - 2x)) for the plus series,
-    x -> -x for the minus series (rep_sign -1).  The Casimir eigenvectors
-    take their entries from the same two factors."""
-    return [(1, 2 * k, 0), (-1, 2 * k, -2 * rep_sign)]
-
-
-def rep_podles(p: QParams, x: float, variant: str, N: int) -> LabelRep:
-    """Truncation of the irreducible series representations.
-
-    variant: plus | minus | direct_sum (minus + plus summands).  For the
-    plus series Z e_k = q^(2k-x+1) e_k and X uses (1+q^(2k-2x)); the minus
-    series (sign -1) carries an overall sign and x -> -x in the exponents.
-    T acts as the scalar tau(x) on both.
-    """
-    if N < 4:
-        raise ValueError("N must be at least 4")
-    signs = {"plus": {"s": 1}, "minus": {"s": -1},
-             "direct_sum": {"-": -1, "+": 1}}.get(variant)
-    if signs is None:
-        raise ValueError(f"unknown variant {variant!r}")
-
-    def X(fam, k, ctx):
-        c = _sqrt_coeff(ctx, podles_x_factors(signs[fam], k))
-        return None if c is None else signs[fam] * c
-
-    # X lowers the label in its family, T keeps it
-    steps = {"X": ((-1, False), X),
-             "T": ((0, False), lambda fam, k, ctx: tau_of(ctx))}
-    zexps = {fam: (lambda k, s=s: (s, 2 * k + 1, -s))
-             for fam, s in signs.items()}
-    return LabelRep([(fam, 0) for fam in signs], steps, zexps, N,
-                    {"q": p.q, "x": x}, {"Y": "X"})
-
-
-def rep_bl(p: QParams, l, N: int) -> LabelRep:
-    """Truncation of the banded representation of the bl(l) algebra."""
-    if l is None or l < 0 or (2 * l) != int(2 * l):
-        raise ValueError(f"l must be a nonnegative half-integer, got {l}")
-    twol = int(2 * l)
-    if N < 4 * l + 4:
-        raise ValueError(f"N must be at least 4l+4 = {4 * l + 4}")
-
-    def X(fam, k, ctx):
-        sg = 1 if fam == "+" else -1
-        c = _sqrt_coeff(ctx, [(-sg, 2 * k, 0), (sg, 2 * k + 2 * twol, 0)])
-        return None if c is None else (c if sg == 1 else -c)
-
-    def make_A(s):
-        def A(fam, k, ctx):
-            if fam == "+":
-                if k + s < 0:
-                    return None
-                return _sqrt_coeff(
-                    ctx,
-                    [(1, 2 * k + 2 * s + 2 + 2 * j, 0) for j in range(twol - s)]
-                    + [(-1, 2 * k + 2 + 2 * j, 0) for j in range(twol + s)])
-            c = _sqrt_coeff(
-                ctx,
-                [(-1, 2 * k + 2 * s + 2 + 2 * j, 0) for j in range(twol - s)]
-                + [(1, 2 * k + 2 + 2 * j, 0) for j in range(twol + s)])
-            sign = -1 if s % 2 else 1
-            return None if c is None else sign * c
-        return A
-
-    # X lowers the label in its family; A(s) moves it by s into the other
-    steps = {"X": ((-1, False), X)}
-    for s in range(-twol, twol + 1):
-        steps[("A", s)] = ((s, True), make_A(s))
-    zexps = {"-": lambda k: (-1, 2 * k + twol + 1, 0),
-             "+": lambda k: (1, 2 * k + twol + 1, 0)}
-    return LabelRep((("-", 0), ("+", -twol)), steps, zexps, N,
-                    {"q": p.q, "x": float(twol)}, {"Y": "X"})
 
 
 def absorb_sign(rep, M: int, tgt, coef):
@@ -429,31 +123,6 @@ def spin_half(p: QParams) -> ShiftRep:
     return ShiftRep({g: (np.array(cols), np.array(rows),
                          np.array(val, np.complex128))
                      for g, (cols, rows, val) in ops.items()}, 2, N=2, pad=0)
-
-
-def _tensor_terms(g, ctx):
-    """The coaction: tensor generator g as [(base generator, [(row spin,
-    column spin, value)])], values in the arithmetic of ctx and None
-    standing for an exact 1; spin 0 is e_+, spin 1 is e_-.  An mp context
-    computes at the caller's precision."""
-    q1, qm1 = ctx.qpow(1), ctx.qpow(-1)
-    lam_inv = q1 - qm1
-    if g == "Z":
-        return [("Z", [(0, 0, q1), (1, 1, qm1)])]
-    if g == "Zi":
-        return [("Zi", [(0, 0, qm1), (1, 1, q1)])]
-    if g == "X":
-        return [("X", [(0, 0, None), (1, 1, None)]),
-                ("Z", [(1, 0, lam_inv)])]
-    if g == "Y":
-        return [("Y", [(0, 0, None), (1, 1, None)]),
-                ("Z", [(0, 1, lam_inv)])]
-    if g == "T":
-        return [("T", [(0, 0, qm1), (1, 1, q1)]),
-                ("Z", [(0, 0, ctx.qpow(2) - 1), (1, 1, ctx.qpow(-2) - 1)]),
-                ("X", [(0, 1, lam_inv)]),
-                ("Y", [(1, 0, lam_inv)])]
-    raise KeyError(f"tensor representation has no generator {g}")
 
 
 class TensorRep:
@@ -659,351 +328,6 @@ def residuals(pairs, rep) -> list:
     result is bit-identical to the evaluated difference.  A word is walked
     once per internal size for all the pairs (`_window_differences`)."""
     return [max_abs(diff) for _, _, diff in _window_differences(pairs, rep)]
-
-
-# ---------------------------------------------------------------------------
-# the exact walk kernel
-#
-# Every exact check reads columns of operator products label by label in
-# mpmath arithmetic, exactly on the infinite operators at a precision chosen
-# against the q^(-2k) growth of the localization inverse.  A "segment" is
-# (generator, impl): impl selects the implementer letter, which on a
-# two-summand space absorbs the sign operator, so its coefficient is negated
-# where the step lands in the "-" family.  A recipe item ("zf", sign, n, m)
-# is one more segment kind, the diagonal factor 1 - sign*q^(n+mx)*Z, and so
-# is a recipe's lead ("lead", sign, n, m), the scalar sign*q^(n+mx).  A
-# "combo" (coefficient, [segments]) is a real Python coefficient times the
-# operator product of the segments; the kernel is real throughout.
-#
-# Steps are memoised per (representation, mp context) as (target label, raw
-# coefficient), one coefficient per step, an mpmath `_mpf_` tuple computed at
-# the context's precision, which the caller holds; the context computes each
-# factor 1 - sign*q^(n+mx) of a root once (`MPCtx.factor`).  A label step is
-# computed once, in its plain table; the implementer letter's table negates
-# the plain entry where it lands in "-", and an adjoint's (`LabelRep.adjoints`)
-# reads its real step's entry at the label the adjoint's move lands on.
-#
-# A walk multiplies its steps' coefficients in walk order with libmp's
-# mpf_mul at the context's precision, rounding to nearest, the first
-# coefficient starting the product exactly.  Sums, signs and the combo
-# coefficient use the libmp function that mpmath's operators call (a
-# coefficient of exactly 1 leaves the value as mpf_mul would), so every
-# value is bit-identical to multiplying mpf objects.  `trie_walks` walks
-# every path of a check as one prefix trie: a node's product is its parent's
-# times the step (on a tensor representation, a branching walk's frontier),
-# formed once for all paths through it.
-# ---------------------------------------------------------------------------
-
-_RND = round_nearest
-
-
-class _StepTable(dict):
-    """label -> step of one segment, computed by `fill` on first use and
-    kept.  A step is None (the walk dies) or, on a label representation,
-    (target label, raw coefficient); on a tensor representation it is a
-    list of such branches."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, label):
-        hit = self[label] = self.fill(label)
-        return hit
-
-
-class _SegmentTables(dict):
-    """The step tables of one representation in one mp context, one per
-    segment, made on first use.  The rep holds them (`step_tables`), so they
-    hold it only weakly, and no fill holds them: both are freed as soon as
-    the rep is dropped, without the cycle collector."""
-
-    def __init__(self, rep, ctx):
-        super().__init__()
-        self.rep = weakref.ref(rep)
-        self.ctx = ctx
-        self.prec = ctx.prec
-
-    def __missing__(self, seg):
-        g, impl = seg
-        rep = self.rep()
-        if isinstance(rep, TensorRep):
-            fill = self._tensor_step(g)
-        elif isinstance(g, tuple) and g[0] == "zf":
-            fill = self._zf_step(*g[1:])
-        elif isinstance(g, tuple) and g[0] == "lead":
-            fill = self._lead_step(*g[1:])
-        elif impl:
-            fill = self._absorbed_step(self[(g, False)])
-        elif g in rep.adjoints:
-            fill = self._adjoint_of(self[(rep.adjoints[g], False)],
-                                    rep.move(g))
-        else:
-            fill = self._label_step(g)
-        table = self[seg] = _StepTable(fill)
-        return table
-
-    def _label_step(self, g):
-        rep, ctx, prec = self.rep, self.ctx, self.prec
-
-        def fill(label):
-            _require_prec(prec)
-            hit = rep().step(g, label[0], label[1], ctx)
-            return None if hit is None else (hit[:2], hit[2]._mpf_)
-        return fill
-
-    @staticmethod
-    def _absorbed_step(plain):
-        """The plain step, negated where it lands in "-"."""
-        def fill(label):
-            hit = plain[label]
-            return (hit if hit is None or hit[0][0] != "-"
-                    else (hit[0], mpf_neg(hit[1])))
-        return fill
-
-    @staticmethod
-    def _adjoint_of(plain, move):
-        """The adjoint of a real step, whose entry it reads at the label its
-        own `move` lands on."""
-        def fill(label):
-            to = moved(move, *label)
-            hit = plain[to]
-            return None if hit is None else (to, hit[1])
-        return fill
-
-    def _zf_step(self, sign, n, m):
-        zexps, ctx, prec = self.rep()._zexps, self.ctx, self.prec
-
-        def fill(label):
-            zsign, zn, zm = zexps[label[0]](label[1])
-            qp = ctx.qpow(n + zn, m + zm)._mpf_
-            f = mpf_sub(fone, mpf_mul_int(qp, sign * zsign, prec, _RND),
-                        prec, _RND)
-            return label, f
-        return fill
-
-    def _lead_step(self, sign, n, m):
-        lead = mpf_mul_int(self.ctx.qpow(n, m)._mpf_, sign, self.prec, _RND)
-        return lambda label: (label, lead)
-
-    def _tensor_step(self, g):
-        rep, prec = self.rep(), self.prec
-        _require_prec(prec)
-        terms = [(step_tables(rep.base, self.ctx)[(base_g, rep.absorb_sign)],
-                  [(sp2, sp_in, v if v is None else v._mpf_)
-                   for sp2, sp_in, v in entries])
-                 for base_g, entries in _tensor_terms(g, self.ctx)]
-
-        def fill(label):
-            fam, k, sp = label
-            out = []
-            for table, entries in terms:
-                hit = table[(fam, k)]
-                if hit is None:
-                    continue
-                (f2, k2), c = hit
-                for sp2, sp_in, v in entries:
-                    if sp_in == sp:
-                        out.append(((f2, k2, sp2), c if v is None
-                                    else mpf_mul(c, v, prec, _RND)))
-            return out
-        return fill
-
-
-def step_tables(rep, ctx) -> _SegmentTables:
-    """The step tables of `rep` in the mp context `ctx`, one shared set per
-    (rep, ctx)."""
-    tables = rep._walk_memos.get(ctx)
-    if tables is None:
-        tables = rep._walk_memos[ctx] = _SegmentTables(rep, ctx)
-    return tables
-
-
-def mp_magnitude(v) -> float:
-    """|v| as a float for a raw mpf, rounded to nearest as float(abs(v))
-    rounds an mpf."""
-    return abs(to_float(v, rnd=_RND))
-
-
-def _raw_number(c):
-    """A real Python coefficient as a raw mpf, exactly as mpmath converts
-    it; a complex one with zero imaginary part walks as its real part."""
-    if isinstance(c, complex):
-        if c.imag != 0.0:
-            raise ValueError(f"exact walks are real, got coefficient {c!r}")
-        c = c.real
-    if isinstance(c, int):
-        return from_int(c)
-    return from_float(float(c))
-
-
-def window_labels(rep, W: int):
-    tensor = isinstance(rep, TensorRep)
-    for fam, kmin in (rep.base if tensor else rep).families:
-        for k in range(kmin, kmin + W):
-            yield from ((fam, k, 0), (fam, k, 1)) if tensor else ((fam, k),)
-
-
-def _poly_combos(terms: dict) -> list:
-    """Plain-letter combos of a polynomial's terms."""
-    return [(c, [(g, False) for g in w]) for w, c in terms.items()]
-
-
-def _rule_combos(rule) -> list:
-    """A rule's right-hand side as combos: its terms, or its recipe's
-    product with the lead as the last segment, walked first, so the lead
-    starts the product."""
-    if rule.recipe is None:
-        return _poly_combos(rule.rhs)
-    lead, items = rule.recipe
-    return [(1, [(it, False) for it in (*items, ("lead", *lead))])]
-
-
-def _trie(tables, node) -> tuple:
-    """The edges out of a node of a dict trie {segment: child, None: path
-    number} as nested tuples (step table, path number or None, edges)."""
-    return tuple((tables[seg], child.pop(None, None), _trie(tables, child))
-                 for seg, child in node.items())
-
-
-def _label_trie(edges, label, p, ends, prec):
-    """Walk `label` down trie edges on a label representation, p the
-    product so far (None for the exact 1 a walk starts from)."""
-    for table, leaf, below in edges:
-        hit = table[label]
-        if hit is not None:
-            lab, c = hit
-            if p is not None:
-                c = mpf_mul(p, c, prec, _RND)
-            if leaf is not None:
-                ends[leaf] = ((lab, c),)
-            if below:
-                _label_trie(below, lab, c, ends, prec)
-
-
-def _branch_trie(edges, frontier, ends, prec):
-    """Walk a frontier {label: raw value, None for an exact 1} down trie
-    edges on a tensor representation, whose steps branch."""
-    for table, leaf, below in edges:
-        nxt: dict = {}
-        for lab, val in frontier.items():
-            for lab2, c in table[lab]:
-                p = c if val is None else mpf_mul(val, c, prec, _RND)
-                old = nxt.get(lab2)
-                nxt[lab2] = p if old is None else mpf_add(old, p, prec, _RND)
-        if nxt:
-            if leaf is not None:
-                ends[leaf] = list(nxt.items())
-            _branch_trie(below, nxt, ends, prec)
-
-
-def trie_walks(tables, paths, labels):
-    """Walk the numbered paths {segments in walk order: path number} as one
-    prefix trie of `tables` from each label in turn, yielding (label, ends):
-    ends[i] is path i's (end label, raw value) pairs, () where it dies (one
-    pair on a label representation)."""
-    root = {}
-    for path, i in paths.items():
-        functools.reduce(lambda node, seg: node.setdefault(seg, {}), path,
-                         root)[None] = i
-    empty, edges = root.pop(None, None), _trie(tables, root)
-    prec, branched = tables.prec, isinstance(tables.rep(), TensorRep)
-    for label in labels:
-        ends = [()] * len(paths)
-        if empty is not None:
-            ends[empty] = ((label, fone),)
-        if branched:
-            _branch_trie(edges, {label: None}, ends, prec)
-        else:
-            _label_trie(edges, label, None, ends, prec)
-        yield label, ends
-
-
-def _larger(a, b):
-    """Whichever of the raw mpfs a and b is larger in magnitude (a on a
-    tie), NaN above an infinity above every number, so that converting it
-    to float reads max_or_nan of both magnitudes: rounding is monotone."""
-    if not b[1]:                        # b is 0, an infinity or NaN
-        return b if b == fnan or b != fzero and a != fnan else a
-    if not a[1]:
-        return b if a == fzero else a
-    if a[2] + a[3] != b[2] + b[3]:      # exponent + bit count, then mantissa
-        return a if a[2] + a[3] > b[2] + b[3] else b
-    return b if b[1] << a[3] > a[1] << b[3] else a   # shifted to one exponent
-
-
-def combos_residuals(rep, pairs, W: int, dps: int | None = None) -> list:
-    """max |combos_a - combos_b| over window columns and rows for each pair
-    (combos_a, combos_b), walked in the shared mp context of `rep` at `dps`
-    digits (window-adaptive, `walk_dps`, by default).  The distinct paths of
-    all the pairs are one trie, walked from each window label; then each
-    pair adds its combos into its rows in combo order, combos_b subtracted
-    one by one, and keeps its largest window row (`_larger`), converted to
-    float once."""
-    dps = walk_dps(rep, W) if dps is None else dps
-    with mp.workdps(dps):
-        ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
-        prec, tables, paths = ctx.prec, step_tables(rep, ctx), {}
-        # each pair's combos as (path number, raw coefficient or None for
-        # an exact 1, whether it is subtracted)
-        terms = [[(paths.setdefault(tuple(reversed(segs)), len(paths)),
-                   None if (c := _raw_number(coef)) == fone else c, sub)
-                  for sub, side in enumerate(pair) for coef, segs in side]
-                 for pair in pairs]
-        inside = set(window_labels(rep, W))
-        largest = [fzero] * len(pairs)
-        for _, ends in trie_walks(tables, paths, window_labels(rep, W)):
-            for j, combos in enumerate(terms):
-                rows: dict = {}
-                for i, coef, sub in combos:
-                    for lab, val in ends[i]:
-                        term = (val if coef is None
-                                else mpf_mul(val, coef, prec, _RND))
-                        old = rows.get(lab)
-                        if sub:
-                            term = mpf_sub(fzero if old is None else old,
-                                           term, prec, _RND)
-                        elif old is not None:
-                            term = mpf_add(old, term, prec, _RND)
-                        rows[lab] = term
-                for lab, v in rows.items():
-                    if lab in inside:
-                        largest[j] = _larger(largest[j], v)
-        return [mp_magnitude(v) for v in largest]
-
-
-def relation_check(pres: Presentation, rep) -> dict:
-    """Residual of every defining relation of `pres` in `rep`, {rule name:
-    max |lhs - rhs|} over its padded-interior window (size rep.N): all rules
-    walked exactly in one `combos_residuals` call at MP_DPS digits on a
-    label representation, and in one float `residuals` call on any other.
-    Rules tagged as derived rewriting aids (conjugation by the unbounded
-    Z^-1, centrality of T) are skipped: their entries grow like q^(-2k), so
-    absolute residuals at the window edge certify nothing."""
-    rules = [r for r in pres.rules if r.defining]
-    if not isinstance(rep, LabelRep):
-        return dict(zip((r.name for r in rules), residuals(
-            [(NCPoly({r.lhs: 1.0}), NCPoly(r.rhs)) for r in rules], rep)))
-    return dict(zip((r.name for r in rules), combos_residuals(
-        rep, [(_poly_combos({r.lhs: 1.0}), _rule_combos(r)) for r in rules],
-        rep.N, MP_DPS)))
-
-
-def walk_dps(rep, W: int, slack: int = 30) -> int:
-    """mpmath digits needed so residuals stay meaningful against the q^(-2k)
-    growth of inverse-diagonal entries over the window."""
-    q = rep.meta["q"]
-    x = rep.meta.get("x", 0.0)
-    # a non-finite x makes every entry NaN, which no precision resolves
-    x = abs(x) if math.isfinite(x) else 0.0
-    exponent = 2 * W + 2 * x + 16
-    return int(math.ceil(exponent * math.log10(1.0 / q))) + slack
-
-
-def combos_residual(rep, combos_a, combos_b, W: int) -> float:
-    """max |combos_a - combos_b| over the window (`combos_residuals`)."""
-    return combos_residuals(rep, [(combos_a, combos_b)], W)[0]
-
 
 # ---------------------------------------------------------------------------
 # matrix text dumps

@@ -22,16 +22,16 @@ with warnings.catch_warnings():
 @pytest.fixture
 def functional_walks(monkeypatch) -> list:
     """Every (numbered paths, [(label, ends)]) that the invariant
-    functional (`action.invariance_defects`) gives its shared trie walker
+    functional (`invariance.invariance_defects`) gives its shared trie walker
     and gets back, in call order."""
-    from qsphere import action
+    from qsphere import invariance
     calls = []
-    trie_walks = action.trie_walks
+    trie_walks = invariance.trie_walks
 
     def recorded(tables, paths, labels):
         calls.append((dict(paths), []))
         for label, ends in trie_walks(tables, paths, labels):
             calls[-1][1].append((label, list(ends)))
             yield label, ends
-    monkeypatch.setattr(action, "trie_walks", recorded)
+    monkeypatch.setattr(invariance, "trie_walks", recorded)
     return calls

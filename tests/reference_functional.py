@@ -1,5 +1,5 @@
 """The six-walk loop that the per-word screen of
-`action.invariance_defects` replaced, kept for tests that compare the two:
+`invariance.invariance_defects` replaced, kept for tests that compare the two:
 every tail label walks all six diagonal walks of the defects, whatever the
 word's move, through a label-first diagonal walk of its own, and a walk
 that dies or does not return reads as an exact 0.  It reads only the
@@ -11,7 +11,7 @@ import math
 import mpmath as mp
 from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
 
-from qsphere.reps import mp_ctx, step_tables, walk_dps
+from qsphere.labels import mp_ctx, step_tables, walk_dps
 
 _RND = round_nearest
 
@@ -47,7 +47,7 @@ def walk_diagonal(path, label, prec):
 
 def defect_sums(word, rep, W):
     """The raw mpf tail sums for K, E and F, whose magnitudes
-    `action.invariance_defects` returns for `word`."""
+    `invariance.invariance_defects` returns for `word`."""
     q = rep.meta["q"]
     tail = max(8, int(math.ceil(16.0 * math.log(10)
                                 / (2.0 * abs(math.log(q)))))) + 4

@@ -1,5 +1,5 @@
 """The per-identity exact residual loop that the prefix-trie walk of
-`reps.combos_residuals` replaced, kept for tests that compare the two:
+`labels.combos_residuals` replaced, kept for tests that compare the two:
 every combo of every identity walks its own path from every window label
 (`walk_path`, or a branching walk on a tensor representation), its
 coefficient times that product is added to (or, on the right side,
@@ -14,8 +14,9 @@ from mpmath.libmp import (fone, fzero, mpf_add, mpf_mul, mpf_sub,
                           round_nearest)
 
 from qsphere.report import max_or_nan
-from qsphere.reps import (MP_DPS, TensorRep, _raw_number, mp_ctx,
-                          mp_magnitude, step_tables, walk_dps, window_labels)
+from qsphere.labels import (MP_DPS, _raw_number, mp_ctx, mp_magnitude,
+                            step_tables, walk_dps, window_labels)
+from qsphere.reps import TensorRep
 
 _RND = round_nearest
 
@@ -119,9 +120,9 @@ def reference_residual(rep, lhs, rhs, W: int, dps: int = None) -> float:
 
 
 def reference_relation_check(pres, rep) -> dict:
-    """`reps.relation_check` on a label representation, one rule at a
+    """`labels.relation_check` on a label representation, one rule at a
     time."""
-    from qsphere.reps import _poly_combos, _rule_combos
+    from qsphere.labels import _poly_combos, _rule_combos
     return {r.name: reference_residual(rep, _poly_combos({r.lhs: 1.0}),
                                        _rule_combos(r), rep.N, MP_DPS)
             for r in pres.rules if r.defining}

@@ -19,7 +19,8 @@ from qsphere.ncalg import (
     normal_form,
     random_words,
 )
-from qsphere.reps import evaluate, max_abs, relation_check, rep_bl, rep_podles
+from qsphere.labels import relation_check, rep_bl, rep_podles
+from qsphere.reps import evaluate, max_abs
 from qsphere.casimir import (
     branch_indices,
     casimir_matrix,
@@ -27,12 +28,8 @@ from qsphere.casimir import (
     covered_indices,
     numeric_interior_spectrum,
 )
-from qsphere.action import (
-    invariance_defects,
-    invariant_subspace,
-    kernel_residual,
-    spin2l_check,
-)
+from qsphere.action import invariant_subspace, kernel_residual
+from qsphere.invariance import invariance_defects, spin2l_check
 from qsphere.morita import (
     a0_block,
     basis_change,

@@ -13,22 +13,17 @@ from qsphere.ncalg import (
     make_presentation,
     random_words,
 )
-from qsphere import action
-from qsphere.action import (
+from qsphere import action, invariance
+from qsphere.action import invariant_subspace, kernel_residual
+from qsphere.invariance import (
     invariance_defects,
-    invariant_subspace,
-    kernel_residual,
     ladder_coeff_e,
     ladder_coeff_f,
     lambda_s,
     spin2l_check,
 )
-from qsphere.reps import (
-    TensorRep,
-    max_abs,
-    rep_bl,
-    rep_podles,
-)
+from qsphere.labels import rep_bl, rep_podles
+from qsphere.reps import TensorRep, max_abs
 
 P = QParams(0.5)
 Q = P.q
@@ -48,7 +43,7 @@ def _sign_operator(rep, M):
 
 
 def test_casimir_matrix_is_invariant():
-    from qsphere.action import casimir_invariance
+    from qsphere.invariance import casimir_invariance
     res = casimir_invariance(P, 0.7, 24)
     assert max(res.values()) < 1e-11, res
 
@@ -86,8 +81,8 @@ def test_spin2l_check_small_l():
 
 def test_ad_composition_q_commutation():
     # from KE = q^2 EK as a right action: ad_E after ad_K = q^2 ad_K after ad_E
-    from qsphere.action import combo_ad
-    from qsphere.reps import combos_residual
+    from qsphere.invariance import combo_ad
+    from qsphere.labels import combos_residual
     rep = rep_bl(P, 0.5, 16)
     pres = make_presentation("bl", P, l=0.5)
     for w in random_words(pres, 8, 3, seed=17):
@@ -123,7 +118,7 @@ def _bits(combos):
 
 
 def test_combo_ad_matches_written_out_action():
-    from qsphere.action import combo_ad
+    from qsphere.invariance import combo_ad
     segs = [[], [(a_gen(1), False)], [("X", False), ("Y", True)],
             [("T", False), ("Zi", False), ("X", True)]]
     for p in (P, QParams(0.3), QParams(0.83)):
@@ -175,8 +170,8 @@ def _walk_column(rep, combos, label, ctx):
 def test_ad_e_star_is_minus_q2_ad_f():
     # frozen regression: (ad_E M)^* = -q^2 ad_F(M^*)
     import mpmath as mp
-    from qsphere.action import combo_ad
-    from qsphere.reps import MPCtx, walk_dps, window_labels
+    from qsphere.invariance import combo_ad
+    from qsphere.labels import MPCtx, walk_dps, window_labels
     rep = rep_bl(P, 1, 16)
     pres = make_presentation("bl", P, l=1)
     W = 16
@@ -237,14 +232,13 @@ def test_invariance_defect_matches_direct_trace_at_small_window():
 
 
 def test_invariance_defects_memoised_match_fresh_context(monkeypatch):
-    import qsphere.action as action
-    from qsphere.reps import MPCtx
+    from qsphere.labels import MPCtx
 
     cases = [(rep_podles(P, 1.0, "direct_sum", 12), ("Y", "Z"), ("X",)),
              (rep_bl(P, 0.5, 12), (a_gen(1), "Y"), ("Z", a_gen(-1)))]
     shared = [invariance_defects(words, rep, 12) for rep, *words in cases]
     # an unshared context: its own step tables compute every step again
-    monkeypatch.setattr(action, "mp_ctx", MPCtx)
+    monkeypatch.setattr(invariance, "mp_ctx", MPCtx)
     assert shared == [invariance_defects(words, rep, 12)
                       for rep, *words in cases]
 
@@ -280,7 +274,7 @@ def _reference_invariance_defects(word, rep, W):
     multiplying as it goes."""
     import mpmath as mp
 
-    from qsphere.reps import mp_ctx, walk_dps
+    from qsphere.labels import mp_ctx, walk_dps
     q = rep.meta["q"]
     tail = max(8, int(math.ceil(16.0 * math.log(10)
                                 / (2.0 * abs(math.log(q)))))) + 4
@@ -314,7 +308,7 @@ def _reference_invariance_defects(word, rep, W):
 def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
     import mpmath as mp
 
-    from qsphere.reps import mp_ctx, step_tables, trie_walks
+    from qsphere.labels import mp_ctx, step_tables, trie_walks
 
     p = QParams(0.37)
     plain = [("Z",), ("X", "Y"), ("Y", "Z", "X"),       # net shift 0
@@ -382,7 +376,7 @@ def test_screened_defects_match_six_walk_reference(monkeypatch,
     # every tail label: the raw sums, bit for bit
     import reference_functional
 
-    monkeypatch.setattr(action, "mp_magnitude", lambda v: v)
+    monkeypatch.setattr(invariance, "mp_magnitude", lambda v: v)
 
     def raw(words, rep, W):
         return [list(d.values()) for d in invariance_defects(words, rep, W)]
@@ -424,7 +418,7 @@ def test_live_pairs_return_and_dead_pairs_read_zero(functional_walks):
     # every basis word of degree <= 4: a pair whose move cancels walks
     # back to each tail label, where no step dies, and any other pair
     # walks nothing and reads 0
-    from qsphere.action import _AD
+    from qsphere.invariance import _AD
     W = 12
     cases = ([(make_presentation("podles", P, x=x),
                rep_podles(P, x, "direct_sum", W)) for x in (1.0, 0.35, -2.5)]
@@ -457,8 +451,8 @@ def test_live_pairs_return_and_dead_pairs_read_zero(functional_walks):
 
 def test_non_finite_x_reads_nan():
     # walk_dps takes its precision from W alone, and NaN steps give NaN
-    from qsphere.action import combo_ad
-    from qsphere.reps import combos_residual, walk_dps
+    from qsphere.invariance import combo_ad
+    from qsphere.labels import combos_residual, walk_dps
     rep = rep_podles(P, float("nan"), "direct_sum", 8)
     assert walk_dps(rep, 8) == walk_dps(rep_podles(P, 0.0, "plus", 8), 8)
     for d in invariance_defects([("Y",), ("X", "Y")], rep, 8):

@@ -17,7 +17,8 @@ from qsphere.casimir import (
     numeric_interior_spectrum,
 )
 from qsphere.cli import run
-from qsphere.reps import TensorRep, adjoint, max_abs, rep_podles, summed
+from qsphere.labels import rep_podles
+from qsphere.reps import TensorRep, adjoint, max_abs, summed
 
 from closed_form import eigvec_vector
 

@@ -495,6 +495,75 @@ def test_certification_never_imports_numpy_ma():
     assert proc.returncode == 0, proc.stderr
 
 
+# Runs the command line on argv[2:] with `cli.<argv[1]>` wrapped, and prints
+# as JSON its exit code and whether numpy was loaded after `import
+# qsphere.cli`, at the wrapped function's first call, and at the end.
+_NUMPY_PROBE = """import contextlib, io, json, sys
+import qsphere.cli as cli
+seen = {"import": "numpy" in sys.modules}
+name, fn = sys.argv[1], getattr(cli, sys.argv[1])
+def noted(*args):
+    seen.setdefault("hook", "numpy" in sys.modules)
+    return fn(*args)
+setattr(cli, name, noted)
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["code"] = cli.run(sys.argv[2:])
+seen["end"] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def _probe(script, argv, env=None):
+    """Run `script` with argv in a fresh interpreter that imports this
+    checkout's package; its stdout."""
+    src = str(Path(qsphere.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("hook, argv, loads", [
+    ("suite_relations", ["relations", "--N", "16"], False),
+    ("suite_theta", ["theta", "--N", "8"], False),
+    ("suite_functional", ["functional", "--N", "24"], False),
+    ("suite_oracle", ["oracle", "--N", "16", "--count", "10"], True),
+    ("_with_worker", SMALL_ALL, True)])
+def test_numpy_loads_only_for_float_commands(hook, argv, loads):
+    # importing the command line loads no numpy, and neither do the
+    # commands that certify in mpmath alone; a float command loads it
+    # before its first suite, and `all` before it forks its worker
+    seen = json.loads(_probe(_NUMPY_PROBE, [hook, *argv]))
+    assert seen == {"import": False, "hook": loads, "code": 0, "end": loads}
+
+
+# Runs the command line on argv[1:] and prints how many threads the process
+# had at each os.fork call, one count per line.
+_FORK_PROBE = """import contextlib, io, os, sys
+import qsphere.cli as cli
+fork, threads = os.fork, []
+def counted():
+    threads.append(len(os.listdir("/proc/self/task")))
+    return fork()
+os.fork = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(sys.argv[1:]) == 0
+print(*threads, sep="\\n")
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc (Linux)")
+def test_all_forks_from_one_thread():
+    # OpenBLAS starts a thread per core when numpy loads unless told
+    # otherwise, and from Python 3.12 on os.fork warns in a process with
+    # threads; the command line asks for one thread unless the user chose
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    assert _probe(_FORK_PROBE, SMALL_ALL, env).split() == ["1"]
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = run(["theta", "--l", "0.5", "--N", "16", "--json",

@@ -14,7 +14,8 @@ from qsphere.morita import (
     rp2_suite,
 )
 from qsphere.ncalg import LCG, a_gen
-from qsphere.reps import adjoint, max_abs, rep_bl, summed
+from qsphere.labels import rep_bl
+from qsphere.reps import adjoint, max_abs, summed
 
 from closed_form import eigvec_vector
 

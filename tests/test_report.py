@@ -1,12 +1,12 @@
 import json
 import math
 
-from qsphere import cli
 from qsphere.cli import run
 from qsphere.ncalg import make_presentation
 from qsphere.qcore import QParams
 from qsphere.report import VerificationReport, canonical_json, max_or_nan
-from qsphere.reps import (
+from qsphere import reps
+from qsphere.labels import (
     combos_residual,
     relation_check,
     rep_podles,
@@ -75,7 +75,7 @@ def test_nan_residuals_propagate_through_walks():
 
 
 def test_nan_oracle_residual_fails_cli(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "residuals",
+    monkeypatch.setattr(reps, "residuals",
                         lambda pairs, rep: [NAN for _ in pairs])
     code = run(["oracle", "--N", "8", "--count", "3", "--json"])
     report = json.loads(capsys.readouterr().out)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import finf, fnan, fninf, fzero, mpf_neg
 
 import reference_residual
-from qsphere import reps
+from qsphere import labels, reps
 from qsphere.qcore import QParams, tau
 from qsphere.report import max_or_nan
 from qsphere.ncalg import (
@@ -21,27 +21,30 @@ from qsphere.ncalg import (
     parse,
     random_words,
 )
-from qsphere.reps import (
-    FloatCtx,
+from qsphere.labels import (
     MPCtx,
-    ShiftRep,
-    TensorRep,
     combos_residual,
     combos_residuals,
+    mp_ctx,
+    relation_check,
+    rep_bl,
+    rep_podles,
+    step_tables,
+    walk_dps,
+    window_labels,
+)
+from qsphere.reps import (
+    FloatCtx,
+    ShiftRep,
+    TensorRep,
     dump_matrix,
     evaluate,
     load_matrix,
     max_abs,
-    mp_ctx,
     poly_allowance,
-    relation_check,
-    rep_bl,
-    rep_podles,
     residuals,
     spin_half,
     walk,
-    walk_dps,
-    window_labels,
 )
 
 P = QParams(0.5)
@@ -598,7 +601,7 @@ def _walk_combos(rep, combos, label, ctx):
     """Column `label` of sum(coef * product(segments)) walked on the exact
     kernel's step tables by the per-combo reference loop, as mpmath
     numbers: {row label: value}."""
-    tables = reps.step_tables(rep, ctx)
+    tables = step_tables(rep, ctx)
     rows = reference_residual.combo_column(
         tables, reference_residual.compile_combos(tables, combos), label)
     return {lab: mp.make_mpf(v) for lab, v in rows.items()}
@@ -634,7 +637,7 @@ def test_memoised_walks_match_fresh_contexts(monkeypatch):
     assert mp_ctx(Q, 1.3) is mp_ctx(Q, 1.3)
     assert any(podles._walk_memos[mp_ctx(Q, 1.3)].values())
     # an unshared context: its own step tables compute every step again
-    monkeypatch.setattr(reps, "mp_ctx", MPCtx)
+    monkeypatch.setattr(labels, "mp_ctx", MPCtx)
     assert run_all() == shared
 
 
@@ -666,7 +669,7 @@ def test_each_step_is_computed_once_per_context(monkeypatch):
     # so no (generator, label) root is taken twice in one context; distinct
     # steps may share a root's factors (bl's A(2) and A(-2), say)
     steps, roots, stepped_roots = [], [], []
-    step, sqrt_coeff = reps.LabelRep.step, reps._sqrt_coeff
+    step, sqrt_coeff = labels.LabelRep.step, labels._sqrt_coeff
 
     def counted_step(rep, g, fam, k, ctx):
         before = len(roots)
@@ -681,8 +684,8 @@ def test_each_step_is_computed_once_per_context(monkeypatch):
             roots.append((ctx, tuple(factors)))
         return sqrt_coeff(ctx, factors)
 
-    monkeypatch.setattr(reps.LabelRep, "step", counted_step)
-    monkeypatch.setattr(reps, "_sqrt_coeff", counted_root)
+    monkeypatch.setattr(labels.LabelRep, "step", counted_step)
+    monkeypatch.setattr(labels, "_sqrt_coeff", counted_root)
     combos = _COMBOS + [(1.0, [("Y", False), ("X", True), ("Zi", True)])]
     for rep, pres in ((rep_podles(P, 1.3, "direct_sum", 12),
                        make_presentation("podles", P, x=1.3)),
@@ -702,7 +705,7 @@ def test_absorbed_and_adjoint_tables_match_fresh_steps():
                 rep_podles(P, 1.3, "minus", W),
                 rep_bl(P, 1, W), rep_bl(P, 1.5, W)):
         ctx = MPCtx(Q, rep.meta.get("x", 0.0))
-        tables = reps.step_tables(rep, ctx)
+        tables = step_tables(rep, ctx)
         two = len(rep.families) == 2
         labels = list(window_labels(rep, W + 2))
         seen = {"-": 0, "Y": 0}
@@ -727,11 +730,11 @@ def test_diagonal_walk_multiplies_only_returning_walks(functional_walks):
     # the functional's diagonals walk only words whose moves let them
     # return: every path it gives the shared trie walker ends back at each
     # tail label it starts from
-    from qsphere import action
+    from qsphere import invariance
     rep = rep_bl(P, 1, 12)
     returning = [("X", "Y"), ("Y", "Z", "X"), (a_gen(1), a_gen(-1))]
     leaving = [("Y",), ("X", "Zi"), ("Y", "Y"), (a_gen(1),), ("X", "X")]
-    action.invariance_defects(returning + leaving, rep, 8)
+    invariance.invariance_defects(returning + leaving, rep, 8)
     (paths, walked), = functional_walks
     assert paths and all(len(end) == 1 and end[0][0] == label
                          for label, ends in walked for end in ends)
@@ -741,14 +744,14 @@ def test_table_fill_outside_its_precision_raises():
     rep = rep_podles(P, 1.3, "direct_sum", 10)
     tensor = TensorRep(rep_podles(P, 0.7, "plus", 10))
     ctx = MPCtx(Q, 1.3, 40)
-    tables = reps.step_tables(rep, ctx)
+    tables = step_tables(rep, ctx)
     for dps in (15, 60):
         with mp.workdps(dps):
             for seg in (("X", False), ("Y", False), ("X", True)):
                 with pytest.raises(ArithmeticError):
                     tables[seg][("+", 3)]
             with pytest.raises(ArithmeticError):
-                reps.step_tables(tensor, MPCtx(Q, 0.7, 40))[("T", False)]
+                step_tables(tensor, MPCtx(Q, 0.7, 40))[("T", False)]
     with mp.workdps(ctx.dps):
         assert tables[("Y", True)][("-", 3)] is not None
 
@@ -771,7 +774,7 @@ def test_every_step_lands_where_its_move_says():
         two = len(rep.families) == 2
         for ctx in (FloatCtx(Q, x), MPCtx(Q, x)):
             exact = isinstance(ctx, MPCtx)
-            tables = reps.step_tables(rep, ctx) if exact else None
+            tables = step_tables(rep, ctx) if exact else None
             with mp.workdps(ctx.dps if exact else mp.mp.dps):
                 for g in rep._steps:
                     dk, swap = _expected_move(g)
@@ -1010,11 +1013,11 @@ def test_relation_kernel_matches_multiplying_walks(monkeypatch):
     zf_rules = 0
     for fresh in (False, True):
         if fresh:
-            monkeypatch.setattr(reps, "mp_ctx", MPCtx)
+            monkeypatch.setattr(labels, "mp_ctx", MPCtx)
         for pres, rep in cases:
             got = relation_check(pres, rep)
-            with mp.workdps(reps.MP_DPS):
-                ctx = reps.mp_ctx(Q, rep.meta.get("x", 0.0))
+            with mp.workdps(labels.MP_DPS):
+                ctx = labels.mp_ctx(Q, rep.meta.get("x", 0.0))
                 want = {r.name: _reference_rule_residual(rep, r, W, ctx)
                         for r in pres.rules if r.defining}
             assert got == want
@@ -1035,7 +1038,7 @@ def _same(got, want):
 
 
 def test_trie_residuals_match_per_identity_loop():
-    from qsphere.action import combo_ad, spin2l_laws
+    from qsphere.invariance import combo_ad, spin2l_laws
     ref = reference_residual.reference_residual
     N = 16
     checked = 0
@@ -1116,7 +1119,8 @@ def test_largest_row_converts_once(rows, ties, top):
     for sign, bc, man in ties:
         man = (man % (1 << bc)) | (1 << (bc - 1)) | 1
         rows += [_raw(sign, man, top - bc), _raw(1 - sign, man, top - bc)]
-    want = max_or_nan(0.0, *map(reps.mp_magnitude, rows))
+    want = max_or_nan(0.0, *map(labels.mp_magnitude, rows))
     for order in (rows, rows[::-1]):
-        got = reps.mp_magnitude(functools.reduce(reps._larger, order, fzero))
+        got = labels.mp_magnitude(
+            functools.reduce(labels._larger, order, fzero))
         assert _same(got, want), order

@@ -4,9 +4,10 @@ do not count as references, so the re-exports of __init__.py keep nothing
 alive, and neither does a function calling itself.  A function only tests
 reach fails here; delete it or wire it into a certificate.  More
 ratchets cap the `@` products, the library square-root calls and the
-`workdps` uses of each module, keep numpy.linalg to action.py, keep
-the adjoint action's letters to its one table, and keep every exact
-check to one prefix-trie walker."""
+`workdps` uses of each module, keep numpy.linalg to action.py, keep numpy
+out of every module but the float ones when it loads, keep the adjoint
+action's letters to its one table, and keep every exact check to one
+prefix-trie walker."""
 
 import ast
 from pathlib import Path
@@ -118,9 +119,10 @@ def test_matmul_counts_only_fall():
 # `np.sqrt`, `mp.sqrt` or a bare imported `sqrt`; a renamed import or a
 # scalar context's `ctx.sqrt` is not counted): every square root of a
 # (1 +- q^...) factor goes through qcore._sqrt_coeff, so these counts may only
-# fall (action's are sqrt(q) and the ladder normalization's ratio, reps' the
-# spin-1/2 sqrt(q) and MPCtx's primitive, cli's the residual column norms)
-SQRT_CEILING = {"action": 2, "reps": 2, "cli": 1}
+# fall (invariance's are sqrt(q) and the ladder normalization's ratio, reps'
+# the spin-1/2 sqrt(q), labels' MPCtx's primitive, cli's the residual column
+# norms)
+SQRT_CEILING = {"invariance": 2, "reps": 1, "labels": 1, "cli": 1}
 SQRT_OWNERS = {"math", "np", "numpy", "mp", "mpmath"}
 
 
@@ -144,11 +146,11 @@ def test_sqrt_counts_only_fall():
 
 
 # `workdps` uses per module of src/qsphere (an attribute or a bare name):
-# the exact entry points (`reps.combos_residuals`,
-# `action.invariance_defects`) hold their context's precision and the step
-# tables refuse any other, so no step enters it again; these counts may only
-# fall (reps' other two are MPCtx's construction and q-power)
-WORKDPS_CEILING = {"reps": 3, "action": 1}
+# the exact entry points (`labels.combos_residuals`,
+# `invariance.invariance_defects`) hold their context's precision and the
+# step tables refuse any other, so no step enters it again; these counts may
+# only fall (labels' other two are MPCtx's construction and q-power)
+WORKDPS_CEILING = {"labels": 3, "invariance": 1}
 
 
 def _workdps_uses(tree) -> int:
@@ -192,6 +194,43 @@ def test_linalg_only_in_action():
              for line in _linalg_reads(ast.parse(path.read_text()))]
     assert not reads, reads
     assert _linalg_reads(ast.parse("import numpy as np\nnp.linalg.eigh(a)"))
+
+
+# the modules that import numpy when they load; every other module loads
+# without it, so the commands that certify in mpmath alone (relations on
+# label representations, theta, functional) never import numpy
+FLOAT_MODULES = {"reps", "action", "casimir", "morita"}
+
+
+def _load_imports(tree) -> set:
+    """The modules a module imports when it loads, by top-level name (the
+    stem of a sibling for a relative import); an import inside a function
+    waits for its call and does not count."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= ({node.module.split(".")[0]} if node.module
+                      else {a.name for a in node.names})
+        found |= _load_imports(node)
+    return found
+
+
+def test_numpy_loads_only_with_the_float_modules():
+    loads = {path.stem: _load_imports(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert FLOAT_MODULES <= set(loads)
+    wrong = {stem: names & (FLOAT_MODULES | {"numpy"})
+             for stem, names in loads.items() if stem not in FLOAT_MODULES}
+    assert not any(wrong.values()), wrong
+    assert _load_imports(ast.parse(
+        "import numpy.linalg\nfrom . import reps\nfrom .casimir import f\n"
+        "def g():\n    import scipy\nclass C:\n    import json\n"
+        "if g:\n    from mpmath.libmp import fone")) == {
+            "numpy", "reps", "casimir", "json", "mpmath"}
 
 
 def _mpc_imports(tree) -> list:
@@ -258,7 +297,7 @@ def _implementer_letters(tree) -> int:
 
 def test_adjoint_action_letters_only_in_its_table():
     # the adjoint action's letters are written once, as plain letters in
-    # `action._AD`, and turned into implementer segments there; no module
+    # `invariance._AD`, and turned into implementer segments there; no module
     # spells an implementer letter out
     counts = {path.stem: _implementer_letters(ast.parse(path.read_text()))
               for path in sorted(SRC.glob("*.py"))}
@@ -268,7 +307,7 @@ def test_adjoint_action_letters_only_in_its_table():
 
 
 # the per-identity exact residual loop that the prefix-trie walk of
-# `reps.combos_residuals` replaced, and the per-path walk that the invariant
+# `labels.combos_residuals` replaced, and the per-path walk that the invariant
 # functional's trie walk replaced; tests/reference_residual.py and
 # tests/reference_functional.py keep them
 REPLACED = ("_exact_residual", "_termwise_residual", "_combo_column",
