@@ -71,9 +71,10 @@ ALL_ARGS = {
     "theorem2": {"l": 0.5}, "orbit": {"x": 0.3, "y": 1.7},
     "picard": {"x": 0.0}, "oracle": {"x": 1.0, "l": 0.5}}
 # the suites of `all` that a forked worker certifies while this process
-# certifies the rest.  At the defaults the halves are about even: run alone,
-# the worker's takes 0.15 s and this process's 0.19 s in reference-host
-# seconds (0.21 and 0.29 s wall; medians of 15 fresh processes, 2-vCPU VM).
+# certifies the rest.  At the defaults the halves are about even: run alone
+# after the float modules load, the worker's takes 0.125 s and this
+# process's 0.155 s in reference-host seconds (0.13 and 0.17 s wall;
+# medians of 15 fresh processes each, 2-vCPU VM).
 # Ergodic stays here, so LAPACK never runs in the forked child and its
 # dependent-monomials message goes to this process's stderr
 ALL_WORKER = ("relations", "functional", "compress", "theorem2")
@@ -295,7 +296,7 @@ def suite_theorem2(p, l, N):
 
 
 def suite_orbit(p, x, y):
-    from .morita import orbit_equivalent
+    from .orbits import orbit_equivalent
     eq, m = orbit_equivalent(x, y)
     rpt = VerificationReport(
         "orbit", _params(p, x=_param_repr(x), y=_param_repr(y),
@@ -308,7 +309,7 @@ def suite_orbit(p, x, y):
 
 
 def suite_picard(p, x):
-    from .morita import picard_group
+    from .orbits import picard_group
     group = picard_group(x)
     rpt = VerificationReport(
         "picard", _params(p, x=_param_repr(x), group=group))
@@ -552,7 +553,7 @@ def _walks_floats(args) -> bool:
     """Whether the command walks float shifts, so needs numpy: every
     command but theta, functional and relations on label representations,
     which certify in mpmath alone, and orbit and picard, which compute no
-    operator (their suites load morita themselves)."""
+    operator (`orbits` is plain arithmetic on the parameters)."""
     if args.command == "relations":
         return args.alg == "uqsu2" or bool(args.dump)
     return args.command in ("all", "oracle", "casimir", "compress",

@@ -3,20 +3,22 @@
 A podles / bl generator is a weighted shift on a labelled basis: each
 generator declares its move (a label offset, and whether it swaps the "+"
 and "-" summands) once, and its coefficient from each label is a label
-step (square roots through `qcore._sqrt_coeff`) in the arithmetic of a
-scalar context (`LabelRep`).  The coaction's one table (`_tensor_terms`)
-gives the generators of the coaction-tensored representation
-(`reps.TensorRep`).  The float views of a label representation (`shift`,
-`matrix`) import numpy inside the call; the float walks are in `reps`.
+step (square roots through `qcore._sqrt_coeff`) through the scalar
+interface of a context, `qcore.FloatCtx` or `MPCtx` (`LabelRep`).  The
+coaction's one table (`_tensor_terms`) gives the generators of the
+coaction-tensored representation (`reps.TensorRep`).  The float views of a
+label representation (`shift`, `matrix`) import numpy inside the call; the
+float walks are in `reps`.
 
 Relation residuals, adjoint-action residuals and invariant-functional tail
-defects are walked label by label in real mpmath arithmetic through one
-exact walk kernel (see its section), since the graded algebras' entries
+defects are walked label by label on raw mpmath values (`MPCtx`) through
+one exact walk kernel (see its section), since the graded algebras' entries
 reach ~1e6 at small q, where double precision cannot certify 1e-11
 absolute residuals.  Every exact check walks its paths as one prefix trie
-(`trie_walks`): a batch of identities, combos against combos (a relation
-rule is walked as combos too), is one `combos_residuals` call, and the
-functional's diagonals are one `invariance.invariance_defects` call.
+(`trie_walks`, which runs in any scalar context): a batch of identities,
+combos against combos (a relation rule is walked as combos too), is one
+`combos_residuals` call, and the functional's diagonals are one
+`invariance.invariance_defects` call.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import functools
 import math
 import weakref
 
-import mpmath as mp
 from mpmath.libmp import (
+    dps_to_prec,
     fnan,
     fone,
     from_float,
@@ -36,6 +38,10 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
+    mpf_pow,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_sqrt,
     mpf_sub,
     round_nearest,
     to_float,
@@ -51,50 +57,72 @@ MP_DPS = 40
 # the mpmath scalar context, with the interface of qcore.FloatCtx
 # ---------------------------------------------------------------------------
 
+_RND = round_nearest
+
+
 class MPCtx:
-    """q-power arithmetic in mpmath at `dps` digits (`prec` bits).  Label
-    steps taken in it are memoised by the exact walk kernel (see
-    step_tables); shared instances come from `mp_ctx`."""
+    """q-power arithmetic on raw mpmath values (`_mpf_` tuples) at `dps`
+    digits (`prec` bits), rounded to nearest.  Each operation is the libmp
+    call that mpmath's operator on mpf objects makes, at `prec`, so every
+    value is bit-identical to mpf arithmetic at that precision, whatever
+    the ambient one.  Factors and roots are computed once (`factor`,
+    `roots`), label steps once per representation by the exact walk kernel
+    (see step_tables); shared instances come from `mp_ctx`."""
+
+    one, zero = fone, fzero
 
     def __init__(self, q: float, x: float = 0.0, dps: int = MP_DPS):
         self.dps = dps
-        with mp.workdps(dps):
-            self.prec = mp.mp.prec
-            self.q = mp.mpf(q)
-            self.qx = mp.power(self.q, mp.mpf(x))
+        self.prec = prec = dps_to_prec(dps)
+        # mp.mpf(q) and mp.power(mp.mpf(q), mp.mpf(x)) at that precision
+        self.q = from_float(q, prec, _RND)
+        self.qx = mpf_pow(self.q, from_float(x, prec, _RND), prec, _RND)
         self._cache: dict = {}
         self._factors: dict = {}
+        self.roots: dict = {}    # factor tuple -> root (qcore._sqrt_coeff)
 
     def qpow(self, n, m=0):
         key = (n, m)
         v = self._cache.get(key)
         if v is None:
-            with mp.workdps(self.dps):
-                v = mp.power(self.q, n)
-                if m:
-                    v *= mp.power(self.qx, m)
+            v = mpf_pow_int(self.q, n, self.prec, _RND)
+            if m:
+                v = self.mul(v, mpf_pow_int(self.qx, m, self.prec, _RND))
             self._cache[key] = v
         return v
 
     def factor(self, sign, n, m=0):
-        """1 - sign*q^(n+mx), computed once, at the context's precision."""
+        """1 - sign*q^(n+mx), computed once."""
         v = self._factors.get((sign, n, m))
         if v is None:
-            _require_prec(self.prec)
-            v = self._factors[(sign, n, m)] = 1 - sign * self.qpow(n, m)
+            v = self._factors[(sign, n, m)] = self.sub(
+                fone, self.scale(sign, self.qpow(n, m)))
         return v
 
+    def mul(self, a, b):
+        return mpf_mul(a, b, self.prec, _RND)
+
+    def add(self, a, b):
+        return mpf_add(a, b, self.prec, _RND)
+
+    def sub(self, a, b):
+        return mpf_sub(a, b, self.prec, _RND)
+
+    def neg(self, v):
+        return mpf_neg(v, self.prec, _RND)
+
+    def scale(self, n: int, v):
+        return mpf_mul_int(v, n, self.prec, _RND)
+
+    def inv(self, v):
+        return mpf_rdiv_int(1, v, self.prec, _RND)
+
+    def sqrt(self, v):
+        return mpf_sqrt(v, self.prec, _RND)
+
     @staticmethod
-    def sqrt(v):
-        return mp.sqrt(v)
-
-    one = mp.mpf(1)
-
-
-def _require_prec(prec: int):
-    """Refuse to compute at any precision but `prec`, an mp context's own."""
-    if mp.mp.prec != prec:
-        raise ArithmeticError(f"{prec}-bit context used at {mp.mp.prec} bits")
+    def is_negative(v) -> bool:
+        return v[0] == 1   # the sign bit; NaN has none
 
 
 @functools.lru_cache(maxsize=64)
@@ -156,8 +184,8 @@ class LabelRep:
 
     def step(self, g, fam, k, ctx):
         """Step of generator g from label (fam, k): None or (fam2, k2, coeff),
-        g's move and the coefficient in the arithmetic of ctx, an mp context
-        at the caller's precision (the exact kernel keeps it: `step_tables`)."""
+        g's move and the coefficient in the arithmetic of the scalar context
+        ctx (the exact kernel memoises it: `step_tables`)."""
         (dk, swap), coeff = self._steps[g]
         c = coeff(fam, k, ctx)
         # `moved`, inline: every float and exact label step passes here
@@ -247,11 +275,11 @@ def _z_steps(zexps) -> dict:
     """The Z and Zi steps of a label representation, from its Z exponents."""
     def Z(fam, k, ctx):
         s, n, m = zexps[fam](k)
-        return s * ctx.qpow(n, m)
+        return ctx.scale(s, ctx.qpow(n, m))
 
     def Zi(fam, k, ctx):
         s, n, m = zexps[fam](k)
-        return s * (1 / ctx.qpow(n, m))
+        return ctx.scale(s, ctx.inv(ctx.qpow(n, m)))
 
     return {"Z": ((0, False), Z), "Zi": ((0, False), Zi)}
 
@@ -293,7 +321,7 @@ def rep_podles(p: QParams, x: float, variant: str, N: int) -> LabelRep:
 
     def X(fam, k, ctx):
         c = _sqrt_coeff(ctx, podles_x_factors(signs[fam], k))
-        return None if c is None else signs[fam] * c
+        return None if c is None else ctx.scale(signs[fam], c)
 
     # X lowers the label in its family, T keeps it
     steps = {"X": ((-1, False), X),
@@ -315,7 +343,7 @@ def rep_bl(p: QParams, l, N: int) -> LabelRep:
     def X(fam, k, ctx):
         sg = 1 if fam == "+" else -1
         c = _sqrt_coeff(ctx, [(-sg, 2 * k, 0), (sg, 2 * k + 2 * twol, 0)])
-        return None if c is None else (c if sg == 1 else -c)
+        return None if c is None else (c if sg == 1 else ctx.neg(c))
 
     def make_A(s):
         def A(fam, k, ctx):
@@ -331,7 +359,7 @@ def rep_bl(p: QParams, l, N: int) -> LabelRep:
                 [(-1, 2 * k + 2 * s + 2 + 2 * j, 0) for j in range(twol - s)]
                 + [(1, 2 * k + 2 + 2 * j, 0) for j in range(twol + s)])
             sign = -1 if s % 2 else 1
-            return None if c is None else sign * c
+            return None if c is None else ctx.scale(sign, c)
         return A
 
     # X lowers the label in its family; A(s) moves it by s into the other
@@ -350,10 +378,9 @@ def rep_bl(p: QParams, l, N: int) -> LabelRep:
 def _tensor_terms(g, ctx):
     """The coaction: tensor generator g as [(base generator, [(row spin,
     column spin, value)])], values in the arithmetic of ctx and None
-    standing for an exact 1; spin 0 is e_+, spin 1 is e_-.  An mp context
-    computes at the caller's precision."""
+    standing for an exact 1; spin 0 is e_+, spin 1 is e_-."""
     q1, qm1 = ctx.qpow(1), ctx.qpow(-1)
-    lam_inv = q1 - qm1
+    lam_inv = ctx.sub(q1, qm1)
     if g == "Z":
         return [("Z", [(0, 0, q1), (1, 1, qm1)])]
     if g == "Zi":
@@ -366,7 +393,8 @@ def _tensor_terms(g, ctx):
                 ("Z", [(0, 1, lam_inv)])]
     if g == "T":
         return [("T", [(0, 0, qm1), (1, 1, q1)]),
-                ("Z", [(0, 0, ctx.qpow(2) - 1), (1, 1, ctx.qpow(-2) - 1)]),
+                ("Z", [(0, 0, ctx.sub(ctx.qpow(2), ctx.one)),
+                       (1, 1, ctx.sub(ctx.qpow(-2), ctx.one))]),
                 ("X", [(0, 1, lam_inv)]),
                 ("Y", [(1, 0, lam_inv)])]
     raise KeyError(f"tensor representation has no generator {g}")
@@ -388,27 +416,25 @@ def _tensor_terms(g, ctx):
 # label representations and tensors of one (`reps.TensorRep`), whose steps
 # branch.
 #
-# Steps are memoised per (representation, mp context) as (target label, raw
-# coefficient), one coefficient per step, an mpmath `_mpf_` tuple computed at
-# the context's precision, which the caller holds; the context computes each
-# factor 1 - sign*q^(n+mx) of a root once (`MPCtx.factor`).  A label step is
-# computed once, in its plain table; the implementer letter's table negates
-# the plain entry where it lands in "-", and an adjoint's (`LabelRep.adjoints`)
-# reads its real step's entry at the label the adjoint's move lands on.
+# The step tables and the trie walkers compute only through their context's
+# scalar interface (`qcore`): an `MPCtx` computes on raw mpmath values, each
+# operation bound to its own precision, bit-identical to mpf objects.
+# Steps are memoised per (representation, context) as (target label,
+# coefficient); the context computes each factor 1 - sign*q^(n+mx) and each
+# root of a factor list once.  A label step is computed once, in its plain
+# table; the implementer letter's table negates the plain entry where it
+# lands in "-", and an adjoint's (`LabelRep.adjoints`) reads its real step's
+# entry at the label the adjoint's move lands on.
 #
-# A walk multiplies its steps' coefficients in walk order with libmp's
-# mpf_mul at the context's precision, rounding to nearest, the first
-# coefficient starting the product exactly.  Sums, signs and the combo
-# coefficient use the libmp function that mpmath's operators call (a
-# coefficient of exactly 1 leaves the value as mpf_mul would), so every
-# value is bit-identical to multiplying mpf objects.  `trie_walks` walks
-# every path of a check as one prefix trie: a node's product is its parent's
-# times the step (on a tensor representation, a branching walk's frontier),
-# formed once for all paths through it.
+# A walk multiplies its steps' coefficients in walk order with the
+# context's `mul`, the first coefficient starting the product exactly.
+# `trie_walks` walks every path of a check as one prefix trie: a node's
+# product is its parent's times the step (on a tensor representation, a
+# branching walk's frontier, summed with `add`), formed once for all paths
+# through it.  The exact checks' reductions (`combos_residuals`,
+# `invariance.invariance_defects`) call libmp as mpmath's operators do (a
+# coefficient of exactly 1 leaves the value as mpf_mul would).
 # ---------------------------------------------------------------------------
-
-_RND = round_nearest
-
 
 class _StepTable(dict):
     """label -> step of one segment, computed by `fill` on first use and
@@ -426,7 +452,7 @@ class _StepTable(dict):
 
 
 class _SegmentTables(dict):
-    """The step tables of one representation in one mp context, one per
+    """The step tables of one representation in one scalar context, one per
     segment, made on first use.  The rep holds them (`step_tables`), so they
     hold it only weakly, and no fill holds them: both are freed as soon as
     the rep is dropped, without the cycle collector."""
@@ -435,7 +461,6 @@ class _SegmentTables(dict):
         super().__init__()
         self.rep = weakref.ref(rep)
         self.ctx = ctx
-        self.prec = ctx.prec
 
     def __missing__(self, seg):
         g, impl = seg
@@ -447,7 +472,7 @@ class _SegmentTables(dict):
         elif isinstance(g, tuple) and g[0] == "lead":
             fill = self._lead_step(*g[1:])
         elif impl:
-            fill = self._absorbed_step(self[(g, False)])
+            fill = self._absorbed_step(self[(g, False)], self.ctx.neg)
         elif g in rep.adjoints:
             fill = self._adjoint_of(self[(rep.adjoints[g], False)],
                                     rep.move(g))
@@ -457,21 +482,20 @@ class _SegmentTables(dict):
         return table
 
     def _label_step(self, g):
-        rep, ctx, prec = self.rep, self.ctx, self.prec
+        rep, ctx = self.rep, self.ctx
 
         def fill(label):
-            _require_prec(prec)
             hit = rep().step(g, label[0], label[1], ctx)
-            return None if hit is None else (hit[:2], hit[2]._mpf_)
+            return None if hit is None else (hit[:2], hit[2])
         return fill
 
     @staticmethod
-    def _absorbed_step(plain):
+    def _absorbed_step(plain, neg):
         """The plain step, negated where it lands in "-"."""
         def fill(label):
             hit = plain[label]
             return (hit if hit is None or hit[0][0] != "-"
-                    else (hit[0], mpf_neg(hit[1])))
+                    else (hit[0], neg(hit[1])))
         return fill
 
     @staticmethod
@@ -485,27 +509,21 @@ class _SegmentTables(dict):
         return fill
 
     def _zf_step(self, sign, n, m):
-        zexps, ctx, prec = self.rep()._zexps, self.ctx, self.prec
+        zexps, ctx = self.rep()._zexps, self.ctx
 
         def fill(label):
             zsign, zn, zm = zexps[label[0]](label[1])
-            qp = ctx.qpow(n + zn, m + zm)._mpf_
-            f = mpf_sub(fone, mpf_mul_int(qp, sign * zsign, prec, _RND),
-                        prec, _RND)
-            return label, f
+            return label, ctx.factor(sign * zsign, n + zn, m + zm)
         return fill
 
     def _lead_step(self, sign, n, m):
-        lead = mpf_mul_int(self.ctx.qpow(n, m)._mpf_, sign, self.prec, _RND)
+        lead = self.ctx.scale(sign, self.ctx.qpow(n, m))
         return lambda label: (label, lead)
 
     def _tensor_step(self, g):
-        rep, prec = self.rep(), self.prec
-        _require_prec(prec)
-        terms = [(step_tables(rep.base, self.ctx)[(base_g, rep.absorb_sign)],
-                  [(sp2, sp_in, v if v is None else v._mpf_)
-                   for sp2, sp_in, v in entries])
-                 for base_g, entries in _tensor_terms(g, self.ctx)]
+        rep, ctx = self.rep(), self.ctx
+        terms = [(step_tables(rep.base, ctx)[(base_g, rep.absorb_sign)],
+                  entries) for base_g, entries in _tensor_terms(g, ctx)]
 
         def fill(label):
             fam, k, sp = label
@@ -517,15 +535,15 @@ class _SegmentTables(dict):
                 (f2, k2), c = hit
                 for sp2, sp_in, v in entries:
                     if sp_in == sp:
-                        out.append(((f2, k2, sp2), c if v is None
-                                    else mpf_mul(c, v, prec, _RND)))
+                        out.append(((f2, k2, sp2),
+                                    c if v is None else ctx.mul(c, v)))
             return out
         return fill
 
 
 def step_tables(rep, ctx) -> _SegmentTables:
-    """The step tables of `rep` in the mp context `ctx`, one shared set per
-    (rep, ctx)."""
+    """The step tables of `rep` in the scalar context `ctx`, one shared set
+    per (rep, ctx)."""
     tables = rep._walk_memos.get(ctx)
     if tables is None:
         tables = rep._walk_memos[ctx] = _SegmentTables(rep, ctx)
@@ -579,7 +597,7 @@ def _trie(tables, node) -> tuple:
                  for seg, child in node.items())
 
 
-def _label_trie(edges, label, p, ends, prec):
+def _label_trie(edges, label, p, ends, mul):
     """Walk `label` down trie edges on a label representation, p the
     product so far (None for the exact 1 a walk starts from)."""
     for table, leaf, below in edges:
@@ -587,48 +605,48 @@ def _label_trie(edges, label, p, ends, prec):
         if hit is not None:
             lab, c = hit
             if p is not None:
-                c = mpf_mul(p, c, prec, _RND)
+                c = mul(p, c)
             if leaf is not None:
                 ends[leaf] = ((lab, c),)
             if below:
-                _label_trie(below, lab, c, ends, prec)
+                _label_trie(below, lab, c, ends, mul)
 
 
-def _branch_trie(edges, frontier, ends, prec):
-    """Walk a frontier {label: raw value, None for an exact 1} down trie
-    edges on a tensor representation, whose steps branch."""
+def _branch_trie(edges, frontier, ends, mul, add):
+    """Walk a frontier {label: value, None for an exact 1} down trie edges
+    on a tensor representation, whose steps branch."""
     for table, leaf, below in edges:
         nxt: dict = {}
         for lab, val in frontier.items():
             for lab2, c in table[lab]:
-                p = c if val is None else mpf_mul(val, c, prec, _RND)
+                p = c if val is None else mul(val, c)
                 old = nxt.get(lab2)
-                nxt[lab2] = p if old is None else mpf_add(old, p, prec, _RND)
+                nxt[lab2] = p if old is None else add(old, p)
         if nxt:
             if leaf is not None:
                 ends[leaf] = list(nxt.items())
-            _branch_trie(below, nxt, ends, prec)
+            _branch_trie(below, nxt, ends, mul, add)
 
 
 def trie_walks(tables, paths, labels):
     """Walk the numbered paths {segments in walk order: path number} as one
-    prefix trie of `tables` from each label in turn, yielding (label, ends):
-    ends[i] is path i's (end label, raw value) pairs, () where it dies (one
-    pair on a label representation)."""
+    prefix trie of `tables` from each label in turn, in the arithmetic of
+    their context, yielding (label, ends): ends[i] is path i's (end label,
+    value) pairs, () where it dies (one pair on a label representation)."""
     root = {}
     for path, i in paths.items():
         functools.reduce(lambda node, seg: node.setdefault(seg, {}), path,
                          root)[None] = i
     empty, edges = root.pop(None, None), _trie(tables, root)
-    prec, branched = tables.prec, not isinstance(tables.rep(), LabelRep)
+    ctx, branched = tables.ctx, not isinstance(tables.rep(), LabelRep)
     for label in labels:
         ends = [()] * len(paths)
         if empty is not None:
-            ends[empty] = ((label, fone),)
+            ends[empty] = ((label, ctx.one),)
         if branched:
-            _branch_trie(edges, {label: None}, ends, prec)
+            _branch_trie(edges, {label: None}, ends, ctx.mul, ctx.add)
         else:
-            _label_trie(edges, label, None, ends, prec)
+            _label_trie(edges, label, None, ends, ctx.mul)
         yield label, ends
 
 
@@ -654,35 +672,34 @@ def combos_residuals(rep, pairs, W: int, dps: int | None = None) -> list:
     one by one, and keeps its largest window row (`_larger`), converted to
     float once."""
     dps = walk_dps(rep, W) if dps is None else dps
-    with mp.workdps(dps):
-        ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
-        prec, tables, paths = ctx.prec, step_tables(rep, ctx), {}
-        # each pair's combos as (path number, raw coefficient or None for
-        # an exact 1, whether it is subtracted)
-        terms = [[(paths.setdefault(tuple(reversed(segs)), len(paths)),
-                   None if (c := _raw_number(coef)) == fone else c, sub)
-                  for sub, side in enumerate(pair) for coef, segs in side]
-                 for pair in pairs]
-        inside = set(window_labels(rep, W))
-        largest = [fzero] * len(pairs)
-        for _, ends in trie_walks(tables, paths, window_labels(rep, W)):
-            for j, combos in enumerate(terms):
-                rows: dict = {}
-                for i, coef, sub in combos:
-                    for lab, val in ends[i]:
-                        term = (val if coef is None
-                                else mpf_mul(val, coef, prec, _RND))
-                        old = rows.get(lab)
-                        if sub:
-                            term = mpf_sub(fzero if old is None else old,
-                                           term, prec, _RND)
-                        elif old is not None:
-                            term = mpf_add(old, term, prec, _RND)
-                        rows[lab] = term
-                for lab, v in rows.items():
-                    if lab in inside:
-                        largest[j] = _larger(largest[j], v)
-        return [mp_magnitude(v) for v in largest]
+    ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
+    prec, tables, paths = ctx.prec, step_tables(rep, ctx), {}
+    # each pair's combos as (path number, raw coefficient or None for
+    # an exact 1, whether it is subtracted)
+    terms = [[(paths.setdefault(tuple(reversed(segs)), len(paths)),
+               None if (c := _raw_number(coef)) == fone else c, sub)
+              for sub, side in enumerate(pair) for coef, segs in side]
+             for pair in pairs]
+    inside = set(window_labels(rep, W))
+    largest = [fzero] * len(pairs)
+    for _, ends in trie_walks(tables, paths, window_labels(rep, W)):
+        for j, combos in enumerate(terms):
+            rows: dict = {}
+            for i, coef, sub in combos:
+                for lab, val in ends[i]:
+                    term = (val if coef is None
+                            else mpf_mul(val, coef, prec, _RND))
+                    old = rows.get(lab)
+                    if sub:
+                        term = mpf_sub(fzero if old is None else old,
+                                       term, prec, _RND)
+                    elif old is not None:
+                        term = mpf_add(old, term, prec, _RND)
+                    rows[lab] = term
+            for lab, v in rows.items():
+                if lab in inside:
+                    largest[j] = _larger(largest[j], v)
+    return [mp_magnitude(v) for v in largest]
 
 
 def relation_check(pres: Presentation | list, rep) -> dict | list:

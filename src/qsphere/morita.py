@@ -1,5 +1,4 @@
-"""Orbit arithmetic and Picard classification of the sphere parameters, and
-the concrete chain of equivalences through the graded algebras: the basis
+"""The concrete chain of equivalences through the graded algebras: the basis
 change splitting (double space) x C^2 into the two neighbouring double
 spaces, read from the Casimir eigenvectors at x = 2l (bl(l)'s double space
 is podles(2l)'s with the plus labels moved up by 2l), the explicit block
@@ -10,7 +9,6 @@ difference of products (`reps.walk_defect`).
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -21,41 +19,6 @@ from .ncalg import NCPoly, a_gen, basis_words, make_presentation, normal_form
 from .report import max_or_nan
 from .labels import rep_bl
 from .reps import TensorRep, adjoint, lift, walk_defect
-
-STANDARD = "standard"
-ORBIT_TOL = 1e-12     # |x + m| against |y| in orbit_equivalent
-INTEGER_TOL = 1e-9    # distance to the nearest integer in picard_group
-
-
-def _is_standard(a) -> bool:
-    return isinstance(a, str) and a.lower() in (STANDARD, "inf", "infinity")
-
-
-def orbit_equivalent(a, b):
-    """Whether two sphere parameters lie on one equivalence orbit; finite
-    parameters are equivalent iff some integer shift matches them up to sign.
-    Returns (flag, witness integer or None)."""
-    if _is_standard(a) or _is_standard(b):
-        return (_is_standard(a) and _is_standard(b), None)
-    x, y = float(a), float(b)
-    reach = int(math.ceil(abs(x) + abs(y))) + 1
-    for m in sorted(range(-reach, reach + 1), key=lambda v: (abs(v), v)):
-        if abs(abs(x + m) - abs(y)) <= ORBIT_TOL:
-            return (True, m)
-    return (False, None)
-
-
-def picard_group(a) -> str:
-    """Self-equivalence class group of one sphere: Z for the standard sphere,
-    Z2 at integer parameters, trivial otherwise.
-
-    Integer detection classifies the input parameter, it is not a numerical
-    discovery.
-    """
-    if _is_standard(a):
-        return "Z"
-    x = float(a)
-    return "Z2" if abs(x - round(x)) <= INTEGER_TOL else "trivial"
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,18 @@
 
 Everything downstream works at a fixed deformation parameter 0 < q < 1.
 The derived constant lam = (q - 1/q)^-1 is negative on that range.  The
-coefficient formulas read q-powers from a scalar context: `FloatCtx` here,
-`reps.MPCtx` (same interface) in the exact walk kernel.
+coefficient formulas compute in a scalar context, through one interface:
+`one`, `zero`, `mul`, `add`, `sub`, `neg`, `scale` (int times value),
+`inv`, `sqrt`, `is_negative`, `qpow` and `factor`.  `FloatCtx` here does so
+in double precision; `labels.MPCtx` in raw mpmath values at its own
+precision, the exact walk kernel's arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,30 +59,44 @@ class FloatCtx:
     def factor(self, sign, n, m=0):  # no memo: float steps are taken once
         return 1 - sign * self.qpow(n, m)
 
-    sqrt = staticmethod(math.sqrt)
-    one = 1.0
+    one, zero, roots = 1.0, 0.0, None   # no root memo either
+    mul = scale = staticmethod(operator.mul)
+    add, sub = staticmethod(operator.add), staticmethod(operator.sub)
+    neg, sqrt = staticmethod(operator.neg), staticmethod(math.sqrt)
+    inv = staticmethod(functools.partial(operator.truediv, 1))
+    is_negative = staticmethod(functools.partial(operator.gt, 0))  # 0 > v
 
 
 def _sqrt_coeff(ctx, factors):
     """sqrt of a product of (sign, n, m) factors meaning (1 - sign*q^(n+mx)),
-    in the arithmetic of ctx.
+    in the arithmetic of ctx, memoised by factor tuple in `ctx.roots` unless
+    that is None.
 
     Each factor comes from `ctx.factor`.  Exact zeros are decided by exponent
     arithmetic; a negative factor means an index-logic bug and raises.
     """
-    prod, factor = ctx.one, ctx.factor
+    roots = ctx.roots
+    if roots is not None:
+        key = tuple(factors)
+        root = roots.get(key)
+        if root is not None:
+            return root
+    prod, factor, mul = ctx.one, ctx.factor, ctx.mul
     for sign, n, m in factors:
         if sign == 1 and n == 0 and m == 0:
             return None
-        prod = prod * factor(sign, n, m)
-    if prod < 0:
+        prod = mul(prod, factor(sign, n, m))
+    if ctx.is_negative(prod):
         raise ArithmeticError("negative value under square root")
-    return ctx.sqrt(prod)
+    root = ctx.sqrt(prod)
+    if roots is not None:
+        roots[key] = root
+    return root
 
 
 def tau_of(ctx):
     """q^-x - q^x in the arithmetic of ctx (x the context's)."""
-    return ctx.qpow(0, -1) - ctx.qpow(0, 1)
+    return ctx.sub(ctx.qpow(0, -1), ctx.qpow(0, 1))
 
 
 def tau(p: QParams, x: float) -> float:

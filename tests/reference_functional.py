@@ -4,7 +4,8 @@ every tail label walks all six diagonal walks of the defects, whatever the
 word's move, through a label-first diagonal walk of its own, and a walk
 that dies or does not return reads as an exact 0.  It reads only the
 kernel's step tables (one raw coefficient per step), not its trie walk,
-and walks one path at a time."""
+and walks one path at a time.  Its prefactors and densities are mpf objects of
+the reference scalar context (`reference_scalar`)."""
 
 import math
 
@@ -12,6 +13,7 @@ import mpmath as mp
 from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
 
 from qsphere.labels import mp_ctx, step_tables, walk_dps
+from reference_scalar import MPObjectCtx
 
 _RND = round_nearest
 
@@ -53,12 +55,12 @@ def defect_sums(word, rep, W):
                                 / (2.0 * abs(math.log(q)))))) + 4
     dps = walk_dps(rep, W + tail, slack=25)
     with mp.workdps(dps):
-        ctx = mp_ctx(q, rep.meta.get("x", 0.0), dps)
+        ctx = MPObjectCtx(q, rep.meta.get("x", 0.0), dps)
         prec = ctx.prec
         lam = 1 / (ctx.qpow(1) - ctx.qpow(-1))
         pref_e = (ctx.sqrt(ctx.qpow(1)) * lam)._mpf_
         pref_f = (ctx.qpow(-1) * ctx.sqrt(ctx.qpow(-1)) * lam)._mpf_
-        tables = step_tables(rep, ctx)
+        tables = step_tables(rep, mp_ctx(q, rep.meta.get("x", 0.0), dps))
         Z, Zi, X, Y = (tables[(g, True)] for g in ("Z", "Zi", "X", "Y"))
         mw = segment_path(tables, [(g, False) for g in word])
         # walk order of M, ad_K: Z M Zi, ad_E: Zi M X - Zi X M, ad_F:

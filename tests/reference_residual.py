@@ -9,7 +9,6 @@ kernel's step tables (one raw coefficient per step), not its trie: it
 walks one path at a time, through its own copies of the per-path walk
 (`walk_path`, `segment_path`) that the kernel no longer has."""
 
-import mpmath as mp
 from mpmath.libmp import (fone, fzero, mpf_add, mpf_mul, mpf_sub,
                           round_nearest)
 
@@ -74,7 +73,7 @@ def combo_column(tables, combos, label, rows=None, sub=False) -> dict:
     """Column `label` of compiled combos: each coef * product is added to
     (with `sub`, subtracted from) its row of `rows`, in combo order, a
     missing row standing for 0; {row label: raw value}."""
-    prec = tables.prec
+    prec = tables.ctx.prec
     branched = isinstance(tables.rep(), TensorRep)
     rows = {} if rows is None else rows
     for path, coef in combos:
@@ -112,11 +111,10 @@ def reference_residual(rep, lhs, rhs, W: int, dps: int = None) -> float:
     """max |lhs - rhs| for combos walked in the shared mp context of `rep`
     at `dps` digits (window-adaptive, `walk_dps`, by default)."""
     dps = walk_dps(rep, W) if dps is None else dps
-    with mp.workdps(dps):
-        ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
-        tables = step_tables(rep, ctx)
-        return termwise_residual(rep, W, tables, compile_combos(tables, lhs),
-                                 compile_combos(tables, rhs))
+    tables = step_tables(rep, mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0),
+                                     dps))
+    return termwise_residual(rep, W, tables, compile_combos(tables, lhs),
+                             compile_combos(tables, rhs))
 
 
 def reference_relation_check(pres, rep) -> dict:

@@ -30,11 +30,10 @@ from qsphere.casimir import (
 )
 from qsphere.action import invariant_subspace, kernel_residual
 from qsphere.invariance import invariance_defects, spin2l_check
+from qsphere.orbits import orbit_equivalent, picard_group
 from qsphere.morita import (
     a0_block,
     basis_change,
-    orbit_equivalent,
-    picard_group,
     rp2_suite,
 )
 

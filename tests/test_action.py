@@ -24,6 +24,7 @@ from qsphere.invariance import (
 )
 from qsphere.labels import rep_bl, rep_podles
 from qsphere.reps import TensorRep, max_abs
+from reference_scalar import MPObjectCtx
 
 P = QParams(0.5)
 Q = P.q
@@ -171,7 +172,7 @@ def test_ad_e_star_is_minus_q2_ad_f():
     # frozen regression: (ad_E M)^* = -q^2 ad_F(M^*)
     import mpmath as mp
     from qsphere.invariance import combo_ad
-    from qsphere.labels import MPCtx, walk_dps, window_labels
+    from qsphere.labels import walk_dps, window_labels
     rep = rep_bl(P, 1, 16)
     pres = make_presentation("bl", P, l=1)
     W = 16
@@ -184,7 +185,7 @@ def test_ad_e_star_is_minus_q2_ad_f():
                       for c, segs in combo_ad(
                           "F", _plain_combos(_star(poly)), P)]
         with mp.workdps(dps):
-            ctx = MPCtx(Q, rep.meta["x"], dps=dps)
+            ctx = MPObjectCtx(Q, rep.meta["x"], dps=dps)
             lhs_entries, rhs_entries = {}, {}
             for col in window_labels(rep, W):
                 for row, v in _walk_column(rep, lhs_combos, col, ctx).items():
@@ -274,14 +275,14 @@ def _reference_invariance_defects(word, rep, W):
     multiplying as it goes."""
     import mpmath as mp
 
-    from qsphere.labels import mp_ctx, walk_dps
+    from qsphere.labels import walk_dps
     q = rep.meta["q"]
     tail = max(8, int(math.ceil(16.0 * math.log(10)
                                 / (2.0 * abs(math.log(q)))))) + 4
     dps = walk_dps(rep, W + tail, slack=25)
     mw = [(g, False) for g in word]
     with mp.workdps(dps):
-        ctx = mp_ctx(q, rep.meta.get("x", 0.0), dps)
+        ctx = MPObjectCtx(q, rep.meta.get("x", 0.0), dps)
 
         def diag(segments, fam, k):
             return _reference_diag_walk(rep, segments, fam, k, ctx, True)
@@ -322,8 +323,8 @@ def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
              (rep_bl(p, 1, 12), plain + graded)]
     returned = vanished = 0
     for rep, words in cases:
-        ctx = mp_ctx(p.q, rep.meta.get("x", 0.0), 40)
-        tables = step_tables(rep, ctx)
+        ctx = MPObjectCtx(p.q, rep.meta.get("x", 0.0), 40)
+        tables = step_tables(rep, mp_ctx(p.q, rep.meta.get("x", 0.0), 40))
         calls = []
         step = rep.step
         monkeypatch.setattr(rep, "step",
@@ -355,7 +356,7 @@ def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
                             assert (got is None) == (want is None), where
                             if got is not None:
                                 assert got[0] == want[0], where
-                                assert mp.make_mpf(got[1]) == want[1], where
+                                assert got[1] == want[1]._mpf_, where
                             # steps come from the kernel's memo
                             assert n_got <= len(calls) and len(calls) > 0
                             returned += (want is not None

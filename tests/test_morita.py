@@ -8,12 +8,11 @@ from qsphere.morita import (
     a0_block,
     basis_change,
     basis_change_checks,
-    orbit_equivalent,
-    picard_group,
     podles_part_compression,
     rp2_suite,
 )
 from qsphere.ncalg import LCG, a_gen
+from qsphere.orbits import orbit_equivalent, picard_group
 from qsphere.labels import rep_bl
 from qsphere.reps import adjoint, max_abs, summed
 

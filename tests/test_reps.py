@@ -9,7 +9,8 @@ from mpmath.libmp import finf, fnan, fninf, fzero, mpf_neg
 
 import reference_residual
 from qsphere import labels, reps
-from qsphere.qcore import QParams, tau
+from reference_scalar import MPObjectCtx, raw
+from qsphere.qcore import QParams, _sqrt_coeff
 from qsphere.report import max_or_nan
 from qsphere.ncalg import (
     NCPoly,
@@ -30,6 +31,7 @@ from qsphere.labels import (
     rep_bl,
     rep_podles,
     step_tables,
+    trie_walks,
     walk_dps,
     window_labels,
 )
@@ -608,9 +610,8 @@ def _walk_combos(rep, combos, label, ctx):
 
 
 def _walk_window(rep, combos, ctx, W):
-    with mp.workdps(ctx.dps):
-        return {lab: _walk_combos(rep, combos, lab, ctx)
-                for lab in window_labels(rep, W)}
+    return {lab: _walk_combos(rep, combos, lab, ctx)
+            for lab in window_labels(rep, W)}
 
 
 _COMBOS = [(1.0, [("X", False), ("Y", True), ("Z", False)]),
@@ -653,15 +654,6 @@ def test_step_memo_keeps_reps_apart():
         assert got == _walk_window(rep, _COMBOS, MPCtx(Q, 1.3), W)
         walked.setdefault(variant, got)
     assert walked["plus"] != walked["minus"]
-
-
-def test_step_memo_follows_precision():
-    W = 10
-    rep = rep_bl(P, 1.5, W)
-    low = _walk_window(rep, _COMBOS, mp_ctx(Q, 3.0, 40), W)
-    high = _walk_window(rep, _COMBOS, mp_ctx(Q, 3.0, 80), W)
-    assert high == _walk_window(rep, _COMBOS, MPCtx(Q, 3.0, 80), W)
-    assert high != low
 
 
 def test_each_step_is_computed_once_per_context(monkeypatch):
@@ -709,20 +701,19 @@ def test_absorbed_and_adjoint_tables_match_fresh_steps():
         two = len(rep.families) == 2
         labels = list(window_labels(rep, W + 2))
         seen = {"-": 0, "Y": 0}
-        with mp.workdps(ctx.dps):
-            # the derived tables first, so they fill the plain ones
-            for g, impl in [(g, True) for g in rep._steps] + [("Y", False)]:
-                for fam, k in labels:
-                    hit = rep.step(g, fam, k, ctx)
-                    want = None
-                    if hit is not None:
-                        c = hit[2]._mpf_
-                        if impl and two and hit[0] == "-":
-                            c = mpf_neg(c)
-                            seen["-"] += 1
-                        want = (hit[0], hit[1]), c
-                    assert tables[(g, impl)][(fam, k)] == want, (g, impl)
-                    seen["Y"] += g == "Y" and want is not None
+        # the derived tables first, so they fill the plain ones
+        for g, impl in [(g, True) for g in rep._steps] + [("Y", False)]:
+            for fam, k in labels:
+                hit = rep.step(g, fam, k, ctx)
+                want = None
+                if hit is not None:
+                    c = hit[2]
+                    if impl and two and hit[0] == "-":
+                        c = mpf_neg(c)
+                        seen["-"] += 1
+                    want = (hit[0], hit[1]), c
+                assert tables[(g, impl)][(fam, k)] == want, (g, impl)
+                seen["Y"] += g == "Y" and want is not None
         assert seen["Y"] > 0 and (seen["-"] > 0) == two
 
 
@@ -738,22 +729,6 @@ def test_diagonal_walk_multiplies_only_returning_walks(functional_walks):
     (paths, walked), = functional_walks
     assert paths and all(len(end) == 1 and end[0][0] == label
                          for label, ends in walked for end in ends)
-
-
-def test_table_fill_outside_its_precision_raises():
-    rep = rep_podles(P, 1.3, "direct_sum", 10)
-    tensor = TensorRep(rep_podles(P, 0.7, "plus", 10))
-    ctx = MPCtx(Q, 1.3, 40)
-    tables = step_tables(rep, ctx)
-    for dps in (15, 60):
-        with mp.workdps(dps):
-            for seg in (("X", False), ("Y", False), ("X", True)):
-                with pytest.raises(ArithmeticError):
-                    tables[seg][("+", 3)]
-            with pytest.raises(ArithmeticError):
-                step_tables(tensor, MPCtx(Q, 0.7, 40))[("T", False)]
-    with mp.workdps(ctx.dps):
-        assert tables[("Y", True)][("-", 3)] is not None
 
 
 def _expected_move(g):
@@ -773,41 +748,64 @@ def test_every_step_lands_where_its_move_says():
         x = rep.meta.get("x", 0.0)
         two = len(rep.families) == 2
         for ctx in (FloatCtx(Q, x), MPCtx(Q, x)):
-            exact = isinstance(ctx, MPCtx)
-            tables = step_tables(rep, ctx) if exact else None
-            with mp.workdps(ctx.dps if exact else mp.mp.dps):
-                for g in rep._steps:
-                    dk, swap = _expected_move(g)
-                    assert rep.move(g) == (dk, swap), g
-                    landed = 0
-                    for fam, kmin in rep.families:
-                        to = ({"+": "-", "-": "+"}[fam] if swap else fam,)
-                        for k in range(kmin, kmin + 40):
-                            want = to + (k + dk,)
-                            hit = rep.step(g, fam, k, ctx)
-                            if hit is None:
-                                continue
-                            landed += 1
-                            assert hit[:2] == want, (g, fam, k)
-                            if exact:
-                                for impl in (False, True)[:1 + two]:
-                                    got = tables[(g, impl)][(fam, k)]
-                                    assert got[0] == want, (g, impl, fam, k)
-                    assert landed, g
+            tables = step_tables(rep, ctx)
+            for g in rep._steps:
+                dk, swap = _expected_move(g)
+                assert rep.move(g) == (dk, swap), g
+                landed = 0
+                for fam, kmin in rep.families:
+                    to = ({"+": "-", "-": "+"}[fam] if swap else fam,)
+                    for k in range(kmin, kmin + 40):
+                        want = to + (k + dk,)
+                        hit = rep.step(g, fam, k, ctx)
+                        if hit is None:
+                            continue
+                        landed += 1
+                        assert hit[:2] == want, (g, fam, k)
+                        for impl in (False, True)[:1 + two]:
+                            got = tables[(g, impl)][(fam, k)]
+                            assert got[0] == want, (g, impl, fam, k)
+                assert landed, g
 
 
-def test_mp_factors_computed_once_at_their_precision():
-    ctx = MPCtx(Q, 1.3, 40)
-    with mp.workdps(ctx.dps):
+def test_exact_bits_ignore_the_ambient_precision(monkeypatch):
+    # an mp context binds its precision into every operation, so steps,
+    # factors, step tables and residuals read the same bits under any
+    # ambient mp.workdps, and a factor is computed once; a context of
+    # another precision gives other bits
+    from qsphere import invariance
+    monkeypatch.setattr(labels, "mp_ctx", MPCtx)   # fresh tables per call
+    monkeypatch.setattr(invariance, "mp_ctx", MPCtx)
+    W = 10
+    podles = rep_podles(P, 1.3, "direct_sum", W)
+    tensor = TensorRep(rep_podles(P, 0.7, "plus", W))
+    pres = make_presentation("podles", P, x=1.3)
+    segs = [(g, impl) for g in podles._steps for impl in (False, True)]
+    segs += [(("zf", -1, 2, 1), False), (("lead", 1, 3, -1), False)]
+
+    def readings(dps=40):
+        ctx = MPCtx(Q, 1.3, dps)
         f = ctx.factor(-1, 6, -2)
-        assert f == 1 + ctx.qpow(6, -2)
         assert ctx.factor(-1, 6, -2) is f
-    with mp.workdps(60):
-        assert ctx.factor(-1, 6, -2) is f
-        with pytest.raises(ArithmeticError):
-            ctx.factor(1, 6, -2)
-    fl = FloatCtx(Q, 1.3)
-    assert fl.factor(1, 4, 1) == 1 - fl.qpow(4, 1)
+        tables, tensor_t = (step_tables(podles, ctx),
+                            step_tables(tensor, MPCtx(Q, 0.7, dps)))
+        return (f, [podles.step(g, *lab, ctx) for g in podles._steps
+                    for lab in window_labels(podles, W)],
+                [tables[seg][lab] for seg in segs
+                 for lab in window_labels(podles, W)],
+                [tensor_t[("T", False)][lab]
+                 for lab in window_labels(tensor, W)],
+                relation_check(pres, podles),
+                combos_residuals(rep_bl(P, 1.5, W), [
+                    (_COMBOS, []), (_COMBOS[:1], _COMBOS[1:])], W),
+                invariance.invariance_defects([("X", "Y"), ("Z",)],
+                                              podles, 8))
+
+    want = readings()
+    for dps in (15, 60, 200):
+        with mp.workdps(dps):
+            assert readings() == want, dps
+    assert all(a != b for a, b in zip(readings(80)[:4], want))
 
 
 def test_dropped_rep_frees_its_walk_memo_without_the_collector():
@@ -971,15 +969,15 @@ def test_combo_kernel_matches_multiplying_walks():
     for rep, combos in cases:
         x = rep.meta.get("x", 0.0)
         dps = walk_dps(rep, W)   # the precision combos_residual walks at
-        for ctx in (mp_ctx(Q, x, dps), MPCtx(Q, x, dps)):
-            with mp.workdps(ctx.dps):
+        ref = MPObjectCtx(Q, x, dps)
+        with mp.workdps(dps):
+            for ctx in (mp_ctx(Q, x, dps), MPCtx(Q, x, dps)):
                 for label in window_labels(rep, W):
                     got = _walk_combos(rep, combos, label, ctx)
-                    want = _reference_walk_combos(rep, combos, label, ctx)
+                    want = _reference_walk_combos(rep, combos, label, ref)
                     assert ({lab: v._mpf_ for lab, v in got.items()}
                             == {lab: v._mpf_ for lab, v in want.items()})
-                want = _reference_combos_residual(rep, combos, combos[:1],
-                                                  W, ctx)
+            want = _reference_combos_residual(rep, combos, combos[:1], W, ref)
         assert combos_residual(rep, combos, combos[:1], W) == want
 
 
@@ -1017,7 +1015,7 @@ def test_relation_kernel_matches_multiplying_walks(monkeypatch):
         for pres, rep in cases:
             got = relation_check(pres, rep)
             with mp.workdps(labels.MP_DPS):
-                ctx = labels.mp_ctx(Q, rep.meta.get("x", 0.0))
+                ctx = MPObjectCtx(Q, rep.meta.get("x", 0.0))
                 want = {r.name: _reference_rule_residual(rep, r, W, ctx)
                         for r in pres.rules if r.defining}
             assert got == want
@@ -1026,6 +1024,105 @@ def test_relation_kernel_matches_multiplying_walks(monkeypatch):
                             for r in pres.rules
                             if r.defining and r.recipe is not None)
     assert zf_rules > 0
+
+
+# ---------------------------------------------------------------------------
+# the raw scalar context against mpf objects, and the walker in floats
+# ---------------------------------------------------------------------------
+
+_TENSOR_GENS = ("T", "X", "Y", "Z", "Zi")
+_TENSOR_COMBOS = [(1.0, [("T", False), ("X", False)]),
+                  (0.25, [("Y", True), ("Zi", False), ("T", True)]),
+                  (-2.0, [("X", False), ("Y", False), ("Z", False)])]
+
+
+def _bit_cases(q):
+    """(rep, window, segments, combos) at q: podles at an integer and a
+    non-integer x, bl(1) and a tensor, at windows 48 and 64."""
+    p = QParams(q)
+    label_segs = [(("zf", -1, 2, 1), False), (("lead", 1, 3, -1), False)]
+    label_combos = _COMBOS + [(1, [("X", True), (("zf", 1, 1, 0), False),
+                                   ("Y", False), (("lead", -1, 0, 1), False)])]
+    for rep, W in ((rep_podles(p, 2.0, "direct_sum", 48), 48),
+                   (rep_podles(p, 1.3, "direct_sum", 64), 64),
+                   (rep_bl(p, 1, 48), 48)):
+        segs = [(g, impl) for g in rep._steps for impl in (False, True)]
+        yield rep, W, segs + label_segs, label_combos
+    tensor = TensorRep(rep_podles(p, 1.3, "plus", 48))
+    yield tensor, 48, [(g, False) for g in _TENSOR_GENS], _TENSOR_COMBOS
+
+
+def _same_entry(a, b) -> bool:
+    """A table entry or step of the raw context against the reference's."""
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_entry, a, b))
+    return a[:-1] == b[:-1] and a[-1] == raw(b[-1])
+
+
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.8])
+def test_raw_context_matches_mpf_objects_bit_for_bit(q):
+    # every step, factor, root, q-power, table entry and trie batch of the
+    # raw context is the reference's mpf object to the bit, at 40 digits
+    # and at the window's walk precision
+    for rep, W, segs, combos in _bit_cases(q):
+        base = getattr(rep, "base", rep)
+        x = rep.meta.get("x", 0.0)
+        window = list(window_labels(rep, W))
+        paths = {tuple(reversed(segments)): i
+                 for i, (_, segments) in enumerate(combos)}
+        for dps in (40, walk_dps(rep, W)):
+            new, ref = MPCtx(q, x, dps), MPObjectCtx(q, x, dps)
+            with mp.workdps(dps):
+                for g in base._steps:
+                    for fam, k in window_labels(base, W + 2):
+                        assert _same_entry(base.step(g, fam, k, new),
+                                           base.step(g, fam, k, ref)), g
+                tables = step_tables(rep, new), step_tables(rep, ref)
+                for seg in segs:
+                    for label in window:
+                        assert _same_entry(*(t[seg][label] for t in tables))
+                walks = (trie_walks(t, paths, window) for t in tables)
+                for (la, got), (lb, want) in zip(*walks):
+                    assert la == lb and len(got) == len(want)
+                    for a, b in zip(got, want):
+                        assert list(a) == [(lab, raw(v)) for lab, v in b]
+                assert new.roots and new._factors.keys() == ref._factors.keys()
+                for key, v in new._factors.items():
+                    assert v == raw(ref._factors[key])
+                for key, v in new.roots.items():
+                    assert v == raw(_sqrt_coeff(ref, key))
+                for key, v in new._cache.items():
+                    assert v == raw(ref.qpow(*key))
+
+
+def test_float_trie_walk_matches_walk_shifts():
+    # the step tables and the trie walker run in the float context as well,
+    # and read what the float engine's walk of the same words reads
+    W, M = 16, 24
+    words = [("X", "Y"), ("Y", "Z", "X"), ("Zi", "X", "Y", "Y"), ("Z",)]
+    cases = [(rep_podles(P, 1.3, "direct_sum", W), words),
+             (rep_bl(P, 1, W), words + [(a_gen(1), "Y", a_gen(-2))])]
+    for rep, batch in cases:
+        ctx = FloatCtx(Q, rep.meta["x"])
+        paths = {tuple((g, False) for g in reversed(w)): i
+                 for i, w in enumerate(batch)}
+        window = list(window_labels(rep, W))
+        walked = dict(trie_walks(step_tables(rep, ctx), paths, window))
+        cols = rep.window_indices(M, W)
+        for i, w in enumerate(batch):
+            pos, rows, val = reps.walk_shifts([rep.shifts(g, M) for g in w],
+                                              cols)
+            want = {window[j]: ((rep.families[r // M][0],
+                                 rep.families[r // M][1] + r % M), v)
+                    for j, r, v in zip(pos, rows, val)}
+            got = {label: ends[i][0] for label, ends in walked.items()
+                   if ends[i]}
+            assert got.keys() == want.keys() and got, w
+            for label, (end, v) in got.items():
+                assert end == want[label][0], (w, label)
+                assert abs(v - want[label][1]) <= 1e-15 * abs(v), (w, label)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ do not count as references, so the re-exports of __init__.py keep nothing
 alive, and neither does a function calling itself.  A function only tests
 reach fails here; delete it or wire it into a certificate.  More
 ratchets cap the `@` products, the library square-root calls and the
-`workdps` uses of each module, keep numpy.linalg to action.py, keep numpy
-out of every module but the float ones when it loads, keep the adjoint
-action's letters to its one table, and keep every exact check to one
-prefix-trie walker."""
+`workdps` uses of each module, keep mpf objects out of the package and
+libmp out of the code that computes through a scalar context, keep
+numpy.linalg to action.py, keep numpy out of every module but the float
+ones when it loads, keep the adjoint action's letters to its one table, and
+keep every exact check to one prefix-trie walker."""
 
 import ast
 from pathlib import Path
@@ -116,13 +117,13 @@ def test_matmul_counts_only_fall():
 
 
 # library square-root calls per module of src/qsphere (`math.sqrt`,
-# `np.sqrt`, `mp.sqrt` or a bare imported `sqrt`; a renamed import or a
-# scalar context's `ctx.sqrt` is not counted): every square root of a
-# (1 +- q^...) factor goes through qcore._sqrt_coeff, so these counts may only
-# fall (invariance's are sqrt(q) and the ladder normalization's ratio, reps'
-# the spin-1/2 sqrt(q), labels' MPCtx's primitive, cli's the residual column
-# norms)
-SQRT_CEILING = {"invariance": 2, "reps": 1, "labels": 1, "cli": 1}
+# `np.sqrt`, `mp.sqrt` or a bare imported `sqrt`; a renamed import, libmp's
+# `mpf_sqrt` or a scalar context's `ctx.sqrt` is not counted): every square
+# root of a (1 +- q^...) factor goes through qcore._sqrt_coeff, so these
+# counts may only fall (invariance's are sqrt(q) and the ladder
+# normalization's ratio, reps' the spin-1/2 sqrt(q), cli's the residual
+# column norms)
+SQRT_CEILING = {"invariance": 2, "reps": 1, "cli": 1}
 SQRT_OWNERS = {"math", "np", "numpy", "mp", "mpmath"}
 
 
@@ -146,11 +147,9 @@ def test_sqrt_counts_only_fall():
 
 
 # `workdps` uses per module of src/qsphere (an attribute or a bare name):
-# the exact entry points (`labels.combos_residuals`,
-# `invariance.invariance_defects`) hold their context's precision and the
-# step tables refuse any other, so no step enters it again; these counts may
-# only fall (labels' other two are MPCtx's construction and q-power)
-WORKDPS_CEILING = {"labels": 3, "invariance": 1}
+# every operation of `labels.MPCtx` is bound to its own precision, so no
+# module needs an ambient one; these counts may only fall
+WORKDPS_CEILING: dict = {}
 
 
 def _workdps_uses(tree) -> int:
@@ -167,6 +166,92 @@ def test_workdps_counts_only_fall():
     assert not over, over
     assert _workdps_uses(ast.parse(
         "with mp.workdps(9):\n    workdps(3)\nmp.workdps")) == 3
+
+
+# mpf objects: the exact kernel computes on raw values through its scalar
+# context, which builds q and q^x with libmp too, so no module imports the
+# mpmath package itself (only `mpmath.libmp`) or reads `mp.mpf`,
+# `mp.power` or a value's `._mpf_`; these counts may only fall
+MPF_CEILING: dict = {}
+MPF_NAMES = {"mpf", "power", "make_mpf", "mpc"}
+
+
+def _mpf_uses(tree) -> int:
+    imports = sum(
+        (isinstance(node, ast.Import)
+         and any(a.name in ("mpmath", "mpmath.mp") for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "mpmath")
+        for node in ast.walk(tree))
+    return imports + sum(
+        isinstance(node, ast.Attribute) and (
+            node.attr == "_mpf_" or node.attr in MPF_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("mp", "mpmath"))
+        for node in ast.walk(tree))
+
+
+def test_mpf_object_counts_only_fall():
+    counts = {path.stem: _mpf_uses(ast.parse(path.read_text()))
+              for path in sorted(SRC.glob("*.py"))}
+    over = {name: n for name, n in counts.items()
+            if n > MPF_CEILING.get(name, 0)}
+    assert not over, over
+    assert _mpf_uses(ast.parse(
+        "import mpmath as mp\nfrom mpmath import mpf\n"
+        "from mpmath.libmp import fone\nmp.mpf(1)._mpf_\nmp.power(2, 3)"
+        "\nnp.power(2, 3)")) == 5
+
+
+# the code that computes through a scalar context (the coefficient
+# formulas, the step tables and the trie walkers) reads only its interface,
+# so the same walk runs in any context: none of it names a libmp function
+# or constant, the mpmath package, or a raw value's precision
+SCALAR_INTERFACE_ONLY = {
+    "qcore": ("_sqrt_coeff", "tau_of"),
+    "labels": ("_z_steps", "rep_podles", "rep_bl", "_tensor_terms",
+               "_StepTable", "_SegmentTables", "_label_trie",
+               "_branch_trie", "trie_walks"),
+}
+
+
+def _libmp_names(tree) -> set:
+    return {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("mpmath")
+            for a in node.names}
+
+
+def _foreign_reads(node, names) -> set:
+    """The names of `names`, `mp` and `mpmath`, and the attributes `prec`,
+    `_mpf_` and `workdps`, read anywhere in `node`."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and (
+                sub.id in names or sub.id in ("mp", "mpmath")):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and sub.attr in (
+                "prec", "_mpf_", "workdps"):
+            found.add(sub.attr)
+    return found
+
+
+def test_scalar_interface_code_names_no_libmp():
+    libmp = set()
+    trees = {stem: ast.parse((SRC / f"{stem}.py").read_text())
+             for stem in SCALAR_INTERFACE_ONLY}
+    for path in sorted(SRC.glob("*.py")):
+        libmp |= _libmp_names(ast.parse(path.read_text()))
+    assert {"mpf_mul", "fone", "round_nearest"} <= libmp
+    for stem, names in SCALAR_INTERFACE_ONLY.items():
+        defs = {node.name: node for node in trees[stem].body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert set(names) <= set(defs), stem
+        wrong = {name: _foreign_reads(defs[name], libmp) for name in names}
+        assert not any(wrong.values()), wrong
+    assert _foreign_reads(ast.parse(
+        "def f(t):\n    mpf_mul(t.prec, fone)\n    mp.workdps\n"
+        "    ctx.mul(a, b)._mpf_"), {"mpf_mul", "fone"}) == {
+            "mpf_mul", "fone", "prec", "mp", "workdps", "_mpf_"}
 
 
 def _linalg_reads(tree) -> list:
