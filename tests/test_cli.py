@@ -528,10 +528,10 @@ def _probe(script, argv, env=None):
     ("suite_relations", ["relations", "--N", "16"], False),
     ("suite_theta", ["theta", "--N", "8"], False),
     ("suite_functional", ["functional", "--N", "24"], False),
-    ("suite_orbit", ["orbit", "--x", "0.3", "--y", "1.7"], False),
-    ("suite_picard", ["picard", "--x", "2"], False),
     ("suite_oracle", ["oracle", "--N", "16", "--count", "10"], True),
-    ("_with_worker", SMALL_ALL, True)])
+    ("_with_worker", SMALL_ALL, True),
+    ("suite_orbit", ["orbit", "--x", "0.3", "--y", "1.7"], False),
+    ("suite_picard", ["picard", "--x", "2"], False)])
 def test_numpy_loads_only_for_float_commands(hook, argv, loads):
     # importing the command line loads no numpy, and neither do the
     # commands that certify in mpmath alone or compute no operator; a float

@@ -806,6 +806,8 @@ def test_exact_bits_ignore_the_ambient_precision(monkeypatch):
         with mp.workdps(dps):
             assert readings() == want, dps
     assert all(a != b for a, b in zip(readings(80)[:4], want))
+    fl = FloatCtx(Q, 1.3)   # the float context's factor, unmemoised
+    assert fl.factor(1, 4, 1) == 1 - fl.qpow(4, 1)
 
 
 def test_dropped_rep_frees_its_walk_memo_without_the_collector():
