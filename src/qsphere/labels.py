@@ -166,7 +166,7 @@ class LabelRep:
         self._float_steps: dict = {}  # (gen, fam) -> step arrays, see shift
         self._shift_cache: dict = {}
         self._mat_cache: dict = {}
-        self._walk_memos: dict = {}  # mp context -> _SegmentTables
+        self._walk_memos: dict = {}  # scalar context -> _SegmentTables
 
     # -- label bookkeeping
     def kmin(self, fam):
@@ -439,8 +439,8 @@ def _tensor_terms(g, ctx):
 class _StepTable(dict):
     """label -> step of one segment, computed by `fill` on first use and
     kept.  A step is None (the walk dies) or, on a label representation,
-    (target label, raw coefficient); on a tensor representation it is a
-    list of such branches."""
+    (target label, coefficient in the tables' context); on a tensor
+    representation it is a list of such branches."""
 
     def __init__(self, fill):
         super().__init__()

@@ -136,7 +136,7 @@ class TensorRep:
         self.N = base.N
         self.pad = base.pad
         self.meta = base.meta
-        self._walk_memos: dict = {}  # mp context -> _SegmentTables
+        self._walk_memos: dict = {}  # scalar context -> _SegmentTables
 
     def dim(self, M: int) -> int:
         return 2 * self.base.dim(M)
