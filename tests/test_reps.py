@@ -656,6 +656,19 @@ def test_step_memo_keeps_reps_apart():
     assert walked["plus"] != walked["minus"]
 
 
+def test_step_memo_follows_precision():
+    # the shared contexts of two precisions keep apart: each walks as a
+    # fresh context of its own precision, under any ambient mp.workdps
+    W = 10
+    rep = rep_bl(P, 1.5, W)
+    low = _walk_window(rep, _COMBOS, mp_ctx(Q, 3.0, 40), W)
+    high = _walk_window(rep, _COMBOS, mp_ctx(Q, 3.0, 80), W)
+    assert high == _walk_window(rep, _COMBOS, MPCtx(Q, 3.0, 80), W)
+    assert high != low
+    with mp.workdps(15):
+        assert low == _walk_window(rep, _COMBOS, MPCtx(Q, 3.0, 40), W)
+
+
 def test_each_step_is_computed_once_per_context(monkeypatch):
     # implementer letters and adjoint steps read the plain steps' entries,
     # so no (generator, label) root is taken twice in one context; distinct
@@ -771,8 +784,7 @@ def test_every_step_lands_where_its_move_says():
 def test_exact_bits_ignore_the_ambient_precision(monkeypatch):
     # an mp context binds its precision into every operation, so steps,
     # factors, step tables and residuals read the same bits under any
-    # ambient mp.workdps, and a factor is computed once; a context of
-    # another precision gives other bits
+    # ambient mp.workdps; a context of another precision gives other bits
     from qsphere import invariance
     monkeypatch.setattr(labels, "mp_ctx", MPCtx)   # fresh tables per call
     monkeypatch.setattr(invariance, "mp_ctx", MPCtx)
@@ -786,7 +798,6 @@ def test_exact_bits_ignore_the_ambient_precision(monkeypatch):
     def readings(dps=40):
         ctx = MPCtx(Q, 1.3, dps)
         f = ctx.factor(-1, 6, -2)
-        assert ctx.factor(-1, 6, -2) is f
         tables, tensor_t = (step_tables(podles, ctx),
                             step_tables(tensor, MPCtx(Q, 0.7, dps)))
         return (f, [podles.step(g, *lab, ctx) for g in podles._steps
@@ -806,6 +817,23 @@ def test_exact_bits_ignore_the_ambient_precision(monkeypatch):
         with mp.workdps(dps):
             assert readings() == want, dps
     assert all(a != b for a, b in zip(readings(80)[:4], want))
+
+
+def test_mp_factors_computed_once_at_their_precision():
+    # a factor is computed once, at its context's precision: the memo
+    # returns the same value under a foreign mp.workdps, and a factor first
+    # made there has the bits of mpf arithmetic at the context's precision
+    ctx = MPCtx(Q, 1.3, 40)
+    ref = MPObjectCtx(Q, 1.3, 40)
+    f = ctx.factor(-1, 6, -2)
+    assert f == ctx.add(ctx.one, ctx.qpow(6, -2))
+    assert ctx.factor(-1, 6, -2) is f
+    with mp.workdps(60):
+        assert ctx.factor(-1, 6, -2) is f
+        g = ctx.factor(1, 6, -2)
+    assert ctx.factor(1, 6, -2) is g
+    with mp.workdps(ref.dps):
+        assert (f, g) == (raw(ref.factor(-1, 6, -2)), raw(ref.factor(1, 6, -2)))
     fl = FloatCtx(Q, 1.3)   # the float context's factor, unmemoised
     assert fl.factor(1, 4, 1) == 1 - fl.qpow(4, 1)
 
