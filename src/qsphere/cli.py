@@ -11,10 +11,12 @@ namespace.  A single command passes the command line's; `all` runs every
 suite on the command line's namespace under the flags `ALL_ARGS` sets for
 it, and refuses where one of those suite runs would.
 
-The modules imported here load no numpy.  A command that walks float
-shifts (`_walks_floats`) loads it, with the float layer (`reps`, `action`,
-`casimir`, `morita`), once in `run` before its first suite; the suites take
-their float names by function-local imports.
+The modules imported here load no numpy, no dataclasses (nor the inspect
+it brings) and no pickle: `all`'s fork imports pickle and signal in the
+call.  A command that walks float shifts (`_walks_floats`) loads numpy,
+with the float layer (`reps`, `action`, `casimir`, `morita`), once in `run`
+before its first suite; the suites take their float names by
+function-local imports.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import pickle
-import signal
 import sys
 from collections import Counter
 
@@ -478,6 +478,8 @@ def _input_error(args):
     for flag, v in (("--tol", args.tol), ("--alg", args.alg)):
         if v is not None and args.command != "relations":
             return f"{flag}: only relations reads it, not {args.command}"
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        return f"--tol must be finite and nonnegative, got {args.tol}"
     what = args.command
     if what == "relations" and args.alg == "uqsu2":
         what += " --alg uqsu2"
@@ -496,10 +498,14 @@ def _input_error(args):
               if "l" in ALL_ARGS.get(args.command, {}) else "")
         return (f"--N must be at least {need} for {args.command}{at}, "
                 f"got {args.N}")
+    # 2|x| itself overflows to inf at |x| > 8.9e307, and q^-inf raises
+    # nothing, so the guard reads the power's value too
     reach = max(_reach(cmd, a) for cmd, a in runs)
     try:
-        args.q ** -reach
+        fits = math.isfinite(args.q ** -reach)
     except OverflowError:
+        fits = False
+    if not fits:
         return (f"{args.command} forms q^-{reach:g}, which overflows "
                 f"float64 at --q {args.q:g}; lower --x, --l or --N")
     return None
@@ -590,7 +596,8 @@ def _suite_calls(a, p) -> dict:
     ergodic = _all_ergodic if a.command == "all" else suite_ergodic
     return {
         "relations": lambda: suite_relations(
-            p, a.x, a.l, a.N, a.tol or TOL_RELATIONS,
+            p, a.x, a.l, a.N,
+            TOL_RELATIONS if a.tol is None else a.tol,
             [a.alg] if a.alg else ["podles", "uqmp", "bl"], a.dump),
         "casimir": lambda: suite_casimir(p, a.x, a.N, a.dump),
         "compress": lambda: suite_compress(p, a.x, a.N, a.dump),
@@ -621,6 +628,8 @@ def _with_worker(worker, parent):
     exception it raised, pickled through a pipe, and that exception is
     raised here.  No child outlives the call: it is reaped on every path,
     and killed first when parent() raises."""
+    import pickle
+    import signal
     sys.stdout.flush()
     sys.stderr.flush()
     rfd, wfd = os.pipe()

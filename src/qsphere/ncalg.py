@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
 from .qcore import FloatCtx, QParams, tau
 
@@ -143,33 +141,43 @@ def zf(sign: int, n: float, m: int):
     return ("zf", sign, n, m)
 
 
-@dataclass(frozen=True)
 class Rule:
-    lhs: Word
-    rhs: dict
-    name: str
-    recipe: Optional[tuple] = None
-    defining: bool = True   # False: rewriting aid derived from defining ones
+    """One oriented rewrite rule lhs -> rhs ({word: coefficient}), with the
+    recipe its rhs expands from, if any; `defining` False marks a rewriting
+    aid derived from the defining rules."""
+
+    __slots__ = ("lhs", "rhs", "name", "recipe", "defining")
+
+    def __init__(self, lhs: Word, rhs: dict, name: str,
+                 recipe: tuple | None = None, defining: bool = True):
+        self.lhs, self.rhs, self.name = lhs, rhs, name
+        self.recipe, self.defining = recipe, defining
 
 
-@dataclass(frozen=True)
 class Presentation:
-    name: str
-    generators: tuple
-    rules: tuple        # ordered by priority
-    grading: dict       # gen -> (int degree, parity 0/1)
-    params: QParams
-    x: Optional[float] = None
-    l: Optional[float] = None
-    weights: dict = field(default_factory=dict)
-    prec: dict = field(default_factory=dict)
+    """Generators, rules ordered by priority, and the grading (gen -> (int
+    degree, parity 0/1)) of one algebra, with the weights and letter
+    precedence of its word order."""
+
+    __slots__ = ("name", "generators", "rules", "grading", "params", "x",
+                 "l", "weights", "prec")
+
+    def __init__(self, name: str, generators: tuple, rules: tuple,
+                 grading: dict, params: QParams, x: float | None = None,
+                 l: float | None = None, weights: dict | None = None,
+                 prec: dict | None = None):
+        self.name, self.generators = name, generators
+        self.rules, self.grading, self.params = rules, grading, params
+        self.x, self.l = x, l
+        self.weights = {} if weights is None else weights
+        self.prec = {} if prec is None else prec
 
     def order_key(self, word: Word):
         wt = sum(self.weights[g] for g in word)
         return (wt, len(word), tuple(self.prec[g] for g in word))
 
 
-def _weights_and_prec(gens: Iterable[Gen], twol: int = 0) -> tuple[dict, dict]:
+def _weights_and_prec(gens: tuple, twol: int = 0) -> tuple[dict, dict]:
     a_weight = 4 * twol + 2
     weights, prec = {}, {}
     for g in gens:
@@ -222,7 +230,7 @@ def _expand_recipe(recipe, ctx) -> dict:
     return {w: v * lead for w, v in terms.items()}
 
 
-def make_presentation(name: str, p: QParams, x: Optional[float] = None,
+def make_presentation(name: str, p: QParams, x: float | None = None,
                       l=None) -> Presentation:
     """Build one of the four presentations with its oriented rule set."""
     q = p.q
@@ -583,7 +591,7 @@ def parse(text: str, pres: Presentation) -> NCPoly:
     return out
 
 
-def format_poly(poly: NCPoly, pres: Optional[Presentation] = None) -> str:
+def format_poly(poly: NCPoly, pres: Presentation | None = None) -> str:
     """Render a polynomial; format_poly . parse is the identity on values."""
     if poly.is_zero():
         return "0"

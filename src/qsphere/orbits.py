@@ -20,8 +20,11 @@ def orbit_equivalent(a, b):
     if _is_standard(a) or _is_standard(b):
         return (_is_standard(a) and _is_standard(b), None)
     x, y = float(a), float(b)
-    reach = int(math.ceil(abs(x) + abs(y))) + 1
-    for m in sorted(range(-reach, reach + 1), key=lambda v: (abs(v), v)):
+    # x + m = +-|y| up to ORBIT_TOL < 1/2 leaves one integer per sign; the
+    # smallest |m|, then the smaller m, is the witness
+    shifts = (abs(y) - x, -abs(y) - x)
+    near = {round(t) for t in shifts if math.isfinite(t)}
+    for m in sorted(near, key=lambda v: (abs(v), v)):
         if abs(abs(x + m) - abs(y)) <= ORBIT_TOL:
             return (True, m)
     return (False, None)

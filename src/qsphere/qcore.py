@@ -15,28 +15,44 @@ import functools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
 
 Q_SAFE_RANGE = (0.05, 0.95)
 
 
-@dataclass(frozen=True)
 class QParams:
-    """Deformation parameter q with its derived constant lam."""
+    """Deformation parameter q with its derived constant lam; immutable,
+    equal and hashed by q."""
 
-    q: float
-    lam: float = field(init=False)
+    __slots__ = ("q", "lam")
 
-    def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
-            raise ValueError(f"q must lie strictly between 0 and 1, got {self.q}")
-        if not (Q_SAFE_RANGE[0] <= self.q <= Q_SAFE_RANGE[1]):
+    def __init__(self, q: float):
+        if not (0.0 < q < 1.0):
+            raise ValueError(f"q must lie strictly between 0 and 1, got {q}")
+        if not (Q_SAFE_RANGE[0] <= q <= Q_SAFE_RANGE[1]):
             warnings.warn(
-                f"q={self.q} outside [{Q_SAFE_RANGE[0]}, {Q_SAFE_RANGE[1]}]: "
+                f"q={q} outside [{Q_SAFE_RANGE[0]}, {Q_SAFE_RANGE[1]}]: "
                 "powers q^-x become badly conditioned",
                 stacklevel=2,
             )
-        object.__setattr__(self, "lam", 1.0 / (self.q - 1.0 / self.q))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "lam", 1.0 / (q - 1.0 / q))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):   # pickle and copy rebuild it from q
+        return QParams, (self.q,)
+
+    def __eq__(self, other):
+        return self.q == other.q if type(other) is QParams else NotImplemented
+
+    def __hash__(self):
+        return hash(self.q)
+
+    def __repr__(self):
+        return f"QParams(q={self.q!r}, lam={self.lam!r})"
 
 
 class FloatCtx:

@@ -10,7 +10,6 @@ residual fails its check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
 def max_or_nan(*residuals: float) -> float:
@@ -22,22 +21,23 @@ def max_or_nan(*residuals: float) -> float:
     return max(residuals, default=0.0)
 
 
-@dataclass
 class Detail:
-    item: str
-    residual: float
-    threshold: float
+    __slots__ = ("item", "residual", "threshold")
+
+    def __init__(self, item: str, residual: float, threshold: float):
+        self.item, self.residual, self.threshold = item, residual, threshold
 
     def to_obj(self):
         return {"item": self.item, "residual": float(self.residual),
                 "threshold": float(self.threshold)}
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    params: dict
-    details: list = field(default_factory=list)
+    __slots__ = ("check", "params", "details")
+
+    def __init__(self, check: str, params: dict, details: list | None = None):
+        self.check, self.params = check, params
+        self.details = [] if details is None else details
 
     def add(self, item: str, residual: float, threshold: float):
         self.details.append(Detail(item, float(residual), float(threshold)))

@@ -162,6 +162,51 @@ def test_overflowing_q_powers_are_refused(argv, edge, passing, capsys):
     assert run(passing + ["--json"]) == 0, passing
 
 
+@pytest.mark.parametrize("command", ["casimir", "compress", "oracle",
+                                     "ergodic"])
+def test_reach_that_itself_overflows_is_refused(command, capsys):
+    # at |x| = 1e308 the reach 2|x| is inf, and q^-inf raises nothing
+    assert run([command, "--x", "1e308", "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"verify: error: {command} forms q^-inf, which "
+                       "overflows float64 at --q 0.5; lower --x, --l or "
+                       "--N\n")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_relations_refuses_a_tol_that_certifies_nothing(tol, capsys):
+    # nan and a negative threshold fail every residual, inf passes them all
+    assert run(["relations", "--tol", tol, "--N", "8", "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "--tol" in out.err
+
+
+def test_relations_tol_zero_is_read_as_zero(capsys):
+    _, report = run_json(["relations", "--alg", "uqsu2", "--tol", "0"],
+                         capsys)
+    check = report["checks"][0]
+    assert check["params"]["tol"] == 0.0
+    assert {d["threshold"] for d in check["details"]} == {0.0}
+
+
+@pytest.mark.parametrize("argv, code, witness", [
+    (["--x", "1e9", "--y", "1"], 0, 1 - 10**9),
+    # both signs match; the smaller |m| is the witness
+    (["--x", "-999999999.5", "--y", "-0.5"], 0, 10**9 - 1),
+    (["--x", "1e308", "--y", "-1e308"], 0, 0),
+    (["--x", "-1e308", "--y", "1e308"], 0, 0),
+    (["--x", "1e308", "--y", "1"], 1, None),
+    (["--x", "0.5", "--y", "1e9"], 1, None),
+])
+def test_orbit_at_large_parameters_reports(argv, code, witness, capsys):
+    # the witness search tests two integers, however far apart x and y lie
+    got, report = run_json(["orbit", *argv], capsys)
+    assert got == code
+    assert report["checks"][0]["params"]["witness"] == witness
+
+
 def test_all_keeps_reports_when_monomials_are_dependent(capsys):
     # at q = 0.3 the degree-6 monomial images of the l = 0 ergodic suite
     # are dependent on the rank window: ergodic alone is a usage error, but
@@ -539,6 +584,35 @@ def test_numpy_loads_only_for_float_commands(hook, argv, loads):
     # before its first suite, and `all` before it forks its worker
     seen = json.loads(_probe(_NUMPY_PROBE, [hook, *argv]))
     assert seen == {"import": False, "hook": loads, "code": 0, "end": loads}
+
+
+# Runs the command line on each argv of the JSON list argv[1], in order, and
+# prints as JSON which of the modules it watches were loaded after `import
+# qsphere.cli` and after each command.
+_LEAN_PROBE = """import contextlib, io, json, sys
+import qsphere.cli as cli
+def loaded():
+    return [m for m in ("dataclasses", "inspect", "pickle") if m in sys.modules]
+seen = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+    seen[argv[0]] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_free_commands_load_no_dataclasses_inspect_or_pickle():
+    # the commands that load no numpy load none of these either: pickle is
+    # read only by `all`'s fork, and nothing reads dataclasses (which loads
+    # inspect, dis, ast and tokenize)
+    commands = [["relations", "--N", "16"], ["theta", "--N", "8"],
+                ["functional", "--N", "24"],
+                ["orbit", "--x", "0.3", "--y", "1.7"], ["picard", "--x", "2"]]
+    seen = json.loads(_probe(_LEAN_PROBE, [json.dumps(commands)]))
+    assert seen == {name: [] for name in
+                    ("import", "relations", "theta", "functional", "orbit",
+                     "picard")}
 
 
 # Runs the command line on argv[1:] and prints how many threads the process

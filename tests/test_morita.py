@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qsphere.qcore import QParams
 from qsphere.morita import (
@@ -16,6 +17,7 @@ from qsphere.orbits import orbit_equivalent, picard_group
 from qsphere.labels import rep_bl
 from qsphere.reps import adjoint, max_abs, summed
 
+import reference_orbit
 from closed_form import eigvec_vector
 
 P = QParams(0.5)
@@ -57,6 +59,27 @@ def test_orbit_is_equivalence_relation():
             for z in params:
                 if orbit_equivalent(x, y)[0] and orbit_equivalent(y, z)[0]:
                     assert orbit_equivalent(x, z)[0]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(x=st.floats(-25, 25), k=st.integers(-25, 25),
+       sign=st.sampled_from([1, -1]),
+       eps=st.sampled_from([0.0, 4e-13, -9e-13, 1e-12, 3e-12, 0.25, 0.5]))
+def test_orbit_matches_the_scan(x, k, sign, eps):
+    # the two-candidate witness against the scan over every shift, on pairs
+    # at, near and off an orbit; the scan's range stays small here
+    y = sign * (x + k) + eps
+    assume(abs(x) + abs(y) <= 50)
+    assert orbit_equivalent(x, y) == reference_orbit.orbit_equivalent(x, y)
+
+
+def test_orbit_matches_the_scan_on_half_integers():
+    # both signs match at once, and the smaller |m| must win
+    for x in range(-40, 41):
+        for y in range(-40, 41):
+            a, b = x / 4, y / 4
+            assert (orbit_equivalent(a, b)
+                    == reference_orbit.orbit_equivalent(a, b)), (a, b)
 
 
 def test_picard_table():

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 
@@ -11,6 +10,7 @@ from qsphere.ncalg import (
     LCG,
     NCPoly,
     ParseError,
+    Presentation,
     RewriteCapError,
     Rule,
     a_gen,
@@ -230,7 +230,9 @@ def test_check_rules_refuses_what_the_lhs_index_would_miss(podles, rule,
                                                            message):
     # each rule keeps the grading and lowers the order; only its lhs is
     # wrong
-    bad = dataclasses.replace(podles, rules=podles.rules + (rule,))
+    bad = Presentation(podles.name, podles.generators,
+                       podles.rules + (rule,), podles.grading, podles.params,
+                       x=podles.x, weights=podles.weights, prec=podles.prec)
     with pytest.raises(AssertionError, match=message):
         ncalg._check_rules(bad)
 
