@@ -489,6 +489,8 @@ def _input_error(args):
         folder = os.path.dirname(path or "") or "."
         if path and not os.path.isdir(folder):
             return f"{flag}: no directory {folder}"
+    if args.out and os.path.isdir(args.out):
+        return f"--out: {args.out} is a directory, not a file"
     # `all` refuses where one of its suites would
     runs = (_all_args(args) if args.command == "all"
             else {args.command: args}).items()

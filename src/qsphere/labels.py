@@ -7,8 +7,9 @@ step (square roots through `qcore._sqrt_coeff`) through the scalar
 interface of a context, `qcore.FloatCtx` or `MPCtx` (`LabelRep`).  The
 coaction's one table (`_tensor_terms`) gives the generators of the
 coaction-tensored representation (`reps.TensorRep`).  The float views of a
-label representation (`shift`, `matrix`) import numpy inside the call; the
-float walks are in `reps`.
+label representation (`shift`, `matrix`) import numpy inside the call and
+are kept per (generator, internal size); a shift takes its labels' steps
+in the representation's one `FloatCtx`.  The float walks are in `reps`.
 
 Relation residuals, adjoint-action residuals and invariant-functional tail
 defects are walked label by label on raw mpmath values (`MPCtx`) through
@@ -163,7 +164,6 @@ class LabelRep:
         self.pad = 2             # labels padded per reps.poly_allowance unit
         self.meta = meta         # "q" and "x", read by the step contexts
         self._float_ctx = FloatCtx(meta["q"], meta.get("x", 0.0))
-        self._float_steps: dict = {}  # (gen, fam) -> step arrays, see shift
         self._shift_cache: dict = {}
         self._mat_cache: dict = {}
         self._walk_memos: dict = {}  # scalar context -> _SegmentTables
@@ -202,9 +202,8 @@ class LabelRep:
     def shift(self, g, M: int):
         """Generator g at internal size M as a weighted shift: column j goes
         to row tgt[j] with coefficient coef[j]; tgt[j] is -1 where the step
-        returns None or leaves the internal size.  Read from the float
-        steps (`_float_steps_from`), so a shift at a new size evaluates only
-        the labels no smaller size reached."""
+        returns None or leaves the internal size.  Each of the first M
+        labels' steps is taken in the rep's one FloatCtx."""
         key = (g, M)
         cached = self._shift_cache.get(key)
         if cached is not None:
@@ -212,39 +211,17 @@ class LabelRep:
         import numpy as np
         tgt = np.full(self.dim(M), -1, dtype=np.intp)
         coef = np.zeros(self.dim(M), dtype=np.complex128)
-        for pos, (fam, _) in enumerate(self.families):
-            to_fam, to_k, c = (a[:M] for a in self._float_steps_from(g, fam, M))
-            j = np.flatnonzero((to_fam >= 0) & (0 <= to_k) & (to_k < M))
-            tgt[pos * M + j] = to_fam[j] * M + to_k[j]
-            coef[pos * M + j] = c[j]
+        # label (fam, k) sits at index base[fam] + k at size M
+        base = {f: pos * M - kmin
+                for pos, (f, kmin) in enumerate(self.families)}
+        for fam, kmin in self.families:
+            for k in range(kmin, kmin + M):
+                hit = self.step(g, fam, k, self._float_ctx)
+                if hit is not None and 0 <= hit[1] - self.kmin(hit[0]) < M:
+                    tgt[base[fam] + k] = base[hit[0]] + hit[1]
+                    coef[base[fam] + k] = hit[2]
         self._shift_cache[key] = (tgt, coef)
         return tgt, coef
-
-    def _float_steps_from(self, g, fam, M: int):
-        """The steps of g from at least the first M labels of family fam, in
-        the rep's one FloatCtx, as arrays (target family position, -1 where
-        the step returns None; target label minus its family's kmin;
-        coefficient).  Each label's step is evaluated once per rep."""
-        have = self._float_steps.get((g, fam))
-        done = 0 if have is None else len(have[0])
-        if done >= M:
-            return have
-        import numpy as np
-        where = {f: pos for pos, (f, _) in enumerate(self.families)}
-        to_fam = np.full(M - done, -1, dtype=np.intp)
-        to_k = np.zeros(M - done, dtype=np.intp)
-        c = np.zeros(M - done, dtype=np.complex128)
-        kmin = self.kmin(fam)
-        for i in range(M - done):
-            hit = self.step(g, fam, kmin + done + i, self._float_ctx)
-            if hit is not None:
-                f2, k2, c[i] = hit
-                to_fam[i], to_k[i] = where[f2], k2 - self.kmin(f2)
-        new = (to_fam, to_k, c)
-        if have is not None:
-            new = tuple(np.concatenate(pair) for pair in zip(have, new))
-        self._float_steps[(g, fam)] = new
-        return new
 
     def shifts(self, g, M: int) -> tuple:
         return (self.shift(g, M),)
@@ -670,7 +647,11 @@ def combos_residuals(rep, pairs, W: int, dps: int | None = None) -> list:
     all the pairs are one trie, walked from each window label; then each
     pair adds its combos into its rows in combo order, combos_b subtracted
     one by one, and keeps its largest window row (`_larger`), converted to
-    float once."""
+    float once.  Every pair reads NaN when the window has no label, so that
+    a check that evaluated nothing fails."""
+    inside = set(window_labels(rep, W))
+    if not inside:
+        return [math.nan] * len(pairs)
     dps = walk_dps(rep, W) if dps is None else dps
     ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
     prec, tables, paths = ctx.prec, step_tables(rep, ctx), {}
@@ -680,7 +661,6 @@ def combos_residuals(rep, pairs, W: int, dps: int | None = None) -> list:
                None if (c := _raw_number(coef)) == fone else c, sub)
               for sub, side in enumerate(pair) for coef, segs in side]
              for pair in pairs]
-    inside = set(window_labels(rep, W))
     largest = [fzero] * len(pairs)
     for _, ends in trie_walks(tables, paths, window_labels(rep, W)):
         for j, combos in enumerate(terms):

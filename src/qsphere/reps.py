@@ -7,15 +7,17 @@ exact walk kernel are in `labels`.
 The one float form of an operator is a list of one-to-one weighted shifts
 (tgt, coef): column j goes to row tgt[j] (nowhere where it is -1) with
 coefficient coef[j].  A podles / bl generator is one shift per internal
-truncation M, read from its label steps, each evaluated once per
-representation in its one `FloatCtx` (`labels.LabelRep.shift`).  A tensor
-generator is several shifts, read from one coaction table
-(`labels._tensor_terms`); the spin-1/2 module and compressions store theirs
-(`ShiftRep`).  One walk (`walk_shifts`; a factor may be a scalar) serves
-every float certificate as a walked difference of products
-(`walk_difference`); `residuals` walks each word once per internal size for
-all its pairs.  Padded evaluation walks at an enlarged size and crops, so
-retained entries are exact values of the infinite-dimensional operators.
+truncation M, read from the steps of its first M labels in the
+representation's one `FloatCtx` and kept per (generator, M)
+(`labels.LabelRep.shift`).  A tensor generator is several shifts, read from
+one coaction table (`labels._tensor_terms`); the spin-1/2 module and
+compressions store theirs (`ShiftRep`).  One walk (`walk_shifts`; a factor
+may be a scalar) serves every float certificate as a walked difference of
+products (`walk_difference`); `residuals` walks all its pairs at one
+internal size and each word once.  Padded evaluation walks at an enlarged
+size and crops, so retained entries are exact values of the
+infinite-dimensional operators; a size padded for more than a word needs
+gives the same entries.
 """
 
 from __future__ import annotations
@@ -267,7 +269,10 @@ def walked_difference(lhs, rhs, w: int):
 
 
 def walk_defect(lhs, rhs, cols) -> float:
-    """max |sum(lhs) - sum(rhs)| in the columns `cols` (`walk_difference`)."""
+    """max |sum(lhs) - sum(rhs)| in the columns `cols` (`walk_difference`);
+    NaN for no columns, so that a check that evaluated nothing fails."""
+    if len(cols) == 0:
+        return math.nan
     return max_abs(walk_difference(lhs, rhs, cols)[2])
 
 
@@ -276,27 +281,29 @@ def _as_poly(poly) -> NCPoly:
 
 
 def _window_differences(pairs, rep):
-    """For each pair (poly_a, poly_b), the window entries of poly_a - poly_b
-    at the padded internal size: (window rows, window columns,
-    differences).  A term's word is walked down the window columns only,
-    which evolve independently, once per (word, internal size) across the
-    pairs; the term is that walk times its coefficient, c * values, as
-    `walk_shifts` applies the product [c, *letters]."""
+    """For each pair (poly_a, poly_b), the window entries of poly_a - poly_b:
+    (window rows, window columns, differences).  Every pair is walked at
+    one internal size, padded for the largest allowance among them; no walk
+    from a window column reaches its edge, so each retained entry is the
+    one any size padded for its own words gives.  A term's word is walked
+    down the window columns once across the pairs; the term is that walk
+    times its coefficient, c * values, as `walk_shifts` applies the product
+    [c, *letters]."""
+    pairs = [(_as_poly(a), _as_poly(b)) for a, b in pairs]
+    M = rep.N + rep.pad * max(
+        (poly_allowance(poly) for pair in pairs for poly in pair), default=1)
+    idx = rep.window_indices(M, rep.N)
+    where = np.full(rep.dim(M), -1, dtype=np.intp)
+    where[idx] = np.arange(len(idx))
     walks = {}
-    for poly_a, poly_b in pairs:
-        poly_a, poly_b = _as_poly(poly_a), _as_poly(poly_b)
-        M = rep.N + rep.pad * max(poly_allowance(poly_a),
-                                  poly_allowance(poly_b))
-        idx = rep.window_indices(M, rep.N)
-        where = np.full(rep.dim(M), -1, dtype=np.intp)
-        where[idx] = np.arange(len(idx))
+    for pair in pairs:
         sides = []
-        for poly in (poly_a, poly_b):
+        for poly in pair:
             terms = []
             for word, c in poly.terms.items():
-                got = walks.get((word, M))
+                got = walks.get(word)
                 if got is None:
-                    got = walks[(word, M)] = walk(rep, word, M, idx)
+                    got = walks[word] = walk(rep, word, M, idx)
                 pos, rows, val = got
                 terms.append((pos, rows, c * val))
             sides.append(terms)
@@ -325,8 +332,9 @@ def residuals(pairs, rep) -> list:
 
     Both sides are summed, term by term in the order `evaluate` adds them,
     on the entries their walks reach; every other entry is 0 - 0, so each
-    result is bit-identical to the evaluated difference.  A word is walked
-    once per internal size for all the pairs (`_window_differences`)."""
+    result is bit-identical to the evaluated difference.  All the pairs are
+    walked at one internal size, and a word once for all of them
+    (`_window_differences`)."""
     return [max_abs(diff) for _, _, diff in _window_differences(pairs, rep)]
 
 # ---------------------------------------------------------------------------

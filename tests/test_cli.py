@@ -693,6 +693,18 @@ def test_out_to_missing_directory_is_usage_error(tmp_path, capsys,
     assert not path.parent.exists()
 
 
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys,
+                                               monkeypatch):
+    # it used to run the suite and end in an IsADirectoryError traceback
+    _no_suite(monkeypatch)
+    assert run(["orbit", "--x", "0.3", "--y", "1.3",
+                "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("verify: error: --out: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dump_to_missing_directory_is_usage_error(tmp_path, capsys,
                                                   monkeypatch):
     _no_suite(monkeypatch)

@@ -5,7 +5,7 @@ from qsphere.cli import run
 from qsphere.ncalg import make_presentation
 from qsphere.qcore import QParams
 from qsphere.report import VerificationReport, canonical_json, max_or_nan
-from qsphere import reps
+from qsphere import labels, reps
 from qsphere.labels import (
     combos_residual,
     relation_check,
@@ -72,6 +72,38 @@ def test_nan_residuals_propagate_through_walks():
     # enters through a combo coefficient on a finite rep
     finite = rep_podles(p, 1.0, "direct_sum", 8)
     assert math.isnan(combos_residual(finite, [(NAN, [("Z", False)])], [], 8))
+
+
+def _strict_json(text):
+    """json.loads refusing the bare NaN and Infinity literals it accepts by
+    default, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_check_that_evaluated_nothing_fails():
+    # walking no columns, or a window without a label, reads NaN, not the
+    # 0.0 that an empty maximum would give, so such a detail cannot pass
+    rep = rep_podles(QParams(0.5), 1.0, "direct_sum", 8)
+    X = rep.shifts("X", 12)
+    assert reps.walk_defect([[X]], [[X]], [0]) == 0.0
+    for cols in ([], range(0)):
+        assert math.isnan(reps.walk_defect([[X]], [[X]], cols))
+        assert math.isnan(reps.walk_defect([[X]], [], cols))
+    Z = [(1.0, [("Z", False)])]
+    assert labels.combos_residuals(rep, [(Z, Z)], 1) == [0.0]
+    empty = labels.combos_residuals(rep, [(Z, Z), (Z, []), ([], [])], 0)
+    assert len(empty) == 3 and all(math.isnan(r) for r in empty)
+    rpt = VerificationReport("c", {"q": 0.5})
+    rpt.add("walked", reps.walk_defect([[X]], [[X]], [0]), 1e-11)
+    rpt.add("no_columns", reps.walk_defect([[X]], [[X]], []), 1e-11)
+    rpt.add("no_labels", empty[0], 1e-11)
+    assert rpt.status == "fail"
+    check = _strict_json(canonical_json([rpt], "0.1.0"))["checks"][0]
+    assert check["status"] == "fail" and check["max_residual"] == "nan"
+    assert {d["item"]: d["residual"] for d in check["details"]} == {
+        "walked": 0.0, "no_columns": "nan", "no_labels": "nan"}
 
 
 def test_nan_oracle_residual_fails_cli(capsys, monkeypatch):

@@ -515,6 +515,34 @@ def test_residuals_match_dense_difference_bits():
             assert r.hex() == want.hex(), (a, r, want)
 
 
+def test_residuals_walk_each_word_once_at_one_size(monkeypatch):
+    # one residuals call walks all its pairs at one internal size, padded
+    # for the largest allowance among them: each generator's shift is built
+    # at that size alone, and each distinct word is walked once, on a word
+    # set whose pairs' own allowances differ
+    cases = [(make_presentation("bl", P, l=1.5), rep_bl(P, 1.5, 40), 300, 9),
+             (make_presentation("podles", P, x=1.0),
+              rep_podles(P, 1.0, "direct_sum", 32), 60, 3)]
+    walked = []
+
+    def counted(rep, word, M, cols):
+        walked.append((word, M))
+        return walk(rep, word, M, cols)
+    monkeypatch.setattr(reps, "walk", counted)
+    for pres, rep, count, seed in cases:
+        pairs = list(_oracle_pairs(pres, count, seed))
+        polys = [poly for pair in pairs for poly in pair]
+        own = {max(poly_allowance(a), poly_allowance(b)) for a, b in pairs}
+        assert len(own) > 1, own
+        M = rep.N + rep.pad * max(own)
+        walked.clear()
+        residuals(pairs, rep)
+        words = {word for poly in polys for word in poly.terms}
+        assert len(walked) == len(words), (len(walked), len(words))
+        assert set(walked) == {(word, M) for word in words}
+        assert {size for _, size in rep._shift_cache} == {M}
+
+
 def _shift_by_steps(rep, g, M):
     """Reference shift: every label's step evaluated in a fresh FloatCtx."""
     ctx = FloatCtx(rep.meta["q"], rep.meta.get("x", 0.0))
@@ -529,9 +557,10 @@ def _shift_by_steps(rep, g, M):
 
 
 def test_shift_at_each_size_matches_fresh_rep_bits():
-    # a rep evaluates each label's step once and builds every size from
-    # those values: larger and smaller sizes after one another must give
-    # the shift a fresh rep builds, and the per-label loop, bit for bit
+    # a rep builds a size's shift from the steps of that size's labels in
+    # its one FloatCtx and caches it per size: sizes built after one
+    # another, larger and smaller, must give the shift a fresh rep builds,
+    # and the per-label loop in a fresh FloatCtx, bit for bit
     N = 16
     sizes = (N, N + 2, N + 10)
     for make in (lambda: rep_podles(P, 1.3, "direct_sum", N),

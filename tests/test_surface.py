@@ -1,8 +1,12 @@
 """A ratchet on the library surface: every function or method defined in
-src/qsphere is referenced by src/qsphere itself or by perfbench/.  Imports
-do not count as references, so the re-exports of __init__.py keep nothing
-alive, and neither does a function calling itself.  A function only tests
-reach fails here; delete it or wire it into a certificate.  More
+src/qsphere is referenced by src/qsphere itself or by perfbench/.  A
+function counts as referenced by a name, an attribute or (in perfbench/) a
+dotted string; a method defined in a class only by an attribute read
+(`obj.method`) in src/qsphere or a "Class.method" string in perfbench/, so
+a local variable of the same name keeps no method alive.  Imports do not
+count as references, so the re-exports of __init__.py keep nothing alive,
+and neither does a function calling itself.  A function only tests reach
+fails here; delete it or wire it into a certificate.  More
 ratchets cap the `@` products, the library square-root calls and the
 `workdps` uses of each module, keep mpf objects out of the package and
 libmp out of the code that computes through a scalar context, keep
@@ -25,18 +29,22 @@ ALLOWED = {
 
 
 class _References(ast.NodeVisitor):
-    """Names and attributes read in a module, outside the body of the
-    function they name.  With `strings`, dotted string constants count too:
-    perfbench names its wrap points as "module", "Class.method" strings."""
+    """Names and attributes read in modules, outside the body of the
+    function they name: `names` every one, `attrs` those read as attributes.
+    With `strings`, dotted string constants count too, each part in
+    `names` and each adjacent pair in `dotted`: perfbench names its wrap
+    points as "module", "Class.method" strings."""
 
     def __init__(self, strings: bool):
-        self.names = set()
+        self.names, self.attrs, self.dotted = set(), set(), set()
         self.strings = strings
         self._enclosing = []
 
-    def _ref(self, name):
+    def _ref(self, name, attr=False):
         if name not in self._enclosing:
             self.names.add(name)
+            if attr:
+                self.attrs.add(name)
 
     def visit_FunctionDef(self, node):
         self._enclosing.append(node.name)
@@ -51,25 +59,43 @@ class _References(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         if isinstance(node.ctx, ast.Load):
-            self._ref(node.attr)
+            self._ref(node.attr, attr=True)
         self.generic_visit(node)
 
     def visit_Constant(self, node):
         if self.strings and isinstance(node.value, str):
-            for part in node.value.split("."):
+            parts = node.value.split(".")
+            for part in parts:
                 self._ref(part)
+            self.dotted |= set(zip(parts, parts[1:]))
 
 
-def _referenced() -> set:
-    names = set()
-    for folder, strings in ((SRC, False), (ROOT / "perfbench", True)):
-        for path in sorted(folder.glob("*.py")):
-            if path == SRC / "__init__.py":
+def _unreached(src: dict, bench: list) -> list:
+    """"module:line name" of each function defined in the modules `src`
+    (module name -> text) that neither they nor the perfbench texts `bench`
+    reach, bare functions by any reference and methods by an attribute in
+    `src` or a "Class.method" string in `bench` (`_References`)."""
+    here, there = _References(False), _References(True)
+    for text in src.values():
+        here.visit(ast.parse(text))
+    for text in bench:
+        there.visit(ast.parse(text))
+    unreached = []
+    for module, text in src.items():
+        tree = ast.parse(text)
+        owner = {id(fn): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            refs = _References(strings)
-            refs.visit(ast.parse(path.read_text(), str(path)))
-            names |= refs.names
-    return names
+            name, cls = node.name, owner.get(id(node))
+            if cls is None:
+                reached = name in here.names or name in there.names
+            else:
+                reached = name in here.attrs or (cls, name) in there.dotted
+            if not (reached or name in ALLOWED or _is_dunder(name)):
+                unreached.append(f"{module}:{node.lineno} {name}")
+    return unreached
 
 
 def _is_dunder(name: str) -> bool:
@@ -78,18 +104,24 @@ def _is_dunder(name: str) -> bool:
 
 
 def test_every_function_is_reached_outside_tests():
-    referenced = _referenced()
-    unreached = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = node.name
-            if name in referenced or name in ALLOWED or _is_dunder(name):
-                continue
-            unreached.append(f"{path.name}:{node.lineno} {name}")
+    src = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))
+           if path.name != "__init__.py"}
+    bench = [path.read_text()
+             for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    unreached = _unreached(src, bench)
     assert not unreached, unreached
+    # a method is kept by an attribute read or a "Class.method" string, not
+    # by a bare name, a local variable or another class's method string;
+    # a bare function by any of them
+    toy = {"m.py": ("class C:\n    def kmin(self): pass\n"
+                    "    def step(self): pass\n    def tip(self): pass\n"
+                    "    def read(self): return self.tip()\n"
+                    "def f(kmin, step):\n    kmin = step\n    return kmin\n"
+                    "def h(): pass\nf(1, 2)\n")}
+    assert sorted(_unreached(toy, ['"D.step"', "x = m.read"])) == [
+        "m.py:2 kmin", "m.py:3 step", "m.py:5 read", "m.py:9 h"]
+    assert _unreached(toy, ['"C.step"', '"m.C.kmin"', '"m.h"', "C.read"]
+                      ) == ["m.py:5 read"]
 
 
 def test_allowlist_names_exist():
