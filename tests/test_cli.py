@@ -695,7 +695,6 @@ def test_out_to_missing_directory_is_usage_error(tmp_path, capsys,
 
 def test_out_naming_a_directory_is_usage_error(tmp_path, capsys,
                                                monkeypatch):
-    # it used to run the suite and end in an IsADirectoryError traceback
     _no_suite(monkeypatch)
     assert run(["orbit", "--x", "0.3", "--y", "1.3",
                 "--out", str(tmp_path)]) == 2
