@@ -9,8 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ncalg import Presentation, basis_words, is_a_gen
-from .reps import (TensorRep, absorb_sign, max_abs, union, walk,
-                   walk_difference)
+from .reps import TensorRep, max_abs, union, walk, walk_difference
 from .invariance import DependentMonomialsError
 # names of `invariance` that the benchmark's tracer wraps as `action.*`
 # (perfbench/layers.py)
@@ -26,12 +25,12 @@ IMAGE_GROUP = 32      # monomial images whose commutators are walked at once
 
 def _implementers(rep, M: int) -> list:
     """The implementers Z', X', Y' at internal size M, each a list of
-    weighted shifts (tgt, coef).  On a two-summand label representation
-    they absorb the sign operator; a tensor representation absorbs it in
-    its own shifts."""
-    own = isinstance(rep, TensorRep)
-    return [[(tgt, coef if own else absorb_sign(rep, M, tgt, coef))
-             for tgt, coef in rep.shifts(g, M)] for g in ("Z", "X", "Y")]
+    weighted shifts (tgt, coef): a label representation's implementer
+    letters, which absorb the sign operator of a two-summand space, or a
+    tensor representation's own shifts, which absorb it themselves."""
+    if isinstance(rep, TensorRep):
+        return [rep.shifts(g, M) for g in ("Z", "X", "Y")]
+    return [[rep.shift(g, M, True)] for g in ("Z", "X", "Y")]
 
 
 def _block_diagonal(shifts, n: int):

@@ -91,23 +91,19 @@ def _params(p, **extra):
 # ---------------------------------------------------------------------------
 
 def suite_relations(p, x, l, N, tol, algs, dump=None):
-    reports, checked = [], {}
-    sphere = None   # podles and uqmp read one representation
-    on_sphere = [alg for alg in algs if alg in ("podles", "uqmp")]
+    reports = []
+    sphere = None   # podles and uqmp read one representation, one step table
     for alg in algs:
         rpt = VerificationReport(
             f"relations_{alg}",
             _params(p, alg=alg, x=(x if alg in ("podles", "uqmp") else None),
                     l=(l if alg == "bl" else None), N=N, tol=tol))
-        if alg in on_sphere:
+        if alg in ("podles", "uqmp"):
             if sphere is None:
                 sphere = rep_podles(p, x, "direct_sum", N)
-            if alg not in checked:   # both algebras' rules in one batch
-                checked = dict(zip(on_sphere, relation_check([
-                    make_presentation("podles", p, x=x) if a == "podles"
-                    else make_presentation("uqmp", p) for a in on_sphere],
-                    sphere)))
-            rep, residuals = sphere, checked[alg]
+            rep = sphere
+            residuals = relation_check(make_presentation(
+                alg, p, x=x if alg == "podles" else None), rep)
         elif alg == "bl":
             sphere = None   # bl does not read the sphere's step tables
             rep = rep_bl(p, l, N)

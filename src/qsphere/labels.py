@@ -4,12 +4,14 @@ A podles / bl generator is a weighted shift on a labelled basis: each
 generator declares its move (a label offset, and whether it swaps the "+"
 and "-" summands) once, and its coefficient from each label is a label
 step (square roots through `qcore._sqrt_coeff`) through the scalar
-interface of a context, `qcore.FloatCtx` or `MPCtx` (`LabelRep`).  The
-coaction's one table (`_tensor_terms`) gives the generators of the
-coaction-tensored representation (`reps.TensorRep`).  The float views of a
-label representation (`shift`, `matrix`) import numpy inside the call and
-are kept per (generator, internal size); a shift takes its labels' steps
-in the representation's one `FloatCtx`.  The float walks are in `reps`.
+interface of a context, `qcore.FloatCtx` or `MPCtx` (`LabelRep.step`, the
+one derivation of a step, an adjoint's and an implementer letter's
+included).  The coaction's one table (`_tensor_terms`) gives the
+generators of the coaction-tensored representation (`reps.TensorRep`).
+The float views of a label representation (`shift`, `matrix`) import numpy
+inside the call and are kept per (generator, internal size, implementer
+or not); a shift takes its labels' steps in the representation's one
+`FloatCtx`.  The float walks are in `reps`.
 
 Relation residuals, adjoint-action residuals and invariant-functional tail
 defects are walked label by label on raw mpmath values (`MPCtx`) through
@@ -150,13 +152,13 @@ class LabelRep:
 
     steps: gen -> (move, coefficient function or None where the walk dies).
     A move (k-offset, swap) takes (fam, k) to (fam, k + offset), in the other
-    summand ("+" <-> "-") with swap (`moved`).  Z, Zi (no move) and each
-    adjoint (gen -> real gen, the opposite move) are derived here.
+    summand ("+" <-> "-") with swap.  Z, Zi (no move), each adjoint (gen ->
+    real gen, the opposite move) and each implementer letter (`step` with
+    impl) are derived here.
     """
 
     def __init__(self, families, steps, zexps, N: int, meta: dict, adjoints):
         self.families = tuple(families)
-        self.adjoints = adjoints
         self._steps = {**steps, **_z_steps(zexps), **{
             y: _adjoint_step(*steps[x]) for y, x in adjoints.items()}}
         self._zexps = zexps      # dict fam -> fn(k) -> (sign, n, m)
@@ -182,14 +184,18 @@ class LabelRep:
             out.extend(range(pos * M, pos * M + W))
         return np.array(out, dtype=int)
 
-    def step(self, g, fam, k, ctx):
-        """Step of generator g from label (fam, k): None or (fam2, k2, coeff),
-        g's move and the coefficient in the arithmetic of the scalar context
-        ctx (the exact kernel memoises it: `step_tables`)."""
+    def step(self, g, fam, k, ctx, impl=False):
+        """Step of generator g from label (fam, k): None or ((fam2, k2),
+        coeff), g's move and the coefficient in the arithmetic of the scalar
+        context ctx (the exact kernel memoises it: `step_tables`).  With
+        impl, the implementer letter: g times the sign operator of the
+        two-summand space, its coefficient negated where it lands in "-"."""
         (dk, swap), coeff = self._steps[g]
         c = coeff(fam, k, ctx)
-        # `moved`, inline: every float and exact label step passes here
-        return None if c is None else (_SWAP[fam] if swap else fam, k + dk, c)
+        if c is None:
+            return None
+        fam2 = _SWAP[fam] if swap else fam
+        return (fam2, k + dk), ctx.neg(c) if impl and fam2 == "-" else c
 
     def move(self, g):  # (k-offset, swap), see the class docstring
         return self._steps[g][0]
@@ -199,12 +205,13 @@ class LabelRep:
 
     # -- weighted-shift form and the views built from it, in numpy, which
     # each imports in the call: no exact walk reads them
-    def shift(self, g, M: int):
-        """Generator g at internal size M as a weighted shift: column j goes
-        to row tgt[j] with coefficient coef[j]; tgt[j] is -1 where the step
-        returns None or leaves the internal size.  Each of the first M
-        labels' steps is taken in the rep's one FloatCtx."""
-        key = (g, M)
+    def shift(self, g, M: int, impl: bool = False):
+        """Generator g (its implementer letter with impl) at internal size M
+        as a weighted shift: column j goes to row tgt[j] with coefficient
+        coef[j]; tgt[j] is -1 where the step returns None or leaves the
+        internal size.  Each of the first M labels' steps is taken in the
+        rep's one FloatCtx."""
+        key = (g, M, impl)
         cached = self._shift_cache.get(key)
         if cached is not None:
             return cached
@@ -216,10 +223,13 @@ class LabelRep:
                 for pos, (f, kmin) in enumerate(self.families)}
         for fam, kmin in self.families:
             for k in range(kmin, kmin + M):
-                hit = self.step(g, fam, k, self._float_ctx)
-                if hit is not None and 0 <= hit[1] - self.kmin(hit[0]) < M:
-                    tgt[base[fam] + k] = base[hit[0]] + hit[1]
-                    coef[base[fam] + k] = hit[2]
+                hit = self.step(g, fam, k, self._float_ctx, impl)
+                if hit is None:
+                    continue
+                (f2, k2), c = hit
+                if 0 <= k2 - self.kmin(f2) < M:
+                    tgt[base[fam] + k] = base[f2] + k2
+                    coef[base[fam] + k] = c
         self._shift_cache[key] = (tgt, coef)
         return tgt, coef
 
@@ -243,11 +253,6 @@ class LabelRep:
 _SWAP = {"+": "-", "-": "+"}
 
 
-def moved(move, fam, k) -> tuple:
-    """The label that `move` = (k-offset, swap) takes (fam, k) to."""
-    return (_SWAP[fam] if move[1] else fam), k + move[0]
-
-
 def _z_steps(zexps) -> dict:
     """The Z and Zi steps of a label representation, from its Z exponents."""
     def Z(fam, k, ctx):
@@ -265,12 +270,11 @@ def _adjoint_step(move, X):
     """Y = X* for a real step X with `move`: Y makes the opposite move (the
     swap is its own inverse), and its coefficient from a label is X's from
     the label Y lands on."""
-    back = (-move[0], move[1])
+    dk, swap = move
 
     def Y(fam, k, ctx):
-        fam2, k2 = moved(back, fam, k)
-        return X(fam2, k2, ctx)
-    return back, Y
+        return X(_SWAP[fam] if swap else fam, k - dk, ctx)
+    return (-dk, swap), Y
 
 
 def podles_x_factors(rep_sign: int, k: int) -> list:
@@ -396,12 +400,13 @@ def _tensor_terms(g, ctx):
 # The step tables and the trie walkers compute only through their context's
 # scalar interface (`qcore`): an `MPCtx` computes on raw mpmath values, each
 # operation bound to its own precision, bit-identical to mpf objects.
-# Steps are memoised per (representation, context) as (target label,
-# coefficient); the context computes each factor 1 - sign*q^(n+mx) and each
-# root of a factor list once.  A label step is computed once, in its plain
-# table; the implementer letter's table negates the plain entry where it
-# lands in "-", and an adjoint's (`LabelRep.adjoints`) reads its real step's
-# entry at the label the adjoint's move lands on.
+# Steps are memoised per (representation, context, segment) as
+# `LabelRep.step` returns them, (target label, coefficient), the one place
+# a label step is derived, for the float shifts too: an implementer
+# letter's and an adjoint's steps included.  The context computes each
+# factor 1 - sign*q^(n+mx) and each root of a factor list once, so a step
+# that reads another's root (an implementer letter, an adjoint) takes no
+# square root again.
 #
 # A walk multiplies its steps' coefficients in walk order with the
 # context's `mul`, the first coefficient starting the product exactly.
@@ -448,42 +453,14 @@ class _SegmentTables(dict):
             fill = self._zf_step(*g[1:])
         elif isinstance(g, tuple) and g[0] == "lead":
             fill = self._lead_step(*g[1:])
-        elif impl:
-            fill = self._absorbed_step(self[(g, False)], self.ctx.neg)
-        elif g in rep.adjoints:
-            fill = self._adjoint_of(self[(rep.adjoints[g], False)],
-                                    rep.move(g))
         else:
-            fill = self._label_step(g)
+            fill = self._label_step(g, impl)
         table = self[seg] = _StepTable(fill)
         return table
 
-    def _label_step(self, g):
+    def _label_step(self, g, impl):
         rep, ctx = self.rep, self.ctx
-
-        def fill(label):
-            hit = rep().step(g, label[0], label[1], ctx)
-            return None if hit is None else (hit[:2], hit[2])
-        return fill
-
-    @staticmethod
-    def _absorbed_step(plain, neg):
-        """The plain step, negated where it lands in "-"."""
-        def fill(label):
-            hit = plain[label]
-            return (hit if hit is None or hit[0][0] != "-"
-                    else (hit[0], neg(hit[1])))
-        return fill
-
-    @staticmethod
-    def _adjoint_of(plain, move):
-        """The adjoint of a real step, whose entry it reads at the label its
-        own `move` lands on."""
-        def fill(label):
-            to = moved(move, *label)
-            hit = plain[to]
-            return None if hit is None else (to, hit[1])
-        return fill
+        return lambda label: rep().step(g, label[0], label[1], ctx, impl)
 
     def _zf_step(self, sign, n, m):
         zexps, ctx = self.rep()._zexps, self.ctx
@@ -682,20 +659,15 @@ def combos_residuals(rep, pairs, W: int, dps: int | None = None) -> list:
     return [mp_magnitude(v) for v in largest]
 
 
-def relation_check(pres: Presentation | list, rep) -> dict | list:
+def relation_check(pres: Presentation, rep) -> dict:
     """Residual of every defining relation of `pres` in `rep`, {rule name:
     max |lhs - rhs|} over its padded-interior window (size rep.N): all rules
     walked exactly in one `combos_residuals` call at MP_DPS digits on a
     label representation, and in one float `reps.residuals` call on any
-    other.  Given a list of presentations of the one `rep`, all their rules
-    go into that one call, and one such dict is returned per presentation.
-    Rules tagged as derived rewriting aids (conjugation by the unbounded
-    Z^-1, centrality of T) are skipped: their entries grow like q^(-2k), so
-    absolute residuals at the window edge certify nothing."""
-    many = isinstance(pres, list)
-    groups = [[r for r in one.rules if r.defining]
-              for one in (pres if many else [pres])]
-    rules = [r for group in groups for r in group]
+    other.  Rules tagged as derived rewriting aids (conjugation by the
+    unbounded Z^-1, centrality of T) are skipped: their entries grow like
+    q^(-2k), so absolute residuals at the window edge certify nothing."""
+    rules = [r for r in pres.rules if r.defining]
     if isinstance(rep, LabelRep):
         found = combos_residuals(rep, [
             (_poly_combos({r.lhs: 1.0}), _rule_combos(r)) for r in rules],
@@ -704,9 +676,7 @@ def relation_check(pres: Presentation | list, rep) -> dict | list:
         from .reps import residuals   # the float walk, in numpy
         found = residuals(
             [(NCPoly({r.lhs: 1.0}), NCPoly(r.rhs)) for r in rules], rep)
-    found = iter(found)
-    out = [{r.name: next(found) for r in group} for group in groups]
-    return out if many else out[0]
+    return {r.name: v for r, v in zip(rules, found)}
 
 
 def walk_dps(rep, W: int, slack: int = 30) -> int:

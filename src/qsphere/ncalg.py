@@ -235,10 +235,16 @@ def make_presentation(name: str, p: QParams, x: float | None = None,
     """Build one of the four presentations with its oriented rule set."""
     q = p.q
     X, Y, Z, Zi, T = "X", "Y", "Z", "Zi", "T"
+    twol = 0
+    # uqmp, podles and bl share Z's commutation with X and Y and the grading
+    # of X, Y and Z
+    xz = [Rule((X, Z), {(Z, X): q**2}, "X*Z"),
+          Rule((Y, Z), {(Z, Y): q**-2}, "Y*Z")]
+    grading = {X: (-1, 0), Y: (1, 0), Z: (0, 0)}
     if name == "uqsu2":
         gens = ("E", "F", "K", "Ki")
         lam = p.lam
-        rules = (
+        rules = [
             Rule(("K", "Ki"), {(): 1.0}, "K*Ki"),
             Rule(("Ki", "K"), {(): 1.0}, "Ki*K"),
             Rule(("K", "E"), {("E", "K"): q**2}, "K*E"),
@@ -247,23 +253,16 @@ def make_presentation(name: str, p: QParams, x: float | None = None,
             Rule(("Ki", "F"), {("F", "Ki"): q**2}, "Ki*F"),
             Rule(("E", "F"), {("F", "E"): 1.0, ("K",): lam, ("Ki",): -lam},
                  "E*F"),
-        )
+        ]
         grading = {"E": (1, 0), "F": (-1, 0), "K": (0, 0), "Ki": (0, 0)}
-        weights, prec = _weights_and_prec(gens)
-        pres = Presentation(name, gens, rules, grading, p,
-                            weights=weights, prec=prec)
-        _check_rules(pres)
-        return pres
-
-    if name == "uqmp":
+    elif name == "uqmp":
         if x is not None:
             raise ValueError("uqmp takes no x; the Casimir T stays symbolic")
         gens = (X, Y, Z, Zi, T)
-        rules = (
+        rules = [
             Rule((Z, Zi), {(): 1.0}, "Z*Zi"),
             Rule((Zi, Z), {(): 1.0}, "Zi*Z"),
-            Rule((X, Z), {(Z, X): q**2}, "X*Z"),
-            Rule((Y, Z), {(Z, Y): q**-2}, "Y*Z"),
+            *xz,
             Rule((X, Zi), {(Zi, X): q**-2}, "X*Zi", defining=False),
             Rule((Y, Zi), {(Zi, Y): q**2}, "Y*Zi", defining=False),
             Rule((T, Z), {(Z, T): 1.0}, "T*Z", defining=False),
@@ -272,35 +271,21 @@ def make_presentation(name: str, p: QParams, x: float | None = None,
             Rule((Y, T), {(T, Y): 1.0}, "Y*T", defining=False),
             Rule((X, Y), {(): 1.0, (T, Z): q, (Z, Z): -(q**2)}, "X*Y"),
             Rule((Y, X), {(): 1.0, (T, Z): 1 / q, (Z, Z): -(q**-2)}, "Y*X"),
-        )
-        grading = {X: (-1, 0), Y: (1, 0), Z: (0, 0), Zi: (0, 0), T: (0, 0)}
-        weights, prec = _weights_and_prec(gens)
-        pres = Presentation(name, gens, rules, grading, p,
-                            weights=weights, prec=prec)
-        _check_rules(pres)
-        return pres
-
-    if name == "podles":
+        ]
+        grading.update({Zi: (0, 0), T: (0, 0)})
+    elif name == "podles":
         if x is None or not math.isfinite(x):
             raise ValueError("podles needs a finite real x")
         t = tau(p, x)
         gens = (X, Y, Z)
-        rules = (
-            Rule((X, Z), {(Z, X): q**2}, "X*Z"),
-            Rule((Y, Z), {(Z, Y): q**-2}, "Y*Z"),
+        rules = [
+            *xz,
             Rule((X, Y), {(): 1.0, (Z,): q * t, (Z, Z): -(q**2)}, "X*Y",
                  recipe=((1, 0, 0), (zf(1, 1, 1), zf(-1, 1, -1)))),
             Rule((Y, X), {(): 1.0, (Z,): t / q, (Z, Z): -(q**-2)}, "Y*X",
                  recipe=((1, 0, 0), (zf(1, -1, 1), zf(-1, -1, -1)))),
-        )
-        grading = {X: (-1, 0), Y: (1, 0), Z: (0, 0)}
-        weights, prec = _weights_and_prec(gens)
-        pres = Presentation(name, gens, rules, grading, p, x=x,
-                            weights=weights, prec=prec)
-        _check_rules(pres)
-        return pres
-
-    if name == "bl":
+        ]
+    elif name == "bl":
         if l is None or l < 0 or (2 * l) != int(2 * l):
             raise ValueError(f"bl needs l a nonnegative half-integer, got {l}")
         twol = int(2 * l)
@@ -308,10 +293,7 @@ def make_presentation(name: str, p: QParams, x: float | None = None,
         ctx = FloatCtx(q)
         a_list = [a_gen(s) for s in range(-twol, twol + 1)]
         gens = (X, Y, Z) + tuple(a_list)
-        rules = [
-            Rule((X, Z), {(Z, X): q**2}, "X*Z"),
-            Rule((Y, Z), {(Z, Y): q**-2}, "Y*Z"),
-        ]
+        rules = xz
 
         def graded(lhs, name, lead, items):
             recipe = (lead, tuple(items))
@@ -354,16 +336,17 @@ def make_presentation(name: str, p: QParams, x: float | None = None,
                        (-1 if s % 2 else 1, 0, 0),
                        [head] * m + [zf(1, e, 0) for e in exps1]
                        + [zf(-1, e, 0) for e in exps2])
-        grading = {X: (-1, 0), Y: (1, 0), Z: (0, 0)}
         for s in range(-twol, twol + 1):
             grading[a_gen(s)] = (s, 1)
-        weights, prec = _weights_and_prec(gens, twol)
-        pres = Presentation(name, gens, tuple(rules), grading, p, l=l,
-                            weights=weights, prec=prec)
-        _check_rules(pres)
-        return pres
-
-    raise ValueError(f"unknown presentation {name!r}")
+    else:
+        raise ValueError(f"unknown presentation {name!r}")
+    weights, prec = _weights_and_prec(gens, twol)
+    pres = Presentation(name, gens, tuple(rules), grading, p,
+                        x=x if name == "podles" else None,
+                        l=l if name == "bl" else None,
+                        weights=weights, prec=prec)
+    _check_rules(pres)
+    return pres
 
 
 # ---------------------------------------------------------------------------

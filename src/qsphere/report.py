@@ -4,7 +4,7 @@ Reports are deterministic: details are sorted by item label, checks by check
 name, keys alphabetically, and floats printed with 17 significant digits, so
 identical inputs produce byte-identical output.  A NaN or infinite value is
 written as the JSON string "nan", "inf" or "-inf", and a NaN or infinite
-residual fails its check.
+residual fails its check, as does a report with no detail.
 """
 
 from __future__ import annotations
@@ -44,8 +44,10 @@ class VerificationReport:
 
     @property
     def status(self) -> str:
+        """"pass" when every detail holds; with no detail nothing was
+        checked, so the report fails."""
         ok = all(d.residual <= d.threshold for d in self.details)
-        return "pass" if ok else "fail"
+        return "pass" if ok and self.details else "fail"
 
     @property
     def max_residual(self) -> float:

@@ -6,18 +6,18 @@ exact walk kernel are in `labels`.
 
 The one float form of an operator is a list of one-to-one weighted shifts
 (tgt, coef): column j goes to row tgt[j] (nowhere where it is -1) with
-coefficient coef[j].  A podles / bl generator is one shift per internal
-truncation M, read from the steps of its first M labels in the
-representation's one `FloatCtx` and kept per (generator, M)
-(`labels.LabelRep.shift`).  A tensor generator is several shifts, read from
-one coaction table (`labels._tensor_terms`); the spin-1/2 module and
-compressions store theirs (`ShiftRep`).  One walk (`walk_shifts`; a factor
-may be a scalar) serves every float certificate as a walked difference of
-products (`walk_difference`); `residuals` walks all its pairs at one
-internal size and each word once.  Padded evaluation walks at an enlarged
-size and crops, so retained entries are exact values of the
-infinite-dimensional operators; a size padded for more than a word needs
-gives the same entries.
+coefficient coef[j].  A podles / bl generator, or its implementer letter,
+is one shift per internal truncation M, read from the steps of its first M
+labels in the representation's one `FloatCtx` and kept per (generator, M,
+implementer or not) (`labels.LabelRep.shift`).  A tensor generator is
+several shifts, read from one coaction table (`labels._tensor_terms`); the
+spin-1/2 module and compressions store theirs (`ShiftRep`).  One walk
+(`walk_shifts`; a factor may be a scalar) serves every float certificate
+as a walked difference of products (`walk_difference`); `residuals` walks
+all its pairs at one internal size and each word once.  Padded evaluation
+walks at an enlarged size and crops, so retained entries are exact values
+of the infinite-dimensional operators; a size padded for more than a word
+needs gives the same entries.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .labels import (  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
-# padding allowance and the absorbed sign
+# padding allowance
 # ---------------------------------------------------------------------------
 
 def _allow(g) -> int:
@@ -50,14 +50,6 @@ def _allow(g) -> int:
 def poly_allowance(poly) -> int:
     words = _as_poly(poly).terms
     return max((sum(_allow(g) for g in w) for w in words), default=1) or 1
-
-
-def absorb_sign(rep, M: int, tgt, coef):
-    """The coefficients of a shift of `rep` at internal size M with the sign
-    operator of a double space absorbed: negated where the target lies in
-    the "-" summand."""
-    minus = np.repeat([fam == "-" for fam, _ in rep.families], M)
-    return np.where((tgt >= 0) & minus[tgt], -coef, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +122,8 @@ def spin_half(p: QParams) -> ShiftRep:
 class TensorRep:
     """space (x) C^2 carrying the coaction-twisted generator images; basis
     index 2i + spin for base index i.  With absorb_sign the base images
-    absorb the sign operator of a double space."""
+    are the implementer letters, which absorb the sign operator of a double
+    space (`labels.LabelRep.step`)."""
 
     def __init__(self, base, absorb_sign: bool = False):
         self.base = base
@@ -153,9 +146,7 @@ class TensorRep:
         columns of the other spin and where the base step dies."""
         out = []
         for base_g, entries in _tensor_terms(g, FloatCtx(self.meta["q"])):
-            tgt, coef = self.base.shift(base_g, M)
-            if self.absorb_sign:
-                coef = absorb_sign(self.base, M, tgt, coef)
+            tgt, coef = self.base.shift(base_g, M, self.absorb_sign)
             for sp2, sp_in, v in entries:
                 out.append(lift(tgt, coef if v is None else coef * v,
                                 sp2, sp_in))

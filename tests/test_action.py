@@ -161,7 +161,7 @@ def _walk_column(rep, combos, label, ctx):
             hit = rep.step(g, fam, k, ctx)
             if hit is None:
                 break
-            fam, k, c = hit
+            (fam, k), c = hit
             val *= -c if impl and fam == "-" else c
         else:
             rows[(fam, k)] = rows.get((fam, k), 0) + coef * val
@@ -252,7 +252,7 @@ def _reference_walk(rep, segments, fam, k, ctx, absorb):
         hit = rep.step(g, cf, ck, ctx)
         if hit is None:
             return None
-        cf, ck, c = hit
+        (cf, ck), c = hit
         val *= -c if impl and absorb and cf == "-" else c
     return (cf, ck), val
 

@@ -263,10 +263,14 @@ def test_every_command_calls_its_suite_function(monkeypatch, capsys):
     # each command, and `all` from both of its processes, reports what the
     # module's suite_<name> returns at the time of the call: the benchmark
     # traces the suites by rebinding these attributes
+    def stub(name):
+        rpt = VerificationReport(f"stub_{name}", {})
+        rpt.add("stub", 0.0, 0.0)   # a report with no detail fails
+        return [rpt]
+
     for name in SUITE_NAMES:
         monkeypatch.setattr(cli, f"suite_{name}",
-                            lambda *args, name=name: [
-                                VerificationReport(f"stub_{name}", {})])
+                            lambda *args, name=name: stub(name))
     for name in SUITE_NAMES:
         argv = [name] + (["--y", "1.7"] if name == "orbit" else [])
         code, report = run_json(argv, capsys)

@@ -106,6 +106,22 @@ def test_a_check_that_evaluated_nothing_fails():
         "walked": 0.0, "no_columns": "nan", "no_labels": "nan"}
 
 
+def test_a_report_with_no_details_fails():
+    # a suite that produced no detail certified nothing: relation_check on
+    # a presentation with no defining rule is one such
+    p = QParams(0.5)
+    pres = make_presentation("uqmp", p)
+    pres.rules = tuple(r for r in pres.rules if not r.defining)
+    assert relation_check(pres, rep_podles(p, 1.0, "direct_sum", 8)) == {}
+    rpt = VerificationReport("c", {"q": 0.5})
+    assert rpt.status == "fail"
+    check = _strict_json(canonical_json([rpt], "0.1.0"))["checks"][0]
+    assert check["status"] == "fail" and check["details"] == []
+    assert next(rpt.summary_lines()).startswith("[FAIL]")
+    rpt.add("held", 0.0, 1e-11)
+    assert rpt.status == "pass"
+
+
 def test_nan_oracle_residual_fails_cli(capsys, monkeypatch):
     monkeypatch.setattr(reps, "residuals",
                         lambda pairs, rep: [NAN for _ in pairs])

@@ -24,6 +24,7 @@ from qsphere.ncalg import (
 )
 from qsphere.labels import (
     MPCtx,
+    _tensor_terms,
     combos_residual,
     combos_residuals,
     mp_ctx,
@@ -41,6 +42,7 @@ from qsphere.reps import (
     TensorRep,
     dump_matrix,
     evaluate,
+    lift,
     load_matrix,
     max_abs,
     poly_allowance,
@@ -417,7 +419,7 @@ def _dense_from_steps(rep, g, M):
         hit = rep.step(g, fam, k, ctx)
         if hit is None:
             continue
-        f2, k2, c = hit
+        (f2, k2), c = hit
         if 0 <= k2 - rep.kmin(f2) < M:
             A[_index(rep, f2, k2, M), _index(rep, fam, k, M)] = c
     return A
@@ -540,7 +542,7 @@ def test_residuals_walk_each_word_once_at_one_size(monkeypatch):
         words = {word for poly in polys for word in poly.terms}
         assert len(walked) == len(words), (len(walked), len(words))
         assert set(walked) == {(word, M) for word in words}
-        assert {size for _, size in rep._shift_cache} == {M}
+        assert {size for _, size, _ in rep._shift_cache} == {M}
 
 
 def _shift_by_steps(rep, g, M):
@@ -550,9 +552,12 @@ def _shift_by_steps(rep, g, M):
     coef = np.zeros(rep.dim(M), dtype=np.complex128)
     for j, (fam, k) in enumerate(_labels(rep, M)):
         hit = rep.step(g, fam, k, ctx)
-        if hit is not None and 0 <= hit[1] - rep.kmin(hit[0]) < M:
-            tgt[j] = _index(rep, hit[0], hit[1], M)
-            coef[j] = hit[2]
+        if hit is None:
+            continue
+        (f2, k2), c = hit
+        if 0 <= k2 - rep.kmin(f2) < M:
+            tgt[j] = _index(rep, f2, k2, M)
+            coef[j] = c
     return tgt, coef
 
 
@@ -574,6 +579,49 @@ def test_shift_at_each_size_matches_fresh_rep_bits():
                         assert got.tobytes() == want.tobytes(), (g, M, order)
                     for got, want in zip(fresh, _shift_by_steps(rep, g, M)):
                         assert got.tobytes() == want.tobytes(), (g, M)
+
+
+def _sign_absorbed(rep, M, tgt, coef):
+    """The rule the float implementer shifts were once built by: a plain
+    shift at internal size M, its coefficients negated where the target
+    lies in the "-" summand."""
+    minus = np.repeat([fam == "-" for fam, _ in rep.families], M)
+    return np.where((tgt >= 0) & minus[tgt], -coef, coef)
+
+
+def _same_shift(got, want):
+    """Equal targets and equal coefficients, the real parts to the bit; a
+    zero imaginary part may carry either sign."""
+    return (got[0].tobytes() == want[0].tobytes()
+            and got[1].real.tobytes() == want[1].real.tobytes()
+            and np.array_equal(got[1].imag, want[1].imag))
+
+
+def test_implementer_shifts_match_the_sign_rule_bits():
+    # an implementer letter's steps, taken by LabelRep.step, give the plain
+    # shift with the sign operator applied after the fact, on a label
+    # representation and on its tensor with the coaction
+    fl = FloatCtx(Q)
+    for rep in (rep_podles(P, 1.3, "direct_sum", 12), rep_bl(P, 1, 12),
+                rep_bl(P, 1.5, 12)):
+        tensor = TensorRep(rep, absorb_sign=True)
+        for M in (12, 20):
+            for g in _gens(rep):
+                want = (rep.shift(g, M)[0],
+                        _sign_absorbed(rep, M, *rep.shift(g, M)))
+                assert _same_shift(rep.shift(g, M, True), want), (g, M)
+            for g in _gens(tensor):
+                want = []
+                for base_g, entries in _tensor_terms(g, fl):
+                    tgt, coef = rep.shift(base_g, M)
+                    coef = _sign_absorbed(rep, M, tgt, coef)
+                    want += [lift(tgt, coef if v is None else coef * v,
+                                  sp2, sp_in) for sp2, sp_in, v in entries]
+                got = tensor.shifts(g, M)
+                assert len(got) == len(want) and all(
+                    _same_shift(a, b) for a, b in zip(got, want)), (g, M)
+        assert any(rep.shift(g, 12, True)[1].tobytes()
+                   != rep.shift(g, 12)[1].tobytes() for g in _gens(rep))
 
 
 def _dense_product(factors, n):
@@ -699,38 +747,58 @@ def test_step_memo_follows_precision():
 
 
 def test_each_step_is_computed_once_per_context(monkeypatch):
-    # implementer letters and adjoint steps read the plain steps' entries,
-    # so no (generator, label) root is taken twice in one context; distinct
-    # steps may share a root's factors (bl's A(2) and A(-2), say)
-    steps, roots, stepped_roots = [], [], []
-    step, sqrt_coeff = labels.LabelRep.step, labels._sqrt_coeff
+    # each (rep, generator, implementer or not, label) step is taken once
+    # per context, and each root once: a Y step reads the root of the X
+    # step it is the adjoint of, and an implementer letter its plain
+    # step's, so they add no root; distinct steps may share a root's
+    # factors (bl's A(2) and A(-2), say)
+    steps, reads, roots = [], [], []
+    step, sqrt_coeff, sqrt = (labels.LabelRep.step, labels._sqrt_coeff,
+                              MPCtx.sqrt)
 
-    def counted_step(rep, g, fam, k, ctx):
-        before = len(roots)
-        hit = step(rep, g, fam, k, ctx)
+    def counted_step(rep, g, fam, k, ctx, impl=False):
+        before = len(reads)
+        hit = step(rep, g, fam, k, ctx, impl)
         if isinstance(ctx, MPCtx):
-            steps.append((id(rep), g, fam, k, ctx))
-            stepped_roots.append(len(roots) - before)
+            steps.append(((id(rep), g, impl, fam, k, ctx), g == "Y" or impl,
+                          reads[before:]))
         return hit
 
-    def counted_root(ctx, factors):
-        if isinstance(ctx, MPCtx):
-            roots.append((ctx, tuple(factors)))
+    def counted_read(ctx, factors):
+        reads.append((ctx, tuple(factors)))
         return sqrt_coeff(ctx, factors)
 
+    def counted_sqrt(ctx, v):   # only _sqrt_coeff takes an mp root
+        roots.append(reads[-1])
+        return sqrt(ctx, v)
+
     monkeypatch.setattr(labels.LabelRep, "step", counted_step)
-    monkeypatch.setattr(labels, "_sqrt_coeff", counted_root)
+    monkeypatch.setattr(labels, "_sqrt_coeff", counted_read)
+    monkeypatch.setattr(MPCtx, "sqrt", counted_sqrt)
+    # contexts shared between this test's checks, and no other test's roots
+    monkeypatch.setattr(labels, "mp_ctx", functools.lru_cache(None)(MPCtx))
     combos = _COMBOS + [(1.0, [("Y", False), ("X", True), ("Zi", True)])]
-    for rep, pres in ((rep_podles(P, 1.3, "direct_sum", 12),
-                       make_presentation("podles", P, x=1.3)),
-                      (rep_bl(P, 1, 12), make_presentation("bl", P, l=1))):
+    cases = ((rep_podles(P, 1.3, "direct_sum", 12),
+              make_presentation("podles", P, x=1.3)),
+             (rep_bl(P, 1, 12), make_presentation("bl", P, l=1)))
+    for rep, pres in cases:
         relation_check(pres, rep)
         combos_residual(rep, combos, [(2.0, [("Z", True)])], 12)
-        assert rep.adjoints == {"Y": "X"}
-    assert steps and roots
-    assert len(set(steps)) == len(steps)
-    assert set(stepped_roots) == {0, 1} and sum(stepped_roots) == len(roots)
-    assert not any(g == "Y" for _, g, *_ in steps)
+    keys = [key for key, _, _ in steps]
+    assert roots and len(set(keys)) == len(keys)
+    assert len(set(roots)) == len(roots)
+    assert {len(got) for _, _, got in steps} == {0, 1}
+    # a derived step reads the one root of its real plain step: a Y step
+    # X's at the label it lands on, an implementer letter its plain step's
+    by_id, taken = {id(rep): rep for rep, _ in cases}, len(roots)
+    derived = [(key, got) for key, d, got in steps if d]
+    assert {g for (_, g, *_), _ in derived} >= {"Y", "X", "Z", "Zi"}
+    for (rid, g, impl, fam, k, ctx), got in derived:
+        before = len(reads)
+        step(by_id[rid], *(("X", fam, k + 1) if g == "Y" else (g, fam, k)),
+             ctx)
+        assert reads[before:] == got, (g, impl, fam, k)
+    assert len(roots) == taken
 
 
 def test_absorbed_and_adjoint_tables_match_fresh_steps():
@@ -743,18 +811,24 @@ def test_absorbed_and_adjoint_tables_match_fresh_steps():
         two = len(rep.families) == 2
         labels = list(window_labels(rep, W + 2))
         seen = {"-": 0, "Y": 0}
-        # the derived tables first, so they fill the plain ones
+        # an implementer letter is its plain step negated where it lands in
+        # "-", and Y = X* is X's step at the label Y lands on, read back
         for g, impl in [(g, True) for g in rep._steps] + [("Y", False)]:
             for fam, k in labels:
-                hit = rep.step(g, fam, k, ctx)
+                if g == "Y":
+                    to, hit = (fam, k + 1), rep.step("X", fam, k + 1, ctx)
+                else:
+                    hit = rep.step(g, fam, k, ctx)
+                    to = None if hit is None else hit[0]
                 want = None
                 if hit is not None:
-                    c = hit[2]
-                    if impl and two and hit[0] == "-":
+                    c = hit[1]
+                    if impl and two and to[0] == "-":
                         c = mpf_neg(c)
                         seen["-"] += 1
-                    want = (hit[0], hit[1]), c
+                    want = to, c
                 assert tables[(g, impl)][(fam, k)] == want, (g, impl)
+                assert rep.step(g, fam, k, ctx, impl) == want, (g, impl)
                 seen["Y"] += g == "Y" and want is not None
         assert seen["Y"] > 0 and (seen["-"] > 0) == two
 
@@ -803,7 +877,7 @@ def test_every_step_lands_where_its_move_says():
                         if hit is None:
                             continue
                         landed += 1
-                        assert hit[:2] == want, (g, fam, k)
+                        assert hit[0] == want, (g, fam, k)
                         for impl in (False, True)[:1 + two]:
                             got = tables[(g, impl)][(fam, k)]
                             assert got[0] == want, (g, impl, fam, k)
@@ -922,7 +996,7 @@ def _reference_branches(rep, g, label, ctx, impl):
         hit = rep.step(g, label[0], label[1], ctx)
         if hit is None:
             return []
-        f2, k2, c = hit
+        (f2, k2), c = hit
         if impl and len(rep.families) == 2 and f2 == "-":
             c = -c
         return [((f2, k2), c)]
@@ -932,7 +1006,7 @@ def _reference_branches(rep, g, label, ctx, impl):
         hit = rep.base.step(base_g, fam, k, ctx)
         if hit is None:
             continue
-        f2, k2, c = hit
+        (f2, k2), c = hit
         if rep.absorb_sign and f2 == "-":
             c = -c
         for (sp2, sp_in), v in spin_entries.items():
@@ -981,7 +1055,7 @@ def _reference_rule_residual(rep, rule, W, ctx):
             hit = rep.step(item, fam, k, ctx)
             if hit is None:
                 return None
-            fam, k, c = hit
+            (fam, k), c = hit
             val = val * c
         return (fam, k), val
 

@@ -11,8 +11,9 @@ ratchets cap the `@` products, the library square-root calls and the
 `workdps` uses of each module, keep mpf objects out of the package and
 libmp out of the code that computes through a scalar context, keep
 numpy.linalg to action.py, keep numpy out of every module but the float
-ones when it loads, keep the adjoint action's letters to its one table, and
-keep every exact check to one prefix-trie walker."""
+ones when it loads, keep the adjoint action's letters to its one table,
+keep every exact check to one prefix-trie walker, and keep the implementer
+sign and the adjoint step to their one derivation in `LabelRep.step`."""
 
 import ast
 from pathlib import Path
@@ -245,8 +246,8 @@ def test_mpf_object_counts_only_fall():
 # or constant, the mpmath package, or a raw value's precision
 SCALAR_INTERFACE_ONLY = {
     "qcore": ("_sqrt_coeff", "tau_of"),
-    "labels": ("_z_steps", "rep_podles", "rep_bl", "_tensor_terms",
-               "_StepTable", "_SegmentTables", "_label_trie",
+    "labels": ("LabelRep", "_z_steps", "rep_podles", "rep_bl",
+               "_tensor_terms", "_StepTable", "_SegmentTables", "_label_trie",
                "_branch_trie", "trie_walks"),
 }
 
@@ -434,6 +435,9 @@ def test_adjoint_action_letters_only_in_its_table():
 # tests/reference_functional.py keep them
 REPLACED = ("_exact_residual", "_termwise_residual", "_combo_column",
             "_branch_walk", "walk_path", "segment_path")
+# the second derivations of the implementer sign (float shifts, exact
+# tables) and of the adjoint step that `labels.LabelRep.step` replaced
+REDERIVED = ("absorb_sign", "_absorbed_step", "_adjoint_of")
 TRIE_WALKERS = ("_label_trie", "_branch_trie")
 # every exact check that walks paths walks them through this one function
 SHARED_WALKER = "trie_walks"
@@ -474,3 +478,13 @@ def test_exact_residuals_walk_one_trie():
     assert _callers(ast.parse(
         "def f(): g(); h.g()\ndef g(): g()\n"
         "def k():\n    def m(): g()\n    g()"), "g") == ["f", "k", "m"]
+
+
+def test_label_steps_are_derived_in_one_place():
+    # the implementer sign and the adjoint step are derived by
+    # `labels.LabelRep.step` alone: no module defines a second derivation
+    defined = {node.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & set(REDERIVED), defined & set(REDERIVED)
+    assert "_adjoint_step" in defined
