@@ -11,12 +11,14 @@ namespace.  A single command passes the command line's; `all` runs every
 suite on the command line's namespace under the flags `ALL_ARGS` sets for
 it, and refuses where one of those suite runs would.
 
-The modules imported here load no numpy, no dataclasses (nor the inspect
-it brings) and no pickle: `all`'s fork imports pickle and signal in the
-call.  A command that walks float shifts (`_walks_floats`) loads numpy,
-with the float layer (`reps`, `action`, `casimir`, `morita`), once in `run`
-before its first suite; the suites take their float names by
-function-local imports.
+The modules imported here load no numpy, no mpmath, no dataclasses (nor
+the inspect it brings) and no pickle: `all`'s fork imports pickle and
+signal in the call.  A command that walks float shifts (`_walks_floats`)
+loads numpy, with the float layer (`reps`, `action`, `casimir`, `morita`),
+once in `run` before its first suite; the suites take their float names by
+function-local imports.  A command that walks exactly (`_walks_exact`)
+loads mpmath with `mpscalar`, the one module that imports it, there too,
+so `all` loads both before it forks.
 """
 
 from __future__ import annotations
@@ -526,6 +528,8 @@ def run(argv) -> int:
     # one OpenBLAS thread unless the user set it, before numpy can load:
     # the only LAPACK calls are ergodic's small SVDs, and `all` forks
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if _walks_exact(args):
+        from . import mpscalar  # noqa: F401  (mpmath, for the exact walks)
     if _walks_floats(args):
         from . import action, morita  # noqa: F401  (the whole float layer)
     p = QParams(args.q)
@@ -551,6 +555,15 @@ def run(argv) -> int:
             for line in rpt.summary_lines():
                 print(line)
     return 0 if all(r.status == "pass" for r in reports) else 1
+
+
+def _walks_exact(args) -> bool:
+    """Whether the command walks exactly, so needs mpmath: relations on
+    label representations (every algebra but uqsu2), casimir for its
+    invariance, theta, functional and all."""
+    if args.command == "relations":
+        return args.alg != "uqsu2"
+    return args.command in ("all", "casimir", "theta", "functional")
 
 
 def _walks_floats(args) -> bool:

@@ -14,22 +14,17 @@ from __future__ import annotations
 
 import math
 
-from mpmath.libmp import fnan, fzero, mpf_add, mpf_mul, mpf_neg, round_nearest
-
 from .qcore import FloatCtx, QParams, _sqrt_coeff, q_pochhammer
 from .ncalg import a_gen
 from .labels import (
     combos_residuals,
-    mp_ctx,
-    mp_magnitude,
     rep_bl,
     rep_podles,
     step_tables,
     trie_walks,
+    walk_ctx,
     walk_dps,
 )
-
-_RND = round_nearest
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +135,7 @@ def casimir_invariance(p: QParams, x: float, N: int) -> dict:
 # invariant functionals
 # ---------------------------------------------------------------------------
 
-def invariance_defects(words, rep, W: int) -> list:
+def invariance_defects(words, rep, W: int, ctx_of=None) -> list:
     """Truncation defects of the invariant functional under the adjoint
     action of K, E, F: one {"K", "E", "F": defect} per monomial of `words`.
 
@@ -151,7 +146,9 @@ def invariance_defects(words, rep, W: int) -> list:
     relative to its own size ~ q^(2W), which a head summation (absolute
     error ~1e-16 * |M|) cannot resolve.  The tail terms sit far below
     double precision, so they are walked exactly, in one context set up once
-    per call, as one prefix trie of every word's walks (`labels.trie_walks`).
+    per call (`labels.walk_ctx`: the representation's shared mp context by
+    default), as one prefix trie of every word's walks (`labels.trie_walks`),
+    and summed through the context's scalar interface alone.
 
     Only diagonals are read.  Each generator is a pair of walks built from
     `_AD` with M's plain letters, ad_K M against M and the + term of ad_E
@@ -167,16 +164,16 @@ def invariance_defects(words, rep, W: int) -> list:
     q = rep.meta["q"]
     tail = max(8, int(math.ceil(16.0 * math.log(10)
                                 / (2.0 * abs(math.log(q)))))) + 4
-    dps = walk_dps(rep, W + tail, slack=25)
-    ctx = mp_ctx(q, rep.meta.get("x", 0.0), dps)
-    prec, mul, q1, qm1 = ctx.prec, ctx.mul, ctx.qpow(1), ctx.qpow(-1)
+    ctx = walk_ctx(rep, walk_dps(rep, W + tail, slack=25), ctx_of)
+    mul, add, zero, finite = ctx.mul, ctx.add, ctx.zero, ctx.is_finite
+    q1, qm1 = ctx.qpow(1), ctx.qpow(-1)
     lam = ctx.inv(ctx.sub(q1, qm1))
     pref_e = mul(ctx.sqrt(q1), lam)
     pref_f = mul(mul(qm1, ctx.sqrt(qm1)), lam)
     labels = [(fam, k) for fam, kmin in rep.families
               for k in range(kmin + W, kmin + W + tail)]
     densities = [ctx.qpow(*rep.zexp(*label)[1:]) for label in labels]
-    finite = all(_finite(d) for d in densities)
+    dense = all(finite(d) for d in densities)
     # per generator: its prefactor, whether that is finite, and its
     # pair's two terms
     pairs = []
@@ -184,7 +181,7 @@ def invariance_defects(words, rep, W: int) -> list:
         terms = _AD[g]
         if len(terms) == 1:
             terms += ((-1, (), ()),)   # ad_K M against M
-        pairs.append((pref, pref is None or _finite(pref), terms))
+        pairs.append((pref, pref is None or finite(pref), terms))
     # each word's K, E and F sums in turn; per live pair, its sum's
     # index, prefactor, ok and two walks as (sign, path number)
     sums, live, paths = [], [], {}
@@ -194,32 +191,26 @@ def invariance_defects(words, rep, W: int) -> list:
             _, left, right = terms[0]
             moves = [rep.move(h) for h in (*left, *word, *right)]
             if sum(d for d, _ in moves) or sum(s for _, s in moves) % 2:
-                sums.append(fzero if finite and ok else fnan)
+                sums.append(zero if dense and ok else ctx.nan)
                 continue
             live.append((len(sums), pref, ok, [(sign, paths.setdefault(
                 tuple(reversed(_ad_segments(left, mw, right))),
                 len(paths))) for sign, left, right in terms]))
-            sums.append(fzero)
+            sums.append(zero)
     walks = trie_walks(step_tables(rep, ctx), paths, labels)
     for (label, ends), d in zip(walks, densities):
-        diag = [e[0][1] if e and e[0][0] == label else fzero for e in ends]
+        diag = [e[0][1] if e and e[0][0] == label else zero for e in ends]
         for j, pref, ok, ((sa, ia), (sb, ib)) in live:
-            a = diag[ia] if sa > 0 else mpf_neg(diag[ia])
-            b = diag[ib] if sb > 0 else mpf_neg(diag[ib])
+            a = diag[ia] if sa > 0 else ctx.neg(diag[ia])
+            b = diag[ib] if sb > 0 else ctx.neg(diag[ib])
             # sums[j] += d * pref * (a + b), each term's sign in its
             # value; zero terms times a finite factor add an exact 0
-            if a == b == fzero and _finite(d) and ok:
+            if a == b == zero and finite(d) and ok:
                 continue
-            f = d if pref is None else mpf_mul(d, pref, prec, _RND)
-            sums[j] = mpf_add(sums[j], mpf_mul(
-                f, mpf_add(a, b, prec, _RND), prec, _RND), prec, _RND)
-    return [{key: mp_magnitude(v) for key, v in zip("KEF", sums[i:i + 3])}
+            f = d if pref is None else mul(d, pref)
+            sums[j] = add(sums[j], mul(f, add(a, b)))
+    return [{key: ctx.magnitude(v) for key, v in zip("KEF", sums[i:i + 3])}
             for i in range(0, len(sums), 3)]
-
-
-def _finite(v) -> bool:
-    """Whether a raw mpf is a number: nonzero mantissa, or exactly 0."""
-    return bool(v[1]) or v == fzero
 
 
 class DependentMonomialsError(ArithmeticError):

@@ -4,24 +4,27 @@ A podles / bl generator is a weighted shift on a labelled basis: each
 generator declares its move (a label offset, and whether it swaps the "+"
 and "-" summands) once, and its coefficient from each label is a label
 step (square roots through `qcore._sqrt_coeff`) through the scalar
-interface of a context, `qcore.FloatCtx` or `MPCtx` (`LabelRep.step`, the
-one derivation of a step, an adjoint's and an implementer letter's
-included).  The coaction's one table (`_tensor_terms`) gives the
-generators of the coaction-tensored representation (`reps.TensorRep`).
-The float views of a label representation (`shift`, `matrix`) import numpy
-inside the call and are kept per (generator, internal size, implementer
-or not); a shift takes its labels' steps in the representation's one
-`FloatCtx`.  The float walks are in `reps`.
+interface of a context, `qcore.FloatCtx` or `mpscalar.MPCtx`
+(`LabelRep.step`, the one derivation of a step, an adjoint's and an
+implementer letter's included).  The coaction's one table
+(`_tensor_terms`) gives the generators of the coaction-tensored
+representation (`reps.TensorRep`).  The float views of a label
+representation (`shift`, `matrix`) import numpy inside the call and are
+kept per (generator, internal size, implementer or not); a shift takes its
+labels' steps in the representation's one `FloatCtx`.  The float walks are
+in `reps`.
 
 Relation residuals, adjoint-action residuals and invariant-functional tail
-defects are walked label by label on raw mpmath values (`MPCtx`) through
-one exact walk kernel (see its section), since the graded algebras' entries
-reach ~1e6 at small q, where double precision cannot certify 1e-11
-absolute residuals.  Every exact check walks its paths as one prefix trie
-(`trie_walks`, which runs in any scalar context): a batch of identities,
-combos against combos (a relation rule is walked as combos too), is one
-`combos_residuals` call, and the functional's diagonals are one
-`invariance.invariance_defects` call.
+defects are walked label by label on raw mpmath values (`mpscalar.MPCtx`,
+from the one module that imports mpmath) through one exact walk kernel
+(see its section), since the graded algebras' entries reach ~1e6 at small
+q, where double precision cannot certify 1e-11 absolute residuals.  Every
+exact check walks its paths as one prefix trie (`trie_walks`, which runs
+in any scalar context): a batch of identities, combos against combos (a
+relation rule is walked as combos too), is one `combos_residuals` call,
+and the functional's diagonals are one `invariance.invariance_defects`
+call.  Neither reduction names mpmath: each computes through its
+context's interface alone.
 """
 
 from __future__ import annotations
@@ -30,112 +33,10 @@ import functools
 import math
 import weakref
 
-from mpmath.libmp import (
-    dps_to_prec,
-    fnan,
-    fone,
-    from_float,
-    from_int,
-    fzero,
-    mpf_add,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_pow,
-    mpf_pow_int,
-    mpf_rdiv_int,
-    mpf_sqrt,
-    mpf_sub,
-    round_nearest,
-    to_float,
-)
-
 from .qcore import FloatCtx, QParams, _sqrt_coeff, tau_of
 from .ncalg import NCPoly, Presentation
 
 MP_DPS = 40
-
-
-# ---------------------------------------------------------------------------
-# the mpmath scalar context, with the interface of qcore.FloatCtx
-# ---------------------------------------------------------------------------
-
-_RND = round_nearest
-
-
-class MPCtx:
-    """q-power arithmetic on raw mpmath values (`_mpf_` tuples) at `dps`
-    digits (`prec` bits), rounded to nearest.  Each operation is the libmp
-    call that mpmath's operator on mpf objects makes, at `prec`, so every
-    value is bit-identical to mpf arithmetic at that precision, whatever
-    the ambient one.  Factors and roots are computed once (`factor`,
-    `roots`), label steps once per representation by the exact walk kernel
-    (see step_tables); shared instances come from `mp_ctx`."""
-
-    one, zero = fone, fzero
-
-    def __init__(self, q: float, x: float = 0.0, dps: int = MP_DPS):
-        self.dps = dps
-        self.prec = prec = dps_to_prec(dps)
-        # mp.mpf(q) and mp.power(mp.mpf(q), mp.mpf(x)) at that precision
-        self.q = from_float(q, prec, _RND)
-        self.qx = mpf_pow(self.q, from_float(x, prec, _RND), prec, _RND)
-        self._cache: dict = {}
-        self._factors: dict = {}
-        self.roots: dict = {}    # factor tuple -> root (qcore._sqrt_coeff)
-
-    def qpow(self, n, m=0):
-        key = (n, m)
-        v = self._cache.get(key)
-        if v is None:
-            v = mpf_pow_int(self.q, n, self.prec, _RND)
-            if m:
-                v = self.mul(v, mpf_pow_int(self.qx, m, self.prec, _RND))
-            self._cache[key] = v
-        return v
-
-    def factor(self, sign, n, m=0):
-        """1 - sign*q^(n+mx), computed once."""
-        v = self._factors.get((sign, n, m))
-        if v is None:
-            v = self._factors[(sign, n, m)] = self.sub(
-                fone, self.scale(sign, self.qpow(n, m)))
-        return v
-
-    def mul(self, a, b):
-        return mpf_mul(a, b, self.prec, _RND)
-
-    def add(self, a, b):
-        return mpf_add(a, b, self.prec, _RND)
-
-    def sub(self, a, b):
-        return mpf_sub(a, b, self.prec, _RND)
-
-    def neg(self, v):
-        return mpf_neg(v, self.prec, _RND)
-
-    def scale(self, n: int, v):
-        return mpf_mul_int(v, n, self.prec, _RND)
-
-    def inv(self, v):
-        return mpf_rdiv_int(1, v, self.prec, _RND)
-
-    def sqrt(self, v):
-        return mpf_sqrt(v, self.prec, _RND)
-
-    @staticmethod
-    def is_negative(v) -> bool:
-        return v[0] == 1   # the sign bit; NaN has none
-
-
-@functools.lru_cache(maxsize=64)
-def _shared_mp_ctx(q: float, x: float, dps: int) -> MPCtx:
-    return MPCtx(q, x, dps)
-
-
-def mp_ctx(q, x=0.0, dps: int = MP_DPS) -> MPCtx:
-    """The mp context shared by every exact walk at (q, x, dps)."""
-    return _shared_mp_ctx(float(q), float(x), int(dps))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +69,9 @@ class LabelRep:
         self._float_ctx = FloatCtx(meta["q"], meta.get("x", 0.0))
         self._shift_cache: dict = {}
         self._mat_cache: dict = {}
-        self._walk_memos: dict = {}  # scalar context -> _SegmentTables
+        # scalar context -> _SegmentTables, and (q, x, dps) -> the shared
+        # mp context (`mpscalar.mp_ctx`), freed with the representation
+        self._walk_memos: dict = {}
 
     # -- label bookkeeping
     def kmin(self, fam):
@@ -398,8 +301,9 @@ def _tensor_terms(g, ctx):
 # branch.
 #
 # The step tables and the trie walkers compute only through their context's
-# scalar interface (`qcore`): an `MPCtx` computes on raw mpmath values, each
-# operation bound to its own precision, bit-identical to mpf objects.
+# scalar interface (`qcore`): an `mpscalar.MPCtx` computes on raw mpmath
+# values, each operation bound to its own precision, bit-identical to mpf
+# objects.
 # Steps are memoised per (representation, context, segment) as
 # `LabelRep.step` returns them, (target label, coefficient), the one place
 # a label step is derived, for the float shifts too: an implementer
@@ -414,8 +318,9 @@ def _tensor_terms(g, ctx):
 # product is its parent's times the step (on a tensor representation, a
 # branching walk's frontier, summed with `add`), formed once for all paths
 # through it.  The exact checks' reductions (`combos_residuals`,
-# `invariance.invariance_defects`) call libmp as mpmath's operators do (a
-# coefficient of exactly 1 leaves the value as mpf_mul would).
+# `invariance.invariance_defects`) compute through the interface too, in
+# the context `walk_ctx` gives them, the representation's shared mp context
+# by default (a coefficient of exactly 1 leaves the value as `mul` would).
 # ---------------------------------------------------------------------------
 
 class _StepTable(dict):
@@ -504,24 +409,6 @@ def step_tables(rep, ctx) -> _SegmentTables:
     return tables
 
 
-def mp_magnitude(v) -> float:
-    """|v| as a float for a raw mpf, rounded to nearest as float(abs(v))
-    rounds an mpf."""
-    return abs(to_float(v, rnd=_RND))
-
-
-def _raw_number(c):
-    """A real Python coefficient as a raw mpf, exactly as mpmath converts
-    it; a complex one with zero imaginary part walks as its real part."""
-    if isinstance(c, complex):
-        if c.imag != 0.0:
-            raise ValueError(f"exact walks are real, got coefficient {c!r}")
-        c = c.real
-    if isinstance(c, int):
-        return from_int(c)
-    return from_float(float(c))
-
-
 def window_labels(rep, W: int):
     tensor = not isinstance(rep, LabelRep)
     for fam, kmin in (rep.base if tensor else rep).families:
@@ -604,59 +491,59 @@ def trie_walks(tables, paths, labels):
         yield label, ends
 
 
-def _larger(a, b):
-    """Whichever of the raw mpfs a and b is larger in magnitude (a on a
-    tie), NaN above an infinity above every number, so that converting it
-    to float reads max_or_nan of both magnitudes: rounding is monotone."""
-    if not b[1]:                        # b is 0, an infinity or NaN
-        return b if b == fnan or b != fzero and a != fnan else a
-    if not a[1]:
-        return b if a == fzero else a
-    if a[2] + a[3] != b[2] + b[3]:      # exponent + bit count, then mantissa
-        return a if a[2] + a[3] > b[2] + b[3] else b
-    return b if b[1] << a[3] > a[1] << b[3] else a   # shifted to one exponent
+def walk_ctx(rep, dps: int, ctx_of=None):
+    """The scalar context of an exact check on `rep` at `dps` digits:
+    ctx_of(rep, dps), the representation's shared mp context
+    (`mpscalar.mp_ctx`) by default.  The command line imports `mpscalar`
+    before the first suite of a command that walks exactly, so the import
+    here only reads it."""
+    if ctx_of is None:
+        from . import mpscalar
+        ctx_of = mpscalar.mp_ctx
+    return ctx_of(rep, dps)
 
 
-def combos_residuals(rep, pairs, W: int, dps: int | None = None) -> list:
+def combos_residuals(rep, pairs, W: int, dps: int | None = None,
+                     ctx_of=None) -> list:
     """max |combos_a - combos_b| over window columns and rows for each pair
-    (combos_a, combos_b), walked in the shared mp context of `rep` at `dps`
-    digits (window-adaptive, `walk_dps`, by default).  The distinct paths of
-    all the pairs are one trie, walked from each window label; then each
-    pair adds its combos into its rows in combo order, combos_b subtracted
-    one by one, and keeps its largest window row (`_larger`), converted to
-    float once.  Every pair reads NaN when the window has no label, so that
-    a check that evaluated nothing fails."""
+    (combos_a, combos_b), walked at `dps` digits (window-adaptive,
+    `walk_dps`, by default) in the context `walk_ctx` gives, through its
+    scalar interface alone.  The distinct paths of all the pairs are one
+    trie, walked from each window label; then each pair adds its combos into
+    its rows in combo order, combos_b subtracted one by one, and keeps its
+    largest window row (the context's `larger`), read as a float once.
+    Every pair reads NaN when the window has no label, so that a check that
+    evaluated nothing fails."""
     inside = set(window_labels(rep, W))
     if not inside:
         return [math.nan] * len(pairs)
     dps = walk_dps(rep, W) if dps is None else dps
-    ctx = mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
-    prec, tables, paths = ctx.prec, step_tables(rep, ctx), {}
-    # each pair's combos as (path number, raw coefficient or None for
-    # an exact 1, whether it is subtracted)
+    ctx = walk_ctx(rep, dps, ctx_of)
+    mul, add, sub, zero = ctx.mul, ctx.add, ctx.sub, ctx.zero
+    tables, paths = step_tables(rep, ctx), {}
+    # each pair's combos as (path number, coefficient or None for an
+    # exact 1, whether it is subtracted)
     terms = [[(paths.setdefault(tuple(reversed(segs)), len(paths)),
-               None if (c := _raw_number(coef)) == fone else c, sub)
-              for sub, side in enumerate(pair) for coef, segs in side]
+               None if (c := ctx.number(coef)) == ctx.one else c, neg)
+              for neg, side in enumerate(pair) for coef, segs in side]
              for pair in pairs]
-    largest = [fzero] * len(pairs)
+    largest = [zero] * len(pairs)
     for _, ends in trie_walks(tables, paths, window_labels(rep, W)):
         for j, combos in enumerate(terms):
             rows: dict = {}
-            for i, coef, sub in combos:
+            for i, coef, neg in combos:
                 for lab, val in ends[i]:
-                    term = (val if coef is None
-                            else mpf_mul(val, coef, prec, _RND))
+                    term = val if coef is None else mul(val, coef)
                     old = rows.get(lab)
-                    if sub:
-                        term = mpf_sub(fzero if old is None else old,
-                                       term, prec, _RND)
+                    if neg:
+                        term = sub(zero if old is None else old, term)
                     elif old is not None:
-                        term = mpf_add(old, term, prec, _RND)
+                        term = add(old, term)
                     rows[lab] = term
             for lab, v in rows.items():
                 if lab in inside:
-                    largest[j] = _larger(largest[j], v)
-    return [mp_magnitude(v) for v in largest]
+                    largest[j] = ctx.larger(largest[j], v)
+    return [ctx.magnitude(v) for v in largest]
 
 
 def relation_check(pres: Presentation, rep) -> dict:

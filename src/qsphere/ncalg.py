@@ -213,26 +213,30 @@ def _check_rules(pres: Presentation):
 
 def _expand_recipe(recipe, ctx) -> dict:
     """The recipe's operator product expanded into {word: coefficient}, in
-    the arithmetic of ctx: items multiplied left to right, each zf factor
+    the arithmetic of ctx, through its scalar interface alone: items
+    multiplied left to right from the context's one, each zf factor
     contributing its 1 and then its Z term, the lead multiplied in last."""
     (c_sign, n, m), items = recipe
-    terms = {(): 1.0}
+    add, sub, mul, zero = ctx.add, ctx.sub, ctx.mul, ctx.zero
+    terms = {(): ctx.one}
     for item in items:
         if isinstance(item, tuple) and item[0] == "zf":
-            c, out = item[1] * ctx.qpow(*item[2:]), {}
+            c, out = ctx.scale(item[1], ctx.qpow(*item[2:])), {}
             for w, v in terms.items():
-                out[w] = out.get(w, 0.0) + v
-                out[w + ("Z",)] = out.get(w + ("Z",), 0.0) - v * c
+                out[w] = add(out.get(w, zero), v)
+                out[w + ("Z",)] = sub(out.get(w + ("Z",), zero), mul(v, c))
             terms = out
         else:
             terms = {w + (item,): v for w, v in terms.items()}
-    lead = c_sign * ctx.qpow(n, m)
-    return {w: v * lead for w, v in terms.items()}
+    lead = ctx.scale(c_sign, ctx.qpow(n, m))
+    return {w: mul(v, lead) for w, v in terms.items()}
 
 
 def make_presentation(name: str, p: QParams, x: float | None = None,
                       l=None) -> Presentation:
-    """Build one of the four presentations with its oriented rule set."""
+    """Build one of the four presentations with its oriented rule set.
+    An x is read by podles alone and an l by bl alone; any other
+    presentation refuses one passed to it."""
     q = p.q
     X, Y, Z, Zi, T = "X", "Y", "Z", "Zi", "T"
     twol = 0
@@ -255,9 +259,7 @@ def make_presentation(name: str, p: QParams, x: float | None = None,
                  "E*F"),
         ]
         grading = {"E": (1, 0), "F": (-1, 0), "K": (0, 0), "Ki": (0, 0)}
-    elif name == "uqmp":
-        if x is not None:
-            raise ValueError("uqmp takes no x; the Casimir T stays symbolic")
+    elif name == "uqmp":   # its Casimir T stays symbolic
         gens = (X, Y, Z, Zi, T)
         rules = [
             Rule((Z, Zi), {(): 1.0}, "Z*Zi"),
@@ -340,10 +342,11 @@ def make_presentation(name: str, p: QParams, x: float | None = None,
             grading[a_gen(s)] = (s, 1)
     else:
         raise ValueError(f"unknown presentation {name!r}")
+    for arg, value, reader in (("x", x, "podles"), ("l", l, "bl")):
+        if value is not None and name != reader:
+            raise ValueError(f"{name} takes no {arg}; only {reader} reads it")
     weights, prec = _weights_and_prec(gens, twol)
-    pres = Presentation(name, gens, tuple(rules), grading, p,
-                        x=x if name == "podles" else None,
-                        l=l if name == "bl" else None,
+    pres = Presentation(name, gens, tuple(rules), grading, p, x=x, l=l,
                         weights=weights, prec=prec)
     _check_rules(pres)
     return pres

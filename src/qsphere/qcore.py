@@ -2,11 +2,16 @@
 
 Everything downstream works at a fixed deformation parameter 0 < q < 1.
 The derived constant lam = (q - 1/q)^-1 is negative on that range.  The
-coefficient formulas compute in a scalar context, through one interface:
-`one`, `zero`, `mul`, `add`, `sub`, `neg`, `scale` (int times value),
-`inv`, `sqrt`, `is_negative`, `qpow` and `factor`.  `FloatCtx` here does so
-in double precision; `labels.MPCtx` in raw mpmath values at its own
-precision, the exact walk kernel's arithmetic.
+coefficient formulas, the step tables, the trie walkers and the exact
+checks' reductions compute in a scalar context, through one interface:
+`one`, `zero`, `nan`, `mul`, `add`, `sub`, `neg`, `scale` (int times
+value), `inv`, `sqrt`, `is_negative`, `qpow` and `factor`; and for the
+reductions `number` (a real Python coefficient as a value,
+`real_coefficient`), `magnitude` (|value| as a float), `larger` (the larger
+of two values in magnitude, NaN above an infinity above every number) and
+`is_finite`.  `FloatCtx` here does so in double precision;
+`mpscalar.MPCtx` in raw mpmath values at its own precision, the exact walk
+kernel's arithmetic.
 """
 
 from __future__ import annotations
@@ -75,12 +80,34 @@ class FloatCtx:
     def factor(self, sign, n, m=0):  # no memo: float steps are taken once
         return 1 - sign * self.qpow(n, m)
 
-    one, zero, roots = 1.0, 0.0, None   # no root memo either
+    one, zero, nan, roots = 1.0, 0.0, math.nan, None   # no root memo either
     mul = scale = staticmethod(operator.mul)
     add, sub = staticmethod(operator.add), staticmethod(operator.sub)
     neg, sqrt = staticmethod(operator.neg), staticmethod(math.sqrt)
     inv = staticmethod(functools.partial(operator.truediv, 1))
     is_negative = staticmethod(functools.partial(operator.gt, 0))  # 0 > v
+    magnitude, is_finite = staticmethod(abs), staticmethod(math.isfinite)
+
+    @staticmethod
+    def number(c) -> float:
+        return float(real_coefficient(c))
+
+    @staticmethod
+    def larger(a, b):
+        """a or b, whichever is larger in magnitude (a on a tie), NaN above
+        an infinity above every number."""
+        return b if b != b or (a == a and abs(b) > abs(a)) else a
+
+
+def real_coefficient(c):
+    """A coefficient of an exact walk as a real number: a complex one with
+    zero imaginary part as its real part, any other complex one refused,
+    since the exact walks are real."""
+    if isinstance(c, complex):
+        if c.imag != 0.0:
+            raise ValueError(f"exact walks are real, got coefficient {c!r}")
+        return c.real
+    return c
 
 
 def _sqrt_coeff(ctx, factors):

@@ -30,13 +30,22 @@ from .qcore import FloatCtx, QParams
 from .ncalg import NCPoly, Word, is_a_gen
 from .labels import _tensor_terms
 # names of `labels` that the benchmark's tracer wraps as `reps.*`
-# (perfbench/layers.py)
+# (perfbench/layers.py); `MPCtx` comes from `__getattr__`
 from .labels import (  # noqa: F401
     LabelRep,
-    MPCtx,
     combos_residual,
     relation_check,
 )
+
+
+def __getattr__(name):
+    """`reps.MPCtx`, which the benchmark's tracer wraps, read from
+    `mpscalar` on first access: the float commands load this module, and
+    must not load mpmath with it."""
+    if name == "MPCtx":
+        from .mpscalar import MPCtx
+        return MPCtx
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import math
 import mpmath as mp
 from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
 
-from qsphere.labels import mp_ctx, step_tables, walk_dps
+from qsphere.labels import step_tables, walk_dps
+from qsphere.mpscalar import mp_ctx
 from reference_scalar import MPObjectCtx
 
 _RND = round_nearest
@@ -60,7 +61,7 @@ def defect_sums(word, rep, W):
         lam = 1 / (ctx.qpow(1) - ctx.qpow(-1))
         pref_e = (ctx.sqrt(ctx.qpow(1)) * lam)._mpf_
         pref_f = (ctx.qpow(-1) * ctx.sqrt(ctx.qpow(-1)) * lam)._mpf_
-        tables = step_tables(rep, mp_ctx(q, rep.meta.get("x", 0.0), dps))
+        tables = step_tables(rep, mp_ctx(rep, dps))
         Z, Zi, X, Y = (tables[(g, True)] for g in ("Z", "Zi", "X", "Y"))
         mw = segment_path(tables, [(g, False) for g in word])
         # walk order of M, ad_K: Z M Zi, ad_E: Zi M X - Zi X M, ad_F:

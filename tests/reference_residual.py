@@ -13,8 +13,8 @@ from mpmath.libmp import (fone, fzero, mpf_add, mpf_mul, mpf_sub,
                           round_nearest)
 
 from qsphere.report import max_or_nan
-from qsphere.labels import (MP_DPS, _raw_number, mp_ctx, mp_magnitude,
-                            step_tables, walk_dps, window_labels)
+from qsphere.labels import MP_DPS, step_tables, walk_dps, window_labels
+from qsphere.mpscalar import MPCtx, mp_ctx
 from qsphere.reps import TensorRep
 
 _RND = round_nearest
@@ -46,7 +46,7 @@ def walk_path(path, label, prec: int):
 
 def compile_combos(tables, combos) -> list:
     """Combos as (path, raw coefficient)."""
-    return [(segment_path(tables, segs), _raw_number(coef))
+    return [(segment_path(tables, segs), MPCtx.number(coef))
             for coef, segs in combos]
 
 
@@ -103,7 +103,7 @@ def termwise_residual(rep, W: int, tables, lhs, rhs) -> float:
                             combo_column(tables, lhs, label), sub=True)
         for lab, val in rows.items():
             if lab in inside:
-                worst = max_or_nan(worst, mp_magnitude(val))
+                worst = max_or_nan(worst, MPCtx.magnitude(val))
     return worst
 
 
@@ -111,8 +111,7 @@ def reference_residual(rep, lhs, rhs, W: int, dps: int = None) -> float:
     """max |lhs - rhs| for combos walked in the shared mp context of `rep`
     at `dps` digits (window-adaptive, `walk_dps`, by default)."""
     dps = walk_dps(rep, W) if dps is None else dps
-    tables = step_tables(rep, mp_ctx(rep.meta["q"], rep.meta.get("x", 0.0),
-                                     dps))
+    tables = step_tables(rep, mp_ctx(rep, dps))
     return termwise_residual(rep, W, tables, compile_combos(tables, lhs),
                              compile_combos(tables, rhs))
 

@@ -2,9 +2,9 @@
 kept for tests that compare the two bit for bit: mpf objects, computed by
 mpmath's operators at the precision the caller holds (`with
 mp.workdps(ctx.dps)`).  It has the scalar interface of `qcore.FloatCtx` and
-`labels.MPCtx`, so the step functions, the step tables and the trie walk
-run in it unchanged, and each of its values' `_mpf_` is the raw value that
-`labels.MPCtx` gives."""
+`mpscalar.MPCtx`, so the step functions, the step tables, the trie walk
+and the exact checks' reductions run in it unchanged, and each of its
+values' `_mpf_` is the raw value that `mpscalar.MPCtx` gives."""
 
 import functools
 import operator
@@ -12,6 +12,8 @@ import operator
 import mpmath as mp
 
 from qsphere.labels import MP_DPS
+from qsphere.mpscalar import MPCtx
+from qsphere.qcore import real_coefficient
 
 
 class MPObjectCtx:
@@ -21,11 +23,12 @@ class MPObjectCtx:
     time (no `roots` memo)."""
 
     roots = None
-    one, zero = mp.mpf(1), mp.mpf(0)
+    one, zero, nan = mp.mpf(1), mp.mpf(0), mp.mpf("nan")
     mul = scale = staticmethod(operator.mul)
     add, sub = staticmethod(operator.add), staticmethod(operator.sub)
     neg, sqrt = staticmethod(operator.neg), staticmethod(mp.sqrt)
     inv = staticmethod(functools.partial(operator.truediv, 1))
+    is_finite = staticmethod(mp.isfinite)
 
     def __init__(self, q: float, x: float = 0.0, dps: int = MP_DPS):
         self.dps = dps
@@ -61,7 +64,30 @@ class MPObjectCtx:
     def is_negative(v) -> bool:
         return v < 0
 
+    @staticmethod
+    def number(c):
+        return mp.mpf(real_coefficient(c))
+
+    @staticmethod
+    def magnitude(v) -> float:
+        return float(abs(v))
+
+    @staticmethod
+    def larger(a, b):
+        """a or b, whichever is larger in magnitude (a on a tie), NaN above
+        an infinity above every number, compared as mpf objects."""
+        if mp.isnan(b) or not mp.isnan(a) and abs(b) > abs(a):
+            return b
+        return a
+
 
 def raw(v):
     """The raw mpf of a value of either context."""
     return getattr(v, "_mpf_", v)
+
+
+def fresh_mp_ctx(rep, dps: int) -> MPCtx:
+    """An unshared mp context of rep's (q, x) at `dps` digits, in place of
+    the representation's shared one (`mpscalar.mp_ctx`): its step tables
+    compute every step again."""
+    return MPCtx(rep.meta["q"], rep.meta.get("x", 0.0), dps)

@@ -232,15 +232,14 @@ def test_invariance_defect_matches_direct_trace_at_small_window():
         assert d["E"] == pytest.approx(direct, rel=1e-6, abs=1e-14), word
 
 
-def test_invariance_defects_memoised_match_fresh_context(monkeypatch):
-    from qsphere.labels import MPCtx
+def test_invariance_defects_memoised_match_fresh_context():
+    from reference_scalar import fresh_mp_ctx
 
     cases = [(rep_podles(P, 1.0, "direct_sum", 12), ("Y", "Z"), ("X",)),
              (rep_bl(P, 0.5, 12), (a_gen(1), "Y"), ("Z", a_gen(-1)))]
     shared = [invariance_defects(words, rep, 12) for rep, *words in cases]
     # an unshared context: its own step tables compute every step again
-    monkeypatch.setattr(invariance, "mp_ctx", MPCtx)
-    assert shared == [invariance_defects(words, rep, 12)
+    assert shared == [invariance_defects(words, rep, 12, fresh_mp_ctx)
                       for rep, *words in cases]
 
 
@@ -309,7 +308,8 @@ def _reference_invariance_defects(word, rep, W):
 def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
     import mpmath as mp
 
-    from qsphere.labels import mp_ctx, step_tables, trie_walks
+    from qsphere.labels import step_tables, trie_walks
+    from qsphere.mpscalar import mp_ctx
 
     p = QParams(0.37)
     plain = [("Z",), ("X", "Y"), ("Y", "Z", "X"),       # net shift 0
@@ -324,7 +324,7 @@ def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
     returned = vanished = 0
     for rep, words in cases:
         ctx = MPObjectCtx(p.q, rep.meta.get("x", 0.0), 40)
-        tables = step_tables(rep, mp_ctx(p.q, rep.meta.get("x", 0.0), 40))
+        tables = step_tables(rep, mp_ctx(rep, 40))
         calls = []
         step = rep.step
         monkeypatch.setattr(rep, "step",
@@ -376,8 +376,9 @@ def test_screened_defects_match_six_walk_reference(monkeypatch,
     # the per-word screen against the loop that walks all six walks at
     # every tail label: the raw sums, bit for bit
     import reference_functional
+    from qsphere.mpscalar import MPCtx
 
-    monkeypatch.setattr(invariance, "mp_magnitude", lambda v: v)
+    monkeypatch.setattr(MPCtx, "magnitude", staticmethod(lambda v: v))
 
     def raw(words, rep, W):
         return [list(d.values()) for d in invariance_defects(words, rep, W)]
@@ -413,6 +414,44 @@ def test_screened_defects_match_six_walk_reference(monkeypatch,
     assert got == [reference_functional.defect_sums(w, nan_rep, 8)
                    for w in words]
     assert all(math.isnan(mp.make_mpf(v)) for d in got for v in d)
+
+
+def test_functional_paths_walk_at_a_generic_label():
+    # the exact walker is context-generic: every path of the functional's
+    # six walks per basis word of degree <= 4 walks through the real steps,
+    # step tables and trie walker in a symbolic context from a generic
+    # label K + a, and each end, read at K = 30, is the float walk's from
+    # label 30 + a
+    from generic_label import Affine, MonomialCtx, at, same_value
+    from qsphere.invariance import _AD, _ad_segments
+    from qsphere.labels import step_tables, trie_walks
+    from qsphere.qcore import FloatCtx
+    K = 30
+    cases = [(make_presentation("bl", P, l=1.5), rep_bl(P, 1.5, 12), 388),
+             (make_presentation("podles", P, x=1.0),
+              rep_podles(P, 1.0, "direct_sum", 8), 148)]
+    for pres, rep, count in cases:
+        paths = {}
+        for word in basis_words(pres, 4):
+            mw = [(h, False) for h in word]
+            for segs in [mw] + [_ad_segments(left, mw, right)
+                                for terms in _AD.values()
+                                for _, left, right in terms]:
+                paths.setdefault(tuple(reversed(segs)), len(paths))
+        assert len(paths) == count
+        x = rep.meta["x"]
+        generic = [(fam, Affine(1, a)) for fam, _ in rep.families
+                   for a in (-2, 0, 3)]
+        walks = zip(
+            trie_walks(step_tables(rep, MonomialCtx()), paths, generic),
+            trie_walks(step_tables(rep, FloatCtx(Q, x)), paths,
+                       [at(label, K) for label in generic]))
+        for (label, ends), (_, want) in walks:
+            for got, ref in zip(ends, want):
+                (end, v), = got      # no walk dies from a generic label
+                (end_f, v_f), = ref
+                assert at(end, K) == end_f, (label, end)
+                assert same_value(v.value(K, Q, x), v_f), (label, end)
 
 
 def test_live_pairs_return_and_dead_pairs_read_zero(functional_walks):

@@ -590,6 +590,52 @@ def test_numpy_loads_only_for_float_commands(hook, argv, loads):
     assert seen == {"import": False, "hook": loads, "code": 0, "end": loads}
 
 
+# Runs the command line on argv[3:] with `cli.<argv[2]>` wrapped, with every
+# import of mpmath failing when argv[1] is "block", and prints as JSON its
+# exit code and whether mpmath was loaded after `import qsphere.cli`, at the
+# wrapped function's first call, and at the end.
+_MPMATH_PROBE = """import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["mpmath"] = None
+import qsphere.cli as cli
+def loaded():
+    return sys.modules.get("mpmath") is not None
+seen = {"import": loaded()}
+name, fn = sys.argv[2], getattr(cli, sys.argv[2])
+def noted(*args):
+    seen.setdefault("hook", loaded())
+    return fn(*args)
+setattr(cli, name, noted)
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["code"] = cli.run(sys.argv[3:])
+seen["end"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("exact, hook, argv", [
+    (False, "suite_oracle", ["oracle", "--N", "16", "--count", "10"]),
+    (False, "suite_ergodic", ["ergodic", "--N", "16", "--D", "3"]),
+    (False, "suite_compress", ["compress", "--N", "16"]),
+    (False, "suite_theorem2", ["theorem2", "--l", "0.5", "--N", "16"]),
+    (False, "suite_orbit", ["orbit", "--x", "0.3", "--y", "1.7"]),
+    (False, "suite_picard", ["picard", "--x", "2"]),
+    (False, "suite_relations", ["relations", "--alg", "uqsu2"]),
+    (True, "suite_relations", ["relations", "--N", "16"]),
+    (True, "suite_casimir", ["casimir", "--N", "16"]),
+    (True, "suite_theta", ["theta", "--N", "8"]),
+    (True, "suite_functional", ["functional", "--N", "24"]),
+    (True, "_with_worker", SMALL_ALL)])
+def test_mpmath_loads_only_for_exact_commands(exact, hook, argv):
+    # importing the command line loads no mpmath; the commands that walk
+    # only floats or compute no operator pass with every import of it
+    # failing, and a command that walks exactly loads it before its first
+    # suite, `all` before it forks its worker
+    seen = json.loads(_probe(_MPMATH_PROBE,
+                             ["load" if exact else "block", hook, *argv]))
+    assert seen == {"import": False, "hook": exact, "code": 0, "end": exact}
+
+
 # Runs the command line on each argv of the JSON list argv[1], in order, and
 # prints as JSON which of the modules it watches were loaded after `import
 # qsphere.cli` and after each command.

@@ -238,12 +238,21 @@ def test_check_rules_refuses_what_the_lhs_index_would_miss(podles, rule,
 
 
 def test_make_presentation_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        make_presentation("bl", P, l=0.3)
-    with pytest.raises(ValueError):
-        make_presentation("podles", P, x=float("inf"))
-    with pytest.raises(ValueError):
-        make_presentation("nonsense", P)
+    for name, kwargs in [
+            ("bl", {"l": 0.3}),
+            ("podles", {"x": float("inf")}),
+            ("nonsense", {}),
+            # an argument the presentation does not read is refused, not
+            # dropped
+            ("uqmp", {"x": 0.7}),
+            ("bl", {"l": 1, "x": 0.7}),
+            ("uqsu2", {"x": 0.7}),
+            ("podles", {"x": 0.7, "l": 1}),
+            ("uqmp", {"l": 1}),
+            ("uqsu2", {"l": 1}),
+            ("uqsu2", {"x": 0.0, "l": 0})]:
+        with pytest.raises(ValueError):
+            make_presentation(name, P, **kwargs)
 
 
 # -- normal form --------------------------------------------------------------

@@ -5,11 +5,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import finf, fnan, fninf, fzero, mpf_neg
+from mpmath.libmp import (finf, fnan, fninf, fzero, mpf_neg, round_nearest,
+                          to_float)
 
 import reference_residual
-from qsphere import labels, reps
-from reference_scalar import MPObjectCtx, raw
+from qsphere import labels, mpscalar, reps
+from qsphere.mpscalar import MPCtx, mp_ctx
+from reference_scalar import MPObjectCtx, fresh_mp_ctx, raw
 from qsphere.qcore import QParams, _sqrt_coeff
 from qsphere.report import max_or_nan
 from qsphere.ncalg import (
@@ -23,11 +25,9 @@ from qsphere.ncalg import (
     random_words,
 )
 from qsphere.labels import (
-    MPCtx,
     _tensor_terms,
     combos_residual,
     combos_residuals,
-    mp_ctx,
     relation_check,
     rep_bl,
     rep_podles,
@@ -712,17 +712,63 @@ def test_memoised_walks_match_fresh_contexts(monkeypatch):
 
     run_all()                      # fills the memos
     shared = run_all()             # reads them
-    assert mp_ctx(Q, 1.3) is mp_ctx(Q, 1.3)
-    assert any(podles._walk_memos[mp_ctx(Q, 1.3)].values())
+    # each representation holds its shared contexts, a tensor its base's
+    assert mp_ctx(podles, 40) is mp_ctx(podles, 40)
+    assert any(podles._walk_memos[mp_ctx(podles, 40)].values())
+    dps = walk_dps(tensor, 10)
+    assert mp_ctx(tensor, dps) is tensor.base._walk_memos[(Q, 0.7, dps)]
+    assert not any(isinstance(key, tuple) for key in tensor._walk_memos)
     # an unshared context: its own step tables compute every step again
-    monkeypatch.setattr(labels, "mp_ctx", MPCtx)
+    monkeypatch.setattr(mpscalar, "mp_ctx", fresh_mp_ctx)
     assert run_all() == shared
 
 
+def test_dropped_reps_free_their_mp_contexts():
+    # each shared mp context lives in its representation's walk memo, so
+    # dropping the representations frees their checks' roots, factors and
+    # q-powers, without the cycle collector
+    import gc
+    import tracemalloc
+    import weakref
+
+    from qsphere.invariance import invariance_defects
+    from qsphere.ncalg import basis_words
+
+    def checked(q):
+        p = QParams(q)
+        pres = (make_presentation("podles", p, x=1.0),
+                make_presentation("bl", p, l=1))
+        held = (rep_podles(p, 1.0, "direct_sum", 24), rep_bl(p, 1, 24))
+        for pr, rep in zip(pres, held):
+            relation_check(pr, rep)
+            invariance_defects(basis_words(pr, 3), rep, 24)
+        return held
+
+    gc.disable()
+    tracemalloc.start()
+    try:
+        # one-time allocations, and traced blocks on the free lists
+        checked(0.5)
+        base = tracemalloc.get_traced_memory()[0]
+        held = checked(0.45)
+        ctxs = [weakref.ref(ctx) for rep in held
+                for key, ctx in rep._walk_memos.items()
+                if isinstance(key, tuple)]
+        alive = tracemalloc.get_traced_memory()[0] - base
+        del held
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert len(ctxs) == 4 and not any(ref() for ref in ctxs)
+    assert alive > 300_000 and left < alive / 10, (alive, left)
+
+
 def test_step_memo_keeps_reps_apart():
-    # plus and minus share (q, x) and the family "s" but not their steps
+    # plus and minus share (q, x) and the family "s" but not their steps,
+    # also when one context walks both
     W = 10
-    ctx = mp_ctx(Q, 1.3)
+    ctx = MPCtx(Q, 1.3)
     both = {v: rep_podles(P, 1.3, v, W) for v in ("plus", "minus")}
     walked = {}
     for variant in ("plus", "minus", "plus"):
@@ -738,8 +784,8 @@ def test_step_memo_follows_precision():
     # fresh context of its own precision, under any ambient mp.workdps
     W = 10
     rep = rep_bl(P, 1.5, W)
-    low = _walk_window(rep, _COMBOS, mp_ctx(Q, 3.0, 40), W)
-    high = _walk_window(rep, _COMBOS, mp_ctx(Q, 3.0, 80), W)
+    low = _walk_window(rep, _COMBOS, mp_ctx(rep, 40), W)
+    high = _walk_window(rep, _COMBOS, mp_ctx(rep, 80), W)
     assert high == _walk_window(rep, _COMBOS, MPCtx(Q, 3.0, 80), W)
     assert high != low
     with mp.workdps(15):
@@ -775,8 +821,8 @@ def test_each_step_is_computed_once_per_context(monkeypatch):
     monkeypatch.setattr(labels.LabelRep, "step", counted_step)
     monkeypatch.setattr(labels, "_sqrt_coeff", counted_read)
     monkeypatch.setattr(MPCtx, "sqrt", counted_sqrt)
-    # contexts shared between this test's checks, and no other test's roots
-    monkeypatch.setattr(labels, "mp_ctx", functools.lru_cache(None)(MPCtx))
+    # each rep's contexts are shared between this test's checks on it, and
+    # hold no other test's roots
     combos = _COMBOS + [(1.0, [("Y", False), ("X", True), ("Zi", True)])]
     cases = ((rep_podles(P, 1.3, "direct_sum", 12),
               make_presentation("podles", P, x=1.3)),
@@ -889,8 +935,8 @@ def test_exact_bits_ignore_the_ambient_precision(monkeypatch):
     # factors, step tables and residuals read the same bits under any
     # ambient mp.workdps; a context of another precision gives other bits
     from qsphere import invariance
-    monkeypatch.setattr(labels, "mp_ctx", MPCtx)   # fresh tables per call
-    monkeypatch.setattr(invariance, "mp_ctx", MPCtx)
+    # fresh tables per call
+    monkeypatch.setattr(mpscalar, "mp_ctx", fresh_mp_ctx)
     W = 10
     podles = rep_podles(P, 1.3, "direct_sum", W)
     tensor = TensorRep(rep_podles(P, 0.7, "plus", W))
@@ -1104,7 +1150,7 @@ def test_combo_kernel_matches_multiplying_walks():
         dps = walk_dps(rep, W)   # the precision combos_residual walks at
         ref = MPObjectCtx(Q, x, dps)
         with mp.workdps(dps):
-            for ctx in (mp_ctx(Q, x, dps), MPCtx(Q, x, dps)):
+            for ctx in (mp_ctx(rep, dps), MPCtx(Q, x, dps)):
                 for label in window_labels(rep, W):
                     got = _walk_combos(rep, combos, label, ctx)
                     want = _reference_walk_combos(rep, combos, label, ref)
@@ -1144,7 +1190,7 @@ def test_relation_kernel_matches_multiplying_walks(monkeypatch):
     zf_rules = 0
     for fresh in (False, True):
         if fresh:
-            monkeypatch.setattr(labels, "mp_ctx", MPCtx)
+            monkeypatch.setattr(mpscalar, "mp_ctx", fresh_mp_ctx)
         for pres, rep in cases:
             got = relation_check(pres, rep)
             with mp.workdps(labels.MP_DPS):
@@ -1230,6 +1276,53 @@ def test_raw_context_matches_mpf_objects_bit_for_bit(q):
                     assert v == raw(ref.qpow(*key))
 
 
+def _mpf_objects(rep, dps: int) -> MPObjectCtx:
+    """The reference context of mpf objects at `dps` digits, as a context
+    maker for the exact checks: it sets the ambient precision its
+    operations compute at, which the caller restores (`mp.workdps`)."""
+    mp.mp.dps = dps
+    return MPObjectCtx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
+
+
+def test_reductions_match_mpf_objects_bit_for_bit():
+    # both exact checks' reductions compute through the scalar interface
+    # alone, so mpf objects run them: every float they return reads as the
+    # default raw context's, to the bit, NaN for NaN
+    from qsphere.invariance import combo_ad, invariance_defects, spin2l_laws
+    W = 12
+    base = [(1.0, [("X", False), ("Y", False)])]
+    nan_rep = rep_podles(P, float("nan"), "direct_sum", 8)
+    pres_b = make_presentation("bl", P, l=1)
+    rules = [(labels._poly_combos({r.lhs: 1.0}), labels._rule_combos(r))
+             for r in pres_b.rules if r.defining]
+    combos = [(rep_podles(P, 1.3, "direct_sum", W),
+               [(_COMBOS, []), (_COMBOS[:1], _COMBOS[1:]), ([], [])]),
+              (rep_bl(P, 1, W), rules + list(spin2l_laws(P, 1).values())),
+              (TensorRep(rep_podles(P, 0.7, "plus", W)),
+               [(_TENSOR_COMBOS, _TENSOR_COMBOS[1:]),
+                (combo_ad("E", [(1.0, [("T", False)])], P), [])]),
+              (nan_rep, [(combo_ad("K", base, P), base), (base, [])])]
+    checked = 0
+    for rep, pairs in combos:
+        with mp.workdps(15):
+            got = combos_residuals(rep, pairs, W, ctx_of=_mpf_objects)
+        want = combos_residuals(rep, pairs, W)
+        assert all(map(_same, got, want)), (got, want)
+        checked += len(want)
+    words = {"podles": [("X", "Y"), ("Z",), ("Y", "Z", "X"), ("Y",), ()],
+             "bl": [(a_gen(1), a_gen(-1)), ("X", "Y", "Z"), (a_gen(0),)]}
+    for rep, batch in ((rep_podles(P, 1.0, "direct_sum", W), words["podles"]),
+                       (rep_bl(P, 0.5, W), words["bl"]),
+                       (nan_rep, words["podles"])):
+        with mp.workdps(15):
+            got = invariance_defects(batch, rep, W, ctx_of=_mpf_objects)
+        want = invariance_defects(batch, rep, W)
+        got, want = ([v for d in ds for v in d.values()] for ds in (got, want))
+        assert all(map(_same, got, want)), (got, want)
+        checked += len(want)
+    assert checked > 50
+
+
 def test_float_trie_walk_matches_walk_shifts():
     # the step tables and the trie walker run in the float context as well,
     # and read what the float engine's walk of the same words reads
@@ -1256,6 +1349,14 @@ def test_float_trie_walk_matches_walk_shifts():
             for label, (end, v) in got.items():
                 assert end == want[label][0], (w, label)
                 assert abs(v - want[label][1]) <= 1e-15 * abs(v), (w, label)
+        # so does the exact checks' reduction: each word against nothing
+        # reads the largest of its walked window entries
+        inside = set(window)
+        assert combos_residuals(
+            rep, [([(1.0, [(g, False) for g in w])], []) for w in batch], W,
+            ctx_of=lambda rep, dps: ctx) == [
+                max(abs(v) for ends in walked.values() for end, v in ends[i]
+                    if end in inside) for i in range(len(batch))]
 
 
 # ---------------------------------------------------------------------------
@@ -1349,8 +1450,13 @@ def test_largest_row_converts_once(rows, ties, top):
     for sign, bc, man in ties:
         man = (man % (1 << bc)) | (1 << (bc - 1)) | 1
         rows += [_raw(sign, man, top - bc), _raw(1 - sign, man, top - bc)]
-    want = max_or_nan(0.0, *map(labels.mp_magnitude, rows))
+    want = max_or_nan(0.0, *map(MPCtx.magnitude, rows))
+    floats = [to_float(v, rnd=round_nearest) for v in rows]
     for order in (rows, rows[::-1]):
-        got = labels.mp_magnitude(
-            functools.reduce(labels._larger, order, fzero))
+        got = MPCtx.magnitude(functools.reduce(MPCtx.larger, order, fzero))
+        assert _same(got, want), order
+    # the float context's `larger` reads the same on the rows as floats
+    for order in (floats, floats[::-1]):
+        got = FloatCtx.magnitude(
+            functools.reduce(FloatCtx.larger, order, 0.0))
         assert _same(got, want), order

@@ -11,11 +11,14 @@ ratchets cap the `@` products, the library square-root calls and the
 `workdps` uses of each module, keep mpf objects out of the package and
 libmp out of the code that computes through a scalar context, keep
 numpy.linalg to action.py, keep numpy out of every module but the float
-ones when it loads, keep the adjoint action's letters to its one table,
+ones when it loads, keep mpmath to `mpscalar` and `mpscalar` out of every
+module when it loads, keep the imports of src/ and tests/ to what CI
+installs, keep the adjoint action's letters to its one table,
 keep every exact check to one prefix-trie walker, and keep the implementer
 sign and the adjoint step to their one derivation in `LabelRep.step`."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -185,7 +188,7 @@ def test_sqrt_counts_only_fall():
 
 
 # `workdps` uses per module of src/qsphere (an attribute or a bare name):
-# every operation of `labels.MPCtx` is bound to its own precision, so no
+# every operation of `mpscalar.MPCtx` is bound to its own precision, so no
 # module needs an ambient one; these counts may only fall
 WORKDPS_CEILING: dict = {}
 
@@ -246,9 +249,11 @@ def test_mpf_object_counts_only_fall():
 # or constant, the mpmath package, or a raw value's precision
 SCALAR_INTERFACE_ONLY = {
     "qcore": ("_sqrt_coeff", "tau_of"),
+    "ncalg": ("_expand_recipe",),
     "labels": ("LabelRep", "_z_steps", "rep_podles", "rep_bl",
                "_tensor_terms", "_StepTable", "_SegmentTables", "_label_trie",
-               "_branch_trie", "trie_walks"),
+               "_branch_trie", "trie_walks", "walk_ctx", "combos_residuals"),
+    "invariance": ("invariance_defects",),
 }
 
 
@@ -354,6 +359,102 @@ def test_numpy_loads_only_with_the_float_modules():
         "def g():\n    import scipy\nclass C:\n    import json\n"
         "if g:\n    from mpmath.libmp import fone")) == {
             "numpy", "reps", "casimir", "json", "mpmath"}
+
+
+# the one module that imports mpmath; no module imports it when it loads,
+# so `import qsphere.cli` and the commands that walk only floats or compute
+# no operator never load mpmath (the command line imports it in `run`)
+MPMATH_MODULE = "mpscalar"
+
+
+def _imports(tree) -> set:
+    """Every module a module imports, when it loads or in a call, by
+    top-level name (the stem of a sibling for a relative import)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= ({node.module.split(".")[0]} if node.module
+                      else {a.name for a in node.names})
+    return found
+
+
+def test_mpmath_loads_only_with_its_module():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    imports = {stem: _imports(tree) for stem, tree in trees.items()}
+    assert "mpmath" in imports[MPMATH_MODULE]
+    wrong = sorted(stem for stem, names in imports.items()
+                   if "mpmath" in names and stem != MPMATH_MODULE)
+    assert not wrong, wrong
+    loads = sorted(stem for stem, tree in trees.items()
+                   if MPMATH_MODULE in _load_imports(tree))
+    assert not loads, loads
+    toy = ast.parse("def f():\n    from mpmath.libmp import fone\n"
+                    "    from . import mpscalar\nimport json")
+    assert _imports(toy) == {"mpmath", "mpscalar", "json"}
+    assert _load_imports(toy) == {"json"}
+
+
+# the CI job installs only what its pip line names; a package that is on
+# the development machine but not on that line (scipy, sympy) must not be
+# imported by src/ or tests/, unless the import is guarded by an `except
+# ImportError` (conftest.py's libcst)
+CI_WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+TESTS = ROOT / "tests"
+
+
+def _ci_packages(text: str) -> set:
+    """The import names of the packages the workflow's pip line installs."""
+    for line in text.splitlines():
+        if "pip install" in line:
+            words = line.split("pip install", 1)[1].split()
+            return {w.split("==")[0].lower().replace("-", "_")
+                    for w in words if not w.startswith("-")}
+    raise AssertionError("the workflow has no pip install line")
+
+
+def _third_party_imports(tree, local: set) -> set:
+    """The top-level names a module imports, anywhere in it, that are not
+    the standard library's, a relative import or a name of `local`;
+    imports inside a `try` that catches ImportError do not count."""
+    guarded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try) and any(
+                isinstance(h.type, ast.Name)
+                and h.type.id in ("ImportError", "ModuleNotFoundError")
+                for h in node.handlers):
+            guarded |= {id(sub) for stmt in node.body
+                        for sub in ast.walk(stmt)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in guarded:
+            continue
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - local
+
+
+def test_imports_stay_within_what_ci_installs():
+    installed = _ci_packages(CI_WORKFLOW.read_text())
+    assert {"numpy", "mpmath", "hypothesis", "pytest"} <= installed
+    local = {"qsphere"} | {path.stem for path in TESTS.glob("*.py")}
+    wrong = {}
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]):
+        extra = _third_party_imports(ast.parse(path.read_text()), local)
+        if extra - installed:
+            wrong[path.name] = sorted(extra - installed)
+    assert not wrong, wrong
+    assert _ci_packages("run: python -m pip install numpy==2.4.6 "
+                        "Py-Yaml\n") == {"numpy", "py_yaml"}
+    toy = ("import scipy.linalg, os\nfrom . import m\nfrom mine import f\n"
+           "try:\n    import libcst.x\nexcept ImportError:\n    pass\n"
+           "def g():\n    import sympy\n    from numpy import eye")
+    assert _third_party_imports(ast.parse(toy), {"mine"}) == {
+        "scipy", "sympy", "numpy"}
 
 
 def _mpc_imports(tree) -> list:
