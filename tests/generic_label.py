@@ -40,9 +40,6 @@ class Affine:
     def __sub__(self, other):
         return self + -Affine.of(other)
 
-    def __rsub__(self, other):
-        return Affine.of(other) - self
-
     def __mul__(self, n: int):
         if isinstance(n, Affine):
             raise TypeError("a generic label times a label is not affine")
