@@ -22,7 +22,6 @@ from .labels import (
     rep_podles,
     step_tables,
     trie_walks,
-    walk_ctx,
     walk_dps,
 )
 
@@ -135,7 +134,7 @@ def casimir_invariance(p: QParams, x: float, N: int) -> dict:
 # invariant functionals
 # ---------------------------------------------------------------------------
 
-def invariance_defects(words, rep, W: int, ctx_of=None) -> list:
+def invariance_defects(words, rep, W: int) -> list:
     """Truncation defects of the invariant functional under the adjoint
     action of K, E, F: one {"K", "E", "F": defect} per monomial of `words`.
 
@@ -146,8 +145,8 @@ def invariance_defects(words, rep, W: int, ctx_of=None) -> list:
     relative to its own size ~ q^(2W), which a head summation (absolute
     error ~1e-16 * |M|) cannot resolve.  The tail terms sit far below
     double precision, so they are walked exactly, in one context set up once
-    per call (`labels.walk_ctx`: the representation's shared mp context by
-    default), as one prefix trie of every word's walks (`labels.trie_walks`),
+    per call (the representation's shared mp context, `mpscalar.mp_ctx`),
+    as one prefix trie of every word's walks (`labels.trie_walks`),
     and summed through the context's scalar interface alone.
 
     Only diagonals are read.  Each generator is a pair of walks built from
@@ -164,7 +163,8 @@ def invariance_defects(words, rep, W: int, ctx_of=None) -> list:
     q = rep.meta["q"]
     tail = max(8, int(math.ceil(16.0 * math.log(10)
                                 / (2.0 * abs(math.log(q)))))) + 4
-    ctx = walk_ctx(rep, walk_dps(rep, W + tail, slack=25), ctx_of)
+    from . import mpscalar   # loaded already by a command that walks exactly
+    ctx = mpscalar.mp_ctx(rep, walk_dps(rep, W + tail, slack=25))
     mul, add, zero, finite = ctx.mul, ctx.add, ctx.zero, ctx.is_finite
     q1, qm1 = ctx.qpow(1), ctx.qpow(-1)
     lam = ctx.inv(ctx.sub(q1, qm1))

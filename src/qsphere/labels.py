@@ -319,8 +319,8 @@ def _tensor_terms(g, ctx):
 # branching walk's frontier, summed with `add`), formed once for all paths
 # through it.  The exact checks' reductions (`combos_residuals`,
 # `invariance.invariance_defects`) compute through the interface too, in
-# the context `walk_ctx` gives them, the representation's shared mp context
-# by default (a coefficient of exactly 1 leaves the value as `mul` would).
+# the representation's shared mp context (`mpscalar.mp_ctx`, imported when
+# a check runs; a coefficient of exactly 1 leaves the value as `mul` would).
 # ---------------------------------------------------------------------------
 
 class _StepTable(dict):
@@ -491,24 +491,11 @@ def trie_walks(tables, paths, labels):
         yield label, ends
 
 
-def walk_ctx(rep, dps: int, ctx_of=None):
-    """The scalar context of an exact check on `rep` at `dps` digits:
-    ctx_of(rep, dps), the representation's shared mp context
-    (`mpscalar.mp_ctx`) by default.  The command line imports `mpscalar`
-    before the first suite of a command that walks exactly, so the import
-    here only reads it."""
-    if ctx_of is None:
-        from . import mpscalar
-        ctx_of = mpscalar.mp_ctx
-    return ctx_of(rep, dps)
-
-
-def combos_residuals(rep, pairs, W: int, dps: int | None = None,
-                     ctx_of=None) -> list:
+def combos_residuals(rep, pairs, W: int, dps: int | None = None) -> list:
     """max |combos_a - combos_b| over window columns and rows for each pair
     (combos_a, combos_b), walked at `dps` digits (window-adaptive,
-    `walk_dps`, by default) in the context `walk_ctx` gives, through its
-    scalar interface alone.  The distinct paths of all the pairs are one
+    `walk_dps`, by default) in the representation's shared mp context
+    (`mpscalar.mp_ctx`), through its scalar interface alone.  The distinct paths of all the pairs are one
     trie, walked from each window label; then each pair adds its combos into
     its rows in combo order, combos_b subtracted one by one, and keeps its
     largest window row (the context's `larger`), read as a float once.
@@ -518,7 +505,8 @@ def combos_residuals(rep, pairs, W: int, dps: int | None = None,
     if not inside:
         return [math.nan] * len(pairs)
     dps = walk_dps(rep, W) if dps is None else dps
-    ctx = walk_ctx(rep, dps, ctx_of)
+    from . import mpscalar   # loaded already by a command that walks exactly
+    ctx = mpscalar.mp_ctx(rep, dps)
     mul, add, sub, zero = ctx.mul, ctx.add, ctx.sub, ctx.zero
     tables, paths = step_tables(rep, ctx), {}
     # each pair's combos as (path number, coefficient or None for an

@@ -3,9 +3,10 @@ mpmath: `MPCtx`, the scalar interface of `qcore.FloatCtx` on raw libmp
 values, and `mp_ctx`, which gives each representation its shared context.
 
 No module loads this one when it loads.  The command line imports it once
-in `run`, before the first suite of a command that walks exactly, and
-`labels` reads it from there (`labels.walk_ctx`), so the commands that walk
-only floats or compute no operator never import mpmath.
+in `run`, before the first suite of a command that walks exactly, and the
+exact checks (`labels.combos_residuals`, `invariance.invariance_defects`)
+read it from there when they run, so the commands that walk only floats or
+compute no operator never import mpmath.
 """
 
 from __future__ import annotations

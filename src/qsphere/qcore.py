@@ -2,16 +2,16 @@
 
 Everything downstream works at a fixed deformation parameter 0 < q < 1.
 The derived constant lam = (q - 1/q)^-1 is negative on that range.  The
-coefficient formulas, the step tables, the trie walkers and the exact
-checks' reductions compute in a scalar context, through one interface:
-`one`, `zero`, `nan`, `mul`, `add`, `sub`, `neg`, `scale` (int times
-value), `inv`, `sqrt`, `is_negative`, `qpow` and `factor`; and for the
-reductions `number` (a real Python coefficient as a value,
-`real_coefficient`), `magnitude` (|value| as a float), `larger` (the larger
-of two values in magnitude, NaN above an infinity above every number) and
-`is_finite`.  `FloatCtx` here does so in double precision;
-`mpscalar.MPCtx` in raw mpmath values at its own precision, the exact walk
-kernel's arithmetic.
+coefficient formulas, the step tables and the trie walkers compute in a
+scalar context, through one interface: `one`, `zero`, `mul`, `add`, `sub`,
+`neg`, `scale` (int times value), `inv`, `sqrt`, `is_negative`, `qpow` and
+`factor`.  `FloatCtx` here does so in double precision; `mpscalar.MPCtx` in
+raw mpmath values at its own precision, the exact walk kernel's arithmetic.
+The exact checks' reductions compute through that interface too, and
+through five more operations, which `MPCtx` gives and `FloatCtx` does not:
+`nan`, `number` (a real Python coefficient as a value, `real_coefficient`),
+`magnitude` (|value| as a float), `larger` (the larger of two values in
+magnitude, NaN above an infinity above every number) and `is_finite`.
 """
 
 from __future__ import annotations
@@ -80,23 +80,12 @@ class FloatCtx:
     def factor(self, sign, n, m=0):  # no memo: float steps are taken once
         return 1 - sign * self.qpow(n, m)
 
-    one, zero, nan, roots = 1.0, 0.0, math.nan, None   # no root memo either
+    one, zero, roots = 1.0, 0.0, None   # no root memo either
     mul = scale = staticmethod(operator.mul)
     add, sub = staticmethod(operator.add), staticmethod(operator.sub)
     neg, sqrt = staticmethod(operator.neg), staticmethod(math.sqrt)
     inv = staticmethod(functools.partial(operator.truediv, 1))
     is_negative = staticmethod(functools.partial(operator.gt, 0))  # 0 > v
-    magnitude, is_finite = staticmethod(abs), staticmethod(math.isfinite)
-
-    @staticmethod
-    def number(c) -> float:
-        return float(real_coefficient(c))
-
-    @staticmethod
-    def larger(a, b):
-        """a or b, whichever is larger in magnitude (a on a tie), NaN above
-        an infinity above every number."""
-        return b if b != b or (a == a and abs(b) > abs(a)) else a
 
 
 def real_coefficient(c):

@@ -13,7 +13,7 @@ from qsphere.ncalg import (
     make_presentation,
     random_words,
 )
-from qsphere import action, invariance
+from qsphere import action, mpscalar
 from qsphere.action import invariant_subspace, kernel_residual
 from qsphere.invariance import (
     invariance_defects,
@@ -232,14 +232,15 @@ def test_invariance_defect_matches_direct_trace_at_small_window():
         assert d["E"] == pytest.approx(direct, rel=1e-6, abs=1e-14), word
 
 
-def test_invariance_defects_memoised_match_fresh_context():
+def test_invariance_defects_memoised_match_fresh_context(monkeypatch):
     from reference_scalar import fresh_mp_ctx
 
     cases = [(rep_podles(P, 1.0, "direct_sum", 12), ("Y", "Z"), ("X",)),
              (rep_bl(P, 0.5, 12), (a_gen(1), "Y"), ("Z", a_gen(-1)))]
     shared = [invariance_defects(words, rep, 12) for rep, *words in cases]
     # an unshared context: its own step tables compute every step again
-    assert shared == [invariance_defects(words, rep, 12, fresh_mp_ctx)
+    monkeypatch.setattr(mpscalar, "mp_ctx", fresh_mp_ctx)
+    assert shared == [invariance_defects(words, rep, 12)
                       for rep, *words in cases]
 
 

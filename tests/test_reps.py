@@ -5,8 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import (finf, fnan, fninf, fzero, mpf_neg, round_nearest,
-                          to_float)
+from mpmath.libmp import finf, fnan, fninf, fzero, mpf_neg
 
 import reference_residual
 from qsphere import labels, mpscalar, reps
@@ -1007,7 +1006,11 @@ def test_dropped_rep_frees_its_walk_memo_without_the_collector():
         for make, check in cases:
             rep = make()
             check(rep)
-            memo = weakref.ref(next(iter(rep._walk_memos.values())))
+            # the step tables, keyed by their context (its (q, x, dps)
+            # key, a tuple, holds the context)
+            memo = weakref.ref(next(tables for key, tables
+                                    in rep._walk_memos.items()
+                                    if not isinstance(key, tuple)))
             gone = weakref.ref(rep)
             del rep
             assert gone() is None and memo() is None
@@ -1277,14 +1280,15 @@ def test_raw_context_matches_mpf_objects_bit_for_bit(q):
 
 
 def _mpf_objects(rep, dps: int) -> MPObjectCtx:
-    """The reference context of mpf objects at `dps` digits, as a context
-    maker for the exact checks: it sets the ambient precision its
-    operations compute at, which the caller restores (`mp.workdps`)."""
+    """The reference context of mpf objects at `dps` digits, in place of
+    the representation's shared one (`mpscalar.mp_ctx`): it sets the
+    ambient precision its operations compute at, which the caller restores
+    (`mp.workdps`)."""
     mp.mp.dps = dps
     return MPObjectCtx(rep.meta["q"], rep.meta.get("x", 0.0), dps)
 
 
-def test_reductions_match_mpf_objects_bit_for_bit():
+def test_reductions_match_mpf_objects_bit_for_bit(monkeypatch):
     # both exact checks' reductions compute through the scalar interface
     # alone, so mpf objects run them: every float they return reads as the
     # default raw context's, to the bit, NaN for NaN
@@ -1302,25 +1306,23 @@ def test_reductions_match_mpf_objects_bit_for_bit():
                [(_TENSOR_COMBOS, _TENSOR_COMBOS[1:]),
                 (combo_ad("E", [(1.0, [("T", False)])], P), [])]),
               (nan_rep, [(combo_ad("K", base, P), base), (base, [])])]
-    checked = 0
-    for rep, pairs in combos:
-        with mp.workdps(15):
-            got = combos_residuals(rep, pairs, W, ctx_of=_mpf_objects)
-        want = combos_residuals(rep, pairs, W)
-        assert all(map(_same, got, want)), (got, want)
-        checked += len(want)
     words = {"podles": [("X", "Y"), ("Z",), ("Y", "Z", "X"), ("Y",), ()],
              "bl": [(a_gen(1), a_gen(-1)), ("X", "Y", "Z"), (a_gen(0),)]}
-    for rep, batch in ((rep_podles(P, 1.0, "direct_sum", W), words["podles"]),
-                       (rep_bl(P, 0.5, W), words["bl"]),
-                       (nan_rep, words["podles"])):
-        with mp.workdps(15):
-            got = invariance_defects(batch, rep, W, ctx_of=_mpf_objects)
-        want = invariance_defects(batch, rep, W)
-        got, want = ([v for d in ds for v in d.values()] for ds in (got, want))
-        assert all(map(_same, got, want)), (got, want)
-        checked += len(want)
-    assert checked > 50
+    defects = [(rep_podles(P, 1.0, "direct_sum", W), words["podles"]),
+               (rep_bl(P, 0.5, W), words["bl"]), (nan_rep, words["podles"])]
+    want = ([combos_residuals(rep, pairs, W) for rep, pairs in combos],
+            [invariance_defects(batch, rep, W) for rep, batch in defects])
+    monkeypatch.setattr(mpscalar, "mp_ctx", _mpf_objects)
+    with mp.workdps(15):
+        got = ([combos_residuals(rep, pairs, W) for rep, pairs in combos],
+               [invariance_defects(batch, rep, W) for rep, batch in defects])
+    # each check's floats: a residual per pair, a defect per word and
+    # generator
+    got, want = ([*(v for r in res for v in r),
+                  *(v for ds in dfs for d in ds for v in d.values())]
+                 for res, dfs in (got, want))
+    assert all(map(_same, got, want)), (got, want)
+    assert len(want) > 50
 
 
 def test_float_trie_walk_matches_walk_shifts():
@@ -1349,14 +1351,6 @@ def test_float_trie_walk_matches_walk_shifts():
             for label, (end, v) in got.items():
                 assert end == want[label][0], (w, label)
                 assert abs(v - want[label][1]) <= 1e-15 * abs(v), (w, label)
-        # so does the exact checks' reduction: each word against nothing
-        # reads the largest of its walked window entries
-        inside = set(window)
-        assert combos_residuals(
-            rep, [([(1.0, [(g, False) for g in w])], []) for w in batch], W,
-            ctx_of=lambda rep, dps: ctx) == [
-                max(abs(v) for ends in walked.values() for end, v in ends[i]
-                    if end in inside) for i in range(len(batch))]
 
 
 # ---------------------------------------------------------------------------
@@ -1451,12 +1445,6 @@ def test_largest_row_converts_once(rows, ties, top):
         man = (man % (1 << bc)) | (1 << (bc - 1)) | 1
         rows += [_raw(sign, man, top - bc), _raw(1 - sign, man, top - bc)]
     want = max_or_nan(0.0, *map(MPCtx.magnitude, rows))
-    floats = [to_float(v, rnd=round_nearest) for v in rows]
     for order in (rows, rows[::-1]):
         got = MPCtx.magnitude(functools.reduce(MPCtx.larger, order, fzero))
-        assert _same(got, want), order
-    # the float context's `larger` reads the same on the rows as floats
-    for order in (floats, floats[::-1]):
-        got = FloatCtx.magnitude(
-            functools.reduce(FloatCtx.larger, order, 0.0))
         assert _same(got, want), order

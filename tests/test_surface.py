@@ -252,7 +252,7 @@ SCALAR_INTERFACE_ONLY = {
     "ncalg": ("_expand_recipe",),
     "labels": ("LabelRep", "_z_steps", "rep_podles", "rep_bl",
                "_tensor_terms", "_StepTable", "_SegmentTables", "_label_trie",
-               "_branch_trie", "trie_walks", "walk_ctx", "combos_residuals"),
+               "_branch_trie", "trie_walks", "combos_residuals"),
     "invariance": ("invariance_defects",),
 }
 
