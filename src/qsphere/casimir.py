@@ -12,7 +12,6 @@ weighted shifts, and the dense matrix is only written for --dump.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -57,10 +56,11 @@ def branch_indices(sign, branch, N: int) -> range:
     return range(N - 1) if lower else range(N)
 
 
-def closed_form_eigvec(p: QParams, x: float, sign, branch, k: int,
-                       N: int) -> list:
-    """Unit eigenvector of the Casimir matrix at tau(x + branch), as its
-    nonzero entries [(slot, value)] in slot order.
+def closed_form_eigvecs(p: QParams, x: float, sign, branch, N: int) -> list:
+    """Unit eigenvectors of the Casimir matrix at tau(x + branch), vector k
+    for each k of `branch_indices`, each as its nonzero entries [(slot,
+    value)] in slot order; the float context, q^x and the norm are built
+    once for the family.
 
     Slots are the tensor basis (index 2j for e_j x e_+, 2j+1 for
     e_j x e_-).  The two entries are the square roots of the two factors
@@ -69,19 +69,11 @@ def closed_form_eigvec(p: QParams, x: float, sign, branch, k: int,
     and sqrt(1 + q^(2j -+ 2x)), the series' x-weight q^x on the second
     (plus) or the first (minus), over the norm sqrt(1 + q^(2x)).
     """
-    if k not in branch_indices(sign, branch, N):
-        raise ValueError(f"k={k} outside the branch range at N={N}")
-    return _eigvec_family(p.q, float(x), _norm_sign(sign), branch)(k)
-
-
-@functools.lru_cache(maxsize=64)
-def _eigvec_family(q: float, x: float, sgn: int, br: int):
-    """One family's vector k as a function of k, the float context, q^x and
-    the norm sqrt(1 + q^(2x)) built once for the family."""
-    ctx = FloatCtx(q, x)
+    sgn, br = _norm_sign(sign), _norm_branch(branch)
+    ctx = FloatCtx(p.q, float(x))
     qx, denom = ctx.qpow(0, 1), _sqrt_coeff(ctx, [(-1, 0, 2)])
-
-    def entries(k: int) -> list:
+    vectors = []
+    for k in branch_indices(sign, branch, N):
         j = k if sgn == br else k + 1
         # an exact zero factor (j = 0) leaves the first vector one entry
         a, b = (_sqrt_coeff(ctx, [f]) or 0.0
@@ -89,20 +81,20 @@ def _eigvec_family(q: float, x: float, sgn: int, br: int):
         a, b = (a, qx * b) if sgn == 1 else (qx * a, b)
         low, high = (-a, b) if sgn == br else (b, a)
         pairs = ((2 * j - 2, low / denom), (2 * j + 1, high / denom))
-        return [(slot, c) for slot, c in pairs if c != 0]
-    return entries
+        vectors.append([(slot, c) for slot, c in pairs if c != 0])
+    return vectors
 
 
 def eigvec_shifts(p: QParams, x: float, sign, branch, N: int) -> list:
-    """The eigenvectors of one family in two-entry form: two one-to-one
-    weighted shifts (supports are disjoint), column j going to the slots of
-    vector j's nonzero entries."""
-    ks = branch_indices(sign, branch, N)
-    shifts = [(np.full(len(ks), -1, dtype=np.intp),
-               np.zeros(len(ks), dtype=np.complex128)) for _ in range(2)]
-    for j, k in enumerate(ks):
-        for (tgt, coef), (slot, v) in zip(
-                shifts, closed_form_eigvec(p, x, sign, branch, k, N)):
+    """The eigenvectors of one family (`closed_form_eigvecs`) in two-entry
+    form: two one-to-one weighted shifts (supports are disjoint), column j
+    going to the slots of vector j's nonzero entries."""
+    vectors = closed_form_eigvecs(p, x, sign, branch, N)
+    shifts = [(np.full(len(vectors), -1, dtype=np.intp),
+               np.zeros(len(vectors), dtype=np.complex128))
+              for _ in range(2)]
+    for j, vec in enumerate(vectors):
+        for (tgt, coef), (slot, v) in zip(shifts, vec):
             tgt[j], coef[j] = slot, v
     return shifts
 

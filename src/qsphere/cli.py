@@ -443,15 +443,15 @@ def _min_N(cmd: str, a) -> int:
 def _reach(cmd: str, a) -> float:
     """The largest E for which `cmd` forms q^-E in double precision: 2|x|
     in the podles shifts and Casimir eigenvectors, |x|+1 in tau(x)/q, 6l in
-    the bl rules, 4l+1/2 in theta's ladder, 4l+2 in theorem2's block, 2N+|x|
-    in compress's tensor Zi."""
+    the bl rules, 4l+2 in theorem2's block, 2N+|x| in compress's tensor
+    Zi."""
     x = abs(a.x) if isinstance(a.x, float) else 0.0
     pod, bl, alg = max(2 * x, x + 1), 6 * a.l, a.alg
     return {"relations": max(pod if a.dump and alg != "bl" else 0,
                              x + 1 if alg in (None, "podles") else 0,
                              bl if alg in (None, "bl") else 0),
             "casimir": pod, "compress": max(pod, 2 * a.N + x),
-            "theta": 4 * a.l + 0.5, "functional": max(x + 1, bl),
+            "functional": max(x + 1, bl),
             "ergodic": max(pod, bl), "theorem2": 4 * a.l + 2,
             "oracle": max(pod, bl)}.get(cmd, 0.0)
 

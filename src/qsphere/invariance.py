@@ -2,7 +2,9 @@
 the spin-ladder laws for the grading-odd generators, the invariance of the
 Casimir under the tensored representation, and the truncation defects of the
 invariant functional (a weighted trace with density |Z|).  Invariant
-subspaces, which take SVDs, are in `action`.
+subspaces, which take SVDs, are in `action`.  The adjoint action's letters
+and E and F scales live in `_AD`; every coefficient is computed in the
+context its check walks in (`walk_ctx`).
 
 On a two-summand space the implementer absorbs the sign operator e (the
 images e*b), which is what makes the action close on the summand-swapping
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .qcore import FloatCtx, QParams, _sqrt_coeff, q_pochhammer
+from .qcore import QParams, _sqrt_coeff, lam_of
 from .ncalg import a_gen
 from .labels import (
     combos_residuals,
@@ -22,6 +24,7 @@ from .labels import (
     rep_podles,
     step_tables,
     trie_walks,
+    walk_ctx,
     walk_dps,
 )
 
@@ -30,15 +33,21 @@ from .labels import (
 # adjoint action as segment combos (walked exactly in mp arithmetic)
 # ---------------------------------------------------------------------------
 
-# the adjoint action of U_q(su2), the one place its letters are written:
-# each generator's terms as (sign, implementer letters left of M, letters
-# right of M); ad_K M = Z M Zi, ad_E M = sqrt(q) lam (Zi M X - Zi X M) and
+# the adjoint action of U_q(su2), the one place its letters and scales are
+# written: each generator's scale q^(h/2) lam as h (None for K's 1), and its
+# terms as (sign, implementer letters left of M, letters right of M);
+# ad_K M = Z M Zi, ad_E M = sqrt(q) lam (Zi M X - Zi X M) and
 # ad_F M = q^(-3/2) lam (M Y Zi - Y M Zi), lam = 1/(q - q^-1)
 _AD = {
-    "K": ((1, ("Z",), ("Zi",)),),
-    "E": ((1, ("Zi",), ("X",)), (-1, ("Zi", "X"), ())),
-    "F": ((1, (), ("Y", "Zi")), (-1, ("Y",), ("Zi",))),
+    "K": (None, ((1, ("Z",), ("Zi",)),)),
+    "E": (1, ((1, ("Zi",), ("X",)), (-1, ("Zi", "X"), ()))),
+    "F": (-3, ((1, (), ("Y", "Zi")), (-1, ("Y",), ("Zi",)))),
 }
+
+
+def _half_lam(ctx, h):
+    """q^(h/2) lam in the arithmetic of ctx; None (an exact 1) for None."""
+    return None if h is None else ctx.mul(ctx.sqrt(ctx.qpow(h)), lam_of(ctx))
 
 
 def _ad_segments(left, segs, right) -> list:
@@ -47,87 +56,91 @@ def _ad_segments(left, segs, right) -> list:
             + [(g, True) for g in right])
 
 
-def combo_ad(g: str, combos: list, p: QParams) -> list:
-    """Apply one adjoint generator to segment combos (implementer letters):
-    each combo becomes one combo per term of `_AD[g]`, in term order, with
-    coefficient sign * (scale * coefficient); K's is kept as it is."""
-    if g not in _AD:
-        raise KeyError(f"adjoint action has no generator {g}")
-    scale = {"K": None, "E": math.sqrt(p.q) * p.lam,
-             "F": (p.q ** -1.5) * p.lam}[g]
-    return [(coef if scale is None else sign * (scale * coef),
+def combo_ad(g: str, combos: list, ctx) -> list:
+    """Apply one adjoint generator to segment combos (implementer letters),
+    their coefficients values of ctx: each combo becomes one combo per term
+    of `_AD[g]`, in term order, with coefficient sign * (scale *
+    coefficient) in the arithmetic of ctx; K's is kept as it is."""
+    h, terms = _AD[g]   # a KeyError for a generator it has not
+    scale = _half_lam(ctx, h)
+    return [(coef if scale is None else ctx.scale(sign, ctx.mul(scale, coef)),
              _ad_segments(left, segs, right))
-            for coef, segs in combos for sign, left, right in _AD[g]]
+            for coef, segs in combos for sign, left, right in terms]
 
 
 # ---------------------------------------------------------------------------
 # the spin-ladder family
 # ---------------------------------------------------------------------------
 
-def lambda_s(p: QParams, l, s: int) -> float:
-    """Positive normalization making the graded generators a spin-2l ladder."""
+def pochhammer_factors(n: int, r: int) -> list:
+    """The q-shifted factorial (q^n; q^2)_r = prod_{k<r} (1 - q^(n+2k)) as
+    a factor list of `qcore._sqrt_coeff`, empty (a product of 1) at r = 0."""
+    if r < 0 or r % 1:   # inf % 1 is nan, so r = inf is refused too
+        raise ValueError(f"r must be a nonnegative integer, got {r}")
+    return [(1, n + 2 * k, 0) for k in range(r)]
+
+
+def lambda_s(ctx, l, s: int):
+    """Positive normalization making the graded generators a spin-2l
+    ladder, q^(s(s-1)/2) sqrt((q^(4l-2s+2); q^2)_(s+2l) / (q^2; q^2)_(s+2l)),
+    in the arithmetic of ctx."""
     twol = int(2 * l)
-    q2 = p.q ** 2
-    num = q_pochhammer(p.q ** (2 * twol - 2 * s + 2), q2, s + twol).real
-    den = q_pochhammer(q2, q2, s + twol).real
-    return p.q ** (s * (s - 1) / 2) * math.sqrt(num / den)
+    num = _sqrt_coeff(ctx, pochhammer_factors(2 * twol - 2 * s + 2, s + twol))
+    den = _sqrt_coeff(ctx, pochhammer_factors(2, s + twol))
+    return ctx.mul(ctx.qpow(s * (s - 1) // 2), ctx.mul(num, ctx.inv(den)))
 
 
-def ladder_coeff_e(p: QParams, l, s: int) -> float:
-    """Coefficient in theta_s <| E = c * theta_(s-1); zero exactly at the
-    lowest weight s = -2l, where its first factor vanishes."""
+def ladder_coeff(ctx, l, s: int):
+    """c in theta_s <| E = c theta_(s-1) and theta_(s-1) <| F = q^(2s-2) c
+    theta_s, in the arithmetic of ctx; None where it vanishes exactly, at
+    the lowest weight s = -2l and above the highest, s = 2l + 1."""
     twol = int(2 * l)
-    c = _sqrt_coeff(FloatCtx(p.q),
-                    [(1, 2 * twol + 2 * s, 0), (1, 2 * twol - 2 * s + 2, 0)])
-    return 0.0 if c is None else p.q ** (-s - twol + 0.5) * p.lam * c
+    c = _sqrt_coeff(ctx, [(1, 2 * twol + 2 * s, 0),
+                          (1, 2 * twol - 2 * s + 2, 0)])
+    return c and ctx.mul(_half_lam(ctx, 1 - 2 * s - 2 * twol), c)
 
 
-def ladder_coeff_f(p: QParams, l, s: int) -> float:
-    """Coefficient in theta_s <| F = c * theta_(s+1); zero exactly at the
-    highest weight s = 2l, where its second factor vanishes."""
-    twol = int(2 * l)
-    c = _sqrt_coeff(FloatCtx(p.q),
-                    [(1, 2 * twol + 2 * s + 2, 0), (1, 2 * twol - 2 * s, 0)])
-    return 0.0 if c is None else p.q ** (s - twol - 0.5) * p.lam * c
-
-
-def spin2l_laws(p: QParams, l) -> dict:
+def spin2l_laws(ctx, l) -> dict:
     """The K/E/F ladder laws of every component, the highest/lowest weight
-    vanishing included, as {name: (combos, target combos)}."""
+    vanishing included, as {name: (combos, target combos)}, their
+    coefficients values of ctx."""
     twol = int(2 * l)
+    lam = {s: lambda_s(ctx, l, s) for s in range(-twol, twol + 1)}
     out = {}
-    for s in range(-twol, twol + 1):
-        th = [(lambda_s(p, l, s), [(a_gen(s), False)])]
-        tgt_k = [(p.q ** (2 * s) * lambda_s(p, l, s), [(a_gen(s), False)])]
-        tgt_e = ([(ladder_coeff_e(p, l, s) * lambda_s(p, l, s - 1),
-                   [(a_gen(s - 1), False)])] if s > -twol else [])
-        tgt_f = ([(ladder_coeff_f(p, l, s) * lambda_s(p, l, s + 1),
-                   [(a_gen(s + 1), False)])] if s < twol else [])
-        for g, tgt in (("K", tgt_k), ("E", tgt_e), ("F", tgt_f)):
-            out[f"{g}_s{s:+d}"] = (combo_ad(g, th, p), tgt)
+    for s, th in lam.items():
+        f = ladder_coeff(ctx, l, s + 1)
+        # theta_s <| g = c * theta_t, c None where it vanishes exactly
+        for g, c, t in (("K", ctx.qpow(2 * s), s),
+                        ("E", ladder_coeff(ctx, l, s), s - 1),
+                        ("F", f and ctx.mul(ctx.qpow(2 * s), f), s + 1)):
+            tgt = [] if c is None else [(ctx.mul(c, lam[t]),
+                                         [(a_gen(t), False)])]
+            out[f"{g}_s{s:+d}"] = (
+                combo_ad(g, [(th, [(a_gen(s), False)])], ctx), tgt)
     return out
 
 
 def spin2l_check(p: QParams, l, N: int) -> dict:
-    """Residuals of the ladder laws (`spin2l_laws`), walked in one
+    """Residuals of the ladder laws (`spin2l_laws`), built and walked in one
     `combos_residuals` call in mp arithmetic so that the inverse-diagonal
     factor of the action does not amplify rounding noise."""
-    laws = spin2l_laws(p, l)
-    return dict(zip(laws, combos_residuals(rep_bl(p, l, N),
-                                           list(laws.values()), N)))
+    rep = rep_bl(p, l, N)
+    laws = spin2l_laws(walk_ctx(rep, N), l)
+    return dict(zip(laws, combos_residuals(rep, list(laws.values()), N)))
 
 
 def casimir_invariance(p: QParams, x: float, N: int) -> dict:
     """Residuals of ad_K(T2)=T2, ad_E(T2)=0, ad_F(T2)=0 on the tensor window
     of the plus series, the implementer being the tensored representation
-    itself; the three walked in one `combos_residuals` call.  Only the
-    casimir command, which loads numpy anyway, asks for it."""
+    itself; the three built and walked in one `combos_residuals` call.
+    Only the casimir command, which loads numpy anyway, asks for it."""
     from .reps import TensorRep
     rep2 = TensorRep(rep_podles(p, x, "plus", N))
-    tw = [(1.0, [("T", False)])]
+    ctx = walk_ctx(rep2, N)
+    tw = [(ctx.one, [("T", False)])]
     return dict(zip("KEF", combos_residuals(rep2, [
-        (combo_ad("K", tw, p), tw), (combo_ad("E", tw, p), []),
-        (combo_ad("F", tw, p), [])], N)))
+        (combo_ad("K", tw, ctx), tw), (combo_ad("E", tw, ctx), []),
+        (combo_ad("F", tw, ctx), [])], N)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +158,15 @@ def invariance_defects(words, rep, W: int) -> list:
     relative to its own size ~ q^(2W), which a head summation (absolute
     error ~1e-16 * |M|) cannot resolve.  The tail terms sit far below
     double precision, so they are walked exactly, in one context set up once
-    per call (the representation's shared mp context, `mpscalar.mp_ctx`),
+    per call (the representation's shared mp context, `labels.walk_ctx`),
     as one prefix trie of every word's walks (`labels.trie_walks`),
     and summed through the context's scalar interface alone.
 
     Only diagonals are read.  Each generator is a pair of walks built from
     `_AD` with M's plain letters, ad_K M against M and the + term of ad_E
     and ad_F against the - term, summed as d * pref * (a - b) over the tail
-    labels, each term's sign read from `_AD`.  Both walks of a pair make the
+    labels, each term's sign and the prefactor (its scale) read from
+    `_AD`.  Both walks of a pair make the
     same move and can return to their label only if it cancels.  A pair
     whose move does not cancel is not walked and sums to 0, or to NaN where
     a density or its prefactor is not finite, as its zero differences
@@ -163,13 +177,8 @@ def invariance_defects(words, rep, W: int) -> list:
     q = rep.meta["q"]
     tail = max(8, int(math.ceil(16.0 * math.log(10)
                                 / (2.0 * abs(math.log(q)))))) + 4
-    from . import mpscalar   # loaded already by a command that walks exactly
-    ctx = mpscalar.mp_ctx(rep, walk_dps(rep, W + tail, slack=25))
+    ctx = walk_ctx(rep, W, walk_dps(rep, W + tail, slack=25))
     mul, add, zero, finite = ctx.mul, ctx.add, ctx.zero, ctx.is_finite
-    q1, qm1 = ctx.qpow(1), ctx.qpow(-1)
-    lam = ctx.inv(ctx.sub(q1, qm1))
-    pref_e = mul(ctx.sqrt(q1), lam)
-    pref_f = mul(mul(qm1, ctx.sqrt(qm1)), lam)
     labels = [(fam, k) for fam, kmin in rep.families
               for k in range(kmin + W, kmin + W + tail)]
     densities = [ctx.qpow(*rep.zexp(*label)[1:]) for label in labels]
@@ -177,8 +186,8 @@ def invariance_defects(words, rep, W: int) -> list:
     # per generator: its prefactor, whether that is finite, and its
     # pair's two terms
     pairs = []
-    for g, pref in (("K", None), ("E", pref_e), ("F", pref_f)):
-        terms = _AD[g]
+    for h, terms in _AD.values():
+        pref = _half_lam(ctx, h)
         if len(terms) == 1:
             terms += ((-1, (), ()),)   # ad_K M against M
         pairs.append((pref, pref is None or finite(pref), terms))

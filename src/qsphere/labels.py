@@ -33,7 +33,7 @@ import functools
 import math
 import weakref
 
-from .qcore import FloatCtx, QParams, _sqrt_coeff, tau_of
+from .qcore import FloatCtx, QParams, _sqrt_coeff, lam_inv_of, tau_of
 from .ncalg import NCPoly, Presentation
 
 MP_DPS = 40
@@ -263,8 +263,7 @@ def _tensor_terms(g, ctx):
     """The coaction: tensor generator g as [(base generator, [(row spin,
     column spin, value)])], values in the arithmetic of ctx and None
     standing for an exact 1; spin 0 is e_+, spin 1 is e_-."""
-    q1, qm1 = ctx.qpow(1), ctx.qpow(-1)
-    lam_inv = ctx.sub(q1, qm1)
+    q1, qm1, lam_inv = ctx.qpow(1), ctx.qpow(-1), lam_inv_of(ctx)
     if g == "Z":
         return [("Z", [(0, 0, q1), (1, 1, qm1)])]
     if g == "Zi":
@@ -295,10 +294,10 @@ def _tensor_terms(g, ctx):
 # where the step lands in the "-" family.  A recipe item ("zf", sign, n, m)
 # is one more segment kind, the diagonal factor 1 - sign*q^(n+mx)*Z, and so
 # is a recipe's lead ("lead", sign, n, m), the scalar sign*q^(n+mx).  A
-# "combo" (coefficient, [segments]) is a real Python coefficient times the
-# operator product of the segments; the kernel is real throughout.  It walks
-# label representations and tensors of one (`reps.TensorRep`), whose steps
-# branch.
+# "combo" (coefficient, [segments]) is a context value or real number times
+# the operator product of the segments; the kernel is real throughout.  It
+# walks label representations and tensors of one (`reps.TensorRep`), whose
+# steps branch.
 #
 # The step tables and the trie walkers compute only through their context's
 # scalar interface (`qcore`): an `mpscalar.MPCtx` computes on raw mpmath
@@ -493,20 +492,18 @@ def trie_walks(tables, paths, labels):
 
 def combos_residuals(rep, pairs, W: int, dps: int | None = None) -> list:
     """max |combos_a - combos_b| over window columns and rows for each pair
-    (combos_a, combos_b), walked at `dps` digits (window-adaptive,
-    `walk_dps`, by default) in the representation's shared mp context
-    (`mpscalar.mp_ctx`), through its scalar interface alone.  The distinct paths of all the pairs are one
-    trie, walked from each window label; then each pair adds its combos into
-    its rows in combo order, combos_b subtracted one by one, and keeps its
-    largest window row (the context's `larger`), read as a float once.
+    (combos_a, combos_b), walked in `walk_ctx(rep, W, dps)` through its
+    scalar interface alone (`number` takes a coefficient in).  The distinct
+    paths of all the pairs are one trie, walked from each window label; then
+    each pair adds its combos into its rows in combo order, combos_b
+    subtracted one by one, and keeps its largest window row (the context's
+    `larger`), read as a float once.
     Every pair reads NaN when the window has no label, so that a check that
     evaluated nothing fails."""
     inside = set(window_labels(rep, W))
     if not inside:
         return [math.nan] * len(pairs)
-    dps = walk_dps(rep, W) if dps is None else dps
-    from . import mpscalar   # loaded already by a command that walks exactly
-    ctx = mpscalar.mp_ctx(rep, dps)
+    ctx = walk_ctx(rep, W, dps)
     mul, add, sub, zero = ctx.mul, ctx.add, ctx.sub, ctx.zero
     tables, paths = step_tables(rep, ctx), {}
     # each pair's combos as (path number, coefficient or None for an
@@ -563,6 +560,13 @@ def walk_dps(rep, W: int, slack: int = 30) -> int:
     x = abs(x) if math.isfinite(x) else 0.0
     exponent = 2 * W + 2 * x + 16
     return int(math.ceil(exponent * math.log10(1.0 / q))) + slack
+
+
+def walk_ctx(rep, W: int, dps: int | None = None):
+    """The mp context the exact checks walk `rep` in, which builds their
+    values: `mpscalar.mp_ctx` at `dps` digits, by default `walk_dps`'s."""
+    from . import mpscalar   # loaded already by a command that walks exactly
+    return mpscalar.mp_ctx(rep, walk_dps(rep, W) if dps is None else dps)
 
 
 def combos_residual(rep, combos_a, combos_b, W: int) -> float:

@@ -103,8 +103,10 @@ class MPCtx:
 
     @staticmethod
     def number(c):
-        """A real Python coefficient as a raw mpf, exactly as mpmath
-        converts it (`qcore.real_coefficient`)."""
+        """A coefficient as a raw mpf: a raw value as it is, a real Python
+        one exactly as mpmath converts it (`qcore.real_coefficient`)."""
+        if type(c) is tuple:
+            return c
         c = real_coefficient(c)
         return from_int(c) if isinstance(c, int) else from_float(float(c))
 

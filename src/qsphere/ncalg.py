@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .qcore import FloatCtx, QParams, tau
+from .qcore import FloatCtx, QParams, lam_of, tau
 
 Gen = object  # str or ("A", s)
 Word = tuple
@@ -247,7 +247,7 @@ def make_presentation(name: str, p: QParams, x: float | None = None,
     grading = {X: (-1, 0), Y: (1, 0), Z: (0, 0)}
     if name == "uqsu2":
         gens = ("E", "F", "K", "Ki")
-        lam = p.lam
+        lam = lam_of(FloatCtx(q))
         rules = [
             Rule(("K", "Ki"), {(): 1.0}, "K*Ki"),
             Rule(("Ki", "K"), {(): 1.0}, "Ki*K"),

@@ -1,7 +1,7 @@
 """Scalar layer: q-dependent constants and special functions.
 
 Everything downstream works at a fixed deformation parameter 0 < q < 1.
-The derived constant lam = (q - 1/q)^-1 is negative on that range.  The
+The derived constant lam = (q - 1/q)^-1 (`lam_of`) is negative there.  The
 coefficient formulas, the step tables and the trie walkers compute in a
 scalar context, through one interface: `one`, `zero`, `mul`, `add`, `sub`,
 `neg`, `scale` (int times value), `inv`, `sqrt`, `is_negative`, `qpow` and
@@ -9,7 +9,7 @@ scalar context, through one interface: `one`, `zero`, `mul`, `add`, `sub`,
 raw mpmath values at its own precision, the exact walk kernel's arithmetic.
 The exact checks' reductions compute through that interface too, and
 through five more operations, which `MPCtx` gives and `FloatCtx` does not:
-`nan`, `number` (a real Python coefficient as a value, `real_coefficient`),
+`nan`, `number` (a coefficient as a value, `real_coefficient`),
 `magnitude` (|value| as a float), `larger` (the larger of two values in
 magnitude, NaN above an infinity above every number) and `is_finite`.
 """
@@ -25,10 +25,9 @@ Q_SAFE_RANGE = (0.05, 0.95)
 
 
 class QParams:
-    """Deformation parameter q with its derived constant lam; immutable,
-    equal and hashed by q."""
+    """Deformation parameter q; immutable, equal and hashed by q."""
 
-    __slots__ = ("q", "lam")
+    __slots__ = ("q",)
 
     def __init__(self, q: float):
         if not (0.0 < q < 1.0):
@@ -40,7 +39,6 @@ class QParams:
                 stacklevel=2,
             )
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "lam", 1.0 / (q - 1.0 / q))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -57,7 +55,7 @@ class QParams:
         return hash(self.q)
 
     def __repr__(self):
-        return f"QParams(q={self.q!r}, lam={self.lam!r})"
+        return f"QParams(q={self.q!r})"
 
 
 class FloatCtx:
@@ -131,22 +129,16 @@ def tau_of(ctx):
     return ctx.sub(ctx.qpow(0, -1), ctx.qpow(0, 1))
 
 
+def lam_inv_of(ctx):
+    """q - q^-1, the inverse of lam, in the arithmetic of ctx."""
+    return ctx.sub(ctx.qpow(1), ctx.qpow(-1))
+
+
+def lam_of(ctx):
+    """lam = 1/(q - q^-1) in the arithmetic of ctx."""
+    return ctx.inv(lam_inv_of(ctx))
+
+
 def tau(p: QParams, x: float) -> float:
     """q^-x - q^x.  Total on [-inf, +inf]; strictly increasing, odd in x."""
     return tau_of(FloatCtx(p.q, x))
-
-
-def q_pochhammer(a: complex, base: float, r) -> complex:
-    """prod_{k=0}^{r-1} (1 - base^k a); the empty product (r=0) is 1.
-
-    The base is explicit because downstream formulas mix base q and base q^2.
-    """
-    if r < 0 or r % 1:   # inf % 1 is nan, so r = inf is refused too
-        raise ValueError(f"r must be a nonnegative integer, got {r}")
-    out = 1.0
-    term = complex(a)
-    for _ in range(int(r)):
-        out *= 1.0 - term
-        term *= base
-    return out
-

@@ -60,7 +60,7 @@ def defect_sums(word, rep, W):
         prec = ctx.prec
         lam = 1 / (ctx.qpow(1) - ctx.qpow(-1))
         pref_e = (ctx.sqrt(ctx.qpow(1)) * lam)._mpf_
-        pref_f = (ctx.qpow(-1) * ctx.sqrt(ctx.qpow(-1)) * lam)._mpf_
+        pref_f = (ctx.sqrt(ctx.qpow(-3)) * lam)._mpf_
         tables = step_tables(rep, mp_ctx(rep, dps))
         Z, Zi, X, Y = (tables[(g, True)] for g in ("Z", "Zi", "X", "Y"))
         mw = segment_path(tables, [(g, False) for g in word])

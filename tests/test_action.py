@@ -17,12 +17,13 @@ from qsphere import action, mpscalar
 from qsphere.action import invariant_subspace, kernel_residual
 from qsphere.invariance import (
     invariance_defects,
-    ladder_coeff_e,
-    ladder_coeff_f,
+    ladder_coeff,
     lambda_s,
     spin2l_check,
 )
-from qsphere.labels import rep_bl, rep_podles
+from qsphere.labels import rep_bl, rep_podles, walk_ctx
+from qsphere.mpscalar import MPCtx
+from qsphere.qcore import FloatCtx, lam_of
 from qsphere.reps import TensorRep, max_abs
 from reference_scalar import MPObjectCtx
 
@@ -50,20 +51,27 @@ def test_casimir_matrix_is_invariant():
 
 
 def test_lambda_lowest_weight_closed_form():
-    # both q-factorials are empty products at s = -2l
+    # both q-factorials are empty products at s = -2l; in floats, and in
+    # mp at 40 digits
     for l in (0.5, 1, 1.5, 2):
         twol = int(2 * l)
         want = Q ** (twol * (twol + 1) / 2)
-        assert lambda_s(P, l, -twol) == pytest.approx(want, rel=1e-14)
+        assert lambda_s(FloatCtx(Q), l, -twol) == pytest.approx(want,
+                                                                rel=1e-14)
+        ctx = MPCtx(Q)
+        assert lambda_s(ctx, l, -twol) == ctx.qpow(twol * (twol + 1) // 2)
 
 
 def test_ladder_boundary_vanishing():
-    for l in (0.5, 1, 2):
-        twol = int(2 * l)
-        assert ladder_coeff_e(P, l, -twol) == 0.0
-        assert ladder_coeff_f(P, l, twol) == 0.0
-        for s in range(-twol + 1, twol + 1):
-            assert ladder_coeff_e(P, l, s) != 0.0
+    # E's coefficient from the lowest weight and F's from the highest (E's
+    # from one above it) vanish exactly, every other one is nonzero
+    for ctx in (FloatCtx(Q), MPCtx(Q)):
+        for l in (0.5, 1, 2):
+            twol = int(2 * l)
+            assert ladder_coeff(ctx, l, -twol) is None
+            assert ladder_coeff(ctx, l, twol + 1) is None
+            for s in range(-twol + 1, twol + 1):
+                assert ladder_coeff(ctx, l, s) not in (None, ctx.zero)
 
 
 def test_highest_and_lowest_weight_killed():
@@ -85,30 +93,32 @@ def test_ad_composition_q_commutation():
     from qsphere.invariance import combo_ad
     from qsphere.labels import combos_residual
     rep = rep_bl(P, 0.5, 16)
+    ctx = walk_ctx(rep, 16)   # the context the residual walks in
     pres = make_presentation("bl", P, l=0.5)
     for w in random_words(pres, 8, 3, seed=17):
-        base = _plain_combos(NCPoly({w: 1.0}))
-        lhs = combo_ad("E", combo_ad("K", base, P), P)
-        rhs = [(Q**2 * c, segs)
-               for c, segs in combo_ad("K", combo_ad("E", base, P), P)]
+        base = [(ctx.one, segs) for _, segs in _plain_combos(NCPoly({w: 1}))]
+        lhs = combo_ad("E", combo_ad("K", base, ctx), ctx)
+        rhs = [(ctx.mul(ctx.qpow(2), c), segs)
+               for c, segs in combo_ad("K", combo_ad("E", base, ctx), ctx)]
         assert combos_residual(rep, lhs, rhs, 16) < 1e-10, w
 
 
-def _parent_combo_ad(g, combos, p):
-    """combo_ad as it was written out per generator before `_AD`."""
-    q, lam = p.q, p.lam
+def _parent_combo_ad(g, combos, ctx):
+    """combo_ad as it was written out per generator before `_AD`, in the
+    arithmetic of ctx."""
+    lam = ctx.inv(ctx.sub(ctx.qpow(1), ctx.qpow(-1)))
     out = []
     for coef, segs in combos:
         if g == "K":
             out.append((coef, [("Z", True)] + segs + [("Zi", True)]))
         elif g == "E":
-            c = math.sqrt(q) * lam * coef
+            c = ctx.mul(ctx.mul(ctx.sqrt(ctx.qpow(1)), lam), coef)
             out.append((c, [("Zi", True)] + segs + [("X", True)]))
-            out.append((-c, [("Zi", True), ("X", True)] + segs))
+            out.append((ctx.neg(c), [("Zi", True), ("X", True)] + segs))
         elif g == "F":
-            c = (q ** -1.5) * lam * coef
+            c = ctx.mul(ctx.mul(ctx.sqrt(ctx.qpow(-3)), lam), coef)
             out.append((c, segs + [("Y", True), ("Zi", True)]))
-            out.append((-c, [("Y", True)] + segs + [("Zi", True)]))
+            out.append((ctx.neg(c), [("Y", True)] + segs + [("Zi", True)]))
     return out
 
 
@@ -122,14 +132,17 @@ def test_combo_ad_matches_written_out_action():
     from qsphere.invariance import combo_ad
     segs = [[], [(a_gen(1), False)], [("X", False), ("Y", True)],
             [("T", False), ("Zi", False), ("X", True)]]
-    for p in (P, QParams(0.3), QParams(0.83)):
-        for coefs in ((1, -3, 0), (1.0, -0.3, 2.7182818, 0.0, -0.0)):
-            combos = [(c, list(sg)) for c in coefs for sg in segs]
-            for g in "KEF":
-                assert (_bits(combo_ad(g, combos, p))
-                        == _bits(_parent_combo_ad(g, combos, p))), (p, g)
+    for q in (Q, 0.3, 0.83):
+        for ctx in (FloatCtx(q), MPCtx(q)):
+            for coefs in ((1, -3, 0), (1.0, -0.3, 2.7182818, 0.0, -0.0)):
+                combos = [(c if type(ctx) is FloatCtx else ctx.number(c),
+                           list(sg)) for c in coefs for sg in segs]
+                for g in "KEF":
+                    assert (_bits(combo_ad(g, combos, ctx))
+                            == _bits(_parent_combo_ad(g, combos, ctx))), (
+                                q, ctx, g)
     with pytest.raises(KeyError):
-        combo_ad("T", [(1.0, [])], P)
+        combo_ad("T", [(1.0, [])], FloatCtx(Q))
 
 
 def _star(poly):
@@ -180,12 +193,13 @@ def test_ad_e_star_is_minus_q2_ad_f():
     inside = set(window_labels(rep, W))
     for w in random_words(pres, 8, 3, seed=19):
         poly = NCPoly({w: 1.0 + 0.25j})
-        lhs_combos = combo_ad("E", _plain_combos(poly), P)
-        rhs_combos = [(-(Q**2) * c, segs)
-                      for c, segs in combo_ad(
-                          "F", _plain_combos(_star(poly)), P)]
         with mp.workdps(dps):
+            # complex coefficients, which mpf objects multiply as mpc
             ctx = MPObjectCtx(Q, rep.meta["x"], dps=dps)
+            lhs_combos = combo_ad("E", _plain_combos(poly), ctx)
+            rhs_combos = [(-ctx.qpow(2) * c, segs)
+                          for c, segs in combo_ad(
+                              "F", _plain_combos(_star(poly)), ctx)]
             lhs_entries, rhs_entries = {}, {}
             for col in window_labels(rep, W):
                 for row, v in _walk_column(rep, lhs_combos, col, ctx).items():
@@ -227,7 +241,8 @@ def test_invariance_defect_matches_direct_trace_at_small_window():
     words = [("Y",), ("Y", "Z"), ("X",), ("Z", "X")]
     for word, d in zip(words, invariance_defects(words, rep, W)):
         A = _img(rep, word, M)
-        adE = (math.sqrt(Q) * P.lam * (Zi @ (A @ X - X @ A)))[idx]
+        adE = (math.sqrt(Q) * lam_of(FloatCtx(Q))
+               * (Zi @ (A @ X - X @ A)))[idx]
         direct = abs(np.sum(dens * np.diag(adE)))
         assert d["E"] == pytest.approx(direct, rel=1e-6, abs=1e-14), word
 
@@ -289,7 +304,7 @@ def _reference_invariance_defects(word, rep, W):
 
         lam = 1 / (ctx.qpow(1) - ctx.qpow(-1))
         pref_e = ctx.sqrt(ctx.qpow(1)) * lam
-        pref_f = ctx.qpow(-1) * ctx.sqrt(ctx.qpow(-1)) * lam
+        pref_f = ctx.sqrt(ctx.qpow(-3)) * lam
         sK = sE = sF = mp.mpf(0)
         for fam, kmin in rep.families:
             for k in range(kmin + W, kmin + W + tail):
@@ -436,7 +451,7 @@ def test_functional_paths_walk_at_a_generic_label():
         for word in basis_words(pres, 4):
             mw = [(h, False) for h in word]
             for segs in [mw] + [_ad_segments(left, mw, right)
-                                for terms in _AD.values()
+                                for _, terms in _AD.values()
                                 for _, left, right in terms]:
                 paths.setdefault(tuple(reversed(segs)), len(paths))
         assert len(paths) == count
@@ -474,7 +489,8 @@ def test_live_pairs_return_and_dead_pairs_read_zero(functional_walks):
             live = 0
             for g in "KEF":
                 # the pair's letters: its first term's, as M's own move
-                letters = _AD[g][0][1] + _AD[g][0][2] + tuple(w)
+                _, left, right = _AD[g][1][0]
+                letters = left + right + tuple(w)
                 dk = sum(rep.move(h)[0] for h in letters)
                 swaps = sum(rep.move(h)[1] for h in letters)
                 if dk == 0 and swaps % 2 == 0:
@@ -499,7 +515,8 @@ def test_non_finite_x_reads_nan():
     for d in invariance_defects([("Y",), ("X", "Y")], rep, 8):
         assert all(math.isnan(v) for v in d.values()), d
     base = [(1.0, [("X", False), ("Y", False)])]
-    assert math.isnan(combos_residual(rep, combo_ad("K", base, P), base, 8))
+    assert math.isnan(combos_residual(
+        rep, combo_ad("K", base, walk_ctx(rep, 8)), base, 8))
 
 
 def test_invariance_defect_bound_and_slope():

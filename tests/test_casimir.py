@@ -10,7 +10,7 @@ from qsphere.casimir import (
     SPECTRUM_EDGE,
     branch_indices,
     casimir_matrix,
-    closed_form_eigvec,
+    closed_form_eigvecs,
     compress_identify,
     covered_indices,
     eigvec_shifts,
@@ -162,11 +162,13 @@ def test_closed_form_eigvec_matches_reference_bits():
     # non-integer x: the exponents (2k - 2x) + 2 and (2k + 2) - 2x round
     # differently at x = 1/3 for k = 1, 2, 3, 4, 7, 8, ...
     text = repr([(q, x, sign, branch, k,
-                  [(slot, v.hex()) for slot, v in closed_form_eigvec(
-                      QParams(q), x, sign, branch, k, 64)])
+                  [(slot, v.hex()) for slot, v in vec])
                  for q in (0.3, 0.8) for x in (1 / 3, -1.3, 8)
                  for sign in SIGNS for branch in BRANCHES
-                 for k in branch_indices(sign, branch, 64)])
+                 for k, vec in zip(branch_indices(sign, branch, 64),
+                                   closed_form_eigvecs(QParams(q), x, sign,
+                                                       branch, 64),
+                                   strict=True)])
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "5e3a7bebfc6f06bd7fd23a05118fc023db0897a2827fbbbaa5bf563cce25e65d")
 

@@ -147,10 +147,6 @@ def test_overflowing_compress_size_is_refused(capsys):
     (["functional", "--x", "1100", "--N", "24"],
      ["functional", "--x", "1000", "--N", "24"],
      ["functional", "--x", "8", "--N", "24"]),
-    # theta's ladder coefficients form q^-(4l+1/2)
-    (["theta", "--l", "600", "--N", "2408"],
-     ["theta", "--l", "255", "--N", "1024"],
-     ["theta", "--l", "1", "--N", "8"]),
 ])
 def test_overflowing_q_powers_are_refused(argv, edge, passing, capsys):
     assert run(argv + ["--json"]) == 2, argv
@@ -160,6 +156,32 @@ def test_overflowing_q_powers_are_refused(argv, edge, passing, capsys):
     # below the overflow the command is not refused, and runs
     assert cli._input_error(cli.build_parser().parse_args(edge)) is None
     assert run(passing + ["--json"]) == 0, passing
+
+
+def test_theta_at_large_l_is_not_refused():
+    # theta forms no float q-power: its ladder is built in the walk's mp
+    # context, so an l whose q^-(4l+1/2) overflows float64 is not refused
+    # (not run here: that walk is huge)
+    assert cli._input_error(cli.build_parser().parse_args(
+        ["theta", "--l", "600", "--N", "2408"])) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--q", "0.1", "--l", "2", "--N", "48"],
+    ["theta", "--q", "0.1", "--l", "3", "--N", "48"],
+    ["theta", "--q", "0.05", "--l", "2", "--N", "32"],
+    ["theta", "--q", "0.05", "--l", "3", "--N", "48"],
+    ["theta", "--q", "0.2", "--l", "3", "--N", "48"],
+])
+def test_theta_ladder_laws_hold_at_small_q(argv, capsys):
+    # the E and F laws' coefficients are computed in the walk's context:
+    # float ones left residuals up to 1.6e-3 here, above TOL_THETA
+    code, report = run_json(argv, capsys)
+    assert code == 0
+    details = report["checks"][0]["details"]
+    assert len(details) == 3 * (4 * int(argv[4]) + 1)
+    assert all(float(d["residual"]) <= 1e-30 for d in details
+               if d["item"][0] in "EF"), details
 
 
 @pytest.mark.parametrize("command", ["casimir", "compress", "oracle",
@@ -349,21 +371,21 @@ GOLDEN_REPORTS = {
     ("functional", "--x", "1.0", "--l", "0.5", "--N", "24"):
         "c7248f5f50e88a2f2415dc9df437c17b38854fc34907738d4bf9a9c0776b2976",
     ("theta", "--l", "1", "--N", "16"):
-        "b7b3eed960dd5fb97ddb0b963fd81a244b44f7ae05d4763e702236d9182a005f",
+        "996daaeca21748b151d0edaf74dddddd811117809022f26c824399daf0b4a10c",
     ("relations", "--x", "1.0", "--l", "1", "--N", "16"):
         "b9a1af45ee96413cdb8c86d4d8ba45b34589b173734d81d5ea5573a019dcef29",
     # the benchmark's own exact-walk invocations (perfbench's `walks_exact`)
     ("functional", "--x", "1.0", "--l", "0.5", "--N", "64"):
         "545307fe79551389994af19115d449890540d24c01aa345dd1362e3911bcf563",
     ("theta", "--l", "1", "--N", "64"):
-        "a9d2e0eda94ce558a49829929f8e3365f7570138da0240dea06f0e2481e92bb8",
+        "4461db043ad379043ac6fc3030d050c891b74cae76b2f80d74b914c4ee7ecfc3",
     ("relations", "--x", "1.0", "--l", "1", "--N", "64"):
         "4f767cbfc8f364b1202bc6c13612faecc1c5c89e921908cacdc989a961271697",
     # small q: long product-form recipes, and walks at high precision
     ("relations", "--q", "0.3", "--l", "2", "--N", "40"):
         "1f7a36926ef59b39e831b52c2cd5b9f536d9edddb6694b7d3288b5b12c8b7746",
     ("theta", "--q", "0.2", "--l", "1.5", "--N", "48"):
-        "7624f50eaa4eaeb5a862a579161979b3e5fe36787b53980516530afcbc487e78",
+        "85a1f0f20afcae323ddfb173e119986498818777ad2950ba1bf4b521039206bd",
     # the invariant functional across its word screen's cases: the minus
     # family, non-integer x, l = 0 and l = 2
     ("functional", "--q", "0.3", "--x", "1.0", "--l", "1.5", "--N", "48"):
@@ -377,23 +399,45 @@ GOLDEN_REPORTS = {
     # the adjoint action's K, E and F terms on theta's ladder at l = 1/2
     # and at l = 2, q = 0.8, and the functional at small q and non-integer x
     ("theta", "--l", "0.5", "--N", "32"):
-        "1c76063bcf8b12b0427cfb33e805fcd607035c15063cb83acfd54400f7a8a3f4",
+        "8f1448b3dc46a4579658f650538cb80078bb84a484996e1e92fea3b927eef0a0",
     ("theta", "--q", "0.8", "--l", "2", "--N", "48"):
-        "5e2e7cd99e1f75567dea05ee5eaa8852e65999372b25367ff244758f2f7931a2",
+        "6e5173e7ab6d67425c56701ca4b403c5cab7b2aa3c232b7266e50eb074d58c63",
+    # small q, where float ladder coefficients failed the E and F laws
+    ("theta", "--q", "0.1", "--l", "2", "--N", "48"):
+        "c93cd2a520868b2a0363dfed65ef2986770810da20a7ad249b660a32eb168538",
     ("functional", "--q", "0.2", "--x", "0.35", "--l", "0.5", "--N", "40"):
         "198c6d555dd6d56e86ee159d8bd581808dd307a01b21f3ea9c50650573c565d2",
 }
 
 
-def _report_digest(argv, capsys, code=0):
+def _assert_golden(argv, capsys, digest, code=0):
+    """Run argv with --json and compare the SHA-256 of its report with
+    `digest`; a mismatch lists the report's details, item and residual, so
+    that a re-pin can be audited detail by detail."""
     assert run(list(argv) + ["--json"]) == code
     payload = capsys.readouterr().out.rstrip("\n")
-    return hashlib.sha256(payload.encode()).hexdigest()
+    got = hashlib.sha256(payload.encode()).hexdigest()
+    assert got == digest, "\n".join(
+        [f"digest {got}, pinned {digest}; details:"]
+        + [f"  {check['check']} {d['item']}: {d['residual']}"
+           for check in json.loads(payload)["checks"]
+           for d in check["details"]])
+
+
+def test_golden_mismatch_lists_the_details(capsys):
+    with pytest.raises(AssertionError) as err:
+        _assert_golden(["theta", "--l", "0.5", "--N", "12"], capsys, "0")
+    lines = [ln.strip() for ln in str(err.value).splitlines()]
+    assert lines[0].startswith("digest ")
+    assert lines[0].endswith(", pinned 0; details:")
+    details = [ln.split() for ln in lines if ln.startswith("theta ")]
+    assert len(details) == 9 and ["theta", "K_s+0:"] in [
+        d[:2] for d in details]
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_REPORTS))
 def test_exact_walk_reports_are_golden(argv, capsys):
-    assert _report_digest(argv, capsys) == GOLDEN_REPORTS[argv]
+    _assert_golden(argv, capsys, GOLDEN_REPORTS[argv])
 
 
 # SHA-256 of the canonical JSON of the float oracle path: the step
@@ -434,11 +478,11 @@ GOLDEN_FLOAT_REPORTS = {
         "c875001d56a9d52ed6fc8f861abba726cf3d3b4b63d3f6a2569c482e38d5af21",
     # at small q, with the mp tensor walks of casimir_invariance
     ("casimir", "--q", "0.3", "--x", "2.5", "--N", "32"):
-        "8b32d4ddbc15f8742d6d6138e546cfa957186886f7187493fc00e213aea80125",
+        "76c3f5e0bbbb435d2c17a764861ae5336b9856fe265f12a83c9dfa4e4121d6cb",
     # near q = 1 and at non-integer x: the Casimir invariance's adjoint
     # action on the tensor walks, beside float shifts that depend on libm
     ("casimir", "--q", "0.8", "--x", "1.3", "--N", "24"):
-        "80d5196337a6bda53b98485a181f8b5e42b9c740253cae48711927f9a26569e6",
+        "3216885837e95a92d0756c7841912323d3e7364b3a8151d472d64b6fce166986",
     ("theorem2", "--l", "0.5", "--N", "16"):
         "09c519515f572d0aaddef079eb374544a2552e8f14d8afc8e9c353cf54b49414",
     # every suite at the arguments `all` gives it, half of them certified in
@@ -446,15 +490,15 @@ GOLDEN_FLOAT_REPORTS = {
     # from LAPACK's SVD, so these bytes also depend on numpy's bundled
     # OpenBLAS (the version CI pins)
     ("all", "--seed", "0"):
-        "3915a9c7d03829d26f9640c629b0e4d6710d3240664270291f15d08eccc715bc",
+        "9e0192d932ceb5b9badb0c3feef303351d2358e2ad8564049f58b77c5390ccc8",
     ("all", "--N", "24", "--D", "3", "--count", "10", "--seed", "0"):
-        "d5a6778cdc317f174c342dce52804ace9c135ae1f2925aa65dca0f546bebdb9d",
+        "28457e972e618a78c4b9f32ac659cb9cf7e0654edeb3d2ddc49b0c3cd405e240",
 }
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_FLOAT_REPORTS))
 def test_float_oracle_report_is_golden(argv, capsys):
-    assert _report_digest(argv, capsys) == GOLDEN_FLOAT_REPORTS[argv]
+    _assert_golden(argv, capsys, GOLDEN_FLOAT_REPORTS[argv])
 
 
 def test_failing_oracle_report_is_golden(capsys):
@@ -463,8 +507,9 @@ def test_failing_oracle_report_is_golden(capsys):
     # low bits of the residual, and with them this digest
     argv = ["oracle", "--x", "0.7", "--l", "1.5", "--N", "40", "--count",
             "300", "--seed", "9"]
-    assert _report_digest(argv, capsys, code=1) == (
-        "0362681f728a9bb4b0a64656aa8470f6011c7448516484180d66846e7fa982a6")
+    _assert_golden(argv, capsys, (
+        "0362681f728a9bb4b0a64656aa8470f6011c7448516484180d66846e7fa982a6"),
+        code=1)
 
 
 # `oracle --l L` at the default seed: oracle_bl fails at 5.4e6 (l = 1.5) and
@@ -478,8 +523,8 @@ FAILING_BL_ORACLE_REPORTS = {
 
 @pytest.mark.parametrize("l", list(FAILING_BL_ORACLE_REPORTS))
 def test_failing_default_seed_bl_oracle_is_golden(l, capsys):
-    assert _report_digest(["oracle", "--l", l], capsys, code=1) == (
-        FAILING_BL_ORACLE_REPORTS[l])
+    _assert_golden(["oracle", "--l", l], capsys,
+                   FAILING_BL_ORACLE_REPORTS[l], code=1)
 
 
 def test_failing_all_report_is_golden(capsys):
@@ -487,8 +532,9 @@ def test_failing_all_report_is_golden(capsys):
     # exits 1 with ergodic's `dependent_monomials` detail, and every other
     # suite's report stands
     argv = ["all", "--q", "0.3", "--N", "24", "--count", "10"]
-    assert _report_digest(argv, capsys, code=1) == (
-        "78bfce8e82223f8e24657920cc409a5b37dde68c66e4bc2df26a3842c7d810a0")
+    _assert_golden(argv, capsys, (
+        "a20c36c3b7dfa5197253ddac23190390b579f6dc7903d5cbc8110b15b6751879"),
+        code=1)
 
 
 @pytest.mark.parametrize("fault", ["cap", "span"])

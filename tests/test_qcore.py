@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from qsphere.qcore import QParams, q_pochhammer, tau
+from qsphere.invariance import pochhammer_factors
+from qsphere.qcore import FloatCtx, QParams, _sqrt_coeff, lam_of, tau
 
 
 P5 = QParams(0.5)
@@ -36,9 +37,9 @@ def test_tau_decreasing_in_q_for_positive_x():
 
 def test_lambda_is_negative_reciprocal():
     for q in (0.3, 0.5, 0.8):
-        p = QParams(q)
-        assert p.lam < 0
-        assert p.lam == pytest.approx(1.0 / (q - 1.0 / q), abs=1e-16)
+        lam = lam_of(FloatCtx(q))
+        assert lam < 0
+        assert lam == pytest.approx(1.0 / (q - 1.0 / q), abs=1e-16)
 
 
 def test_qparams_rejects_bad_q():
@@ -55,29 +56,36 @@ def test_qparams_warns_outside_safe_range():
         QParams(0.99)
 
 
+def _pochhammer(q, n, r):
+    """(q^n; q^2)_r from its factor list, as the square of its root."""
+    root = _sqrt_coeff(FloatCtx(q), pochhammer_factors(n, r))
+    return 0.0 if root is None else root ** 2
+
+
 def test_pochhammer_empty_product():
-    assert q_pochhammer(3.7, 0.9, 0) == 1.0
+    assert pochhammer_factors(7, 0) == []
+    assert _sqrt_coeff(FloatCtx(0.9), pochhammer_factors(7, 0)) == 1.0
 
 
 def test_pochhammer_two_factors():
-    # (1 - 0.5)(1 - 0.125)
-    assert q_pochhammer(0.5, 0.25, 2) == pytest.approx(0.4375, abs=1e-15)
+    # (1 - q)(1 - q^3) at q = 0.5
+    assert _pochhammer(0.5, 1, 2) == pytest.approx(0.4375, abs=1e-15)
 
 
 def test_pochhammer_vanishes_at_one():
-    assert q_pochhammer(1.0, 0.25, 3) == 0.0
+    # (1; q^2)_3 has the factor 1 - q^0, an exact zero
+    assert _sqrt_coeff(FloatCtx(0.5), pochhammer_factors(0, 3)) is None
 
 
 def test_pochhammer_recurrence():
-    a, base = 0.7, 0.36
+    q, n = 0.6, 3
     for r in range(6):
-        lhs = q_pochhammer(a, base, r + 1)
-        rhs = q_pochhammer(a, base, r) * (1 - base**r * a)
+        lhs = _pochhammer(q, n, r + 1)
+        rhs = _pochhammer(q, n, r) * (1 - q ** (n + 2 * r))
         assert lhs == pytest.approx(rhs, rel=1e-14)
-
 
 
 def test_pochhammer_refuses_non_integer_r():
     for r in (-1, 2.5, math.inf):
         with pytest.raises(ValueError):
-            q_pochhammer(0.5, 0.25, r)
+            pochhammer_factors(1, r)

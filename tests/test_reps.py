@@ -32,6 +32,7 @@ from qsphere.labels import (
     rep_podles,
     step_tables,
     trie_walks,
+    walk_ctx,
     walk_dps,
     window_labels,
 )
@@ -1299,22 +1300,30 @@ def test_reductions_match_mpf_objects_bit_for_bit(monkeypatch):
     pres_b = make_presentation("bl", P, l=1)
     rules = [(labels._poly_combos({r.lhs: 1.0}), labels._rule_combos(r))
              for r in pres_b.rules if r.defining]
-    combos = [(rep_podles(P, 1.3, "direct_sum", W),
-               [(_COMBOS, []), (_COMBOS[:1], _COMBOS[1:]), ([], [])]),
-              (rep_bl(P, 1, W), rules + list(spin2l_laws(P, 1).values())),
-              (TensorRep(rep_podles(P, 0.7, "plus", W)),
-               [(_TENSOR_COMBOS, _TENSOR_COMBOS[1:]),
-                (combo_ad("E", [(1.0, [("T", False)])], P), [])]),
-              (nan_rep, [(combo_ad("K", base, P), base), (base, [])])]
+    rep_b, tensor = rep_bl(P, 1, W), TensorRep(rep_podles(P, 0.7, "plus", W))
+
+    def combos():
+        """Each rep's pairs, the laws' and the adjoint action's built in
+        the context the rep's residuals walk in, each as it is made."""
+        ctx = walk_ctx(rep_b, W)
+        laws = list(spin2l_laws(ctx, 1).values())
+        ctx = walk_ctx(tensor, W)
+        ad_e = combo_ad("E", [(ctx.one, [("T", False)])], ctx)
+        ad_k = combo_ad("K", base, walk_ctx(nan_rep, W))
+        return [(rep_podles(P, 1.3, "direct_sum", W),
+                 [(_COMBOS, []), (_COMBOS[:1], _COMBOS[1:]), ([], [])]),
+                (rep_b, rules + laws),
+                (tensor, [(_TENSOR_COMBOS, _TENSOR_COMBOS[1:]), (ad_e, [])]),
+                (nan_rep, [(ad_k, base), (base, [])])]
     words = {"podles": [("X", "Y"), ("Z",), ("Y", "Z", "X"), ("Y",), ()],
              "bl": [(a_gen(1), a_gen(-1)), ("X", "Y", "Z"), (a_gen(0),)]}
     defects = [(rep_podles(P, 1.0, "direct_sum", W), words["podles"]),
                (rep_bl(P, 0.5, W), words["bl"]), (nan_rep, words["podles"])]
-    want = ([combos_residuals(rep, pairs, W) for rep, pairs in combos],
+    want = ([combos_residuals(rep, pairs, W) for rep, pairs in combos()],
             [invariance_defects(batch, rep, W) for rep, batch in defects])
     monkeypatch.setattr(mpscalar, "mp_ctx", _mpf_objects)
     with mp.workdps(15):
-        got = ([combos_residuals(rep, pairs, W) for rep, pairs in combos],
+        got = ([combos_residuals(rep, pairs, W) for rep, pairs in combos()],
                [invariance_defects(batch, rep, W) for rep, batch in defects])
     # each check's floats: a residual per pair, a defect per word and
     # generator
@@ -1379,18 +1388,19 @@ def test_trie_residuals_match_per_identity_loop():
         assert all(_same(got[k], want[k]) for k in want), (pres.name, got)
         checked += len(want)
     for l in (0.5, 1, 2):
-        laws = spin2l_laws(P, l)
         rep = rep_bl(P, l, N)
+        laws = spin2l_laws(walk_ctx(rep, N), l)
         got = combos_residuals(rep, list(laws.values()), N)
         assert len(laws) == 3 * (4 * l + 1)
         for g, (name, (lhs, rhs)) in zip(got, laws.items()):
             assert _same(g, ref(rep, lhs, rhs, N)), (l, name)
         checked += len(laws)
-    tw = [(1.0, [("T", False)])]
     for x in (0.7, -2.5):
         rep = TensorRep(rep_podles(P, x, "plus", 12))
-        pairs = [(combo_ad("K", tw, P), tw), (combo_ad("E", tw, P), []),
-                 (combo_ad("F", tw, P), [])]
+        ctx = walk_ctx(rep, 12)
+        tw = [(ctx.one, [("T", False)])]
+        pairs = [(combo_ad("K", tw, ctx), tw), (combo_ad("E", tw, ctx), []),
+                 (combo_ad("F", tw, ctx), [])]
         for g, (lhs, rhs) in zip(combos_residuals(rep, pairs, 12), pairs):
             assert _same(g, ref(rep, lhs, rhs, 12)), x
             checked += 1
@@ -1402,7 +1412,8 @@ def test_trie_residuals_match_per_identity_loop():
     edge = [(1, [("X", False), ("X", False)]),
             (0.75, [("Y", True), ("X", False), ("X", True)])]
     for rep, pairs in (
-            (nan_rep, [(combo_ad("K", base, P), base), (base, [])]),
+            (nan_rep, [(combo_ad("K", base, walk_ctx(nan_rep, 8)), base),
+                       (base, [])]),
             (rep_podles(P, 1.3, "direct_sum", 8),
              [(edge, []), ([], edge), (edge, base), (base, edge[:1]),
               (_COMBOS, _COMBOS[1:]), ([], [])])):

@@ -161,10 +161,10 @@ def test_matmul_counts_only_fall():
 # `np.sqrt`, `mp.sqrt` or a bare imported `sqrt`; a renamed import, libmp's
 # `mpf_sqrt` or a scalar context's `ctx.sqrt` is not counted): every square
 # root of a (1 +- q^...) factor goes through qcore._sqrt_coeff, so these
-# counts may only fall (invariance's are sqrt(q) and the ladder
-# normalization's ratio, reps' the spin-1/2 sqrt(q), cli's the residual
-# column norms)
-SQRT_CEILING = {"invariance": 2, "reps": 1, "cli": 1}
+# counts may only fall (invariance has none: the adjoint action's scales and
+# the ladder's coefficients take their roots in the walk's context; reps'
+# is the spin-1/2 sqrt(q), cli's the residual column norms)
+SQRT_CEILING = {"invariance": 0, "reps": 1, "cli": 1}
 SQRT_OWNERS = {"math", "np", "numpy", "mp", "mpmath"}
 
 
@@ -248,12 +248,13 @@ def test_mpf_object_counts_only_fall():
 # so the same walk runs in any context: none of it names a libmp function
 # or constant, the mpmath package, or a raw value's precision
 SCALAR_INTERFACE_ONLY = {
-    "qcore": ("_sqrt_coeff", "tau_of"),
+    "qcore": ("_sqrt_coeff", "tau_of", "lam_inv_of", "lam_of"),
     "ncalg": ("_expand_recipe",),
     "labels": ("LabelRep", "_z_steps", "rep_podles", "rep_bl",
                "_tensor_terms", "_StepTable", "_SegmentTables", "_label_trie",
                "_branch_trie", "trie_walks", "combos_residuals"),
-    "invariance": ("invariance_defects",),
+    "invariance": ("_half_lam", "combo_ad", "lambda_s",
+                   "ladder_coeff", "spin2l_laws", "invariance_defects"),
 }
 
 
