@@ -23,6 +23,7 @@ from .labels import (
     rep_bl,
     rep_podles,
     step_tables,
+    tensor_residuals,
     trie_walks,
     walk_ctx,
     walk_dps,
@@ -132,13 +133,13 @@ def spin2l_check(p: QParams, l, N: int) -> dict:
 def casimir_invariance(p: QParams, x: float, N: int) -> dict:
     """Residuals of ad_K(T2)=T2, ad_E(T2)=0, ad_F(T2)=0 on the tensor window
     of the plus series, the implementer being the tensored representation
-    itself; the three built and walked in one `combos_residuals` call.
-    Only the casimir command, which loads numpy anyway, asks for it."""
-    from .reps import TensorRep
-    rep2 = TensorRep(rep_podles(p, x, "plus", N))
-    ctx = walk_ctx(rep2, N)
+    itself; the three built in the walk's context and walked as spin blocks
+    on the plus series, in one `combos_residuals` call
+    (`labels.tensor_residuals`), with no numpy."""
+    rep = rep_podles(p, x, "plus", N)
+    ctx = walk_ctx(rep, N)
     tw = [(ctx.one, [("T", False)])]
-    return dict(zip("KEF", combos_residuals(rep2, [
+    return dict(zip("KEF", tensor_residuals(rep, [
         (combo_ad("K", tw, ctx), tw), (combo_ad("E", tw, ctx), []),
         (combo_ad("F", tw, ctx), [])], N)))
 
@@ -208,7 +209,8 @@ def invariance_defects(words, rep, W: int) -> list:
             sums.append(zero)
     walks = trie_walks(step_tables(rep, ctx), paths, labels)
     for (label, ends), d in zip(walks, densities):
-        diag = [e[0][1] if e and e[0][0] == label else zero for e in ends]
+        diag = [e[1] if e is not None and e[0] == label else zero
+                for e in ends]
         for j, pref, ok, ((sa, ia), (sb, ib)) in live:
             a = diag[ia] if sa > 0 else ctx.neg(diag[ia])
             b = diag[ib] if sb > 0 else ctx.neg(diag[ib])

@@ -8,11 +8,11 @@ interface of a context, `qcore.FloatCtx` or `mpscalar.MPCtx`
 (`LabelRep.step`, the one derivation of a step, an adjoint's and an
 implementer letter's included).  The coaction's one table
 (`_tensor_terms`) gives the generators of the coaction-tensored
-representation (`reps.TensorRep`).  The float views of a label
-representation (`shift`, `matrix`) import numpy inside the call and are
-kept per (generator, internal size, implementer or not); a shift takes its
-labels' steps in the representation's one `FloatCtx`.  The float walks are
-in `reps`.
+representation, as float shifts in `reps` and as spin blocks here.  The
+float views of a label representation (`shift`, `matrix`) import numpy
+inside the call and are kept per (generator, internal size, implementer or
+not); a shift takes its labels' steps in the representation's one
+`FloatCtx`.  The float walks are in `reps`.
 
 Relation residuals, adjoint-action residuals and invariant-functional tail
 defects are walked label by label on raw mpmath values (`mpscalar.MPCtx`,
@@ -23,8 +23,10 @@ exact check walks its paths as one prefix trie (`trie_walks`, which runs
 in any scalar context): a batch of identities, combos against combos (a
 relation rule is walked as combos too), is one `combos_residuals` call,
 and the functional's diagonals are one `invariance.invariance_defects`
-call.  Neither reduction names mpmath: each computes through its
-context's interface alone.
+call.  An identity on the coaction-tensored representation is walked on
+its base label representation, as spin blocks (`tensor_residuals`).  No
+reduction names mpmath: each computes through its context's interface
+alone.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import weakref
 
 from .qcore import FloatCtx, QParams, _sqrt_coeff, lam_inv_of, tau_of
 from .ncalg import NCPoly, Presentation
+from .report import max_or_nan
 
 MP_DPS = 40
 
@@ -256,7 +259,8 @@ def rep_bl(p: QParams, l, N: int) -> LabelRep:
                     {"q": p.q, "x": float(twol)}, {"Y": "X"})
 
 # ---------------------------------------------------------------------------
-# the coaction, read by the float tensor generators and the exact walks
+# the coaction, read by the float tensor generators and, as spin blocks on
+# the base representation, by the exact walks
 # ---------------------------------------------------------------------------
 
 def _tensor_terms(g, ctx):
@@ -283,6 +287,41 @@ def _tensor_terms(g, ctx):
     raise KeyError(f"tensor representation has no generator {g}")
 
 
+def tensor_residuals(rep, pairs, W: int) -> list:
+    """max |combos_a - combos_b| over the window of rep (x) C^2 for each
+    pair of combos of tensor generators, walked on `rep` itself.  A tensor
+    generator is the sum of base_g (x) E(row spin, column spin) v over the
+    coaction's entries (`_tensor_terms`), so a combo is, per spin block
+    (row, column), one combo on `rep` for each chain of entries whose spins
+    meet, its coefficient times the chain's values in segment order (an
+    exact 1 left out), its segments the base generators' plain letters: the
+    implementer of the tensored representation is that representation
+    itself.  A pair's residual is the largest of its four blocks', all
+    walked in one `combos_residuals` call in `walk_ctx(rep, W)`."""
+    ctx = walk_ctx(rep, W)
+    blocks = []
+    for pair in pairs:
+        sides = ({}, {})   # per side: (row spin, column spin) -> combos
+        for side, combos in zip(sides, pair):
+            for coef, segs in combos:
+                # the product so far as chains (row, column, value, base
+                # segments), from the identity's two diagonal blocks
+                chain = [(sp, sp, ctx.number(coef), ()) for sp in (0, 1)]
+                for g, _ in segs:
+                    terms = _tensor_terms(g, ctx)
+                    chain = [(row, e_col, c if v is None else ctx.mul(c, v),
+                              (*base, (base_g, False)))
+                             for row, col, c, base in chain
+                             for base_g, entries in terms
+                             for e_row, e_col, v in entries if e_row == col]
+                for row, col, c, base in chain:
+                    side.setdefault((row, col), []).append((c, base))
+        blocks += [(sides[0].get(b, []), sides[1].get(b, []))
+                   for b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    found = combos_residuals(rep, blocks, W)
+    return [max_or_nan(*found[i:i + 4]) for i in range(0, len(found), 4)]
+
+
 # ---------------------------------------------------------------------------
 # the exact walk kernel
 #
@@ -296,8 +335,9 @@ def _tensor_terms(g, ctx):
 # is a recipe's lead ("lead", sign, n, m), the scalar sign*q^(n+mx).  A
 # "combo" (coefficient, [segments]) is a context value or real number times
 # the operator product of the segments; the kernel is real throughout.  It
-# walks label representations and tensors of one (`reps.TensorRep`), whose
-# steps branch.
+# walks label representations only, whose steps do not branch: a combo on
+# the coaction-tensored representation is walked as its spin blocks' combos
+# on the base (`tensor_residuals`).
 #
 # The step tables and the trie walkers compute only through their context's
 # scalar interface (`qcore`): an `mpscalar.MPCtx` computes on raw mpmath
@@ -314,9 +354,8 @@ def _tensor_terms(g, ctx):
 # A walk multiplies its steps' coefficients in walk order with the
 # context's `mul`, the first coefficient starting the product exactly.
 # `trie_walks` walks every path of a check as one prefix trie: a node's
-# product is its parent's times the step (on a tensor representation, a
-# branching walk's frontier, summed with `add`), formed once for all paths
-# through it.  The exact checks' reductions (`combos_residuals`,
+# product is its parent's times the step, formed once for all paths through
+# it.  The exact checks' reductions (`combos_residuals`,
 # `invariance.invariance_defects`) compute through the interface too, in
 # the representation's shared mp context (`mpscalar.mp_ctx`, imported when
 # a check runs; a coefficient of exactly 1 leaves the value as `mul` would).
@@ -324,9 +363,8 @@ def _tensor_terms(g, ctx):
 
 class _StepTable(dict):
     """label -> step of one segment, computed by `fill` on first use and
-    kept.  A step is None (the walk dies) or, on a label representation,
-    (target label, coefficient in the tables' context); on a tensor
-    representation it is a list of such branches."""
+    kept.  A step is None (the walk dies) or (target label, coefficient in
+    the tables' context)."""
 
     def __init__(self, fill):
         super().__init__()
@@ -350,10 +388,7 @@ class _SegmentTables(dict):
 
     def __missing__(self, seg):
         g, impl = seg
-        rep = self.rep()
-        if not isinstance(rep, LabelRep):
-            fill = self._tensor_step(g)
-        elif isinstance(g, tuple) and g[0] == "zf":
+        if isinstance(g, tuple) and g[0] == "zf":
             fill = self._zf_step(*g[1:])
         elif isinstance(g, tuple) and g[0] == "lead":
             fill = self._lead_step(*g[1:])
@@ -378,26 +413,6 @@ class _SegmentTables(dict):
         lead = self.ctx.scale(sign, self.ctx.qpow(n, m))
         return lambda label: (label, lead)
 
-    def _tensor_step(self, g):
-        rep, ctx = self.rep(), self.ctx
-        terms = [(step_tables(rep.base, ctx)[(base_g, rep.absorb_sign)],
-                  entries) for base_g, entries in _tensor_terms(g, ctx)]
-
-        def fill(label):
-            fam, k, sp = label
-            out = []
-            for table, entries in terms:
-                hit = table[(fam, k)]
-                if hit is None:
-                    continue
-                (f2, k2), c = hit
-                for sp2, sp_in, v in entries:
-                    if sp_in == sp:
-                        out.append(((f2, k2, sp2),
-                                    c if v is None else ctx.mul(c, v)))
-            return out
-        return fill
-
 
 def step_tables(rep, ctx) -> _SegmentTables:
     """The step tables of `rep` in the scalar context `ctx`, one shared set
@@ -409,10 +424,9 @@ def step_tables(rep, ctx) -> _SegmentTables:
 
 
 def window_labels(rep, W: int):
-    tensor = not isinstance(rep, LabelRep)
-    for fam, kmin in (rep.base if tensor else rep).families:
+    for fam, kmin in rep.families:
         for k in range(kmin, kmin + W):
-            yield from ((fam, k, 0), (fam, k, 1)) if tensor else ((fam, k),)
+            yield fam, k
 
 
 def _poly_combos(terms: dict) -> list:
@@ -438,8 +452,8 @@ def _trie(tables, node) -> tuple:
 
 
 def _label_trie(edges, label, p, ends, mul):
-    """Walk `label` down trie edges on a label representation, p the
-    product so far (None for the exact 1 a walk starts from)."""
+    """Walk `label` down trie edges, p the product so far (None for the
+    exact 1 a walk starts from)."""
     for table, leaf, below in edges:
         hit = table[label]
         if hit is not None:
@@ -447,46 +461,27 @@ def _label_trie(edges, label, p, ends, mul):
             if p is not None:
                 c = mul(p, c)
             if leaf is not None:
-                ends[leaf] = ((lab, c),)
+                ends[leaf] = lab, c
             if below:
                 _label_trie(below, lab, c, ends, mul)
-
-
-def _branch_trie(edges, frontier, ends, mul, add):
-    """Walk a frontier {label: value, None for an exact 1} down trie edges
-    on a tensor representation, whose steps branch."""
-    for table, leaf, below in edges:
-        nxt: dict = {}
-        for lab, val in frontier.items():
-            for lab2, c in table[lab]:
-                p = c if val is None else mul(val, c)
-                old = nxt.get(lab2)
-                nxt[lab2] = p if old is None else add(old, p)
-        if nxt:
-            if leaf is not None:
-                ends[leaf] = list(nxt.items())
-            _branch_trie(below, nxt, ends, mul, add)
 
 
 def trie_walks(tables, paths, labels):
     """Walk the numbered paths {segments in walk order: path number} as one
     prefix trie of `tables` from each label in turn, in the arithmetic of
     their context, yielding (label, ends): ends[i] is path i's (end label,
-    value) pairs, () where it dies (one pair on a label representation)."""
+    value), None where it dies."""
     root = {}
     for path, i in paths.items():
         functools.reduce(lambda node, seg: node.setdefault(seg, {}), path,
                          root)[None] = i
     empty, edges = root.pop(None, None), _trie(tables, root)
-    ctx, branched = tables.ctx, not isinstance(tables.rep(), LabelRep)
+    ctx = tables.ctx
     for label in labels:
-        ends = [()] * len(paths)
+        ends = [None] * len(paths)
         if empty is not None:
-            ends[empty] = ((label, ctx.one),)
-        if branched:
-            _branch_trie(edges, {label: None}, ends, ctx.mul, ctx.add)
-        else:
-            _label_trie(edges, label, None, ends, ctx.mul)
+            ends[empty] = label, ctx.one
+        _label_trie(edges, label, None, ends, ctx.mul)
         yield label, ends
 
 
@@ -517,14 +512,16 @@ def combos_residuals(rep, pairs, W: int, dps: int | None = None) -> list:
         for j, combos in enumerate(terms):
             rows: dict = {}
             for i, coef, neg in combos:
-                for lab, val in ends[i]:
-                    term = val if coef is None else mul(val, coef)
-                    old = rows.get(lab)
-                    if neg:
-                        term = sub(zero if old is None else old, term)
-                    elif old is not None:
-                        term = add(old, term)
-                    rows[lab] = term
+                if ends[i] is None:
+                    continue
+                lab, val = ends[i]
+                term = val if coef is None else mul(val, coef)
+                old = rows.get(lab)
+                if neg:
+                    term = sub(zero if old is None else old, term)
+                elif old is not None:
+                    term = add(old, term)
+                rows[lab] = term
             for lab, v in rows.items():
                 if lab in inside:
                     largest[j] = ctx.larger(largest[j], v)

@@ -138,11 +138,10 @@ class MPCtx:
 
 def mp_ctx(rep, dps: int) -> MPCtx:
     """The mp context of the exact walks on `rep` at `dps` digits: made once
-    per (q, x, dps) and held in the walk memo of rep (of its base, for a
-    tensor representation), beside the step tables it keys, so every walk
-    on the representation, and on a tensor of it, shares one context, and
+    per (q, x, dps) and held in the walk memo of rep, beside the step tables
+    it keys, so every walk on the representation shares one context, and
     the context is freed with the representation."""
-    memo = getattr(rep, "base", rep)._walk_memos
+    memo = rep._walk_memos
     key = (float(rep.meta["q"]), float(rep.meta.get("x", 0.0)), int(dps))
     ctx = memo.get(key)
     if ctx is None:

@@ -653,34 +653,3 @@ def basis_words(pres: Presentation, max_degree: int) -> list[Word]:
         raise ValueError(f"no basis enumeration for {pres.name}")
     return sorted(words, key=pres.order_key)
 
-
-def is_basis_word(word: Word, pres: Presentation) -> bool:
-    """Membership in the normal-form monomial basis (structural test)."""
-    i = 0
-    while i < len(word) and word[i] in ("Z", "Zi"):
-        i += 1
-    if any(g in ("Z", "Zi") for g in word[i:]):
-        return False
-    rest = word[i:]
-    if pres.name == "uqmp":
-        while rest and rest[0] == "T":
-            rest = rest[1:]
-    if not rest:
-        return True
-    if pres.name in ("podles", "uqmp"):
-        return all(g == rest[0] for g in rest) and rest[0] in ("X", "Y")
-    if pres.name == "bl":
-        twol = int(2 * pres.l)
-        if is_a_gen(rest[0]):
-            s, tail = rest[0][1], rest[1:]
-            if any(is_a_gen(g) for g in tail):
-                return False
-            if not tail:
-                return True
-            if all(g == "X" for g in tail):
-                return s == -twol
-            if all(g == "Y" for g in tail):
-                return s == twol
-            return False
-        return all(g == rest[0] for g in rest) and rest[0] in ("X", "Y")
-    raise ValueError(f"no basis test for {pres.name}")

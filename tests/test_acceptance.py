@@ -14,7 +14,6 @@ from qsphere.ncalg import (
     RewriteCapError,
     a_gen,
     basis_words,
-    is_basis_word,
     make_presentation,
     normal_form,
     random_words,
@@ -38,6 +37,7 @@ from qsphere.morita import (
 )
 
 from closed_form import eigvec_vector
+from normal_basis import in_basis
 
 N = 64
 QS = (0.3, 0.5, 0.8)
@@ -215,7 +215,7 @@ def test_criterion_08_rewriting_oracle():
             except RewriteCapError:
                 cap_hits += 1
                 continue
-            if not all(is_basis_word(v, pres) for v in nf.terms):
+            if not all(in_basis(v, pres) for v in nf.terms):
                 span_fails += 1
             worst = max(worst,
                         max_abs(evaluate(poly, rep) - evaluate(nf, rep)))

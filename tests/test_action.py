@@ -363,7 +363,7 @@ def test_label_first_diag_walk_matches_multiplying_walk(monkeypatch):
                                 calls.clear()
                                 (_, ends), = trie_walks(tables, {path: 0},
                                                         [(fam, k)])
-                                got = ends[0][0] if ends[0] else None
+                                got = ends[0]
                                 n_got = len(calls)
                                 calls.clear()
                                 want = _reference_walk(
@@ -464,8 +464,7 @@ def test_functional_paths_walk_at_a_generic_label():
                        [at(label, K) for label in generic]))
         for (label, ends), (_, want) in walks:
             for got, ref in zip(ends, want):
-                (end, v), = got      # no walk dies from a generic label
-                (end_f, v_f), = ref
+                (end, v), (end_f, v_f) = got, ref   # no walk dies here
                 assert at(end, K) == end_f, (label, end)
                 assert same_value(v.value(K, Q, x), v_f), (label, end)
 
@@ -500,7 +499,7 @@ def test_live_pairs_return_and_dead_pairs_read_zero(functional_walks):
             (paths, walked), = functional_walks
             assert len(paths) == 2 * live, w
             # one end per (tail label, registered path), back at its label
-            assert all(len(end) == 1 and end[0][0] == label
+            assert all(end is not None and end[0] == label
                        for label, ends in walked for end in ends), w
             total += sum(len(ends) for _, ends in walked)
     assert total == 12896

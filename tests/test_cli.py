@@ -15,13 +15,14 @@ from qsphere.casimir import compress_identify
 from qsphere.ncalg import (
     NCPoly,
     RewriteCapError,
-    is_basis_word,
     make_presentation,
     random_words,
 )
 from qsphere.qcore import QParams, tau
 from qsphere.report import VerificationReport, canonical_json
 from qsphere.reps import evaluate, load_matrix
+
+from normal_basis import in_basis
 
 
 def run_json(argv, capsys):
@@ -475,14 +476,14 @@ GOLDEN_FLOAT_REPORTS = {
     # or diagonalized as dense matrices, so they do not depend on BLAS or
     # LAPACK
     ("casimir", "--x", "0.7", "--N", "16"):
-        "c875001d56a9d52ed6fc8f861abba726cf3d3b4b63d3f6a2569c482e38d5af21",
-    # at small q, with the mp tensor walks of casimir_invariance
+        "38eef6bc98ab7b9edbbd5357ffeff960ea61cedc6e0067047a6b1e50a95562b9",
+    # at small q, with the mp spin-block walks of casimir_invariance
     ("casimir", "--q", "0.3", "--x", "2.5", "--N", "32"):
-        "76c3f5e0bbbb435d2c17a764861ae5336b9856fe265f12a83c9dfa4e4121d6cb",
+        "589f70eb4c08f6bee46e77256d4d77f616a954550de1fa3c9bfa7e7bd7c99ab8",
     # near q = 1 and at non-integer x: the Casimir invariance's adjoint
-    # action on the tensor walks, beside float shifts that depend on libm
+    # action walked as spin blocks, beside float shifts that depend on libm
     ("casimir", "--q", "0.8", "--x", "1.3", "--N", "24"):
-        "3216885837e95a92d0756c7841912323d3e7364b3a8151d472d64b6fce166986",
+        "a6b9f1f485602f636a64cb3e9dd19d9f6744928b5f85cf63543d5a717d56b96f",
     ("theorem2", "--l", "0.5", "--N", "16"):
         "09c519515f572d0aaddef079eb374544a2552e8f14d8afc8e9c353cf54b49414",
     # every suite at the arguments `all` gives it, half of them certified in
@@ -490,9 +491,9 @@ GOLDEN_FLOAT_REPORTS = {
     # from LAPACK's SVD, so these bytes also depend on numpy's bundled
     # OpenBLAS (the version CI pins)
     ("all", "--seed", "0"):
-        "9e0192d932ceb5b9badb0c3feef303351d2358e2ad8564049f58b77c5390ccc8",
+        "800d93b7f0a65fb0539f1de298fd1d4a2f6555c0a2fdaac2789a51eab33112d1",
     ("all", "--N", "24", "--D", "3", "--count", "10", "--seed", "0"):
-        "28457e972e618a78c4b9f32ac659cb9cf7e0654edeb3d2ddc49b0c3cd405e240",
+        "5dc386b86ef6be94322f2f012bac225b77fa60b7c0c6f3ca859e05a28a7fe703",
 }
 
 
@@ -533,7 +534,7 @@ def test_failing_all_report_is_golden(capsys):
     # suite's report stands
     argv = ["all", "--q", "0.3", "--N", "24", "--count", "10"]
     _assert_golden(argv, capsys, (
-        "a20c36c3b7dfa5197253ddac23190390b579f6dc7903d5cbc8110b15b6751879"),
+        "33d390e0b1d9995469d5272bbf15c57542c7c2d0c9d3d42d35ba2a60b604e682"),
         code=1)
 
 
@@ -545,7 +546,7 @@ def test_oracle_counts_a_repeated_word_per_draw(fault, monkeypatch):
     p = QParams(0.5)
     pres = make_presentation("podles", p, x=1.0)
     draws = Counter(random_words(pres, 40, 6, seed=3))
-    word = max((w for w in draws if not is_basis_word(w, pres)),
+    word = max((w for w in draws if not in_basis(w, pres)),
                key=draws.get)
     assert draws[word] > 1
     normal_form = cli.normal_form

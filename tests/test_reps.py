@@ -31,6 +31,7 @@ from qsphere.labels import (
     rep_bl,
     rep_podles,
     step_tables,
+    tensor_residuals,
     trie_walks,
     walk_ctx,
     walk_dps,
@@ -698,7 +699,7 @@ _COMBOS = [(1.0, [("X", False), ("Y", True), ("Z", False)]),
 def test_memoised_walks_match_fresh_contexts(monkeypatch):
     podles = rep_podles(P, 1.3, "direct_sum", 12)
     bl = rep_bl(P, 1, 12)
-    tensor = TensorRep(rep_podles(P, 0.7, "plus", 10))
+    plus = rep_podles(P, 0.7, "plus", 10)
     pres_p = make_presentation("podles", P, x=1.3)
     pres_b = make_presentation("bl", P, l=1)
     tensor_combos = [(1.0, [("T", False), ("X", False)]),
@@ -708,16 +709,15 @@ def test_memoised_walks_match_fresh_contexts(monkeypatch):
         return (relation_check(pres_p, podles), relation_check(pres_b, bl),
                 combos_residual(podles, _COMBOS, [], 12),
                 combos_residual(bl, _COMBOS, [(2.0, [("Z", False)])], 12),
-                combos_residual(tensor, tensor_combos, [], 10))
+                tensor_residuals(plus, [(tensor_combos, [])], 10))
 
     run_all()                      # fills the memos
     shared = run_all()             # reads them
-    # each representation holds its shared contexts, a tensor its base's
+    # each representation holds its shared contexts
     assert mp_ctx(podles, 40) is mp_ctx(podles, 40)
     assert any(podles._walk_memos[mp_ctx(podles, 40)].values())
-    dps = walk_dps(tensor, 10)
-    assert mp_ctx(tensor, dps) is tensor.base._walk_memos[(Q, 0.7, dps)]
-    assert not any(isinstance(key, tuple) for key in tensor._walk_memos)
+    dps = walk_dps(plus, 10)
+    assert mp_ctx(plus, dps) is plus._walk_memos[(Q, 0.7, dps)]
     # an unshared context: its own step tables compute every step again
     monkeypatch.setattr(mpscalar, "mp_ctx", fresh_mp_ctx)
     assert run_all() == shared
@@ -889,7 +889,7 @@ def test_diagonal_walk_multiplies_only_returning_walks(functional_walks):
     leaving = [("Y",), ("X", "Zi"), ("Y", "Y"), (a_gen(1),), ("X", "X")]
     invariance.invariance_defects(returning + leaving, rep, 8)
     (paths, walked), = functional_walks
-    assert paths and all(len(end) == 1 and end[0][0] == label
+    assert paths and all(end is not None and end[0] == label
                          for label, ends in walked for end in ends)
 
 
@@ -939,7 +939,6 @@ def test_exact_bits_ignore_the_ambient_precision(monkeypatch):
     monkeypatch.setattr(mpscalar, "mp_ctx", fresh_mp_ctx)
     W = 10
     podles = rep_podles(P, 1.3, "direct_sum", W)
-    tensor = TensorRep(rep_podles(P, 0.7, "plus", W))
     pres = make_presentation("podles", P, x=1.3)
     segs = [(g, impl) for g in podles._steps for impl in (False, True)]
     segs += [(("zf", -1, 2, 1), False), (("lead", 1, 3, -1), False)]
@@ -947,17 +946,17 @@ def test_exact_bits_ignore_the_ambient_precision(monkeypatch):
     def readings(dps=40):
         ctx = MPCtx(Q, 1.3, dps)
         f = ctx.factor(-1, 6, -2)
-        tables, tensor_t = (step_tables(podles, ctx),
-                            step_tables(tensor, MPCtx(Q, 0.7, dps)))
+        tables = step_tables(podles, ctx)
         return (f, [podles.step(g, *lab, ctx) for g in podles._steps
                     for lab in window_labels(podles, W)],
                 [tables[seg][lab] for seg in segs
                  for lab in window_labels(podles, W)],
-                [tensor_t[("T", False)][lab]
-                 for lab in window_labels(tensor, W)],
                 relation_check(pres, podles),
                 combos_residuals(rep_bl(P, 1.5, W), [
                     (_COMBOS, []), (_COMBOS[:1], _COMBOS[1:])], W),
+                tensor_residuals(rep_podles(P, 0.7, "plus", W), [
+                    (_TENSOR_COMBOS, []), (_TENSOR_COMBOS[:1],
+                                           _TENSOR_COMBOS[1:])], W),
                 invariance.invariance_defects([("X", "Y"), ("Z",)],
                                               podles, 8))
 
@@ -965,7 +964,7 @@ def test_exact_bits_ignore_the_ambient_precision(monkeypatch):
     for dps in (15, 60, 200):
         with mp.workdps(dps):
             assert readings() == want, dps
-    assert all(a != b for a, b in zip(readings(80)[:4], want))
+    assert all(a != b for a, b in zip(readings(80)[:3], want))
 
 
 def test_mp_factors_computed_once_at_their_precision():
@@ -999,9 +998,9 @@ def test_dropped_rep_frees_its_walk_memo_without_the_collector():
          lambda r: relation_check(pres, r)),
         (lambda: rep_bl(P, 1, 10),
          lambda r: combos_residual(r, _COMBOS, [], 10)),
-        (lambda: TensorRep(rep_podles(P, 0.7, "plus", 10)),
-         lambda r: combos_residual(
-             r, [(1.0, [("T", False), ("X", False)])], [], 10)))
+        (lambda: rep_podles(P, 0.7, "plus", 10),
+         lambda r: tensor_residuals(
+             r, [([(1.0, [("T", False), ("X", False)])], [])], 10)))
     gc.disable()
     try:
         for make, check in cases:
@@ -1023,58 +1022,33 @@ def test_dropped_rep_frees_its_walk_memo_without_the_collector():
 # the exact walk kernel against walks that multiply mpf objects as they go
 # ---------------------------------------------------------------------------
 
-def _reference_tensor_terms(g, ctx):
-    q1, qm1 = ctx.qpow(1), ctx.qpow(-1)
-    lam_inv = q1 - qm1
-    if g == "Z":
-        return [("Z", {(0, 0): q1, (1, 1): qm1})]
-    if g == "Zi":
-        return [("Zi", {(0, 0): qm1, (1, 1): q1})]
-    if g == "X":
-        return [("X", {(0, 0): 1, (1, 1): 1}), ("Z", {(1, 0): lam_inv})]
-    if g == "Y":
-        return [("Y", {(0, 0): 1, (1, 1): 1}), ("Z", {(0, 1): lam_inv})]
-    q2, qm2 = ctx.qpow(2), ctx.qpow(-2)
-    return [("T", {(0, 0): qm1, (1, 1): q1}),
-            ("Z", {(0, 0): q2 - 1, (1, 1): qm2 - 1}),
-            ("X", {(0, 1): lam_inv}),
-            ("Y", {(1, 0): lam_inv})]
-
-
-def _reference_branches(rep, g, label, ctx, impl):
-    if not isinstance(rep, reps.TensorRep):
-        hit = rep.step(g, label[0], label[1], ctx)
-        if hit is None:
-            return []
-        (f2, k2), c = hit
-        if impl and len(rep.families) == 2 and f2 == "-":
-            c = -c
-        return [((f2, k2), c)]
-    fam, k, sp = label
-    out = []
-    for base_g, spin_entries in _reference_tensor_terms(g, ctx):
-        hit = rep.base.step(base_g, fam, k, ctx)
-        if hit is None:
-            continue
-        (f2, k2), c = hit
-        if rep.absorb_sign and f2 == "-":
-            c = -c
-        for (sp2, sp_in), v in spin_entries.items():
-            if sp_in == sp:
-                out.append(((f2, k2, sp2), c * v))
-    return out
+def _reference_step(rep, g, label, ctx, impl):
+    """The step of g from label of a label representation, the implementer
+    sign applied after the fact: [] or [(end label, value)]."""
+    hit = rep.step(g, label[0], label[1], ctx)
+    if hit is None:
+        return []
+    (f2, k2), c = hit
+    if impl and len(rep.families) == 2 and f2 == "-":
+        c = -c
+    return [((f2, k2), c)]
 
 
 def _reference_walk_combos(rep, combos, label, ctx):
+    """Column `label` of sum(coef * product(segments)), multiplying values
+    of ctx as it walks: {row label: value}.  On the tensor with the
+    coaction, each product is the walk that branches on the tensor labels
+    (`reference_residual.branch_walk`)."""
     rows = {}
     for coef, segs in combos:
-        frontier = {label: 1}
-        for g, impl in reversed(segs):
-            nxt = {}
-            for lab, val in frontier.items():
-                for lab2, c in _reference_branches(rep, g, lab, ctx, impl):
-                    nxt[lab2] = nxt.get(lab2, 0) + val * c
-            frontier = nxt
+        if isinstance(rep, reps.TensorRep):
+            frontier = reference_residual.branch_walk(rep, segs, label, ctx)
+        else:
+            frontier = {label: 1}
+            for g, impl in reversed(segs):
+                frontier = {lab2: val * c for lab, val in frontier.items()
+                            for lab2, c in _reference_step(rep, g, lab, ctx,
+                                                           impl)}
         for lab, val in frontier.items():
             rows[lab] = rows.get(lab, 0) + coef * val
     return rows
@@ -1140,15 +1114,9 @@ def test_combo_kernel_matches_multiplying_walks():
         (2.0, [("Z", True), ("X", False), ("Zi", True)]),
         (3, [("Y", True), ("Y", False)]),
         (-1.5, [("X", True), ("X", True), ("Y", False), ("Y", True)])]
-    tensor_combos = [(1.0, [("T", False), ("X", False)]),
-                     (0.25, [("Y", True), ("Zi", False), ("T", True)]),
-                     (-2.0, [("X", False), ("Y", False), ("Z", False)])]
     cases = [(rep_podles(P, 1.3, "direct_sum", W), label_combos),
              (rep_podles(P, 1.3, "minus", W), label_combos),
-             (rep_bl(P, 1, W), label_combos),
-             (TensorRep(rep_podles(P, 0.7, "plus", W)), tensor_combos),
-             (TensorRep(rep_podles(P, 1.3, "direct_sum", W),
-                        absorb_sign=True), tensor_combos)]
+             (rep_bl(P, 1, W), label_combos)]
     for rep, combos in cases:
         x = rep.meta.get("x", 0.0)
         dps = walk_dps(rep, W)   # the precision combos_residual walks at
@@ -1162,26 +1130,95 @@ def test_combo_kernel_matches_multiplying_walks():
                             == {lab: v._mpf_ for lab, v in want.items()})
             want = _reference_combos_residual(rep, combos, combos[:1], W, ref)
         assert combos_residual(rep, combos, combos[:1], W) == want
+    # on the tensor with the coaction, each spin block walked on the base
+    # representation, its coefficients multiplied as mpf objects in the
+    # kernel's order (`reference_residual.spin_blocks`)
+    for base in (rep_podles(P, 0.7, "plus", W),
+                 rep_podles(P, 1.3, "direct_sum", W)):
+        dps = walk_dps(base, W)
+        ref = MPObjectCtx(Q, base.meta["x"], dps)
+        pairs = [(_TENSOR_COMBOS, _TENSOR_COMBOS[:1]), (_TENSOR_COMBOS, []),
+                 ([], _TENSOR_COMBOS[1:])]
+        with mp.workdps(dps):
+            want = []
+            for lhs, rhs in pairs:
+                a, b = (reference_residual.spin_blocks(side, ref)
+                        for side in (lhs, rhs))
+                want.append(max(_reference_combos_residual(
+                    base, a.get(blk, []), b.get(blk, []), W, ref)
+                    for blk in ((0, 0), (0, 1), (1, 0), (1, 1))))
+        assert tensor_residuals(base, pairs, W) == want
+        assert all(w > 0 for w in want)
+
+
+@pytest.mark.parametrize("q, x, N", [(0.5, 0.7, 64), (0.3, 2.5, 32),
+                                     (0.8, 1.3, 24), (0.5, 0.7, 256)])
+def test_spin_blocks_match_branching_walks(q, x, N, monkeypatch):
+    # each combo of the Casimir invariance's identities, expanded into spin
+    # blocks by `tensor_residuals` and walked on the plus series, against
+    # the walk that branches on the tensor labels, from the base's steps
+    # and the reference's own copy of the coaction (`_reference_walk_combos`
+    # on a TensorRep): every column of the tensor window agrees to within
+    # 10^-(dps - 10) of its largest entry, dps the walk's precision
+    from qsphere.invariance import combo_ad
+    rep = rep_podles(QParams(q), x, "plus", N)
+    ctx = walk_ctx(rep, N)
+    tw = [(ctx.one, [("T", False)])]
+    combos = [c for g in "KEF" for c in combo_ad(g, tw, ctx)] + tw
+    # the kernel's blocks of each combo, in block order (0, 0), (0, 1),
+    # (1, 0), (1, 1), as `tensor_residuals` hands them to the walk
+    blocks = []
+    monkeypatch.setattr(labels, "combos_residuals",
+                        lambda rep, pairs, W: blocks.append(
+                            [a for a, _ in pairs]) or [0.0] * len(pairs))
+    for combo in combos:
+        tensor_residuals(rep, [([combo], [])], N)
+    monkeypatch.undo()
+    assert len(blocks) == len(combos) == 6
+    tensor = TensorRep(rep)
+    ref = MPObjectCtx(q, x, ctx.dps)
+    compared = 0
+    with mp.workdps(ctx.dps):
+        bound = mp.mpf(10) ** (10 - ctx.dps)
+        for combo, got_blocks in zip(
+                reference_residual.mpf_objects(combos), blocks):
+            for fam, k in window_labels(rep, N):
+                got = {}
+                for (row, col), blk in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
+                                           got_blocks):
+                    got.update({((*lab, row), col): v for lab, v in
+                                _walk_combos(rep, blk, (fam, k), ctx).items()})
+                for col in (0, 1):
+                    want = _reference_walk_combos(tensor, [combo],
+                                                  (fam, k, col), ref)
+                    scale = max(map(abs, want.values()), default=0)
+                    rows = set(want) | {lab for lab, c in got if c == col}
+                    assert all(abs(got.get((lab, col), 0) - want.get(lab, 0))
+                               <= bound * scale for lab in rows), (k, col)
+                    compared += scale > 0
+    assert compared > 4 * N
 
 
 def test_exact_walks_are_real():
     # a complex coefficient with zero imaginary part walks as its real part,
     # bit for bit; any other complex coefficient is refused
     segs = [("X", False), ("Y", True)]
-    cases = [(rep_podles(P, 1.3, "direct_sum", 10), _COMBOS),
-             (TensorRep(rep_podles(P, 0.7, "plus", 10)),
-              [(1.0, [("T", False), ("X", False)])])]
-    for rep, combos in cases:
-        real = combos_residual(rep, combos, [(2.0, segs)], 10)
+    cases = [(rep_podles(P, 1.3, "direct_sum", 10), _COMBOS,
+              combos_residual),
+             (rep_podles(P, 0.7, "plus", 10),
+              [(1.0, [("T", False), ("X", False)])],
+              lambda rep, a, b, W: tensor_residuals(rep, [(a, b)], W)[0])]
+    for rep, combos, residual in cases:
+        real = residual(rep, combos, [(2.0, segs)], 10)
         assert real > 0
         for coef in (2 + 0j, complex(2, -0.0)):
-            assert combos_residual(rep, combos, [(coef, segs)],
-                                   10).hex() == real.hex()
+            assert residual(rep, combos, [(coef, segs)],
+                            10).hex() == real.hex()
         for coef in (2 + 1e-300j, 1j, complex(0, float("nan"))):
             with pytest.raises(ValueError):
-                combos_residual(rep, combos, [(coef, segs)], 10)
+                residual(rep, combos, [(coef, segs)], 10)
             with pytest.raises(ValueError):
-                combos_residual(rep, [(coef, segs)], combos, 10)
+                residual(rep, [(coef, segs)], combos, 10)
 
 
 def test_relation_kernel_matches_multiplying_walks(monkeypatch):
@@ -1213,7 +1250,6 @@ def test_relation_kernel_matches_multiplying_walks(monkeypatch):
 # the raw scalar context against mpf objects, and the walker in floats
 # ---------------------------------------------------------------------------
 
-_TENSOR_GENS = ("T", "X", "Y", "Z", "Zi")
 _TENSOR_COMBOS = [(1.0, [("T", False), ("X", False)]),
                   (0.25, [("Y", True), ("Zi", False), ("T", True)]),
                   (-2.0, [("X", False), ("Y", False), ("Z", False)])]
@@ -1221,7 +1257,7 @@ _TENSOR_COMBOS = [(1.0, [("T", False), ("X", False)]),
 
 def _bit_cases(q):
     """(rep, window, segments, combos) at q: podles at an integer and a
-    non-integer x, bl(1) and a tensor, at windows 48 and 64."""
+    non-integer x and bl(1), at windows 48 and 64."""
     p = QParams(q)
     label_segs = [(("zf", -1, 2, 1), False), (("lead", 1, 3, -1), False)]
     label_combos = _COMBOS + [(1, [("X", True), (("zf", 1, 1, 0), False),
@@ -1231,16 +1267,13 @@ def _bit_cases(q):
                    (rep_bl(p, 1, 48), 48)):
         segs = [(g, impl) for g in rep._steps for impl in (False, True)]
         yield rep, W, segs + label_segs, label_combos
-    tensor = TensorRep(rep_podles(p, 1.3, "plus", 48))
-    yield tensor, 48, [(g, False) for g in _TENSOR_GENS], _TENSOR_COMBOS
 
 
 def _same_entry(a, b) -> bool:
-    """A table entry or step of the raw context against the reference's."""
+    """A table entry, step or walk end of the raw context against the
+    reference's."""
     if a is None or b is None:
         return a is b
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same_entry, a, b))
     return a[:-1] == b[:-1] and a[-1] == raw(b[-1])
 
 
@@ -1250,7 +1283,6 @@ def test_raw_context_matches_mpf_objects_bit_for_bit(q):
     # raw context is the reference's mpf object to the bit, at 40 digits
     # and at the window's walk precision
     for rep, W, segs, combos in _bit_cases(q):
-        base = getattr(rep, "base", rep)
         x = rep.meta.get("x", 0.0)
         window = list(window_labels(rep, W))
         paths = {tuple(reversed(segments)): i
@@ -1258,10 +1290,10 @@ def test_raw_context_matches_mpf_objects_bit_for_bit(q):
         for dps in (40, walk_dps(rep, W)):
             new, ref = MPCtx(q, x, dps), MPObjectCtx(q, x, dps)
             with mp.workdps(dps):
-                for g in base._steps:
-                    for fam, k in window_labels(base, W + 2):
-                        assert _same_entry(base.step(g, fam, k, new),
-                                           base.step(g, fam, k, ref)), g
+                for g in rep._steps:
+                    for fam, k in window_labels(rep, W + 2):
+                        assert _same_entry(rep.step(g, fam, k, new),
+                                           rep.step(g, fam, k, ref)), g
                 tables = step_tables(rep, new), step_tables(rep, ref)
                 for seg in segs:
                     for label in window:
@@ -1269,8 +1301,7 @@ def test_raw_context_matches_mpf_objects_bit_for_bit(q):
                 walks = (trie_walks(t, paths, window) for t in tables)
                 for (la, got), (lb, want) in zip(*walks):
                     assert la == lb and len(got) == len(want)
-                    for a, b in zip(got, want):
-                        assert list(a) == [(lab, raw(v)) for lab, v in b]
+                    assert all(map(_same_entry, got, want))
                 assert new.roots and new._factors.keys() == ref._factors.keys()
                 for key, v in new._factors.items():
                     assert v == raw(ref._factors[key])
@@ -1300,30 +1331,32 @@ def test_reductions_match_mpf_objects_bit_for_bit(monkeypatch):
     pres_b = make_presentation("bl", P, l=1)
     rules = [(labels._poly_combos({r.lhs: 1.0}), labels._rule_combos(r))
              for r in pres_b.rules if r.defining]
-    rep_b, tensor = rep_bl(P, 1, W), TensorRep(rep_podles(P, 0.7, "plus", W))
+    rep_b, plus = rep_bl(P, 1, W), rep_podles(P, 0.7, "plus", W)
 
     def combos():
-        """Each rep's pairs, the laws' and the adjoint action's built in
-        the context the rep's residuals walk in, each as it is made."""
+        """Each reduction, rep and pairs, the laws' and the adjoint
+        action's built in the context the rep's residuals walk in, each as
+        it is made; the tensor's pairs walked as spin blocks on its base."""
         ctx = walk_ctx(rep_b, W)
         laws = list(spin2l_laws(ctx, 1).values())
-        ctx = walk_ctx(tensor, W)
+        ctx = walk_ctx(plus, W)
         ad_e = combo_ad("E", [(ctx.one, [("T", False)])], ctx)
         ad_k = combo_ad("K", base, walk_ctx(nan_rep, W))
-        return [(rep_podles(P, 1.3, "direct_sum", W),
+        return [(combos_residuals, rep_podles(P, 1.3, "direct_sum", W),
                  [(_COMBOS, []), (_COMBOS[:1], _COMBOS[1:]), ([], [])]),
-                (rep_b, rules + laws),
-                (tensor, [(_TENSOR_COMBOS, _TENSOR_COMBOS[1:]), (ad_e, [])]),
-                (nan_rep, [(ad_k, base), (base, [])])]
+                (combos_residuals, rep_b, rules + laws),
+                (tensor_residuals, plus,
+                 [(_TENSOR_COMBOS, _TENSOR_COMBOS[1:]), (ad_e, [])]),
+                (combos_residuals, nan_rep, [(ad_k, base), (base, [])])]
     words = {"podles": [("X", "Y"), ("Z",), ("Y", "Z", "X"), ("Y",), ()],
              "bl": [(a_gen(1), a_gen(-1)), ("X", "Y", "Z"), (a_gen(0),)]}
     defects = [(rep_podles(P, 1.0, "direct_sum", W), words["podles"]),
                (rep_bl(P, 0.5, W), words["bl"]), (nan_rep, words["podles"])]
-    want = ([combos_residuals(rep, pairs, W) for rep, pairs in combos()],
+    want = ([reduce(rep, pairs, W) for reduce, rep, pairs in combos()],
             [invariance_defects(batch, rep, W) for rep, batch in defects])
     monkeypatch.setattr(mpscalar, "mp_ctx", _mpf_objects)
     with mp.workdps(15):
-        got = ([combos_residuals(rep, pairs, W) for rep, pairs in combos()],
+        got = ([reduce(rep, pairs, W) for reduce, rep, pairs in combos()],
                [invariance_defects(batch, rep, W) for rep, batch in defects])
     # each check's floats: a residual per pair, a defect per word and
     # generator
@@ -1354,8 +1387,8 @@ def test_float_trie_walk_matches_walk_shifts():
             want = {window[j]: ((rep.families[r // M][0],
                                  rep.families[r // M][1] + r % M), v)
                     for j, r, v in zip(pos, rows, val)}
-            got = {label: ends[i][0] for label, ends in walked.items()
-                   if ends[i]}
+            got = {label: ends[i] for label, ends in walked.items()
+                   if ends[i] is not None}
             assert got.keys() == want.keys() and got, w
             for label, (end, v) in got.items():
                 assert end == want[label][0], (w, label)
@@ -1395,14 +1428,17 @@ def test_trie_residuals_match_per_identity_loop():
         for g, (name, (lhs, rhs)) in zip(got, laws.items()):
             assert _same(g, ref(rep, lhs, rhs, N)), (l, name)
         checked += len(laws)
+    # the Casimir invariance's identities, walked as spin blocks on the
+    # plus series, against the blocks walked one path at a time
+    tensor_ref = reference_residual.reference_tensor_residual
     for x in (0.7, -2.5):
-        rep = TensorRep(rep_podles(P, x, "plus", 12))
+        rep = rep_podles(P, x, "plus", 12)
         ctx = walk_ctx(rep, 12)
         tw = [(ctx.one, [("T", False)])]
         pairs = [(combo_ad("K", tw, ctx), tw), (combo_ad("E", tw, ctx), []),
-                 (combo_ad("F", tw, ctx), [])]
-        for g, (lhs, rhs) in zip(combos_residuals(rep, pairs, 12), pairs):
-            assert _same(g, ref(rep, lhs, rhs, 12)), x
+                 (combo_ad("F", tw, ctx), []), (_TENSOR_COMBOS, [])]
+        for g, (lhs, rhs) in zip(tensor_residuals(rep, pairs, 12), pairs):
+            assert _same(g, tensor_ref(rep, lhs, rhs, 12)), x
             checked += 1
     # the NaN-x rep, an empty right side, paths that die at the family
     # edge (X lowers the label, so X X dies from k = 0 and 1), and

@@ -14,8 +14,9 @@ numpy.linalg to action.py, keep numpy out of every module but the float
 ones when it loads, keep mpmath to `mpscalar` and `mpscalar` out of every
 module when it loads, keep the imports of src/ and tests/ to what CI
 installs, keep the adjoint action's letters to its one table,
-keep every exact check to one prefix-trie walker, and keep the implementer
-sign and the adjoint step to their one derivation in `LabelRep.step`."""
+keep every exact check to one prefix-trie walker and the exact walks off
+the float tensor class, and keep the implementer sign and the adjoint step
+to their one derivation in `LabelRep.step`."""
 
 import ast
 import sys
@@ -252,7 +253,7 @@ SCALAR_INTERFACE_ONLY = {
     "ncalg": ("_expand_recipe",),
     "labels": ("LabelRep", "_z_steps", "rep_podles", "rep_bl",
                "_tensor_terms", "_StepTable", "_SegmentTables", "_label_trie",
-               "_branch_trie", "trie_walks", "combos_residuals"),
+               "tensor_residuals", "trie_walks", "combos_residuals"),
     "invariance": ("_half_lam", "combo_ad", "lambda_s",
                    "ladder_coeff", "spin2l_laws", "invariance_defects"),
 }
@@ -532,15 +533,18 @@ def test_adjoint_action_letters_only_in_its_table():
 
 
 # the per-identity exact residual loop that the prefix-trie walk of
-# `labels.combos_residuals` replaced, and the per-path walk that the invariant
-# functional's trie walk replaced; tests/reference_residual.py and
+# `labels.combos_residuals` replaced, the per-path walk that the invariant
+# functional's trie walk replaced, and the branching walk on the tensor
+# labels and its step tables that the spin blocks of
+# `labels.tensor_residuals` replaced; tests/reference_residual.py and
 # tests/reference_functional.py keep them
 REPLACED = ("_exact_residual", "_termwise_residual", "_combo_column",
-            "_branch_walk", "walk_path", "segment_path")
+            "_branch_walk", "walk_path", "segment_path", "_branch_trie",
+            "_tensor_step")
 # the second derivations of the implementer sign (float shifts, exact
 # tables) and of the adjoint step that `labels.LabelRep.step` replaced
 REDERIVED = ("absorb_sign", "_absorbed_step", "_adjoint_of")
-TRIE_WALKERS = ("_label_trie", "_branch_trie")
+TRIE_WALKERS = ("_label_trie",)
 # every exact check that walks paths walks them through this one function
 SHARED_WALKER = "trie_walks"
 EXACT_CHECKS = ["combos_residuals", "invariance_defects"]
@@ -580,6 +584,23 @@ def test_exact_residuals_walk_one_trie():
     assert _callers(ast.parse(
         "def f(): g(); h.g()\ndef g(): g()\n"
         "def k():\n    def m(): g()\n    g()"), "g") == ["f", "k", "m"]
+
+
+# the modules of the exact walks, which walk label representations only:
+# the coaction-tensored representation is a float class of `reps`
+LABEL_ONLY = ("labels", "invariance", "mpscalar")
+
+
+def test_exact_walks_name_no_tensor_representation():
+    # the exact walks reach the tensor with the coaction through its spin
+    # blocks on the base (`labels.tensor_residuals`) alone: no exact module
+    # names the float tensor class, and the adjoint action's checks import
+    # nothing from the float walks
+    for stem in LABEL_ONLY:
+        assert "TensorRep" not in (SRC / f"{stem}.py").read_text(), stem
+    tree = ast.parse((SRC / "invariance.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "reps"]
 
 
 def test_label_steps_are_derived_in_one_place():
